@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use e2eprof_bench::{corr_pair, rubis_scenario};
 use e2eprof_timeseries::{Nanos, Tick};
 use e2eprof_xcorr::engine::all_engines;
-use e2eprof_xcorr::incremental::IncrementalCorrelator;
+use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::{normalize, rle, SpikeDetector};
 
 fn bench_engines(c: &mut Criterion) {
@@ -36,10 +36,11 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("spike_detection", |b| {
         b.iter(|| detector.detect(rho.values()));
     });
-    // One ΔW = W/4 incremental advance (the online analyzer's unit of
-    // work per refresh per edge).
+    // One ΔW = W/4 window slide (the online analyzer's unit of work per
+    // refresh per edge), with the scratch the analyzer keeps per worker.
     let (start, end) = (x.start(), x.end());
     let quarter = (end - start) / 4;
+    let mut scratch = SlideScratch::new();
     group.bench_function("incremental_refresh", |b| {
         b.iter_batched(
             || {
@@ -48,12 +49,34 @@ fn bench_engines(c: &mut Criterion) {
                 inc
             },
             |mut inc| {
-                inc.append(&x.slice(Tick::new(end.index() - quarter), end), &y);
-                inc.evict_to(Tick::new(start.index() + quarter), &x, &y);
+                let new_start = Tick::new(start.index() + quarter);
+                inc.advance(
+                    &x.slice(Tick::new(end.index() - quarter), end),
+                    &y,
+                    new_start,
+                    &x.slice(start, new_start),
+                    &y,
+                    &mut scratch,
+                );
                 inc
             },
             criterion::BatchSize::LargeInput,
         );
+    });
+
+    // The paper's own scale (W = 3 min, T_u = 1 min: 60 000 lags over a
+    // few thousand runs). Normalization must stay linear in runs + lags;
+    // anything per-lag logarithmic in the runs shows here and not above.
+    let paper = rubis_scenario(Nanos::from_minutes(3), Nanos::from_minutes(1), 42);
+    let (x, y) = corr_pair(&paper);
+    let max_lag = paper.config.max_lag();
+    let raw = rle::correlate(&x, &y, max_lag);
+    let mut rho = Vec::new();
+    group.bench_function("normalize_eq1/paper_scale", |b| {
+        b.iter(|| normalize::normalize_into(&raw, &x, &y, &mut rho));
+    });
+    group.bench_function("spike_detection/paper_scale", |b| {
+        b.iter(|| detector.detect(&rho));
     });
     group.finish();
 }

@@ -19,7 +19,7 @@ use e2eprof_bench::{fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
 use e2eprof_timeseries::{Nanos, Tick};
 use e2eprof_xcorr::engine::all_engines;
-use e2eprof_xcorr::incremental::IncrementalCorrelator;
+use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use std::time::Instant;
 
 fn main() {
@@ -214,6 +214,7 @@ fn time_incremental_refresh(s: &e2eprof_bench::Scenario) -> std::time::Duration 
     let (start, end) = s.signals.window();
     let mid = Tick::new(start.index() + (end.index() - start.index()) / 2);
     let mut total = std::time::Duration::ZERO;
+    let mut scratch = SlideScratch::new();
     for &(client, front) in &s.roots {
         let Some(x) = s.signals.source_signal(client, front) else {
             continue;
@@ -224,13 +225,20 @@ fn time_incremental_refresh(s: &e2eprof_bench::Scenario) -> std::time::Duration 
                 continue;
             };
             // Prime a correlator on the first half-window (untimed), then
-            // time one ΔW append + evict cycle.
+            // time one ΔW window slide the way the analyzer issues it.
             let mut inc = IncrementalCorrelator::new(max_lag);
             inc.append(&x.slice(start, mid), y);
             let t0 = Instant::now();
             let new_end = Tick::new((mid.index() + refresh).min(end.index()));
-            inc.append(&x.slice(mid, new_end), y);
-            inc.evict_to(Tick::new(start.index() + refresh), &x, y);
+            let new_start = Tick::new(start.index() + refresh);
+            inc.advance(
+                &x.slice(mid, new_end),
+                y,
+                new_start,
+                &x.slice(start, new_start),
+                y,
+                &mut scratch,
+            );
             total += t0.elapsed();
         }
     }

@@ -136,6 +136,50 @@ where
     })
 }
 
+/// Scratch values that outlive the sharded calls using them.
+///
+/// The helpers above hand each item to whichever worker owns its shard
+/// and keep no per-worker state between calls. Work that needs a sizeable
+/// scratch buffer per item borrows one here for the duration of that item
+/// ([`with`](ScratchPool::with)) and gives it back, so at most one value
+/// per concurrently running worker ever exists, and a value that has
+/// grown to its working size is reused by every later item and refresh
+/// instead of being reallocated. Which value an item gets never affects
+/// its result — scratch carries no information between uses.
+#[derive(Debug)]
+pub struct ScratchPool<T> {
+    idle: std::sync::Mutex<Vec<T>>,
+}
+
+impl<T> Default for ScratchPool<T> {
+    fn default() -> Self {
+        ScratchPool {
+            idle: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<T: Default> ScratchPool<T> {
+    /// Runs `f` with an idle scratch value — a fresh `T::default()` when
+    /// every pooled one is in use — and returns the value to the pool.
+    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        // The lock is held only to pop and to push, never across `f`, so
+        // it can only be poisoned by a panic inside `Vec` itself.
+        let mut value = self
+            .idle
+            .lock()
+            .expect("scratch pool lock poisoned")
+            .pop()
+            .unwrap_or_default();
+        let out = f(&mut value);
+        self.idle
+            .lock()
+            .expect("scratch pool lock poisoned")
+            .push(value);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +224,17 @@ mod tests {
         let mut one = vec![5u8];
         for_each_sharded_mut(&mut one, 4, |v| *v += 1);
         assert_eq!(one, vec![6]);
+    }
+
+    #[test]
+    fn scratch_pool_reuses_returned_values() {
+        let pool: ScratchPool<Vec<u8>> = ScratchPool::default();
+        pool.with(|v| v.reserve(64));
+        // The grown value comes back; a nested borrow gets a fresh one.
+        pool.with(|outer| {
+            assert!(outer.capacity() >= 64);
+            pool.with(|inner| assert_eq!(inner.capacity(), 0));
+        });
     }
 
     #[test]

@@ -10,12 +10,15 @@
 
 use crate::config::PathmapConfig;
 use crate::graph::{GraphEdge, NodeLabels, ServiceGraph};
+use crate::parallel::ScratchPool;
 use crate::signals::EdgeSignals;
 use e2eprof_netsim::{NodeId, Topology};
 use e2eprof_timeseries::RleSeries;
 use e2eprof_xcorr::screen::{self, Screen};
 use e2eprof_xcorr::{normalize, CorrSeries, Correlator};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Supplies lagged-product series to the path search.
 ///
@@ -25,6 +28,10 @@ use std::collections::{HashMap, HashSet};
 pub trait CorrelationProvider {
     /// Raw lagged products of the client's source signal `x` against the
     /// edge signal `y`.
+    ///
+    /// A provider that maintains the products itself lends them out (the
+    /// online analyzer's live for the whole refresh, so discovery reads
+    /// them in place); a stateless one returns what it just computed.
     fn correlate(
         &mut self,
         client: NodeId,
@@ -32,7 +39,7 @@ pub trait CorrelationProvider {
         x: &RleSeries,
         y: &RleSeries,
         max_lag: u64,
-    ) -> CorrSeries;
+    ) -> Cow<'_, CorrSeries>;
 
     /// Whether the coarse screening tier has proven this pair cannot
     /// produce a spike at or above the configured floor, letting the path
@@ -135,6 +142,31 @@ impl IncrementalStats {
     }
 }
 
+/// Buffer-reuse counters of the refresh hot path: every time a pair's
+/// correlation is maintained (a window slide) or read (normalization
+/// ahead of spike detection) it works in a buffer kept from earlier
+/// pairs and refreshes, and this records whether that buffer was big
+/// enough. In steady state `reused` keeps rising while `allocated` stays
+/// constant — nothing proportional to the lag bound is allocated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScratchCounters {
+    /// Uses that fit in a buffer kept from an earlier use.
+    pub reused: u64,
+    /// Uses that allocated or grew a buffer.
+    pub allocated: u64,
+}
+
+impl ScratchCounters {
+    /// Records one buffer use.
+    pub(crate) fn note(&mut self, allocated: bool) {
+        if allocated {
+            self.allocated += 1;
+        } else {
+            self.reused += 1;
+        }
+    }
+}
+
 /// Stateless provider wrapping any [`Correlator`] engine.
 #[derive(Debug)]
 pub struct StatelessProvider<'a> {
@@ -156,8 +188,8 @@ impl CorrelationProvider for StatelessProvider<'_> {
         x: &RleSeries,
         y: &RleSeries,
         max_lag: u64,
-    ) -> CorrSeries {
-        self.engine.correlate(x, y, max_lag)
+    ) -> Cow<'_, CorrSeries> {
+        Cow::Owned(self.engine.correlate(x, y, max_lag))
     }
 }
 
@@ -251,8 +283,8 @@ impl CorrelationProvider for ScreenedStatelessProvider<'_> {
         x: &RleSeries,
         y: &RleSeries,
         max_lag: u64,
-    ) -> CorrSeries {
-        self.engine.correlate(x, y, max_lag)
+    ) -> Cow<'_, CorrSeries> {
+        Cow::Owned(self.engine.correlate(x, y, max_lag))
     }
 
     fn screened_out(
@@ -299,6 +331,14 @@ pub struct Pathmap {
     /// Fraction of the maximum per-node delay above which a node is marked
     /// a bottleneck.
     bottleneck_fraction: f64,
+    /// Normalized-coefficient buffers, one per concurrently explored
+    /// root, kept across calls: every pair a root's search visits is
+    /// normalized into the same buffer and spike-detected in place.
+    rho_buffers: ScratchPool<Vec<f64>>,
+    /// How many of those normalizations fit the buffer they were handed
+    /// and how many had to grow it (statistics only, hence `Relaxed`).
+    rho_reused: AtomicU64,
+    rho_allocated: AtomicU64,
 }
 
 impl Pathmap {
@@ -317,6 +357,9 @@ impl Pathmap {
             config,
             engine,
             bottleneck_fraction: 0.5,
+            rho_buffers: ScratchPool::default(),
+            rho_reused: AtomicU64::new(0),
+            rho_allocated: AtomicU64::new(0),
         }
     }
 
@@ -335,6 +378,16 @@ impl Pathmap {
     /// The correlation engine backing this instance.
     pub fn engine(&self) -> &dyn Correlator {
         self.engine.as_ref()
+    }
+
+    /// Reuse counters of the normalization buffers over this instance's
+    /// lifetime: one use per candidate pair whose correlation a search
+    /// normalized.
+    pub fn scratch_counters(&self) -> ScratchCounters {
+        ScratchCounters {
+            reused: self.rho_reused.load(Ordering::Relaxed),
+            allocated: self.rho_allocated.load(Ordering::Relaxed),
+        }
     }
 
     /// Runs `ServiceRoot`: discovers one service graph per
@@ -545,18 +598,21 @@ impl Pathmap {
         // untraced); it anchors the graph.
         graph.add_edge(GraphEdge::anchor(client, front));
         let mut visited = HashSet::new();
-        self.compute_path(
-            &mut graph,
-            client,
-            &x,
-            front,
-            0,
-            &mut visited,
-            clients,
-            signals,
-            labels,
-            provider,
-        );
+        self.rho_buffers.with(|rho| {
+            self.compute_path(
+                &mut graph,
+                client,
+                &x,
+                front,
+                0,
+                &mut visited,
+                clients,
+                signals,
+                labels,
+                provider,
+                rho,
+            )
+        });
         graph.recompute_hop_delays();
         graph.annotate_bottlenecks(self.bottleneck_fraction);
         Some(graph)
@@ -577,6 +633,7 @@ impl Pathmap {
         signals: &EdgeSignals,
         labels: &NodeLabels,
         provider: &mut dyn CorrelationProvider,
+        rho: &mut Vec<f64>,
     ) {
         visited.insert(node);
         let detector = self.config.spike_detector();
@@ -589,10 +646,21 @@ impl Pathmap {
             if provider.screened_out(client, (node, next), x, y, max_lag) {
                 continue;
             }
-            let raw = provider.correlate(client, (node, next), x, y, max_lag);
-            let rho = normalize::normalize(&raw, x, y);
+            {
+                // The products may be on loan from the provider; the loan
+                // ends here, before the search recurses through it.
+                let raw = provider.correlate(client, (node, next), x, y, max_lag);
+                let grows = rho.capacity() < raw.values().len();
+                normalize::normalize_into(&raw, x, y, rho);
+                let counter = if grows {
+                    &self.rho_allocated
+                } else {
+                    &self.rho_reused
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
             let spikes: Vec<_> = detector
-                .detect(rho.values())
+                .detect(rho)
                 .into_iter()
                 .filter(|s| s.value >= self.config.min_spike_value())
                 .collect();
@@ -616,6 +684,7 @@ impl Pathmap {
             if !visited.contains(&next) && !clients.contains(&next) {
                 self.compute_path(
                     graph, client, x, next, min_lag, visited, clients, signals, labels, provider,
+                    rho,
                 );
             }
         }

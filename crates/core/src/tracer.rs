@@ -128,8 +128,12 @@ pub struct TracerAgent {
     /// it and ships an exact-size copy, so the agent's per-frame cost does
     /// not include growing a fresh vector.
     frame_buf: Vec<u8>,
-    /// The edge set last announced to the sink (as node-index pairs).
-    announced: Vec<(u32, u32)>,
+    /// The streams this node owns, sorted — what it last announced to the
+    /// sink — as of the capture edge set the agent last looked at
+    /// (`edges_seen` edges): rebuilt only when that set has grown, not on
+    /// every flush.
+    owned: Vec<TraceKey>,
+    edges_seen: usize,
     /// Frames handed to the sink over the agent's lifetime.
     frames_emitted: u64,
     /// Older frames the sink reported evicted under backpressure.
@@ -181,7 +185,8 @@ impl TracerAgent {
             streams: FxHashMap::default(),
             sink,
             frame_buf: Vec::new(),
-            announced: Vec::new(),
+            owned: Vec::new(),
+            edges_seen: 0,
             frames_emitted: 0,
             frames_dropped: 0,
             hints: FxHashMap::default(),
@@ -293,7 +298,11 @@ impl TracerAgent {
     /// `ω + max clock error` behind the current time).
     ///
     /// Every owned stream emits a frame per poll — possibly an empty chunk
-    /// — so the analyzer's sliding windows stay contiguous.
+    /// — so the analyzer's sliding windows stay contiguous. A stream is
+    /// owned from the first poll after its edge first carried traffic, and
+    /// its first chunk reaches back to tick zero, so nothing recorded
+    /// before the agent noticed the edge is lost. An agent taps one
+    /// capture for its whole life.
     ///
     /// The returned [`PollOutcome`] surfaces what happened at the sink
     /// boundary: [`Sent`](PollOutcome::Sent) when every emitted frame was
@@ -302,23 +311,28 @@ impl TracerAgent {
     /// accumulate in [`frames_dropped`](TracerAgent::frames_dropped) —
     /// backpressure is observable, never silent.
     pub fn poll(&mut self, capture: &CaptureStore, drain_to: Tick) -> PollOutcome {
-        // Discover streams this node owns.
-        let mut owned: Vec<TraceKey> = Vec::new();
-        for (src, dst) in capture.edges() {
-            if dst == self.node {
-                owned.push(TraceKey::at_receiver(src, dst));
-            } else if src == self.node && self.clients.contains(&dst) {
-                owned.push(TraceKey::at_sender(src, dst));
+        // Discover streams this node owns — only when the deployment's
+        // edge set grew since the last look (it never shrinks), so a
+        // steady-state flush does not walk every edge of every node.
+        if capture.num_edges() != self.edges_seen {
+            self.edges_seen = capture.num_edges();
+            let mut owned: Vec<TraceKey> = Vec::new();
+            for (src, dst) in capture.edges() {
+                if dst == self.node {
+                    owned.push(TraceKey::at_receiver(src, dst));
+                } else if src == self.node && self.clients.contains(&dst) {
+                    owned.push(TraceKey::at_sender(src, dst));
+                }
             }
-        }
-        owned.sort_unstable();
-        let owned_edges: Vec<(u32, u32)> = owned
-            .iter()
-            .map(|k| (k.src.index() as u32, k.dst.index() as u32))
-            .collect();
-        if owned_edges != self.announced {
-            self.sink.announce(&owned_edges);
-            self.announced = owned_edges;
+            owned.sort_unstable();
+            if owned != self.owned {
+                let edges: Vec<(u32, u32)> = owned
+                    .iter()
+                    .map(|k| (k.src.index() as u32, k.dst.index() as u32))
+                    .collect();
+                self.sink.announce(&edges);
+                self.owned = owned;
+            }
         }
         let mut emitted = 0usize;
         let mut dropped = 0u64;
@@ -334,7 +348,9 @@ impl TracerAgent {
         let retention = self.retention_ticks();
         let mut batch: Vec<((u32, u32), RleSeries)> = Vec::new();
         let mut leveled: Vec<((u32, u32), u64, RleSeries)> = Vec::new();
-        for key in owned {
+        // Lent out for the loop, which mutates the rest of `self`.
+        let owned = std::mem::take(&mut self.owned);
+        for &key in &owned {
             let edge = (key.src.index() as u32, key.dst.index() as u32);
             let initial_level = if reduction {
                 self.levels.get(&edge).copied().unwrap_or(0)
@@ -413,6 +429,7 @@ impl TracerAgent {
             dropped += self.sink.send_frame(frame);
             emitted += 1;
         }
+        self.owned = owned;
         if !batch.is_empty() {
             // One frame — and one allocation — per flush, not per edge.
             // Density amplitudes are √count, so the integer-amplitude
@@ -663,6 +680,62 @@ mod tests {
         fn announce(&mut self, edges: &[(u32, u32)]) {
             self.0.lock().expect("probe lock").push(edges.to_vec());
         }
+    }
+
+    /// Logs announcements like [`AnnounceProbe`] and forwards frames.
+    struct AnnounceAndForward(AnnounceLog, Sender<TracerFrame>);
+
+    impl FrameSink for AnnounceAndForward {
+        fn send_frame(&mut self, frame: TracerFrame) -> u64 {
+            let _ = self.1.send(frame);
+            0
+        }
+
+        fn announce(&mut self, edges: &[(u32, u32)]) {
+            self.0.lock().expect("probe lock").push(edges.to_vec());
+        }
+    }
+
+    #[test]
+    fn edge_appearing_mid_run_is_announced_once_and_streamed_from_its_first_record() {
+        let (web, db, cli) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let mut capture = CaptureStore::new();
+        capture.record(web, cli, web, Nanos::from_millis(100), 1);
+        let log: AnnounceLog = Default::default();
+        let (tx, rx) = unbounded();
+        let mut agent = TracerAgent::with_sink(
+            web,
+            HashSet::from([cli]),
+            cfg(),
+            Box::new(AnnounceAndForward(log.clone(), tx)),
+        );
+        let announces = || log.lock().expect("probe lock").clone();
+
+        agent.poll(&capture, Tick::new(1_000));
+        assert_eq!(announces(), vec![vec![(2, 0)]]);
+        // More traffic on the known edge: the capture's edge set did not
+        // grow, so nothing is re-announced.
+        capture.record(web, cli, web, Nanos::from_millis(1_500), 1);
+        agent.poll(&capture, Tick::new(2_000));
+        assert_eq!(announces().len(), 1, "unchanged edge set re-announced");
+        rx.try_iter().for_each(drop);
+
+        // db -> web first carries traffic only now.
+        capture.record(web, db, web, Nanos::from_millis(2_500), 1);
+        agent.poll(&capture, Tick::new(3_000));
+        assert_eq!(announces(), vec![vec![(2, 0)], vec![(1, 0), (2, 0)]]);
+        let chunks: Vec<_> = rx.try_iter().flat_map(|f| decode_frame(&f)).collect();
+        let (_, first) = chunks
+            .iter()
+            .find(|(edge, _)| *edge == (db, web))
+            .expect("new edge streamed on the poll that discovered it");
+        // Its first chunk reaches back to tick zero and holds the record
+        // that made the edge appear (smeared over ω around tick 2500).
+        assert_eq!((first.start(), first.end()), (Tick::ZERO, Tick::new(3_000)));
+        assert!(first.value_at(Tick::new(2_500)) > 0.0);
+
+        agent.poll(&capture, Tick::new(4_000));
+        assert_eq!(announces().len(), 2, "stable edge set re-announced");
     }
 
     #[test]

@@ -84,6 +84,14 @@ impl CaptureStore {
         self.edges.iter().copied()
     }
 
+    /// How many directed edges have carried traffic so far. Edges are
+    /// never forgotten, so between two looks at the same store an
+    /// unchanged count means an unchanged edge set — the constant-time
+    /// check tracer agents make before rescanning [`edges`](Self::edges).
+    pub fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
     /// The directed edges leaving `node` that carried traffic.
     pub fn edges_from(&self, node: NodeId) -> Vec<(NodeId, NodeId)> {
         self.edges
@@ -152,6 +160,7 @@ mod tests {
         assert_eq!(edges, vec![(n(0), n(1)), (n(1), n(2))]);
         assert_eq!(c.edges_from(n(1)), vec![(n(1), n(2))]);
         assert!(c.edges_from(n(5)).is_empty());
+        assert_eq!(c.num_edges(), 2);
     }
 
     #[test]

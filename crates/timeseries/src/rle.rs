@@ -357,7 +357,8 @@ impl RleSeries {
     }
 
     /// Returns the sub-series covering `[from, to)`, splitting runs that
-    /// straddle the boundary.
+    /// straddle the boundary. An empty range yields a run-free series even
+    /// when it sits inside a run.
     pub fn slice(&self, from: Tick, to: Tick) -> RleSeries {
         let len = to.checked_sub(from).unwrap_or(0);
         let mut runs = Vec::new();
@@ -365,11 +366,11 @@ impl RleSeries {
             if r.end() <= from {
                 continue;
             }
-            if r.start >= to {
-                break;
-            }
             let s = r.start.max(from);
             let e = r.end().min(to);
+            if s >= e {
+                break;
+            }
             runs.push(Run::new(s, e - s, r.value));
         }
         RleSeries {
@@ -558,6 +559,15 @@ mod tests {
         let s = r.to_sparse();
         assert!((r.stats().mean() - s.stats().mean()).abs() < 1e-12);
         assert!((r.stats().variance() - s.stats().variance()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_slice_inside_a_run_has_no_runs() {
+        let sub = sample().slice(Tick::new(6), Tick::new(6));
+        assert_eq!(
+            (sub.start(), sub.len(), sub.num_runs()),
+            (Tick::new(6), 0, 0)
+        );
     }
 
     #[test]

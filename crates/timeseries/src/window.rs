@@ -219,11 +219,12 @@ impl SlidingWindow {
         // end, so the eligible suffix is contiguous).
         let mut i = self.runs.partition_point(|r| r.end() <= from);
         while let Some(r) = self.runs.get(i) {
-            if r.start() >= to {
-                break;
-            }
             let s = r.start().max(from);
             let e = r.end().min(to);
+            if s >= e {
+                // Past `to` — or an empty range sitting inside this run.
+                break;
+            }
             runs.push(Run::new(s, e - s, r.value()));
             i += 1;
         }
@@ -354,6 +355,14 @@ mod tests {
         assert_eq!(v.start(), Tick::new(10));
         assert_eq!(v.end(), Tick::new(15));
         assert_eq!(v.value_at(Tick::new(12)), 3.0);
+    }
+
+    #[test]
+    fn empty_view_inside_a_run_has_no_runs() {
+        let mut w = SlidingWindow::new(100);
+        w.append_chunk(&chunk(10, 10, vec![Run::new(Tick::new(12), 4, 3.0)]));
+        let v = w.view(Tick::new(14), Tick::new(14));
+        assert_eq!((v.start(), v.len(), v.num_runs()), (Tick::new(14), 0, 0));
     }
 
     #[test]

@@ -47,21 +47,6 @@ impl CorrSeries {
         self.values.len() as u64
     }
 
-    /// Overwrites this series with the contents of `other`, reusing the
-    /// existing allocation when it is large enough. The analyzer's
-    /// steady-state refresh snapshots every incremental correlator into a
-    /// persistent per-pair cache this way, so no per-pair `clone` happens
-    /// once the cache has warmed up.
-    pub fn copy_from(&mut self, other: &CorrSeries) {
-        self.values.clear();
-        self.values.extend_from_slice(&other.values);
-    }
-
-    /// Allocated capacity in lags (scratch-reuse accounting).
-    pub fn capacity(&self) -> usize {
-        self.values.capacity()
-    }
-
     /// The per-lag values.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -84,30 +69,6 @@ impl CorrSeries {
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("non-finite correlation value"))
             .map(|(i, &v)| (i as u64, v))
-    }
-
-    /// Adds `other` element-wise (series must have equal lag bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lag bounds differ.
-    pub fn add_assign(&mut self, other: &CorrSeries) {
-        assert_eq!(self.values.len(), other.values.len(), "lag bound mismatch");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a += b;
-        }
-    }
-
-    /// Subtracts `other` element-wise (series must have equal lag bounds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lag bounds differ.
-    pub fn sub_assign(&mut self, other: &CorrSeries) {
-        assert_eq!(self.values.len(), other.values.len(), "lag bound mismatch");
-        for (a, b) in self.values.iter_mut().zip(&other.values) {
-            *a -= b;
-        }
     }
 
     /// Maximum absolute element-wise difference to another series of the
@@ -139,23 +100,6 @@ mod tests {
     #[test]
     fn peak_of_empty_is_none() {
         assert_eq!(CorrSeries::zeros(0).peak(), None);
-    }
-
-    #[test]
-    fn add_sub_round_trip() {
-        let mut a = CorrSeries::new(vec![1.0, 2.0]);
-        let b = CorrSeries::new(vec![0.5, 0.25]);
-        a.add_assign(&b);
-        assert_eq!(a.values(), &[1.5, 2.25]);
-        a.sub_assign(&b);
-        assert_eq!(a.values(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "lag bound mismatch")]
-    fn mismatched_bounds_panic() {
-        let mut a = CorrSeries::zeros(2);
-        a.add_assign(&CorrSeries::zeros(3));
     }
 
     #[test]

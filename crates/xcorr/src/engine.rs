@@ -194,7 +194,7 @@ impl Correlator for RleCorrelator {
         out: &mut CorrSeries,
         arena: &mut CorrArena,
     ) {
-        let fit = arena.rle_scratch.capacity() >= max_lag as usize + 2;
+        let fit = arena.rle_scratch.capacity() >= max_lag as usize;
         arena.note_acquire(fit);
         rle::correlate_into(x, y, max_lag, out, &mut arena.rle_scratch);
     }

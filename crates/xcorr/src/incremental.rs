@@ -6,6 +6,11 @@
 //! evicted prefix — `O((ΔW/τ)/(k·r) · T_u/τ)` per refresh instead of
 //! recomputing the whole `W` window (paper Sections 3.4 and 3.7, the reason
 //! pathmap's per-refresh cost in Fig. 9 is flat in `W`).
+//! [`IncrementalCorrelator::advance`] applies both in one sweep of the lag
+//! axis: each chunk's run pairs land in a second-difference image
+//! (constant time per pair, see [`crate::rle`]), and the two images are
+//! resolved straight into the accumulator, so a slide costs
+//! `O(run pairs in reach + T_u/τ)` with the lag axis walked once.
 //!
 //! The correction terms only read `y` up to `T_u` ticks past the affected
 //! `x` region, so the analyzer retains `W + T_u` ticks of each target
@@ -41,11 +46,30 @@ pub struct IncrementalCorrelator {
     max_lag: u64,
     acc: CorrSeries,
     window: Option<(Tick, Tick)>,
-    /// Reused correction-term and second-difference buffers: every
-    /// append/evict writes into these instead of allocating `O(max_lag)`
-    /// vectors per call.
-    delta: CorrSeries,
-    scratch: Vec<f64>,
+}
+
+/// Caller-owned scratch for [`IncrementalCorrelator::advance`]: the
+/// second-difference images of the chunk entering and the chunk leaving
+/// the window. One instance serves any number of correlators in turn (the
+/// analyzer keeps one per refresh worker), growing to the largest lag
+/// bound it has seen and allocating nothing afterwards.
+#[derive(Debug, Clone, Default)]
+pub struct SlideScratch {
+    appended: Vec<f64>,
+    evicted: Vec<f64>,
+}
+
+impl SlideScratch {
+    /// Creates empty scratch; the buffers grow on first use.
+    pub fn new() -> Self {
+        SlideScratch::default()
+    }
+
+    /// Total allocated capacity, in lags (scratch-reuse accounting: a
+    /// call that leaves it unchanged allocated nothing).
+    pub fn capacity(&self) -> usize {
+        self.appended.capacity() + self.evicted.capacity()
+    }
 }
 
 impl IncrementalCorrelator {
@@ -55,8 +79,6 @@ impl IncrementalCorrelator {
             max_lag,
             acc: CorrSeries::zeros(max_lag),
             window: None,
-            delta: CorrSeries::zeros(0),
-            scratch: Vec::new(),
         }
     }
 
@@ -75,6 +97,84 @@ impl IncrementalCorrelator {
         &self.acc
     }
 
+    /// Slides the window in one pass over the lag axis: `appended` enters
+    /// at the window's end, and the prefix before `new_start` — whose
+    /// source values `evicted` holds — leaves.
+    ///
+    /// Both chunks' run pairs are accumulated into `scratch` as
+    /// second-difference images and resolved straight into the
+    /// accumulator, `acc[d] = (acc[d] + Δa[d]) − Δe[d]`: bit for bit what
+    /// [`append`](Self::append)`(appended, y_new)` followed by
+    /// [`evict_to`](Self::evict_to)`(new_start, evicted, y_old)` compute
+    /// (they are this method with one side empty), in one sweep instead
+    /// of one per correction term. A side whose chunk or target has no
+    /// run at all contributes only `+0.0` products and is skipped outright
+    /// — the same no-op [`slide`](Self::slide) relies on — so an idle
+    /// pair costs nothing proportional to the lag bound.
+    ///
+    /// `appended` must start at the current window end (it may be empty);
+    /// `y_new` must cover `[appended.start, appended.end + max_lag)`
+    /// intersected with its materialized span (values outside `y`'s span
+    /// count as zero, exactly like the stateless engines). `evicted` must
+    /// hold the source signal over exactly `[start, new_start)`, and
+    /// `y_old` the target over `[start, new_start + max_lag)` — the same
+    /// values that were present when that region was appended.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no data was appended yet, if `appended` is not contiguous
+    /// with the current window, or if `new_start` lies outside the
+    /// extended window.
+    pub fn advance(
+        &mut self,
+        appended: &RleSeries,
+        y_new: &RleSeries,
+        new_start: Tick,
+        evicted: &RleSeries,
+        y_old: &RleSeries,
+        scratch: &mut SlideScratch,
+    ) {
+        let (s, e) = self.window.expect("advance on an empty correlator");
+        assert_eq!(appended.start(), e, "appended chunk must be contiguous");
+        let e = appended.end();
+        assert!(
+            new_start >= s && new_start <= e,
+            "eviction point outside current window"
+        );
+        debug_assert!(
+            new_start == s || (evicted.start() >= s && evicted.end() <= new_start),
+            "evicted chunk reaches outside the evicted region"
+        );
+        let entering = rle::accumulate(appended, y_new, self.max_lag, &mut scratch.appended);
+        let leaving = if new_start == s {
+            None
+        } else {
+            rle::accumulate(evicted, y_old, self.max_lag, &mut scratch.evicted)
+        };
+        let acc = self.acc.values_mut().iter_mut();
+        match (entering, leaving) {
+            (Some(a), Some(v)) => {
+                let entering = rle::resolve(&scratch.appended, a);
+                let leaving = rle::resolve(&scratch.evicted, v);
+                for ((slot, da), de) in acc.zip(entering).zip(leaving) {
+                    *slot = (*slot + da) - de;
+                }
+            }
+            (Some(a), None) => {
+                for (slot, da) in acc.zip(rle::resolve(&scratch.appended, a)) {
+                    *slot += da;
+                }
+            }
+            (None, Some(v)) => {
+                for (slot, de) in acc.zip(rle::resolve(&scratch.evicted, v)) {
+                    *slot -= de;
+                }
+            }
+            (None, None) => {}
+        }
+        self.window = Some((new_start, e));
+    }
+
     /// Appends a new chunk of the source signal.
     ///
     /// `y` must contain the target signal's values over at least
@@ -82,19 +182,17 @@ impl IncrementalCorrelator {
     /// materialized span (values outside `y`'s span count as zero, exactly
     /// like the stateless engines).
     ///
+    /// This is [`advance`](Self::advance) with nothing evicted and scratch
+    /// of its own; callers sliding many windows should call `advance` with
+    /// scratch they keep.
+    ///
     /// # Panics
     ///
     /// Panics if `chunk` is not contiguous with the current window.
     pub fn append(&mut self, chunk: &RleSeries, y: &RleSeries) {
-        match self.window {
-            None => self.window = Some((chunk.start(), chunk.end())),
-            Some((s, e)) => {
-                assert_eq!(chunk.start(), e, "appended chunk must be contiguous");
-                self.window = Some((s, chunk.end()));
-            }
-        }
-        rle::correlate_into(chunk, y, self.max_lag, &mut self.delta, &mut self.scratch);
-        self.acc.add_assign(&self.delta);
+        let (s, _) = *self.window.get_or_insert((chunk.start(), chunk.start()));
+        let nothing = RleSeries::empty(s, 0);
+        self.advance(chunk, y, s, &nothing, y, &mut SlideScratch::new());
     }
 
     /// Evicts the window prefix before `new_start`.
@@ -103,6 +201,9 @@ impl IncrementalCorrelator {
     /// `y` must cover `[start, new_start + max_lag)` intersected with its
     /// materialized span — the same values that were present when the
     /// corresponding `append` ran.
+    ///
+    /// This is [`advance`](Self::advance) with nothing appended and
+    /// scratch of its own.
     ///
     /// # Panics
     ///
@@ -114,19 +215,16 @@ impl IncrementalCorrelator {
             new_start >= s && new_start <= e,
             "eviction point outside current window"
         );
-        if new_start == s {
-            return;
-        }
+        let nothing = RleSeries::empty(e, 0);
         let evicted = x.slice(s, new_start);
-        rle::correlate_into(
+        self.advance(
+            &nothing,
+            y,
+            new_start,
             &evicted,
             y,
-            self.max_lag,
-            &mut self.delta,
-            &mut self.scratch,
+            &mut SlideScratch::new(),
         );
-        self.acc.sub_assign(&self.delta);
-        self.window = Some((new_start, e));
     }
 
     /// Slides the recorded window to `span` without touching the
@@ -135,8 +233,8 @@ impl IncrementalCorrelator {
     /// This is the activity-gated skip path (DESIGN.md §6.7): the caller
     /// has *proved* — via retention epochs plus boundary-run checks over
     /// the exact regions the slide adds and evicts — that every correction
-    /// term [`append`](Self::append)/[`evict_to`](Self::evict_to) would
-    /// compute for this slide is a sum of zero products, so the
+    /// term [`advance`](Self::advance) would compute for this slide is a
+    /// sum of zero products, so the
     /// accumulated lagged products for the new window are bitwise
     /// identical to the old ones and only the window bookkeeping moves.
     /// Calling this without that proof silently corrupts the accumulator.

@@ -13,51 +13,115 @@
 //! ```
 //!
 //! where `Eₓ = Σ (x − x̄)²`. `S` and `Q` are computed in `O(runs + L)` from
-//! the RLE representation, so normalization never dominates the engines.
+//! the RLE representation, so normalization never dominates the engines:
+//! both window edges move forward with `d`, so `WindowMoments` walks the
+//! runs once with two forward-only cursors — no per-lag search, no
+//! prefix-sum table.
 
 use crate::corr::CorrSeries;
-use e2eprof_timeseries::{RleSeries, Tick};
+use e2eprof_timeseries::{RleSeries, Run, Tick};
 
 /// Energy threshold below which a window is considered constant (its
 /// correlation with anything is defined as zero).
 pub(crate) const EPS_ENERGY: f64 = 1e-12;
 
-/// Prefix-sum evaluator over an RLE signal: cumulative sum and sum of
-/// squares of `y` over all ticks `< t`.
+/// Forward-only evaluator of an RLE signal's prefix moments: the sum and
+/// sum of squares of `y` over all ticks `< t`, for non-decreasing `t`.
 #[derive(Debug)]
-pub(crate) struct RlePrefix<'a> {
-    series: &'a RleSeries,
-    /// cum[i] = (Σ value·len, Σ value²·len) over runs[0..i].
-    cum: Vec<(f64, f64)>,
+struct PrefixCursor<'a> {
+    /// Runs after the current one.
+    rest: std::slice::Iter<'a, Run>,
+    /// The first run ending after the last queried tick, unpacked; past
+    /// the last run both ticks are `u64::MAX`, which no query reaches.
+    start: u64,
+    end: u64,
+    value: f64,
+    value_sq: f64,
+    /// `(Σ value·len, Σ value²·len)` over the runs before the current
+    /// one, accumulated run by run from the first.
+    s: f64,
+    q: f64,
 }
 
-impl<'a> RlePrefix<'a> {
-    pub(crate) fn new(series: &'a RleSeries) -> Self {
-        let mut cum = Vec::with_capacity(series.num_runs() + 1);
-        cum.push((0.0, 0.0));
-        let (mut s, mut q) = (0.0, 0.0);
-        for r in series.runs() {
-            s += r.value() * r.len() as f64;
-            q += r.value() * r.value() * r.len() as f64;
-            cum.push((s, q));
-        }
-        RlePrefix { series, cum }
+impl<'a> PrefixCursor<'a> {
+    fn new(series: &'a RleSeries) -> Self {
+        let mut cursor = PrefixCursor {
+            rest: series.runs().iter(),
+            start: 0,
+            end: 0,
+            value: 0.0,
+            value_sq: 0.0,
+            s: 0.0,
+            q: 0.0,
+        };
+        cursor.load_next();
+        cursor
     }
 
-    /// `(Σ_{u<t} y(u), Σ_{u<t} y(u)²)`.
-    pub(crate) fn eval(&self, t: Tick) -> (f64, f64) {
-        let runs = self.series.runs();
-        // Number of runs ending at or before t.
-        let i = runs.partition_point(|r| r.end() <= t);
-        let (mut s, mut q) = self.cum[i];
-        if let Some(r) = runs.get(i) {
-            if r.start() < t {
-                let part = (t - r.start()) as f64;
-                s += r.value() * part;
-                q += r.value() * r.value() * part;
+    fn load_next(&mut self) {
+        match self.rest.next() {
+            Some(r) => {
+                self.start = r.start().index();
+                self.end = r.end().index();
+                self.value = r.value();
+                self.value_sq = r.value() * r.value();
             }
+            None => (self.start, self.end) = (u64::MAX, u64::MAX),
+        }
+    }
+
+    /// `(Σ_{u<t} y(u), Σ_{u<t} y(u)²)`; `t` must not decrease between
+    /// calls.
+    fn eval(&mut self, t: Tick) -> (f64, f64) {
+        let t = t.index();
+        while self.end <= t {
+            let len = (self.end - self.start) as f64;
+            self.s += self.value * len;
+            self.q += self.value_sq * len;
+            self.load_next();
+        }
+        let (mut s, mut q) = (self.s, self.q);
+        if self.start < t {
+            let part = (t - self.start) as f64;
+            s += self.value * part;
+            q += self.value_sq * part;
         }
         (s, q)
+    }
+}
+
+/// The per-lag window moments of Eq. 1, `S(d) = Σ y(t+d)` and
+/// `Q(d) = Σ y(t+d)²` over the source window's ticks `t`, for a
+/// non-decreasing sequence of lags.
+///
+/// Each moment is the difference of two prefix moments of `y`, at
+/// `x.start + d` and `x.end + d`. Both ticks only move forward as `d`
+/// grows, so a whole sweep of the lag axis costs `O(runs(y) + lags)` —
+/// and a caller that stops early never touches the runs it did not reach.
+#[derive(Debug)]
+pub(crate) struct WindowMoments<'a> {
+    lo: PrefixCursor<'a>,
+    hi: PrefixCursor<'a>,
+    start: Tick,
+    end: Tick,
+}
+
+impl<'a> WindowMoments<'a> {
+    /// Moments of `y` over the span of the source window `x`, shifted.
+    pub(crate) fn new(x: &RleSeries, y: &'a RleSeries) -> Self {
+        WindowMoments {
+            lo: PrefixCursor::new(y),
+            hi: PrefixCursor::new(y),
+            start: x.start(),
+            end: x.end(),
+        }
+    }
+
+    /// `(S(d), Q(d))`; `d` must not decrease between calls.
+    pub(crate) fn at(&mut self, d: u64) -> (f64, f64) {
+        let (s_lo, q_lo) = self.lo.eval(self.start + d);
+        let (s_hi, q_hi) = self.hi.eval(self.end + d);
+        (s_hi - s_lo, q_hi - q_lo)
     }
 }
 
@@ -82,32 +146,42 @@ impl<'a> RlePrefix<'a> {
 /// assert!(rho.value_at(1) < 0.9);
 /// ```
 pub fn normalize(raw: &CorrSeries, x: &RleSeries, y: &RleSeries) -> CorrSeries {
+    let mut out = Vec::new();
+    normalize_into(raw, x, y, &mut out);
+    CorrSeries::new(out)
+}
+
+/// [`normalize`] writing into a caller-owned buffer.
+///
+/// `out` is cleared and refilled with one coefficient per lag of `raw`,
+/// so passing the same buffer for pair after pair (as path discovery
+/// does) allocates only until it has grown to the lag bound. The values
+/// are bit-identical to [`normalize`]'s.
+pub fn normalize_into(raw: &CorrSeries, x: &RleSeries, y: &RleSeries, out: &mut Vec<f64>) {
+    out.clear();
     let n = x.len() as f64;
-    if n == 0.0 {
-        return CorrSeries::zeros(raw.max_lag());
-    }
     let xs = x.stats();
     let x_mean = xs.mean();
     let ex = xs.centered_energy();
-    let prefix = RlePrefix::new(y);
-    let mut out = Vec::with_capacity(raw.max_lag() as usize);
-    for d in 0..raw.max_lag() {
-        let lo = x.start() + d;
-        let hi = x.end() + d;
-        let (s_lo, q_lo) = prefix.eval(lo);
-        let (s_hi, q_hi) = prefix.eval(hi);
-        let s = s_hi - s_lo;
-        let q = q_hi - q_lo;
+    if ex == 0.0 {
+        // A constant (or empty: its energy is 0 too) source window
+        // correlates to 0 with everything — every denominator below
+        // would be exactly 0.
+        out.resize(raw.values().len(), 0.0);
+        return;
+    }
+    let mut moments = WindowMoments::new(x, y);
+    out.extend(raw.values().iter().zip(0u64..).map(|(&r, d)| {
+        let (s, q) = moments.at(d);
         let ey = (q - s * s / n).max(0.0);
-        let num = raw.value_at(d) - x_mean * s;
+        let num = r - x_mean * s;
         let den = (ex * ey).sqrt();
-        out.push(if den > EPS_ENERGY {
+        if den > EPS_ENERGY {
             (num / den).clamp(-1.0, 1.0)
         } else {
             0.0
-        });
-    }
-    CorrSeries::new(out)
+        }
+    }));
 }
 
 #[cfg(test)]

@@ -38,11 +38,9 @@ pub fn correlate(x: &RleSeries, y: &RleSeries, max_lag: u64) -> CorrSeries {
 /// lagged products and `scratch` holds the second-difference accumulator.
 ///
 /// Both buffers are resized and zeroed as needed, so any prior contents
-/// are irrelevant — passing the same buffers across calls (as
-/// [`IncrementalCorrelator`](crate::incremental::IncrementalCorrelator)
-/// does every append/evict) reuses their allocations instead of paying
-/// two `O(max_lag)` heap round-trips per invocation. The computed values
-/// are bit-identical to [`correlate`]'s.
+/// are irrelevant — passing the same buffers across calls reuses their
+/// allocations instead of paying two `O(max_lag)` heap round-trips per
+/// invocation. The computed values are bit-identical to [`correlate`]'s.
 pub fn correlate_into(
     x: &RleSeries,
     y: &RleSeries,
@@ -51,23 +49,46 @@ pub fn correlate_into(
     scratch: &mut Vec<f64>,
 ) {
     out.reset(max_lag);
-    let l = max_lag as i64;
-    if l == 0 {
-        return;
+    if let Some(fold) = accumulate(x, y, max_lag, scratch) {
+        for (slot, r) in out.values_mut().iter_mut().zip(resolve(scratch, fold)) {
+            *slot = r;
+        }
     }
-    // Second-difference accumulator over lags [0, L), with two extra slots
-    // so events at p = L and p = L+1 (which cannot affect d < L) need no
-    // special-casing when they land exactly on the boundary.
-    scratch.clear();
-    scratch.resize(max_lag as usize + 2, 0.0);
-    let diff2 = scratch;
-    // Events at negative positions fold into a linear + constant term:
-    // an impulse e at p < 0 contributes e·(d − p + 1) = e·(d+1) + e·(−p)
-    // to every lag d ≥ 0.
-    let mut lin = 0.0f64;
-    let mut cst = 0.0f64;
+}
 
+/// The impulses of a second-difference image that fell at negative lags,
+/// folded into a linear + constant term: an impulse `e` at `p < 0`
+/// contributes `e·(d − p + 1) = e·(d+1) + e·(−p)` to every lag `d ≥ 0`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Fold {
+    lin: f64,
+    cst: f64,
+}
+
+/// Accumulates the second-difference image of `r(d) = Σ_t x(t)·y(t+d)`,
+/// `d ∈ [0, max_lag)`, into `diff2` (resized to `max_lag` and zeroed
+/// first) and returns the folded negative-lag term; [`resolve`] turns
+/// the two back into the lagged products.
+///
+/// Returns `None` — leaving `diff2` untouched — when either signal has no
+/// run at all: every product is then `+0.0`, and the caller can skip the
+/// resolve sweep over the lag axis as well.
+pub(crate) fn accumulate(
+    x: &RleSeries,
+    y: &RleSeries,
+    max_lag: u64,
+    diff2: &mut Vec<f64>,
+) -> Option<Fold> {
     let yr = y.runs();
+    if x.runs().is_empty() || yr.is_empty() {
+        return None;
+    }
+    diff2.clear();
+    diff2.resize(max_lag as usize, 0.0);
+    let diff2 = diff2.as_mut_slice();
+    let l = max_lag as i64;
+    let mut fold = Fold::default();
+
     let mut lo = 0usize;
     for rx in x.runs() {
         let sx = rx.start().index() as i64;
@@ -92,28 +113,48 @@ pub fn correlate_into(
             // where p1 = (sy − sx) − (lx − 1) is the smallest lag with
             // non-zero overlap.
             let p1 = sy - sx - (lx - 1);
+            if p1 >= 0 && p1 + lx + ly < l {
+                // Interior pair — nearly all of them once L spans many
+                // runs: the four impulses land inside the buffer, in the
+                // same order the boundary path applies them (so two
+                // impulses sharing a slot, lx == ly, add up identically).
+                let p = p1 as usize;
+                let (lx, ly) = (lx as usize, ly as usize);
+                diff2[p] += w;
+                diff2[p + lx] -= w;
+                diff2[p + ly] -= w;
+                diff2[p + lx + ly] += w;
+                continue;
+            }
             for (p, e) in [(p1, w), (p1 + lx, -w), (p1 + ly, -w), (p1 + lx + ly, w)] {
                 if p >= l {
                     continue;
                 }
                 if p < 0 {
-                    lin += e;
-                    cst += e * (-p) as f64;
+                    fold.lin += e;
+                    fold.cst += e * (-p) as f64;
                 } else {
                     diff2[p as usize] += e;
                 }
             }
         }
     }
+    Some(fold)
+}
 
-    // Resolve: double prefix sum plus the folded linear/constant terms.
+/// Resolves a second-difference image into its lagged products, lag by
+/// lag: a double prefix sum plus the folded linear/constant terms.
+pub(crate) fn resolve(diff2: &[f64], fold: Fold) -> impl Iterator<Item = f64> + '_ {
     let mut slope = 0.0f64;
     let mut value = 0.0f64;
-    for (d, slot) in out.values_mut().iter_mut().enumerate() {
-        slope += diff2[d];
+    // d + 1, counted in floating point (exact far beyond any lag bound).
+    let mut d1 = 0.0f64;
+    diff2.iter().map(move |&e| {
+        slope += e;
         value += slope;
-        *slot = value + lin * (d as f64 + 1.0) + cst;
-    }
+        d1 += 1.0;
+        value + fold.lin * d1 + fold.cst
+    })
 }
 
 #[cfg(test)]

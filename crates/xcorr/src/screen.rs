@@ -23,7 +23,7 @@
 //! decision with promote/demote hysteresis for the online analyzer.
 
 use crate::corr::CorrSeries;
-use crate::normalize::{RlePrefix, EPS_ENERGY};
+use crate::normalize::{WindowMoments, EPS_ENERGY};
 use e2eprof_timeseries::RleSeries;
 
 /// Absolute safety margin added to every screening bound before it is
@@ -110,7 +110,9 @@ pub fn max_rho_bound_until(
         // Constant source window: every ρ(d) is defined as 0.
         return 0.0;
     }
-    let prefix = RlePrefix::new(y);
+    // Lags are visited in increasing order (whole buckets may be skipped,
+    // never revisited), which is all the moment cursors require.
+    let mut moments = WindowMoments::new(x, y);
     let mut best = 0.0f64;
     let mut d = 0u64;
     while d < max_lag {
@@ -118,19 +120,14 @@ pub fn max_rho_bound_until(
         let bucket_end = ((bucket + 1) * k).min(max_lag);
         // The raw bound is constant across the bucket's k fine lags; a
         // zero bucket (no coarse overlap at all — the common case for a
-        // causally dead edge) is skipped without touching the prefix.
+        // causally dead edge) is skipped without touching the moments.
         let b = coarse.value_at(bucket) + coarse.value_at(bucket + 1) + slack;
         if b <= 0.0 {
             d = bucket_end;
             continue;
         }
         while d < bucket_end {
-            let lo = x.start() + d;
-            let hi = x.end() + d;
-            let (s_lo, q_lo) = prefix.eval(lo);
-            let (s_hi, q_hi) = prefix.eval(hi);
-            let s = s_hi - s_lo;
-            let q = q_hi - q_lo;
+            let (s, q) = moments.at(d);
             let ey = (q - s * s / n).max(0.0);
             let den = (ex * ey).sqrt();
             if den > EPS_ENERGY {

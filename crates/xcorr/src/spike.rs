@@ -87,9 +87,16 @@ impl SpikeDetector {
         if corr.is_empty() {
             return Vec::new();
         }
+        // Both moments in one pass; each is still a plain left-to-right
+        // sum, so the threshold is the one two separate passes would give.
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+        for &v in corr {
+            sum += v;
+            sum_sq += v * v;
+        }
         let n = corr.len() as f64;
-        let mean = corr.iter().sum::<f64>() / n;
-        let var = (corr.iter().map(|v| v * v).sum::<f64>() / n - mean * mean).max(0.0);
+        let mean = sum / n;
+        let var = (sum_sq / n - mean * mean).max(0.0);
         let threshold = mean + self.threshold_sigma * var.sqrt();
 
         let mut candidates: Vec<Spike> = Vec::new();

@@ -1,11 +1,14 @@
 //! Property-based tests: every engine computes the same function, the
 //! incremental correlator never drifts from a from-scratch computation,
 //! normalization stays within Pearson bounds, and spike detection honours
-//! its contract.
+//! its contract. The last section pins the linear-time refresh kernels —
+//! cursor normalization, the fused window slide, the run-pair kernel's
+//! interior fast path — bit for bit to the routines they replaced, kept
+//! here as reference models.
 
 use e2eprof_timeseries::{DenseSeries, RleSeries, Tick};
 use e2eprof_xcorr::engine::{all_engines, Correlator, DenseCorrelator};
-use e2eprof_xcorr::incremental::IncrementalCorrelator;
+use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::{
     normalize, rle, AutoCorrelator, CorrArena, CorrSeries, CostModel, EngineKind, SpikeDetector,
 };
@@ -489,6 +492,258 @@ proptest! {
                 va.to_bits(), vb.to_bits(),
                 "lag {}: advance {} != skipped {}", d, va, vb
             );
+        }
+    }
+}
+
+/// Reference model: the prefix-sum table with one binary search per
+/// evaluation that [`normalize`] used before it walked the runs with
+/// forward-only cursors. Same `cum[i] + partial run` expression.
+struct RlePrefix<'a> {
+    series: &'a RleSeries,
+    /// cum[i] = (Σ value·len, Σ value²·len) over runs[0..i].
+    cum: Vec<(f64, f64)>,
+}
+
+impl<'a> RlePrefix<'a> {
+    fn new(series: &'a RleSeries) -> Self {
+        let mut cum = Vec::with_capacity(series.num_runs() + 1);
+        cum.push((0.0, 0.0));
+        let (mut s, mut q) = (0.0, 0.0);
+        for r in series.runs() {
+            s += r.value() * r.len() as f64;
+            q += r.value() * r.value() * r.len() as f64;
+            cum.push((s, q));
+        }
+        RlePrefix { series, cum }
+    }
+
+    /// `(Σ_{u<t} y(u), Σ_{u<t} y(u)²)`.
+    fn eval(&self, t: Tick) -> (f64, f64) {
+        let runs = self.series.runs();
+        let i = runs.partition_point(|r| r.end() <= t);
+        let (mut s, mut q) = self.cum[i];
+        if let Some(r) = runs.get(i) {
+            if r.start() < t {
+                let part = (t - r.start()) as f64;
+                s += r.value() * part;
+                q += r.value() * r.value() * part;
+            }
+        }
+        (s, q)
+    }
+}
+
+/// Reference model of Eq. 1 normalization on top of [`RlePrefix`].
+fn binary_search_normalize(raw: &CorrSeries, x: &RleSeries, y: &RleSeries) -> Vec<f64> {
+    let n = x.len() as f64;
+    if n == 0.0 {
+        return vec![0.0; raw.max_lag() as usize];
+    }
+    let xs = x.stats();
+    let (x_mean, ex) = (xs.mean(), xs.centered_energy());
+    let prefix = RlePrefix::new(y);
+    (0..raw.max_lag())
+        .map(|d| {
+            let (s_lo, q_lo) = prefix.eval(x.start() + d);
+            let (s_hi, q_hi) = prefix.eval(x.end() + d);
+            let (s, q) = (s_hi - s_lo, q_hi - q_lo);
+            let ey = (q - s * s / n).max(0.0);
+            let num = raw.value_at(d) - x_mean * s;
+            let den = (ex * ey).sqrt();
+            if den > 1e-12 {
+                (num / den).clamp(-1.0, 1.0)
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// Reference model of the run-pair kernel: every second-difference
+/// impulse of every pair goes through the bounds-checking, negative-lag
+/// folding event loop (the kernel now sends interior pairs around it).
+fn event_loop_correlate(x: &RleSeries, y: &RleSeries, max_lag: u64) -> Vec<f64> {
+    let l = max_lag as i64;
+    let mut diff2 = vec![0.0f64; max_lag as usize];
+    let (mut lin, mut cst) = (0.0f64, 0.0f64);
+    for rx in x.runs() {
+        let (sx, lx) = (rx.start().index() as i64, rx.len() as i64);
+        for ry in y.runs() {
+            let (sy, ly) = (ry.start().index() as i64, ry.len() as i64);
+            if ry.end().index() as i64 <= sx {
+                continue;
+            }
+            if sy >= sx + lx + l - 1 {
+                break;
+            }
+            let w = rx.value() * ry.value();
+            let p1 = sy - sx - (lx - 1);
+            for (p, e) in [(p1, w), (p1 + lx, -w), (p1 + ly, -w), (p1 + lx + ly, w)] {
+                if p >= l {
+                    continue;
+                }
+                if p < 0 {
+                    lin += e;
+                    cst += e * (-p) as f64;
+                } else {
+                    diff2[p as usize] += e;
+                }
+            }
+        }
+    }
+    let (mut slope, mut value) = (0.0f64, 0.0f64);
+    diff2
+        .iter()
+        .enumerate()
+        .map(|(d, e)| {
+            slope += e;
+            value += slope;
+            value + lin * (d as f64 + 1.0) + cst
+        })
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A signal laid out run by run — `(gap before, length, amplitude index)`
+/// — so equal-length runs (two impulses of a pair in one slot) and long
+/// runs (trapezoids wider than the lag bound) are common, not flukes.
+fn run_signal_strategy(max_runs: usize) -> impl Strategy<Value = (u64, Vec<f64>)> {
+    (
+        0u64..30,
+        prop::collection::vec((0usize..5, 1usize..5, 1u32..6), 0..max_runs),
+    )
+        .prop_map(|(start, runs)| {
+            let mut values = Vec::new();
+            for (gap, len, c) in runs {
+                values.extend(std::iter::repeat_n(0.0, gap));
+                values.extend(std::iter::repeat_n((c as f64).sqrt(), len));
+            }
+            (start, values)
+        })
+}
+
+/// Lag bounds with the degenerate `L = 1` over-represented.
+fn lag_strategy(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(1u64),
+        5 => 1u64..max,
+    ]
+}
+
+proptest! {
+    /// Cursor normalization ≡ the binary-search evaluator, bit for bit:
+    /// for `y` ending before `x.end + L`, starting after `x.start`, empty,
+    /// or a single run, and for `L = 1`.
+    #[test]
+    fn cursor_normalization_matches_binary_search_bitwise(
+        (xs, xv) in signal_strategy(120),
+        (ys, yv) in prop_oneof![
+            4 => signal_strategy(220),
+            1 => (0u64..50).prop_map(|s| (s, Vec::new())),
+            1 => (0u64..150, 1usize..40, 1u32..6)
+                .prop_map(|(s, len, c)| (s, vec![(c as f64).sqrt(); len])),
+        ],
+        max_lag in lag_strategy(90),
+    ) {
+        let x = to_rle(xs, xv);
+        let y = to_rle(ys, yv);
+        let raw = rle::correlate(&x, &y, max_lag);
+        let want = binary_search_normalize(&raw, &x, &y);
+        prop_assert_eq!(bits(normalize::normalize(&raw, &x, &y).values()), bits(&want));
+        // The buffer-reusing entry point, over stale contents.
+        let mut out = vec![7.0; 3];
+        normalize::normalize_into(&raw, &x, &y, &mut out);
+        prop_assert_eq!(bits(&out), bits(&want));
+    }
+
+    /// The run-pair kernel with its branch-free interior ≡ the all-events
+    /// loop, bit for bit — including pairs of equal-length runs (two
+    /// impulses share a slot) and runs straddling lag 0 and lag `L`.
+    #[test]
+    fn interior_fast_path_matches_event_loop_bitwise(
+        (xs, xv) in run_signal_strategy(30),
+        (ys, yv) in run_signal_strategy(40),
+        max_lag in lag_strategy(60),
+    ) {
+        let x = to_rle(xs, xv);
+        let y = to_rle(ys, yv);
+        prop_assert_eq!(
+            bits(rle::correlate(&x, &y, max_lag).values()),
+            bits(&event_loop_correlate(&x, &y, max_lag))
+        );
+    }
+
+    /// One fused `advance` ≡ `append` then `evict_to` ≡ adding and
+    /// subtracting the two chunks' stateless correlations (what the pair
+    /// of calls did before they shared `advance`'s internals), bit for
+    /// bit, over a whole sequence of slides with arbitrary chunk sizes —
+    /// empty chunks and run-free chunks (where a side is skipped outright,
+    /// the same no-op `slide` relies on) included — reusing one scratch
+    /// throughout.
+    #[test]
+    fn fused_advance_matches_append_then_evict_bitwise(
+        (_, xv) in signal_strategy(300),
+        (ys, yv) in signal_strategy(340),
+        max_lag in lag_strategy(40),
+        w in 10u64..80,
+        steps in prop::collection::vec((0u64..25, 0u64..25, any::<bool>()), 1..8),
+    ) {
+        // Blank x over the chunks the flagged steps append, so run-free
+        // chunks occur at every chunk size, not only tiny ones.
+        let mut xv = xv;
+        let mut e = w;
+        for &(grow, _, blank) in &steps {
+            if blank {
+                for t in e..(e + grow).min(xv.len() as u64) { xv[t as usize] = 0.0; }
+            }
+            e += grow;
+        }
+        let x = to_rle(0, xv);
+        let y = to_rle(ys, yv);
+        let total = x.len();
+        prop_assume!(total > w);
+
+        let mut two_step = IncrementalCorrelator::new(max_lag);
+        let mut fused = IncrementalCorrelator::new(max_lag);
+        for inc in [&mut two_step, &mut fused] {
+            inc.append(&x.slice(Tick::new(0), Tick::new(w)), &y);
+        }
+        let mut model = rle::correlate(&x.slice(Tick::new(0), Tick::new(w)), &y, max_lag)
+            .values()
+            .to_vec();
+        let mut scratch = SlideScratch::new();
+        let (mut s0, mut e0) = (0u64, w);
+        for (grow, shrink, _) in steps {
+            let e1 = (e0 + grow).min(total);
+            let s1 = (s0 + shrink).min(e1);
+            let appended = x.slice(Tick::new(e0), Tick::new(e1));
+            let entering = rle::correlate(&appended, &y, max_lag);
+            let leaving = rle::correlate(&x.slice(Tick::new(s0), Tick::new(s1)), &y, max_lag);
+            for (m, da) in model.iter_mut().zip(entering.values()) { *m += da; }
+            for (m, de) in model.iter_mut().zip(leaving.values()) { *m -= de; }
+            two_step.append(&appended, &y);
+            two_step.evict_to(Tick::new(s1), &x, &y);
+            fused.advance(
+                &appended,
+                &y,
+                Tick::new(s1),
+                &x.slice(Tick::new(s0), Tick::new(s1)),
+                &y,
+                &mut scratch,
+            );
+            prop_assert_eq!(two_step.window(), fused.window());
+            for inc in [&two_step, &fused] {
+                prop_assert_eq!(
+                    bits(&model),
+                    bits(inc.corr().values()),
+                    "slide to [{}, {})", s1, e1
+                );
+            }
+            (s0, e0) = (s1, e1);
         }
     }
 }
