@@ -3,11 +3,13 @@
 //! wire encoding take as the window grows. (The representation *sizes*
 //! Fig. 10 plots are printed by `experiments fig10`.)
 //!
-//! The trailing size report extends the figure to the wire formats:
-//! bytes/record shipped for one RUBiS window under v1 (one fixed-layout
-//! frame per edge) versus v2 batch frames with raw and integer-count
-//! amplitudes, asserting v2+int-amp spends at least 1.5× fewer bytes per
-//! captured record. Written to `BENCH_fig10_compression.json`.
+//! The trailing size report extends the figure to the wire formats — a
+//! pure format comparison calling the two encoders directly, no pipeline
+//! involved: bytes/record for one RUBiS window as v1 frames (fixed
+//! layout, one per edge; reader-side only now) versus the batch frames
+//! tracers ship, with raw and integer-count amplitudes, asserting the
+//! shipped form spends at least 1.5× fewer bytes per captured record.
+//! Written to `BENCH_fig10_compression.json`.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use e2eprof_bench::{rubis_scenario, write_bench_json, JsonValue};

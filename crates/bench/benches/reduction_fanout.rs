@@ -21,7 +21,7 @@ use e2eprof_core::config::{ReductionConfig, ScreeningConfig};
 use e2eprof_core::graph::{NodeLabels, ServiceGraph};
 use e2eprof_core::pathmap::roots_from_topology;
 use e2eprof_core::tracer::{FrameSink, TracerAgent, TracerFrame};
-use e2eprof_core::{PathmapConfig, WireVersion};
+use e2eprof_core::PathmapConfig;
 use e2eprof_net::frame::HEADER_LEN;
 use e2eprof_netsim::prelude::*;
 use e2eprof_netsim::NodeId;
@@ -42,7 +42,6 @@ fn config(reduction: bool) -> PathmapConfig {
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
         .max_delay(Nanos::from_millis(500))
-        .wire(WireVersion::V2)
         .screening(ScreeningConfig {
             decimation: 8,
             hysteresis: 0.5,

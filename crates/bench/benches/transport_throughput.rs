@@ -2,11 +2,10 @@
 //! through (a) the in-process channel and (b) loopback TCP — framed,
 //! CRC-checked, brokered, and fanned out to 1, 4, and 8 analyzer shards.
 //!
-//! The workload is the ingest bench's shape (bursty density-shaped RLE
-//! chunks over 64 edges, one wire-v2 batch frame per flush) so the two
-//! benches compose: `ingest_throughput` isolates the codec + window
-//! cost, this bench adds the envelope, the socket hop, the broker's
-//! dedup/replay ring, and the per-shard fan-out on top. Every shard
+//! The workload is bursty density-shaped RLE chunks over 64 edges, one
+//! batch frame per flush: on top of the codec + window cost the
+//! in-process run pays, the TCP runs add the envelope, the socket hop, the
+//! broker's dedup/replay ring, and the per-shard fan-out. Every shard
 //! subscribes to the full stream, so the 4-shard case moves 4× the bytes
 //! of the 1-shard case.
 //!
@@ -30,7 +29,7 @@ use e2eprof_bench::{fmt_duration, write_bench_json, JsonValue};
 use e2eprof_core::analyzer::OnlineAnalyzer;
 use e2eprof_core::graph::NodeLabels;
 use e2eprof_core::tracer::{FrameSink, TracerFrame};
-use e2eprof_core::{PathmapConfig, WireVersion};
+use e2eprof_core::PathmapConfig;
 use e2eprof_net::link::{AnalyzerConn, LinkConfig, TracerLink};
 use e2eprof_net::pipeline::Endpoint;
 use e2eprof_net::{BrokerHandle, CountingAcceptor, IoCounters};
@@ -56,7 +55,6 @@ fn config() -> PathmapConfig {
         .window(Nanos::from_secs(10))
         .refresh(Nanos::from_secs(2))
         .max_delay(Nanos::from_secs(1))
-        .wire(WireVersion::V2)
         .build()
 }
 

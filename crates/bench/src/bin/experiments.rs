@@ -17,12 +17,20 @@ use e2eprof_apps::experiments::{
 };
 use e2eprof_bench::{fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
+use e2eprof_core::PathmapConfig;
 use e2eprof_timeseries::{Nanos, Tick};
 use e2eprof_xcorr::engine::all_engines;
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use std::time::Instant;
 
 fn main() {
+    // The experiment configurations apply the `E2EPROF_*` overrides deep
+    // inside `e2eprof_apps`, where a bad value can only panic; vet the
+    // operator's environment once, here, and report it like a bad argument.
+    if let Err(e) = PathmapConfig::builder().try_env_overrides() {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let cmd = args

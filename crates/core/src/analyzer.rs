@@ -342,13 +342,13 @@ impl OnlineAnalyzer {
     /// Drains all pending tracer frames into the sliding windows. Returns
     /// the number of frames ingested.
     ///
-    /// Both wire formats are accepted on the same channel. A v1 frame
-    /// decodes to one owned chunk and appends as before; a v2 batch frame
-    /// is walked by a zero-copy [`wire::FrameCursor`] whose runs stream
-    /// straight into [`SlidingWindow::extend_runs`] — in steady state (no
-    /// screening) ingest materializes no intermediate series at all. With
-    /// screening enabled each batch entry is materialized once so the
-    /// decimated twin can fold the same chunk.
+    /// A batch frame is walked by a zero-copy [`wire::FrameCursor`] whose
+    /// runs stream straight into [`SlidingWindow::extend_runs`] — in steady
+    /// state (no screening) ingest materializes no intermediate series at
+    /// all. With screening enabled each batch entry is materialized once so
+    /// the decimated twin can fold the same chunk. (A v1
+    /// [`TracerFrame::Series`] is still accepted — decoded to one owned
+    /// chunk — though no tracer in this repository produces one.)
     ///
     /// Stream discontinuities heal automatically: a restarted tracer's
     /// replayed history is deduplicated (only novel ticks append), and a
@@ -401,8 +401,8 @@ impl OnlineAnalyzer {
         count
     }
 
-    /// Applies one tracer frame to the sliding windows (either wire
-    /// format; see [`ingest`](Self::ingest) for the decoding contract).
+    /// Applies one tracer frame to the sliding windows (see
+    /// [`ingest`](Self::ingest) for the decoding contract).
     fn ingest_frame(
         &mut self,
         frame: &TracerFrame,
@@ -410,6 +410,7 @@ impl OnlineAnalyzer {
     ) {
         let capacity = self.capacity;
         match frame {
+            // No producer in this repo; removal waits for a `benchmark` PR.
             TracerFrame::Series { edge, payload } => {
                 let chunk = wire::decode(payload).expect("undecodable tracer frame");
                 let healed = self.apply_chunk(*edge, &chunk);
@@ -1668,6 +1669,7 @@ mod tests {
     use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
+    use e2eprof_timeseries::Run;
     use std::collections::HashSet;
 
     fn cfg() -> PathmapConfig {
@@ -1986,32 +1988,76 @@ mod tests {
     }
 
     #[test]
-    fn v2_wire_matches_v1_graphs_exactly() {
-        // The batched zero-copy ingest path must be observationally
-        // identical to the per-series v1 path — including with screening,
-        // which exercises the batch-entry materialization fallback.
-        let (plain, _) = run_online(5, 30);
-        let v2_cfg = PathmapConfig::builder()
+    fn v1_and_v2_frames_of_the_same_series_ingest_to_identical_windows() {
+        // What is left of the v1-vs-v2 equivalence now that nothing emits
+        // v1: the reader-side arm kept for it must build the same windows
+        // as the batch cursor — with screening too, which materializes
+        // each batch entry for the decimated twin.
+        let screened = PathmapConfig::builder()
             .window(Nanos::from_secs(10))
             .refresh(Nanos::from_secs(2))
             .max_delay(Nanos::from_secs(1))
-            .wire(crate::config::WireVersion::V2)
-            .build();
-        let (v2, _) = drive_online(two_tier(5), v2_cfg, 30);
-        assert_graphs_equivalent(&plain, &v2);
-        let v2_screened_cfg = PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .wire(crate::config::WireVersion::V2)
             .screening(crate::config::ScreeningConfig {
                 decimation: 8,
                 hysteresis: 0.5,
             })
             .build();
-        let (v2_screened, analyzer) = drive_online(two_tier(5), v2_screened_cfg, 30);
-        assert_graphs_equivalent(&plain, &v2_screened);
-        assert!(analyzer.screening_stats().expect("screening on").candidates > 0);
+        // Three contiguous chunks: a run cut by a chunk boundary, an
+        // all-quiet chunk, a burst.
+        let run = |start, len, count: f64| Run::new(Tick::new(start), len, count.sqrt());
+        let chunks = [
+            RleSeries::from_parts(
+                Tick::ZERO,
+                2_000,
+                vec![run(10, 50, 1.0), run(60, 3, 2.0), run(1_990, 10, 1.0)],
+            ),
+            RleSeries::from_parts(Tick::new(2_000), 2_000, vec![run(2_000, 41, 1.0)]),
+            RleSeries::empty(Tick::new(4_000), 2_000),
+            RleSeries::from_parts(Tick::new(6_000), 2_000, vec![run(7_000, 51, 7.0)]),
+        ];
+        let sim = two_tier(5);
+        let edge = roots_from_topology(sim.topology())[0];
+        for config in [cfg(), screened] {
+            let analyzer = |frames: Vec<TracerFrame>| {
+                let (tx, rx) = unbounded();
+                let mut analyzer = OnlineAnalyzer::new(
+                    config.clone(),
+                    roots_from_topology(sim.topology()),
+                    NodeLabels::from_topology(sim.topology()),
+                    rx,
+                );
+                let sent = frames.len();
+                frames.into_iter().for_each(|f| tx.send(f).expect("open"));
+                assert_eq!(analyzer.ingest(), sent);
+                analyzer
+            };
+            let v1 = analyzer(
+                chunks
+                    .iter()
+                    .map(|chunk| TracerFrame::Series {
+                        edge,
+                        payload: wire::encode(chunk),
+                    })
+                    .collect(),
+            );
+            let key = (edge.0.index() as u32, edge.1.index() as u32);
+            let v2 = analyzer(
+                chunks
+                    .iter()
+                    .map(|chunk| TracerFrame::Batch {
+                        payload: wire::encode_batch(&[(key, chunk)], true),
+                    })
+                    .collect(),
+            );
+            assert_eq!(v1.windows[&edge].series(), v2.windows[&edge].series());
+            assert_eq!(v1.windows[&edge].series().end(), Tick::new(8_000));
+            assert_eq!(v1.screening.is_some(), config.screening().is_some());
+            if let (Some(a), Some(b)) = (&v1.screening, &v2.screening) {
+                let (a, b) = (&a.decimated[&edge], &b.decimated[&edge]);
+                assert_eq!(a.coarse().series(), b.coarse().series());
+                assert_eq!(a.tail(), b.tail());
+            }
+        }
     }
 
     #[test]
@@ -2078,14 +2124,13 @@ mod tests {
         assert_eq!(total.allocated, after[0].allocated + after[1].allocated);
     }
 
-    /// Fanout-test config: V2 wire + screening, optionally with the
-    /// edge-reduction tier on top.
+    /// Fanout-test config: screening, optionally with the edge-reduction
+    /// tier on top.
     fn fanout_cfg(reduction: Option<crate::config::ReductionConfig>) -> PathmapConfig {
         let mut b = PathmapConfig::builder()
             .window(Nanos::from_secs(20))
             .refresh(Nanos::from_secs(5))
             .max_delay(Nanos::from_millis(500))
-            .wire(crate::config::WireVersion::V2)
             .screening(crate::config::ScreeningConfig {
                 decimation: 8,
                 hysteresis: 0.5,

@@ -30,26 +30,6 @@ pub enum CorrelationBackend {
     Auto,
 }
 
-/// Which wire format tracer agents ship frames in (see
-/// [`e2eprof_timeseries::wire`]).
-///
-/// The default, [`V1`](WireVersion::V1), keeps the frame stream bit-for-bit
-/// identical to previous releases: one fixed-width frame per edge per
-/// flush. [`V2`](WireVersion::V2) coalesces every series an agent owns
-/// into one varint-compressed batch frame per flush, which the analyzer
-/// ingests through a zero-copy cursor; the decoded series — and hence the
-/// discovered graphs — are identical (the integer-count amplitude encoding
-/// reconstructs every √count density bit-for-bit). The analyzer accepts
-/// both formats regardless of this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum WireVersion {
-    /// One fixed-width frame per edge per flush — the default.
-    #[default]
-    V1,
-    /// One varint batch frame per agent flush.
-    V2,
-}
-
 /// How tracer agents reach the analyzer tier.
 ///
 /// The default, [`InProcess`](Transport::InProcess), keeps the original
@@ -113,7 +93,7 @@ impl Default for ScreeningConfig {
 /// discovered strong-edge set is unchanged. `reduction: None` (the
 /// default) keeps every byte and every code path bit-for-bit identical.
 ///
-/// Requires screening and the v2 wire format.
+/// Requires screening.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReductionConfig {
     /// Base decimation level for demoted edges: one coarse tick aggregates
@@ -133,6 +113,34 @@ impl Default for ReductionConfig {
         }
     }
 }
+
+/// An `E2EPROF_*` environment variable holds a value
+/// [`PathmapConfigBuilder::try_env_overrides`] does not accept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    variable: &'static str,
+    value: String,
+    accepted: &'static str,
+}
+
+impl ConfigError {
+    /// The offending environment variable.
+    pub fn variable(&self) -> &'static str {
+        self.variable
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?} is not accepted (expected {})",
+            self.variable, self.value, self.accepted
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// The knobs of the pathmap algorithm (paper Sections 3.3–3.5).
 ///
@@ -167,7 +175,6 @@ pub struct PathmapConfig {
     screening: Option<ScreeningConfig>,
     backend: CorrelationBackend,
     auto_cost_model: Option<CostModel>,
-    wire: WireVersion,
     transport: Transport,
     reduction: Option<ReductionConfig>,
     incremental: bool,
@@ -271,13 +278,6 @@ impl PathmapConfig {
         self.auto_cost_model.as_ref()
     }
 
-    /// The wire format tracer agents ship frames in (default:
-    /// [`WireVersion::V1`], bit-for-bit compatible with previous
-    /// releases).
-    pub fn wire(&self) -> WireVersion {
-        self.wire
-    }
-
     /// How tracer agents reach the analyzer tier (default:
     /// [`Transport::InProcess`], the bit-identical channel anchor).
     pub fn transport(&self) -> Transport {
@@ -356,7 +356,6 @@ pub struct PathmapConfigBuilder {
     screening: Option<ScreeningConfig>,
     backend: CorrelationBackend,
     auto_cost_model: Option<CostModel>,
-    wire: WireVersion,
     transport: Transport,
     reduction: Option<ReductionConfig>,
     incremental: bool,
@@ -377,7 +376,6 @@ impl Default for PathmapConfigBuilder {
             screening: None,
             backend: CorrelationBackend::default(),
             auto_cost_model: None,
-            wire: WireVersion::default(),
             transport: Transport::default(),
             reduction: None,
             incremental: false,
@@ -465,13 +463,6 @@ impl PathmapConfigBuilder {
         self
     }
 
-    /// Selects the tracer wire format (default: [`WireVersion::V1`],
-    /// bit-for-bit compatible with previous releases).
-    pub fn wire(mut self, wire: WireVersion) -> Self {
-        self.wire = wire;
-        self
-    }
-
     /// Selects the tracer-to-analyzer transport (default:
     /// [`Transport::InProcess`], the bit-identical channel anchor).
     pub fn transport(mut self, transport: Transport) -> Self {
@@ -481,7 +472,7 @@ impl PathmapConfigBuilder {
 
     /// Enables the edge-side data-reduction feedback loop with the given
     /// parameters. The default (`None`) ships every edge at full
-    /// resolution. Requires screening and the v2 wire format.
+    /// resolution. Requires screening.
     pub fn reduction(mut self, reduction: ReductionConfig) -> Self {
         self.reduction = Some(reduction);
         self
@@ -496,33 +487,75 @@ impl PathmapConfigBuilder {
     }
 
     /// Applies environment-variable overrides (the CI configuration-matrix
-    /// hook; tests opting in call this last, so a plain build is
+    /// hook; callers opting in call this last, so a plain build is
     /// unaffected):
     ///
     /// * `E2EPROF_BACKEND` ∈ `rle | dense | sparse | fft | auto` — selects
     ///   the backend; `auto` uses the deterministic default cost model.
-    /// * `E2EPROF_SCREENING` — `off` disables screening; an integer `k`
-    ///   enables it with decimation `k` and default hysteresis.
-    /// * `E2EPROF_WIRE` ∈ `v1 | v2` — selects the tracer wire format.
+    /// * `E2EPROF_SCREENING` — `off` disables screening; an integer
+    ///   `k ≥ 2` enables it with decimation `k` and default hysteresis.
     /// * `E2EPROF_TRANSPORT` ∈ `inproc | tcp | unix` — selects the
     ///   tracer-to-analyzer transport.
     /// * `E2EPROF_REDUCTION` — `off` disables edge-side data reduction;
-    ///   `on` enables it with defaults; an integer `k` enables it with
-    ///   base decimation level `k`. Enabling reduction pulls in its
-    ///   prerequisites (default screening, the v2 wire) unless the
-    ///   environment explicitly disables them — an explicit
-    ///   `E2EPROF_SCREENING=off` or `E2EPROF_WIRE=v1` alongside an
-    ///   enabled reduction still fails the [`build`](Self::build)
-    ///   invariants loudly.
+    ///   `on` enables it with defaults; an integer `k ≥ 2` enables it with
+    ///   base decimation level `k`. Enabling reduction pulls in default
+    ///   screening unless `E2EPROF_SCREENING` sets it; an explicit
+    ///   `E2EPROF_SCREENING=off` alongside an enabled reduction is a
+    ///   contradiction and an error.
     /// * `E2EPROF_INCREMENTAL` ∈ `off | on` — enables activity-gated
     ///   incremental refresh (default off).
     ///
+    /// An empty value selects the variable's default.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the variable, the offending value and what
+    /// is accepted — environment variables are operator input. That
+    /// includes a still-set `E2EPROF_WIRE`: the knob is gone (v2 is the
+    /// only wire format), and a script that sets it must not believe it
+    /// selected anything.
+    pub fn try_env_overrides(self) -> Result<Self, ConfigError> {
+        self.apply_overrides(|name| std::env::var(name).ok())
+    }
+
+    /// [`try_env_overrides`](Self::try_env_overrides) for tests and CI
+    /// jobs, where a typo in a matrix must fail loudly instead of silently
+    /// testing the default path.
+    ///
     /// # Panics
     ///
-    /// Panics on an unrecognized value so a typo in a CI matrix fails
-    /// loudly instead of silently testing the default path.
-    pub fn env_overrides(mut self) -> Self {
-        if let Ok(v) = std::env::var("E2EPROF_BACKEND") {
+    /// Panics with the [`ConfigError`]'s message.
+    pub fn env_overrides(self) -> Self {
+        self.try_env_overrides().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The override rules over an arbitrary variable lookup, so they can be
+    /// tested without touching the process environment.
+    fn apply_overrides(
+        mut self,
+        var: impl Fn(&'static str) -> Option<String>,
+    ) -> Result<Self, ConfigError> {
+        let reject = |variable, value: &str, accepted| ConfigError {
+            variable,
+            value: value.to_owned(),
+            accepted,
+        };
+        // `off`/empty → None, otherwise an integer factor of at least 2.
+        let factor = |variable, value: &str, accepted| match value {
+            "" | "off" => Ok(None),
+            k => match k.parse::<u64>() {
+                Ok(k) if k >= 2 => Ok(Some(k)),
+                _ => Err(reject(variable, value, accepted)),
+            },
+        };
+        if let Some(v) = var("E2EPROF_WIRE") {
+            return Err(reject(
+                "E2EPROF_WIRE",
+                &v,
+                "nothing — removed: v2 is the only wire format; unset the variable",
+            ));
+        }
+        if let Some(v) = var("E2EPROF_BACKEND") {
             self.backend = match v.as_str() {
                 "" | "rle" => CorrelationBackend::Rle,
                 "dense" => CorrelationBackend::Dense,
@@ -532,78 +565,65 @@ impl PathmapConfigBuilder {
                     self.auto_cost_model.get_or_insert_with(CostModel::default);
                     CorrelationBackend::Auto
                 }
-                other => panic!("E2EPROF_BACKEND has unknown value {other:?}"),
+                _ => {
+                    return Err(reject(
+                        "E2EPROF_BACKEND",
+                        &v,
+                        "rle | dense | sparse | fft | auto",
+                    ))
+                }
             };
         }
-        if let Ok(v) = std::env::var("E2EPROF_SCREENING") {
-            match v.as_str() {
-                "" | "off" => self.screening = None,
-                k => {
-                    let decimation = k
-                        .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("E2EPROF_SCREENING has unknown value {k:?}"));
-                    self.screening = Some(ScreeningConfig {
+        let screening = var("E2EPROF_SCREENING");
+        if let Some(v) = &screening {
+            self.screening =
+                factor("E2EPROF_SCREENING", v, "off | an integer ≥ 2")?.map(|decimation| {
+                    ScreeningConfig {
                         decimation,
                         ..ScreeningConfig::default()
-                    });
-                }
-            }
+                    }
+                });
         }
-        if let Ok(v) = std::env::var("E2EPROF_WIRE") {
-            self.wire = match v.as_str() {
-                "" | "v1" => WireVersion::V1,
-                "v2" => WireVersion::V2,
-                other => panic!("E2EPROF_WIRE has unknown value {other:?}"),
-            };
-        }
-        if let Ok(v) = std::env::var("E2EPROF_TRANSPORT") {
+        if let Some(v) = var("E2EPROF_TRANSPORT") {
             self.transport = match v.as_str() {
                 "" | "inproc" => Transport::InProcess,
                 "tcp" => Transport::Tcp,
                 "unix" => Transport::Unix,
-                other => panic!("E2EPROF_TRANSPORT has unknown value {other:?}"),
+                _ => return Err(reject("E2EPROF_TRANSPORT", &v, "inproc | tcp | unix")),
             };
         }
-        if let Ok(v) = std::env::var("E2EPROF_REDUCTION") {
-            match v.as_str() {
-                "" | "off" => self.reduction = None,
-                "on" => self.reduction = Some(ReductionConfig::default()),
-                k => {
-                    let base_level = k
-                        .parse::<u64>()
-                        .unwrap_or_else(|_| panic!("E2EPROF_REDUCTION has unknown value {k:?}"));
-                    self.reduction = Some(ReductionConfig {
-                        base_level,
-                        ..ReductionConfig::default()
-                    });
-                }
-            }
+        if let Some(v) = var("E2EPROF_REDUCTION") {
+            self.reduction =
+                match v.as_str() {
+                    "on" => Some(ReductionConfig::default()),
+                    k => factor("E2EPROF_REDUCTION", k, "off | on | an integer ≥ 2")?.map(
+                        |base_level| ReductionConfig {
+                            base_level,
+                            ..ReductionConfig::default()
+                        },
+                    ),
+                };
             if self.reduction.is_some() {
-                // Reduction implies its prerequisites. Only an *explicit*
-                // contradiction in the same environment is left in place so
-                // build() rejects it loudly.
-                let screening_env_off = matches!(
-                    std::env::var("E2EPROF_SCREENING").as_deref(),
-                    Ok("") | Ok("off")
-                );
-                if !screening_env_off {
-                    self.screening.get_or_insert_with(ScreeningConfig::default);
+                // Reduction implies screening; only an explicit "off" in
+                // the same environment contradicts it.
+                if screening.is_some() && self.screening.is_none() {
+                    return Err(reject(
+                        "E2EPROF_REDUCTION",
+                        &v,
+                        "off while E2EPROF_SCREENING disables screening (reduction requires it)",
+                    ));
                 }
-                let wire_env_v1 =
-                    matches!(std::env::var("E2EPROF_WIRE").as_deref(), Ok("") | Ok("v1"));
-                if !wire_env_v1 {
-                    self.wire = WireVersion::V2;
-                }
+                self.screening.get_or_insert_with(ScreeningConfig::default);
             }
         }
-        if let Ok(v) = std::env::var("E2EPROF_INCREMENTAL") {
+        if let Some(v) = var("E2EPROF_INCREMENTAL") {
             self.incremental = match v.as_str() {
                 "" | "off" => false,
                 "on" => true,
-                other => panic!("E2EPROF_INCREMENTAL has unknown value {other:?}"),
+                _ => return Err(reject("E2EPROF_INCREMENTAL", &v, "off | on")),
             };
         }
-        self
+        Ok(self)
     }
 
     /// Finalizes the configuration.
@@ -627,7 +647,6 @@ impl PathmapConfigBuilder {
             screening: self.screening,
             backend: self.backend,
             auto_cost_model: self.auto_cost_model,
-            wire: self.wire,
             transport: self.transport,
             reduction: self.reduction,
             incremental: self.incremental,
@@ -666,11 +685,6 @@ impl PathmapConfigBuilder {
                 cfg.screening.is_some(),
                 "reduction requires screening (demotion is justified by the \
                  screening tier's pruning proof)"
-            );
-            assert!(
-                cfg.wire == WireVersion::V2,
-                "reduction requires the v2 wire format (coarse entries carry \
-                 a per-series decimation-level tag)"
             );
             assert!(
                 rc.base_level >= 2,
@@ -836,11 +850,86 @@ mod tests {
         assert_eq!(cfg.build_engine().name(), "auto");
     }
 
+    /// Applies the override rules over a fixed variable set instead of
+    /// the (process-global, test-shared) environment.
+    fn overrides(vars: &[(&str, &str)]) -> Result<PathmapConfig, ConfigError> {
+        PathmapConfig::builder()
+            .apply_overrides(|name| {
+                vars.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.to_string())
+            })
+            .map(PathmapConfigBuilder::build)
+    }
+
     #[test]
-    fn wire_defaults_to_v1_and_is_selectable() {
-        assert_eq!(PathmapConfig::default().wire(), WireVersion::V1);
-        let cfg = PathmapConfig::builder().wire(WireVersion::V2).build();
-        assert_eq!(cfg.wire(), WireVersion::V2);
+    fn overrides_select_every_variable() {
+        assert_eq!(overrides(&[]), Ok(PathmapConfig::default()));
+        let cfg = overrides(&[
+            ("E2EPROF_BACKEND", "auto"),
+            ("E2EPROF_SCREENING", "4"),
+            ("E2EPROF_TRANSPORT", "unix"),
+            ("E2EPROF_REDUCTION", "32"),
+            ("E2EPROF_INCREMENTAL", "on"),
+        ])
+        .expect("all values accepted");
+        assert_eq!(cfg.backend(), CorrelationBackend::Auto);
+        assert_eq!(cfg.auto_cost_model(), Some(&CostModel::default()));
+        assert_eq!(cfg.screening().map(|s| s.decimation), Some(4));
+        assert_eq!(cfg.transport(), Transport::Unix);
+        assert_eq!(cfg.reduction().map(|r| r.base_level), Some(32));
+        assert!(cfg.incremental());
+        // Empty selects each default; a lone reduction pulls screening in.
+        let cfg = overrides(&[("E2EPROF_BACKEND", ""), ("E2EPROF_REDUCTION", "on")])
+            .expect("all values accepted");
+        assert_eq!(cfg.backend(), CorrelationBackend::Rle);
+        assert_eq!(cfg.reduction(), Some(&ReductionConfig::default()));
+        assert_eq!(cfg.screening(), Some(&ScreeningConfig::default()));
+    }
+
+    #[test]
+    fn bad_override_values_are_errors_naming_variable_value_and_accepted_set() {
+        for (variable, value, accepted) in [
+            (
+                "E2EPROF_BACKEND",
+                "rel",
+                "rle | dense | sparse | fft | auto",
+            ),
+            ("E2EPROF_SCREENING", "on", "off | an integer ≥ 2"),
+            ("E2EPROF_SCREENING", "1", "off | an integer ≥ 2"),
+            ("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix"),
+            ("E2EPROF_REDUCTION", "yes", "off | on | an integer ≥ 2"),
+            ("E2EPROF_REDUCTION", "0", "off | on | an integer ≥ 2"),
+            ("E2EPROF_INCREMENTAL", "1", "off | on"),
+        ] {
+            let err = overrides(&[(variable, value)]).expect_err(variable);
+            assert_eq!(err.variable(), variable);
+            let msg = err.to_string();
+            for part in [variable, &format!("{value:?}"), accepted] {
+                assert!(msg.contains(part), "{msg:?} lacks {part:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_with_screening_explicitly_off_is_an_error_not_a_build_panic() {
+        let err = overrides(&[("E2EPROF_SCREENING", "off"), ("E2EPROF_REDUCTION", "on")])
+            .expect_err("contradiction");
+        assert_eq!(err.variable(), "E2EPROF_REDUCTION");
+        assert!(err.to_string().contains("E2EPROF_SCREENING"), "{err}");
+    }
+
+    #[test]
+    fn stale_wire_variable_is_an_error_whatever_its_value() {
+        // The knob is gone; a script still setting it must not believe it
+        // selected a format.
+        for value in ["v1", "v2", ""] {
+            let err = overrides(&[("E2EPROF_WIRE", value)]).expect_err("stale variable");
+            assert_eq!(err.variable(), "E2EPROF_WIRE");
+            let msg = err.to_string();
+            assert!(msg.contains("removed"), "{msg}");
+            assert!(msg.contains("v2 is the only wire format"), "{msg}");
+        }
     }
 
     #[test]

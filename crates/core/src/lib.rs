@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::analyzer::ScratchCounters;
     pub use crate::change::ChangeTracker;
     pub use crate::config::{
-        CorrelationBackend, PathmapConfig, ReductionConfig, ScreeningConfig, Transport, WireVersion,
+        ConfigError, CorrelationBackend, PathmapConfig, ReductionConfig, ScreeningConfig, Transport,
     };
     pub use crate::graph::{NodeLabels, ServiceGraph};
     pub use crate::pathmap::{roots_from_topology, IncrementalStats, Pathmap, ScreeningStats};
@@ -109,7 +109,7 @@ pub mod prelude {
 
 pub use analyzer::{OnlineAnalyzer, ScratchCounters};
 pub use config::{
-    CorrelationBackend, PathmapConfig, ReductionConfig, ScreeningConfig, Transport, WireVersion,
+    ConfigError, CorrelationBackend, PathmapConfig, ReductionConfig, ScreeningConfig, Transport,
 };
 pub use graph::{NodeLabels, ServiceGraph};
 pub use pathmap::{roots_from_topology, IncrementalStats, Pathmap, ScreeningStats};

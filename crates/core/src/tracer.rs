@@ -11,31 +11,34 @@
 //! *receiver-side* series of every edge arriving at it, plus the
 //! *sender-side* series of its edges toward (untraced) client nodes.
 
-use crate::config::{PathmapConfig, WireVersion};
+use crate::config::PathmapConfig;
 use crate::hashing::FxHashMap;
 use crate::reduction::{effective_levels, HintState};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use e2eprof_netsim::capture::TraceKey;
 use e2eprof_netsim::{CaptureStore, NodeId};
-use e2eprof_timeseries::density::DensityEstimator;
+use e2eprof_timeseries::density::{CountRun, DensityEstimator};
 use e2eprof_timeseries::{pyramid, wire, Nanos, RleSeries, Tick};
 use std::collections::HashSet;
 
 /// One message on the tracer→analyzer channel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TracerFrame {
-    /// Wire-v1: one edge's RLE density chunk over `[previous drain tick,
-    /// drain tick)`, encoded with [`wire::encode`].
+    /// Wire-v1: one edge's RLE density chunk, encoded with
+    /// [`wire::encode`]. No producer in this repository — agents emit
+    /// [`Batch`](TracerFrame::Batch) only; the variant and the arms that
+    /// accept it stay for the readers that still match on it, and removal
+    /// waits for a `benchmark` PR.
     Series {
         /// The directed edge the series describes.
         edge: (NodeId, NodeId),
         /// Wire-encoded [`RleSeries`].
         payload: Bytes,
     },
-    /// Wire-v2: every series one agent owns for one flush, batch-encoded
-    /// with [`wire::encode_batch`] — the edges travel in-band as node
-    /// indices.
+    /// Every series one agent owns for one flush, over `[previous drain
+    /// tick, drain tick)`, as one [`wire::BatchWriter`] frame — the edges
+    /// travel in-band as node indices.
     Batch {
         /// Wire-encoded batch frame.
         payload: Bytes,
@@ -102,7 +105,10 @@ const COARSE_UNSET: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct StreamState {
+    /// The stream's directed edge as node indices — its key on the wire.
+    edge: (u32, u32),
     estimator: DensityEstimator,
+    /// Records of the capture already consumed.
     cursor: usize,
     drained_to: Tick,
     /// Effective decimation level from the latest analyzer hints: 0 means
@@ -122,22 +128,28 @@ pub struct TracerAgent {
     node: NodeId,
     clients: HashSet<NodeId>,
     config: PathmapConfig,
-    streams: FxHashMap<TraceKey, StreamState>,
-    sink: Box<dyn FrameSink>,
-    /// Wire-encoding buffer reused across frames; each poll encodes into
-    /// it and ships an exact-size copy, so the agent's per-frame cost does
-    /// not include growing a fresh vector.
-    frame_buf: Vec<u8>,
     /// The streams this node owns, sorted — what it last announced to the
     /// sink — as of the capture edge set the agent last looked at
     /// (`edges_seen` edges): rebuilt only when that set has grown, not on
     /// every flush.
     owned: Vec<TraceKey>,
     edges_seen: usize,
+    /// Per-stream state, index-aligned with `owned`.
+    streams: Vec<StreamState>,
+    sink: Box<dyn FrameSink>,
+    /// Wire-encoding buffer reused across flushes; each poll writes its
+    /// batch into it and ships an exact-size copy — the one allocation of
+    /// a steady-state flush.
+    frame_buf: Vec<u8>,
+    /// One stream's drained runs on their way into `frame_buf`, reused
+    /// across streams and flushes.
+    run_scratch: Vec<CountRun>,
     /// Frames handed to the sink over the agent's lifetime.
     frames_emitted: u64,
     /// Older frames the sink reported evicted under backpressure.
     frames_dropped: u64,
+    /// Records skipped because they could no longer be represented.
+    late_records: u64,
     /// Latest reduction snapshot per analyzer shard.
     hints: FxHashMap<u32, HintState>,
     /// Per-edge decimation levels merged from `hints`.
@@ -182,13 +194,15 @@ impl TracerAgent {
             node,
             clients,
             config,
-            streams: FxHashMap::default(),
-            sink,
-            frame_buf: Vec::new(),
             owned: Vec::new(),
             edges_seen: 0,
+            streams: Vec::new(),
+            sink,
+            frame_buf: Vec::new(),
+            run_scratch: Vec::new(),
             frames_emitted: 0,
             frames_dropped: 0,
+            late_records: 0,
             hints: FxHashMap::default(),
             levels: FxHashMap::default(),
             backfills_emitted: 0,
@@ -208,6 +222,15 @@ impl TracerAgent {
     /// Older queued frames the sink reported dropped under backpressure.
     pub fn frames_dropped(&self) -> u64 {
         self.frames_dropped
+    }
+
+    /// Captured records the agent skipped because they were stamped behind
+    /// a tick it had already drained, or behind an earlier record of the
+    /// same stream (a stepped clock, a late capture). The density series
+    /// cannot represent them any more; skipping keeps the node alive and
+    /// this counter keeps the loss visible.
+    pub fn late_records(&self) -> u64 {
+        self.late_records
     }
 
     /// Backfill frames emitted on promote transitions over the agent's
@@ -252,8 +275,8 @@ impl TracerAgent {
         self.levels = effective_levels(&self.hints);
         let mut emitted = 0u64;
         let mut dropped = 0u64;
-        for (key, st) in self.streams.iter_mut() {
-            let edge = (key.src.index() as u32, key.dst.index() as u32);
+        for st in &mut self.streams {
+            let edge = st.edge;
             let new_level = self.levels.get(&edge).copied().unwrap_or(0);
             if new_level == st.level {
                 continue;
@@ -290,100 +313,134 @@ impl TracerAgent {
         self.frames_dropped += dropped;
     }
 
+    /// Looks for streams this node newly owns — only when the deployment's
+    /// edge set grew since the last look (it never shrinks), so a
+    /// steady-state flush does not walk every edge of every node.
+    fn discover_streams(&mut self, capture: &CaptureStore) {
+        if capture.num_edges() == self.edges_seen {
+            return;
+        }
+        self.edges_seen = capture.num_edges();
+        let mut owned: Vec<TraceKey> = Vec::new();
+        for (src, dst) in capture.edges() {
+            if dst == self.node {
+                owned.push(TraceKey::at_receiver(src, dst));
+            } else if src == self.node && self.clients.contains(&dst) {
+                owned.push(TraceKey::at_sender(src, dst));
+            }
+        }
+        owned.sort_unstable();
+        if owned == self.owned {
+            return;
+        }
+        let edges: Vec<(u32, u32)> = owned
+            .iter()
+            .map(|k| (k.src.index() as u32, k.dst.index() as u32))
+            .collect();
+        self.sink.announce(&edges);
+        // Keep `streams` aligned with the grown key list: known streams
+        // carry their state over, new ones start at tick zero.
+        let reduction = self.config.reduction().is_some();
+        let mut known: Vec<Option<StreamState>> = std::mem::take(&mut self.streams)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.streams = owned
+            .iter()
+            .zip(edges)
+            .map(|(key, edge)| match self.owned.binary_search(key) {
+                Ok(i) => known[i].take().expect("owned keys are distinct"),
+                Err(_) => StreamState {
+                    edge,
+                    estimator: DensityEstimator::new(
+                        self.config.quanta(),
+                        self.config.omega_ticks(),
+                    ),
+                    cursor: 0,
+                    drained_to: Tick::ZERO,
+                    level: if reduction {
+                        self.levels.get(&edge).copied().unwrap_or(0)
+                    } else {
+                        0
+                    },
+                    ring: None,
+                    coarse_sent: COARSE_UNSET,
+                },
+            })
+            .collect();
+        self.owned = owned;
+    }
+
     /// Streams all series this agent owns up to tick `drain_to`.
     ///
     /// The caller guarantees that `capture` already contains every record
     /// this node will ever produce with local timestamp below
     /// `drain_to·τ + ω/2` (in practice: poll with `drain_to` at least
-    /// `ω + max clock error` behind the current time).
+    /// `ω + max clock error` behind the current time). A record that
+    /// breaks the guarantee — stamped behind a tick already drained — is
+    /// skipped and counted in [`late_records`](TracerAgent::late_records):
+    /// the tracer must not crash the node it runs on.
     ///
-    /// Every owned stream emits a frame per poll — possibly an empty chunk
-    /// — so the analyzer's sliding windows stay contiguous. A stream is
+    /// A poll emits **one** frame: a [`TracerFrame::Batch`] with an entry
+    /// — possibly an empty chunk — for every owned stream it drained, so
+    /// the analyzer's sliding windows stay contiguous. (With reduction
+    /// on the batch is level-tagged, and a demoted stream contributes
+    /// only its newly completed non-zero coarse blocks.) A stream is
     /// owned from the first poll after its edge first carried traffic, and
     /// its first chunk reaches back to tick zero, so nothing recorded
     /// before the agent noticed the edge is lost. An agent taps one
     /// capture for its whole life.
     ///
+    /// The cost of a flush is proportional to the records it consumes plus
+    /// the streams the agent owns — not to the ticks it covers: each
+    /// stream's count runs go from its estimator through one reused
+    /// scratch vector into one reused frame buffer, and the only
+    /// allocation in steady state is the frame handed to the sink.
+    ///
     /// The returned [`PollOutcome`] surfaces what happened at the sink
-    /// boundary: [`Sent`](PollOutcome::Sent) when every emitted frame was
-    /// admitted losslessly, [`Dropped`](PollOutcome::Dropped) when the
-    /// sink evicted older queued frames under backpressure. Drops also
-    /// accumulate in [`frames_dropped`](TracerAgent::frames_dropped) —
-    /// backpressure is observable, never silent.
+    /// boundary: [`Sent`](PollOutcome::Sent) when the frame was admitted
+    /// losslessly, [`Dropped`](PollOutcome::Dropped) when the sink evicted
+    /// older queued frames under backpressure. Drops also accumulate in
+    /// [`frames_dropped`](TracerAgent::frames_dropped) — backpressure is
+    /// observable, never silent.
     pub fn poll(&mut self, capture: &CaptureStore, drain_to: Tick) -> PollOutcome {
-        // Discover streams this node owns — only when the deployment's
-        // edge set grew since the last look (it never shrinks), so a
-        // steady-state flush does not walk every edge of every node.
-        if capture.num_edges() != self.edges_seen {
-            self.edges_seen = capture.num_edges();
-            let mut owned: Vec<TraceKey> = Vec::new();
-            for (src, dst) in capture.edges() {
-                if dst == self.node {
-                    owned.push(TraceKey::at_receiver(src, dst));
-                } else if src == self.node && self.clients.contains(&dst) {
-                    owned.push(TraceKey::at_sender(src, dst));
-                }
-            }
-            owned.sort_unstable();
-            if owned != self.owned {
-                let edges: Vec<(u32, u32)> = owned
-                    .iter()
-                    .map(|k| (k.src.index() as u32, k.dst.index() as u32))
-                    .collect();
-                self.sink.announce(&edges);
-                self.owned = owned;
-            }
-        }
-        let mut emitted = 0usize;
-        let mut dropped = 0u64;
+        self.discover_streams(capture);
 
-        let quanta = self.config.quanta();
-        let omega = self.config.omega_ticks();
-        let horizon = Nanos::from_nanos(
-            drain_to.index() * quanta.duration().as_nanos()
-                + omega * quanta.duration().as_nanos() / 2,
-        );
-        let batched = self.config.wire() == WireVersion::V2;
+        let tau = self.config.quanta().duration().as_nanos();
+        let horizon =
+            Nanos::from_nanos(drain_to.index() * tau + self.config.omega_ticks() * tau / 2);
         let reduction = self.config.reduction().is_some();
         let retention = self.retention_ticks();
-        let mut batch: Vec<((u32, u32), RleSeries)> = Vec::new();
-        let mut leveled: Vec<((u32, u32), u64, RleSeries)> = Vec::new();
-        // Lent out for the loop, which mutates the rest of `self`.
-        let owned = std::mem::take(&mut self.owned);
-        for &key in &owned {
-            let edge = (key.src.index() as u32, key.dst.index() as u32);
-            let initial_level = if reduction {
-                self.levels.get(&edge).copied().unwrap_or(0)
-            } else {
-                0
-            };
-            let state = self.streams.entry(key).or_insert_with(|| StreamState {
-                estimator: DensityEstimator::new(quanta, omega),
-                cursor: 0,
-                drained_to: Tick::ZERO,
-                level: initial_level,
-                ring: None,
-                coarse_sent: COARSE_UNSET,
-            });
+        // Density amplitudes are √count — and coarse amplitudes √(block
+        // count) — so the integer-amplitude coding is lossless here.
+        let mut writer = wire::BatchWriter::new(&mut self.frame_buf, true, reduction);
+        for (&key, state) in self.owned.iter().zip(&mut self.streams) {
             if drain_to <= state.drained_to && state.drained_to > Tick::ZERO {
                 continue; // nothing new to drain for this stream
             }
-            let new = capture.timestamps_since(key, state.cursor);
-            let mut pushed = 0;
-            for &ts in new {
+            let mut taken = 0;
+            for &ts in capture.timestamps_since(key, state.cursor) {
                 if ts >= horizon {
                     break;
                 }
-                state.estimator.push(ts);
-                pushed += 1;
+                if state.estimator.try_push(ts).is_err() {
+                    self.late_records += 1;
+                }
+                taken += 1;
             }
-            state.cursor += pushed;
-            let chunk = state.estimator.drain_chunk(drain_to);
+            state.cursor += taken;
+            let start = state.drained_to;
+            let len = drain_to.index() - start.index();
+            state.estimator.drain_runs(drain_to, &mut self.run_scratch);
             state.drained_to = drain_to;
             if reduction && state.level > 0 {
                 // Demoted: retain the fine chunk locally, ship only the
                 // newly completed coarse blocks (if any are non-zero).
-                let fine = chunk.to_rle();
+                let fine = RleSeries::from_parts(
+                    start,
+                    len,
+                    self.run_scratch.iter().map(|&r| r.into()).collect(),
+                );
                 match &mut state.ring {
                     Some(ring) => ring.append_chunk(&fine),
                     None => state.ring = Some(fine),
@@ -408,54 +465,27 @@ impl TracerAgent {
                     // All-zero coarse chunks are suppressed outright; the
                     // analyzer's coarse store heals the gap by resetting.
                     if coarse.support() > 0 {
-                        leveled.push((edge, level, coarse));
+                        writer.series(state.edge, level, &coarse);
                     }
                 }
                 continue;
             }
-            if batched {
-                if reduction {
-                    leveled.push((edge, 0, chunk.to_rle()));
-                } else {
-                    batch.push((edge, chunk.to_rle()));
-                }
-                continue;
-            }
-            wire::encode_into(&chunk.to_rle(), &mut self.frame_buf);
-            let frame = TracerFrame::Series {
-                edge: (key.src, key.dst),
-                payload: Bytes::copy_from_slice(&self.frame_buf),
-            };
-            dropped += self.sink.send_frame(frame);
-            emitted += 1;
+            writer.count_runs(state.edge, 0, start, len, &self.run_scratch);
         }
-        self.owned = owned;
-        if !batch.is_empty() {
-            // One frame — and one allocation — per flush, not per edge.
-            // Density amplitudes are √count, so the integer-amplitude
-            // encoding is lossless here.
-            wire::encode_batch_into(&batch, true, &mut self.frame_buf);
-            dropped += self.sink.send_frame(TracerFrame::Batch {
-                payload: Bytes::copy_from_slice(&self.frame_buf),
-            });
-            emitted += 1;
+        // A poll that drained nothing (a repeat at the same tick, or every
+        // stream demoted and quiet) has nothing to say.
+        if writer.finish() == 0 {
+            return PollOutcome::Sent(0);
         }
-        if !leveled.is_empty() {
-            // Reduction path: fine (level 0) and coarse entries share one
-            // level-tagged batch frame. Coarse amplitudes are √(block
-            // count), so integer-amplitude coding stays lossless.
-            wire::encode_batch_leveled_into(&leveled, true, &mut self.frame_buf);
-            dropped += self.sink.send_frame(TracerFrame::Batch {
-                payload: Bytes::copy_from_slice(&self.frame_buf),
-            });
-            emitted += 1;
-        }
-        self.frames_emitted += emitted as u64;
+        let dropped = self.sink.send_frame(TracerFrame::Batch {
+            payload: Bytes::copy_from_slice(&self.frame_buf),
+        });
+        self.frames_emitted += 1;
         self.frames_dropped += dropped;
         if dropped > 0 {
             PollOutcome::Dropped(dropped)
         } else {
-            PollOutcome::Sent(emitted)
+            PollOutcome::Sent(1)
         }
     }
 }
@@ -490,12 +520,10 @@ mod tests {
         Simulation::new(t.build().unwrap(), seed)
     }
 
-    /// Decodes a frame of either wire version into `(edge, chunk)` pairs.
+    /// Decodes an emitted frame into `(edge, chunk)` pairs.
     fn decode_frame(frame: &TracerFrame) -> Vec<((NodeId, NodeId), RleSeries)> {
         match frame {
-            TracerFrame::Series { edge, payload } => {
-                vec![(*edge, wire::decode(payload).expect("decodable frame"))]
-            }
+            TracerFrame::Series { .. } => unreachable!("agents emit batches only"),
             TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
                 wire::decode_batch(payload)
                     .expect("decodable batch frame")
@@ -558,37 +586,90 @@ mod tests {
     }
 
     #[test]
-    fn v2_poll_coalesces_all_owned_edges_into_one_batch_frame() {
-        let poll = |config: PathmapConfig| {
-            let mut sim = two_tier(6);
-            sim.run_until(Nanos::from_secs(5));
+    fn poll_emits_one_batch_frame_whatever_the_edge_count() {
+        let mut sim = two_tier(6);
+        sim.run_until(Nanos::from_secs(5));
+        let (web, db, cli) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        // web owns three streams, db one; each poll is one frame.
+        for (node, streams) in [(web, 3), (db, 1)] {
             let (tx, rx) = unbounded();
-            let web = NodeId::new(0);
-            let cli = NodeId::new(2);
-            let mut agent = TracerAgent::new(web, HashSet::from([cli]), config, tx);
-            agent.poll(sim.captures(), Tick::new(4_000));
-            rx.try_iter().collect::<Vec<TracerFrame>>()
-        };
-        let v1 = poll(cfg());
-        let v2 = poll(
-            PathmapConfig::builder()
-                .window(Nanos::from_secs(10))
-                .refresh(Nanos::from_secs(2))
-                .max_delay(Nanos::from_secs(1))
-                .wire(WireVersion::V2)
-                .build(),
+            let mut agent = TracerAgent::new(node, HashSet::from([cli]), cfg(), tx);
+            for drain in [2_000, 4_000] {
+                assert_eq!(
+                    agent.poll(sim.captures(), Tick::new(drain)),
+                    PollOutcome::Sent(1)
+                );
+                let frames: Vec<TracerFrame> = rx.try_iter().collect();
+                assert_eq!(frames.len(), 1);
+                assert!(matches!(frames[0], TracerFrame::Batch { .. }));
+                assert_eq!(decode_frame(&frames[0]).len(), streams);
+            }
+            assert_eq!(agent.frames_emitted(), 2);
+        }
+    }
+
+    #[test]
+    fn all_idle_poll_still_advances_every_window() {
+        // Traffic stops at 5 s; polls far past it find nothing to ship,
+        // yet every owned stream gets its (empty) entry so the analyzer's
+        // windows keep moving.
+        let mut sim = two_tier(6);
+        sim.run_until(Nanos::from_secs(5));
+        let (tx, rx) = unbounded();
+        let (web, cli) = (NodeId::new(0), NodeId::new(2));
+        let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
+        agent.poll(sim.captures(), Tick::new(8_000));
+        rx.try_iter().for_each(drop);
+        agent.poll(sim.captures(), Tick::new(9_000));
+        let frames: Vec<TracerFrame> = rx.try_iter().collect();
+        assert_eq!(frames.len(), 1, "an idle flush is still one frame");
+        let entries = decode_frame(&frames[0]);
+        assert_eq!(entries.len(), 3);
+        for (edge, chunk) in entries {
+            assert_eq!(
+                (chunk.start(), chunk.end(), chunk.num_runs()),
+                (Tick::new(8_000), Tick::new(9_000), 0),
+                "edge {edge:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn late_record_is_skipped_and_counted_not_fatal() {
+        let (web, cli) = (NodeId::new(0), NodeId::new(2));
+        let mut capture = CaptureStore::new();
+        capture.record(web, cli, web, Nanos::from_millis(100), 1);
+        let (tx, rx) = unbounded();
+        let mut agent = TracerAgent::new(web, HashSet::new(), cfg(), tx);
+        agent.poll(&capture, Tick::new(1_000));
+        // Stamped below the horizon the agent already drained to (a
+        // stepped clock, a late capture), followed by a healthy record.
+        capture.record(web, cli, web, Nanos::from_millis(500), 1);
+        capture.record(web, cli, web, Nanos::from_millis(1_500), 1);
+        agent.poll(&capture, Tick::new(2_000));
+        assert_eq!(agent.late_records(), 1);
+        let chunks: Vec<RleSeries> = rx
+            .try_iter()
+            .flat_map(|f| decode_frame(&f))
+            .map(|(_, chunk)| chunk)
+            .collect();
+        assert_eq!(chunks.len(), 2);
+        let mut assembled = chunks[0].clone();
+        assembled.append_chunk(&chunks[1]); // panics on a gap
+        assert_eq!(assembled.end(), Tick::new(2_000));
+        assert_eq!(
+            assembled.value_at(Tick::new(500)),
+            0.0,
+            "the late record is gone"
         );
-        assert_eq!(v1.len(), 3, "v1 ships one frame per owned edge");
-        assert_eq!(v2.len(), 1, "v2 coalesces the flush into one frame");
-        assert!(matches!(v2[0], TracerFrame::Batch { .. }));
-        // The batch carries the same series, bit-for-bit.
-        let sort = |mut v: Vec<((NodeId, NodeId), RleSeries)>| {
-            v.sort_by_key(|&(edge, _)| edge);
-            v
-        };
-        let from_v1 = sort(v1.iter().flat_map(decode_frame).collect());
-        let from_v2 = sort(decode_frame(&v2[0]));
-        assert_eq!(from_v1, from_v2);
+        assert_eq!(
+            assembled.value_at(Tick::new(1_500)),
+            1.0,
+            "later records stream"
+        );
+        // The skipped record was consumed, not retried forever.
+        agent.poll(&capture, Tick::new(3_000));
+        assert_eq!(agent.late_records(), 1);
     }
 
     #[test]
@@ -646,10 +727,16 @@ mod tests {
             cfg(),
             Box::new(OneSlotSink { queued: false }),
         );
-        // web owns three edge streams, so one v1 poll emits three frames
-        // into a one-slot sink: two evictions.
-        let outcome = agent.poll(sim.captures(), Tick::new(4_000));
-        assert_eq!(outcome, PollOutcome::Dropped(2));
+        // A poll is one frame, so the one-slot sink holds the first
+        // without loss; each later poll evicts its predecessor.
+        assert_eq!(
+            agent.poll(sim.captures(), Tick::new(2_000)),
+            PollOutcome::Sent(1)
+        );
+        for drain in [3_000, 4_000] {
+            let outcome = agent.poll(sim.captures(), Tick::new(drain));
+            assert_eq!(outcome, PollOutcome::Dropped(1));
+        }
         assert_eq!(agent.frames_emitted(), 3);
         assert_eq!(agent.frames_dropped(), 2);
     }
@@ -663,9 +750,9 @@ mod tests {
         let cli = NodeId::new(2);
         let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
         let outcome = agent.poll(sim.captures(), Tick::new(4_000));
-        assert_eq!(outcome, PollOutcome::Sent(3));
+        assert_eq!(outcome, PollOutcome::Sent(1));
         assert_eq!(agent.frames_dropped(), 0);
-        assert_eq!(rx.try_iter().count(), 3);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 
     /// Records announced edge sets for assertion.

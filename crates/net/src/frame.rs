@@ -50,9 +50,10 @@ pub enum FrameKind {
     Announce = 2,
     /// Analyzer subscribing to edge streams.
     Subscribe = 3,
-    /// A wire-v2 `E2EP` batch frame (all series of one tracer flush).
+    /// An `E2EP` batch frame (all series of one tracer flush).
     DataBatch = 4,
-    /// A wire-v1 `E2EP` series frame, prefixed by its 8-byte edge key.
+    /// A wire-v1 `E2EP` series frame, prefixed by its 8-byte edge key. No
+    /// producer in this repo; removal waits for a `benchmark` PR.
     DataSeries = 5,
     /// An analyzer shard's full-state reduction snapshot, routed
     /// broker→tracer (the feedback direction). Origin is the shard's

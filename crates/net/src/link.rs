@@ -357,6 +357,7 @@ impl FrameSink for TracerLink {
         let (kind, prefix, tail) = match frame {
             TracerFrame::Batch { payload } => (FrameKind::DataBatch, Vec::new(), payload),
             TracerFrame::Backfill { payload } => (FrameKind::Backfill, Vec::new(), payload),
+            // No producer in this repo; removal waits for a `benchmark` PR.
             TracerFrame::Series { edge, payload } => {
                 // DataSeries payloads carry the edge in an 8-byte prefix
                 // (v1 wire frames identify edges out of band).

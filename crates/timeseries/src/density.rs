@@ -9,18 +9,82 @@
 //! multiple of `τ`, typically `50·τ`) smooths delay variance and suppresses
 //! noise-induced spurious paths. Ticks whose window contains no messages
 //! are not recorded at all — this is the input to burst compression.
+//!
+//! The estimator runs on the monitored node, so its cost is per *message*,
+//! never per tick: a message opens its window at tick `lo` and closes it at
+//! `hi + 1`, and because timestamps arrive in non-decreasing order both
+//! sequences are non-decreasing too. Two FIFO queues hold them; draining
+//! merges the queues once and emits each maximal constant-count stretch as
+//! one [`CountRun`] — the run-length encoding falls out of the integration
+//! instead of being recovered from a per-tick expansion.
 
+use crate::rle::Run;
 use crate::sparse::{SparseEntry, SparseSeries};
 use crate::time::{Nanos, Quanta, Tick};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
+use std::fmt;
+
+/// A maximal stretch of consecutive ticks whose sampling windows all hold
+/// the same non-zero number of messages — one run of the density series
+/// before the square root is taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountRun {
+    /// First tick of the stretch.
+    pub start: Tick,
+    /// Number of ticks in the stretch (never zero).
+    pub len: u64,
+    /// Messages inside the sampling window of every tick of the stretch
+    /// (never zero).
+    pub count: u64,
+}
+
+impl CountRun {
+    /// The density amplitude `√count` of the stretch.
+    pub fn value(&self) -> f64 {
+        (self.count as f64).sqrt()
+    }
+}
+
+impl From<CountRun> for Run {
+    fn from(r: CountRun) -> Run {
+        Run::new(r.start, r.len, r.value())
+    }
+}
+
+/// Why [`DensityEstimator::try_push`] refused a timestamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The timestamp precedes one already pushed.
+    OutOfOrder,
+    /// The message's sampling window reaches a tick that was already
+    /// drained.
+    Late,
+}
+
+impl fmt::Display for PushError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PushError::OutOfOrder => write!(f, "timestamps must be non-decreasing"),
+            PushError::Late => write!(
+                f,
+                "message affects an already-drained tick (drained too eagerly)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PushError {}
 
 /// Streaming estimator turning non-decreasing message timestamps into a
 /// sparse density series.
 ///
 /// Used by tracer agents: push each observed message's timestamp, then
-/// periodically [`drain_chunk`](DensityEstimator::drain_chunk) finalized
-/// ticks for streaming (every `ΔW`), or [`finish`](DensityEstimator::finish)
-/// to flush everything for offline analysis.
+/// periodically drain finalized ticks for streaming (every `ΔW`) — as
+/// count runs ([`drain_runs`](DensityEstimator::drain_runs), what the
+/// tracer ships) or expanded per tick
+/// ([`drain_chunk`](DensityEstimator::drain_chunk)) — or
+/// [`finish`](DensityEstimator::finish) to flush everything for offline
+/// analysis.
 ///
 /// # Example
 ///
@@ -39,16 +103,17 @@ use std::collections::BTreeMap;
 pub struct DensityEstimator {
     quanta: Quanta,
     omega_half_ns: u64,
-    /// Count deltas at tick boundaries not yet integrated.
-    diffs: BTreeMap<u64, i64>,
+    /// First tick of every pushed message's window not yet integrated,
+    /// non-decreasing front to back.
+    opens: VecDeque<u64>,
+    /// One past the last tick of the same windows, non-decreasing too.
+    closes: VecDeque<u64>,
     /// Next tick to be emitted.
     cursor: u64,
-    /// Running message count at `cursor`.
-    running: i64,
+    /// Messages whose window covers `cursor`.
+    running: u64,
     /// Largest timestamp pushed so far (monotonicity check).
     last_ts: Option<Nanos>,
-    /// Highest tick any pushed message can influence.
-    max_hi: u64,
 }
 
 impl DensityEstimator {
@@ -63,11 +128,11 @@ impl DensityEstimator {
         DensityEstimator {
             quanta,
             omega_half_ns: omega_ticks * quanta.duration().as_nanos() / 2,
-            diffs: BTreeMap::new(),
+            opens: VecDeque::new(),
+            closes: VecDeque::new(),
             cursor: 0,
             running: 0,
             last_ts: None,
-            max_hi: 0,
         }
     }
 
@@ -96,26 +161,35 @@ impl DensityEstimator {
     /// Panics if `ts` precedes a previously pushed timestamp, or if the
     /// message would affect an already-drained tick.
     pub fn push(&mut self, ts: Nanos) {
-        if let Some(last) = self.last_ts {
-            assert!(ts >= last, "timestamps must be non-decreasing");
+        if let Err(e) = self.try_push(ts) {
+            panic!("{e}");
+        }
+    }
+
+    /// Records one message observed at `ts` unless it arrives too late to
+    /// be represented — the form for callers that must survive a stepped
+    /// clock or a late capture. A refused timestamp leaves the estimator
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// [`PushError::OutOfOrder`] if `ts` precedes a previously pushed
+    /// timestamp, [`PushError::Late`] if the message would affect an
+    /// already-drained tick.
+    pub fn try_push(&mut self, ts: Nanos) -> Result<(), PushError> {
+        if self.last_ts.is_some_and(|last| ts < last) {
+            return Err(PushError::OutOfOrder);
+        }
+        let lo = self.frontier(ts).index();
+        if lo < self.cursor {
+            return Err(PushError::Late);
         }
         self.last_ts = Some(ts);
-        let tau = self.quanta.duration().as_nanos();
-        let s = ts.as_nanos();
-        // lo = ceil((s - ω/2) / τ) clamped to 0; hi = floor((s + ω/2) / τ).
-        let lo = if s <= self.omega_half_ns {
-            0
-        } else {
-            (s - self.omega_half_ns).div_ceil(tau)
-        };
-        let hi = (s + self.omega_half_ns) / tau;
-        assert!(
-            lo >= self.cursor,
-            "message affects an already-drained tick (drained too eagerly)"
-        );
-        *self.diffs.entry(lo).or_insert(0) += 1;
-        *self.diffs.entry(hi + 1).or_insert(0) -= 1;
-        self.max_hi = self.max_hi.max(hi);
+        // hi = floor((s + ω/2) / τ); lo ≤ hi because ω ≥ τ.
+        let hi = (ts.as_nanos() + self.omega_half_ns) / self.quanta.duration().as_nanos();
+        self.opens.push_back(lo);
+        self.closes.push_back(hi + 1);
+        Ok(())
     }
 
     /// The first tick a message at `ts` would influence; ticks strictly
@@ -123,12 +197,82 @@ impl DensityEstimator {
     pub fn frontier(&self, ts: Nanos) -> Tick {
         let tau = self.quanta.duration().as_nanos();
         let s = ts.as_nanos();
+        // lo = ceil((s - ω/2) / τ) clamped to 0.
         let lo = if s <= self.omega_half_ns {
             0
         } else {
             (s - self.omega_half_ns).div_ceil(tau)
         };
         Tick::new(lo)
+    }
+
+    /// Integrates the pending window boundaries over `[cursor, end)`,
+    /// handing `emit` each maximal stretch of constant non-zero count, and
+    /// advances the cursor to `end`.
+    ///
+    /// Both queues are non-decreasing, so one merge visits every boundary
+    /// below `end` once. A boundary where as many windows close as open
+    /// leaves the count — and therefore the stretch — unbroken; a stretch
+    /// still open at `end` is cut there and resumes in the next drain.
+    fn integrate(&mut self, end: u64, mut emit: impl FnMut(CountRun)) {
+        assert!(end >= self.cursor, "drain cursor moved backwards");
+        let mut emit = |from: u64, to: u64, count| {
+            if count > 0 && to > from {
+                emit(CountRun {
+                    start: Tick::new(from),
+                    len: to - from,
+                    count,
+                });
+            }
+        };
+        let mut pos = self.cursor;
+        let mut running = self.running;
+        loop {
+            let open = self.opens.front().copied().filter(|&k| k < end);
+            let close = self.closes.front().copied().filter(|&k| k < end);
+            let k = match (open, close) {
+                (Some(o), Some(c)) => o.min(c),
+                (Some(k), None) | (None, Some(k)) => k,
+                (None, None) => break,
+            };
+            // Every window opens before it closes, so applying the opens
+            // at `k` first keeps the count from dipping below zero.
+            let mut next = running;
+            while self.opens.front() == Some(&k) {
+                self.opens.pop_front();
+                next += 1;
+            }
+            while self.closes.front() == Some(&k) {
+                self.closes.pop_front();
+                next -= 1;
+            }
+            if next == running {
+                continue;
+            }
+            emit(pos, k, running);
+            pos = k;
+            running = next;
+        }
+        emit(pos, end, running);
+        self.cursor = end;
+        self.running = running;
+    }
+
+    /// Replaces `out` with the finalized count runs of `[cursor, end)` and
+    /// advances the cursor — run for run (boundaries, lengths, and
+    /// [`CountRun::value`] bits) what
+    /// [`drain_chunk(end)`](DensityEstimator::drain_chunk)`.to_rle()`
+    /// yields, at a cost proportional to the messages drained instead of
+    /// the ticks they cover.
+    ///
+    /// The caller's guarantee is the one of `drain_chunk`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` precedes the current cursor.
+    pub fn drain_runs(&mut self, end: Tick, out: &mut Vec<CountRun>) {
+        out.clear();
+        self.integrate(end.index(), |run| out.push(run));
     }
 
     /// Emits the finalized density series for `[cursor, end)` and advances
@@ -142,33 +286,13 @@ impl DensityEstimator {
     ///
     /// Panics if `end` precedes the current cursor.
     pub fn drain_chunk(&mut self, end: Tick) -> SparseSeries {
-        let end = end.index();
-        assert!(end >= self.cursor, "drain cursor moved backwards");
         let start = self.cursor;
         let mut entries = Vec::new();
-        // Integrate diffs over [start, end). Between boundary keys the count
-        // is constant, so fill whole stretches at once.
-        let keys: Vec<u64> = self.diffs.range(..end).map(|(&k, _)| k).collect();
-        let mut pos = start;
-        let mut running = self.running;
-        for k in keys {
-            let k_clamped = k.max(start);
-            if running > 0 {
-                for t in pos..k_clamped {
-                    entries.push(SparseEntry::new(Tick::new(t), (running as f64).sqrt()));
-                }
-            }
-            pos = k_clamped;
-            running += self.diffs.remove(&k).expect("key just observed");
-        }
-        if running > 0 {
-            for t in pos..end {
-                entries.push(SparseEntry::new(Tick::new(t), (running as f64).sqrt()));
-            }
-        }
-        self.cursor = end;
-        self.running = running;
-        SparseSeries::from_parts(Tick::new(start), end - start, entries)
+        self.integrate(end.index(), |run| {
+            let (from, value) = (run.start.index(), run.value());
+            entries.extend((from..from + run.len).map(|t| SparseEntry::new(Tick::new(t), value)));
+        });
+        SparseSeries::from_parts(Tick::new(start), end.index() - start, entries)
     }
 
     /// Flushes all remaining ticks and consumes the estimator.
@@ -178,8 +302,12 @@ impl DensityEstimator {
     ///
     /// [`drain_chunk`]: DensityEstimator::drain_chunk
     pub fn finish(mut self) -> SparseSeries {
-        let end = Tick::new((self.max_hi + 1).max(self.cursor));
-        self.drain_chunk(end)
+        // The last window to close is at the back of its queue.
+        let end = self
+            .closes
+            .back()
+            .map_or(self.cursor, |&c| c.max(self.cursor));
+        self.drain_chunk(Tick::new(end))
     }
 }
 
@@ -293,6 +421,58 @@ mod tests {
         e.push(Nanos::from_millis(2));
         let _ = e.drain_chunk(Tick::new(10));
         e.push(Nanos::from_millis(5)); // affects tick 5 < 10
+    }
+
+    #[test]
+    fn try_push_refuses_late_and_out_of_order_without_side_effects() {
+        let mut e = est(1);
+        e.push(Nanos::from_millis(2));
+        let _ = e.drain_chunk(Tick::new(10));
+        assert_eq!(e.try_push(Nanos::from_millis(5)), Err(PushError::Late));
+        assert_eq!(
+            e.try_push(Nanos::from_millis(1)),
+            Err(PushError::OutOfOrder)
+        );
+        // The refused timestamps left nothing behind: the next chunk holds
+        // only the accepted message.
+        assert_eq!(e.try_push(Nanos::from_millis(12)), Ok(()));
+        let s = e.drain_chunk(Tick::new(20));
+        assert_eq!(s.num_entries(), 1);
+        assert_eq!(s.value_at(Tick::new(12)), 1.0);
+    }
+
+    #[test]
+    fn drain_runs_are_the_rle_of_the_chunk() {
+        // Windows that abut (one closes where the next opens: ticks 3|4),
+        // overlap (10, 11), and straddle the drain boundary (tick 20).
+        let stamps = [2u64, 5, 10, 11, 11, 19, 30];
+        let mut by_run = est(3);
+        let mut by_tick = est(3);
+        for ms in stamps {
+            by_run.push(Nanos::from_millis(ms));
+            by_tick.push(Nanos::from_millis(ms));
+        }
+        let mut runs = Vec::new();
+        for end in [20u64, 20, 40] {
+            by_run.drain_runs(Tick::new(end), &mut runs);
+            let want = by_tick.drain_chunk(Tick::new(end)).to_rle();
+            let got: Vec<Run> = runs.iter().map(|&r| r.into()).collect();
+            assert_eq!(got, want.runs(), "drain to {end}");
+        }
+        // 2 ms covers ticks 1..=3 and 5 ms covers 4..=6: net change zero at
+        // tick 4, so the two windows are one run.
+        by_run = est(3);
+        by_run.push(Nanos::from_millis(2));
+        by_run.push(Nanos::from_millis(5));
+        by_run.drain_runs(Tick::new(10), &mut runs);
+        assert_eq!(
+            runs,
+            vec![CountRun {
+                start: Tick::new(1),
+                len: 6,
+                count: 1
+            }]
+        );
     }
 
     #[test]

@@ -2,22 +2,25 @@
 //!
 //! The paper's `tracer` kernel module streams RLE-encoded time series from
 //! each service node to a central analysis node. This module provides the
-//! equivalent byte formats. Two versions coexist behind the same magic:
+//! equivalent byte format: one *batch* frame per tracer flush carrying
+//! every series the agent owns, with LEB128 varint lengths, delta-encoded
+//! run starts, and an optional lossless integer-count amplitude encoding
+//! ([`BatchWriter`] / [`encode_batch`] / [`decode_batch`] /
+//! [`FrameCursor`]). Density amplitudes are `√n` for an integer message
+//! count `n`, so shipping the varint count and reconstructing
+//! `(n as f64).sqrt()` reproduces the float bit-for-bit in a few bytes
+//! instead of eight.
 //!
-//! * **v1** — one series per frame: a small header followed by fixed-width
-//!   20-byte run records ([`encode`] / [`decode`]).
-//! * **v2** — one *batch* frame per tracer flush carrying every series the
-//!   agent owns, with LEB128 varint lengths, delta-encoded run starts, and
-//!   an optional lossless integer-count amplitude encoding ([`encode_batch`]
-//!   / [`decode_batch`] / [`FrameCursor`]). Density amplitudes are `√n` for
-//!   an integer message count `n`, so shipping the varint count and
-//!   reconstructing `(n as f64).sqrt()` reproduces the float bit-for-bit in
-//!   a few bytes instead of eight.
+//! The format is version 2 behind the `E2EP` magic. Version 1 — one series
+//! per frame, a small header followed by fixed-width 20-byte run records
+//! ([`encode`] / [`decode`]) — has no producer in this repository any more;
+//! its codec stays for the readers that still match on it (the end-to-end
+//! benchmark's probes) and its removal waits for a `benchmark` PR.
 //!
 //! Both formats are versioned and length-checked so a truncated or corrupt
-//! stream is detected rather than misparsed; v1 frames keep decoding
-//! unchanged.
+//! stream is detected rather than misparsed.
 
+use crate::density::CountRun;
 use crate::rle::{RleSeries, Run};
 use crate::time::Tick;
 use bytes::{Buf, Bytes};
@@ -75,7 +78,11 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-/// Encodes a series into a self-describing byte frame.
+/// Encodes a series into a self-describing v1 byte frame.
+///
+/// No producer in this repository: tracers ship v2 batches
+/// ([`BatchWriter`]). Kept with [`encode_into`] and [`decode`] for the
+/// readers that still call them; removal waits for a `benchmark` PR.
 ///
 /// # Example
 ///
@@ -95,9 +102,7 @@ pub fn encode(series: &RleSeries) -> Bytes {
 
 /// Encodes a series into `out`, clearing it first.
 ///
-/// Byte-for-byte identical to [`encode`]; exists so tracer agents can reuse
-/// one frame buffer per flush instead of allocating a fresh frame per
-/// series.
+/// Byte-for-byte identical to [`encode`], into a reusable buffer.
 pub fn encode_into(series: &RleSeries, out: &mut Vec<u8>) {
     out.clear();
     out.reserve(4 + 1 + 8 + 8 + 4 + series.num_runs() * 20);
@@ -280,55 +285,145 @@ pub fn encode_batch<S: std::borrow::Borrow<RleSeries>>(
 }
 
 /// Encodes a batch into `out`, clearing it first (byte-for-byte identical
-/// to [`encode_batch`]); exists so tracer agents can reuse one frame
-/// buffer per flush.
+/// to [`encode_batch`]); exists so callers can reuse one frame buffer.
 pub fn encode_batch_into<S: std::borrow::Borrow<RleSeries>>(
     entries: &[((u32, u32), S)],
     int_amp: bool,
     out: &mut Vec<u8>,
 ) {
-    out.clear();
-    out.extend_from_slice(WIRE_MAGIC);
-    out.push(WIRE_VERSION_V2);
-    out.push(if int_amp { FLAG_INT_AMP } else { 0 });
-    put_varint(out, entries.len() as u64);
-    for ((src, dst), series) in entries {
-        put_entry(out, (*src, *dst), None, series.borrow(), int_amp);
+    let mut writer = BatchWriter::new(out, int_amp, false);
+    for (key, series) in entries {
+        writer.series(*key, 0, series.borrow());
     }
+    writer.finish();
 }
 
-/// Encodes one batch entry: the header varints followed by the runs.
-/// `level: Some(l)` emits the decimation-level tag of a [`FLAG_LEVELS`]
-/// frame; `None` emits the untagged (pre-reduction) header.
-fn put_entry(
-    out: &mut Vec<u8>,
-    key: (u32, u32),
-    level: Option<u64>,
-    series: &RleSeries,
+/// Byte offset of a batch frame's entry-count varint: magic, version,
+/// flags.
+const ENTRY_COUNT_AT: usize = 6;
+
+/// Writes one v2 batch frame entry by entry, without the caller knowing
+/// the entry count up front or holding the series it ships — the form the
+/// tracer's flush uses to stream count runs straight from its density
+/// estimators into a reused buffer. [`encode_batch_into`] and
+/// [`encode_batch_leveled_into`] are this writer over a slice, so there is
+/// one definition of the format.
+///
+/// # Example
+///
+/// ```
+/// use e2eprof_timeseries::density::CountRun;
+/// use e2eprof_timeseries::{wire, RleSeries, Run, Tick};
+/// let mut buf = Vec::new();
+/// let mut writer = wire::BatchWriter::new(&mut buf, true, false);
+/// let runs = [CountRun { start: Tick::new(4), len: 2, count: 2 }];
+/// writer.count_runs((0, 1), 0, Tick::new(3), 10, &runs);
+/// assert_eq!(writer.finish(), 1);
+/// let s = RleSeries::from_parts(Tick::new(3), 10, vec![Run::new(Tick::new(4), 2, 2f64.sqrt())]);
+/// assert_eq!(&buf[..], &wire::encode_batch(&[((0, 1), s)], true)[..]);
+/// ```
+#[derive(Debug)]
+pub struct BatchWriter<'a> {
+    out: &'a mut Vec<u8>,
     int_amp: bool,
-) {
-    put_varint(out, u64::from(key.0));
-    put_varint(out, u64::from(key.1));
-    if let Some(l) = level {
-        put_varint(out, l);
+    levels: bool,
+    entries: u64,
+}
+
+impl<'a> BatchWriter<'a> {
+    /// Starts a frame in `out`, clearing it first. With `int_amp`,
+    /// amplitudes that are exactly `√n` for an integer `n` ship as the
+    /// varint count; with `levels`, every entry header carries its
+    /// decimation level (the `FLAG_LEVELS` form, see
+    /// [`encode_batch_leveled`]).
+    pub fn new(out: &'a mut Vec<u8>, int_amp: bool, levels: bool) -> Self {
+        out.clear();
+        out.extend_from_slice(WIRE_MAGIC);
+        out.push(WIRE_VERSION_V2);
+        out.push(if int_amp { FLAG_INT_AMP } else { 0 } | if levels { FLAG_LEVELS } else { 0 });
+        debug_assert_eq!(out.len(), ENTRY_COUNT_AT);
+        out.push(0); // entry count: patched by `finish`
+        BatchWriter {
+            out,
+            int_amp,
+            levels,
+            entries: 0,
+        }
     }
-    put_varint(out, series.start().index());
-    put_varint(out, series.len());
-    put_varint(out, series.num_runs() as u64);
-    let mut prev_end = series.start().index();
-    for r in series.runs() {
-        put_varint(out, r.start().index() - prev_end);
-        put_varint(out, r.len());
-        prev_end = r.end().index();
-        match int_amp_code(r.value()).filter(|_| int_amp) {
-            Some(n) => put_varint(out, n),
-            None => {
-                if int_amp {
-                    put_varint(out, 0); // escape: raw f64 follows
+
+    fn entry_header(&mut self, key: (u32, u32), level: u64, start: Tick, len: u64, runs: usize) {
+        debug_assert!(self.levels || level == 0, "level tag in an untagged frame");
+        self.entries += 1;
+        put_varint(self.out, u64::from(key.0));
+        put_varint(self.out, u64::from(key.1));
+        if self.levels {
+            put_varint(self.out, level);
+        }
+        put_varint(self.out, start.index());
+        put_varint(self.out, len);
+        put_varint(self.out, runs as u64);
+    }
+
+    /// Appends one series under `key`. `level` is its decimation level
+    /// (`0` = fine; written only in a level-tagged frame).
+    pub fn series(&mut self, key: (u32, u32), level: u64, series: &RleSeries) {
+        self.entry_header(key, level, series.start(), series.len(), series.num_runs());
+        let mut prev_end = series.start().index();
+        for r in series.runs() {
+            put_varint(self.out, r.start().index() - prev_end);
+            put_varint(self.out, r.len());
+            prev_end = r.end().index();
+            match int_amp_code(r.value()).filter(|_| self.int_amp) {
+                Some(n) => put_varint(self.out, n),
+                None => {
+                    if self.int_amp {
+                        put_varint(self.out, 0); // escape: raw f64 follows
+                    }
+                    self.out.extend_from_slice(&r.value().to_be_bytes());
                 }
-                out.extend_from_slice(&r.value().to_be_bytes());
             }
         }
+    }
+
+    /// Appends the series spanning `[start, start + len)` whose runs are
+    /// `runs`, amplitudes `√count` — the bytes [`series`](Self::series)
+    /// writes for the same series, but the integer-amplitude code *is* the
+    /// count, so no square root is taken only to be squared again.
+    pub fn count_runs(
+        &mut self,
+        key: (u32, u32),
+        level: u64,
+        start: Tick,
+        len: u64,
+        runs: &[CountRun],
+    ) {
+        self.entry_header(key, level, start, len, runs.len());
+        let mut prev_end = start.index();
+        for r in runs {
+            debug_assert!(r.len > 0 && r.count > 0, "empty count run");
+            put_varint(self.out, r.start.index() - prev_end);
+            put_varint(self.out, r.len);
+            prev_end = r.start.index() + r.len;
+            if self.int_amp {
+                put_varint(self.out, r.count);
+            } else {
+                self.out.extend_from_slice(&r.value().to_be_bytes());
+            }
+        }
+    }
+
+    /// Completes the frame by filling in the entry count; returns it.
+    pub fn finish(self) -> u64 {
+        if self.entries < 0x80 {
+            self.out[ENTRY_COUNT_AT] = self.entries as u8;
+        } else {
+            // A count past one varint byte shifts the entries up; 128
+            // series in one flush is far off the common path.
+            let mut count = Vec::with_capacity(10);
+            put_varint(&mut count, self.entries);
+            self.out.splice(ENTRY_COUNT_AT..=ENTRY_COUNT_AT, count);
+        }
+        self.entries
     }
 }
 
@@ -357,14 +452,11 @@ pub fn encode_batch_leveled_into<S: std::borrow::Borrow<RleSeries>>(
     int_amp: bool,
     out: &mut Vec<u8>,
 ) {
-    out.clear();
-    out.extend_from_slice(WIRE_MAGIC);
-    out.push(WIRE_VERSION_V2);
-    out.push(if int_amp { FLAG_INT_AMP } else { 0 } | FLAG_LEVELS);
-    put_varint(out, entries.len() as u64);
+    let mut writer = BatchWriter::new(out, int_amp, true);
     for (key, level, series) in entries {
-        put_entry(out, *key, Some(*level), series.borrow(), int_amp);
+        writer.series(*key, *level, series.borrow());
     }
+    writer.finish();
 }
 
 /// Header of one series inside a v2 batch frame.
@@ -1001,6 +1093,59 @@ mod tests {
             decode_batch_leveled(&f),
             Err(DecodeError::Corrupt("decimation level exceeds u32"))
         );
+    }
+
+    #[test]
+    fn writer_count_runs_are_the_bytes_of_the_sqrt_series() {
+        let runs = [
+            CountRun {
+                start: Tick::new(101),
+                len: 5,
+                count: 1,
+            },
+            CountRun {
+                start: Tick::new(120),
+                len: 2,
+                count: 300, // two-byte varint
+            },
+        ];
+        let series =
+            RleSeries::from_parts(Tick::new(100), 60, runs.iter().map(|&r| r.into()).collect());
+        for int_amp in [false, true] {
+            for levels in [false, true] {
+                let level = if levels { 16 } else { 0 };
+                let mut buf = vec![0xAA; 3]; // stale contents must be cleared
+                let mut writer = BatchWriter::new(&mut buf, int_amp, levels);
+                writer.count_runs((2, 0), level, Tick::new(100), 60, &runs);
+                writer.count_runs((0, 3), 0, Tick::new(160), 60, &[]);
+                assert_eq!(writer.finish(), 2);
+                let empty = RleSeries::empty(Tick::new(160), 60);
+                let want = if levels {
+                    encode_batch_leveled(&[((2, 0), level, &series), ((0, 3), 0, &empty)], int_amp)
+                } else {
+                    encode_batch(&[((2, 0), &series), ((0, 3), &empty)], int_amp)
+                };
+                assert_eq!(&buf[..], &want[..], "int_amp={int_amp} levels={levels}");
+            }
+        }
+    }
+
+    #[test]
+    fn writer_patches_entry_counts_past_one_varint_byte() {
+        for n in [0u32, 1, 127, 128, 300] {
+            let entries: Vec<((u32, u32), RleSeries)> =
+                (0..n).map(|i| ((i, i + 1), sample())).collect();
+            let frame = encode_batch(&entries, true);
+            assert_eq!(decode_batch(&frame).unwrap(), entries, "n={n}");
+            // The count is the minimal varint a one-shot encoder would
+            // have written up front.
+            let mut count = Vec::new();
+            put_varint(&mut count, u64::from(n));
+            assert_eq!(
+                &frame[ENTRY_COUNT_AT..ENTRY_COUNT_AT + count.len()],
+                &count[..]
+            );
+        }
     }
 
     #[test]

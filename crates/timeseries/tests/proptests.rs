@@ -2,9 +2,12 @@
 //! representation is a lossless view of the same underlying signal, and
 //! compression must never change values, spans, or statistics.
 
-use e2eprof_timeseries::density::DensityEstimator;
-use e2eprof_timeseries::{wire, DenseSeries, Nanos, Quanta, SparseSeries, Tick};
+use e2eprof_timeseries::density::{CountRun, DensityEstimator};
+use e2eprof_timeseries::{
+    wire, DenseSeries, Nanos, Quanta, RleSeries, Run, SparseEntry, SparseSeries, Tick,
+};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// An arbitrary signal as a dense value vector; values are drawn from the
 /// small set a density function can produce (sqrt of small counts) plus
@@ -511,5 +514,317 @@ proptest! {
                 prop_assert_eq!(w.has_runs_in(a, b), brute, "has_runs_in({}, {})", from, from + len);
             }
         }
+    }
+}
+
+/// The estimator's predecessor, kept verbatim as the reference model for
+/// the queue-merging rewrite: count deltas in an ordered map, integrated
+/// tick by tick into one entry (and one square root) per covered tick.
+/// `drain_chunk(end).to_rle()` is what the tracer used to ship.
+struct TickDensity {
+    tau: u64,
+    omega_half_ns: u64,
+    diffs: BTreeMap<u64, i64>,
+    cursor: u64,
+    running: i64,
+}
+
+impl TickDensity {
+    fn new(quanta: Quanta, omega_ticks: u64) -> Self {
+        let tau = quanta.duration().as_nanos();
+        TickDensity {
+            tau,
+            omega_half_ns: omega_ticks * tau / 2,
+            diffs: BTreeMap::new(),
+            cursor: 0,
+            running: 0,
+        }
+    }
+
+    fn push(&mut self, ts: Nanos) {
+        let s = ts.as_nanos();
+        let lo = if s <= self.omega_half_ns {
+            0
+        } else {
+            (s - self.omega_half_ns).div_ceil(self.tau)
+        };
+        let hi = (s + self.omega_half_ns) / self.tau;
+        assert!(lo >= self.cursor, "reference drained too eagerly");
+        *self.diffs.entry(lo).or_insert(0) += 1;
+        *self.diffs.entry(hi + 1).or_insert(0) -= 1;
+    }
+
+    fn drain_chunk(&mut self, end: u64) -> SparseSeries {
+        let start = self.cursor;
+        let mut entries = Vec::new();
+        let keys: Vec<u64> = self.diffs.range(..end).map(|(&k, _)| k).collect();
+        let mut pos = start;
+        let mut running = self.running;
+        for k in keys {
+            let k_clamped = k.max(start);
+            if running > 0 {
+                for t in pos..k_clamped {
+                    entries.push(SparseEntry::new(Tick::new(t), (running as f64).sqrt()));
+                }
+            }
+            pos = k_clamped;
+            running += self.diffs.remove(&k).expect("key just observed");
+        }
+        if running > 0 {
+            for t in pos..end {
+                entries.push(SparseEntry::new(Tick::new(t), (running as f64).sqrt()));
+            }
+        }
+        self.cursor = end;
+        self.running = running;
+        SparseSeries::from_parts(Tick::new(start), end - start, entries)
+    }
+}
+
+/// Runs compared the way the wire sees them: boundaries, lengths, and the
+/// amplitude's bits.
+fn run_bits(runs: &[Run]) -> Vec<(u64, u64, u64)> {
+    runs.iter()
+        .map(|r| (r.start().index(), r.len(), r.value().to_bits()))
+        .collect()
+}
+
+/// Inter-arrival gaps as `(kind, raw)`, resolved against ω in the test:
+/// duplicates, sub-tick bursts, windows that exactly abut
+/// (`hi + 1 == lo`), and quiet spells.
+fn gaps_strategy() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..10, 0u64..120_000), 0..120)
+}
+
+/// Drain steps in ticks: empty drains, steps shorter than a window (a
+/// drain inside a run), and long strides.
+fn drains_strategy() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(
+        prop_oneof![
+            1 => Just(0u64),
+            3 => 1u64..8,
+            3 => 1u64..90,
+            1 => 90u64..600,
+        ],
+        1..40,
+    )
+}
+
+proptest! {
+    /// The queue-merging drain is the old per-tick drain, run for run —
+    /// and `drain_chunk`, now an expansion of the same integrator, is the
+    /// old `drain_chunk` entry for entry.
+    #[test]
+    fn density_drain_runs_equal_per_tick_reference(
+        gaps in gaps_strategy(),
+        drains in drains_strategy(),
+        omega in prop_oneof![Just(1u64), Just(2u64), Just(3u64), Just(50u64)],
+        first_us in 0u64..30_000,
+    ) {
+        let quanta = Quanta::from_millis(1);
+        // ω even: windows abut at a gap of ω + 1 ticks; ω odd: at ω.
+        let abut_us = (omega + 1 - omega % 2) * 1_000;
+        let mut at = first_us; // small: the first windows clamp at tick 0
+        let stamps: Vec<Nanos> = gaps
+            .iter()
+            .map(|&(kind, raw)| {
+                at += match kind {
+                    0..=2 => 0,
+                    3..=5 => raw % 3_000,
+                    6..=7 => abut_us,
+                    _ => raw,
+                };
+                // Abutting needs whole-tick stamps; snap those.
+                if (6..=7).contains(&kind) {
+                    at -= at % 1_000;
+                }
+                Nanos::from_micros(at)
+            })
+            .collect();
+        let mut stamps = stamps;
+        stamps.sort_unstable(); // snapping can step back by < 1 tick
+
+        let mut by_run = DensityEstimator::new(quanta, omega);
+        let mut by_tick = DensityEstimator::new(quanta, omega);
+        let mut reference = TickDensity::new(quanta, omega);
+        let mut runs: Vec<CountRun> = Vec::new();
+        let mut fed = 0;
+        let mut end = 0u64;
+        let last = stamps.last().map_or(0, |ts| ts.as_nanos() / 1_000_000 + omega + 2);
+        let schedule = drains.iter().map(|step| Some(*step)).chain([None]);
+        for step in schedule {
+            // The final drain reaches past the last window's close.
+            end = step.map_or(end.max(last), |s| end + s);
+            let horizon = end * 1_000_000 + omega * 1_000_000 / 2;
+            while fed < stamps.len() && stamps[fed].as_nanos() < horizon {
+                by_run.push(stamps[fed]);
+                by_tick.push(stamps[fed]);
+                reference.push(stamps[fed]);
+                fed += 1;
+            }
+            let want = reference.drain_chunk(end);
+            by_run.drain_runs(Tick::new(end), &mut runs);
+            let got: Vec<Run> = runs.iter().map(|&r| r.into()).collect();
+            prop_assert_eq!(run_bits(&got), run_bits(want.to_rle().runs()), "drain to {}", end);
+            prop_assert_eq!(by_tick.drain_chunk(Tick::new(end)), want, "drain to {}", end);
+        }
+        prop_assert_eq!(fed, stamps.len());
+    }
+}
+
+/// The batch encoder's predecessor, kept as the reference for
+/// [`wire::BatchWriter`]: the entry count is known up front and every
+/// amplitude goes √ → square → round → verify before it may ship as a
+/// count.
+fn encode_batch_reference(
+    entries: &[((u32, u32), u64, RleSeries)],
+    int_amp: bool,
+    levels: bool,
+) -> Vec<u8> {
+    fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let b = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(b);
+                return;
+            }
+            out.push(b | 0x80);
+        }
+    }
+    fn int_amp_code(value: f64) -> Option<u64> {
+        if value.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return None;
+        }
+        let n = (value * value).round();
+        if !(1.0..=9.007_199_254_740_992e15).contains(&n) {
+            return None;
+        }
+        let n = n as u64;
+        ((n as f64).sqrt().to_bits() == value.to_bits()).then_some(n)
+    }
+    let mut out = Vec::new();
+    out.extend_from_slice(b"E2EP");
+    out.push(2);
+    out.push(u8::from(int_amp) | if levels { 0b10 } else { 0 });
+    put_varint(&mut out, entries.len() as u64);
+    for ((src, dst), level, series) in entries {
+        put_varint(&mut out, u64::from(*src));
+        put_varint(&mut out, u64::from(*dst));
+        if levels {
+            put_varint(&mut out, *level);
+        }
+        put_varint(&mut out, series.start().index());
+        put_varint(&mut out, series.len());
+        put_varint(&mut out, series.num_runs() as u64);
+        let mut prev_end = series.start().index();
+        for r in series.runs() {
+            put_varint(&mut out, r.start().index() - prev_end);
+            put_varint(&mut out, r.len());
+            prev_end = r.end().index();
+            match int_amp_code(r.value()).filter(|_| int_amp) {
+                Some(n) => put_varint(&mut out, n),
+                None => {
+                    if int_amp {
+                        put_varint(&mut out, 0);
+                    }
+                    out.extend_from_slice(&r.value().to_be_bytes());
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Like [`signal_strategy`], plus amplitudes that are no √n (negative,
+/// fractional, huge): the integer-amplitude escape path.
+fn odd_signal_strategy() -> impl Strategy<Value = (u64, Vec<f64>)> {
+    (
+        0u64..100_000,
+        prop::collection::vec(
+            prop_oneof![
+                4 => Just(0.0f64),
+                3 => (1u32..400).prop_map(|c| (c as f64).sqrt()),
+                1 => (1u32..1000).prop_map(|c| c as f64 * 0.37),
+                1 => (1u32..1000).prop_map(|c| -(c as f64).sqrt()),
+                1 => Just(1e300f64),
+            ],
+            0..120,
+        ),
+    )
+}
+
+proptest! {
+    /// Both one-shot encoders, now loops over the incremental writer, emit
+    /// the bytes of the up-front encoder they replaced — escape path and
+    /// multi-byte entry counts included.
+    #[test]
+    fn batch_writer_bytes_equal_reference_encoder(
+        entries in prop::collection::vec(
+            ((any::<u32>(), any::<u32>()), 0u64..100, odd_signal_strategy()),
+            0..5,
+        ),
+        int_amp in any::<bool>(),
+        padding in prop_oneof![4 => Just(0usize), 1 => 120usize..140],
+    ) {
+        let mut keyed: Vec<((u32, u32), u64, RleSeries)> = entries
+            .into_iter()
+            .map(|(key, level, (start, values))| {
+                (key, level, dense(start, values).to_sparse().to_rle())
+            })
+            .collect();
+        // Sometimes push the entry count past one varint byte.
+        keyed.extend((0..padding).map(|i| ((i as u32, 0), 0, RleSeries::empty(Tick::new(9), 3))));
+
+        let mut buf = vec![0x55u8; 7]; // stale contents must not survive
+        let plain: Vec<((u32, u32), RleSeries)> =
+            keyed.iter().map(|(k, _, s)| (*k, s.clone())).collect();
+        wire::encode_batch_into(&plain, int_amp, &mut buf);
+        prop_assert_eq!(&buf, &encode_batch_reference(&keyed, int_amp, false));
+
+        wire::encode_batch_leveled_into(&keyed, int_amp, &mut buf);
+        prop_assert_eq!(&buf, &encode_batch_reference(&keyed, int_amp, true));
+    }
+
+    /// Count runs written straight as varint counts are the bytes of the
+    /// series of their square roots.
+    #[test]
+    fn batch_writer_count_runs_equal_sqrt_series(
+        entries in prop::collection::vec(
+            (
+                (any::<u32>(), any::<u32>()),
+                0u64..100_000,
+                prop::collection::vec((0u64..40, 1u64..300, 1u64..100_000), 0..30),
+                0u64..50,
+            ),
+            0..5,
+        ),
+        int_amp in any::<bool>(),
+        levels in any::<bool>(),
+    ) {
+        let mut buf = Vec::new();
+        let mut writer = wire::BatchWriter::new(&mut buf, int_amp, levels);
+        let mut want = Vec::new();
+        for (key, start, spec, slack) in entries {
+            let mut at = start;
+            let runs: Vec<CountRun> = spec
+                .into_iter()
+                .map(|(gap, len, count)| {
+                    let run = CountRun { start: Tick::new(at + gap), len, count };
+                    at += gap + len;
+                    run
+                })
+                .collect();
+            let len = at - start + slack;
+            writer.count_runs(key, 0, Tick::new(start), len, &runs);
+            let series = RleSeries::from_parts(
+                Tick::new(start),
+                len,
+                runs.iter().map(|&r| r.into()).collect(),
+            );
+            want.push((key, 0, series));
+        }
+        prop_assert_eq!(writer.finish(), want.len() as u64);
+        prop_assert_eq!(&buf, &encode_batch_reference(&want, int_amp, levels));
     }
 }

@@ -12,6 +12,7 @@
 //! (`#` comments and blank lines ignored). Output formats: `text`
 //! (annotated graphs), `dot` (Graphviz), `waterfall` (ASCII timeline).
 
+use e2eprof::core::config::PathmapConfigBuilder;
 use e2eprof::core::ingest::TraceIngest;
 use e2eprof::core::prelude::*;
 use e2eprof::timeseries::{Nanos, Quanta};
@@ -50,6 +51,27 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Finishes a configuration under the `E2EPROF_*` overrides. The
+/// variables are operator input: a bad value is reported like a bad flag
+/// (exit code 2), never panicked on.
+fn build_config(builder: PathmapConfigBuilder) -> Result<PathmapConfig, ExitCode> {
+    match builder.try_env_overrides() {
+        Ok(builder) => Ok(builder.build()),
+        Err(e) => {
+            eprintln!("e2eprof: {e}");
+            Err(ExitCode::from(2))
+        }
+    }
+}
+
+/// The analysis parameters of the `demo` and `distributed` subcommands.
+fn demo_config() -> PathmapConfigBuilder {
+    PathmapConfig::builder()
+        .window(Nanos::from_secs(60))
+        .refresh(Nanos::from_secs(15))
+        .max_delay(Nanos::from_secs(2))
 }
 
 /// Parses `500us` / `250ms` / `30s` / `5m` into nanoseconds.
@@ -161,14 +183,17 @@ fn analyze(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    let cfg = PathmapConfig::builder()
-        .quanta(Quanta::from_nanos(opts.tau.as_nanos()))
-        .omega_ticks(opts.omega)
-        .window(opts.window)
-        .refresh(opts.window)
-        .max_delay(opts.max_delay)
-        .env_overrides()
-        .build();
+    let cfg = match build_config(
+        PathmapConfig::builder()
+            .quanta(Quanta::from_nanos(opts.tau.as_nanos()))
+            .omega_ticks(opts.omega)
+            .window(opts.window)
+            .refresh(opts.window)
+            .max_delay(opts.max_delay),
+    ) {
+        Ok(cfg) => cfg,
+        Err(code) => return code,
+    };
     let labels = ingest.labels();
     let signals = ingest.build_signals(&cfg, ingest.horizon());
     let graphs = Pathmap::new(cfg).discover(&signals, &roots, &labels);
@@ -250,12 +275,10 @@ fn distributed(args: &[String]) -> ExitCode {
         }
     }
 
-    let cfg = PathmapConfig::builder()
-        .window(Nanos::from_secs(60))
-        .refresh(Nanos::from_secs(15))
-        .max_delay(Nanos::from_secs(2))
-        .env_overrides()
-        .build();
+    let cfg = match build_config(demo_config()) {
+        Ok(cfg) => cfg,
+        Err(code) => return code,
+    };
     let selected = match transport.as_deref() {
         Some("tcp") => Transport::Tcp,
         Some("unix") => Transport::Unix,
@@ -405,16 +428,14 @@ fn broker(args: &[String]) -> ExitCode {
 
 fn demo() -> ExitCode {
     use e2eprof::netsim::Simulation;
+    let cfg = match build_config(demo_config()) {
+        Ok(cfg) => cfg,
+        Err(code) => return code,
+    };
     println!("simulating a three-tier system for 90 seconds...\n");
     let mut sim = Simulation::new(demo_topology(), 7);
     sim.run_until(Nanos::from_secs(90));
 
-    let cfg = PathmapConfig::builder()
-        .window(Nanos::from_secs(60))
-        .refresh(Nanos::from_secs(15))
-        .max_delay(Nanos::from_secs(2))
-        .env_overrides()
-        .build();
     let graphs = Pathmap::new(cfg.clone()).discover(
         &EdgeSignals::from_capture(sim.captures(), &cfg, sim.now()),
         &roots_from_topology(sim.topology()),

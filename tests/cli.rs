@@ -150,3 +150,31 @@ fn demo_runs_end_to_end() {
     assert!(stdout.contains("web -> app"), "{stdout}");
     assert!(stdout.contains("bottleneck: app"), "{stdout}");
 }
+
+#[test]
+fn bad_environment_override_is_reported_not_panicked_on() {
+    // `demo` checks the environment before it simulates anything, so this
+    // returns at once. The stale wire knob is an error of its own: a
+    // script that still sets it must not believe it selected a format.
+    for (variable, value, expect) in [
+        (
+            "E2EPROF_BACKEND",
+            "rel",
+            "rle | dense | sparse | fft | auto",
+        ),
+        ("E2EPROF_WIRE", "v1", "removed"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_e2eprof"))
+            .arg("demo")
+            .env(variable, value)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{variable}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("e2eprof: "), "{stderr}");
+        for part in [variable, value, expect] {
+            assert!(stderr.contains(part), "{stderr:?} lacks {part:?}");
+        }
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}

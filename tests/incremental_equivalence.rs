@@ -122,9 +122,7 @@ fn rubis_cfg(incremental: bool, screened: bool, reduced: bool) -> PathmapConfig 
         b = b.screening(SCREENING);
     }
     if reduced {
-        b = b
-            .wire(WireVersion::V2)
-            .reduction(ReductionConfig::default());
+        b = b.reduction(ReductionConfig::default());
     }
     b.build()
 }
@@ -141,9 +139,7 @@ fn delta_cfg(incremental: bool, screened: bool, reduced: bool) -> PathmapConfig 
         b = b.screening(SCREENING);
     }
     if reduced {
-        b = b
-            .wire(WireVersion::V2)
-            .reduction(ReductionConfig::default());
+        b = b.reduction(ReductionConfig::default());
     }
     b.build()
 }

@@ -19,7 +19,8 @@ use e2eprof::netsim::{NodeId, Simulation};
 use e2eprof::timeseries::{Nanos, Quanta};
 use std::collections::HashSet;
 
-/// The in-process anchor: same loop as the wire-equivalence suite.
+/// The in-process anchor: tracer agents on every service feeding one
+/// analyzer over a channel.
 fn run_inproc(
     sim: &mut Simulation,
     config: &PathmapConfig,
@@ -125,7 +126,6 @@ fn rubis_cfg() -> PathmapConfig {
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
         .max_delay(Nanos::from_secs(2))
-        .wire(WireVersion::V2)
         .build()
 }
 
@@ -182,7 +182,6 @@ fn delta_cfg() -> PathmapConfig {
         .window(Nanos::from_minutes(30))
         .refresh(Nanos::from_minutes(5))
         .max_delay(Nanos::from_minutes(10))
-        .wire(WireVersion::V2)
         .build()
 }
 
@@ -228,51 +227,6 @@ fn delta_distributed_matches_in_process_at_every_shard_count() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// Sharding must also hold under wire v1 (one frame per edge instead of
-/// one batch per flush) — the sequence/dedup machinery is per frame, so
-/// the per-edge stream is the harder case for exactly-once delivery.
-#[test]
-fn rubis_v1_wire_distributed_matches_in_process() {
-    let cfg = PathmapConfig::builder()
-        .quanta(Quanta::from_millis(1))
-        .omega_ticks(50)
-        .window(Nanos::from_secs(20))
-        .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .wire(WireVersion::V1)
-        .build();
-    let build = || {
-        Rubis::build(RubisConfig {
-            dispatch: Dispatch::Affinity,
-            seed: 1,
-            ..RubisConfig::default()
-        })
-    };
-    let step = Nanos::from_secs(5);
-    let lag = Nanos::from_secs(1);
-    let mut anchor_app = build();
-    let anchor = run_inproc(anchor_app.sim_mut(), &cfg, 12, step, lag);
-    for transport in transports_under_test() {
-        let mut app = build();
-        let endpoint = transport.bind().expect("bind endpoint");
-        let dist = run_distributed(
-            app.sim_mut(),
-            PipelineBuilder::new(cfg.clone(), 2),
-            &endpoint,
-            12,
-            step,
-            lag,
-        );
-        for (i, (a, b)) in anchor.iter().zip(&dist).enumerate() {
-            assert_graphs_equivalent(
-                a,
-                b,
-                &format!("rubis v1 wire, {transport:?} x2, refresh {}", i + 1),
-            );
         }
     }
 }

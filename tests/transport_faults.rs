@@ -22,7 +22,6 @@ fn cfg() -> PathmapConfig {
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
         .max_delay(Nanos::from_secs(2))
-        .wire(WireVersion::V2)
         .build()
 }
 
@@ -253,16 +252,8 @@ fn unreachable_broker_drops_are_counted_never_silent() {
     link_cfg.queue_capacity = 2;
     link_cfg.max_flush_redials = 0;
     let link = TracerLink::new(node.index() as u32, Box::new(DeadDialer), link_cfg);
-    // v1 wire: one frame per owned edge per poll, so a 2-slot queue
-    // overflows quickly.
-    let v1 = PathmapConfig::builder()
-        .quanta(Quanta::from_millis(1))
-        .omega_ticks(50)
-        .window(Nanos::from_secs(20))
-        .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .build();
-    let mut agent = TracerAgent::with_sink(node, clients, v1, Box::new(link));
+    // One frame per poll: the 2-slot queue overflows from the third on.
+    let mut agent = TracerAgent::with_sink(node, clients, cfg(), Box::new(link));
     let mut dropped_outcomes = 0;
     for i in 1..=6u64 {
         let now = Nanos::from_secs(5 * i);
@@ -302,7 +293,6 @@ mod reduction_faults {
             .window(Nanos::from_secs(20))
             .refresh(Nanos::from_secs(5))
             .max_delay(Nanos::from_millis(500))
-            .wire(WireVersion::V2)
             .screening(ScreeningConfig {
                 decimation: 8,
                 hysteresis: 0.5,
