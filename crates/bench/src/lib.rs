@@ -269,58 +269,6 @@ pub fn ebbing_fanout_sim(
     Simulation::new(t.build().unwrap(), seed)
 }
 
-/// A wide mesh of `stacks` independent client → web → db chains
-/// (2 services per stack, so 256 stacks is a 512-service deployment).
-/// Every stack receives a regular `step_ms`-cadence arrival stream during
-/// the warm-up `[0, warm_secs)`; after that only the first `active`
-/// stacks keep receiving traffic and the rest stay silent forever.
-///
-/// Once the silent stacks' warm-up activity slides out of retention
-/// (`warm_secs + window + T_u` into the run), their windows' change
-/// epochs freeze: an activity-gated analyzer can prove their pairs quiet
-/// and skip per-refresh work proportional to the idle fraction. Stacks
-/// are phase-staggered by 0.1 ms so arrival timestamps do not pile onto
-/// identical instants. The caller still has to `run_until` the returned
-/// simulation.
-pub fn mesh_sim(
-    stacks: usize,
-    active: usize,
-    step_ms: u64,
-    warm_secs: f64,
-    total_secs: f64,
-    seed: u64,
-) -> Simulation {
-    let mut t = TopologyBuilder::new();
-    for i in 0..stacks {
-        let trace = {
-            let until = if i < active { total_secs } else { warm_secs };
-            let phase = (i % 20) as f64 * 1e-4;
-            let mut arrivals = Vec::new();
-            let mut at = phase;
-            while at < until {
-                arrivals.push(Nanos::from_nanos((at * 1e9) as u64));
-                at += step_ms as f64 / 1e3;
-            }
-            Workload::trace(arrivals)
-        };
-        let class = t.service_class(&format!("class_{i}"));
-        let web = t.service(
-            &format!("web_{i}"),
-            ServiceConfig::new(DelayDist::constant_millis(2)),
-        );
-        let db = t.service(
-            &format!("db_{i}"),
-            ServiceConfig::new(DelayDist::exponential_millis(8)),
-        );
-        t.connect(web, db, DelayDist::constant_millis(1));
-        t.route(web, class, Route::fixed(db));
-        t.route(db, class, Route::terminal());
-        let cli = t.client(&format!("cli_{i}"), class, web, trace);
-        t.connect(cli, web, DelayDist::constant_millis(1));
-    }
-    Simulation::new(t.build().unwrap(), seed)
-}
-
 /// A minimal JSON value for machine-readable benchmark artifacts (the
 /// build has no JSON dependency; the subset here — objects, arrays,
 /// numbers, strings, booleans — is all the bench reports need).

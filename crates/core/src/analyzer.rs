@@ -15,12 +15,18 @@
 //! series. Every worker count produces bitwise identical graphs — see
 //! [`parallel`] for the determinism contract.
 //!
+//! Refreshes are *activity-gated*: what a refresh costs follows what
+//! changed since the previous one, not what is tracked. A pair whose two
+//! windows provably carried nothing across the slide keeps its products
+//! as they are, and a root whose every pair did reuses its last graph
+//! (`RefreshMemory` holds the proof obligations; DESIGN.md §6.1).
+//!
 //! [`TracerAgent`]: crate::tracer::TracerAgent
 
 use crate::change::ChangeTracker;
 use crate::config::{PathmapConfig, ReductionConfig};
 use crate::graph::{NodeLabels, ServiceGraph};
-use crate::hashing::FxHashMap;
+use crate::hashing::{FxBuildHasher, FxHashMap};
 use crate::parallel::{self, ScratchPool};
 pub use crate::pathmap::ScratchCounters;
 use crate::pathmap::{CorrelationProvider, IncrementalStats, Pathmap, ScreeningStats};
@@ -173,12 +179,11 @@ impl ReductionState {
     }
 }
 
-/// Cross-refresh memory of the activity-gated incremental tier
-/// ([`PathmapConfig::incremental`]): everything the next refresh needs to
-/// *prove* that carrying a pair's accumulated products (or a whole root's
-/// graph) forward unchanged is bitwise identical to recomputing it.
+/// What one refresh remembers for the next: everything needed to *prove*
+/// that carrying a pair's accumulated products (or a whole root's graph)
+/// forward unchanged is bitwise identical to recomputing it.
 ///
-/// The soundness contract lives in DESIGN.md §6.7. In short, a window is
+/// The soundness contract lives in DESIGN.md §6.1. In short, a window is
 /// *quiet* for a refresh when its change epoch is unchanged since the
 /// previous refresh **and** it has no runs in the boundary regions the
 /// window slide adds or evicts (padded by `4k` ticks when the screening
@@ -186,8 +191,12 @@ impl ReductionState {
 /// boundaries). Every append/evict correction term of a quiet pair is a
 /// sum of zero products, so skipping the advance and sliding the recorded
 /// window is a bitwise no-op.
+///
+/// An empty memory — before the first refresh, and after a stream heal
+/// drops it — proves nothing: no window is quiet and every root is dirty,
+/// which is the from-scratch computation, reached by data.
 #[derive(Debug, Default)]
-struct IncrementalState {
+struct RefreshMemory {
     /// Geometry of the last completed refresh: `(start, end, data_end)`.
     prev: Option<(Tick, Tick, Tick)>,
     /// Change-epoch snapshot of every fine window at that refresh.
@@ -198,8 +207,8 @@ struct IncrementalState {
     bounds: FxHashMap<PairKey, (f64, bool)>,
     /// Pairs the screening tier pruned in that refresh.
     pruned: HashSet<PairKey>,
-    /// Cached per-root discovery result and the pair support set the
-    /// root's exploration touched.
+    /// Per-root discovery result of that refresh and the sorted set of
+    /// pairs the root's exploration consulted (its *support*).
     roots: FxHashMap<(NodeId, NodeId), (Option<ServiceGraph>, Vec<PairKey>)>,
     /// Sorted signal-edge key set of that refresh. Any change — an edge
     /// appearing, vanishing, or moving through the reduction tier —
@@ -216,9 +225,12 @@ pub struct OnlineAnalyzer {
     config: PathmapConfig,
     pathmap: Pathmap,
     roots: Vec<(NodeId, NodeId)>,
+    /// `client → front end` of the owned roots: where each pair's source
+    /// signal lives.
+    fronts: FxHashMap<NodeId, NodeId>,
     /// Every client node in the deployment — a superset of the clients in
     /// `roots`. Discovery must know all of them even when this analyzer
-    /// shard owns only some roots (see [`Pathmap::discover_pooled_among`]).
+    /// shard owns only some roots (see [`Pathmap::discover_each_among`]).
     universe: HashSet<NodeId>,
     labels: NodeLabels,
     rx: Receiver<TracerFrame>,
@@ -239,8 +251,8 @@ pub struct OnlineAnalyzer {
     /// Reuse counters of the fine tier's window slides, accumulated
     /// across refreshes (discovery's buffers are counted by `pathmap`).
     scratch: ScratchCounters,
-    /// Activity-gated incremental tier, when configured.
-    incremental: Option<IncrementalState>,
+    /// What the last refresh left for the next one's activity gate.
+    memory: RefreshMemory,
 }
 
 /// One published refresh: the paper's envisioned "pluggable" service
@@ -293,7 +305,6 @@ impl OnlineAnalyzer {
             active: FxHashMap::default(),
             stats: ScreeningStats::default(),
         });
-        let incremental = config.incremental().then(IncrementalState::default);
         let reduction = config.reduction().map(|&cfg| ReductionState {
             cfg,
             shard: 0,
@@ -308,6 +319,7 @@ impl OnlineAnalyzer {
         OnlineAnalyzer {
             config,
             pathmap,
+            fronts: roots.iter().copied().collect(),
             roots,
             universe,
             labels,
@@ -321,7 +333,7 @@ impl OnlineAnalyzer {
             reduction,
             slide_scratch: ScratchPool::default(),
             scratch: ScratchCounters::default(),
-            incremental,
+            memory: RefreshMemory::default(),
         }
     }
 
@@ -538,9 +550,7 @@ impl OnlineAnalyzer {
         // epoch/boundary bookkeeping the quiet predicate relies on; heals
         // are rare (data loss, promote backfills), so drop the whole
         // cross-refresh memory rather than reason about partial validity.
-        if let Some(st) = &mut self.incremental {
-            *st = IncrementalState::default();
-        }
+        self.memory = RefreshMemory::default();
     }
 
     /// The newest tick for which *every* stream has data (streams drained
@@ -576,79 +586,72 @@ impl OnlineAnalyzer {
         let end = data_end.saturating_sub(max_lag);
         let start = end.saturating_sub(window_ticks);
 
-        // Activity gate ([`PathmapConfig::incremental`]): take the
-        // cross-refresh memory out of `self` so the phases below can
-        // borrow disjoint fields, and compute each window's *quiet* flag
-        // against the previous refresh's geometry. A window is quiet when
-        // its change epoch is unchanged (no nonzero content entered or
-        // left retention) and it has no runs in the two boundary regions
-        // the slide touches — everything the slide's append/evict
-        // corrections could read. The `4k` padding covers the coarse
-        // twins: their block and fold boundaries move in `k`-tick steps
-        // and their lag bound overshoots the fine horizon by up to `3k`
-        // ticks (see DESIGN.md §6.7).
-        let mut inc_state = self.incremental.take();
-        if let Some(st) = inc_state.as_mut() {
-            st.stats = IncrementalStats::default();
-        }
-        let quiet: FxHashMap<(NodeId, NodeId), bool> = match inc_state
+        // Activity gate: which windows were *quiet* since the previous
+        // refresh. A window is quiet when its change epoch is unchanged
+        // (no nonzero content entered or left retention) and it has no
+        // runs in the two boundary regions the slide touches —
+        // everything the slide's append/evict corrections could read.
+        // The `4k` padding covers the coarse twins: their block and fold
+        // boundaries move in `k`-tick steps and their lag bound
+        // overshoots the fine horizon by up to `3k` ticks (see DESIGN.md
+        // §6.1). With no previous refresh to stand on nothing is quiet.
+        let memory = &mut self.memory;
+        memory.stats = IncrementalStats::default();
+        let prev = memory.prev;
+        let pad = self
+            .screening
             .as_ref()
-            .and_then(|st| st.prev.map(|prev| (prev, st)))
-        {
-            Some(((start0, end0, _), st)) => {
-                let pad = self
-                    .screening
-                    .as_ref()
-                    .map(|scr| 4 * scr.screen.factor())
-                    .unwrap_or(0);
-                self.windows
-                    .iter()
-                    .map(|(&edge, w)| {
-                        let q = st.epochs.get(&edge) == Some(&w.epoch())
-                            && !w.has_runs_in(
-                                Tick::new(start0.index().saturating_sub(pad)),
-                                Tick::new(start.index() + max_lag + pad),
-                            )
-                            && !w.has_runs_in(
-                                Tick::new(end0.index().saturating_sub(pad)),
-                                Tick::new(data_end.index() + pad),
-                            );
-                        (edge, q)
-                    })
-                    .collect()
-            }
-            None => FxHashMap::default(),
-        };
-
-        // Materialize the per-edge signal views. Edges demoted by the
-        // reduction tier are invisible to discovery — their fine windows
-        // are stale by design and their coarse image only serves the
-        // promote-overlap check.
+            .map_or(0, |scr| 4 * scr.screen.factor());
+        let mut quiet: HashSet<(NodeId, NodeId), FxBuildHasher> = HashSet::default();
+        // The per-edge signal views are materialized in the same pass.
+        // Edges demoted by the reduction tier are invisible to discovery —
+        // their fine windows are stale by design and their coarse image
+        // only serves the promote-overlap check.
         let reduced = self.reduction.as_ref().map(|red| &red.status);
         let mut signals_map = HashMap::new();
-        for (&edge, window) in &self.windows {
-            if reduced.is_some_and(|status| status.contains_key(&edge)) {
-                continue;
+        for (&edge, w) in &self.windows {
+            if !reduced.is_some_and(|status| status.contains_key(&edge)) {
+                signals_map.insert(edge, w.view(start, data_end));
             }
-            signals_map.insert(edge, window.view(start, data_end));
+            let epoch = w.epoch();
+            let unchanged = memory.epochs.insert(edge, epoch) == Some(epoch);
+            if let Some((start0, end0, _)) = prev {
+                if unchanged
+                    && !w.has_runs_in(
+                        Tick::new(start0.index().saturating_sub(pad)),
+                        Tick::new(start.index() + max_lag + pad),
+                    )
+                    && !w.has_runs_in(
+                        Tick::new(end0.index().saturating_sub(pad)),
+                        Tick::new(data_end.index() + pad),
+                    )
+                {
+                    quiet.insert(edge);
+                }
+            }
         }
+        let fronts = &self.fronts;
+        // Both signals of a pair — the client's root signal on its
+        // `(client, front)` edge and the candidate edge itself — quiet.
+        let pair_is_quiet = |(client, edge): PairKey| {
+            quiet.contains(&edge)
+                && fronts
+                    .get(&client)
+                    .is_some_and(|&front| quiet.contains(&(client, front)))
+        };
+
         // Sorted signal-edge key set: candidate-edge enumeration is
         // key-driven, so an unchanged fingerprint plus per-pair quietness
-        // is what certifies a cached root graph (see Phase 2).
-        let fingerprint: Vec<(NodeId, NodeId)> = if inc_state.is_some() {
-            let mut keys: Vec<(NodeId, NodeId)> = signals_map.keys().copied().collect();
-            keys.sort_unstable();
-            keys
-        } else {
-            Vec::new()
-        };
+        // is what certifies a remembered root graph (see Phase 2).
+        let mut fingerprint: Vec<(NodeId, NodeId)> = signals_map.keys().copied().collect();
+        fingerprint.sort_unstable();
         let signals =
             EdgeSignals::from_parts(self.config.quanta(), (start, end), max_lag, signals_map);
 
-        let fronts: HashMap<NodeId, NodeId> = self.roots.iter().copied().collect();
         let num_workers = self.config.num_workers();
         let engine = self.pathmap.engine();
         let slide_scratch = &self.slide_scratch;
+        let windows = &self.windows;
 
         // Phase 0 — coarse screening tier (when configured): advance the
         // cheap decimated correlator of *every* tracked pair, upper-bound
@@ -657,7 +660,6 @@ impl OnlineAnalyzer {
         // correlator here and are skipped by discovery below; promoted
         // pairs get a fresh fine correlator that Phase 1 fills by a
         // from-scratch recompute over the retained window.
-        let inc_ref = &mut inc_state;
         let pruned: Option<HashSet<PairKey>> = self.screening.as_mut().map(|scr| {
             let ScreeningState {
                 screen,
@@ -713,161 +715,122 @@ impl OnlineAnalyzer {
             struct CoarseItem<'a> {
                 key: PairKey,
                 inc: IncrementalCorrelator,
-                xc: Option<&'a RleSeries>,
-                yc: Option<&'a RleSeries>,
-                x: Option<&'a RleSeries>,
-                y: Option<&'a RleSeries>,
+                /// The pair's fine views, for the bound.
+                fine: Option<(&'a RleSeries, &'a RleSeries)>,
+                step: Step<'a>,
                 bound: Option<f64>,
-                /// Activity-gated skip: carry bound and accumulator
-                /// forward verbatim (see DESIGN.md §6.7).
-                skip: bool,
             }
-            let coarse_lookup =
+            let coarse_history =
                 |e: (NodeId, NodeId)| decimated.get(&e).map(DecimatedWindow::coarse);
-            let fronts_ref = &fronts;
             let screen = *screen;
-            let quiet_ref = &quiet;
+            let active_ref = &*active;
+            let bounds = &memory.bounds;
             let mut items: Vec<CoarseItem<'_>> = centries
                 .into_iter()
                 .map(|(key, inc)| {
-                    let xc = coarse_sources.get(&key.0).and_then(Option::as_ref);
-                    let yc = coarse_targets.get(&key.1);
-                    let x = fine_sources.get(&key.0).and_then(Option::as_ref);
-                    let y = signals.target_signal(key.1 .0, key.1 .1);
-                    // A quiet pair whose cached bound was computed under
-                    // the same classification (the bound's early-exit
-                    // threshold depends on it) and whose coarse
-                    // correlator could advance exactly keeps bound and
-                    // accumulator verbatim.
-                    let mut skip = false;
-                    let mut bound = None;
-                    if let Some(st) = inc_ref.as_ref() {
-                        if st.prev.is_some()
-                            && xc.is_some()
-                            && yc.is_some()
-                            && x.is_some()
-                            && y.is_some()
-                            && pair_is_quiet(quiet_ref, fronts_ref, key)
-                        {
-                            if let Some(&(b0, was0)) = st.bounds.get(&key) {
-                                let was = active.get(&key).copied().unwrap_or(true);
-                                if was == was0
-                                    && advance_possible(
-                                        &inc,
-                                        key.0,
-                                        key.1,
-                                        coarse_lag,
-                                        (cs, ce),
-                                        &coarse_lookup,
-                                        fronts_ref,
-                                    )
-                                {
-                                    skip = true;
-                                    bound = Some(b0);
-                                }
-                            }
-                        }
-                    }
+                    let fine = fine_sources
+                        .get(&key.0)
+                        .and_then(Option::as_ref)
+                        .zip(signals.target_signal(key.1 .0, key.1 .1));
+                    let coarse = coarse_sources
+                        .get(&key.0)
+                        .and_then(Option::as_ref)
+                        .zip(coarse_targets.get(&key.1));
+                    // A quiet pair keeps bound and accumulator verbatim
+                    // only if the remembered bound was computed under the
+                    // same classification: the bound's early-exit
+                    // threshold depends on it.
+                    let remembered = bounds
+                        .get(&key)
+                        .filter(|_| pair_is_quiet(key))
+                        .filter(|&&(_, was0)| was0 == active_ref.get(&key).copied().unwrap_or(true))
+                        .map(|&(bound, _)| bound);
+                    // A signal missing at either resolution carries the
+                    // coarse state over and keeps the prior classification.
+                    let step = Step::decide(
+                        &inc,
+                        coarse.filter(|_| fine.is_some()),
+                        coarse_history,
+                        fronts,
+                        key,
+                        (cs, ce),
+                        remembered.is_some(),
+                    );
                     CoarseItem {
                         key,
                         inc,
-                        xc,
-                        yc,
-                        x,
-                        y,
-                        bound,
-                        skip,
+                        fine,
+                        bound: remembered.filter(|_| matches!(step, Step::Skip)),
+                        step,
                     }
                 })
                 .collect();
-            let active_ref = &*active;
-            parallel::for_each_sharded_mut(&mut items, num_workers, |item| {
-                if item.skip {
-                    // Proven-quiet pair: every append/evict correction
-                    // term is a sum of zero products, so sliding the
-                    // recorded window is bitwise equivalent to the
-                    // advance; the cached bound rides in `item.bound`.
-                    item.inc.slide((cs, ce));
-                    return;
-                }
-                let (Some(xc), Some(yc), Some(x), Some(y)) = (item.xc, item.yc, item.x, item.y)
-                else {
-                    // A signal vanished this window: carry the coarse state
-                    // over untouched and keep the prior classification.
-                    return;
-                };
-                slide_scratch.with(|scratch| {
-                    advance_pair(
-                        &mut item.inc,
-                        engine,
-                        item.key.0,
-                        item.key.1,
-                        xc,
-                        yc,
-                        coarse_lag,
-                        (cs, ce),
-                        &coarse_lookup,
-                        fronts_ref,
-                        scratch,
-                    )
-                });
-                // Slack covering fine products the folded coarse blocks
-                // cannot see yet: the decimated twins fold only complete
-                // k-blocks, so up to k−1 ticks at each stream's head are
-                // unfolded. For non-negative series, Σ x(t)·y(t+d) over
-                // any tick set is at most (Σx)·(Σy) over covering spans.
-                let x_fold = fronts_ref
-                    .get(&item.key.0)
-                    .and_then(|&front| decimated.get(&(item.key.0, front)))
-                    .map(|d| Tick::new(d.coarse().end().index() * k))
-                    .unwrap_or(Tick::ZERO);
-                let y_fold = decimated
-                    .get(&item.key.1)
-                    .map(|d| Tick::new(d.coarse().end().index() * k))
-                    .unwrap_or(Tick::ZERO);
-                let mut slack = 0.0;
-                if x_fold < end {
-                    let xs = x.slice(x_fold.max(start), end).stats().sum();
-                    let ys = y.slice(x_fold.max(y.start()), y.end()).stats().sum();
-                    slack += xs * ys;
-                }
-                if y_fold < data_end {
-                    let lo = Tick::new((y_fold.index() + 1).saturating_sub(max_lag));
-                    let xs = x.slice(lo.max(start), end).stats().sum();
-                    let ys = y.slice(y_fold.max(y.start()), y.end()).stats().sum();
-                    slack += xs * ys;
-                }
-                // Scan only far enough to decide: once the running bound
-                // clears this pair's hysteresis threshold it stays active
-                // regardless of the exact maximum, so live pairs exit
-                // after a handful of lags (see `max_rho_bound_until`).
-                let was = active_ref.get(&item.key).copied().unwrap_or(true);
-                let stop_at = screen.decision_threshold(was) - screen::BOUND_MARGIN;
-                let corr = item.inc.corr();
-                item.bound = Some(screen::max_rho_bound_until(
-                    corr, k, x, y, max_lag, slack, stop_at,
-                ));
-            });
+            for_each_step(
+                &mut items,
+                num_workers,
+                |item| item.step,
+                |item| {
+                    item.step
+                        .run(&mut item.inc, engine, coarse_lag, (cs, ce), slide_scratch);
+                    if matches!(item.step, Step::Carry | Step::Skip) {
+                        // Nothing moved: a carried pair keeps its prior
+                        // classification, a skipped one has its remembered
+                        // bound in `item.bound` already.
+                        return;
+                    }
+                    let (x, y) = item.fine.expect("only a pair with every view is advanced");
+                    // Slack covering fine products the folded coarse blocks
+                    // cannot see yet: the decimated twins fold only complete
+                    // k-blocks, so up to k−1 ticks at each stream's head are
+                    // unfolded. For non-negative series, Σ x(t)·y(t+d) over
+                    // any tick set is at most (Σx)·(Σy) over covering spans.
+                    let fold_end = |history: Option<&SlidingWindow>| {
+                        history.map_or(Tick::ZERO, |w| Tick::new(w.end().index() * k))
+                    };
+                    let x_fold = fold_end(
+                        fronts
+                            .get(&item.key.0)
+                            .and_then(|&front| coarse_history((item.key.0, front))),
+                    );
+                    let y_fold = fold_end(coarse_history(item.key.1));
+                    let mut slack = 0.0;
+                    if x_fold < end {
+                        let xs = x.slice(x_fold.max(start), end).stats().sum();
+                        let ys = y.slice(x_fold.max(y.start()), y.end()).stats().sum();
+                        slack += xs * ys;
+                    }
+                    if y_fold < data_end {
+                        let lo = Tick::new((y_fold.index() + 1).saturating_sub(max_lag));
+                        let xs = x.slice(lo.max(start), end).stats().sum();
+                        let ys = y.slice(y_fold.max(y.start()), y.end()).stats().sum();
+                        slack += xs * ys;
+                    }
+                    // Scan only far enough to decide: once the running bound
+                    // clears this pair's hysteresis threshold it stays active
+                    // regardless of the exact maximum, so live pairs exit
+                    // after a handful of lags (see `max_rho_bound_until`).
+                    let was = active_ref.get(&item.key).copied().unwrap_or(true);
+                    let stop_at = screen.decision_threshold(was) - screen::BOUND_MARGIN;
+                    let corr = item.inc.corr();
+                    item.bound = Some(screen::max_rho_bound_until(
+                        corr, k, x, y, max_lag, slack, stop_at,
+                    ));
+                },
+            );
 
             // Serial decision pass in stable key order.
-            if let Some(st) = inc_ref.as_mut() {
-                st.bounds.clear();
-            }
+            memory.bounds.clear();
             let mut pruned_set = HashSet::new();
             let mut refresh_stats = ScreeningStats::default();
             for item in items {
                 refresh_stats.candidates += 1;
-                if let Some(st) = inc_ref.as_mut() {
-                    st.stats.coarse_pairs += 1;
-                    if item.skip {
-                        st.stats.coarse_skipped += 1;
-                    }
+                memory.stats.coarse_pairs += 1;
+                if matches!(item.step, Step::Skip) {
+                    memory.stats.coarse_skipped += 1;
                 }
                 if let Some(bound) = item.bound {
                     let was = active.get(&item.key).copied().unwrap_or(true);
-                    if let Some(st) = inc_ref.as_mut() {
-                        st.bounds.insert(item.key, (bound, was));
-                    }
+                    memory.bounds.insert(item.key, (bound, was));
                     let now = screen.next_active(bound, was);
                     active.insert(item.key, now);
                     if !now {
@@ -898,18 +861,18 @@ impl OnlineAnalyzer {
             reduction_pass(
                 red,
                 scr,
-                &self.windows,
+                windows,
                 &mut self.incs,
-                &fronts,
+                fronts,
                 window_ticks,
                 max_lag,
                 self.capacity,
             );
         }
 
-        // Phase 1 — advance every tracked correlator by the window delta,
-        // sharded over the worker pool in stable key order. Each pair owns
-        // its accumulator and only *reads* the shared windows, so its
+        // Phase 1 — bring every tracked correlator to this window, sharded
+        // over the worker pool in stable key order. Each pair owns its
+        // accumulator and only *reads* the shared windows, so its
         // arithmetic is identical no matter which shard (or thread) runs
         // it; the merge below reassembles the map in the same sorted key
         // order for every worker count.
@@ -923,159 +886,63 @@ impl OnlineAnalyzer {
                     .and_then(|&front| signals.source_signal(client, front))
             });
         }
-        struct AdvanceItem<'a> {
+        struct FineItem<'a> {
             key: PairKey,
             inc: IncrementalCorrelator,
-            x: Option<&'a RleSeries>,
-            y: Option<&'a RleSeries>,
-            /// Whether this refresh actually advanced the pair.
-            advanced: bool,
-            /// Whether the advance allocated (a from-scratch refill, or
-            /// slide scratch that had to grow).
+            step: Step<'a>,
+            /// Whether executing the step allocated (a from-scratch
+            /// refill, or slide scratch that had to grow).
             allocated: bool,
-            /// Activity-gated skip: slide the window and keep the
-            /// accumulated products verbatim (see DESIGN.md §6.7).
-            skipped: bool,
         }
-        let windows = &self.windows;
-        let fronts_ref = &fronts;
-        let fine_lookup = |e: (NodeId, NodeId)| windows.get(&e);
-        let quiet_ref = &quiet;
-        let mut items: Vec<AdvanceItem<'_>> = entries
+        let prev_window = prev.map(|(start0, end0, _)| (start0, end0));
+        let mut items: Vec<FineItem<'_>> = entries
             .into_iter()
             .map(|(key, inc)| {
-                let x = sources.get(&key.0).and_then(Option::as_ref);
-                let y = signals.target_signal(key.1 .0, key.1 .1);
-                // A quiet pair whose correlator stands at the previous
-                // refresh's window — the geometry quietness was proven
-                // against — and could advance exactly is a proven bitwise
-                // no-op: both correction spans lie inside run-free
-                // regions.
-                let skipped = inc_state.as_ref().is_some_and(|st| {
-                    st.prev
-                        .is_some_and(|(start0, end0, _)| inc.window() == Some((start0, end0)))
-                        && x.is_some()
-                        && y.is_some()
-                        && pair_is_quiet(quiet_ref, fronts_ref, key)
-                        && advance_possible(
-                            &inc,
-                            key.0,
-                            key.1,
-                            max_lag,
-                            (start, end),
-                            &fine_lookup,
-                            fronts_ref,
-                        )
-                });
-                AdvanceItem {
+                let views = sources
+                    .get(&key.0)
+                    .and_then(Option::as_ref)
+                    .zip(signals.target_signal(key.1 .0, key.1 .1));
+                // Quietness was proven against the previous refresh's
+                // geometry, so it only speaks for a correlator standing
+                // at exactly that window.
+                let step = Step::decide(
+                    &inc,
+                    views,
+                    |e| windows.get(&e),
+                    fronts,
+                    key,
+                    (start, end),
+                    inc.window() == prev_window && pair_is_quiet(key),
+                );
+                FineItem {
                     key,
                     inc,
-                    x,
-                    y,
-                    advanced: false,
+                    step,
                     allocated: false,
-                    skipped,
                 }
             })
             .collect();
-        // Shared-transform batched refill: with the incremental tier on,
-        // pairs needing a from-scratch recompute are grouped per client
-        // (items are in sorted key order, so one client's pairs are
-        // contiguous) and computed by a single `correlate_fanout` call —
-        // an FFT-capable engine forward-transforms the shared source
-        // once per padded size instead of once per pair. The fanout is
-        // bitwise identical to per-pair `correlate` for every engine, so
-        // this only moves work, never results.
-        if inc_state.is_some() {
-            let mut i = 0;
-            while i < items.len() {
-                let client = items[i].key.0;
-                let mut group: Vec<usize> = Vec::new();
-                let mut j = i;
-                while j < items.len() && items[j].key.0 == client {
-                    let it = &items[j];
-                    if !it.skipped
-                        && it.x.is_some()
-                        && it.y.is_some()
-                        && !advance_possible(
-                            &it.inc,
-                            it.key.0,
-                            it.key.1,
-                            max_lag,
-                            (start, end),
-                            &fine_lookup,
-                            fronts_ref,
-                        )
-                    {
-                        group.push(j);
-                    }
-                    j += 1;
-                }
-                if let Some(&g0) = group.first() {
-                    let x = items[g0].x.expect("grouped on Some");
-                    let ys: Vec<&RleSeries> = group
-                        .iter()
-                        .map(|&gi| items[gi].y.expect("grouped on Some"))
-                        .collect();
-                    let corrs = engine.correlate_fanout(x, &ys, max_lag);
-                    for (&gi, corr) in group.iter().zip(corrs) {
-                        let item = &mut items[gi];
-                        if item.inc.max_lag() != max_lag {
-                            item.inc = IncrementalCorrelator::new(max_lag);
-                        }
-                        // Equivalent to `refill` over the same span; the
-                        // sharded advance below then finds the window
-                        // already in place and no-ops.
-                        item.inc.install(corr, (x.start(), x.end()));
-                        item.allocated = true;
-                    }
-                }
-                i = j;
-            }
-        }
-        parallel::for_each_sharded_mut(&mut items, num_workers, |item| {
-            if item.skipped {
-                // Proven-quiet pair: sliding the recorded window is
-                // bitwise equivalent to the advance.
-                item.inc.slide((start, end));
-                item.advanced = true;
-                return;
-            }
-            // Pairs whose signals vanished this window are carried over
-            // untouched: their correlators stay at an older window, which
-            // is how discovery would tell them from advanced ones (it
-            // cannot visit them anyway).
-            if let (Some(x), Some(y)) = (item.x, item.y) {
-                item.allocated |= slide_scratch.with(|scratch| {
-                    advance_pair(
-                        &mut item.inc,
-                        engine,
-                        item.key.0,
-                        item.key.1,
-                        x,
-                        y,
-                        max_lag,
-                        (start, end),
-                        &fine_lookup,
-                        fronts_ref,
-                        scratch,
-                    )
-                });
-                item.advanced = true;
-            }
-        });
-        // Pairs skipped this refresh, for the dirty-root partition below:
-        // a clean root's every support pair must have carried bitwise.
-        let mut p1_skipped: HashSet<PairKey> = HashSet::new();
+        for_each_step(
+            &mut items,
+            num_workers,
+            |item| item.step,
+            |item| {
+                item.allocated =
+                    item.step
+                        .run(&mut item.inc, engine, max_lag, (start, end), slide_scratch);
+            },
+        );
+        // Pairs skipped this refresh, in key order, for the dirty-root
+        // partition below: a clean root's every support pair must have
+        // carried bitwise.
+        let mut skipped: Vec<PairKey> = Vec::new();
         for item in items {
-            if let Some(st) = inc_state.as_mut() {
-                st.stats.fine_pairs += 1;
-                if item.skipped {
-                    st.stats.fine_skipped += 1;
-                    p1_skipped.insert(item.key);
-                }
+            memory.stats.fine_pairs += 1;
+            if matches!(item.step, Step::Skip) {
+                memory.stats.fine_skipped += 1;
+                skipped.push(item.key);
             }
-            if item.advanced {
+            if !matches!(item.step, Step::Carry) {
                 self.scratch.note(item.allocated);
             }
             self.incs.insert(item.key, item.inc);
@@ -1083,96 +950,78 @@ impl OnlineAnalyzer {
 
         // Phase 2 — path discovery (normalization + spike detection), one
         // root per worker, reading each pair's products where Phase 1 left
-        // them: in its correlator. Each pair
-        // first reached this refresh belongs to exactly one client (hence
-        // one worker), so its correlator is created in the worker's local
-        // map — no lock — and merged back in stable root order.
-        // With the incremental tier on, roots are first partitioned into
-        // clean and dirty: a root is clean when the signal-edge
-        // fingerprint is unchanged and every pair its last exploration
-        // touched either stayed screened-out or carried its series
-        // bitwise (Phase-1 skip). Exploration is deterministic in those
-        // inputs, so a clean root's recompute would reproduce last
-        // refresh's graph bit for bit — splice in the cached clone
-        // instead and discover only the dirty subset.
-        let record_touched = inc_state.is_some();
-        let make_provider = || CachedProvider {
-            advanced: &self.incs,
-            engine,
-            fresh: HashMap::new(),
-            screened: pruned.as_ref(),
-            touched: record_touched.then(Vec::new),
+        // them: in its correlator. Each pair first reached this refresh
+        // belongs to exactly one client (hence one worker), so its
+        // correlator is created in the worker's local map — no lock — and
+        // merged back in stable root order.
+        // Roots are first partitioned into clean and dirty: a root is
+        // clean when the signal-edge fingerprint is unchanged and every
+        // pair its last exploration consulted either stayed screened-out
+        // or carried its series bitwise (Phase-1 skip). Exploration is
+        // deterministic in those inputs, so a clean root's recompute
+        // would reproduce last refresh's graph bit for bit — publish the
+        // remembered one instead and discover only the dirty subset.
+        let reusable = prev.is_some() && memory.fingerprint == fingerprint;
+        let mut remembered = std::mem::take(&mut memory.roots);
+        let carried = |pair: &PairKey| {
+            skipped.binary_search(pair).is_ok()
+                || (memory.pruned.contains(pair)
+                    && pruned.as_ref().is_some_and(|now| now.contains(pair)))
         };
-        let mut providers: Vec<CachedProvider<'_>> = Vec::new();
-        let graphs: Vec<ServiceGraph> = if let Some(st) = inc_state.as_mut() {
-            let reusable = st.prev.is_some() && st.fingerprint == fingerprint;
-            let clean: Vec<bool> = self
-                .roots
-                .iter()
-                .map(|root| {
-                    reusable
-                        && st.roots.get(root).is_some_and(|(_, support)| {
-                            support.iter().all(|p| {
-                                p1_skipped.contains(p)
-                                    || (st.pruned.contains(p)
-                                        && pruned.as_ref().is_some_and(|s| s.contains(p)))
-                            })
-                        })
-                })
-                .collect();
-            st.stats.roots = self.roots.len() as u64;
-            st.stats.reused_roots = clean.iter().filter(|&&c| c).count() as u64;
-            let dirty_roots: Vec<(NodeId, NodeId)> = self
-                .roots
-                .iter()
-                .zip(&clean)
-                .filter(|&(_, &c)| !c)
-                .map(|(&r, _)| r)
-                .collect();
-            let results = self.pathmap.discover_each_among(
+        let clean: Vec<Option<(Option<ServiceGraph>, Vec<PairKey>)>> = self
+            .roots
+            .iter()
+            .map(|root| {
+                remembered
+                    .remove(root)
+                    .filter(|(_, support)| reusable && support.iter().all(carried))
+            })
+            .collect();
+        let dirty_roots: Vec<(NodeId, NodeId)> = self
+            .roots
+            .iter()
+            .zip(&clean)
+            .filter(|(_, entry)| entry.is_none())
+            .map(|(&root, _)| root)
+            .collect();
+        memory.stats.roots = self.roots.len() as u64;
+        memory.stats.reused_roots = (self.roots.len() - dirty_roots.len()) as u64;
+        let mut discovered = self
+            .pathmap
+            .discover_each_among(
                 &signals,
                 &dirty_roots,
                 &self.universe,
                 &self.labels,
                 num_workers,
-                make_provider,
-            );
-            // Reassemble in stable root order and rebuild the cache.
-            let mut graphs = Vec::new();
-            let mut cache = FxHashMap::default();
-            let mut results = results.into_iter();
-            for (&root, &is_clean) in self.roots.iter().zip(&clean) {
-                if is_clean {
-                    let entry = st.roots.get(&root).expect("clean root is cached").clone();
-                    graphs.extend(entry.0.clone());
-                    cache.insert(root, entry);
-                } else {
-                    let (graph, provider) = results.next().expect("one result per dirty root");
-                    let mut support = provider.touched.clone().unwrap_or_default();
-                    support.sort_unstable();
-                    support.dedup();
-                    graphs.extend(graph.clone());
-                    cache.insert(root, (graph, support));
-                    providers.push(provider);
-                }
-            }
-            st.roots = cache;
-            graphs
-        } else {
-            let (graphs, provs) = self.pathmap.discover_pooled_among(
-                &signals,
-                &self.roots,
-                &self.universe,
-                &self.labels,
-                num_workers,
-                make_provider,
-            );
-            providers = provs;
-            graphs
-        };
-        // The providers borrowed the correlator map; keep only what they
-        // own before writing to it.
-        let fresh: Vec<_> = providers.into_iter().map(|p| p.fresh).collect();
+                || CachedProvider {
+                    advanced: &self.incs,
+                    engine,
+                    fresh: HashMap::new(),
+                    screened: pruned.as_ref(),
+                    touched: Vec::new(),
+                },
+            )
+            .into_iter();
+        // Reassemble in stable root order; every root's entry — moved
+        // over or just discovered — is what the next refresh remembers.
+        let mut graphs = Vec::new();
+        let mut fresh = Vec::new();
+        for (&root, entry) in self.roots.iter().zip(clean) {
+            let entry = entry.unwrap_or_else(|| {
+                let (graph, provider) = discovered.next().expect("one result per dirty root");
+                let mut support = provider.touched;
+                support.sort_unstable();
+                support.dedup();
+                fresh.push(provider.fresh);
+                (graph, support)
+            });
+            graphs.extend(entry.0.clone());
+            memory.roots.insert(root, entry);
+        }
+        // The providers borrowed the correlator map; with them consumed,
+        // adopt the correlators they created.
+        drop(discovered);
         for fresh in fresh {
             if let Some(scr) = &mut self.screening {
                 // Pairs first reached this refresh enter the coarse tier
@@ -1188,20 +1037,12 @@ impl OnlineAnalyzer {
             }
             self.incs.extend(fresh);
         }
-        // Snapshot this refresh's geometry, epochs, and pruned set: the
+        // This refresh's geometry, pruned set and fingerprint: the
         // reference frame the next refresh's quiet predicate is proven
-        // against. (The bounds and root caches were refreshed in place.)
-        if let Some(mut st) = inc_state {
-            st.prev = Some((start, end, data_end));
-            st.epochs = self
-                .windows
-                .iter()
-                .map(|(&edge, w)| (edge, w.epoch()))
-                .collect();
-            st.pruned = pruned.clone().unwrap_or_default();
-            st.fingerprint = fingerprint;
-            self.incremental = Some(st);
-        }
+        // against. (Epochs, bounds and root graphs were updated in place.)
+        memory.prev = Some((start, end, data_end));
+        memory.pruned = pruned.unwrap_or_default();
+        memory.fingerprint = fingerprint;
         self.change.record(at, &graphs);
         if !graphs.is_empty() && !self.subscribers.is_empty() {
             let update = GraphUpdate {
@@ -1226,12 +1067,14 @@ impl OnlineAnalyzer {
         self.screening.as_ref().map(|scr| scr.stats)
     }
 
-    /// Counters of the activity-gated incremental tier's most recent
-    /// refresh: how many coarse and fine pairs were skipped and how many
-    /// root graphs were reused. `None` when [`PathmapConfig::incremental`]
-    /// is off.
+    /// Activity-gate counters of the most recent refresh: how many coarse
+    /// and fine pairs were skipped and how many root graphs were reused.
+    ///
+    /// Always `Some` — the gate is how refresh works. The `Option` is what
+    /// the end-to-end benchmark (`bench/src/run.rs`) compiles against;
+    /// dropping it waits for a `benchmark` PR.
     pub fn incremental_stats(&self) -> Option<IncrementalStats> {
-        self.incremental.as_ref().map(|st| st.stats)
+        Some(self.memory.stats)
     }
 
     /// Buffer-reuse counters accumulated across refreshes (see
@@ -1327,7 +1170,7 @@ fn reduction_pass(
     scr: &mut ScreeningState,
     windows: &FxHashMap<(NodeId, NodeId), SlidingWindow>,
     incs: &mut FxHashMap<PairKey, IncrementalCorrelator>,
-    fronts: &HashMap<NodeId, NodeId>,
+    fronts: &FxHashMap<NodeId, NodeId>,
     window_ticks: u64,
     max_lag: u64,
     capacity: u64,
@@ -1478,119 +1321,144 @@ fn demote_edge(
     scr.decimated.remove(&edge);
 }
 
-/// Whether the windows in quiet-flag map `quiet` say both signals of
-/// `key` — the client's root signal on its `(client, front)` edge and the
-/// candidate edge itself — were quiet this refresh. Windows with no flag
-/// (newly appeared) are never quiet.
-fn pair_is_quiet(
-    quiet: &FxHashMap<(NodeId, NodeId), bool>,
-    fronts: &HashMap<NodeId, NodeId>,
-    key: PairKey,
-) -> bool {
-    fronts
-        .get(&key.0)
-        .is_some_and(|&front| quiet.get(&(key.0, front)).copied().unwrap_or(false))
-        && quiet.get(&key.1).copied().unwrap_or(false)
-}
-
-/// Whether [`advance_pair`] would take the exact incremental path for
-/// this pair (as opposed to a from-scratch refill): the recorded window
-/// overlaps the target window correctly and both streams retain history
-/// back to the recorded start. The activity-gated skip and the batched
-/// refill pre-pass both consult this predicate so their decisions mirror
-/// the maintenance path exactly.
-fn advance_possible<'w>(
-    inc: &IncrementalCorrelator,
-    client: NodeId,
-    edge: (NodeId, NodeId),
-    max_lag: u64,
-    window: (Tick, Tick),
-    lookup: &impl Fn((NodeId, NodeId)) -> Option<&'w SlidingWindow>,
-    fronts: &HashMap<NodeId, NodeId>,
-) -> bool {
-    if inc.max_lag() != max_lag {
-        return false;
-    }
-    let (ws, we) = window;
-    let x_window = fronts
-        .get(&client)
-        .and_then(|&front| lookup((client, front)));
-    match (inc.window(), x_window) {
-        (Some((s, e)), Some(xw)) => {
-            s <= ws && e >= ws && e <= we && xw.start() <= s && {
-                // y history for the eviction span [s, ws + L).
-                lookup(edge).map(|yw| yw.start() <= s).unwrap_or(false)
-            }
-        }
-        _ => false,
-    }
-}
-
-/// Advances one `(client, edge)` correlator to the source window `window`;
-/// the refreshed lagged products are left in `inc.corr()`. Returns whether
-/// the advance allocated anything proportional to the lag bound.
+/// What one refresh does to one tracked correlator. Decided once, when the
+/// pair's work item is built; the sharded worker executes the decision as
+/// it stands.
 ///
 /// This is the single code path for correlator maintenance, and each
-/// pair's arithmetic depends on nothing but its own arguments, which is
-/// what makes parallel refreshes bitwise identical to serial ones. The
-/// retained history is reached through `lookup` so the same code advances
-/// both tiers: the fine tier passes the raw sliding windows, the coarse
-/// screening tier passes their decimated twins.
-///
-/// `engine` serves only the cold path — a pair's first window (or a window
-/// after a stream heal) is a one-shot from-scratch computation where any
-/// stateless engine applies; warm windows stay on the exact incremental
-/// RLE corrections, one fused slide per refresh through `scratch`.
-#[allow(clippy::too_many_arguments)]
-fn advance_pair<'w>(
-    inc: &mut IncrementalCorrelator,
-    engine: &dyn Correlator,
-    client: NodeId,
-    edge: (NodeId, NodeId),
-    x: &RleSeries,
-    y: &RleSeries,
-    max_lag: u64,
-    window: (Tick, Tick),
-    lookup: &impl Fn((NodeId, NodeId)) -> Option<&'w SlidingWindow>,
-    fronts: &HashMap<NodeId, NodeId>,
-    scratch: &mut SlideScratch,
-) -> bool {
-    let (ws, we) = window;
-    if inc.max_lag() != max_lag {
-        *inc = IncrementalCorrelator::new(max_lag);
-    }
-    // Determine whether an exact incremental advance is possible. The x
-    // signal is always the client's root signal, retained on the
-    // (client, front) window — needed for eviction corrections that
-    // reach before the current view.
-    if advance_possible(inc, client, edge, max_lag, window, lookup, fronts) {
-        let (s, e) = inc.window().expect("checked");
+/// pair's arithmetic depends on nothing but its own step, which is what
+/// makes parallel refreshes bitwise identical to serial ones. The same
+/// code serves both tiers: the fine tier decides against the raw sliding
+/// windows, the coarse screening tier against their decimated twins.
+#[derive(Debug, Clone, Copy)]
+enum Step<'a> {
+    /// A signal of the pair is absent this window. The correlator is
+    /// carried over untouched at its older window, which is how discovery
+    /// would tell it from an advanced one (it cannot visit the pair
+    /// anyway).
+    Carry,
+    /// Both signals were proven quiet since the window the correlator
+    /// stands at: every append/evict correction term is a sum of zero
+    /// products, so sliding the recorded window is bitwise equivalent to
+    /// advancing it.
+    Skip,
+    /// Exact incremental corrections against the retained histories of
+    /// the source and the target stream, one fused slide.
+    Advance {
+        xw: &'a SlidingWindow,
+        yw: &'a SlidingWindow,
+    },
+    /// No usable prior state — the pair's first window, or the first after
+    /// a stream heal: a one-shot from-scratch computation over the views,
+    /// where any stateless engine applies.
+    Refill { x: &'a RleSeries, y: &'a RleSeries },
+}
+
+impl<'a> Step<'a> {
+    /// Decides the step of pair `key` towards the source window `window`.
+    ///
+    /// `views` are the pair's source and target views this window, and
+    /// `history` reaches the retained stream of an edge — the source is
+    /// always the client's root signal, retained on its `(client, front)`
+    /// stream. `quiet` is the caller's proof that nothing moved in either
+    /// stream since the window `inc` stands at.
+    fn decide(
+        inc: &IncrementalCorrelator,
+        views: Option<(&'a RleSeries, &'a RleSeries)>,
+        history: impl Fn((NodeId, NodeId)) -> Option<&'a SlidingWindow>,
+        fronts: &FxHashMap<NodeId, NodeId>,
+        (client, edge): PairKey,
+        (ws, we): (Tick, Tick),
+        quiet: bool,
+    ) -> Self {
+        let Some((x, y)) = views else {
+            return Step::Carry;
+        };
         let xw = fronts
             .get(&client)
-            .and_then(|&front| lookup((client, front)))
-            .expect("checked");
-        let yw = lookup(edge).expect("checked");
-        if (s, e) == window {
-            // Already in place — the batched refill installed it, or no
-            // data arrived since the last refresh. Nothing enters or
-            // leaves, so there is nothing to take views of.
-            return false;
+            .and_then(|&front| history((client, front)));
+        match (inc.window(), xw, history(edge)) {
+            // The recorded window must overlap the target one, and both
+            // streams must retain history back to its start: the eviction
+            // corrections read `x` over `[s, ws)` and `y` over
+            // `[s, ws + L)`, before the current views.
+            (Some((s, e)), Some(xw), Some(yw))
+                if s <= ws && ws <= e && e <= we && xw.start() <= s && yw.start() <= s =>
+            {
+                if quiet {
+                    Step::Skip
+                } else {
+                    Step::Advance { xw, yw }
+                }
+            }
+            _ => Step::Refill { x, y },
         }
-        let y_horizon = yw.end();
-        let held = scratch.capacity();
-        inc.advance(
-            &xw.view(e, we),
-            &yw.view(e, y_horizon),
-            ws,
-            &xw.view(s, ws),
-            &yw.view(s, (ws + max_lag).min(y_horizon)),
-            scratch,
-        );
-        scratch.capacity() > held
-    } else {
-        inc.refill(engine, x, y);
-        true
     }
+
+    /// Executes the step, leaving the lagged products for `window` in
+    /// `inc.corr()`. Returns whether it allocated anything proportional to
+    /// the lag bound.
+    fn run(
+        self,
+        inc: &mut IncrementalCorrelator,
+        engine: &dyn Correlator,
+        max_lag: u64,
+        window: (Tick, Tick),
+        scratch: &ScratchPool<SlideScratch>,
+    ) -> bool {
+        match self {
+            Step::Carry => false,
+            Step::Skip => {
+                inc.slide(window);
+                false
+            }
+            Step::Advance { xw, yw } => {
+                let (s, e) = inc.window().expect("decided on a recorded window");
+                let (ws, we) = window;
+                if (s, e) == window {
+                    // No data arrived since the last refresh: nothing
+                    // enters or leaves, so there is nothing to take views
+                    // of.
+                    return false;
+                }
+                let y_horizon = yw.end();
+                scratch.with(|scratch| {
+                    let held = scratch.capacity();
+                    inc.advance(
+                        &xw.view(e, we),
+                        &yw.view(e, y_horizon),
+                        ws,
+                        &xw.view(s, ws),
+                        &yw.view(s, (ws + max_lag).min(y_horizon)),
+                        scratch,
+                    );
+                    scratch.capacity() > held
+                })
+            }
+            Step::Refill { x, y } => {
+                inc.refill(engine, x, y);
+                true
+            }
+        }
+    }
+}
+
+/// Applies `f` to every work item of a tier: the items whose step computes
+/// on the worker pool, in stable order, sharded among themselves; the
+/// rest — O(1) bookkeeping — inline. The computing items are what the
+/// shards must balance: with most pairs skipped, shards of equal *count*
+/// would hand one worker all the work.
+fn for_each_step<'a, T: Send>(
+    items: &mut [T],
+    num_workers: usize,
+    step_of: impl Fn(&T) -> Step<'a>,
+    f: impl Fn(&mut T) + Sync,
+) {
+    let (mut computing, bookkeeping): (Vec<&mut T>, Vec<&mut T>) = items
+        .iter_mut()
+        .partition(|item| matches!(step_of(item), Step::Advance { .. } | Step::Refill { .. }));
+    bookkeeping.into_iter().for_each(&f);
+    parallel::for_each_sharded_mut(&mut computing, num_workers, |item| f(item));
 }
 
 /// One discovery worker's view of the refresh's correlation evidence:
@@ -1611,10 +1479,10 @@ struct CachedProvider<'a> {
     /// Pairs the coarse screening tier pruned this refresh: discovery
     /// skips them without touching (or creating) fine correlators.
     screened: Option<&'a HashSet<PairKey>>,
-    /// When the incremental tier is on, every pair this root's
-    /// exploration consulted — the root's *support set*, which decides
-    /// whether its cached graph may be reused next refresh.
-    touched: Option<Vec<PairKey>>,
+    /// Every pair this root's exploration consulted — the root's
+    /// *support*, which decides whether its graph may be published again
+    /// next refresh without recomputing it.
+    touched: Vec<PairKey>,
 }
 
 impl CorrelationProvider for CachedProvider<'_> {
@@ -1626,9 +1494,7 @@ impl CorrelationProvider for CachedProvider<'_> {
         y: &RleSeries,
         max_lag: u64,
     ) -> Cow<'_, CorrSeries> {
-        if let Some(touched) = &mut self.touched {
-            touched.push((client, edge));
-        }
+        self.touched.push((client, edge));
         if let Some(inc) = self.advanced.get(&(client, edge)) {
             if inc.window() == Some((x.start(), x.end())) {
                 return Cow::Borrowed(inc.corr());
@@ -1653,9 +1519,7 @@ impl CorrelationProvider for CachedProvider<'_> {
         _y: &RleSeries,
         _max_lag: u64,
     ) -> bool {
-        if let Some(touched) = &mut self.touched {
-            touched.push((client, edge));
-        }
+        self.touched.push((client, edge));
         self.screened
             .is_some_and(|pruned| pruned.contains(&(client, edge)))
     }
@@ -1709,8 +1573,7 @@ mod tests {
 
     /// Like [`drive_online`] but with an explicit owned-root subset and
     /// client universe (the sharded-analyzer shape), returning the agents
-    /// too. Routes analyzer hint snapshots back to every agent after each
-    /// refresh — the in-process form of the reduction feedback loop.
+    /// too.
     fn drive_online_among(
         sim: &mut Simulation,
         config: PathmapConfig,
@@ -1718,13 +1581,49 @@ mod tests {
         roots: Vec<(NodeId, NodeId)>,
         universe: HashSet<NodeId>,
     ) -> (Vec<ServiceGraph>, OnlineAnalyzer, Vec<TracerAgent>) {
-        let (tx, rx) = unbounded();
+        let (refreshes, analyzer, agents) =
+            drive_refreshes(sim, config, total_secs, roots, universe, false, None);
+        let last = refreshes
+            .into_iter()
+            .rev()
+            .map(|(graphs, _)| graphs)
+            .find(|graphs| !graphs.is_empty())
+            .unwrap_or_default();
+        (last, analyzer, agents)
+    }
+
+    /// What one refresh published, with the activity gate's counters for it.
+    type Refresh = (Vec<ServiceGraph>, IncrementalStats);
+
+    /// Drives tracer agents on all services and one analyzer over
+    /// `total_secs / 2` flush-and-refresh steps of 2 s, returning every
+    /// refresh's graphs with the activity gate's counters for it. Routes
+    /// analyzer hint snapshots back to every agent after each refresh —
+    /// the in-process form of the reduction feedback loop.
+    ///
+    /// A `forgetful` analyzer has its cross-refresh memory wiped before
+    /// every refresh: with nothing remembered nothing is quiet and every
+    /// root is dirty, so it computes each refresh from the correlators
+    /// alone — the reference the remembering analyzer is held to.
+    /// `lose_flush_at` names a step whose first flushed frame is lost in
+    /// transit, so the next one from that agent heals a gap.
+    fn drive_refreshes(
+        sim: &mut Simulation,
+        config: PathmapConfig,
+        total_secs: u64,
+        roots: Vec<(NodeId, NodeId)>,
+        universe: HashSet<NodeId>,
+        forgetful: bool,
+        lose_flush_at: Option<u64>,
+    ) -> (Vec<Refresh>, OnlineAnalyzer, Vec<TracerAgent>) {
+        let (flushed, in_transit) = unbounded();
+        let (delivered, rx) = unbounded();
         let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
         let mut agents: Vec<TracerAgent> = sim
             .topology()
             .services()
             .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
+            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), flushed.clone()))
             .collect();
         let mut analyzer = OnlineAnalyzer::with_universe(
             config.clone(),
@@ -1733,7 +1632,7 @@ mod tests {
             NodeLabels::from_topology(sim.topology()),
             rx,
         );
-        let mut last = Vec::new();
+        let mut refreshes = Vec::new();
         for step in 1..=(total_secs / 2) {
             let now = Nanos::from_secs(step * 2);
             sim.run_until(now);
@@ -1742,64 +1641,259 @@ mod tests {
             for a in &mut agents {
                 a.poll(sim.captures(), drain);
             }
+            for (i, frame) in in_transit.try_iter().enumerate() {
+                if !(i == 0 && lose_flush_at == Some(step)) {
+                    delivered.send(frame).expect("analyzer holds the receiver");
+                }
+            }
             analyzer.ingest();
+            if forgetful {
+                analyzer.memory = RefreshMemory::default();
+            }
             let graphs = analyzer.refresh(now);
             if let Some(hint) = analyzer.take_hints() {
                 for a in &mut agents {
                     a.apply_hint_state(&hint);
                 }
             }
-            if !graphs.is_empty() {
-                last = graphs;
-            }
+            refreshes.push((graphs, analyzer.memory.stats));
         }
-        (last, analyzer, agents)
+        (refreshes, analyzer, agents)
     }
 
     fn run_online(seed: u64, total_secs: u64) -> (Vec<ServiceGraph>, OnlineAnalyzer) {
         drive_online(two_tier(seed), cfg(), total_secs)
     }
 
-    /// Like [`two_tier`] but with a single deterministic burst: arrivals
-    /// every 25 ms for the first 10 s, then total silence — long enough
-    /// for every nonzero tick to leave retention so the activity gate's
-    /// quiet predicate can fire on the tail refreshes.
-    fn two_tier_bursty(seed: u64) -> Simulation {
+    /// Arrivals every 25 ms over `[from_secs, to_secs)`.
+    fn burst(from_secs: u64, to_secs: u64) -> impl Iterator<Item = Nanos> {
+        (from_secs * 40..to_secs * 40).map(|i| Nanos::from_millis(i * 25))
+    }
+
+    /// Disjoint client→web→db stacks, one per workload.
+    fn idle_mesh(seed: u64, workloads: &[Workload]) -> Simulation {
         let mut t = TopologyBuilder::new();
         let class = t.service_class("c");
-        let web = t.service("web", ServiceConfig::new(DelayDist::constant_millis(2)));
-        let db = t.service("db", ServiceConfig::new(DelayDist::exponential_millis(8)));
-        let arrivals: Vec<Nanos> = (0..400).map(|i| Nanos::from_millis(i * 25)).collect();
-        let cli = t.client("cli", class, web, Workload::trace(arrivals));
-        t.connect(cli, web, DelayDist::constant_millis(1));
-        t.connect(web, db, DelayDist::constant_millis(1));
-        t.route(web, class, Route::fixed(db));
-        t.route(db, class, Route::terminal());
+        for (i, workload) in workloads.iter().enumerate() {
+            let web = t.service(
+                &format!("web{i}"),
+                ServiceConfig::new(DelayDist::constant_millis(2)),
+            );
+            let db = t.service(
+                &format!("db{i}"),
+                ServiceConfig::new(DelayDist::exponential_millis(8)),
+            );
+            let cli = t.client(&format!("cli{i}"), class, web, workload.clone());
+            t.connect(cli, web, DelayDist::constant_millis(1));
+            t.connect(web, db, DelayDist::constant_millis(1));
+            t.route(web, class, Route::fixed(db));
+            t.route(db, class, Route::terminal());
+        }
         Simulation::new(t.build().unwrap(), seed)
     }
 
-    /// The activity gate must actually *skip* once the deployment goes
-    /// idle (non-vacuous coverage of the slide path), while the final
-    /// graphs stay equivalent to the eager run.
+    /// Seven stacks, all but the first silent after a 10 s warm-up burst
+    /// and then long enough for the idle runs to leave retention. Two
+    /// stacks put the gate's two preconditions on the spot:
+    ///
+    /// * stack 1 sends one more 1 s burst at 40 s. Alone in a silent
+    ///   window, it sits in retention (epoch unchanged) while the analysis
+    ///   window's edges slide over it, so only the boundary-run check
+    ///   keeps those refreshes from being skipped;
+    /// * stack 6 sends nothing before 50 s. Its streams — and its windows,
+    ///   its root signal among them — appear mid-run, which nothing but
+    ///   the signal-edge fingerprint tells the remembered roots.
+    fn mostly_idle_mesh(seed: u64) -> Simulation {
+        let warm_up = || Workload::trace(burst(0, 10).collect());
+        idle_mesh(
+            seed,
+            &[
+                Workload::poisson(40.0),
+                Workload::trace(burst(0, 10).chain(burst(40, 41)).collect()),
+                warm_up(),
+                warm_up(),
+                warm_up(),
+                warm_up(),
+                Workload::trace(burst(50, 56).collect()),
+            ],
+        )
+    }
+
+    /// Everything a refresh publishes about one graph, spike strengths by
+    /// bit pattern.
+    fn graph_bits(g: &ServiceGraph) -> impl PartialEq + std::fmt::Debug {
+        let mut vertices: Vec<_> = g
+            .vertices()
+            .iter()
+            .map(|v| (v.label.clone(), v.bottleneck))
+            .collect();
+        vertices.sort();
+        let mut edges: Vec<_> = g
+            .edges()
+            .iter()
+            .map(|e| {
+                let spikes: Vec<_> = e
+                    .spikes
+                    .iter()
+                    .map(|s| (s.delay, s.strength.to_bits()))
+                    .collect();
+                ((e.from, e.to), e.hop_delay, spikes)
+            })
+            .collect();
+        edges.sort();
+        (g.client_label.clone(), vertices, edges)
+    }
+
+    /// Runs the scenario twice — a remembering analyzer and its forgetful
+    /// twin (see [`drive_refreshes`]) — and holds every refresh of the
+    /// first to the bits of the second. Returns the remembering run's
+    /// per-refresh gate counters and its analyzer.
+    fn assert_matches_forgetful_twin(
+        scenario: impl Fn() -> Simulation,
+        config: PathmapConfig,
+        total_secs: u64,
+        owned_roots: Option<usize>,
+        lose_flush_at: Option<u64>,
+    ) -> (Vec<IncrementalStats>, OnlineAnalyzer) {
+        let run = |forgetful| {
+            let mut sim = scenario();
+            let mut roots = roots_from_topology(sim.topology());
+            roots.sort_unstable();
+            let universe = roots.iter().map(|&(c, _)| c).collect();
+            roots.truncate(owned_roots.unwrap_or(roots.len()));
+            let (refreshes, analyzer, _) = drive_refreshes(
+                &mut sim,
+                config.clone(),
+                total_secs,
+                roots,
+                universe,
+                forgetful,
+                lose_flush_at,
+            );
+            (refreshes, analyzer)
+        };
+        let (remembering, analyzer) = run(false);
+        let (forgetful, _) = run(true);
+        assert!(remembering.iter().any(|(graphs, _)| !graphs.is_empty()));
+        for (i, ((got, _), (want, stats))) in remembering.iter().zip(&forgetful).enumerate() {
+            assert_eq!(
+                (stats.coarse_skipped, stats.fine_skipped, stats.reused_roots),
+                (0, 0, 0),
+                "refresh {}: the twin remembered something",
+                i + 1
+            );
+            assert_eq!(
+                got.iter().map(graph_bits).collect::<Vec<_>>(),
+                want.iter().map(graph_bits).collect::<Vec<_>>(),
+                "refresh {}: published bits differ from the from-scratch refresh",
+                i + 1
+            );
+        }
+        let stats = remembering.into_iter().map(|(_, stats)| stats).collect();
+        (stats, analyzer)
+    }
+
+    /// One stack, arrivals every 25 ms for the first 10 s, then total
+    /// silence — long enough for every nonzero tick to leave retention. The
+    /// activity gate must actually *fire* once the deployment goes idle,
+    /// while every refresh stays bit-identical to the from-scratch
+    /// computation.
     #[test]
-    fn incremental_skips_idle_windows_and_matches_eager() {
-        let cfg_on = PathmapConfig::builder()
+    fn burst_then_silence_matches_the_forgetful_twin() {
+        let scenario = || idle_mesh(5, &[Workload::trace(burst(0, 10).collect())]);
+        let (stats, _) = assert_matches_forgetful_twin(scenario, cfg(), 80, None, None);
+        let last = stats.last().expect("refreshes ran");
+        assert!(
+            last.fine_skipped > 0,
+            "deep-idle refresh skipped no pair: {last:?}"
+        );
+        assert!(
+            last.reused_roots > 0,
+            "deep-idle refresh reused no root: {last:?}"
+        );
+    }
+
+    /// Asserts the gate fired before the heal at refresh `healed`, found
+    /// nothing to stand on at it, and fired again afterwards.
+    fn assert_skips_resume_after_heal(stats: &[IncrementalStats], healed: usize) {
+        let fired =
+            |s: &IncrementalStats| s.coarse_skipped + s.fine_skipped > 0 && s.reused_roots > 0;
+        assert!(
+            stats[..healed].iter().any(fired),
+            "gate never fired before the heal"
+        );
+        let at = stats[healed];
+        assert!(
+            at.coarse_pairs + at.fine_pairs > 0,
+            "heal refresh tracked no pair: {at:?}"
+        );
+        assert_eq!(
+            (at.coarse_skipped, at.fine_skipped, at.reused_roots),
+            (0, 0, 0),
+            "a heal must drop the whole memory"
+        );
+        assert!(
+            stats[healed + 1..].iter().any(fired),
+            "gate never fired after the heal"
+        );
+    }
+
+    #[test]
+    fn mostly_idle_mesh_matches_the_forgetful_twin_across_a_heal() {
+        // The flush of step 35 loses a frame; step 36 ingests past the gap.
+        let (stats, _) =
+            assert_matches_forgetful_twin(|| mostly_idle_mesh(3), cfg(), 100, None, Some(35));
+        assert_skips_resume_after_heal(&stats, 35);
+        // Most of the mesh is idle most of the time.
+        let (skipped, pairs) = stats
+            .iter()
+            .fold((0, 0), |(s, p), r| (s + r.fine_skipped, p + r.fine_pairs));
+        assert!(
+            2 * skipped > pairs,
+            "only {skipped}/{pairs} fine pairs skipped"
+        );
+    }
+
+    #[test]
+    fn screened_and_reduced_mesh_matches_the_forgetful_twin_across_a_heal() {
+        let config = PathmapConfig::builder()
             .window(Nanos::from_secs(10))
             .refresh(Nanos::from_secs(2))
             .max_delay(Nanos::from_secs(1))
-            .incremental(true)
+            .screening(crate::config::ScreeningConfig {
+                decimation: 8,
+                hysteresis: 0.5,
+            })
+            .reduction(crate::config::ReductionConfig::default())
             .build();
-        let (eager, _) = drive_online(two_tier_bursty(5), cfg(), 80);
-        let (gated, analyzer) = drive_online(two_tier_bursty(5), cfg_on, 80);
-        assert_graphs_equivalent(&eager, &gated);
-        let stats = analyzer.incremental_stats().expect("incremental tier on");
+        let (stats, _) =
+            assert_matches_forgetful_twin(|| mostly_idle_mesh(3), config, 100, None, Some(35));
+        assert_skips_resume_after_heal(&stats, 35);
         assert!(
-            stats.fine_skipped > 0,
-            "deep-idle refresh skipped no fine pair: {stats:?}"
+            stats.iter().any(|s| s.coarse_skipped > 0),
+            "no coarse pair ever kept its remembered bound"
         );
         assert!(
-            stats.reused_roots > 0,
-            "deep-idle refresh reused no root graph: {stats:?}"
+            stats.iter().any(|s| s.fine_skipped > 0),
+            "no fine pair was ever skipped"
+        );
+    }
+
+    /// Demotions and promotions rewrite the signal-edge fingerprint, and a
+    /// promote's backfill heals a gap: the memory must survive all three.
+    #[test]
+    fn demotion_promotion_and_backfill_match_the_forgetful_twin() {
+        let (_, analyzer) = assert_matches_forgetful_twin(
+            || crate::testutil::shifting_fanout_sim(4, 23, 60.0),
+            fanout_cfg(Some(crate::config::ReductionConfig::default())),
+            56,
+            Some(1),
+            None,
+        );
+        let stats = analyzer.reduction_stats().expect("reduction enabled");
+        assert!(
+            stats.demotions > 0 && stats.promotions > 0,
+            "stats: {stats:?}"
         );
     }
 
@@ -2066,7 +2160,15 @@ mod tests {
         // counters, then keep refreshing: the correlate maintenance path
         // must only *reuse* retained buffers from then on.
         let mut sim = two_tier(11);
-        let config = cfg();
+        // One worker: the scratch pool grows by one value per
+        // *concurrently running* worker, and when two workers first
+        // overlap is the scheduler's choice, not a steady-state property.
+        let config = PathmapConfig::builder()
+            .window(Nanos::from_secs(10))
+            .refresh(Nanos::from_secs(2))
+            .max_delay(Nanos::from_secs(1))
+            .num_workers(1)
+            .build();
         let (tx, rx) = unbounded();
         let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
         let mut agents: Vec<TracerAgent> = sim

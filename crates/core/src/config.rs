@@ -142,6 +142,20 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Variables of knobs that no longer exist, each with what its error says
+/// is accepted. Setting one — to any value, even empty — is a
+/// [`ConfigError`].
+const REMOVED: [(&str, &str); 2] = [
+    (
+        "E2EPROF_WIRE",
+        "nothing — removed: v2 is the only wire format; unset the variable",
+    ),
+    (
+        "E2EPROF_INCREMENTAL",
+        "nothing — removed: the activity gate is always on; unset the variable",
+    ),
+];
+
 /// The knobs of the pathmap algorithm (paper Sections 3.3–3.5).
 ///
 /// Defaults match the paper's RUBiS configuration: `τ` = 1 ms, `ω` = 50·τ,
@@ -177,7 +191,6 @@ pub struct PathmapConfig {
     auto_cost_model: Option<CostModel>,
     transport: Transport,
     reduction: Option<ReductionConfig>,
-    incremental: bool,
 }
 
 impl Default for PathmapConfig {
@@ -292,23 +305,6 @@ impl PathmapConfig {
         self.reduction.as_ref()
     }
 
-    /// Whether the analyzer runs activity-gated incremental refreshes.
-    ///
-    /// When enabled, per-refresh cost tracks *activity* rather than
-    /// inventory: pairs whose source and target windows provably carried
-    /// no run-boundary change across the slide skip screening and
-    /// correlation (their cached bound and `CorrSeries` carry forward
-    /// bit-identically), roots whose entire support set is quiet reuse
-    /// last refresh's `ServiceGraph`, and cold refills batch each
-    /// client's fan-out through the shared-transform FFT entry point.
-    /// `false` (the default) keeps every code path bit-for-bit identical
-    /// to previous releases — and the skip machinery is itself proven
-    /// (DESIGN.md §6.7, `tests/incremental_equivalence.rs`) to leave the
-    /// discovered graphs bitwise unchanged when enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
     /// Instantiates the configured correlation engine.
     ///
     /// For [`CorrelationBackend::Auto`] without an explicit cost model
@@ -358,7 +354,6 @@ pub struct PathmapConfigBuilder {
     auto_cost_model: Option<CostModel>,
     transport: Transport,
     reduction: Option<ReductionConfig>,
-    incremental: bool,
 }
 
 impl Default for PathmapConfigBuilder {
@@ -378,7 +373,6 @@ impl Default for PathmapConfigBuilder {
             auto_cost_model: None,
             transport: Transport::default(),
             reduction: None,
-            incremental: false,
         }
     }
 }
@@ -478,14 +472,6 @@ impl PathmapConfigBuilder {
         self
     }
 
-    /// Enables or disables activity-gated incremental refresh (default:
-    /// off, bit-for-bit identical to previous releases; see
-    /// [`PathmapConfig::incremental`]).
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
     /// Applies environment-variable overrides (the CI configuration-matrix
     /// hook; callers opting in call this last, so a plain build is
     /// unaffected):
@@ -502,8 +488,6 @@ impl PathmapConfigBuilder {
     ///   screening unless `E2EPROF_SCREENING` sets it; an explicit
     ///   `E2EPROF_SCREENING=off` alongside an enabled reduction is a
     ///   contradiction and an error.
-    /// * `E2EPROF_INCREMENTAL` ∈ `off | on` — enables activity-gated
-    ///   incremental refresh (default off).
     ///
     /// An empty value selects the variable's default.
     ///
@@ -511,8 +495,8 @@ impl PathmapConfigBuilder {
     ///
     /// A [`ConfigError`] naming the variable, the offending value and what
     /// is accepted — environment variables are operator input. That
-    /// includes a still-set `E2EPROF_WIRE`: the knob is gone (v2 is the
-    /// only wire format), and a script that sets it must not believe it
+    /// includes a still-set variable of a removed knob (`E2EPROF_WIRE`,
+    /// `E2EPROF_INCREMENTAL`): a script that sets one must not believe it
     /// selected anything.
     pub fn try_env_overrides(self) -> Result<Self, ConfigError> {
         self.apply_overrides(|name| std::env::var(name).ok())
@@ -548,12 +532,10 @@ impl PathmapConfigBuilder {
                 _ => Err(reject(variable, value, accepted)),
             },
         };
-        if let Some(v) = var("E2EPROF_WIRE") {
-            return Err(reject(
-                "E2EPROF_WIRE",
-                &v,
-                "nothing — removed: v2 is the only wire format; unset the variable",
-            ));
+        for (variable, accepted) in REMOVED {
+            if let Some(v) = var(variable) {
+                return Err(reject(variable, &v, accepted));
+            }
         }
         if let Some(v) = var("E2EPROF_BACKEND") {
             self.backend = match v.as_str() {
@@ -616,13 +598,6 @@ impl PathmapConfigBuilder {
                 self.screening.get_or_insert_with(ScreeningConfig::default);
             }
         }
-        if let Some(v) = var("E2EPROF_INCREMENTAL") {
-            self.incremental = match v.as_str() {
-                "" | "off" => false,
-                "on" => true,
-                _ => return Err(reject("E2EPROF_INCREMENTAL", &v, "off | on")),
-            };
-        }
         Ok(self)
     }
 
@@ -649,7 +624,6 @@ impl PathmapConfigBuilder {
             auto_cost_model: self.auto_cost_model,
             transport: self.transport,
             reduction: self.reduction,
-            incremental: self.incremental,
         };
         assert!(cfg.window_ticks() > 0, "window must span at least one tick");
         assert!(
@@ -870,7 +844,6 @@ mod tests {
             ("E2EPROF_SCREENING", "4"),
             ("E2EPROF_TRANSPORT", "unix"),
             ("E2EPROF_REDUCTION", "32"),
-            ("E2EPROF_INCREMENTAL", "on"),
         ])
         .expect("all values accepted");
         assert_eq!(cfg.backend(), CorrelationBackend::Auto);
@@ -878,7 +851,6 @@ mod tests {
         assert_eq!(cfg.screening().map(|s| s.decimation), Some(4));
         assert_eq!(cfg.transport(), Transport::Unix);
         assert_eq!(cfg.reduction().map(|r| r.base_level), Some(32));
-        assert!(cfg.incremental());
         // Empty selects each default; a lone reduction pulls screening in.
         let cfg = overrides(&[("E2EPROF_BACKEND", ""), ("E2EPROF_REDUCTION", "on")])
             .expect("all values accepted");
@@ -900,7 +872,6 @@ mod tests {
             ("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix"),
             ("E2EPROF_REDUCTION", "yes", "off | on | an integer ≥ 2"),
             ("E2EPROF_REDUCTION", "0", "off | on | an integer ≥ 2"),
-            ("E2EPROF_INCREMENTAL", "1", "off | on"),
         ] {
             let err = overrides(&[(variable, value)]).expect_err(variable);
             assert_eq!(err.variable(), variable);
@@ -920,15 +891,28 @@ mod tests {
     }
 
     #[test]
-    fn stale_wire_variable_is_an_error_whatever_its_value() {
-        // The knob is gone; a script still setting it must not believe it
-        // selected a format.
-        for value in ["v1", "v2", ""] {
-            let err = overrides(&[("E2EPROF_WIRE", value)]).expect_err("stale variable");
-            assert_eq!(err.variable(), "E2EPROF_WIRE");
-            let msg = err.to_string();
-            assert!(msg.contains("removed"), "{msg}");
-            assert!(msg.contains("v2 is the only wire format"), "{msg}");
+    fn removed_variables_are_errors_whatever_their_value() {
+        // The knobs are gone; a script still setting one must not believe
+        // it selected anything.
+        for (variable, values, reason) in [
+            (
+                "E2EPROF_WIRE",
+                ["v1", "v2", ""],
+                "v2 is the only wire format",
+            ),
+            (
+                "E2EPROF_INCREMENTAL",
+                ["on", "off", ""],
+                "the activity gate is always on",
+            ),
+        ] {
+            for value in values {
+                let err = overrides(&[(variable, value)]).expect_err("stale variable");
+                assert_eq!(err.variable(), variable);
+                let msg = err.to_string();
+                assert!(msg.contains("removed"), "{msg}");
+                assert!(msg.contains(reason), "{msg}");
+            }
         }
     }
 
@@ -938,15 +922,6 @@ mod tests {
         for t in [Transport::Tcp, Transport::Unix] {
             assert_eq!(PathmapConfig::builder().transport(t).build().transport(), t);
         }
-    }
-
-    #[test]
-    fn incremental_defaults_off_and_is_selectable() {
-        assert!(!PathmapConfig::default().incremental());
-        assert!(PathmapConfig::builder()
-            .incremental(true)
-            .build()
-            .incremental());
     }
 
     #[test]

@@ -90,9 +90,8 @@ impl ScreeningStats {
     }
 }
 
-/// Counters from the activity-gated incremental refresh
-/// ([`crate::config::PathmapConfig::incremental`]): how much per-refresh
-/// work the change-epoch gate and dirty-root cache avoided.
+/// Counters of the online refresh's activity gate: how much per-refresh
+/// work the change-epoch gate and dirty-root reuse avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Coarse screening pairs considered this refresh.
@@ -427,119 +426,58 @@ impl Pathmap {
         roots: &[(NodeId, NodeId)],
         labels: &NodeLabels,
     ) -> Vec<ServiceGraph> {
-        if let Some(screen) = self.config.screen() {
-            // One decimation pass, shared read-only by every worker.
-            let coarse = signals.decimate(screen.factor());
-            let fronts: HashMap<NodeId, NodeId> = roots.iter().copied().collect();
-            return self.discover_pooled(signals, roots, labels, roots.len(), || {
-                ScreenedStatelessProvider::new(self.engine.as_ref(), screen, &coarse, &fronts)
-            });
-        }
-        self.discover_pooled(signals, roots, labels, roots.len(), || {
-            StatelessProvider::new(self.engine.as_ref())
-        })
-    }
-
-    /// Runs `ServiceRoot` over a worker pool, each worker exploring a
-    /// contiguous shard of the roots with its own provider from
-    /// `make_provider`.
-    ///
-    /// Graphs are returned in root order regardless of worker count and
-    /// `num_workers <= 1` runs entirely on the calling thread, so results
-    /// are bitwise identical to the serial
-    /// [`discover_with`](Pathmap::discover_with) whenever the providers
-    /// are (the online analyzer's cached providers satisfy this by
-    /// construction: each `(client, edge)` pair's correlation is
-    /// precomputed once, in stable key order, before discovery starts).
-    pub fn discover_pooled<P, F>(
-        &self,
-        signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        labels: &NodeLabels,
-        num_workers: usize,
-        make_provider: F,
-    ) -> Vec<ServiceGraph>
-    where
-        P: CorrelationProvider + Send,
-        F: Fn() -> P + Sync,
-    {
-        self.discover_pooled_with_providers(signals, roots, labels, num_workers, make_provider)
-            .0
-    }
-
-    /// Like [`discover_pooled`](Pathmap::discover_pooled), but also hands
-    /// back each root's provider after its exploration (in root order), so
-    /// callers can harvest per-worker provider state — the online analyzer
-    /// collects the incremental correlators created for pairs first
-    /// reached during discovery this way, without a shared lock.
-    pub fn discover_pooled_with_providers<P, F>(
-        &self,
-        signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        labels: &NodeLabels,
-        num_workers: usize,
-        make_provider: F,
-    ) -> (Vec<ServiceGraph>, Vec<P>)
-    where
-        P: CorrelationProvider + Send,
-        F: Fn() -> P + Sync,
-    {
         // The full client set must be shared across workers: a worker
         // exploring one client's graph must still know that the *other*
         // clients are untraced endpoints it cannot recurse into.
         let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        self.discover_pooled_among(signals, roots, &clients, labels, num_workers, make_provider)
+        let workers = roots.len();
+        if let Some(screen) = self.config.screen() {
+            // One decimation pass, shared read-only by every worker.
+            let coarse = signals.decimate(screen.factor());
+            let fronts: HashMap<NodeId, NodeId> = roots.iter().copied().collect();
+            let make_provider =
+                || ScreenedStatelessProvider::new(self.engine.as_ref(), screen, &coarse, &fronts);
+            return self
+                .discover_each_among(signals, roots, &clients, labels, workers, make_provider)
+                .into_iter()
+                .filter_map(|(graph, _)| graph)
+                .collect();
+        }
+        let make_provider = || StatelessProvider::new(self.engine.as_ref());
+        self.discover_each_among(signals, roots, &clients, labels, workers, make_provider)
+            .into_iter()
+            .filter_map(|(graph, _)| graph)
+            .collect()
     }
 
-    /// Like
-    /// [`discover_pooled_with_providers`](Pathmap::discover_pooled_with_providers),
-    /// but with an explicit client universe.
+    /// Runs `ServiceRoot` over a worker pool, each root explored with its
+    /// own provider from `make_provider` against an explicit client
+    /// universe, and returns one `(Option<ServiceGraph>, P)` slot per
+    /// input root, in root order (`None` where the root's source signal
+    /// is absent).
     ///
-    /// This is the sharded-analyzer entry point: a shard explores only its
-    /// *owned* roots, yet discovery must still treat every client in the
-    /// whole deployment as an untraced endpoint it cannot recurse into —
-    /// deriving the universe from the shard's own roots would let its
+    /// Slots are in root order regardless of worker count and
+    /// `num_workers <= 1` runs entirely on the calling thread, so results
+    /// are bitwise identical to the serial
+    /// [`discover_with`](Pathmap::discover_with) whenever the providers
+    /// are (the online analyzer's satisfy this by construction: each
+    /// `(client, edge)` pair's correlation is brought up to date once, in
+    /// stable key order, before discovery starts). Each root's provider
+    /// comes back with its slot, so callers can harvest per-root provider
+    /// state without a shared lock — the analyzer collects the
+    /// correlators created for pairs first reached during discovery, and
+    /// each root's support set, this way.
+    ///
+    /// This is the sharded-analyzer entry point: a shard explores only
+    /// its *owned* roots — and of those only the ones whose inputs
+    /// changed, publishing remembered graphs for the rest, which is why
+    /// the slots stay aligned with the input instead of being flattened —
+    /// yet discovery must still treat every client in the whole
+    /// deployment as an untraced endpoint it cannot recurse into.
+    /// Deriving the universe from the shard's own roots would let its
     /// exploration wander through other shards' client nodes and diverge
     /// from the single-analyzer graphs. `client_universe` must be a
     /// superset of the clients in `roots`.
-    pub fn discover_pooled_among<P, F>(
-        &self,
-        signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        client_universe: &HashSet<NodeId>,
-        labels: &NodeLabels,
-        num_workers: usize,
-        make_provider: F,
-    ) -> (Vec<ServiceGraph>, Vec<P>)
-    where
-        P: CorrelationProvider + Send,
-        F: Fn() -> P + Sync,
-    {
-        let results = self.discover_each_among(
-            signals,
-            roots,
-            client_universe,
-            labels,
-            num_workers,
-            make_provider,
-        );
-        let mut graphs = Vec::with_capacity(results.len());
-        let mut providers = Vec::with_capacity(results.len());
-        for (graph, provider) in results {
-            graphs.extend(graph);
-            providers.push(provider);
-        }
-        (graphs, providers)
-    }
-
-    /// Like [`discover_pooled_among`](Pathmap::discover_pooled_among), but
-    /// un-flattened: one `(Option<ServiceGraph>, P)` slot per input root,
-    /// in root order (`None` where the root's source signal is absent).
-    ///
-    /// The online analyzer's dirty-root reuse path needs the per-root
-    /// alignment: it discovers only the *dirty* subset of roots here and
-    /// splices cached graphs for the clean roots in between, which the
-    /// flattened form cannot express.
     pub fn discover_each_among<P, F>(
         &self,
         signals: &EdgeSignals,

@@ -12,6 +12,12 @@
 //! - The broker dedups inbound data frames per origin, so a tracer
 //!   resending its queue after a reconnect cannot duplicate a frame in
 //!   the ring.
+//! - The dedup is a per-origin high-water mark, so an origin's frames must
+//!   be offered in the order its connections were made. Each connection
+//!   has its own reader thread; a tracer connection therefore relays
+//!   nothing until every connection accepted before it that is, or may
+//!   yet turn out to be, the same tracer has been read to EOF — a
+//!   once-per-`Hello` handoff.
 //! - A subscriber's `Subscribe` carries resume positions; its writer
 //!   replays retained frames strictly *after* those positions, so a
 //!   reconnecting analyzer receives exactly the frames it missed.
@@ -27,7 +33,7 @@ use crate::stream::{
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 /// Broker tuning knobs.
@@ -98,6 +104,22 @@ struct Shared {
     registry_gen: AtomicU64,
     ring: ReplayRing,
     dedup: Mutex<SeqDedup>,
+    /// Every connection that may still relay a tracer's data frames, in
+    /// accept order: `None` until it has said `Hello`, then the tracer's
+    /// node. Other roles leave at their `Hello`, everyone when their
+    /// reader exits.
+    ///
+    /// A tracer forgets a frame once it is fully *written*, and redials
+    /// as soon as a write fails — while the dead connection's reader may
+    /// not have drained (or even started on) what was written to it. If
+    /// the new connection's reader offered its frames first, the
+    /// high-water dedup would reject the old connection's as duplicates:
+    /// a silent loss. So a tracer's reader waits here, once, at its
+    /// `Hello`, until no earlier arrival is unidentified or the same
+    /// node. (It also keeps the old connection's `tracer_disconnected`
+    /// from wiping the new one's announcement.)
+    arrivals: Mutex<BTreeMap<PeerId, Option<u32>>>,
+    arrivals_changed: Condvar,
     hints: Mutex<HintHub>,
     /// Data frames written to subscriber connections.
     delivered: AtomicU64,
@@ -118,6 +140,8 @@ impl BrokerHandle {
             registry_gen: AtomicU64::new(0),
             ring: ReplayRing::new(config.ring_capacity),
             dedup: Mutex::new(SeqDedup::new()),
+            arrivals: Mutex::new(BTreeMap::new()),
+            arrivals_changed: Condvar::new(),
             hints: Mutex::new(HintHub::default()),
             delivered: AtomicU64::new(0),
             next_peer: AtomicU64::new(1),
@@ -182,6 +206,13 @@ impl Drop for BrokerHandle {
 fn accept_loop(acceptor: &dyn Acceptor, shared: &Arc<Shared>) {
     while let Ok(conn) = acceptor.accept_conn() {
         let peer = shared.next_peer.fetch_add(1, Ordering::Relaxed);
+        // Enrolled here, not by the reader: accept order is the order the
+        // peer dialed in, whichever reader thread gets to run first.
+        shared
+            .arrivals
+            .lock()
+            .expect("arrivals lock")
+            .insert(peer, None);
         let shared = Arc::clone(shared);
         thread::spawn(move || serve_conn(conn, peer, &shared));
     }
@@ -243,6 +274,10 @@ fn serve_conn(mut conn: Box<dyn SplitStream>, peer: PeerId, shared: &Arc<Shared>
             .retain(|s| s.peer != peer),
         None => {}
     }
+    // Everything this connection carried has been relayed and its
+    // registry entry is gone: a successor of the same tracer may proceed.
+    shared.arrivals.lock().expect("arrivals lock").remove(&peer);
+    shared.arrivals_changed.notify_all();
     // Wake a writer blocked on this connection, if any.
     conn.shutdown_stream();
 }
@@ -256,7 +291,27 @@ fn handle_frame(
 ) -> Result<(), ()> {
     match frame.kind {
         FrameKind::Hello => {
-            *role = Some(decode_hello(frame.payload()).map_err(|_| ())?);
+            let hello = decode_hello(frame.payload()).map_err(|_| ())?;
+            *role = Some(hello);
+            let mut arrivals = shared.arrivals.lock().expect("arrivals lock");
+            let Role::Tracer { node } = hello else {
+                arrivals.remove(&peer);
+                shared.arrivals_changed.notify_all();
+                return Ok(());
+            };
+            arrivals.insert(peer, Some(node));
+            shared.arrivals_changed.notify_all();
+            let ahead = |arrivals: &mut BTreeMap<PeerId, Option<u32>>| {
+                arrivals
+                    .range(..peer)
+                    .any(|(_, who)| who.is_none_or(|other| other == node))
+            };
+            drop(
+                shared
+                    .arrivals_changed
+                    .wait_while(arrivals, ahead)
+                    .expect("arrivals lock"),
+            );
             Ok(())
         }
         FrameKind::Announce => {
@@ -526,6 +581,7 @@ mod tests {
     use crate::mem::MemListener;
     use crate::msg::{encode_announce, encode_hello, encode_subscribe, Subscribe};
     use crate::stream::{Dialer, NetStream};
+    use std::sync::mpsc;
 
     fn data_frame(origin: u32, seq: u64, byte: u8) -> Vec<u8> {
         encode_frame_to_vec(FrameKind::DataBatch, origin, seq, &[byte])
@@ -661,6 +717,135 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(broker.duplicates_rejected(), 2);
+        broker.shutdown();
+    }
+
+    /// A connection whose broker-side reads are held until the gate's
+    /// sender is dropped: a reader thread that has fallen behind.
+    struct StalledStream {
+        inner: Box<dyn SplitStream>,
+        gate: Arc<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl Read for StalledStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            // Blocks while the sender lives; an error ever after.
+            let _ = self.gate.lock().expect("gate lock").recv();
+            self.inner.read(buf)
+        }
+    }
+
+    impl Write for StalledStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl NetStream for StalledStream {
+        fn shutdown_stream(&mut self) {
+            self.inner.shutdown_stream();
+        }
+    }
+
+    impl SplitStream for StalledStream {
+        fn try_clone_stream(&self) -> std::io::Result<Box<dyn SplitStream>> {
+            Ok(Box::new(StalledStream {
+                inner: self.inner.try_clone_stream()?,
+                gate: Arc::clone(&self.gate),
+            }))
+        }
+    }
+
+    /// Hands the broker its `stalled`-th connection (in accept order) as a
+    /// [`StalledStream`].
+    struct StallingAcceptor {
+        inner: MemListener,
+        stalled: u64,
+        accepted: AtomicU64,
+        gate: Arc<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl Acceptor for StallingAcceptor {
+        fn accept_conn(&self) -> std::io::Result<Box<dyn SplitStream>> {
+            let inner = self.inner.accept_conn()?;
+            if self.accepted.fetch_add(1, Ordering::Relaxed) != self.stalled {
+                return Ok(inner);
+            }
+            Ok(Box::new(StalledStream {
+                inner,
+                gate: Arc::clone(&self.gate),
+            }))
+        }
+
+        fn close_acceptor(&self) {
+            self.inner.close_acceptor();
+        }
+    }
+
+    #[test]
+    fn a_dead_connections_frames_are_relayed_before_its_successors() {
+        let listener = MemListener::new();
+        let (open_gate, gate) = mpsc::channel();
+        let broker = BrokerHandle::spawn(
+            Arc::new(StallingAcceptor {
+                inner: listener.clone(),
+                stalled: 1,
+                accepted: AtomicU64::new(0),
+                gate: Arc::new(Mutex::new(gate)),
+            }),
+            BrokerConfig::default(),
+        );
+        let dialer = listener.dialer();
+
+        let mut sub = dialer.dial().unwrap();
+        sub.write_all(&subscribe_all(vec![])).unwrap();
+
+        // The tracer wrote one frame in full, then its connection died.
+        // The broker's reader of that connection is stalled: it has not
+        // even seen the `Hello` yet.
+        let mut dead = dialer.dial().unwrap();
+        let mut bytes = tracer_hello(5);
+        bytes.extend(data_frame(5, 1, 1));
+        dead.write_all(&bytes).unwrap();
+        dead.shutdown_stream();
+
+        // The tracer redials and carries on from the frame after.
+        let mut tracer = dialer.dial().unwrap();
+        let mut bytes = tracer_hello(5);
+        bytes.extend(data_frame(5, 2, 2));
+        bytes.extend(data_frame(5, 3, 3));
+        tracer.write_all(&bytes).unwrap();
+
+        // Give the successor every chance to overtake. A broker that lets
+        // it relays seq 2 and 3 within this budget — and then rejects
+        // seq 1 as a duplicate; one that makes it wait has nothing of
+        // origin 5 to deliver however long this spins.
+        for _ in 0..100_000 {
+            if broker.delivered() > 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        drop(open_gate);
+        tracer.write_all(&data_frame(5, 4, 4)).unwrap();
+
+        let mut dec = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        let mut seqs = Vec::new();
+        while seqs.last() != Some(&4) {
+            let got = sub.read(&mut buf).expect("subscriber read");
+            assert!(got > 0, "unexpected EOF from broker");
+            dec.feed(&buf[..got]);
+            while let Some(frame) = dec.next_frame().expect("valid frame") {
+                seqs.push(frame.seq);
+            }
+        }
+        assert_eq!(seqs, vec![1, 2, 3, 4], "nothing lost, in order");
+        assert_eq!(broker.duplicates_rejected(), 0);
         broker.shutdown();
     }
 

@@ -171,7 +171,7 @@ impl Dialer for TcpDialer {
     fn dial(&self) -> io::Result<Box<dyn NetStream>> {
         let stream = TcpStream::connect(self.0)?;
         // Nagle off: flushes are already coalesced at the framing layer
-        // (DESIGN.md §6.8), so letting the kernel re-buffer them only adds
+        // (DESIGN.md §6.7), so letting the kernel re-buffer them only adds
         // latency to the sub-MTU control frames.
         stream.set_nodelay(true).ok();
         Ok(Box::new(stream))

@@ -125,20 +125,6 @@ fn fft_ops(x: &RleSeries, y: &RleSeries, _max_lag: u64) -> f64 {
     3.0 * n * n.log2() + 2.0 * n
 }
 
-/// Padded transform size for one (source, target) pair.
-fn fft_padded(x: &RleSeries, y: &RleSeries) -> usize {
-    ((x.len() + y.len()).max(2) as usize).next_power_of_two()
-}
-
-/// Marginal abstract operation count of one fan-out pair once the
-/// source's forward transform is amortized across the batch
-/// ([`crate::fft::correlate_many`]): two transforms (target forward +
-/// product inverse) instead of three, plus the point-wise multiply and
-/// decodes.
-fn fft_shared_ops(n: f64) -> f64 {
-    2.0 * n * n.log2() + 2.0 * n
-}
-
 impl CostModel {
     /// Predicted cost in ns for each engine, indexed like
     /// [`EngineKind::ALL`].
@@ -164,37 +150,6 @@ impl CostModel {
             }
         }
         best
-    }
-
-    /// Predicted total ns for serving a whole fan-out (one source, many
-    /// targets) via the shared-transform FFT path: every pair pays the
-    /// amortized marginal cost (`fft_shared_ops`) and each *distinct*
-    /// padded transform size pays the source's forward `n·log2 n` once.
-    pub fn predict_fanout_fft(&self, x: &RleSeries, ys: &[&RleSeries]) -> f64 {
-        let mut sizes = std::collections::BTreeSet::new();
-        let mut total = 0.0;
-        for y in ys {
-            let n = fft_padded(x, y);
-            sizes.insert(n);
-            total += self.fft_op_ns * fft_shared_ops(n as f64);
-        }
-        for n in sizes {
-            let n = n as f64;
-            total += self.fft_op_ns * n * n.log2();
-        }
-        total
-    }
-
-    /// Predicted total ns for serving a fan-out pair-by-pair, each pair on
-    /// its individually cheapest engine.
-    pub fn predict_fanout_best(&self, x: &RleSeries, ys: &[&RleSeries], max_lag: u64) -> f64 {
-        ys.iter()
-            .map(|y| {
-                self.predict(x, y, max_lag)
-                    .into_iter()
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .sum()
     }
 
     /// Measures the per-operation constants on this host with a one-shot
@@ -333,25 +288,6 @@ impl Correlator for AutoCorrelator {
         }
     }
 
-    fn correlate_fanout(&self, x: &RleSeries, ys: &[&RleSeries], max_lag: u64) -> Vec<CorrSeries> {
-        // With ≥2 targets the batched FFT path can amortize the source's
-        // forward transform; take it when the model says the whole batch
-        // comes out cheaper than per-pair best-engine selection.
-        if ys.len() >= 2 {
-            let shared = self.model.predict_fanout_fft(x, ys);
-            let per_pair = self.model.predict_fanout_best(x, ys, max_lag);
-            if shared < per_pair {
-                let idx = EngineKind::ALL
-                    .iter()
-                    .position(|&k| k == EngineKind::Fft)
-                    .unwrap();
-                self.picks[idx].fetch_add(ys.len() as u64, Ordering::Relaxed);
-                return FftCorrelator.correlate_fanout(x, ys, max_lag);
-            }
-        }
-        ys.iter().map(|y| self.correlate(x, y, max_lag)).collect()
-    }
-
     fn name(&self) -> &'static str {
         "auto"
     }
@@ -438,65 +374,6 @@ mod tests {
         let m = CostModel::calibrate();
         for c in [m.dense_op_ns, m.sparse_op_ns, m.rle_op_ns, m.fft_op_ns] {
             assert!(c.is_finite() && c > 0.0, "bad calibrated constant {c}");
-        }
-    }
-
-    #[test]
-    fn fanout_shared_cost_undercuts_per_pair_fft() {
-        // Amortizing F[x] must always beat k independent FFT runs.
-        let m = CostModel::default();
-        let x = dense_sig(4096);
-        let ys: Vec<RleSeries> = (0..6).map(|_| dense_sig(4096)).collect();
-        let refs: Vec<&RleSeries> = ys.iter().collect();
-        let shared = m.predict_fanout_fft(&x, &refs);
-        let per_pair_fft: f64 = refs
-            .iter()
-            .map(|y| m.fft_op_ns * super::fft_ops(&x, y, 4096))
-            .sum();
-        assert!(shared < per_pair_fft);
-    }
-
-    #[test]
-    fn fanout_picks_shared_fft_for_dense_wide_lag_batches() {
-        let auto = AutoCorrelator::with_default_model();
-        let x = dense_sig(8192);
-        let ys: Vec<RleSeries> = (0..4).map(|_| dense_sig(8192)).collect();
-        let refs: Vec<&RleSeries> = ys.iter().collect();
-        let out = auto.correlate_fanout(&x, &refs, 8192);
-        assert_eq!(out.len(), 4);
-        // All four pairs were served by the FFT engine in one batch.
-        let fft_idx = EngineKind::ALL
-            .iter()
-            .position(|&k| k == EngineKind::Fft)
-            .unwrap();
-        assert_eq!(auto.pick_counts()[fft_idx], 4);
-        // And the values agree with the reference engine.
-        for (y, got) in ys.iter().zip(&out) {
-            let reference = DenseCorrelator.correlate(&x, y, 8192);
-            let scale = reference
-                .values()
-                .iter()
-                .fold(1.0f64, |a, &v| a.max(v.abs()));
-            assert!(reference.max_abs_diff(got) / scale < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fanout_falls_back_to_per_pair_for_sparse_batches() {
-        let auto = AutoCorrelator::with_default_model();
-        let x = sparse_sig(4096);
-        let ys: Vec<RleSeries> = (0..3).map(|_| sparse_sig(4096)).collect();
-        let refs: Vec<&RleSeries> = ys.iter().collect();
-        let out = auto.correlate_fanout(&x, &refs, 64);
-        assert_eq!(out.len(), 3);
-        let fft_idx = EngineKind::ALL
-            .iter()
-            .position(|&k| k == EngineKind::Fft)
-            .unwrap();
-        assert_eq!(auto.pick_counts()[fft_idx], 0);
-        for (y, got) in ys.iter().zip(&out) {
-            let reference = DenseCorrelator.correlate(&x, y, 64);
-            assert!(reference.max_abs_diff(got) < 1e-9);
         }
     }
 

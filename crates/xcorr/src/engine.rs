@@ -10,7 +10,7 @@
 use crate::arena::CorrArena;
 use crate::corr::CorrSeries;
 use crate::{dense, fft, rle, sparse};
-use e2eprof_timeseries::{DenseSeries, RleSeries};
+use e2eprof_timeseries::RleSeries;
 use std::fmt;
 
 /// A cross-correlation strategy.
@@ -43,19 +43,6 @@ pub trait Correlator: fmt::Debug + Send + Sync {
     ) {
         let _ = arena;
         *out = self.correlate(x, y, max_lag);
-    }
-
-    /// Correlates one source against many targets, returning results in
-    /// input order.
-    ///
-    /// The default loops [`correlate`](Correlator::correlate) — bitwise
-    /// identical to the caller doing so itself. The FFT engine overrides
-    /// it to forward-transform the source once per padded length and
-    /// reuse `F[x]` across the batch (still bitwise identical to its own
-    /// per-pair path), and the auto engine weighs that amortized cost
-    /// when choosing how to serve the batch.
-    fn correlate_fanout(&self, x: &RleSeries, ys: &[&RleSeries], max_lag: u64) -> Vec<CorrSeries> {
-        ys.iter().map(|y| self.correlate(x, y, max_lag)).collect()
     }
 
     /// Correlates a batch of signal pairs, fanning the work out over up to
@@ -243,22 +230,6 @@ impl Correlator for FftCorrelator {
         );
     }
 
-    fn correlate_fanout(&self, x: &RleSeries, ys: &[&RleSeries], max_lag: u64) -> Vec<CorrSeries> {
-        let mut xd = Vec::new();
-        x.decode_dense_into(&mut xd);
-        let xs = DenseSeries::new(x.start(), xd);
-        let yds: Vec<DenseSeries> = ys
-            .iter()
-            .map(|y| {
-                let mut v = Vec::new();
-                y.decode_dense_into(&mut v);
-                DenseSeries::new(y.start(), v)
-            })
-            .collect();
-        let refs: Vec<&DenseSeries> = yds.iter().collect();
-        fft::correlate_many(&xs, &refs, max_lag)
-    }
-
     fn name(&self) -> &'static str {
         "fft"
     }
@@ -368,35 +339,6 @@ mod tests {
             let stats = arena.stats();
             assert_eq!(stats.acquires, 12, "{}", engine.name());
             assert_eq!(stats.grows, 0, "{} grew after warm-up", engine.name());
-        }
-    }
-
-    #[test]
-    fn fanout_matches_per_pair_for_every_engine() {
-        let x = rles(5, (0..30).map(|t| ((t * 7) % 5) as f64).collect());
-        let ys: Vec<RleSeries> = (0..5)
-            .map(|i| {
-                rles(
-                    i,
-                    (0..(20 + 8 * i))
-                        .map(|t| ((t * 3 + i) % 4) as f64)
-                        .collect(),
-                )
-            })
-            .collect();
-        let refs: Vec<&RleSeries> = ys.iter().collect();
-        for engine in all_engines() {
-            let batch = engine.correlate_fanout(&x, &refs, 11);
-            assert_eq!(batch.len(), ys.len());
-            for (y, got) in ys.iter().zip(&batch) {
-                let solo = engine.correlate(&x, y, 11);
-                let same = solo
-                    .values()
-                    .iter()
-                    .zip(got.values())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{} fanout diverged from per-pair", engine.name());
-            }
         }
     }
 

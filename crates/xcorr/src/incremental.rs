@@ -230,7 +230,7 @@ impl IncrementalCorrelator {
     /// Slides the recorded window to `span` without touching the
     /// accumulator.
     ///
-    /// This is the activity-gated skip path (DESIGN.md §6.7): the caller
+    /// This is the activity-gated skip path (DESIGN.md §6.1): the caller
     /// has *proved* — via retention epochs plus boundary-run checks over
     /// the exact regions the slide adds and evicts — that every correction
     /// term [`advance`](Self::advance) would compute for this slide is a
@@ -245,29 +245,6 @@ impl IncrementalCorrelator {
     pub fn slide(&mut self, span: (Tick, Tick)) {
         assert!(self.window.is_some(), "slide on an empty correlator");
         assert!(span.0 <= span.1, "window start must precede end");
-        self.window = Some(span);
-    }
-
-    /// Installs an externally computed accumulator for the window `span`.
-    ///
-    /// The batched shared-transform refill path computes a whole client
-    /// fan-out of `CorrSeries` in one [`crate::fft::correlate_many`] pass
-    /// and seeds each pair's correlator with its slot — equivalent to
-    /// [`refill`](Self::refill) when `corr` is what that engine would have
-    /// produced over `span`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `span` is inverted or `corr`'s lag bound differs from
-    /// this correlator's.
-    pub fn install(&mut self, corr: CorrSeries, span: (Tick, Tick)) {
-        assert!(span.0 <= span.1, "window start must precede end");
-        assert_eq!(
-            corr.max_lag(),
-            self.max_lag,
-            "installed series has the wrong lag bound"
-        );
-        self.acc = corr;
         self.window = Some(span);
     }
 
@@ -434,37 +411,6 @@ mod tests {
     #[should_panic(expected = "empty correlator")]
     fn slide_before_append_panics() {
         IncrementalCorrelator::new(4).slide((Tick::new(0), Tick::new(1)));
-    }
-
-    #[test]
-    fn install_matches_refill() {
-        let x = signal(120, 11);
-        let y = signal(150, 17);
-        let max_lag = 16;
-        let engine = crate::engine::RleCorrelator;
-
-        let mut refilled = IncrementalCorrelator::new(max_lag);
-        refilled.refill(&engine, &x, &y);
-
-        let mut installed = IncrementalCorrelator::new(max_lag);
-        installed.install(
-            crate::engine::Correlator::correlate(&engine, &x, &y, max_lag),
-            (x.start(), x.end()),
-        );
-
-        assert_eq!(refilled.window(), installed.window());
-        assert_eq!(refilled.corr().values(), installed.corr().values());
-
-        refilled.evict_to(Tick::new(40), &x, &y);
-        installed.evict_to(Tick::new(40), &x, &y);
-        assert_eq!(refilled.corr().values(), installed.corr().values());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong lag bound")]
-    fn install_rejects_mismatched_lag() {
-        let mut inc = IncrementalCorrelator::new(4);
-        inc.install(CorrSeries::zeros(5), (Tick::new(0), Tick::new(1)));
     }
 
     #[test]

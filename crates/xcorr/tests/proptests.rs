@@ -425,7 +425,7 @@ proptest! {
 }
 
 proptest! {
-    /// The activity-gated skip invariant (DESIGN.md §6.7): when both
+    /// The activity-gated skip invariant (DESIGN.md §6.1): when both
     /// signals are run-free over the two boundary regions a window slide
     /// touches — `[s0, s1 + L)` around the moving start and `[e0, e1 + L)`
     /// around the moving end — then `slide` (the skip path: move the

@@ -322,25 +322,22 @@ fn distributed(args: &[String]) -> ExitCode {
         pipeline.broker().delivered(),
         pipeline.broker().duplicates_rejected(),
     );
-    let incremental = pipeline
+    let mut gate = IncrementalStats::default();
+    for stats in pipeline
         .shards()
         .iter()
         .filter_map(|s| s.analyzer.incremental_stats())
-        .fold(None, |acc: Option<IncrementalStats>, stats| {
-            let mut total = acc.unwrap_or_default();
-            total.absorb(stats);
-            Some(total)
-        });
-    if let Some(stats) = incremental {
-        println!(
-            "incremental: {}/{} fine pair(s) skipped ({:.0}%), {}/{} root graph(s) reused",
-            stats.fine_skipped,
-            stats.fine_pairs,
-            stats.fine_skipped_fraction() * 100.0,
-            stats.reused_roots,
-            stats.roots,
-        );
+    {
+        gate.absorb(stats);
     }
+    println!(
+        "incremental: {}/{} fine pair(s) skipped ({:.0}%), {}/{} root graph(s) reused",
+        gate.fine_skipped,
+        gate.fine_pairs,
+        gate.fine_skipped_fraction() * 100.0,
+        gate.reused_roots,
+        gate.roots,
+    );
     if pipeline.backfills_emitted() > 0 {
         println!(
             "reduction: {} backfill frame(s) emitted",

@@ -152,10 +152,24 @@ fn demo_runs_end_to_end() {
 }
 
 #[test]
+fn distributed_always_reports_the_activity_gate() {
+    let out = e2eprof(&["distributed"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("web -> app"), "{stdout}");
+    let gate = stdout
+        .lines()
+        .find(|line| line.starts_with("incremental: "))
+        .unwrap_or_else(|| panic!("no activity-gate line in a default run:\n{stdout}"));
+    assert!(gate.contains("fine pair(s) skipped"), "{gate}");
+    assert!(gate.contains("root graph(s) reused"), "{gate}");
+}
+
+#[test]
 fn bad_environment_override_is_reported_not_panicked_on() {
     // `demo` checks the environment before it simulates anything, so this
-    // returns at once. The stale wire knob is an error of its own: a
-    // script that still sets it must not believe it selected a format.
+    // returns at once. A removed knob's variable is an error of its own: a
+    // script that still sets it must not believe it selected anything.
     for (variable, value, expect) in [
         (
             "E2EPROF_BACKEND",
@@ -163,6 +177,7 @@ fn bad_environment_override_is_reported_not_panicked_on() {
             "rle | dense | sparse | fft | auto",
         ),
         ("E2EPROF_WIRE", "v1", "removed"),
+        ("E2EPROF_INCREMENTAL", "on", "removed"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_e2eprof"))
             .arg("demo")

@@ -1,5 +1,6 @@
-//! Absolute anchor: the default-config online graphs of the two
-//! evaluation applications, pinned bit for bit.
+//! Absolute anchor: the online graphs of the two evaluation applications,
+//! pinned bit for bit — under the default configuration and under
+//! screening + edge-side reduction.
 //!
 //! Every equivalence suite compares one configuration against another, so
 //! a change that moves *both* sides by an ulp passes them all. This test
@@ -8,6 +9,12 @@
 //! the fold over all refreshes must equal a constant recorded on the
 //! commit preceding the linear-time refresh kernels (PR 17). A kernel
 //! rewrite that claims "same bits" is falsified here if it is wrong.
+//! The Delta seeds 8–9 and all screened + reduced constants were recorded
+//! on the last commit that still had an eager refresh (`incremental =
+//! false`, the parent of PR 22), so they pin the activity-gated refresh —
+//! now the only one — to what the eager computation published. (They
+//! repeat the default-configuration constants: screening and reduction
+//! promise the same published bits, and here they keep it.)
 //!
 //! If a PR *intends* to change the arithmetic, it re-records the
 //! constants (the failure message prints the new value) and says so.
@@ -15,6 +22,7 @@
 use crossbeam::channel::unbounded;
 use e2eprof::apps::delta::{Delta, DeltaConfig};
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
+use e2eprof::core::config::PathmapConfigBuilder;
 use e2eprof::core::prelude::*;
 use e2eprof::netsim::{NodeId, Simulation};
 use e2eprof::timeseries::{Nanos, Quanta};
@@ -58,8 +66,9 @@ fn digest_into(h: &mut Fnv, graphs: &[ServiceGraph]) {
 }
 
 /// Drives tracer agents on every service plus one analyzer over `steps`
-/// refresh intervals and returns `(digest of every refresh, number of
-/// non-empty refreshes)`.
+/// refresh intervals, routing the analyzer's reduction hints back to the
+/// agents after each refresh, and returns `(digest of every refresh, number
+/// of non-empty refreshes)`.
 fn run_digest(
     sim: &mut Simulation,
     config: &PathmapConfig,
@@ -96,18 +105,36 @@ fn run_digest(
             productive += 1;
         }
         digest_into(&mut h, &graphs);
+        if let Some(hint) = analyzer.take_hints() {
+            for a in &mut agents {
+                a.apply_hint_state(&hint);
+            }
+        }
     }
     (h.0, productive)
 }
 
-fn rubis_digest(seed: u64) -> (u64, usize) {
-    let config = PathmapConfig::builder()
+/// Adds the screening tier and the edge-reduction loop on top of it.
+fn screened_and_reduced(builder: PathmapConfigBuilder) -> PathmapConfigBuilder {
+    builder
+        .screening(ScreeningConfig {
+            decimation: 8,
+            hysteresis: 0.5,
+        })
+        .reduction(ReductionConfig::default())
+}
+
+fn rubis_digest(seed: u64, reduced: bool) -> (u64, usize) {
+    let mut builder = PathmapConfig::builder()
         .quanta(Quanta::from_millis(1))
         .omega_ticks(50)
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .build();
+        .max_delay(Nanos::from_secs(2));
+    if reduced {
+        builder = screened_and_reduced(builder);
+    }
+    let config = builder.build();
     let mut app = Rubis::build(RubisConfig {
         dispatch: Dispatch::Affinity,
         seed,
@@ -122,14 +149,17 @@ fn rubis_digest(seed: u64) -> (u64, usize) {
     )
 }
 
-fn delta_digest(seed: u64) -> (u64, usize) {
-    let config = PathmapConfig::builder()
+fn delta_digest(seed: u64, reduced: bool) -> (u64, usize) {
+    let mut builder = PathmapConfig::builder()
         .quanta(Quanta::from_secs(1))
         .omega_ticks(20)
         .window(Nanos::from_minutes(30))
         .refresh(Nanos::from_minutes(5))
-        .max_delay(Nanos::from_minutes(10))
-        .build();
+        .max_delay(Nanos::from_minutes(10));
+    if reduced {
+        builder = screened_and_reduced(builder);
+    }
+    let config = builder.build();
     let mut app = Delta::build(DeltaConfig {
         queues: 6,
         seed,
@@ -149,42 +179,89 @@ fn hex(digests: &[u64]) -> Vec<String> {
     digests.iter().map(|d| format!("{d:#018x}")).collect()
 }
 
-#[test]
-fn rubis_online_graphs_match_recorded_bits() {
-    const GOLDEN: [u64; 3] = [
-        0xeb78_02ef_1b39_ed78,
-        0xa7e9_e0cc_e445_62dd,
-        0x24f4_c687_922a_e374,
-    ];
-    let got: Vec<u64> = [1, 2, 3]
-        .into_iter()
-        .map(|seed| {
-            let (digest, productive) = rubis_digest(seed);
+/// Digests `seeds` with `digest`, demanding `min_productive` non-empty
+/// refreshes of each, and compares against `golden`.
+fn assert_recorded(
+    what: &str,
+    seeds: &[u64],
+    min_productive: usize,
+    digest: impl Fn(u64) -> (u64, usize),
+    golden: &[u64],
+) {
+    let got: Vec<u64> = seeds
+        .iter()
+        .map(|&seed| {
+            let (digest, productive) = digest(seed);
             assert!(
-                productive >= 5,
-                "rubis seed {seed}: only {productive} productive refreshes"
+                productive >= min_productive,
+                "{what} seed {seed}: only {productive} productive refreshes"
             );
             digest
         })
         .collect();
     assert_eq!(
         hex(&got),
-        hex(&GOLDEN),
-        "rubis seeds 1-3: graph bits moved (left: now, right: recorded)"
+        hex(golden),
+        "{what} seeds {seeds:?}: graph bits moved (left: now, right: recorded)"
+    );
+}
+
+#[test]
+fn rubis_online_graphs_match_recorded_bits() {
+    assert_recorded(
+        "rubis",
+        &[1, 2, 3],
+        5,
+        |seed| rubis_digest(seed, false),
+        &[
+            0xeb78_02ef_1b39_ed78,
+            0xa7e9_e0cc_e445_62dd,
+            0x24f4_c687_922a_e374,
+        ],
     );
 }
 
 #[test]
 fn delta_online_graphs_match_recorded_bits() {
-    const GOLDEN: u64 = 0xd471_aa42_47c4_eb17;
-    let (got, productive) = delta_digest(7);
-    assert!(
-        productive >= 2,
-        "delta seed 7: only {productive} productive refreshes"
+    assert_recorded(
+        "delta",
+        &[7, 8, 9],
+        2,
+        |seed| delta_digest(seed, false),
+        &[
+            0xd471_aa42_47c4_eb17,
+            0xa300_0684_98b2_da27,
+            0xd917_4279_8c3d_e62f,
+        ],
     );
-    assert_eq!(
-        hex(&[got]),
-        hex(&[GOLDEN]),
-        "delta seed 7: graph bits moved (left: now, right: recorded)"
+}
+
+#[test]
+fn rubis_screened_and_reduced_graphs_match_recorded_bits() {
+    assert_recorded(
+        "rubis screened+reduced",
+        &[1, 2, 3],
+        5,
+        |seed| rubis_digest(seed, true),
+        &[
+            0xeb78_02ef_1b39_ed78,
+            0xa7e9_e0cc_e445_62dd,
+            0x24f4_c687_922a_e374,
+        ],
+    );
+}
+
+#[test]
+fn delta_screened_and_reduced_graphs_match_recorded_bits() {
+    assert_recorded(
+        "delta screened+reduced",
+        &[7, 8, 9],
+        2,
+        |seed| delta_digest(seed, true),
+        &[
+            0xd471_aa42_47c4_eb17,
+            0xa300_0684_98b2_da27,
+            0xd917_4279_8c3d_e62f,
+        ],
     );
 }
