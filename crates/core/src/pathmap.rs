@@ -556,6 +556,34 @@ impl Pathmap {
         Some(graph)
     }
 
+    /// Whether a pair's lagged products prove it has no spike, without
+    /// normalizing them: they are `0.0` at every lag and neither signal
+    /// has a negative run.
+    ///
+    /// Lemma. With `r(d) = 0` the numerator of Eq. 1 is `−x̄·S(d)`, where
+    /// `x̄` is the source window's mean and `S(d)` a window sum of `y`.
+    /// Both are sums of non-negative terms when no run is negative — the
+    /// precondition [`e2eprof_xcorr::screen`] documents for density
+    /// signals (`√count`) — and a floating-point sum of non-negative
+    /// terms is non-negative, as is the difference of two prefix sums of
+    /// one such sequence. So every coefficient `normalize_into` would
+    /// write is `≤ 0` (or the `den ≤ EPS` zero), and none can pass the
+    /// `≥ min_spike_value` filter once that floor is positive. The test
+    /// is exact on purpose: a product of `1e-300` is evidence (Eq. 1 is
+    /// scale-free), and a pair with a negative run takes the long path.
+    ///
+    /// The scan leaves at the first non-zero lag, so a live pair pays a
+    /// few loads. Accumulators of pairs that never overlap within the lag
+    /// bound *are* exact zeros: a fill sums no product at all, and an
+    /// advance is `(acc + Δa) − Δe` with both deltas empty sums.
+    fn has_no_evidence(&self, raw: &CorrSeries, x: &RleSeries, y: &RleSeries) -> bool {
+        let non_negative = |s: &RleSeries| s.runs().iter().all(|r| r.value() >= 0.0);
+        self.config.min_spike_value() > 0.0
+            && raw.values().iter().all(|&r| r == 0.0)
+            && non_negative(y)
+            && non_negative(x)
+    }
+
     /// `ComputePath`: explores edges out of `node`, adding those whose
     /// correlation with `x` spikes, and recursing depth-first.
     #[allow(clippy::too_many_arguments)]
@@ -588,6 +616,9 @@ impl Pathmap {
                 // The products may be on loan from the provider; the loan
                 // ends here, before the search recurses through it.
                 let raw = provider.correlate(client, (node, next), x, y, max_lag);
+                if self.has_no_evidence(&raw, x, y) {
+                    continue;
+                }
                 let grows = rho.capacity() < raw.values().len();
                 normalize::normalize_into(&raw, x, y, rho);
                 let counter = if grows {
