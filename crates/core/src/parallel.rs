@@ -1,18 +1,23 @@
-//! Deterministic sharded execution for the analyzer's refresh path.
+//! Deterministic parallel execution for the analyzer's refresh path.
 //!
 //! The online analyzer's dominant per-refresh cost is advancing one
 //! incremental correlator per `(client, candidate-edge)` pair. The pairs
 //! are independent — each owns its accumulator and only *reads* the shared
-//! sliding windows — so the map can be partitioned into contiguous shards
-//! of its stable key order and processed by a small scoped worker pool.
+//! sliding windows — so a small scoped worker pool can process them in any
+//! order. Their costs are far from equal (a pair with nothing to multiply
+//! costs microseconds, a live one a hundred times that, and a client's
+//! live pairs sit next to each other in key order), so the workers do not
+//! own fixed parts of the input: each takes the next item from one shared
+//! queue until none is left.
 //!
 //! Determinism contract: every function here yields results **bitwise
-//! identical** for any worker count, including 1. This holds because
-//! (a) shards are contiguous slices of the caller-ordered input, so each
-//! item's computation touches exactly the same data in the same order
-//! regardless of which worker runs it, and (b) outputs are merged back in
-//! input order, never in completion order. Nothing in this module
-//! introduces cross-item reductions.
+//! identical** for any worker count, including 1. The order of
+//! *execution* is free: an item's computation touches its own state and
+//! shared read-only data, so which worker runs it, and when, cannot reach
+//! its result (scratch carries no information between uses). The order of
+//! *placement* is not: every output lands at its item's input index,
+//! never in completion order. Nothing in this module introduces
+//! cross-item reductions.
 
 /// The number of workers to use when a configuration asks for "all cores".
 ///
@@ -24,18 +29,18 @@ pub fn available_workers() -> usize {
 }
 
 /// Splits `len` items into at most `num_shards` contiguous index ranges
-/// whose sizes differ by at most one (earlier shards get the remainder) —
-/// the same partition the sharded refresh uses internally, exposed so the
-/// distributed analyzer tier can assign each shard a contiguous chunk of
-/// the global root order (their concatenation, in shard order, is then
-/// the single-analyzer order).
+/// whose sizes differ by at most one (earlier shards get the remainder).
+/// The distributed analyzer tier assigns each shard a contiguous chunk of
+/// the global root order this way: the chunks' concatenation, in shard
+/// order, is then the single-analyzer order.
 ///
 /// When `len < num_shards` only `len` non-empty ranges are returned.
 pub fn shard_ranges(len: usize, num_shards: usize) -> Vec<std::ops::Range<usize>> {
+    let shards = num_shards.max(1).min(len);
     let mut start = 0;
-    shard_lengths(len, num_shards)
-        .into_iter()
-        .map(|n| {
+    (0..shards)
+        .map(|i| {
+            let n = len / shards + usize::from(i < len % shards);
             let range = start..start + n;
             start += n;
             range
@@ -43,20 +48,9 @@ pub fn shard_ranges(len: usize, num_shards: usize) -> Vec<std::ops::Range<usize>
         .collect()
 }
 
-/// Splits `len` items into at most `num_workers` contiguous shard lengths
-/// whose sizes differ by at most one (earlier shards get the remainder).
-fn shard_lengths(len: usize, num_workers: usize) -> Vec<usize> {
-    let shards = num_workers.max(1).min(len.max(1));
-    let base = len / shards;
-    let extra = len % shards;
-    (0..shards)
-        .map(|i| base + usize::from(i < extra))
-        .filter(|&n| n > 0)
-        .collect()
-}
-
-/// Applies `f` to every item, mutating in place, using up to
-/// `num_workers` scoped threads over contiguous shards.
+/// Applies `f` to every item, mutating in place, on `min(num_workers,
+/// items)` scoped threads — the calling one included — that each take the
+/// next item from a shared queue until it is empty.
 ///
 /// With `num_workers <= 1` (or a single item) everything runs on the
 /// calling thread — no threads are spawned. Results are bitwise identical
@@ -67,79 +61,52 @@ where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    if num_workers <= 1 || items.len() <= 1 {
-        for item in items {
-            f(item);
-        }
+    let workers = num_workers.min(items.len());
+    if workers <= 1 {
+        items.iter_mut().for_each(f);
         return;
     }
-    let lengths = shard_lengths(items.len(), num_workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(lengths.len());
-        for (i, &n) in lengths.iter().enumerate() {
-            // The final shard runs on the calling thread.
-            if i + 1 == lengths.len() {
-                for item in rest.iter_mut() {
-                    f(item);
-                }
-                rest = &mut [];
-            } else {
-                let (shard, tail) = rest.split_at_mut(n);
-                rest = tail;
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    for item in shard {
-                        f(item);
-                    }
-                }));
-            }
+    // One uncontended lock per item, against items of microseconds to
+    // milliseconds. It is held only to take the next item, never across
+    // `f`, so a panicking item cannot poison it.
+    let queue = std::sync::Mutex::new(items.iter_mut());
+    let work = || loop {
+        let next = queue.lock().expect("work queue lock poisoned").next();
+        match next {
+            Some(item) => f(item),
+            None => break,
         }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(&work)).collect();
+        work();
         for h in handles {
-            h.join().expect("shard worker panicked");
+            h.join().expect("refresh worker panicked");
         }
     });
 }
 
-/// Maps every item to an output, preserving input order, using up to
-/// `num_workers` scoped threads over contiguous shards.
+/// Maps every item to an output on the same self-scheduled workers as
+/// [`for_each_sharded_mut`]; `out[i]` is `f(&items[i])` whichever worker
+/// computed it.
 pub fn map_sharded<T, R, F>(items: &[T], num_workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if num_workers <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let lengths = shard_lengths(items.len(), num_workers);
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(lengths.len());
-        let mut last = Vec::new();
-        for (i, &n) in lengths.iter().enumerate() {
-            let (shard, tail) = rest.split_at(n);
-            rest = tail;
-            if i + 1 == lengths.len() {
-                last = shard.iter().map(&f).collect();
-            } else {
-                let f = &f;
-                handles.push(scope.spawn(move || shard.iter().map(f).collect::<Vec<R>>()));
-            }
-        }
-        let mut out = Vec::with_capacity(items.len());
-        for h in handles {
-            out.extend(h.join().expect("shard worker panicked"));
-        }
-        out.extend(last);
-        out
-    })
+    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
+    for_each_sharded_mut(&mut slots, num_workers, |(item, out)| *out = Some(f(item)));
+    slots
+        .into_iter()
+        .map(|(_, out)| out.expect("every queued item ran"))
+        .collect()
 }
 
 /// Scratch values that outlive the sharded calls using them.
 ///
-/// The helpers above hand each item to whichever worker owns its shard
-/// and keep no per-worker state between calls. Work that needs a sizeable
+/// The helpers above hand each item to whichever worker is free and keep
+/// no per-worker state between calls. Work that needs a sizeable
 /// scratch buffer per item borrows one here for the duration of that item
 /// ([`with`](ScratchPool::with)) and gives it back, so at most one value
 /// per concurrently running worker ever exists, and a value that has
@@ -185,15 +152,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shard_lengths_cover_and_balance() {
-        assert_eq!(shard_lengths(10, 3), vec![4, 3, 3]);
-        assert_eq!(shard_lengths(2, 8), vec![1, 1]);
-        assert_eq!(shard_lengths(0, 4), Vec::<usize>::new());
-        assert_eq!(shard_lengths(7, 1), vec![7]);
+    fn shard_ranges_cover_and_balance() {
+        let lengths = |len, shards| -> Vec<usize> {
+            shard_ranges(len, shards)
+                .into_iter()
+                .map(|r| r.len())
+                .collect()
+        };
+        assert_eq!(lengths(10, 3), vec![4, 3, 3]);
+        assert_eq!(lengths(2, 8), vec![1, 1]);
+        assert_eq!(lengths(0, 4), Vec::<usize>::new());
+        assert_eq!(lengths(7, 1), vec![7]);
         for (len, w) in [(1, 1), (5, 2), (16, 4), (17, 4), (3, 100)] {
-            let lens = shard_lengths(len, w);
-            assert_eq!(lens.iter().sum::<usize>(), len, "len={len} w={w}");
-            assert!(lens.len() <= w.max(1));
+            let ranges = shard_ranges(len, w);
+            assert!(ranges.len() <= w.max(1));
+            // Contiguous from 0 to `len`.
+            let mut next = 0;
+            for r in ranges {
+                assert_eq!(r.start, next, "len={len} w={w}");
+                next = r.end;
+            }
+            assert_eq!(next, len, "len={len} w={w}");
         }
     }
 
@@ -224,6 +203,93 @@ mod tests {
         let mut one = vec![5u8];
         for_each_sharded_mut(&mut one, 4, |v| *v += 1);
         assert_eq!(one, vec![6]);
+    }
+
+    /// The limit of skewed costs: the first item cannot finish until
+    /// every other item has. A worker that owned a fixed part of the
+    /// input would strand the items queued behind it; workers that pull
+    /// from one queue drain them while it waits.
+    #[test]
+    fn a_stuck_item_does_not_hold_back_the_items_behind_it() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::time::Duration;
+        struct Item {
+            done: Sender<()>,
+            /// The stuck item waits here for every other item's `done`.
+            others: Option<(Receiver<()>, usize)>,
+            runs: u32,
+        }
+        for len in [2usize, 3, 9, 40] {
+            for workers in 2..=8 {
+                let (done, all_done) = channel();
+                let mut items: Vec<Item> = (0..len)
+                    .map(|_| Item {
+                        done: done.clone(),
+                        others: None,
+                        runs: 0,
+                    })
+                    .collect();
+                items[0].others = Some((all_done, len - 1));
+                for_each_sharded_mut(&mut items, workers, |item| {
+                    item.runs += 1;
+                    match &item.others {
+                        Some((others, count)) => (0..*count).for_each(|_| {
+                            others
+                                .recv_timeout(Duration::from_secs(30))
+                                .expect("items behind the stuck one never ran");
+                        }),
+                        None => item.done.send(()).expect("receiver outlives the call"),
+                    }
+                });
+                assert!(
+                    items.iter().all(|item| item.runs == 1),
+                    "len={len} workers={workers}: an item ran twice or never"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skewed_costs_keep_once_each_and_input_order() {
+        // One item a hundred times the rest, anywhere in the input.
+        let spin =
+            |rounds: u64| (0..rounds).fold(1u64, |h, i| std::hint::black_box(h ^ i).rotate_left(7));
+        for heavy in [0usize, 5, 16] {
+            let cost = |i: usize| if i == heavy { 200_000 } else { 2_000 };
+            let expect: Vec<(usize, u64)> = (0..17).map(|i| (i, spin(cost(i)))).collect();
+            for workers in 1..=8 {
+                let mut runs = vec![0u32; 17];
+                let mut items: Vec<(usize, &mut u32)> = runs.iter_mut().enumerate().collect();
+                for_each_sharded_mut(&mut items, workers, |(i, runs)| {
+                    spin(cost(*i));
+                    **runs += 1;
+                });
+                assert_eq!(runs, vec![1; 17], "heavy={heavy} workers={workers}");
+                let inputs: Vec<usize> = (0..17).collect();
+                let mapped = map_sharded(&inputs, workers, |&i| (i, spin(cost(i))));
+                assert_eq!(mapped, expect, "heavy={heavy} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_worker_or_fewer_stays_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for workers in [0, 1] {
+            let mut items = vec![None; 9];
+            for_each_sharded_mut(&mut items, workers, |slot| {
+                *slot = Some(std::thread::current().id());
+            });
+            assert!(items.iter().all(|&id| id == Some(caller)));
+            let ids = map_sharded(&items, workers, |_| std::thread::current().id());
+            assert!(ids.iter().all(|&id| id == caller));
+        }
+        // A single item needs no second thread whatever was asked for.
+        let mut one = [None];
+        for_each_sharded_mut(&mut one, 8, |slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        assert_eq!(one, [Some(caller)]);
     }
 
     #[test]

@@ -413,7 +413,8 @@ impl Pathmap {
         self.discover_with(signals, roots, labels, &mut provider)
     }
 
-    /// Runs `ServiceRoot` with one thread per client graph.
+    /// Runs `ServiceRoot` with the client graphs spread over
+    /// [`PathmapConfig::num_workers`] threads.
     ///
     /// The paper (Section 3.7): "the pathmap algorithm can easily be made
     /// more scalable by parallely computing the service graph of each
@@ -430,7 +431,7 @@ impl Pathmap {
         // exploring one client's graph must still know that the *other*
         // clients are untraced endpoints it cannot recurse into.
         let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        let workers = roots.len();
+        let workers = self.config.num_workers();
         if let Some(screen) = self.config.screen() {
             // One decimation pass, shared read-only by every worker.
             let coarse = signals.decimate(screen.factor());
@@ -940,6 +941,91 @@ mod tests {
         for (a, b) in plain.iter().zip(&screened) {
             assert_eq!(graph_fingerprint(a), graph_fingerprint(b));
         }
+    }
+
+    #[test]
+    fn offline_discovery_of_64_roots_on_two_workers_matches_serial() {
+        // 64 disjoint client -> web -> db stacks: one root each.
+        let mut t = TopologyBuilder::new();
+        let class = t.service_class("c");
+        for i in 0..64 {
+            let web = t.service(
+                &format!("web{i}"),
+                ServiceConfig::new(DelayDist::constant_millis(2)),
+            );
+            let db = t.service(
+                &format!("db{i}"),
+                ServiceConfig::new(DelayDist::exponential_millis(8)),
+            );
+            let cli = t.client(&format!("cli{i}"), class, web, Workload::poisson(20.0));
+            t.connect(cli, web, DelayDist::constant_millis(1));
+            t.connect(web, db, DelayDist::constant_millis(1));
+            t.route(web, class, Route::fixed(db));
+            t.route(db, class, Route::terminal());
+        }
+        let mut sim = Simulation::new(t.build().unwrap(), 11);
+        sim.run_until(Nanos::from_secs(15));
+        let cfg = PathmapConfig::builder()
+            .window(Nanos::from_secs(10))
+            .refresh(Nanos::from_secs(2))
+            .max_delay(Nanos::from_secs(1))
+            .num_workers(2)
+            .build();
+        let signals = EdgeSignals::from_capture(sim.captures(), &cfg, sim.now());
+        let labels = NodeLabels::from_topology(sim.topology());
+        let roots = roots_from_topology(sim.topology());
+        assert_eq!(roots.len(), 64);
+        let pm = Pathmap::new(cfg);
+        let serial = pm.discover(&signals, &roots, &labels);
+        assert_eq!(serial.len(), 64);
+        assert!(serial.iter().all(|g| g.edges().len() > 1));
+        assert_eq!(pm.discover_parallel(&signals, &roots, &labels), serial);
+    }
+
+    /// Eq. 1 is scale-free, so products of `1e-13` are as much evidence
+    /// as products of `1`: only products that are *exactly* zero at every
+    /// lag may skip normalization. Six faint pulses on the root signal
+    /// reappear 7 ticks later on the candidate edge, among louder pulses
+    /// of its own that overlap nothing: `r(7) = 6e-13`, `ρ(7) ≈ 0.3`.
+    #[test]
+    fn faint_products_are_still_evidence() {
+        let (cli, web, db) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let cfg = PathmapConfig::builder()
+            .window(Nanos::from_millis(2_000))
+            .refresh(Nanos::from_millis(500))
+            .max_delay(Nanos::from_millis(100))
+            .build();
+        let max_lag = cfg.max_lag();
+        let window = cfg.window_ticks();
+        let pulse =
+            |at: u64, v: f64| e2eprof_timeseries::Run::new(e2eprof_timeseries::Tick::new(at), 1, v);
+        let faint = 1e-13f64.sqrt();
+        let x: Vec<_> = (0..6).map(|i| pulse(200 + 250 * i, faint)).collect();
+        let mut y: Vec<_> = (0..6)
+            .flat_map(|i| [pulse(207 + 250 * i, faint), pulse(330 + 250 * i, 1e-6)])
+            .collect();
+        y.sort_by_key(|r| r.start());
+        let zero = e2eprof_timeseries::Tick::ZERO;
+        let signals = EdgeSignals::from_parts(
+            cfg.quanta(),
+            (zero, e2eprof_timeseries::Tick::new(window)),
+            max_lag,
+            [
+                ((cli, web), RleSeries::from_parts(zero, window + max_lag, x)),
+                ((web, db), RleSeries::from_parts(zero, window + max_lag, y)),
+            ]
+            .into_iter()
+            .collect(),
+        );
+        let xs = signals.source_signal(cli, web).expect("root signal");
+        let raw = RleCorrelator.correlate(&xs, signals.target_signal(web, db).unwrap(), max_lag);
+        assert!(raw.values().iter().all(|&r| r < 1e-12));
+        assert!(raw.value_at(7) > 0.0);
+        let graphs =
+            Pathmap::new(cfg.clone()).discover(&signals, &[(cli, web)], &NodeLabels::default());
+        let edge = graphs[0].edge(web, db).expect("the faint edge is found");
+        assert_eq!(edge.spikes.len(), 1);
+        assert_eq!(edge.spikes[0].delay, cfg.quanta().ticks_to_nanos(7));
     }
 
     #[test]
