@@ -40,13 +40,22 @@ use e2eprof_timeseries::window::SlidingWindow;
 use e2eprof_timeseries::{wire, Nanos, RleSeries, Tick};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::screen::{self, Screen};
-use e2eprof_xcorr::{CorrSeries, Correlator};
+use e2eprof_xcorr::{CorrSeries, Correlator, Spike};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Key of one maintained correlator: the client whose arrival signal is
 /// the correlation source, and the candidate edge under test.
 type PairKey = (NodeId, (NodeId, NodeId));
+
+/// What a root's exploration concluded about one pair it consulted: the
+/// spike list discovery settled on, or `None` where the screening tier
+/// pruned the pair before there was one.
+type Verdict = Option<Vec<Spike>>;
+
+/// One root's last discovery result and its *support*: every pair the
+/// exploration consulted, sorted, with the verdict on each.
+type RootMemory = (Option<ServiceGraph>, Vec<(PairKey, Verdict)>);
 
 /// Online state of the coarse-to-fine screening tier
 /// ([`PathmapConfig::screening`]).
@@ -207,9 +216,8 @@ struct RefreshMemory {
     bounds: FxHashMap<PairKey, (f64, bool)>,
     /// Pairs the screening tier pruned in that refresh.
     pruned: HashSet<PairKey>,
-    /// Per-root discovery result of that refresh and the sorted set of
-    /// pairs the root's exploration consulted (its *support*).
-    roots: FxHashMap<(NodeId, NodeId), (Option<ServiceGraph>, Vec<PairKey>)>,
+    /// Per-root discovery result of that refresh.
+    roots: FxHashMap<(NodeId, NodeId), RootMemory>,
     /// Sorted signal-edge key set of that refresh. Any change — an edge
     /// appearing, vanishing, or moving through the reduction tier —
     /// dirties every root, because exploration enumerates candidate
@@ -968,13 +976,13 @@ impl OnlineAnalyzer {
                 || (memory.pruned.contains(pair)
                     && pruned.as_ref().is_some_and(|now| now.contains(pair)))
         };
-        let clean: Vec<Option<(Option<ServiceGraph>, Vec<PairKey>)>> = self
+        let clean: Vec<Option<RootMemory>> = self
             .roots
             .iter()
             .map(|root| {
-                remembered
-                    .remove(root)
-                    .filter(|(_, support)| reusable && support.iter().all(carried))
+                let (_, support) = remembered.get(root)?;
+                let clean = reusable && support.iter().all(|(pair, _)| carried(pair));
+                clean.then(|| remembered.remove(root)).flatten()
             })
             .collect();
         let dirty_roots: Vec<(NodeId, NodeId)> = self
@@ -986,6 +994,13 @@ impl OnlineAnalyzer {
             .collect();
         memory.stats.roots = self.roots.len() as u64;
         memory.stats.reused_roots = (self.roots.len() - dirty_roots.len()) as u64;
+        // What is left in `remembered` belongs to the dirty roots. A dirty
+        // root is explored again, but a pair of its old support that
+        // Phase 1 skipped stands on the very premises a clean root does —
+        // bitwise-carried products, two quiet signals — so the spike list
+        // decided for it last time is the one deciding it again would
+        // yield: the root's provider hands it out instead (DESIGN.md
+        // §6.1, "What Phase 2 decides, skips and carries").
         let mut discovered = self
             .pathmap
             .discover_each_among(
@@ -994,12 +1009,16 @@ impl OnlineAnalyzer {
                 &self.universe,
                 &self.labels,
                 num_workers,
-                || CachedProvider {
+                |root| CachedProvider {
                     advanced: &self.incs,
                     engine,
                     fresh: HashMap::new(),
                     screened: pruned.as_ref(),
-                    touched: Vec::new(),
+                    skipped: &skipped,
+                    previous: remembered.get(&root).map_or(&[], |(_, support)| support),
+                    support: Vec::new(),
+                    evidence_free: 0,
+                    carried: 0,
                 },
             )
             .into_iter();
@@ -1010,9 +1029,11 @@ impl OnlineAnalyzer {
         for (&root, entry) in self.roots.iter().zip(clean) {
             let entry = entry.unwrap_or_else(|| {
                 let (graph, provider) = discovered.next().expect("one result per dirty root");
-                let mut support = provider.touched;
-                support.sort_unstable();
-                support.dedup();
+                memory.stats.visited_pairs += provider.support.len() as u64;
+                memory.stats.evidence_free_pairs += provider.evidence_free;
+                memory.stats.carried_verdicts += provider.carried;
+                let mut support = provider.support;
+                support.sort_unstable_by_key(|&(pair, _)| pair);
                 fresh.push(provider.fresh);
                 (graph, support)
             });
@@ -1479,10 +1500,20 @@ struct CachedProvider<'a> {
     /// Pairs the coarse screening tier pruned this refresh: discovery
     /// skips them without touching (or creating) fine correlators.
     screened: Option<&'a HashSet<PairKey>>,
-    /// Every pair this root's exploration consulted — the root's
-    /// *support*, which decides whether its graph may be published again
-    /// next refresh without recomputing it.
-    touched: Vec<PairKey>,
+    /// Pairs Phase 1 skipped this refresh, sorted: their products are
+    /// last refresh's, bit for bit, and both their signals were quiet.
+    skipped: &'a [PairKey],
+    /// This root's support as of its previous exploration, sorted.
+    previous: &'a [(PairKey, Verdict)],
+    /// Every pair this exploration consulted, with the verdict on it —
+    /// the root's *support*, which decides whether its graph may be
+    /// published again next refresh without recomputing it. The search
+    /// enters a node once and walks its out-edges once, so no pair is
+    /// consulted twice.
+    support: Vec<(PairKey, Verdict)>,
+    /// Pairs decided from all-zero products, and verdicts carried.
+    evidence_free: u64,
+    carried: u64,
 }
 
 impl CorrelationProvider for CachedProvider<'_> {
@@ -1494,7 +1525,6 @@ impl CorrelationProvider for CachedProvider<'_> {
         y: &RleSeries,
         max_lag: u64,
     ) -> Cow<'_, CorrSeries> {
-        self.touched.push((client, edge));
         if let Some(inc) = self.advanced.get(&(client, edge)) {
             if inc.window() == Some((x.start(), x.end())) {
                 return Cow::Borrowed(inc.corr());
@@ -1519,9 +1549,41 @@ impl CorrelationProvider for CachedProvider<'_> {
         _y: &RleSeries,
         _max_lag: u64,
     ) -> bool {
-        self.touched.push((client, edge));
-        self.screened
-            .is_some_and(|pruned| pruned.contains(&(client, edge)))
+        let pruned = self
+            .screened
+            .is_some_and(|pruned| pruned.contains(&(client, edge)));
+        if pruned {
+            // A pruned pair has no spike list, but the root's graph still
+            // depends on it staying pruned.
+            self.support.push(((client, edge), None));
+        }
+        pruned
+    }
+
+    /// Carries only a spike list: a pair first reached, refilled,
+    /// advanced or flipped by the screening tier is in no position to —
+    /// it is not in `skipped`, or its previous verdict is not a list.
+    fn carried(&mut self, client: NodeId, edge: (NodeId, NodeId)) -> Option<Vec<Spike>> {
+        let pair = (client, edge);
+        let at = self
+            .previous
+            .binary_search_by_key(&pair, |&(pair, _)| pair)
+            .ok()?;
+        let spikes = self.previous[at].1.as_ref()?;
+        self.skipped.binary_search(&pair).ok()?;
+        self.carried += 1;
+        Some(spikes.clone())
+    }
+
+    fn decided(
+        &mut self,
+        client: NodeId,
+        edge: (NodeId, NodeId),
+        spikes: Vec<Spike>,
+        evidence_free: bool,
+    ) {
+        self.evidence_free += u64::from(evidence_free);
+        self.support.push(((client, edge), Some(spikes)));
     }
 }
 
@@ -1777,8 +1839,13 @@ mod tests {
         assert!(remembering.iter().any(|(graphs, _)| !graphs.is_empty()));
         for (i, ((got, _), (want, stats))) in remembering.iter().zip(&forgetful).enumerate() {
             assert_eq!(
-                (stats.coarse_skipped, stats.fine_skipped, stats.reused_roots),
-                (0, 0, 0),
+                (
+                    stats.coarse_skipped,
+                    stats.fine_skipped,
+                    stats.reused_roots,
+                    stats.carried_verdicts
+                ),
+                (0, 0, 0, 0),
                 "refresh {}: the twin remembered something",
                 i + 1
             );
@@ -1876,6 +1943,92 @@ mod tests {
         assert!(
             stats.iter().any(|s| s.fine_skipped > 0),
             "no fine pair was ever skipped"
+        );
+    }
+
+    /// One front end shared by three classes with two private backends
+    /// each, on for 4 s of a 36 s period, phases 12 s apart — so a class's
+    /// burst sits alone inside the analysis window for a refresh or two,
+    /// then leaves retention altogether — plus a fourth class that never
+    /// stops. Every root's exploration fans through the front end's
+    /// out-edges, the always-on class's among them, so no root is ever
+    /// clean: whatever is saved is saved pair by pair.
+    fn phased_fanout(seed: u64) -> Simulation {
+        let mut t = TopologyBuilder::new();
+        let web = t.service("web", ServiceConfig::new(DelayDist::constant_millis(2)));
+        let mut class_behind_web = |name: &str, workload: Workload| {
+            let class = t.service_class(name);
+            let backends: Vec<_> = (0..2)
+                .map(|i| {
+                    let s = t.service(
+                        &format!("{name}{i}"),
+                        ServiceConfig::new(DelayDist::exponential_millis(8)),
+                    );
+                    t.connect(web, s, DelayDist::constant_millis(1));
+                    t.route(s, class, Route::terminal());
+                    s
+                })
+                .collect();
+            t.route(web, class, Route::round_robin(backends));
+            let cli = t.client(&format!("cli_{name}"), class, web, workload);
+            t.connect(cli, web, DelayDist::constant_millis(1));
+        };
+        for (k, name) in ["a", "b", "c"].into_iter().enumerate() {
+            let on = (0..3).flat_map(|period| {
+                let from = 36 * period + 12 * k as u64;
+                burst(from, from + 4)
+            });
+            class_behind_web(name, Workload::trace(on.collect()));
+        }
+        class_behind_web("d", Workload::poisson(40.0));
+        Simulation::new(t.build().unwrap(), seed)
+    }
+
+    /// The pair-granular savings of Phase 2 — deciding a pair from its
+    /// all-zero products, carrying a skipped pair's spike list — held to
+    /// the twin that remembers nothing, on a deployment where the
+    /// root-granular one never applies.
+    #[test]
+    fn phased_fanout_matches_the_forgetful_twin_pair_by_pair() {
+        let (stats, _) = assert_matches_forgetful_twin(|| phased_fanout(7), cfg(), 100, None, None);
+        // Past the first 36 s period every class has been seen.
+        let steady = &stats[18..];
+        let sum = |f: fn(&IncrementalStats) -> u64| steady.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.reused_roots), 0, "a root was clean");
+        assert!(
+            sum(|s| s.evidence_free_pairs) > 0,
+            "no pair was decided evidence-free"
+        );
+        assert!(sum(|s| s.carried_verdicts) > 0, "no verdict was carried");
+        assert!(
+            sum(|s| s.carried_verdicts + s.evidence_free_pairs) < sum(|s| s.visited_pairs),
+            "no pair was decided the long way"
+        );
+    }
+
+    #[test]
+    fn screened_and_reduced_phased_fanout_matches_the_forgetful_twin() {
+        let config = PathmapConfig::builder()
+            .window(Nanos::from_secs(10))
+            .refresh(Nanos::from_secs(2))
+            .max_delay(Nanos::from_secs(1))
+            .screening(crate::config::ScreeningConfig {
+                decimation: 8,
+                hysteresis: 0.5,
+            })
+            .reduction(crate::config::ReductionConfig::default())
+            .build();
+        let (stats, _) =
+            assert_matches_forgetful_twin(|| phased_fanout(7), config, 100, None, None);
+        // Here screening prunes the dead pairs before discovery reaches
+        // their products, and a root whose every pair stayed pruned is
+        // clean; verdicts are carried for the dirty rest.
+        let sum = |f: fn(&IncrementalStats) -> u64| stats.iter().map(f).sum::<u64>();
+        assert!(sum(|s| s.coarse_skipped) > 0, "no coarse pair was skipped");
+        assert!(sum(|s| s.carried_verdicts) > 0, "no verdict was carried");
+        assert!(
+            sum(|s| s.reused_roots) < sum(|s| s.roots),
+            "no root was dirty"
         );
     }
 

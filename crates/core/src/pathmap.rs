@@ -15,7 +15,7 @@ use crate::signals::EdgeSignals;
 use e2eprof_netsim::{NodeId, Topology};
 use e2eprof_timeseries::RleSeries;
 use e2eprof_xcorr::screen::{self, Screen};
-use e2eprof_xcorr::{normalize, CorrSeries, Correlator};
+use e2eprof_xcorr::{normalize, CorrSeries, Correlator, Spike};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,6 +60,31 @@ pub trait CorrelationProvider {
     ) -> bool {
         false
     }
+
+    /// The spike list of a pair this provider can prove is what deciding
+    /// the pair again would yield, because nothing the decision reads has
+    /// changed since it was last made — asked before
+    /// [`correlate`](Self::correlate), so a carried pair is neither
+    /// correlated, normalized nor spike-detected.
+    ///
+    /// The default never carries: a stateless provider remembers nothing.
+    fn carried(&mut self, _client: NodeId, _edge: (NodeId, NodeId)) -> Option<Vec<Spike>> {
+        None
+    }
+
+    /// Hands over the spike list the search settled on for a pair that
+    /// was not screened out (the `≥ min_spike_value` survivors, possibly
+    /// none), carried or not, once the graph has taken what it needs of
+    /// it. `evidence_free` says this visit decided it from products that
+    /// were zero at every lag, without normalizing them.
+    fn decided(
+        &mut self,
+        _client: NodeId,
+        _edge: (NodeId, NodeId),
+        _spikes: Vec<Spike>,
+        _evidence_free: bool,
+    ) {
+    }
 }
 
 /// Counters from a screening tier: how many `(client, edge)` candidates
@@ -91,7 +116,8 @@ impl ScreeningStats {
 }
 
 /// Counters of the online refresh's activity gate: how much per-refresh
-/// work the change-epoch gate and dirty-root reuse avoided.
+/// work the change-epoch gate, dirty-root reuse and discovery's own
+/// short cuts avoided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
     /// Coarse screening pairs considered this refresh.
@@ -106,6 +132,14 @@ pub struct IncrementalStats {
     pub roots: u64,
     /// Roots that reused last refresh's `ServiceGraph` unchanged.
     pub reused_roots: u64,
+    /// Pairs the explorations of the other (dirty) roots consulted.
+    pub visited_pairs: u64,
+    /// Of those, pairs decided without normalization because their lagged
+    /// products were zero at every lag.
+    pub evidence_free_pairs: u64,
+    /// Of those, pairs whose previous spike list was carried forward
+    /// (their products were skipped bitwise by the fine tier).
+    pub carried_verdicts: u64,
 }
 
 impl IncrementalStats {
@@ -138,6 +172,9 @@ impl IncrementalStats {
         self.fine_skipped += other.fine_skipped;
         self.roots += other.roots;
         self.reused_roots += other.reused_roots;
+        self.visited_pairs += other.visited_pairs;
+        self.evidence_free_pairs += other.evidence_free_pairs;
+        self.carried_verdicts += other.carried_verdicts;
     }
 }
 
@@ -437,14 +474,14 @@ impl Pathmap {
             let coarse = signals.decimate(screen.factor());
             let fronts: HashMap<NodeId, NodeId> = roots.iter().copied().collect();
             let make_provider =
-                || ScreenedStatelessProvider::new(self.engine.as_ref(), screen, &coarse, &fronts);
+                |_| ScreenedStatelessProvider::new(self.engine.as_ref(), screen, &coarse, &fronts);
             return self
                 .discover_each_among(signals, roots, &clients, labels, workers, make_provider)
                 .into_iter()
                 .filter_map(|(graph, _)| graph)
                 .collect();
         }
-        let make_provider = || StatelessProvider::new(self.engine.as_ref());
+        let make_provider = |_| StatelessProvider::new(self.engine.as_ref());
         self.discover_each_among(signals, roots, &clients, labels, workers, make_provider)
             .into_iter()
             .filter_map(|(graph, _)| graph)
@@ -452,7 +489,7 @@ impl Pathmap {
     }
 
     /// Runs `ServiceRoot` over a worker pool, each root explored with its
-    /// own provider from `make_provider` against an explicit client
+    /// own provider — `make_provider(root)` — against an explicit client
     /// universe, and returns one `(Option<ServiceGraph>, P)` slot per
     /// input root, in root order (`None` where the root's source signal
     /// is absent).
@@ -490,11 +527,11 @@ impl Pathmap {
     ) -> Vec<(Option<ServiceGraph>, P)>
     where
         P: CorrelationProvider + Send,
-        F: Fn() -> P + Sync,
+        F: Fn((NodeId, NodeId)) -> P + Sync,
     {
         let clients = client_universe;
         crate::parallel::map_sharded(roots, num_workers, |&(client, front)| {
-            let mut provider = make_provider();
+            let mut provider = make_provider((client, front));
             let graph = self.discover_one(signals, client, front, clients, labels, &mut provider);
             (graph, provider)
         })
@@ -610,47 +647,54 @@ impl Pathmap {
             let Some(y) = signals.target_signal(node, next) else {
                 continue;
             };
-            if provider.screened_out(client, (node, next), x, y, max_lag) {
+            let edge = (node, next);
+            if provider.screened_out(client, edge, x, y, max_lag) {
                 continue;
             }
-            {
-                // The products may be on loan from the provider; the loan
-                // ends here, before the search recurses through it.
-                let raw = provider.correlate(client, (node, next), x, y, max_lag);
-                if self.has_no_evidence(&raw, x, y) {
-                    continue;
+            let (spikes, evidence_free) = match provider.carried(client, edge) {
+                Some(spikes) => (spikes, false),
+                None => {
+                    // The products may be on loan from the provider; the
+                    // loan ends with this arm, before the search recurses
+                    // through it.
+                    let raw = provider.correlate(client, edge, x, y, max_lag);
+                    if self.has_no_evidence(&raw, x, y) {
+                        (Vec::new(), true)
+                    } else {
+                        let grows = rho.capacity() < raw.values().len();
+                        normalize::normalize_into(&raw, x, y, rho);
+                        let counter = if grows {
+                            &self.rho_allocated
+                        } else {
+                            &self.rho_reused
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        let mut spikes = detector.detect(rho);
+                        spikes.retain(|s| s.value >= self.config.min_spike_value());
+                        (spikes, false)
+                    }
                 }
-                let grows = rho.capacity() < raw.values().len();
-                normalize::normalize_into(&raw, x, y, rho);
-                let counter = if grows {
-                    &self.rho_allocated
-                } else {
-                    &self.rho_reused
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
+            };
+            let min_lag = spikes.iter().map(|s| s.lag).min();
+            if let Some(min_lag) = min_lag {
+                graph.add_vertex(next, labels.label(next));
+                graph.add_edge(GraphEdge {
+                    from: node,
+                    to: next,
+                    spikes: spikes
+                        .iter()
+                        .map(|s| crate::graph::DelaySpike {
+                            delay: quanta.ticks_to_nanos(s.lag),
+                            strength: s.value,
+                        })
+                        .collect(),
+                    hop_delay: quanta.ticks_to_nanos(min_lag.saturating_sub(base_lag)),
+                });
             }
-            let spikes: Vec<_> = detector
-                .detect(rho)
-                .into_iter()
-                .filter(|s| s.value >= self.config.min_spike_value())
-                .collect();
-            if spikes.is_empty() {
+            provider.decided(client, edge, spikes, evidence_free);
+            let Some(min_lag) = min_lag else {
                 continue;
-            }
-            graph.add_vertex(next, labels.label(next));
-            let min_lag = spikes.iter().map(|s| s.lag).min().expect("non-empty");
-            graph.add_edge(GraphEdge {
-                from: node,
-                to: next,
-                spikes: spikes
-                    .iter()
-                    .map(|s| crate::graph::DelaySpike {
-                        delay: quanta.ticks_to_nanos(s.lag),
-                        strength: s.value,
-                    })
-                    .collect(),
-                hop_delay: quanta.ticks_to_nanos(min_lag.saturating_sub(base_lag)),
-            });
+            };
             if !visited.contains(&next) && !clients.contains(&next) {
                 self.compute_path(
                     graph, client, x, next, min_lag, visited, clients, signals, labels, provider,

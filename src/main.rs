@@ -331,12 +331,16 @@ fn distributed(args: &[String]) -> ExitCode {
         gate.absorb(stats);
     }
     println!(
-        "incremental: {}/{} fine pair(s) skipped ({:.0}%), {}/{} root graph(s) reused",
+        "incremental: {}/{} fine pair(s) skipped ({:.0}%), {}/{} root graph(s) reused; \
+         discovery visited {} pair(s): {} evidence-free, {} verdict(s) carried",
         gate.fine_skipped,
         gate.fine_pairs,
         gate.fine_skipped_fraction() * 100.0,
         gate.reused_roots,
         gate.roots,
+        gate.visited_pairs,
+        gate.evidence_free_pairs,
+        gate.carried_verdicts,
     );
     if pipeline.backfills_emitted() > 0 {
         println!(

@@ -163,6 +163,10 @@ fn distributed_always_reports_the_activity_gate() {
         .unwrap_or_else(|| panic!("no activity-gate line in a default run:\n{stdout}"));
     assert!(gate.contains("fine pair(s) skipped"), "{gate}");
     assert!(gate.contains("root graph(s) reused"), "{gate}");
+    // What discovery did with the pairs of the roots it explored.
+    assert!(gate.contains("discovery visited"), "{gate}");
+    assert!(gate.contains("evidence-free"), "{gate}");
+    assert!(gate.contains("verdict(s) carried"), "{gate}");
 }
 
 #[test]
