@@ -616,7 +616,8 @@ impl OnlineAnalyzer {
         // their fine windows are stale by design and their coarse image
         // only serves the promote-overlap check.
         let reduced = self.reduction.as_ref().map(|red| &red.status);
-        let mut signals_map = HashMap::new();
+        let mut signals_map =
+            FxHashMap::with_capacity_and_hasher(self.windows.len(), FxBuildHasher::default());
         for (&edge, w) in &self.windows {
             if !reduced.is_some_and(|status| status.contains_key(&edge)) {
                 signals_map.insert(edge, w.view(start, data_end));
@@ -695,8 +696,14 @@ impl OnlineAnalyzer {
             centries.sort_unstable_by_key(|&(key, _)| key);
             // Per-client fine/coarse source views and per-edge coarse
             // target views, built once and shared by every pair.
-            let mut fine_sources: HashMap<NodeId, Option<RleSeries>> = HashMap::new();
-            let mut coarse_sources: HashMap<NodeId, Option<RleSeries>> = HashMap::new();
+            let per_client = || {
+                FxHashMap::<NodeId, Option<RleSeries>>::with_capacity_and_hasher(
+                    fronts.len(),
+                    FxBuildHasher::default(),
+                )
+            };
+            let mut fine_sources = per_client();
+            let mut coarse_sources = per_client();
             for &((client, _), _) in &centries {
                 fine_sources.entry(client).or_insert_with(|| {
                     fronts
@@ -711,7 +718,8 @@ impl OnlineAnalyzer {
                     })
                 });
             }
-            let mut coarse_targets: HashMap<(NodeId, NodeId), RleSeries> = HashMap::new();
+            let mut coarse_targets: FxHashMap<(NodeId, NodeId), RleSeries> =
+                FxHashMap::with_capacity_and_hasher(decimated.len(), FxBuildHasher::default());
             for &((_, edge), _) in &centries {
                 if let Some(d) = decimated.get(&edge) {
                     coarse_targets
@@ -886,7 +894,8 @@ impl OnlineAnalyzer {
         // order for every worker count.
         let mut entries: Vec<(PairKey, IncrementalCorrelator)> = self.incs.drain().collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
-        let mut sources: HashMap<NodeId, Option<RleSeries>> = HashMap::new();
+        let mut sources: FxHashMap<NodeId, Option<RleSeries>> =
+            FxHashMap::with_capacity_and_hasher(fronts.len(), FxBuildHasher::default());
         for &((client, _), _) in &entries {
             sources.entry(client).or_insert_with(|| {
                 fronts

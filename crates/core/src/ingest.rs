@@ -236,7 +236,7 @@ impl TraceIngest {
         let ts_lo = quanta.instant_of(start).saturating_sub(margin);
         let ts_hi = quanta.instant_of(y_end) + margin;
 
-        let mut signals = HashMap::new();
+        let mut signals = crate::hashing::FxHashMap::default();
         for (&edge, stamps) in &self.edges {
             let mut stamps: Vec<Nanos> = stamps
                 .iter()

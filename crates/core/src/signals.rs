@@ -7,10 +7,11 @@
 //! attributed to requests old enough to have completed.
 
 use crate::config::PathmapConfig;
+use crate::hashing::FxHashMap;
 use e2eprof_netsim::{CaptureStore, NodeId};
 use e2eprof_timeseries::density::DensityEstimator;
 use e2eprof_timeseries::{Nanos, Quanta, RleSeries, Tick};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The edge signals of one analysis window.
 #[derive(Debug, Clone)]
@@ -20,8 +21,9 @@ pub struct EdgeSignals {
     window: (Tick, Tick),
     max_lag: u64,
     /// Per directed edge: the preferred-observer density series, spanning
-    /// (up to) `[window.0, window.1 + max_lag)`.
-    signals: HashMap<(NodeId, NodeId), RleSeries>,
+    /// (up to) `[window.0, window.1 + max_lag)`. Keys are node indices
+    /// from the program's own topology, never from the network.
+    signals: FxHashMap<(NodeId, NodeId), RleSeries>,
     adjacency: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
@@ -31,7 +33,7 @@ impl EdgeSignals {
         quanta: Quanta,
         window: (Tick, Tick),
         max_lag: u64,
-        signals: HashMap<(NodeId, NodeId), RleSeries>,
+        signals: FxHashMap<(NodeId, NodeId), RleSeries>,
     ) -> Self {
         let mut adjacency: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         for &(src, dst) in signals.keys() {
@@ -66,7 +68,7 @@ impl EdgeSignals {
         let ts_lo = quanta.instant_of(start).saturating_sub(margin);
         let ts_hi = quanta.instant_of(y_end) + margin;
 
-        let mut signals = HashMap::new();
+        let mut signals = FxHashMap::default();
         for (src, dst) in capture.edges().collect::<Vec<_>>() {
             let all = capture.edge_signal(src, dst);
             let lo = all.partition_point(|&t| t < ts_lo);
