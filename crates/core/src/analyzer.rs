@@ -7,13 +7,13 @@
 //! refresh (the optimization that keeps pathmap's per-refresh cost flat as
 //! `W` grows — Fig. 9).
 //!
-//! Refreshes are *sharded*: the `(client, candidate-edge)` correlator map
-//! is partitioned into contiguous shards of its stable key order and the
-//! append/evict corrections run on a scoped worker pool
-//! ([`PathmapConfig::num_workers`]); path discovery (normalization + spike
-//! detection) then runs one root per worker against the precomputed
-//! series. Every worker count produces bitwise identical graphs — see
-//! [`parallel`] for the determinism contract.
+//! Refreshes are *parallel*: the `(client, candidate-edge)` correlators
+//! are taken in stable key order and their append/evict corrections run
+//! on a scoped worker pool ([`PathmapConfig::num_workers`]) whose workers
+//! each pull the next pair from one queue; path discovery (normalization
+//! and spike detection) then runs the same way, a root at a time, against
+//! the precomputed series. Every worker count produces bitwise identical
+//! graphs — see [`parallel`] for the determinism contract.
 //!
 //! Refreshes are *activity-gated*: what a refresh costs follows what
 //! changed since the previous one, not what is tracked. A pair whose two
@@ -26,7 +26,7 @@
 use crate::change::ChangeTracker;
 use crate::config::{PathmapConfig, ReductionConfig};
 use crate::graph::{NodeLabels, ServiceGraph};
-use crate::hashing::{FxBuildHasher, FxHashMap};
+use crate::hashing::{fx_map_with_capacity, FxBuildHasher, FxHashMap};
 use crate::parallel::{self, ScratchPool};
 pub use crate::pathmap::ScratchCounters;
 use crate::pathmap::{CorrelationProvider, IncrementalStats, Pathmap, ScreeningStats};
@@ -616,8 +616,7 @@ impl OnlineAnalyzer {
         // their fine windows are stale by design and their coarse image
         // only serves the promote-overlap check.
         let reduced = self.reduction.as_ref().map(|red| &red.status);
-        let mut signals_map =
-            FxHashMap::with_capacity_and_hasher(self.windows.len(), FxBuildHasher::default());
+        let mut signals_map = fx_map_with_capacity(self.windows.len());
         for (&edge, w) in &self.windows {
             if !reduced.is_some_and(|status| status.contains_key(&edge)) {
                 signals_map.insert(edge, w.view(start, data_end));
@@ -696,14 +695,10 @@ impl OnlineAnalyzer {
             centries.sort_unstable_by_key(|&(key, _)| key);
             // Per-client fine/coarse source views and per-edge coarse
             // target views, built once and shared by every pair.
-            let per_client = || {
-                FxHashMap::<NodeId, Option<RleSeries>>::with_capacity_and_hasher(
-                    fronts.len(),
-                    FxBuildHasher::default(),
-                )
-            };
-            let mut fine_sources = per_client();
-            let mut coarse_sources = per_client();
+            let mut fine_sources: FxHashMap<NodeId, Option<RleSeries>> =
+                fx_map_with_capacity(fronts.len());
+            let mut coarse_sources: FxHashMap<NodeId, Option<RleSeries>> =
+                fx_map_with_capacity(fronts.len());
             for &((client, _), _) in &centries {
                 fine_sources.entry(client).or_insert_with(|| {
                     fronts
@@ -719,7 +714,7 @@ impl OnlineAnalyzer {
                 });
             }
             let mut coarse_targets: FxHashMap<(NodeId, NodeId), RleSeries> =
-                FxHashMap::with_capacity_and_hasher(decimated.len(), FxBuildHasher::default());
+                fx_map_with_capacity(decimated.len());
             for &((_, edge), _) in &centries {
                 if let Some(d) = decimated.get(&edge) {
                     coarse_targets
@@ -886,16 +881,15 @@ impl OnlineAnalyzer {
             );
         }
 
-        // Phase 1 — bring every tracked correlator to this window, sharded
-        // over the worker pool in stable key order. Each pair owns its
+        // Phase 1 — bring every tracked correlator to this window, on the
+        // worker pool, in stable key order. Each pair owns its
         // accumulator and only *reads* the shared windows, so its
-        // arithmetic is identical no matter which shard (or thread) runs
-        // it; the merge below reassembles the map in the same sorted key
-        // order for every worker count.
+        // arithmetic is identical no matter which thread runs it; the
+        // merge below reassembles the map in the same sorted key order
+        // for every worker count.
         let mut entries: Vec<(PairKey, IncrementalCorrelator)> = self.incs.drain().collect();
         entries.sort_unstable_by_key(|&(key, _)| key);
-        let mut sources: FxHashMap<NodeId, Option<RleSeries>> =
-            FxHashMap::with_capacity_and_hasher(fronts.len(), FxBuildHasher::default());
+        let mut sources: FxHashMap<NodeId, Option<RleSeries>> = fx_map_with_capacity(fronts.len());
         for &((client, _), _) in &entries {
             sources.entry(client).or_insert_with(|| {
                 fronts
@@ -990,8 +984,8 @@ impl OnlineAnalyzer {
             .iter()
             .map(|root| {
                 let (_, support) = remembered.get(root)?;
-                let clean = reusable && support.iter().all(|(pair, _)| carried(pair));
-                clean.then(|| remembered.remove(root)).flatten()
+                let is_clean = reusable && support.iter().all(|(pair, _)| carried(pair));
+                is_clean.then(|| remembered.remove(root)).flatten()
             })
             .collect();
         let dirty_roots: Vec<(NodeId, NodeId)> = self
@@ -1352,8 +1346,8 @@ fn demote_edge(
 }
 
 /// What one refresh does to one tracked correlator. Decided once, when the
-/// pair's work item is built; the sharded worker executes the decision as
-/// it stands.
+/// pair's work item is built; the worker that takes the item executes the
+/// decision as it stands.
 ///
 /// This is the single code path for correlator maintenance, and each
 /// pair's arithmetic depends on nothing but its own step, which is what
@@ -1474,10 +1468,9 @@ impl<'a> Step<'a> {
 }
 
 /// Applies `f` to every work item of a tier: the items whose step computes
-/// on the worker pool, in stable order, sharded among themselves; the
-/// rest — O(1) bookkeeping — inline. The computing items are what the
-/// shards must balance: with most pairs skipped, shards of equal *count*
-/// would hand one worker all the work.
+/// on the worker pool, queued in stable order; the rest — O(1)
+/// bookkeeping — inline, so the queue's lock is taken only for items
+/// worth a thread's attention.
 fn for_each_step<'a, T: Send>(
     items: &mut [T],
     num_workers: usize,
@@ -1488,11 +1481,11 @@ fn for_each_step<'a, T: Send>(
         .iter_mut()
         .partition(|item| matches!(step_of(item), Step::Advance { .. } | Step::Refill { .. }));
     bookkeeping.into_iter().for_each(&f);
-    parallel::for_each_sharded_mut(&mut computing, num_workers, |item| f(item));
+    parallel::for_each_mut(&mut computing, num_workers, |item| f(item));
 }
 
 /// One discovery worker's view of the refresh's correlation evidence:
-/// series precomputed by the sharded advance phase, plus a worker-local
+/// series precomputed by the advance phase, plus a root-local
 /// map of correlators created for pairs first reached during this
 /// discovery pass (harvested and merged by the analyzer afterwards — a
 /// pair's client belongs to exactly one root, so local maps never
@@ -1612,6 +1605,20 @@ mod tests {
             .window(Nanos::from_secs(10))
             .refresh(Nanos::from_secs(2))
             .max_delay(Nanos::from_secs(1))
+            .build()
+    }
+
+    /// [`cfg`] with the screening and reduction tiers on.
+    fn screened_and_reduced_cfg() -> PathmapConfig {
+        PathmapConfig::builder()
+            .window(Nanos::from_secs(10))
+            .refresh(Nanos::from_secs(2))
+            .max_delay(Nanos::from_secs(1))
+            .screening(crate::config::ScreeningConfig {
+                decimation: 8,
+                hysteresis: 0.5,
+            })
+            .reduction(crate::config::ReductionConfig::default())
             .build()
     }
 
@@ -1741,28 +1748,6 @@ mod tests {
         (from_secs * 40..to_secs * 40).map(|i| Nanos::from_millis(i * 25))
     }
 
-    /// Disjoint client→web→db stacks, one per workload.
-    fn idle_mesh(seed: u64, workloads: &[Workload]) -> Simulation {
-        let mut t = TopologyBuilder::new();
-        let class = t.service_class("c");
-        for (i, workload) in workloads.iter().enumerate() {
-            let web = t.service(
-                &format!("web{i}"),
-                ServiceConfig::new(DelayDist::constant_millis(2)),
-            );
-            let db = t.service(
-                &format!("db{i}"),
-                ServiceConfig::new(DelayDist::exponential_millis(8)),
-            );
-            let cli = t.client(&format!("cli{i}"), class, web, workload.clone());
-            t.connect(cli, web, DelayDist::constant_millis(1));
-            t.connect(web, db, DelayDist::constant_millis(1));
-            t.route(web, class, Route::fixed(db));
-            t.route(db, class, Route::terminal());
-        }
-        Simulation::new(t.build().unwrap(), seed)
-    }
-
     /// Seven stacks, all but the first silent after a 10 s warm-up burst
     /// and then long enough for the idle runs to leave retention. Two
     /// stacks put the gate's two preconditions on the spot:
@@ -1776,7 +1761,7 @@ mod tests {
     ///   the signal-edge fingerprint tells the remembered roots.
     fn mostly_idle_mesh(seed: u64) -> Simulation {
         let warm_up = || Workload::trace(burst(0, 10).collect());
-        idle_mesh(
+        crate::testutil::idle_mesh(
             seed,
             &[
                 Workload::poisson(40.0),
@@ -1876,7 +1861,7 @@ mod tests {
     /// computation.
     #[test]
     fn burst_then_silence_matches_the_forgetful_twin() {
-        let scenario = || idle_mesh(5, &[Workload::trace(burst(0, 10).collect())]);
+        let scenario = || crate::testutil::idle_mesh(5, &[Workload::trace(burst(0, 10).collect())]);
         let (stats, _) = assert_matches_forgetful_twin(scenario, cfg(), 80, None, None);
         let last = stats.last().expect("refreshes ran");
         assert!(
@@ -1932,18 +1917,13 @@ mod tests {
 
     #[test]
     fn screened_and_reduced_mesh_matches_the_forgetful_twin_across_a_heal() {
-        let config = PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .screening(crate::config::ScreeningConfig {
-                decimation: 8,
-                hysteresis: 0.5,
-            })
-            .reduction(crate::config::ReductionConfig::default())
-            .build();
-        let (stats, _) =
-            assert_matches_forgetful_twin(|| mostly_idle_mesh(3), config, 100, None, Some(35));
+        let (stats, _) = assert_matches_forgetful_twin(
+            || mostly_idle_mesh(3),
+            screened_and_reduced_cfg(),
+            100,
+            None,
+            Some(35),
+        );
         assert_skips_resume_after_heal(&stats, 35);
         assert!(
             stats.iter().any(|s| s.coarse_skipped > 0),
@@ -2017,18 +1997,13 @@ mod tests {
 
     #[test]
     fn screened_and_reduced_phased_fanout_matches_the_forgetful_twin() {
-        let config = PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .screening(crate::config::ScreeningConfig {
-                decimation: 8,
-                hysteresis: 0.5,
-            })
-            .reduction(crate::config::ReductionConfig::default())
-            .build();
-        let (stats, _) =
-            assert_matches_forgetful_twin(|| phased_fanout(7), config, 100, None, None);
+        let (stats, _) = assert_matches_forgetful_twin(
+            || phased_fanout(7),
+            screened_and_reduced_cfg(),
+            100,
+            None,
+            None,
+        );
         // Here screening prunes the dead pairs before discovery reaches
         // their products, and a root whose every pair stayed pruned is
         // clean; verdicts are carried for the dirty rest.

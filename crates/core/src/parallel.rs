@@ -56,7 +56,7 @@ pub fn shard_ranges(len: usize, num_shards: usize) -> Vec<std::ops::Range<usize>
 /// calling thread — no threads are spawned. Results are bitwise identical
 /// for any worker count: items are independent and each is processed by
 /// exactly one worker.
-pub fn for_each_sharded_mut<T, F>(items: &mut [T], num_workers: usize, f: F)
+pub fn for_each_mut<T, F>(items: &mut [T], num_workers: usize, f: F)
 where
     T: Send,
     F: Fn(&mut T) + Sync,
@@ -78,7 +78,7 @@ where
         }
     };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(&work)).collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
         work();
         for h in handles {
             h.join().expect("refresh worker panicked");
@@ -87,16 +87,16 @@ where
 }
 
 /// Maps every item to an output on the same self-scheduled workers as
-/// [`for_each_sharded_mut`]; `out[i]` is `f(&items[i])` whichever worker
+/// [`for_each_mut`]; `out[i]` is `f(&items[i])` whichever worker
 /// computed it.
-pub fn map_sharded<T, R, F>(items: &[T], num_workers: usize, f: F) -> Vec<R>
+pub fn map<T, R, F>(items: &[T], num_workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
-    for_each_sharded_mut(&mut slots, num_workers, |(item, out)| *out = Some(f(item)));
+    for_each_mut(&mut slots, num_workers, |(item, out)| *out = Some(f(item)));
     slots
         .into_iter()
         .map(|(_, out)| out.expect("every queued item ran"))
@@ -181,7 +181,7 @@ mod tests {
         let baseline: Vec<u64> = (0..37).map(|i| i * i + 1).collect();
         for workers in [1, 2, 3, 8, 64] {
             let mut items: Vec<u64> = (0..37).collect();
-            for_each_sharded_mut(&mut items, workers, |v| *v = *v * *v + 1);
+            for_each_mut(&mut items, workers, |v| *v = *v * *v + 1);
             assert_eq!(items, baseline, "workers={workers}");
         }
     }
@@ -191,17 +191,17 @@ mod tests {
         let items: Vec<usize> = (0..23).collect();
         let expect: Vec<usize> = items.iter().map(|i| i * 3).collect();
         for workers in [1, 2, 5, 23, 99] {
-            assert_eq!(map_sharded(&items, workers, |i| i * 3), expect);
+            assert_eq!(map(&items, workers, |i| i * 3), expect);
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let mut empty: Vec<u8> = vec![];
-        for_each_sharded_mut(&mut empty, 4, |_| unreachable!());
-        assert!(map_sharded(&empty, 4, |v: &u8| *v).is_empty());
+        for_each_mut(&mut empty, 4, |_| unreachable!());
+        assert!(map(&empty, 4, |v: &u8| *v).is_empty());
         let mut one = vec![5u8];
-        for_each_sharded_mut(&mut one, 4, |v| *v += 1);
+        for_each_mut(&mut one, 4, |v| *v += 1);
         assert_eq!(one, vec![6]);
     }
 
@@ -230,7 +230,7 @@ mod tests {
                     })
                     .collect();
                 items[0].others = Some((all_done, len - 1));
-                for_each_sharded_mut(&mut items, workers, |item| {
+                for_each_mut(&mut items, workers, |item| {
                     item.runs += 1;
                     match &item.others {
                         Some((others, count)) => (0..*count).for_each(|_| {
@@ -260,13 +260,13 @@ mod tests {
             for workers in 1..=8 {
                 let mut runs = vec![0u32; 17];
                 let mut items: Vec<(usize, &mut u32)> = runs.iter_mut().enumerate().collect();
-                for_each_sharded_mut(&mut items, workers, |(i, runs)| {
+                for_each_mut(&mut items, workers, |(i, runs)| {
                     spin(cost(*i));
                     **runs += 1;
                 });
                 assert_eq!(runs, vec![1; 17], "heavy={heavy} workers={workers}");
                 let inputs: Vec<usize> = (0..17).collect();
-                let mapped = map_sharded(&inputs, workers, |&i| (i, spin(cost(i))));
+                let mapped = map(&inputs, workers, |&i| (i, spin(cost(i))));
                 assert_eq!(mapped, expect, "heavy={heavy} workers={workers}");
             }
         }
@@ -277,16 +277,16 @@ mod tests {
         let caller = std::thread::current().id();
         for workers in [0, 1] {
             let mut items = vec![None; 9];
-            for_each_sharded_mut(&mut items, workers, |slot| {
+            for_each_mut(&mut items, workers, |slot| {
                 *slot = Some(std::thread::current().id());
             });
             assert!(items.iter().all(|&id| id == Some(caller)));
-            let ids = map_sharded(&items, workers, |_| std::thread::current().id());
+            let ids = map(&items, workers, |_| std::thread::current().id());
             assert!(ids.iter().all(|&id| id == caller));
         }
         // A single item needs no second thread whatever was asked for.
         let mut one = [None];
-        for_each_sharded_mut(&mut one, 8, |slot| {
+        for_each_mut(&mut one, 8, |slot| {
             *slot = Some(std::thread::current().id())
         });
         assert_eq!(one, [Some(caller)]);

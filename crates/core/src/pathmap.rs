@@ -530,7 +530,7 @@ impl Pathmap {
         F: Fn((NodeId, NodeId)) -> P + Sync,
     {
         let clients = client_universe;
-        crate::parallel::map_sharded(roots, num_workers, |&(client, front)| {
+        crate::parallel::map(roots, num_workers, |&(client, front)| {
             let mut provider = make_provider((client, front));
             let graph = self.discover_one(signals, client, front, clients, labels, &mut provider);
             (graph, provider)
@@ -709,10 +709,10 @@ impl Pathmap {
 mod tests {
     use super::*;
     use crate::graph::NodeLabels;
-    use crate::testutil::wide_fanout_sim;
+    use crate::testutil::{idle_mesh, wide_fanout_sim};
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
-    use e2eprof_timeseries::Nanos;
+    use e2eprof_timeseries::{Nanos, Run, Tick};
     use e2eprof_xcorr::engine::RleCorrelator;
 
     /// Short-horizon config so tests stay fast: W = 20 s, T_u = 2 s.
@@ -990,24 +990,7 @@ mod tests {
     #[test]
     fn offline_discovery_of_64_roots_on_two_workers_matches_serial() {
         // 64 disjoint client -> web -> db stacks: one root each.
-        let mut t = TopologyBuilder::new();
-        let class = t.service_class("c");
-        for i in 0..64 {
-            let web = t.service(
-                &format!("web{i}"),
-                ServiceConfig::new(DelayDist::constant_millis(2)),
-            );
-            let db = t.service(
-                &format!("db{i}"),
-                ServiceConfig::new(DelayDist::exponential_millis(8)),
-            );
-            let cli = t.client(&format!("cli{i}"), class, web, Workload::poisson(20.0));
-            t.connect(cli, web, DelayDist::constant_millis(1));
-            t.connect(web, db, DelayDist::constant_millis(1));
-            t.route(web, class, Route::fixed(db));
-            t.route(db, class, Route::terminal());
-        }
-        let mut sim = Simulation::new(t.build().unwrap(), 11);
+        let mut sim = idle_mesh(11, &vec![Workload::poisson(20.0); 64]);
         sim.run_until(Nanos::from_secs(15));
         let cfg = PathmapConfig::builder()
             .window(Nanos::from_secs(10))
@@ -1041,22 +1024,25 @@ mod tests {
             .build();
         let max_lag = cfg.max_lag();
         let window = cfg.window_ticks();
-        let pulse =
-            |at: u64, v: f64| e2eprof_timeseries::Run::new(e2eprof_timeseries::Tick::new(at), 1, v);
+        let pulse = |at: u64, v: f64| Run::new(Tick::new(at), 1, v);
         let faint = 1e-13f64.sqrt();
         let x: Vec<_> = (0..6).map(|i| pulse(200 + 250 * i, faint)).collect();
-        let mut y: Vec<_> = (0..6)
+        let y: Vec<_> = (0..6)
             .flat_map(|i| [pulse(207 + 250 * i, faint), pulse(330 + 250 * i, 1e-6)])
             .collect();
-        y.sort_by_key(|r| r.start());
-        let zero = e2eprof_timeseries::Tick::ZERO;
         let signals = EdgeSignals::from_parts(
             cfg.quanta(),
-            (zero, e2eprof_timeseries::Tick::new(window)),
+            (Tick::ZERO, Tick::new(window)),
             max_lag,
             [
-                ((cli, web), RleSeries::from_parts(zero, window + max_lag, x)),
-                ((web, db), RleSeries::from_parts(zero, window + max_lag, y)),
+                (
+                    (cli, web),
+                    RleSeries::from_parts(Tick::ZERO, window + max_lag, x),
+                ),
+                (
+                    (web, db),
+                    RleSeries::from_parts(Tick::ZERO, window + max_lag, y),
+                ),
             ]
             .into_iter()
             .collect(),

@@ -1,5 +1,6 @@
-//! Shared test fixtures: deterministic bursty workloads and the
-//! wide-fanout topology used to exercise coarse-to-fine screening.
+//! Shared test fixtures: deterministic bursty workloads, the wide-fanout
+//! topology used to exercise coarse-to-fine screening, and a mesh of
+//! disjoint stacks.
 
 use e2eprof_netsim::prelude::*;
 use e2eprof_netsim::Route;
@@ -109,5 +110,27 @@ pub(crate) fn shifting_fanout_sim(backends: usize, seed: u64, total: f64) -> Sim
     noise_arrivals.extend(burst_arrivals(0.2, 1.2, 4.0, 5, 32.0, total));
     let noise = t.client("noise", other, web, Workload::trace(noise_arrivals));
     t.connect(noise, web, DelayDist::constant_millis(1));
+    Simulation::new(t.build().unwrap(), seed)
+}
+
+/// Disjoint client→web→db stacks, one per workload.
+pub(crate) fn idle_mesh(seed: u64, workloads: &[Workload]) -> Simulation {
+    let mut t = TopologyBuilder::new();
+    let class = t.service_class("c");
+    for (i, workload) in workloads.iter().enumerate() {
+        let web = t.service(
+            &format!("web{i}"),
+            ServiceConfig::new(DelayDist::constant_millis(2)),
+        );
+        let db = t.service(
+            &format!("db{i}"),
+            ServiceConfig::new(DelayDist::exponential_millis(8)),
+        );
+        let cli = t.client(&format!("cli{i}"), class, web, workload.clone());
+        t.connect(cli, web, DelayDist::constant_millis(1));
+        t.connect(web, db, DelayDist::constant_millis(1));
+        t.route(web, class, Route::fixed(db));
+        t.route(db, class, Route::terminal());
+    }
     Simulation::new(t.build().unwrap(), seed)
 }

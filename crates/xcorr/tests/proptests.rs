@@ -747,3 +747,82 @@ proptest! {
         }
     }
 }
+
+// --- No evidence, no decision: the lemma behind discovery's short cut ---
+
+/// A non-negative signal, dense enough that blanking part of it leaves
+/// runs ending and starting exactly at the blanked stretch's edges, with
+/// amplitudes beyond the `√count` a density estimator produces.
+fn busy_signal_strategy(max_len: usize) -> impl Strategy<Value = (u64, Vec<f64>)> {
+    (
+        0u64..30,
+        prop::collection::vec(
+            prop_oneof![
+                1 => Just(0.0f64),
+                2 => (1u32..6).prop_map(|c| (c as f64).sqrt()),
+                1 => 1e-3f64..1e3,
+            ],
+            0..max_len,
+        ),
+    )
+}
+
+proptest! {
+    /// Lagged products that are zero at every lag cannot spike: for
+    /// non-negative `x` and `y` every Eq. 1 coefficient is then `≤ 0`, so
+    /// normalization + spike detection + the `≥ min_spike_value` filter
+    /// yields nothing for any positive floor. `y` is an arbitrary busy
+    /// signal silenced inside every lag window `[u, u + L)` of a non-zero
+    /// `x(u)` — so its runs end right where lag 0 begins and resume right
+    /// at lag `L` — and `x` may be empty, all zero, or constant.
+    #[test]
+    fn all_zero_products_of_non_negative_signals_never_spike(
+        (xs, xv) in prop_oneof![
+            4 => run_signal_strategy(12),
+            1 => (0u64..30).prop_map(|s| (s, Vec::new())),
+            1 => (0u64..30, 1usize..40, 0u32..4)
+                .prop_map(|(s, len, c)| (s, vec![(c as f64).sqrt(); len])),
+        ],
+        (ys, yv) in busy_signal_strategy(160),
+        max_lag in lag_strategy(40),
+        sigma in 0.0f64..4.0,
+        resolution in 1u64..12,
+        floor in prop_oneof![Just(f64::MIN_POSITIVE), 1e-12f64..1.0],
+    ) {
+        let mut yv = yv;
+        for (u, _) in xv.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+            let u = xs + u as u64;
+            for t in u.max(ys)..(u + max_lag).min(ys + yv.len() as u64) {
+                yv[(t - ys) as usize] = 0.0;
+            }
+        }
+        let x = to_rle(xs, xv);
+        let y = to_rle(ys, yv);
+        let raw = rle::correlate(&x, &y, max_lag);
+        prop_assert!(raw.values().iter().all(|&r| r == 0.0), "{:?}", raw.values());
+        let rho = normalize::normalize(&raw, &x, &y);
+        prop_assert!(rho.values().iter().all(|&v| v <= 0.0), "{:?}", rho.values());
+        let spikes = SpikeDetector::new(sigma, resolution).detect(rho.values());
+        prop_assert!(spikes.iter().all(|s| s.value < floor), "{:?}", spikes);
+    }
+}
+
+/// The sign precondition of the lemma above is load-bearing: `y` is
+/// negative exactly where `x` is silent, every lagged product is zero,
+/// and yet the two are perfectly correlated at lag 0.
+#[test]
+fn a_negative_signal_can_spike_on_all_zero_products() {
+    let mut xv = vec![1.0; 100];
+    xv[0] = 0.0;
+    let x = to_rle(0, xv);
+    let mut yv = vec![0.0; 120];
+    yv[0] = -3.0;
+    let y = to_rle(0, yv);
+    let raw = rle::correlate(&x, &y, 20);
+    assert!(raw.values().iter().all(|&r| r == 0.0));
+    let rho = normalize::normalize(&raw, &x, &y);
+    let spikes = SpikeDetector::new(3.0, 1).detect(rho.values());
+    assert_eq!(spikes.len(), 1);
+    assert_eq!(spikes[0].lag, 0);
+    assert!((spikes[0].value - 1.0).abs() < 1e-12, "{spikes:?}");
+}
