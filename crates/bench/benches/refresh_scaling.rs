@@ -12,7 +12,13 @@
 //! share one front end and take turns being on, so at any moment a few
 //! pairs — adjacent in key order, they belong to one client — carry all
 //! the work and the rest cost microseconds; only workers that pull from
-//! one queue share that load.
+//! one queue share that load — when the analyzer forks at all: a phase
+//! that cost a thread less than `analyzer::FORK_WORTH` at its last run
+//! stays on the calling thread, and at this scenario's size (about a
+//! millisecond of correlation a refresh) every phase after the first
+//! refresh does. Its worker counts should therefore read alike; a count
+//! that reads slower than 1 is paying for threads the gate should have
+//! saved.
 
 use crossbeam::channel::unbounded;
 use e2eprof_apps::delta::{Delta, DeltaConfig};

@@ -13,7 +13,9 @@
 //! each pull the next pair from one queue; path discovery (normalization
 //! and spike detection) then runs the same way, a root at a time, against
 //! the precomputed series. Every worker count produces bitwise identical
-//! graphs — see [`parallel`] for the determinism contract.
+//! graphs — see [`parallel`] for the determinism contract. A phase is
+//! given to the pool only while it is worth a fork: one whose last run
+//! cost a thread less than [`FORK_WORTH`] stays on the calling thread.
 //!
 //! Refreshes are *activity-gated*: what a refresh costs follows what
 //! changed since the previous one, not what is tracked. A pair whose two
@@ -43,6 +45,45 @@ use e2eprof_xcorr::screen::{self, Screen};
 use e2eprof_xcorr::{CorrSeries, Correlator, Spike};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
+
+/// What a phase of the refresh must have cost one thread, the last time
+/// it ran, to be given to the worker pool this time.
+///
+/// Forking and joining fresh threads costs some 25 µs while a core stands
+/// idle for each of them, and up to a scheduler time slice — milliseconds
+/// — when another tenant of the host holds that core: the caller then
+/// waits in `join` for a worker that has yet to be scheduled, even one
+/// that will find the queue empty. A phase of a millisecond or two gains
+/// at most half of itself from a second worker and loses several times
+/// itself in that case, so its duration follows the host's load instead of
+/// its own work. A phase worth a time slice or more amortizes the wait.
+/// Phase costs are steady from one refresh to the next, so the last run
+/// is the estimate; a phase never yet run (the first refresh, and the
+/// first after a heal — both refill from scratch) goes to the pool.
+///
+/// Which thread runs an item cannot reach a published bit
+/// ([`parallel`]'s contract), so this is scheduling only.
+pub const FORK_WORTH: Duration = Duration::from_millis(3);
+
+/// The worker count for a phase whose previous run cost one thread `last`.
+fn pool_for(last: Option<Duration>, num_workers: usize) -> usize {
+    match last {
+        Some(cost) if cost < FORK_WORTH => 1,
+        _ => num_workers,
+    }
+}
+
+/// One-thread cost of each pooled phase at its last run.
+#[derive(Debug, Default, Clone, Copy)]
+struct PhaseCosts {
+    /// Phase 0, the coarse screening tier.
+    coarse: Option<Duration>,
+    /// Phase 1, the fine correlators.
+    fine: Option<Duration>,
+    /// Phase 2, path discovery.
+    discovery: Option<Duration>,
+}
 
 /// Key of one maintained correlator: the client whose arrival signal is
 /// the correlation source, and the candidate edge under test.
@@ -225,6 +266,9 @@ struct RefreshMemory {
     fingerprint: Vec<(NodeId, NodeId)>,
     /// Counters of the most recent refresh.
     stats: IncrementalStats,
+    /// What each pooled phase cost at that refresh — a scheduling
+    /// estimate ([`FORK_WORTH`]), not a proof obligation.
+    costs: PhaseCosts,
 }
 
 /// The online pathmap analyzer.
@@ -776,9 +820,9 @@ impl OnlineAnalyzer {
                     }
                 })
                 .collect();
-            for_each_step(
+            memory.costs.coarse = Some(for_each_step(
                 &mut items,
-                num_workers,
+                pool_for(memory.costs.coarse, num_workers),
                 |item| item.step,
                 |item| {
                     item.step
@@ -827,7 +871,7 @@ impl OnlineAnalyzer {
                         corr, k, x, y, max_lag, slack, stop_at,
                     ));
                 },
-            );
+            ));
 
             // Serial decision pass in stable key order.
             memory.bounds.clear();
@@ -933,16 +977,16 @@ impl OnlineAnalyzer {
                 }
             })
             .collect();
-        for_each_step(
+        memory.costs.fine = Some(for_each_step(
             &mut items,
-            num_workers,
+            pool_for(memory.costs.fine, num_workers),
             |item| item.step,
             |item| {
                 item.allocated =
                     item.step
                         .run(&mut item.inc, engine, max_lag, (start, end), slide_scratch);
             },
-        );
+        ));
         // Pairs skipped this refresh, in key order, for the dirty-root
         // partition below: a clean root's every support pair must have
         // carried bitwise.
@@ -1004,27 +1048,26 @@ impl OnlineAnalyzer {
         // decided for it last time is the one deciding it again would
         // yield: the root's provider hands it out instead (DESIGN.md
         // §6.1, "What Phase 2 decides, skips and carries").
-        let mut discovered = self
-            .pathmap
-            .discover_each_among(
-                &signals,
-                &dirty_roots,
-                &self.universe,
-                &self.labels,
-                num_workers,
-                |root| CachedProvider {
-                    advanced: &self.incs,
-                    engine,
-                    fresh: HashMap::new(),
-                    screened: pruned.as_ref(),
-                    skipped: &skipped,
-                    previous: remembered.get(&root).map_or(&[], |(_, support)| support),
-                    support: Vec::new(),
-                    evidence_free: 0,
-                    carried: 0,
-                },
-            )
-            .into_iter();
+        let (discovered, cost) = self.pathmap.discover_each_among(
+            &signals,
+            &dirty_roots,
+            &self.universe,
+            &self.labels,
+            pool_for(memory.costs.discovery, num_workers),
+            |root| CachedProvider {
+                advanced: &self.incs,
+                engine,
+                fresh: HashMap::new(),
+                screened: pruned.as_ref(),
+                skipped: &skipped,
+                previous: remembered.get(&root).map_or(&[], |(_, support)| support),
+                support: Vec::new(),
+                evidence_free: 0,
+                carried: 0,
+            },
+        );
+        memory.costs.discovery = Some(cost);
+        let mut discovered = discovered.into_iter();
         // Reassemble in stable root order; every root's entry — moved
         // over or just discovered — is what the next refresh remembers.
         let mut graphs = Vec::new();
@@ -1470,18 +1513,19 @@ impl<'a> Step<'a> {
 /// Applies `f` to every work item of a tier: the items whose step computes
 /// on the worker pool, queued in stable order; the rest — O(1)
 /// bookkeeping — inline, so the queue's lock is taken only for items
-/// worth a thread's attention.
+/// worth a thread's attention. Returns what the computing items cost one
+/// thread ([`parallel::for_each_mut`]'s summed worker time).
 fn for_each_step<'a, T: Send>(
     items: &mut [T],
     num_workers: usize,
     step_of: impl Fn(&T) -> Step<'a>,
     f: impl Fn(&mut T) + Sync,
-) {
+) -> Duration {
     let (mut computing, bookkeeping): (Vec<&mut T>, Vec<&mut T>) = items
         .iter_mut()
         .partition(|item| matches!(step_of(item), Step::Advance { .. } | Step::Refill { .. }));
     bookkeeping.into_iter().for_each(&f);
-    parallel::for_each_mut(&mut computing, num_workers, |item| f(item));
+    parallel::for_each_mut(&mut computing, num_workers, |item| f(item))
 }
 
 /// One discovery worker's view of the refresh's correlation evidence:
@@ -1852,6 +1896,25 @@ mod tests {
         }
         let stats = remembering.into_iter().map(|(_, stats)| stats).collect();
         (stats, analyzer)
+    }
+
+    /// A phase forks only when its last run was worth it, and every refresh
+    /// leaves the next one that estimate for each phase it ran. (That the
+    /// choice cannot reach a graph is the twin tests' business: the twin's
+    /// memory is wiped before every refresh, so it always forks.)
+    #[test]
+    fn a_phase_goes_to_the_pool_only_when_its_last_run_was_worth_a_fork() {
+        assert_eq!(pool_for(None, 8), 8);
+        assert_eq!(pool_for(Some(FORK_WORTH), 8), 8);
+        assert_eq!(pool_for(Some(FORK_WORTH - Duration::from_nanos(1)), 8), 1);
+        assert_eq!(pool_for(Some(Duration::ZERO), 1), 1);
+
+        let (_, analyzer) = run_online(3, 30);
+        let costs = analyzer.memory.costs;
+        assert!(costs.fine.is_some() && costs.discovery.is_some());
+        assert!(costs.coarse.is_none(), "no screening tier, no coarse phase");
+        let (_, screened) = drive_online(two_tier(3), screened_and_reduced_cfg(), 30);
+        assert!(screened.memory.costs.coarse.is_some());
     }
 
     /// One stack, arrivals every 25 ms for the first 10 s, then total

@@ -18,6 +18,17 @@
 //! *placement* is not: every output lands at its item's input index,
 //! never in completion order. Nothing in this module introduces
 //! cross-item reductions.
+//!
+//! Whether a call is worth its threads is the caller's question, and the
+//! helpers return what answers it: the time the workers spent on the
+//! items, summed. A fork-join of fresh threads costs tens of microseconds
+//! on an idle host and a scheduler time slice on a busy one, so the
+//! analyzer forks a recurring phase only while that figure says the
+//! phase repays it (`analyzer::FORK_WORTH`).
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// The number of workers to use when a configuration asks for "all cores".
 ///
@@ -56,26 +67,38 @@ pub fn shard_ranges(len: usize, num_shards: usize) -> Vec<std::ops::Range<usize>
 /// calling thread — no threads are spawned. Results are bitwise identical
 /// for any worker count: items are independent and each is processed by
 /// exactly one worker.
-pub fn for_each_mut<T, F>(items: &mut [T], num_workers: usize, f: F)
+///
+/// Returns the time the workers spent draining the queue, summed over
+/// workers: what the items cost one thread, whatever the number that
+/// shared them. Waiting for a worker to be scheduled or joined is not in
+/// it, so the figure says what the work is worth, not what the fork cost
+/// (the analyzer's [`FORK_WORTH`](crate::analyzer::FORK_WORTH) is its use).
+pub fn for_each_mut<T, F>(items: &mut [T], num_workers: usize, f: F) -> Duration
 where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
     let workers = num_workers.min(items.len());
     if workers <= 1 {
+        let started = Instant::now();
         items.iter_mut().for_each(f);
-        return;
+        return started.elapsed();
     }
     // One uncontended lock per item, against items of microseconds to
     // milliseconds. It is held only to take the next item, never across
     // `f`, so a panicking item cannot poison it.
-    let queue = std::sync::Mutex::new(items.iter_mut());
-    let work = || loop {
-        let next = queue.lock().expect("work queue lock poisoned").next();
-        match next {
-            Some(item) => f(item),
-            None => break,
+    let queue = Mutex::new(items.iter_mut());
+    let busy_ns = AtomicU64::new(0);
+    let work = || {
+        let started = Instant::now();
+        loop {
+            let next = queue.lock().expect("work queue lock poisoned").next();
+            match next {
+                Some(item) => f(item),
+                None => break,
+            }
         }
+        busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     };
     std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
@@ -84,23 +107,26 @@ where
             h.join().expect("refresh worker panicked");
         }
     });
+    Duration::from_nanos(busy_ns.into_inner())
 }
 
 /// Maps every item to an output on the same self-scheduled workers as
 /// [`for_each_mut`]; `out[i]` is `f(&items[i])` whichever worker
-/// computed it.
-pub fn map<T, R, F>(items: &[T], num_workers: usize, f: F) -> Vec<R>
+/// computed it. The outputs come with [`for_each_mut`]'s summed worker
+/// time.
+pub fn map<T, R, F>(items: &[T], num_workers: usize, f: F) -> (Vec<R>, Duration)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
-    for_each_mut(&mut slots, num_workers, |(item, out)| *out = Some(f(item)));
-    slots
+    let busy = for_each_mut(&mut slots, num_workers, |(item, out)| *out = Some(f(item)));
+    let out = slots
         .into_iter()
         .map(|(_, out)| out.expect("every queued item ran"))
-        .collect()
+        .collect();
+    (out, busy)
 }
 
 /// Scratch values that outlive the sharded calls using them.
@@ -115,13 +141,13 @@ where
 /// its result — scratch carries no information between uses.
 #[derive(Debug)]
 pub struct ScratchPool<T> {
-    idle: std::sync::Mutex<Vec<T>>,
+    idle: Mutex<Vec<T>>,
 }
 
 impl<T> Default for ScratchPool<T> {
     fn default() -> Self {
         ScratchPool {
-            idle: std::sync::Mutex::new(Vec::new()),
+            idle: Mutex::new(Vec::new()),
         }
     }
 }
@@ -191,7 +217,7 @@ mod tests {
         let items: Vec<usize> = (0..23).collect();
         let expect: Vec<usize> = items.iter().map(|i| i * 3).collect();
         for workers in [1, 2, 5, 23, 99] {
-            assert_eq!(map(&items, workers, |i| i * 3), expect);
+            assert_eq!(map(&items, workers, |i| i * 3).0, expect);
         }
     }
 
@@ -199,7 +225,7 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let mut empty: Vec<u8> = vec![];
         for_each_mut(&mut empty, 4, |_| unreachable!());
-        assert!(map(&empty, 4, |v: &u8| *v).is_empty());
+        assert!(map(&empty, 4, |v: &u8| *v).0.is_empty());
         let mut one = vec![5u8];
         for_each_mut(&mut one, 4, |v| *v += 1);
         assert_eq!(one, vec![6]);
@@ -266,7 +292,7 @@ mod tests {
                 });
                 assert_eq!(runs, vec![1; 17], "heavy={heavy} workers={workers}");
                 let inputs: Vec<usize> = (0..17).collect();
-                let mapped = map(&inputs, workers, |&i| (i, spin(cost(i))));
+                let (mapped, _) = map(&inputs, workers, |&i| (i, spin(cost(i))));
                 assert_eq!(mapped, expect, "heavy={heavy} workers={workers}");
             }
         }
@@ -281,7 +307,7 @@ mod tests {
                 *slot = Some(std::thread::current().id());
             });
             assert!(items.iter().all(|&id| id == Some(caller)));
-            let ids = map(&items, workers, |_| std::thread::current().id());
+            let (ids, _) = map(&items, workers, |_| std::thread::current().id());
             assert!(ids.iter().all(|&id| id == caller));
         }
         // A single item needs no second thread whatever was asked for.
@@ -290,6 +316,24 @@ mod tests {
             *slot = Some(std::thread::current().id())
         });
         assert_eq!(one, [Some(caller)]);
+    }
+
+    /// The returned figure is the items' cost, not the call's: it adds up
+    /// over workers, and a worker that arrives to an empty queue adds
+    /// (next to) nothing.
+    #[test]
+    fn reported_time_is_the_work_not_the_wall() {
+        use std::time::{Duration, Instant};
+        let nap = Duration::from_millis(5);
+        for workers in [1, 2, 4] {
+            let mut items = vec![(); 4];
+            let started = Instant::now();
+            let busy = for_each_mut(&mut items, workers, |_| std::thread::sleep(nap));
+            let wall = started.elapsed();
+            assert!(busy >= 4 * nap, "workers={workers}: {busy:?}");
+            // A sleep may overrun, but not by the items other workers took.
+            assert!(busy <= wall * workers as u32, "workers={workers}");
+        }
     }
 
     #[test]

@@ -477,12 +477,14 @@ impl Pathmap {
                 |_| ScreenedStatelessProvider::new(self.engine.as_ref(), screen, &coarse, &fronts);
             return self
                 .discover_each_among(signals, roots, &clients, labels, workers, make_provider)
+                .0
                 .into_iter()
                 .filter_map(|(graph, _)| graph)
                 .collect();
         }
         let make_provider = |_| StatelessProvider::new(self.engine.as_ref());
         self.discover_each_among(signals, roots, &clients, labels, workers, make_provider)
+            .0
             .into_iter()
             .filter_map(|(graph, _)| graph)
             .collect()
@@ -492,7 +494,9 @@ impl Pathmap {
     /// own provider — `make_provider(root)` — against an explicit client
     /// universe, and returns one `(Option<ServiceGraph>, P)` slot per
     /// input root, in root order (`None` where the root's source signal
-    /// is absent).
+    /// is absent) — and, beside the slots, the time the workers spent
+    /// exploring, summed over workers (see
+    /// [`parallel::for_each_mut`](crate::parallel::for_each_mut)).
     ///
     /// Slots are in root order regardless of worker count and
     /// `num_workers <= 1` runs entirely on the calling thread, so results
@@ -524,7 +528,7 @@ impl Pathmap {
         labels: &NodeLabels,
         num_workers: usize,
         make_provider: F,
-    ) -> Vec<(Option<ServiceGraph>, P)>
+    ) -> (Vec<(Option<ServiceGraph>, P)>, std::time::Duration)
     where
         P: CorrelationProvider + Send,
         F: Fn((NodeId, NodeId)) -> P + Sync,
