@@ -17,7 +17,7 @@
 use crossbeam::channel::unbounded;
 use e2eprof_bench::{noise_fanout_sim, write_bench_json, JsonValue};
 use e2eprof_core::analyzer::{OnlineAnalyzer, ReductionStats};
-use e2eprof_core::config::{ReductionConfig, ScreeningConfig};
+use e2eprof_core::config::ReductionConfig;
 use e2eprof_core::graph::{NodeLabels, ServiceGraph};
 use e2eprof_core::pathmap::roots_from_topology;
 use e2eprof_core::tracer::{FrameSink, TracerAgent, TracerFrame};
@@ -41,11 +41,7 @@ fn config(reduction: bool) -> PathmapConfig {
     let mut b = PathmapConfig::builder()
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_millis(500))
-        .screening(ScreeningConfig {
-            decimation: 8,
-            hysteresis: 0.5,
-        });
+        .max_delay(Nanos::from_millis(500));
     if reduction {
         b = b.reduction(ReductionConfig {
             base_level: 64,

@@ -1,6 +1,6 @@
 //! Absolute anchor: the online graphs of the two evaluation applications,
 //! pinned bit for bit — under the default configuration and under
-//! screening + edge-side reduction.
+//! edge-side reduction.
 //!
 //! Every equivalence suite compares one configuration against another, so
 //! a change that moves *both* sides by an ulp passes them all. This test
@@ -9,12 +9,12 @@
 //! the fold over all refreshes must equal a constant recorded on the
 //! commit preceding the linear-time refresh kernels (PR 17). A kernel
 //! rewrite that claims "same bits" is falsified here if it is wrong.
-//! The Delta seeds 8–9 and all screened + reduced constants were recorded
-//! on the last commit that still had an eager refresh (`incremental =
-//! false`, the parent of PR 22), so they pin the activity-gated refresh —
-//! now the only one — to what the eager computation published. (They
-//! repeat the default-configuration constants: screening and reduction
-//! promise the same published bits, and here they keep it.)
+//! The Delta seeds 8–9 and all reduced constants were recorded on the
+//! last commit that still had an eager refresh (`incremental = false`,
+//! the parent of PR 22), so they pin the activity-gated refresh — now the
+//! only one — to what the eager computation published. (They repeat the
+//! default-configuration constants: reduction promises the same published
+//! bits, and here it keeps them.)
 //!
 //! If a PR *intends* to change the arithmetic, it re-records the
 //! constants (the failure message prints the new value) and says so.
@@ -22,7 +22,6 @@
 use crossbeam::channel::unbounded;
 use e2eprof::apps::delta::{Delta, DeltaConfig};
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
-use e2eprof::core::config::PathmapConfigBuilder;
 use e2eprof::core::prelude::*;
 use e2eprof::netsim::{NodeId, Simulation};
 use e2eprof::timeseries::{Nanos, Quanta};
@@ -114,16 +113,6 @@ fn run_digest(
     (h.0, productive)
 }
 
-/// Adds the screening tier and the edge-reduction loop on top of it.
-fn screened_and_reduced(builder: PathmapConfigBuilder) -> PathmapConfigBuilder {
-    builder
-        .screening(ScreeningConfig {
-            decimation: 8,
-            hysteresis: 0.5,
-        })
-        .reduction(ReductionConfig::default())
-}
-
 fn rubis_digest(seed: u64, reduced: bool) -> (u64, usize) {
     let mut builder = PathmapConfig::builder()
         .quanta(Quanta::from_millis(1))
@@ -132,7 +121,7 @@ fn rubis_digest(seed: u64, reduced: bool) -> (u64, usize) {
         .refresh(Nanos::from_secs(5))
         .max_delay(Nanos::from_secs(2));
     if reduced {
-        builder = screened_and_reduced(builder);
+        builder = builder.reduction(ReductionConfig::default());
     }
     let config = builder.build();
     let mut app = Rubis::build(RubisConfig {
@@ -157,7 +146,7 @@ fn delta_digest(seed: u64, reduced: bool) -> (u64, usize) {
         .refresh(Nanos::from_minutes(5))
         .max_delay(Nanos::from_minutes(10));
     if reduced {
-        builder = screened_and_reduced(builder);
+        builder = builder.reduction(ReductionConfig::default());
     }
     let config = builder.build();
     let mut app = Delta::build(DeltaConfig {
@@ -237,9 +226,9 @@ fn delta_online_graphs_match_recorded_bits() {
 }
 
 #[test]
-fn rubis_screened_and_reduced_graphs_match_recorded_bits() {
+fn rubis_reduced_graphs_match_recorded_bits() {
     assert_recorded(
-        "rubis screened+reduced",
+        "rubis reduced",
         &[1, 2, 3],
         5,
         |seed| rubis_digest(seed, true),
@@ -252,9 +241,9 @@ fn rubis_screened_and_reduced_graphs_match_recorded_bits() {
 }
 
 #[test]
-fn delta_screened_and_reduced_graphs_match_recorded_bits() {
+fn delta_reduced_graphs_match_recorded_bits() {
     assert_recorded(
-        "delta screened+reduced",
+        "delta reduced",
         &[7, 8, 9],
         2,
         |seed| delta_digest(seed, true),

@@ -11,8 +11,8 @@
 //!
 //! 2. **On preserves the strong-edge set.** With reduction enabled, the
 //!    published graphs carry the identical strong edges and spike lags;
-//!    strengths may drift only by recompute order (≤ 1e-9, same bound the
-//!    screening tier is held to) and hop delays stay within the
+//!    strengths may drift only by recompute order (≤ 1e-9) and hop delays
+//!    stay within the
 //!    ground-truth conformance tolerance (35%, 6 ms floor). A fanout
 //!    workload with a causally dead noise tier additionally proves the
 //!    loop *does* demote — the equivalence is not vacuous.
@@ -26,13 +26,8 @@ use e2eprof::timeseries::{Nanos, Quanta};
 use e2eprof_bench::noise_fanout_sim;
 use std::collections::HashSet;
 
-const SCREENING: ScreeningConfig = ScreeningConfig {
-    decimation: 8,
-    hysteresis: 0.5,
-};
-
 /// Drives the full in-process pipeline (tracer agents on every service +
-/// one analyzer owning `roots`, screening against `universe`), returning
+/// one analyzer owning `roots`, exploring against `universe`), returning
 /// each refresh's published graphs and the analyzer for counter access.
 #[allow(clippy::too_many_arguments)]
 fn run_pipeline(
@@ -190,8 +185,7 @@ fn rubis_cfg(reduction: Option<ReductionConfig>) -> PathmapConfig {
         .omega_ticks(50)
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .screening(SCREENING);
+        .max_delay(Nanos::from_secs(2));
     if let Some(red) = reduction {
         b = b.reduction(red);
     }
@@ -206,8 +200,7 @@ fn delta_cfg(reduction: Option<ReductionConfig>) -> PathmapConfig {
         .omega_ticks(20)
         .window(Nanos::from_minutes(30))
         .refresh(Nanos::from_minutes(5))
-        .max_delay(Nanos::from_minutes(10))
-        .screening(SCREENING);
+        .max_delay(Nanos::from_minutes(10));
     if let Some(red) = reduction {
         b = b.reduction(red);
     }
@@ -244,8 +237,7 @@ fn rubis_reduction_off_is_bit_identical_to_default() {
         .omega_ticks(50)
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .screening(SCREENING);
+        .max_delay(Nanos::from_secs(2));
     b = b.reduction(ReductionConfig::default()).env_overrides();
     let env_off = b.build();
     std::env::remove_var("E2EPROF_REDUCTION");
@@ -355,8 +347,7 @@ fn fanout_reduction_demotes_with_identical_strong_edges() {
         let mut b = PathmapConfig::builder()
             .window(Nanos::from_secs(20))
             .refresh(Nanos::from_secs(5))
-            .max_delay(Nanos::from_millis(500))
-            .screening(SCREENING);
+            .max_delay(Nanos::from_millis(500));
         if let Some(red) = reduction {
             b = b.reduction(red);
         }

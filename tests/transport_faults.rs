@@ -293,10 +293,6 @@ mod reduction_faults {
             .window(Nanos::from_secs(20))
             .refresh(Nanos::from_secs(5))
             .max_delay(Nanos::from_millis(500))
-            .screening(ScreeningConfig {
-                decimation: 8,
-                hysteresis: 0.5,
-            })
             .reduction(ReductionConfig::default())
             .build()
     }
