@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Subcommands: `fig5`, `fig6`, `accuracy`, `fig7`, `table1`, `fig9`,
-//! `fig10`, `delta`, `skew`, `screening`, `ablations`, `baselines`,
-//! `all`. `--full` enlarges the cost sweeps (fig9/fig10: `T_u` = 30 s,
-//! windows to 4 min) and the Delta run (25 queues) — substantially slower.
+//! `fig10`, `delta`, `skew`, `ablations`, `baselines`, `all`. `--full`
+//! enlarges the cost sweeps (fig9/fig10: `T_u` = 30 s, windows to 4 min)
+//! and the Delta run (25 queues) — substantially slower.
 
 use e2eprof_apps::delta::DeltaConfig;
 use e2eprof_apps::experiments::{
@@ -48,7 +48,6 @@ fn main() {
         "fig10" => fig10(full),
         "delta" => delta(full),
         "skew" => skew(),
-        "screening" => screening(),
         "ablations" => ablations(),
         "baselines" => baselines(),
         "all" => {
@@ -61,13 +60,12 @@ fn main() {
             fig10(full);
             delta(full);
             skew();
-            screening();
             ablations();
             baselines();
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("usage: experiments [fig5|fig6|accuracy|fig7|table1|fig9|fig10|delta|skew|screening|ablations|baselines|all] [--full]");
+            eprintln!("usage: experiments [fig5|fig6|accuracy|fig7|table1|fig9|fig10|delta|skew|ablations|baselines|all] [--full]");
             std::process::exit(2);
         }
     }
@@ -379,97 +377,6 @@ fn skew() {
             r.strength
         );
     }
-}
-
-fn screening() {
-    use e2eprof_bench::fanout_sim;
-    use e2eprof_core::config::ScreeningConfig;
-    use e2eprof_core::graph::NodeLabels;
-    use e2eprof_core::pathmap::{roots_from_topology, ScreenedStatelessProvider};
-    use e2eprof_core::signals::EdgeSignals;
-    use e2eprof_core::ServiceGraph;
-    use e2eprof_timeseries::Quanta;
-    use e2eprof_xcorr::engine::RleCorrelator;
-    use std::collections::HashMap;
-
-    header("Coarse-to-fine screening — candidate pruning on a wide fan-out");
-    println!("(6 phase-disjoint bursty clients x 8-backend clusters; dead");
-    println!(" cross-cluster pairs are pruned by the decimated-correlation");
-    println!(" bound before full-lag correlation; graphs are unchanged)\n");
-
-    let mut sim = fanout_sim(6, 8, 18.0, 0.8, 60.0, 29);
-    sim.run_until(Nanos::from_secs(62));
-    let base = e2eprof_core::PathmapConfig::builder()
-        .quanta(Quanta::from_millis(1))
-        .omega_ticks(50)
-        .window(Nanos::from_secs(36))
-        .refresh(Nanos::from_secs(6))
-        .max_delay(Nanos::from_secs(2))
-        .build();
-    let signals = EdgeSignals::from_capture(sim.captures(), &base, sim.now());
-    let roots = roots_from_topology(sim.topology());
-    let labels = NodeLabels::from_topology(sim.topology());
-    let fronts: HashMap<_, _> = roots.iter().copied().collect();
-    let render = |graphs: &[ServiceGraph]| {
-        let mut v: Vec<String> = graphs.iter().map(|g| format!("{g}")).collect();
-        v.sort();
-        v
-    };
-
-    let t0 = Instant::now();
-    let plain = Pathmap::new(base.clone()).discover(&signals, &roots, &labels);
-    let dt_off = t0.elapsed();
-    println!(
-        "{:>4}  {:>10} {:>7} {:>8} {:>10} {:>8}",
-        "k", "candidates", "pruned", "pruned%", "discover", "speedup"
-    );
-    println!(
-        "{:>4}  {:>10} {:>7} {:>8} {:>10} {:>8}",
-        "off",
-        "-",
-        "-",
-        "-",
-        fmt_duration(dt_off),
-        "1.00x"
-    );
-    let engine = RleCorrelator;
-    for k in [4u64, 8, 16] {
-        let cfg = e2eprof_core::PathmapConfig::builder()
-            .quanta(Quanta::from_millis(1))
-            .omega_ticks(50)
-            .window(Nanos::from_secs(36))
-            .refresh(Nanos::from_secs(6))
-            .max_delay(Nanos::from_secs(2))
-            .screening(ScreeningConfig {
-                decimation: k,
-                hysteresis: 0.5,
-            })
-            .build();
-        let screen = cfg.screen().expect("screening configured");
-        let pm = Pathmap::new(cfg);
-        let t0 = Instant::now();
-        let coarse = signals.decimate(screen.factor());
-        let mut provider = ScreenedStatelessProvider::new(&engine, screen, &coarse, &fronts);
-        let graphs = pm.discover_with(&signals, &roots, &labels, &mut provider);
-        let dt = t0.elapsed();
-        let stats = provider.stats();
-        assert_eq!(
-            render(&plain),
-            render(&graphs),
-            "screening (k = {k}) changed the discovered graphs"
-        );
-        println!(
-            "{:>4}  {:>10} {:>7} {:>7.0}% {:>10} {:>7.2}x",
-            k,
-            stats.candidates,
-            stats.pruned,
-            stats.pruned_fraction() * 100.0,
-            fmt_duration(dt),
-            dt_off.as_secs_f64() / dt.as_secs_f64().max(1e-9)
-        );
-    }
-    println!("\n(the bound is conservative: every discovered edge survives the");
-    println!(" screen, and only provably sub-floor pairs skip full-lag work)");
 }
 
 fn ablations() {

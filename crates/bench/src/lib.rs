@@ -84,7 +84,7 @@ pub fn corr_pair(s: &Scenario) -> (RleSeries, RleSeries) {
     (x, y)
 }
 
-/// Builds the wide-fanout screening deployment: one front end fans out to
+/// Builds the wide-fanout deployment: one front end fans out to
 /// `clients` clusters of `cluster` backends each, and client `c`'s traffic
 /// bursts for `burst` seconds at phase `c·(period/clients)` of every
 /// `period`-second cycle (one request per 5 ms while on), for
@@ -93,8 +93,8 @@ pub fn corr_pair(s: &Scenario) -> (RleSeries, RleSeries) {
 /// With `period/clients − burst` comfortably above the lag bound `T_u`
 /// plus the ω smear, the bursts are pairwise time-disjoint within the lag
 /// horizon, so each client's causal evidence only ever touches its own
-/// cluster — the other clusters' `(client, edge)` pairs are provably dead
-/// and a screening tier can prune them. The caller still has to
+/// cluster — the other clusters' `(client, edge)` pairs have disjoint
+/// supports. The caller still has to
 /// `run_until` the returned simulation.
 pub fn fanout_sim(
     clients: usize,
@@ -148,8 +148,9 @@ pub fn fanout_sim(
 ///
 /// With the lag bound `T_u` well under the 1.2 s gap between the burst
 /// windows, the noise edges carry live traffic but zero causal evidence
-/// for `cli` — an analyzer owning only the `cli` root screens them
-/// inactive and (with reduction on) demotes them to coarse streaming.
+/// for `cli` — their supports are disjoint from its root signal, so an
+/// analyzer owning only the `cli` root (with reduction on) demotes them
+/// to coarse streaming.
 /// This is the workload behind the `reduction_fanout` bench: most of the
 /// deployment's bytes belong to edges the owned root does not need at
 /// full resolution. The caller still has to `run_until` the returned
@@ -211,7 +212,7 @@ pub fn noise_fanout_sim(
 ///
 /// The silence is what makes the backend tier demotable in a *sharded*
 /// deployment, where every client is some shard's root: while `ebb` is
-/// live its own shard keeps its edges screened active, so the unanimous
+/// live its own shard keeps its edges overlapping its root, so the unanimous
 /// [`effective_levels`](e2eprof_core::reduction::effective_levels) merge
 /// leaves them fine. Once the window slides past the last ebb burst the
 /// edges go cold on every shard and demote; the resumed bursts then

@@ -123,27 +123,6 @@ impl EdgeSignals {
     pub fn target_signal(&self, src: NodeId, dst: NodeId) -> Option<&RleSeries> {
         self.signals.get(&(src, dst))
     }
-
-    /// The `factor`-decimated view of every signal, for the coarse
-    /// screening tier: each coarse tick sums `factor` fine ticks, the
-    /// quantum scales accordingly, the window covers the fine window's
-    /// coarse blocks, and the lag bound becomes the conservative cover
-    /// `⌊(L−1)/k⌋ + 2` (see [`e2eprof_xcorr::screen`]).
-    pub fn decimate(&self, factor: u64) -> EdgeSignals {
-        assert!(factor > 0, "decimation factor must be positive");
-        let quanta = Quanta::from_nanos(self.quanta.duration().as_nanos() * factor);
-        let window = (
-            Tick::new(self.window.0.index() / factor),
-            Tick::new(self.window.1.index().div_ceil(factor)),
-        );
-        let max_lag = e2eprof_xcorr::screen::coarse_lag_bound(self.max_lag, factor);
-        let signals = self
-            .signals
-            .iter()
-            .map(|(&edge, s)| (edge, s.decimate(factor)))
-            .collect();
-        Self::from_parts(quanta, window, max_lag, signals)
-    }
 }
 
 #[cfg(test)]
@@ -220,47 +199,6 @@ mod tests {
             .unwrap();
         // ~40 req/s over a 20 s window, each smeared over ω=50 ticks.
         assert!(x.stats().sum() > 100.0);
-    }
-
-    #[test]
-    fn decimate_preserves_edges_and_mass() {
-        let mut sim = two_tier();
-        sim.run_until(Nanos::from_secs(30));
-        let cfg = small_cfg();
-        let signals = EdgeSignals::from_capture(sim.captures(), &cfg, sim.now());
-        let k = 8;
-        let coarse = signals.decimate(k);
-
-        assert_eq!(
-            coarse.quanta().duration().as_nanos(),
-            signals.quanta().duration().as_nanos() * k
-        );
-        assert_eq!(coarse.window().0, Tick::new(signals.window().0.index() / k));
-        assert_eq!(
-            coarse.window().1,
-            Tick::new(signals.window().1.index().div_ceil(k))
-        );
-        assert_eq!(
-            coarse.max_lag(),
-            e2eprof_xcorr::screen::coarse_lag_bound(signals.max_lag(), k)
-        );
-        let edges: Vec<_> = signals.edges().collect();
-        assert_eq!(coarse.edges().count(), edges.len());
-        for (src, dst) in edges {
-            let fine = signals.target_signal(src, dst).unwrap();
-            let c = coarse.target_signal(src, dst).unwrap();
-            // Decimation sums, so total mass is preserved exactly-ish.
-            assert!(
-                (fine.stats().sum() - c.stats().sum()).abs() < 1e-6,
-                "{src:?}->{dst:?}"
-            );
-            assert_eq!(c, &fine.decimate(k));
-        }
-        // Adjacency survives the rebuild.
-        assert_eq!(
-            coarse.edges_from(NodeId::new(0)),
-            signals.edges_from(NodeId::new(0))
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Shared test fixtures: deterministic bursty workloads, the wide-fanout
-//! topology used to exercise coarse-to-fine screening, and a mesh of
+//! topologies used to exercise edge-side reduction, and a mesh of
 //! disjoint stacks.
 
 use e2eprof_netsim::prelude::*;
@@ -48,8 +48,7 @@ pub(crate) fn burst_arrivals(
 /// One front end fanning out to a hot backend plus many dead ones. The
 /// traced client bursts in `[0, 1)` of each 4 s period while the noise
 /// class (feeding the dead backends) bursts in `[2.2, 3.2)`: with
-/// `T_u = 500 ms` the supports never overlap at any admissible lag, so
-/// the coarse cover bound on every dead pair is (near) zero.
+/// `T_u = 500 ms` the supports never overlap at any admissible lag.
 pub(crate) fn wide_fanout_sim(backends: usize, seed: u64) -> Simulation {
     let mut t = TopologyBuilder::new();
     let bid = t.service_class("bid");

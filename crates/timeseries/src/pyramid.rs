@@ -1,4 +1,4 @@
-//! Multi-resolution companion windows for coarse-to-fine screening.
+//! Coarse images of fine streams, for edge-side data reduction.
 //!
 //! A [`DecimatedWindow`] consumes the same chunk stream as a
 //! [`SlidingWindow`] but retains the signal decimated by a factor `k`:
@@ -6,13 +6,10 @@
 //! Coarse ticks are aligned to absolute multiples of `k`, so the retained
 //! coarse series equals [`RleSeries::decimate`] of the concatenated fine
 //! stream — maintained incrementally in O(chunk runs) per ingest instead
-//! of re-decimating the window.
-//!
-//! Fine ticks that do not yet complete a coarse block are buffered in a
-//! short tail (`< k` ticks plus whatever the latest chunk added) and
-//! folded as soon as their block fills; [`DecimatedWindow::tail`] exposes
-//! the buffered remainder so screening bounds can account for the not-yet-
-//! folded mass exactly.
+//! of re-decimating the window. Fine ticks that do not yet complete a
+//! coarse block are buffered in a short tail and folded as soon as their
+//! block fills. [`decimate_counts`] is the tracer side's decimation of a
+//! demoted edge.
 
 use crate::rle::RleSeries;
 use crate::time::Tick;
@@ -38,16 +35,8 @@ pub struct DecimatedWindow {
     factor: u64,
     coarse: SlidingWindow,
     /// The fine-resolution suffix not yet folded into `coarse`: spans
-    /// `[folded_end·k, fine_end)`. `None` before any data.
+    /// `[folded_end·k, fine end)`. `None` before any data.
     tail: Option<RleSeries>,
-    /// Change-epoch contribution of the buffered tail: bumped when nonzero
-    /// content enters the tail or the pyramid resets. Folds move content
-    /// into `coarse`, whose own epoch then advances; [`epoch`] sums both,
-    /// so it is monotone and only ever stable when *no* nonzero content
-    /// moved anywhere in the pyramid.
-    ///
-    /// [`epoch`]: DecimatedWindow::epoch
-    tail_epoch: u64,
 }
 
 impl DecimatedWindow {
@@ -66,40 +55,12 @@ impl DecimatedWindow {
             factor,
             coarse: SlidingWindow::new(fine_capacity.div_ceil(factor) + 2),
             tail: None,
-            tail_epoch: 0,
         }
-    }
-
-    /// The decimation factor `k`.
-    pub fn factor(&self) -> u64 {
-        self.factor
-    }
-
-    /// The pyramid's change epoch: the coarse window's
-    /// [`SlidingWindow::epoch`] plus the tail's contribution. Stable
-    /// across ingests of all-zero chunks (and folds of all-zero blocks);
-    /// advances whenever a nonzero run enters the pyramid, is evicted
-    /// from coarse retention, or the stream resets across a gap.
-    pub fn epoch(&self) -> u64 {
-        self.coarse.epoch() + self.tail_epoch
     }
 
     /// The retained coarse window (in coarse ticks of `k` fine ticks each).
     pub fn coarse(&self) -> &SlidingWindow {
         &self.coarse
-    }
-
-    /// One past the last fine tick ingested (folded or buffered).
-    pub fn fine_end(&self) -> Tick {
-        self.tail.as_ref().map(|t| t.end()).unwrap_or(Tick::ZERO)
-    }
-
-    /// The buffered fine suffix whose coarse block has not filled yet
-    /// (empty before any data). Its span is `[coarse().end()·k, fine_end)`.
-    pub fn tail(&self) -> RleSeries {
-        self.tail
-            .clone()
-            .unwrap_or_else(|| RleSeries::empty(Tick::ZERO, 0))
     }
 
     /// Ingests the next chunk with the same discontinuity semantics as
@@ -109,21 +70,13 @@ impl DecimatedWindow {
     /// ignored (both return `false`).
     pub fn append_or_reset(&mut self, chunk: &RleSeries) -> bool {
         let Some(tail) = &mut self.tail else {
-            if chunk.num_runs() > 0 {
-                self.tail_epoch += 1;
-            }
             self.tail = Some(chunk.clone());
             self.fold();
             return false;
         };
         let end = tail.end();
         if chunk.start() > end {
-            // Frames lost: restart the pyramid at the chunk's origin. A
-            // reset always bumps the epoch — everything cached across it
-            // (even over all-zero data) is invalid. The replaced coarse
-            // window restarts its own epoch at zero, so fold its count
-            // into the tail's to keep [`epoch`](Self::epoch) monotone.
-            self.tail_epoch += self.coarse.epoch() + 1;
+            // Frames lost: restart the pyramid at the chunk's origin.
             self.coarse = SlidingWindow::new(self.coarse.capacity());
             self.tail = Some(chunk.clone());
             self.fold();
@@ -131,11 +84,7 @@ impl DecimatedWindow {
         } else if chunk.end() <= end {
             false // stale duplicate
         } else {
-            let suffix = chunk.slice(end, chunk.end());
-            if suffix.num_runs() > 0 {
-                self.tail_epoch += 1;
-            }
-            tail.append_chunk(&suffix);
+            tail.append_chunk(&chunk.slice(end, chunk.end()));
             self.fold();
             false
         }
@@ -152,10 +101,6 @@ impl DecimatedWindow {
     /// Any buffered fine tail is discarded — once the source streams
     /// coarse, buffered fine ticks can never complete their block.
     pub fn append_coarse_or_reset(&mut self, chunk: &RleSeries) -> bool {
-        // Discarding a nonzero buffered tail is a content change.
-        if self.tail.as_ref().is_some_and(|t| t.num_runs() > 0) {
-            self.tail_epoch += 1;
-        }
         self.tail = Some(RleSeries::empty(
             Tick::new(chunk.end().index() * self.factor),
             0,
@@ -287,9 +232,6 @@ mod tests {
             let want = whole.slice(whole.start(), boundary).decimate(k);
             let got = dec.coarse().series();
             assert_eq!(got, want, "after chunk ending {:?}", c.end());
-            let tail_start = boundary.max(whole.start());
-            assert_eq!(dec.tail(), whole.slice(tail_start, whole.end()));
-            assert_eq!(dec.fine_end(), whole.end());
         }
     }
 
@@ -351,26 +293,6 @@ mod tests {
             ],
             4,
         );
-    }
-
-    #[test]
-    fn epoch_tracks_content_not_zero_ingest() {
-        let mut dec = DecimatedWindow::new(1 << 20, 4);
-        assert_eq!(dec.epoch(), 0);
-        // Zero chunks fold zero blocks: no epoch movement.
-        dec.append_or_reset(&chunk(0, 8, vec![]));
-        dec.append_or_reset(&chunk(8, 8, vec![]));
-        assert_eq!(dec.epoch(), 0);
-        // Nonzero content advances the epoch.
-        dec.append_or_reset(&chunk(16, 8, vec![Run::new(Tick::new(17), 3, 1.0)]));
-        let e = dec.epoch();
-        assert!(e > 0);
-        // Back to zero traffic: stable again.
-        dec.append_or_reset(&chunk(24, 8, vec![]));
-        assert_eq!(dec.epoch(), e);
-        // A gap reset always bumps, even over all-zero data.
-        assert!(dec.append_or_reset(&chunk(100, 8, vec![])));
-        assert!(dec.epoch() > e);
     }
 
     #[test]

@@ -248,10 +248,10 @@ impl RleSeries {
     /// contiguous chunks tile into the decimation of their concatenation.
     /// The coarse span is `[⌊start/k⌋, ⌈end/k⌉)`.
     ///
-    /// For non-negative signals this is the coarse tier of the screening
-    /// pyramid: every fine product `x(t)·y(t+d)` lands in exactly one
-    /// coarse product `X(⌊t/k⌋)·Y(⌊(t+d)/k⌋)`, which is what makes the
-    /// decimated correlation a sound upper-bound cover of the fine one.
+    /// For non-negative signals every non-zero fine product `x(t)·y(t+d)`
+    /// lands in a non-zero coarse product `X(⌊t/k⌋)·Y(⌊(t+d)/k⌋)`, which
+    /// is what makes coarse support overlap a sound promote trigger for
+    /// edge-side reduction.
     ///
     /// # Panics
     ///

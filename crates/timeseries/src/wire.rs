@@ -677,8 +677,7 @@ impl<'a> FrameCursor<'a> {
 pub type DecodedBatch = Vec<((u32, u32), RleSeries)>;
 
 /// The streaming ingest path uses [`FrameCursor`] directly; this
-/// materializing form serves tests, tools, and the screening tier's
-/// decimated twin.
+/// materializing form serves tests and tools.
 ///
 /// # Errors
 ///
