@@ -41,7 +41,7 @@ use e2eprof_timeseries::pyramid::DecimatedWindow;
 use e2eprof_timeseries::window::SlidingWindow;
 use e2eprof_timeseries::{wire, Nanos, RleSeries, Run, Tick};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
-use e2eprof_xcorr::{CorrSeries, Correlator, Spike};
+use e2eprof_xcorr::{CorrSeries, Spike};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -296,6 +296,11 @@ pub struct GraphUpdate {
 
 impl OnlineAnalyzer {
     /// Creates an analyzer fed by `rx`, analyzing every root.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two roots share a client (see
+    /// [`with_universe`](Self::with_universe)).
     pub fn new(
         config: PathmapConfig,
         roots: Vec<(NodeId, NodeId)>,
@@ -314,6 +319,12 @@ impl OnlineAnalyzer {
     /// concatenating the graphs of shards holding contiguous root chunks
     /// (in shard order) reproduces the single-analyzer output bit for
     /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two roots share a client. A pair is keyed by client and
+    /// edge, and a client's source signal is looked up through its one
+    /// front end, so two fronts of one client would mix their evidence.
     pub fn with_universe(
         config: PathmapConfig,
         roots: Vec<(NodeId, NodeId)>,
@@ -321,6 +332,12 @@ impl OnlineAnalyzer {
         labels: NodeLabels,
         rx: Receiver<TracerFrame>,
     ) -> Self {
+        let fronts: FxHashMap<NodeId, NodeId> = roots.iter().copied().collect();
+        assert_eq!(
+            fronts.len(),
+            roots.len(),
+            "two roots share a client: the online analyzer needs one front end per client"
+        );
         // Retain enough history for the source window, the lag horizon,
         // and one refresh interval of eviction corrections.
         let capacity = config.window_ticks() + config.max_lag() + 2 * config.refresh_ticks();
@@ -339,7 +356,7 @@ impl OnlineAnalyzer {
         OnlineAnalyzer {
             config,
             pathmap,
-            fronts: roots.iter().copied().collect(),
+            fronts,
             roots,
             universe,
             labels,
@@ -627,7 +644,6 @@ impl OnlineAnalyzer {
             EdgeSignals::from_parts(self.config.quanta(), (start, end), max_lag, signals_map);
 
         let num_workers = self.config.num_workers();
-        let engine = self.pathmap.engine();
         let slide_scratch = &self.slide_scratch;
         let windows = &self.windows;
 
@@ -688,9 +704,9 @@ impl OnlineAnalyzer {
             pool_for(memory.costs.fine, num_workers),
             |item| item.step,
             |item| {
-                item.allocated =
-                    item.step
-                        .run(&mut item.inc, engine, max_lag, (start, end), slide_scratch);
+                item.allocated = item
+                    .step
+                    .run(&mut item.inc, max_lag, (start, end), slide_scratch);
             },
         ));
         // Pairs skipped this refresh, in key order, for the dirty-root
@@ -760,7 +776,6 @@ impl OnlineAnalyzer {
             pool_for(memory.costs.discovery, num_workers),
             |root| CachedProvider {
                 advanced: &self.incs,
-                engine,
                 fresh: HashMap::new(),
                 skipped: &skipped,
                 previous: remembered.get(&root).map_or(&[], |(_, support)| support),
@@ -1112,8 +1127,7 @@ enum Step<'a> {
         yw: &'a SlidingWindow,
     },
     /// No usable prior state — the pair's first window, or the first after
-    /// a stream heal: a one-shot from-scratch computation over the views,
-    /// where any stateless engine applies.
+    /// a stream heal: a one-shot from-scratch computation over the views.
     Refill { x: &'a RleSeries, y: &'a RleSeries },
 }
 
@@ -1164,7 +1178,6 @@ impl<'a> Step<'a> {
     fn run(
         self,
         inc: &mut IncrementalCorrelator,
-        engine: &dyn Correlator,
         max_lag: u64,
         window: (Tick, Tick),
         scratch: &ScratchPool<SlideScratch>,
@@ -1199,7 +1212,7 @@ impl<'a> Step<'a> {
                 })
             }
             Step::Refill { x, y } => {
-                inc.refill(engine, x, y);
+                inc.refill(x, y);
                 true
             }
         }
@@ -1236,8 +1249,6 @@ struct CachedProvider<'a> {
     /// products out as they are; one left at an older window (its signals
     /// had vanished) is stale and never served.
     advanced: &'a FxHashMap<PairKey, IncrementalCorrelator>,
-    /// Engine for the one-shot cold computation of first-reached pairs.
-    engine: &'a dyn Correlator,
     fresh: HashMap<PairKey, IncrementalCorrelator>,
     /// Pairs Phase 1 skipped this refresh, sorted: their products are
     /// last refresh's, bit for bit, and both their signals were quiet.
@@ -1271,10 +1282,9 @@ impl CorrelationProvider for CachedProvider<'_> {
         }
         // First reached this refresh: no prior state to correct, so fill
         // from scratch; the analyzer adopts the correlator afterwards.
-        let engine = self.engine;
         let inc = self.fresh.entry((client, edge)).or_insert_with(|| {
             let mut inc = IncrementalCorrelator::new(max_lag);
-            inc.refill(engine, x, y);
+            inc.refill(x, y);
             inc
         });
         Cow::Borrowed(inc.corr())
@@ -1822,6 +1832,16 @@ mod tests {
         let (_tx, rx) = unbounded::<TracerFrame>();
         let mut analyzer = OnlineAnalyzer::new(cfg(), vec![], NodeLabels::default(), rx);
         assert!(analyzer.refresh(Nanos::from_secs(1)).is_empty());
+    }
+
+    /// A client that sends to two receivers infers as two roots; online,
+    /// their pairs would share keys and one front would be forgotten.
+    #[test]
+    #[should_panic(expected = "two roots share a client")]
+    fn two_roots_with_one_client_are_rejected() {
+        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (cli, a, b) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        OnlineAnalyzer::new(cfg(), vec![(cli, a), (cli, b)], NodeLabels::default(), rx);
     }
 
     #[test]

@@ -159,17 +159,11 @@ impl ScratchCounters {
     }
 }
 
-/// Stateless provider wrapping any [`Correlator`] engine.
+/// Offline discovery's provider: every pair computed from scratch by the
+/// pathmap's engine.
 #[derive(Debug)]
-pub struct StatelessProvider<'a> {
+struct StatelessProvider<'a> {
     engine: &'a dyn Correlator,
-}
-
-impl<'a> StatelessProvider<'a> {
-    /// Wraps an engine.
-    pub fn new(engine: &'a dyn Correlator) -> Self {
-        StatelessProvider { engine }
-    }
 }
 
 impl CorrelationProvider for StatelessProvider<'_> {
@@ -200,14 +194,17 @@ pub fn roots_from_topology(topo: &Topology) -> Vec<(NodeId, NodeId)> {
     roots
 }
 
+/// Fraction of the maximum per-node delay above which a node is marked a
+/// bottleneck.
+const BOTTLENECK_FRACTION: f64 = 0.5;
+
 /// The pathmap path-discovery algorithm.
 #[derive(Debug)]
 pub struct Pathmap {
     config: PathmapConfig,
+    /// The stateless engine of offline discovery; the online analyzer
+    /// maintains its products itself.
     engine: Box<dyn Correlator>,
-    /// Fraction of the maximum per-node delay above which a node is marked
-    /// a bottleneck.
-    bottleneck_fraction: f64,
     /// Normalized-coefficient buffers, one per concurrently explored
     /// root, kept across calls: every pair a root's search visits is
     /// normalized into the same buffer and spike-detected in place.
@@ -231,28 +228,15 @@ impl Pathmap {
         Pathmap {
             config,
             engine,
-            bottleneck_fraction: 0.5,
             rho_buffers: ScratchPool::default(),
             rho_reused: AtomicU64::new(0),
             rho_allocated: AtomicU64::new(0),
         }
     }
 
-    /// Sets the bottleneck-marking threshold (fraction of the maximum
-    /// per-node delay; default 0.5).
-    pub fn with_bottleneck_fraction(mut self, fraction: f64) -> Self {
-        self.bottleneck_fraction = fraction;
-        self
-    }
-
     /// The analysis configuration.
     pub fn config(&self) -> &PathmapConfig {
         &self.config
-    }
-
-    /// The correlation engine backing this instance.
-    pub fn engine(&self) -> &dyn Correlator {
-        self.engine.as_ref()
     }
 
     /// Reuse counters of the normalization buffers over this instance's
@@ -266,15 +250,15 @@ impl Pathmap {
     }
 
     /// Runs `ServiceRoot`: discovers one service graph per
-    /// `(client, front-end)` root using the configured stateless engine.
+    /// `(client, front-end)` root using the configured stateless engine, on
+    /// the calling thread.
     pub fn discover(
         &self,
         signals: &EdgeSignals,
         roots: &[(NodeId, NodeId)],
         labels: &NodeLabels,
     ) -> Vec<ServiceGraph> {
-        let mut provider = StatelessProvider::new(self.engine.as_ref());
-        self.discover_with(signals, roots, labels, &mut provider)
+        self.discover_stateless(signals, roots, labels, 1)
     }
 
     /// Runs `ServiceRoot` with the client graphs spread over
@@ -291,13 +275,26 @@ impl Pathmap {
         roots: &[(NodeId, NodeId)],
         labels: &NodeLabels,
     ) -> Vec<ServiceGraph> {
+        self.discover_stateless(signals, roots, labels, self.config.num_workers())
+    }
+
+    /// Offline discovery over `num_workers` threads: the roots' graphs,
+    /// in root order, skipping roots whose source signal is absent.
+    fn discover_stateless(
+        &self,
+        signals: &EdgeSignals,
+        roots: &[(NodeId, NodeId)],
+        labels: &NodeLabels,
+        num_workers: usize,
+    ) -> Vec<ServiceGraph> {
         // The full client set must be shared across workers: a worker
         // exploring one client's graph must still know that the *other*
         // clients are untraced endpoints it cannot recurse into.
         let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        let workers = self.config.num_workers();
-        let make_provider = |_| StatelessProvider::new(self.engine.as_ref());
-        self.discover_each_among(signals, roots, &clients, labels, workers, make_provider)
+        let make_provider = |_| StatelessProvider {
+            engine: self.engine.as_ref(),
+        };
+        self.discover_each_among(signals, roots, &clients, labels, num_workers, make_provider)
             .0
             .into_iter()
             .filter_map(|(graph, _)| graph)
@@ -314,9 +311,8 @@ impl Pathmap {
     ///
     /// Slots are in root order regardless of worker count and
     /// `num_workers <= 1` runs entirely on the calling thread, so results
-    /// are bitwise identical to the serial
-    /// [`discover_with`](Pathmap::discover_with) whenever the providers
-    /// are (the online analyzer's satisfy this by construction: each
+    /// are bitwise identical to a serial loop over the roots whenever the
+    /// providers are (the online analyzer's satisfy this by construction: each
     /// `(client, edge)` pair's correlation is brought up to date once, in
     /// stable key order, before discovery starts). Each root's provider
     /// comes back with its slot, so callers can harvest per-root provider
@@ -355,26 +351,6 @@ impl Pathmap {
         })
     }
 
-    /// Runs `ServiceRoot` with an explicit correlation provider.
-    pub fn discover_with(
-        &self,
-        signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        labels: &NodeLabels,
-        provider: &mut dyn CorrelationProvider,
-    ) -> Vec<ServiceGraph> {
-        let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        let mut graphs = Vec::new();
-        for &(client, front) in roots {
-            if let Some(graph) =
-                self.discover_one(signals, client, front, &clients, labels, provider)
-            {
-                graphs.push(graph);
-            }
-        }
-        graphs
-    }
-
     /// Builds one client's graph (`None` if its source signal is absent).
     fn discover_one(
         &self,
@@ -408,7 +384,7 @@ impl Pathmap {
             )
         });
         graph.recompute_hop_delays();
-        graph.annotate_bottlenecks(self.bottleneck_fraction);
+        graph.annotate_bottlenecks(BOTTLENECK_FRACTION);
         Some(graph)
     }
 

@@ -655,6 +655,14 @@ mod tests {
         assert_eq!(frames[0].seq, 1);
         assert_eq!(frames[0].payload.as_ref(), &[0xAA]);
         assert_eq!(frames[1].seq, 2);
+        // The writer counts a batch once its write returns, which may be
+        // after the subscriber has read it.
+        for _ in 0..1_000_000 {
+            if broker.delivered() >= 2 {
+                break;
+            }
+            std::thread::yield_now();
+        }
         assert_eq!(broker.delivered(), 2);
         broker.shutdown();
     }

@@ -210,36 +210,12 @@ impl RleSeries {
     /// Equivalent to `to_sparse().to_dense()` (bit-for-bit) but O(span)
     /// with no intermediate allocation proportional to the support.
     pub fn to_dense(&self) -> crate::dense::DenseSeries {
-        let mut values = Vec::new();
-        self.decode_dense_into(&mut values);
-        crate::dense::DenseSeries::new(self.start, values)
-    }
-
-    /// Decodes the per-tick values over the logical span into `out`,
-    /// clearing it first. Equivalent to `to_dense().values().to_vec()` but
-    /// reuses the caller's allocation — the correlation scratch arena calls
-    /// this every pair, so the steady state must not allocate once `out`
-    /// has grown to the window size.
-    pub fn decode_dense_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.len as usize, 0.0);
+        let mut values = vec![0.0; self.len as usize];
         for r in &self.runs {
             let off = (r.start.index() - self.start.index()) as usize;
-            out[off..off + r.len as usize].fill(r.value);
+            values[off..off + r.len as usize].fill(r.value);
         }
-    }
-
-    /// Decodes the non-zero entries into `out`, clearing it first.
-    /// Equivalent to `to_sparse().entries().to_vec()` with the caller's
-    /// allocation reused (see [`decode_dense_into`](Self::decode_dense_into)).
-    pub fn decode_sparse_into(&self, out: &mut Vec<SparseEntry>) {
-        out.clear();
-        out.reserve(self.support() as usize);
-        for r in &self.runs {
-            for i in 0..r.len {
-                out.push(SparseEntry::new(r.start + i, r.value));
-            }
-        }
+        crate::dense::DenseSeries::new(self.start, values)
     }
 
     /// Decimates by `k`: coarse tick `j` sums the fine values over ticks
@@ -351,8 +327,10 @@ impl RleSeries {
 
     /// Decodes back to the sparse representation over the same span.
     pub fn to_sparse(&self) -> SparseSeries {
-        let mut entries = Vec::new();
-        self.decode_sparse_into(&mut entries);
+        let mut entries = Vec::with_capacity(self.support() as usize);
+        for r in &self.runs {
+            entries.extend((0..r.len).map(|i| SparseEntry::new(r.start + i, r.value)));
+        }
         SparseSeries::from_parts(self.start, self.len, entries)
     }
 
@@ -530,21 +508,6 @@ mod tests {
         let q = RleSeries::empty(Tick::new(0), 10);
         assert_eq!(q.density(), 0.0);
         assert_eq!(q.avg_run_len(), 0.0);
-    }
-
-    #[test]
-    fn decode_into_matches_owned_decodes() {
-        let r = sample();
-        let mut dense = vec![99.0; 3]; // stale contents must be cleared
-        r.decode_dense_into(&mut dense);
-        assert_eq!(dense, r.to_dense().values());
-        let mut entries = Vec::new();
-        r.decode_sparse_into(&mut entries);
-        assert_eq!(entries, r.to_sparse().entries());
-        // Reuse without reallocation once grown.
-        let cap = dense.capacity();
-        r.decode_dense_into(&mut dense);
-        assert_eq!(dense.capacity(), cap);
     }
 
     #[test]

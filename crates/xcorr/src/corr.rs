@@ -36,12 +36,6 @@ impl CorrSeries {
         }
     }
 
-    /// Resets to all zeros over `max_lag` lags, reusing the allocation.
-    pub fn reset(&mut self, max_lag: u64) {
-        self.values.clear();
-        self.values.resize(max_lag as usize, 0.0);
-    }
-
     /// Number of lags covered (the `T_u/τ` bound).
     pub fn max_lag(&self) -> u64 {
         self.values.len() as u64

@@ -9,9 +9,7 @@
 //! Each lag is one dot product of the overlapping window portions, computed
 //! by the [`simd`] kernel (AVX2/SSE2 on x86_64, 4-lane
 //! unrolled scalar elsewhere) — on dense windows this engine is
-//! memory-bandwidth-bound rather than ALU-bound, which is why the adaptive
-//! backend picks it whenever the signals' density makes run/entry-skipping
-//! pointless.
+//! memory-bandwidth-bound rather than ALU-bound.
 
 use crate::corr::CorrSeries;
 use crate::simd;
@@ -35,44 +33,22 @@ use e2eprof_timeseries::DenseSeries;
 /// assert_eq!(r.values(), &[0.0, 5.0]);
 /// ```
 pub fn correlate(x: &DenseSeries, y: &DenseSeries, max_lag: u64) -> CorrSeries {
-    let mut out = CorrSeries::zeros(0);
-    correlate_slices_into(
-        x.values(),
-        x.start().index() as i64,
-        y.values(),
-        y.start().index() as i64,
-        max_lag,
-        &mut out,
-    );
-    out
-}
-
-/// Slice-level kernel behind [`correlate`]: correlates `xv` (starting at
-/// absolute tick `x0`) against `yv` (starting at `y0`) into `out`, reusing
-/// `out`'s allocation. The arena-backed engine path decodes RLE windows
-/// into reusable buffers and calls this directly.
-pub(crate) fn correlate_slices_into(
-    xv: &[f64],
-    x0: i64,
-    yv: &[f64],
-    y0: i64,
-    max_lag: u64,
-    out: &mut CorrSeries,
-) {
-    let off = x0 - y0;
-    out.reset(max_lag);
+    let (xv, yv) = (x.values(), y.values());
+    let off = x.start().index() as i64 - y.start().index() as i64;
+    let mut out = CorrSeries::zeros(max_lag);
     for (d, slot) in out.values_mut().iter_mut().enumerate() {
         // y index j = i + d + off must lie in [0, yv.len()).
         let shift = d as i64 + off;
         let i_lo = (-shift).max(0) as usize;
         let i_hi = (yv.len() as i64 - shift).clamp(0, xv.len() as i64) as usize;
         if i_lo >= i_hi {
-            continue; // slot already zeroed by reset
+            continue; // no overlap at this lag: the slot stays zero
         }
         let j_lo = (i_lo as i64 + shift) as usize;
         let j_hi = (i_hi as i64 + shift) as usize;
         *slot = simd::dot(&xv[i_lo..i_hi], &yv[j_lo..j_hi]);
     }
+    out
 }
 
 /// Full-range correlation: every lag from 0 to `x.len() + y.len()`.

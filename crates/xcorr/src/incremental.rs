@@ -248,22 +248,15 @@ impl IncrementalCorrelator {
         self.window = Some(span);
     }
 
-    /// Discards all state, returning to the empty window.
-    pub fn reset(&mut self) {
-        self.acc = CorrSeries::zeros(self.max_lag);
-        self.window = None;
-    }
-
-    /// Recomputes the accumulator from scratch over `x`'s full span with an
-    /// explicit stateless engine, replacing the current window.
+    /// Recomputes the accumulator from scratch over `x`'s full span with
+    /// the RLE kernel ([`rle::correlate`]), replacing the current window.
     ///
     /// This is the cold path of the online analyzer: a pair's very first
-    /// window (or a window after a reset) has no prior state to correct
-    /// incrementally, so any engine — including the auto-selecting one —
-    /// can be used for the one-shot full computation. Subsequent appends
-    /// and evictions stay on the exact RLE-native corrections.
-    pub fn refill(&mut self, engine: &dyn crate::engine::Correlator, x: &RleSeries, y: &RleSeries) {
-        self.acc = engine.correlate(x, y, self.max_lag);
+    /// window (or the first after a stream heal) has no prior state to
+    /// correct incrementally. Subsequent slides stay on the exact
+    /// RLE-native corrections.
+    pub fn refill(&mut self, x: &RleSeries, y: &RleSeries) {
+        self.acc = rle::correlate(x, y, self.max_lag);
         self.window = Some((x.start(), x.end()));
     }
 }
@@ -384,7 +377,7 @@ mod tests {
         appended.append(&x, &y);
 
         let mut refilled = IncrementalCorrelator::new(max_lag);
-        refilled.refill(&crate::engine::RleCorrelator, &x, &y);
+        refilled.refill(&x, &y);
 
         assert_eq!(appended.window(), refilled.window());
         assert_eq!(appended.corr().values(), refilled.corr().values());
@@ -411,15 +404,5 @@ mod tests {
     #[should_panic(expected = "empty correlator")]
     fn slide_before_append_panics() {
         IncrementalCorrelator::new(4).slide((Tick::new(0), Tick::new(1)));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let x = signal(50, 9);
-        let mut inc = IncrementalCorrelator::new(10);
-        inc.append(&x, &x);
-        inc.reset();
-        assert_eq!(inc.window(), None);
-        assert!(inc.corr().values().iter().all(|&v| v == 0.0));
     }
 }

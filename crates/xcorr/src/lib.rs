@@ -7,23 +7,22 @@
 //! spike at the lag equal to the delay — evidence of a causal relationship
 //! and a direct measurement of the path delay.
 //!
-//! This crate provides the paper's full menu of correlation strategies, all
-//! computing the same *raw lagged products* `r(d) = Σ_t x(t) · y(t + d)` for
-//! lags `d ∈ [0, T_u/τ)` so they can be compared head-to-head (Fig. 9):
+//! The online pathmap computes these *raw lagged products*
+//! `r(d) = Σ_t x(t) · y(t + d)`, `d ∈ [0, T_u/τ)`, one way only:
 //!
-//! * [`engine::DenseCorrelator`] — direct computation on uncompressed
-//!   signals ("no compression"), `O(n · L)` after the bounded-lag
-//!   optimization.
-//! * [`engine::SparseCorrelator`] — skips quiet zones ("burst
-//!   compression"), `O(n/k · L)`.
-//! * [`engine::RleCorrelator`] — correlates run-length-encoded series,
-//!   processing each pair of overlapping runs in constant time ("RLE
-//!   compression").
-//! * [`engine::FftCorrelator`] — the classical FFT route (Eq. 2), the
-//!   paper's non-incremental baseline.
+//! * [`rle::correlate`] — correlates run-length-encoded series, processing
+//!   each pair of overlapping runs in constant time ("RLE compression"); it
+//!   computes a pair's first window.
 //! * [`incremental::IncrementalCorrelator`] — maintains `r(d)` across
 //!   sliding-window advances, touching only the `ΔW` appended/evicted
 //!   ticks.
+//!
+//! The [`engine`] module wraps the paper's four stateless strategies behind
+//! one [`Correlator`] trait so Fig. 9 can compare them head-to-head:
+//! [`engine::DenseCorrelator`] ("no compression", `O(n · L)` after the
+//! bounded-lag optimization), [`engine::SparseCorrelator`] ("burst
+//! compression", `O(n/k · L)`), [`engine::RleCorrelator`] and
+//! [`engine::FftCorrelator`] (Eq. 2, the non-incremental baseline).
 //!
 //! On top of the raw products, [`normalize`] applies Eq. 1's normalization
 //! (per-lag Pearson coefficient) and [`spike`] finds the distinguishable
@@ -34,13 +33,13 @@
 //!
 //! ```
 //! use e2eprof_timeseries::{DenseSeries, Tick};
-//! use e2eprof_xcorr::engine::{Correlator, RleCorrelator};
+//! use e2eprof_xcorr::rle;
 //! use e2eprof_xcorr::spike::SpikeDetector;
 //!
 //! // y is a copy of x delayed by 3 ticks.
 //! let x = DenseSeries::new(Tick::new(0), vec![0., 4., 0., 0., 2., 1., 0., 0.]);
 //! let y = DenseSeries::new(Tick::new(0), vec![0., 0., 0., 0., 4., 0., 0., 2.]);
-//! let corr = RleCorrelator.correlate(
+//! let corr = rle::correlate(
 //!     &x.to_sparse().to_rle(),
 //!     &y.to_sparse().to_rle(),
 //!     6,
@@ -57,7 +56,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod corr;
 pub mod dense;
 pub mod engine;
@@ -69,7 +67,6 @@ pub mod simd;
 pub mod sparse;
 pub mod spike;
 
-pub use arena::CorrArena;
 pub use corr::CorrSeries;
 pub use engine::Correlator;
 pub use spike::{Spike, SpikeDetector};

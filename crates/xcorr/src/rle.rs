@@ -28,31 +28,10 @@ use e2eprof_timeseries::RleSeries;
 /// assert_eq!(r.values(), &[4.0, 6.0, 4.0]);
 /// ```
 pub fn correlate(x: &RleSeries, y: &RleSeries, max_lag: u64) -> CorrSeries {
-    let mut out = CorrSeries::zeros(0);
-    let mut scratch = Vec::new();
-    correlate_into(x, y, max_lag, &mut out, &mut scratch);
-    out
-}
-
-/// [`correlate`] writing into caller-owned buffers: `out` receives the
-/// lagged products and `scratch` holds the second-difference accumulator.
-///
-/// Both buffers are resized and zeroed as needed, so any prior contents
-/// are irrelevant — passing the same buffers across calls reuses their
-/// allocations instead of paying two `O(max_lag)` heap round-trips per
-/// invocation. The computed values are bit-identical to [`correlate`]'s.
-pub fn correlate_into(
-    x: &RleSeries,
-    y: &RleSeries,
-    max_lag: u64,
-    out: &mut CorrSeries,
-    scratch: &mut Vec<f64>,
-) {
-    out.reset(max_lag);
-    if let Some(fold) = accumulate(x, y, max_lag, scratch) {
-        for (slot, r) in out.values_mut().iter_mut().zip(resolve(scratch, fold)) {
-            *slot = r;
-        }
+    let mut diff2 = Vec::new();
+    match accumulate(x, y, max_lag, &mut diff2) {
+        Some(fold) => CorrSeries::new(resolve(&diff2, fold).collect()),
+        None => CorrSeries::zeros(max_lag),
     }
 }
 

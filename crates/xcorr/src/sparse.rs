@@ -7,7 +7,7 @@
 //! optimization.
 
 use crate::corr::CorrSeries;
-use e2eprof_timeseries::{SparseEntry, SparseSeries};
+use e2eprof_timeseries::SparseSeries;
 
 /// Computes `r(d) = Σ_t x(t) · y(t + d)` for `d ∈ [0, max_lag)` from sparse
 /// signals, skipping quiet zones entirely.
@@ -23,25 +23,12 @@ use e2eprof_timeseries::{SparseEntry, SparseSeries};
 /// assert_eq!(r.values(), &[0.0, 5.0]);
 /// ```
 pub fn correlate(x: &SparseSeries, y: &SparseSeries, max_lag: u64) -> CorrSeries {
-    let mut out = CorrSeries::zeros(0);
-    correlate_entries_into(x.entries(), y.entries(), max_lag, &mut out);
-    out
-}
-
-/// Entry-level kernel behind [`correlate`], reusing `out`'s allocation.
-/// The arena-backed engine path decodes RLE windows into reusable entry
-/// buffers and calls this directly.
-pub(crate) fn correlate_entries_into(
-    xe: &[SparseEntry],
-    ye: &[SparseEntry],
-    max_lag: u64,
-    out: &mut CorrSeries,
-) {
-    out.reset(max_lag);
+    let ye = y.entries();
+    let mut out = CorrSeries::zeros(max_lag);
     let o = out.values_mut();
     let mut lo = 0usize;
-    for x in xe {
-        let t = x.tick().index();
+    for xe in x.entries() {
+        let t = xe.tick().index();
         // First y entry with tick >= t (lag 0). Monotone in t, so `lo` only
         // moves forward across x entries.
         while lo < ye.len() && ye[lo].tick().index() < t {
@@ -53,10 +40,11 @@ pub(crate) fn correlate_entries_into(
             if d >= max_lag {
                 break;
             }
-            o[d as usize] += x.value() * ye[j].value();
+            o[d as usize] += xe.value() * ye[j].value();
             j += 1;
         }
     }
+    out
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 use e2eprof_timeseries::{DenseSeries, RleSeries, Tick};
 use e2eprof_xcorr::engine::{all_engines, Correlator, DenseCorrelator};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
-use e2eprof_xcorr::{normalize, rle, CorrArena, CorrSeries, SpikeDetector};
+use e2eprof_xcorr::{normalize, rle, CorrSeries, SpikeDetector};
 use proptest::prelude::*;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = (u64, Vec<f64>)> {
@@ -95,34 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn arena_correlate_into_is_bitwise_identical_to_correlate(
-        raw in prop::collection::vec(
-            (signal_strategy(80), signal_strategy(100)),
-            1..8,
-        ),
-        max_lag in 0u64..40,
-    ) {
-        // One shared arena across a whole sequence of differently-shaped
-        // pairs: buffer reuse must never leak state between calls.
-        let owned: Vec<(RleSeries, RleSeries)> = raw
-            .into_iter()
-            .map(|((xs, xv), (ys, yv))| (to_rle(xs, xv), to_rle(ys, yv)))
-            .collect();
-        for engine in all_engines() {
-            let mut arena = CorrArena::new();
-            let mut out = CorrSeries::zeros(0);
-            for (x, y) in &owned {
-                engine.correlate_into(x, y, max_lag, &mut out, &mut arena);
-                let direct = engine.correlate(x, y, max_lag);
-                prop_assert_eq!(
-                    out.values(), direct.values(),
-                    "{} arena path diverged", engine.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn incremental_matches_direct_after_slides(
         (_, xv) in signal_strategy(150),
         (_, yv) in signal_strategy(180),
@@ -146,36 +118,6 @@ proptest! {
                 inc.corr().max_abs_diff(&direct) < 1e-6,
                 "window [{start},{end}) drifted"
             );
-        }
-    }
-
-    #[test]
-    fn batch_is_bitwise_identical_to_serial_for_random_inputs(
-        raw in prop::collection::vec(
-            (signal_strategy(60), signal_strategy(90)),
-            0..12,
-        ),
-        max_lag in 0u64..40,
-        num_workers in 1usize..9,
-    ) {
-        let owned: Vec<(RleSeries, RleSeries)> = raw
-            .into_iter()
-            .map(|((xs, xv), (ys, yv))| (to_rle(xs, xv), to_rle(ys, yv)))
-            .collect();
-        let pairs: Vec<(&RleSeries, &RleSeries)> =
-            owned.iter().map(|(x, y)| (x, y)).collect();
-        for engine in all_engines() {
-            let serial: Vec<_> = pairs
-                .iter()
-                .map(|&(x, y)| engine.correlate(x, y, max_lag))
-                .collect();
-            let batched = engine.correlate_batch(&pairs, max_lag, num_workers);
-            prop_assert_eq!(batched.len(), serial.len());
-            for (b, s) in batched.iter().zip(&serial) {
-                // Bitwise identity, not tolerance: each pair's arithmetic
-                // is untouched by how the batch was sharded.
-                prop_assert_eq!(b.values(), s.values(), "{} diverged", engine.name());
-            }
         }
     }
 

@@ -9,7 +9,6 @@ use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
 use e2eprof::netsim::NodeId;
 use e2eprof::timeseries::{Nanos, Quanta, Tick};
-use e2eprof::xcorr::engine::{Correlator, RleCorrelator};
 use std::collections::HashSet;
 
 fn analyzer_config(num_workers: usize) -> PathmapConfig {
@@ -124,51 +123,4 @@ fn offline_parallel_discovery_matches_serial() {
     let parallel = pathmap.discover_parallel(&signals, &roots, &labels);
     assert_eq!(serial, parallel, "discover_parallel diverged from discover");
     assert!(!serial.is_empty(), "equivalence exercised on empty output");
-}
-
-#[test]
-fn batch_correlation_on_real_signals_matches_serial_loop() {
-    let mut rubis = Rubis::build(RubisConfig {
-        dispatch: Dispatch::Affinity,
-        seed: 5,
-        ..RubisConfig::default()
-    });
-    rubis.sim_mut().run_until(Nanos::from_secs(20));
-    let cfg = analyzer_config(1);
-    let signals = EdgeSignals::from_capture(rubis.sim().captures(), &cfg, rubis.sim().now());
-    // Correlate every client arrival signal against every captured edge.
-    let clients = rubis.sim().topology().clients();
-    let roots = roots_from_topology(rubis.sim().topology());
-    let sources: Vec<_> = roots
-        .iter()
-        .filter_map(|&(client, front)| signals.source_signal(client, front))
-        .collect();
-    let targets: Vec<_> = signals
-        .edges()
-        .filter(|&(src, _)| !clients.contains(&src))
-        .filter_map(|(src, dst)| signals.target_signal(src, dst))
-        .collect();
-    let pairs: Vec<_> = sources
-        .iter()
-        .flat_map(|x| targets.iter().map(move |&y| (x, y)))
-        .collect();
-    assert!(pairs.len() >= 8, "need a non-trivial batch");
-
-    let engine = RleCorrelator;
-    let max_lag = 2_000;
-    let serial: Vec<_> = pairs
-        .iter()
-        .map(|&(x, y)| engine.correlate(x, y, max_lag))
-        .collect();
-    for workers in [1, 2, 3, 8] {
-        let batched = engine.correlate_batch(&pairs, max_lag, workers);
-        assert_eq!(batched.len(), serial.len());
-        for (i, (b, s)) in batched.iter().zip(&serial).enumerate() {
-            assert_eq!(
-                b.values(),
-                s.values(),
-                "pair {i} not bitwise identical at workers={workers}"
-            );
-        }
-    }
 }
