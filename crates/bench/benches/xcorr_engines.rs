@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the correlation engines on one prepared signal
 //! pair: the unit cost underlying Fig. 9, plus normalization, spike
-//! detection, and the incremental update path.
+//! detection, and the incremental update path — at a 30 s window and at
+//! the paper's own scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use e2eprof_bench::{corr_pair, rubis_scenario};
@@ -70,13 +71,46 @@ fn bench_engines(c: &mut Criterion) {
     let paper = rubis_scenario(Nanos::from_minutes(3), Nanos::from_minutes(1), 42);
     let (x, y) = corr_pair(&paper);
     let max_lag = paper.config.max_lag();
+    // One ΔW = 15 s slide of the 3 min window (`rubis_paper`'s refresh
+    // interval): 60 000 lags walked in lag tiles, both chunks' run pairs
+    // within reach.
+    let (start, end) = (x.start(), x.end());
+    let delta = paper.config.quanta().ticks_in(Nanos::from_secs(15));
+    let (cut, new_start) = (
+        Tick::new(end.index() - delta),
+        Tick::new(start.index() + delta),
+    );
+    group.bench_function("incremental_refresh/paper_scale", |b| {
+        b.iter_batched(
+            || {
+                let mut inc = IncrementalCorrelator::new(max_lag);
+                inc.append(&x.slice(start, cut), &y);
+                inc
+            },
+            |mut inc| {
+                inc.advance(
+                    &x.slice(cut, end),
+                    &y,
+                    new_start,
+                    &x.slice(start, new_start),
+                    &y,
+                    &mut scratch,
+                );
+                inc
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+    // Discovery's fused path: normalization also sums the coefficients'
+    // moments, and spike detection starts from them.
     let raw = rle::correlate(&x, &y, max_lag);
     let mut rho = Vec::new();
     group.bench_function("normalize_eq1/paper_scale", |b| {
         b.iter(|| normalize::normalize_into(&raw, &x, &y, &mut rho));
     });
+    let moments = normalize::normalize_into(&raw, &x, &y, &mut rho);
     group.bench_function("spike_detection/paper_scale", |b| {
-        b.iter(|| detector.detect(&rho));
+        b.iter(|| detector.detect_with(&rho, moments));
     });
     group.finish();
 }

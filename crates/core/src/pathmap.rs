@@ -194,6 +194,20 @@ pub fn roots_from_topology(topo: &Topology) -> Vec<(NodeId, NodeId)> {
     roots
 }
 
+/// The root a search explores from: its client and source signal `x`,
+/// with the sign of `x` scanned once for every pair the search visits.
+struct RootSignal<'a> {
+    client: NodeId,
+    x: &'a RleSeries,
+    /// No run of `x` is negative.
+    non_negative: bool,
+}
+
+/// Whether no run of `s` is negative.
+fn non_negative(s: &RleSeries) -> bool {
+    s.runs().iter().all(|r| r.value() >= 0.0)
+}
+
 /// Fraction of the maximum per-node delay above which a node is marked a
 /// bottleneck.
 const BOTTLENECK_FRACTION: f64 = 0.5;
@@ -368,11 +382,15 @@ impl Pathmap {
         // untraced); it anchors the graph.
         graph.add_edge(GraphEdge::anchor(client, front));
         let mut visited = HashSet::new();
+        let root = RootSignal {
+            client,
+            non_negative: non_negative(&x),
+            x: &x,
+        };
         self.rho_buffers.with(|rho| {
             self.compute_path(
                 &mut graph,
-                client,
-                &x,
+                &root,
                 front,
                 0,
                 &mut visited,
@@ -407,13 +425,13 @@ impl Pathmap {
     /// The scan leaves at the first non-zero lag, so a live pair pays a
     /// few loads. Accumulators of pairs that never overlap within the lag
     /// bound *are* exact zeros: a fill sums no product at all, and an
-    /// advance is `(acc + Δa) − Δe` with both deltas empty sums.
-    fn has_no_evidence(&self, raw: &CorrSeries, x: &RleSeries, y: &RleSeries) -> bool {
-        let non_negative = |s: &RleSeries| s.runs().iter().all(|r| r.value() >= 0.0);
+    /// advance is `(acc + Δa) − Δe` with both deltas empty sums. The
+    /// source's sign is the root's, scanned once per root.
+    fn has_no_evidence(&self, raw: &CorrSeries, root: &RootSignal<'_>, y: &RleSeries) -> bool {
         self.config.min_spike_value() > 0.0
             && raw.values().iter().all(|&r| r == 0.0)
             && non_negative(y)
-            && non_negative(x)
+            && root.non_negative
     }
 
     /// `ComputePath`: explores edges out of `node`, adding those whose
@@ -422,8 +440,7 @@ impl Pathmap {
     fn compute_path(
         &self,
         graph: &mut ServiceGraph,
-        client: NodeId,
-        x: &RleSeries,
+        root: &RootSignal<'_>,
         node: NodeId,
         base_lag: u64,
         visited: &mut HashSet<NodeId>,
@@ -437,6 +454,7 @@ impl Pathmap {
         let detector = self.config.spike_detector();
         let quanta = self.config.quanta();
         let max_lag = signals.max_lag();
+        let (client, x) = (root.client, root.x);
         for &next in signals.edges_from(node) {
             let Some(y) = signals.target_signal(node, next) else {
                 continue;
@@ -449,18 +467,18 @@ impl Pathmap {
                     // loan ends with this arm, before the search recurses
                     // through it.
                     let raw = provider.correlate(client, edge, x, y, max_lag);
-                    if self.has_no_evidence(&raw, x, y) {
+                    if self.has_no_evidence(&raw, root, y) {
                         (Vec::new(), true)
                     } else {
                         let grows = rho.capacity() < raw.values().len();
-                        normalize::normalize_into(&raw, x, y, rho);
+                        let moments = normalize::normalize_into(&raw, x, y, rho);
                         let counter = if grows {
                             &self.rho_allocated
                         } else {
                             &self.rho_reused
                         };
                         counter.fetch_add(1, Ordering::Relaxed);
-                        let mut spikes = detector.detect(rho);
+                        let mut spikes = detector.detect_with(rho, moments);
                         spikes.retain(|s| s.value >= self.config.min_spike_value());
                         (spikes, false)
                     }
@@ -488,8 +506,7 @@ impl Pathmap {
             };
             if !visited.contains(&next) && !clients.contains(&next) {
                 self.compute_path(
-                    graph, client, x, next, min_lag, visited, clients, signals, labels, provider,
-                    rho,
+                    graph, root, next, min_lag, visited, clients, signals, labels, provider, rho,
                 );
             }
         }

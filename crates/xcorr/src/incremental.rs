@@ -7,10 +7,11 @@
 //! recomputing the whole `W` window (paper Sections 3.4 and 3.7, the reason
 //! pathmap's per-refresh cost in Fig. 9 is flat in `W`).
 //! [`IncrementalCorrelator::advance`] applies both in one sweep of the lag
-//! axis: each chunk's run pairs land in a second-difference image
-//! (constant time per pair, see [`crate::rle`]), and the two images are
-//! resolved straight into the accumulator, so a slide costs
-//! `O(run pairs in reach + T_u/τ)` with the lag axis walked once.
+//! axis, tile by tile ([`rle::slide_tiled`]): each chunk's run pairs land
+//! in a tile-sized second-difference image (constant time per pair), and
+//! the two images are resolved straight into the accumulator, so a slide
+//! costs `O(run pairs in reach + T_u/τ)` with the lag axis walked once and
+//! only [`rle::LAG_TILE`] slots per side in flight.
 //!
 //! The correction terms only read `y` up to `T_u` ticks past the affected
 //! `x` region, so the analyzer retains `W + T_u` ticks of each target
@@ -48,15 +49,16 @@ pub struct IncrementalCorrelator {
     window: Option<(Tick, Tick)>,
 }
 
-/// Caller-owned scratch for [`IncrementalCorrelator::advance`]: the
-/// second-difference images of the chunk entering and the chunk leaving
-/// the window. One instance serves any number of correlators in turn (the
-/// analyzer keeps one per refresh worker), growing to the largest lag
-/// bound it has seen and allocating nothing afterwards.
+/// Caller-owned scratch for [`IncrementalCorrelator::advance`]: one lag
+/// tile of the second-difference images of the chunk entering and the
+/// chunk leaving the window — `2 ·` [`rle::LAG_TILE`] `f64` at most,
+/// whatever the lag bound. One instance serves any number of correlators
+/// in turn (the analyzer keeps one per refresh worker), growing to the
+/// largest tile it has needed and allocating nothing afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct SlideScratch {
-    appended: Vec<f64>,
-    evicted: Vec<f64>,
+    pub(crate) appended: Vec<f64>,
+    pub(crate) evicted: Vec<f64>,
 }
 
 impl SlideScratch {
@@ -101,9 +103,10 @@ impl IncrementalCorrelator {
     /// at the window's end, and the prefix before `new_start` — whose
     /// source values `evicted` holds — leaves.
     ///
-    /// Both chunks' run pairs are accumulated into `scratch` as
-    /// second-difference images and resolved straight into the
-    /// accumulator, `acc[d] = (acc[d] + Δa[d]) − Δe[d]`: bit for bit what
+    /// Both chunks' run pairs are accumulated into `scratch`, one lag tile
+    /// at a time, as second-difference images and resolved straight into
+    /// the accumulator, `acc[d] = (acc[d] + Δa[d]) − Δe[d]`
+    /// ([`rle::slide_tiled`]): bit for bit what
     /// [`append`](Self::append)`(appended, y_new)` followed by
     /// [`evict_to`](Self::evict_to)`(new_start, evicted, y_old)` compute
     /// (they are this method with one side empty), in one sweep instead
@@ -145,33 +148,13 @@ impl IncrementalCorrelator {
             new_start == s || (evicted.start() >= s && evicted.end() <= new_start),
             "evicted chunk reaches outside the evicted region"
         );
-        let entering = rle::accumulate(appended, y_new, self.max_lag, &mut scratch.appended);
-        let leaving = if new_start == s {
-            None
-        } else {
-            rle::accumulate(evicted, y_old, self.max_lag, &mut scratch.evicted)
-        };
-        let acc = self.acc.values_mut().iter_mut();
-        match (entering, leaving) {
-            (Some(a), Some(v)) => {
-                let entering = rle::resolve(&scratch.appended, a);
-                let leaving = rle::resolve(&scratch.evicted, v);
-                for ((slot, da), de) in acc.zip(entering).zip(leaving) {
-                    *slot = (*slot + da) - de;
-                }
-            }
-            (Some(a), None) => {
-                for (slot, da) in acc.zip(rle::resolve(&scratch.appended, a)) {
-                    *slot += da;
-                }
-            }
-            (None, Some(v)) => {
-                for (slot, de) in acc.zip(rle::resolve(&scratch.evicted, v)) {
-                    *slot -= de;
-                }
-            }
-            (None, None) => {}
-        }
+        rle::slide_tiled(
+            self.acc.values_mut(),
+            Some((appended, y_new)),
+            (new_start != s).then_some((evicted, y_old)),
+            scratch,
+            rle::LAG_TILE,
+        );
         self.window = Some((new_start, e));
     }
 
@@ -386,6 +369,28 @@ mod tests {
         appended.evict_to(Tick::new(30), &x, &y);
         refilled.evict_to(Tick::new(30), &x, &y);
         assert_eq!(appended.corr().values(), refilled.corr().values());
+    }
+
+    #[test]
+    fn slide_scratch_holds_one_lag_tile_per_side() {
+        let max_lag = 3 * rle::LAG_TILE as u64 + 5;
+        let x = signal(2_000, 9);
+        let mut inc = IncrementalCorrelator::new(max_lag);
+        inc.append(&x.slice(Tick::new(0), Tick::new(1_000)), &x);
+        let mut scratch = SlideScratch::new();
+        inc.advance(
+            &x.slice(Tick::new(1_000), Tick::new(2_000)),
+            &x,
+            Tick::new(500),
+            &x.slice(Tick::new(0), Tick::new(500)),
+            &x,
+            &mut scratch,
+        );
+        assert_eq!(scratch.capacity(), 2 * rle::LAG_TILE);
+        let direct = rle::correlate(&x.slice(Tick::new(500), Tick::new(2_000)), &x, max_lag);
+        // Products reach ~150 and their double prefix sums run over
+        // thousands of lags: rounding, not drift, at this tolerance.
+        assert!(inc.corr().max_abs_diff(&direct) < 1e-6);
     }
 
     #[test]

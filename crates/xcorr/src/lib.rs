@@ -25,9 +25,11 @@
 //! [`engine::FftCorrelator`] (Eq. 2, the non-incremental baseline).
 //!
 //! On top of the raw products, [`normalize`] applies Eq. 1's normalization
-//! (per-lag Pearson coefficient) and [`spike`] finds the distinguishable
-//! spikes (`mean + 3σ` threshold, local maxima, tallest-in-resolution-window
-//! filtering) that pathmap interprets as causal delays.
+//! (per-lag Pearson coefficient, four lags wide where [`simd`] finds AVX2)
+//! and [`spike`] finds the distinguishable spikes (`mean + 3σ` threshold,
+//! from the [`Moments`] normalization returns; local maxima,
+//! tallest-in-resolution-window filtering) that pathmap interprets as
+//! causal delays.
 //!
 //! # Example
 //!
@@ -69,4 +71,4 @@ pub mod spike;
 
 pub use corr::CorrSeries;
 pub use engine::Correlator;
-pub use spike::{Spike, SpikeDetector};
+pub use spike::{Moments, Spike, SpikeDetector};

@@ -1,4 +1,5 @@
-//! SIMD dot-product kernel backing the dense correlation engine.
+//! SIMD kernels: the dot product backing the dense correlation engine,
+//! and the four-lane lag loop of Eq. 1 normalization.
 //!
 //! Each output lag of the bounded dense correlation is one dot product of
 //! two equal-length `f64` slices (the overlapping portions of the source
@@ -22,11 +23,29 @@
 //! tolerance for exactly this reason, and on integer-valued signals every
 //! association order is exact, which is what the bitwise proptests rely on.
 //!
+//! Eq. 1's lag loop dispatches the same way, between AVX2 (four lags per
+//! block) and the portable one-lag loop of [`crate::normalize`] — with no
+//! reassociation at all: every lane computes its lag's expression in the
+//! scalar operation order with correctly rounded IEEE `+ − × ÷ √`, nothing
+//! fused into an FMA, so the two paths agree bit for bit
+//! ([`normalize_into_avx2`](crate::normalize::normalize_into_avx2) ≡
+//! [`normalize_into_portable`](crate::normalize::normalize_into_portable)).
+//! The whole lag loop is one `#[target_feature]` function, with the cursor
+//! walk inlined into it: a call per block into a separate kernel costs
+//! more than the vector arithmetic saves.
+//!
 //! This is the only module in the crate allowed to contain `unsafe` (the
 //! crate root sets `deny(unsafe_code)`); every unsafe block is an intrinsic
 //! call or raw load whose bounds are established by the loop condition.
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
+
+use crate::normalize::{self, LagLoop};
+#[cfg(target_arch = "x86_64")]
+use crate::{
+    normalize::{Source, WindowMoments, EPS_ENERGY},
+    spike::Moments,
+};
 
 /// Dot product of the overlapping prefix of `a` and `b`, using the best
 /// kernel the host supports.
@@ -207,6 +226,101 @@ unsafe fn dot_sse2(a: &[f64], b: &[f64]) -> f64 {
         sum += a[k] * b[k];
     }
     sum
+}
+
+/// Eq. 1's lag loop on the best kernel the host supports.
+pub(crate) fn eq1_lags() -> LagLoop {
+    eq1_lags_avx2().unwrap_or(normalize::lags_portable)
+}
+
+/// Eq. 1's four-lane AVX2 lag loop, if the host has AVX2.
+pub(crate) fn eq1_lags_avx2() -> Option<LagLoop> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the loop is handed out only on a host reporting AVX2.
+        return Some(|raw, moments, src, out| unsafe { lags_avx2(raw, moments, src, out) });
+    }
+    None
+}
+
+/// The AVX2 lag loop: [`normalize::lags_portable`] four lags per block.
+///
+/// Each block's `S` and `Q` come from the cursors' block evaluation
+/// (`s + v·(part + k)` per lane inside one run or gap, tick by tick
+/// otherwise) and the rest of `Source::coefficient` runs lane-wise in its
+/// own order: `ey = max(q − s·s/n, 0)`, `num = r − x̄·s`,
+/// `den = √(Eₓ·ey)`, `num/den` clamped by `max(−1)` then `min(1)` —
+/// operands ordered so a NaN passes through as `f64::clamp` lets it — and
+/// `+0.0` wherever `den > EPS_ENERGY` fails. The moments are summed lane by
+/// lane in lag order; the lags after the last whole block take the scalar
+/// path.
+///
+/// # Safety
+///
+/// The host CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lags_avx2(
+    raw: &[f64],
+    mut moments: WindowMoments<'_>,
+    src: Source,
+    out: &mut Vec<f64>,
+) -> Moments {
+    use core::arch::x86_64::*;
+    let n = _mm256_set1_pd(src.n);
+    let mean = _mm256_set1_pd(src.mean);
+    let energy = _mm256_set1_pd(src.energy);
+    let eps = _mm256_set1_pd(EPS_ENERGY);
+    let (zero, one, minus_one) = (
+        _mm256_setzero_pd(),
+        _mm256_set1_pd(1.0),
+        _mm256_set1_pd(-1.0),
+    );
+    let mut m = Moments::default();
+    let blocks = raw.chunks_exact(4);
+    let tail = blocks.remainder();
+    let mut d = 0u64;
+    for r in blocks {
+        let ((s_lo, q_lo), (s_hi, q_hi)) = moments.edges4(d);
+        // SAFETY: every load reads a 4-element array or a 4-element chunk.
+        let (s_lo, q_lo, s_hi, q_hi, r) = unsafe {
+            (
+                _mm256_loadu_pd(s_lo.as_ptr()),
+                _mm256_loadu_pd(q_lo.as_ptr()),
+                _mm256_loadu_pd(s_hi.as_ptr()),
+                _mm256_loadu_pd(q_hi.as_ptr()),
+                _mm256_loadu_pd(r.as_ptr()),
+            )
+        };
+        let s = _mm256_sub_pd(s_hi, s_lo);
+        let q = _mm256_sub_pd(q_hi, q_lo);
+        // MAXPD returns its second operand when either is NaN: `zero` here,
+        // as `f64::max` does.
+        let ey = _mm256_max_pd(
+            _mm256_sub_pd(q, _mm256_div_pd(_mm256_mul_pd(s, s), n)),
+            zero,
+        );
+        let num = _mm256_sub_pd(r, _mm256_mul_pd(mean, s));
+        let den = _mm256_sqrt_pd(_mm256_mul_pd(energy, ey));
+        let rho = _mm256_min_pd(one, _mm256_max_pd(minus_one, _mm256_div_pd(num, den)));
+        let rho = _mm256_and_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(den, eps), rho);
+        let mut lanes = [0.0f64; 4];
+        // SAFETY: `lanes` is a 4-element f64 array.
+        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), rho) };
+        for v in lanes {
+            m.add(v);
+        }
+        out.extend_from_slice(&lanes);
+        d += 4;
+    }
+    for &r in tail {
+        let (s, q) = moments.at(d);
+        let v = src.coefficient(r, s, q);
+        m.add(v);
+        out.push(v);
+        d += 1;
+    }
+    m
 }
 
 #[cfg(test)]

@@ -17,6 +17,38 @@ pub struct Spike {
     pub value: f64,
 }
 
+/// `Σ v` and `Σ v²` of a correlation series, each a plain left-to-right
+/// sum in lag order: what the spike threshold is computed from.
+///
+/// [`normalize_into`](crate::normalize::normalize_into) returns these for
+/// the coefficients it writes, so discovery hands them to
+/// [`SpikeDetector::detect_with`] instead of summing the series again.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Moments {
+    /// `Σ v`.
+    pub sum: f64,
+    /// `Σ v²`.
+    pub sum_sq: f64,
+}
+
+impl Moments {
+    /// Both moments of `values`, in one left-to-right pass.
+    pub fn of(values: &[f64]) -> Self {
+        let mut m = Moments::default();
+        for &v in values {
+            m.add(v);
+        }
+        m
+    }
+
+    /// Adds the next value, in lag order.
+    #[inline(always)]
+    pub fn add(&mut self, v: f64) {
+        self.sum += v;
+        self.sum_sq += v * v;
+    }
+}
+
 /// Configurable spike detector.
 ///
 /// # Example
@@ -84,19 +116,19 @@ impl SpikeDetector {
     /// series. Nearby qualifiers are thinned to the tallest within the
     /// resolution window (ties broken toward the smaller lag).
     pub fn detect(&self, corr: &[f64]) -> Vec<Spike> {
+        self.detect_with(corr, Moments::of(corr))
+    }
+
+    /// [`detect`](Self::detect) with the series' moments already summed —
+    /// by whoever wrote the series, in the same pass. The spikes are
+    /// `detect`'s exactly when `moments` is [`Moments::of`]`(corr)`.
+    pub fn detect_with(&self, corr: &[f64], moments: Moments) -> Vec<Spike> {
         if corr.is_empty() {
             return Vec::new();
         }
-        // Both moments in one pass; each is still a plain left-to-right
-        // sum, so the threshold is the one two separate passes would give.
-        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-        for &v in corr {
-            sum += v;
-            sum_sq += v * v;
-        }
         let n = corr.len() as f64;
-        let mean = sum / n;
-        let var = (sum_sq / n - mean * mean).max(0.0);
+        let mean = moments.sum / n;
+        let var = (moments.sum_sq / n - mean * mean).max(0.0);
         let threshold = mean + self.threshold_sigma * var.sqrt();
 
         let mut candidates: Vec<Spike> = Vec::new();

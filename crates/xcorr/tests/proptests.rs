@@ -1,15 +1,16 @@
 //! Property-based tests: every engine computes the same function, the
 //! incremental correlator never drifts from a from-scratch computation,
 //! normalization stays within Pearson bounds, and spike detection honours
-//! its contract. The last section pins the linear-time refresh kernels —
+//! its contract. The later sections pin the linear-time refresh kernels —
 //! cursor normalization, the fused window slide, the run-pair kernel's
-//! interior fast path — bit for bit to the routines they replaced, kept
-//! here as reference models.
+//! interior fast path, the lag-tiled slide and the four-lane Eq. 1 loop —
+//! bit for bit to the routines they replaced, kept here as reference
+//! models.
 
 use e2eprof_timeseries::{DenseSeries, RleSeries, Tick};
 use e2eprof_xcorr::engine::{all_engines, Correlator, DenseCorrelator};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
-use e2eprof_xcorr::{normalize, rle, CorrSeries, SpikeDetector};
+use e2eprof_xcorr::{normalize, rle, CorrSeries, Moments, SpikeDetector};
 use proptest::prelude::*;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = (u64, Vec<f64>)> {
@@ -481,14 +482,29 @@ fn run_signal_strategy(max_runs: usize) -> impl Strategy<Value = (u64, Vec<f64>)
         0u64..30,
         prop::collection::vec((0usize..5, 1usize..5, 1u32..6), 0..max_runs),
     )
-        .prop_map(|(start, runs)| {
-            let mut values = Vec::new();
-            for (gap, len, c) in runs {
-                values.extend(std::iter::repeat_n(0.0, gap));
-                values.extend(std::iter::repeat_n((c as f64).sqrt(), len));
-            }
-            (start, values)
-        })
+        .prop_map(|(start, runs)| (start, lay_out(runs)))
+}
+
+/// Dense values of a signal laid out run by run.
+fn lay_out(runs: Vec<(usize, usize, u32)>) -> Vec<f64> {
+    let mut values = Vec::new();
+    for (gap, len, c) in runs {
+        values.extend(std::iter::repeat_n(0.0, gap));
+        values.extend(std::iter::repeat_n((c as f64).sqrt(), len));
+    }
+    values
+}
+
+/// [`run_signal_strategy`] at one of two scales: runs and gaps under 6
+/// ticks (equal lengths, many pairs per lag tile, four-lag blocks crossing
+/// run ends) or under 90 (trapezoids wider than a tile, runs straddling
+/// lag `L`, blocks inside one run or gap), starting anywhere in the first
+/// 300 ticks so `y` often starts before `x` (negative-lag folds).
+fn scaled_signal_strategy(max_runs: usize) -> impl Strategy<Value = (u64, Vec<f64>)> {
+    (0u64..300, prop_oneof![Just(6usize), Just(90)]).prop_flat_map(move |(start, scale)| {
+        prop::collection::vec((0..scale, 1..scale, 1u32..6), 0..max_runs)
+            .prop_map(move |runs| (start, lay_out(runs)))
+    })
 }
 
 /// Lag bounds with the degenerate `L = 1` over-represented.
@@ -690,4 +706,236 @@ fn a_negative_signal_can_spike_on_all_zero_products() {
     assert_eq!(spikes.len(), 1);
     assert_eq!(spikes[0].lag, 0);
     assert!((spikes[0].value - 1.0).abs() < 1e-12, "{spikes:?}");
+}
+
+// --- Lag tiles and four lanes: the same bits as the untiled, one-lag loops ---
+
+/// Reference model: the untiled run-pair kernel the lag-tiled one
+/// replaced. Accumulates the whole `L`-slot second-difference image of
+/// `r(d) = Σ_t x(t)·y(t+d)` and returns the folded negative-lag term
+/// `(lin, cst)`, or `None` — leaving `diff2` untouched — when either
+/// signal has no run.
+fn untiled_accumulate(
+    x: &RleSeries,
+    y: &RleSeries,
+    max_lag: u64,
+    diff2: &mut Vec<f64>,
+) -> Option<(f64, f64)> {
+    let yr = y.runs();
+    if x.runs().is_empty() || yr.is_empty() {
+        return None;
+    }
+    diff2.clear();
+    diff2.resize(max_lag as usize, 0.0);
+    let l = max_lag as i64;
+    let (mut lin, mut cst) = (0.0f64, 0.0f64);
+    let mut lo = 0usize;
+    for rx in x.runs() {
+        let (sx, lx, vx) = (rx.start().index() as i64, rx.len() as i64, rx.value());
+        while lo < yr.len() && (yr[lo].end().index() as i64) <= sx {
+            lo += 1;
+        }
+        for ry in &yr[lo..] {
+            let sy = ry.start().index() as i64;
+            if sy >= sx + lx + l - 1 {
+                break;
+            }
+            let ly = ry.len() as i64;
+            let w = vx * ry.value();
+            let p1 = sy - sx - (lx - 1);
+            if p1 >= 0 && p1 + lx + ly < l {
+                let p = p1 as usize;
+                let (lx, ly) = (lx as usize, ly as usize);
+                diff2[p] += w;
+                diff2[p + lx] -= w;
+                diff2[p + ly] -= w;
+                diff2[p + lx + ly] += w;
+                continue;
+            }
+            for (p, e) in [(p1, w), (p1 + lx, -w), (p1 + ly, -w), (p1 + lx + ly, w)] {
+                if p >= l {
+                    continue;
+                }
+                if p < 0 {
+                    lin += e;
+                    cst += e * (-p) as f64;
+                } else {
+                    diff2[p as usize] += e;
+                }
+            }
+        }
+    }
+    Some((lin, cst))
+}
+
+/// Reference model: resolves a whole second-difference image in its own
+/// sweep of the lag axis.
+fn untiled_resolve(diff2: &[f64], (lin, cst): (f64, f64)) -> impl Iterator<Item = f64> + '_ {
+    let (mut slope, mut value, mut d1) = (0.0f64, 0.0f64, 0.0f64);
+    diff2.iter().map(move |&e| {
+        slope += e;
+        value += slope;
+        d1 += 1.0;
+        value + lin * d1 + cst
+    })
+}
+
+/// Reference model of `rle::correlate`.
+fn untiled_correlate(x: &RleSeries, y: &RleSeries, max_lag: u64) -> Vec<f64> {
+    let mut diff2 = Vec::new();
+    match untiled_accumulate(x, y, max_lag, &mut diff2) {
+        Some(fold) => untiled_resolve(&diff2, fold).collect(),
+        None => vec![0.0; max_lag as usize],
+    }
+}
+
+/// Reference model of one slide: both chunks' whole images, then one
+/// resolve sweep into `acc`, arm by arm as the untiled `advance` had them.
+fn untiled_advance(
+    acc: &mut [f64],
+    entering: (&RleSeries, &RleSeries),
+    leaving: Option<(&RleSeries, &RleSeries)>,
+) {
+    let l = acc.len() as u64;
+    let (mut da, mut de) = (Vec::new(), Vec::new());
+    let a = untiled_accumulate(entering.0, entering.1, l, &mut da);
+    let e = leaving.and_then(|(x, y)| untiled_accumulate(x, y, l, &mut de));
+    match (a, e) {
+        (Some(a), Some(e)) => {
+            for ((slot, a), e) in acc
+                .iter_mut()
+                .zip(untiled_resolve(&da, a))
+                .zip(untiled_resolve(&de, e))
+            {
+                *slot = (*slot + a) - e;
+            }
+        }
+        (Some(a), None) => {
+            for (slot, a) in acc.iter_mut().zip(untiled_resolve(&da, a)) {
+                *slot += a;
+            }
+        }
+        (None, Some(e)) => {
+            for (slot, e) in acc.iter_mut().zip(untiled_resolve(&de, e)) {
+                *slot -= e;
+            }
+        }
+        (None, None) => {}
+    }
+}
+
+/// Tile lengths that split a lag axis of up to ~1 000 slots into many
+/// tiles — one slot each, odd lengths, more slots than most trapezoids —
+/// and the production tile, which never splits it.
+fn tile_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(3),
+        Just(7),
+        Just(64),
+        Just(rle::LAG_TILE),
+    ]
+}
+
+proptest! {
+    /// A pair's first window, tiled ≡ untiled, bit for bit, whatever the
+    /// tile length: pairs straddling tile boundaries and lag `L`, folds of
+    /// `y` runs before `x` runs, equal-length runs and run-free sides
+    /// included. `rle::correlate` is the production tile's instance.
+    #[test]
+    fn tiled_correlate_matches_untiled_bitwise(
+        (xs, xv) in scaled_signal_strategy(24),
+        (ys, yv) in scaled_signal_strategy(32),
+        max_lag in lag_strategy(1_000),
+        tile in tile_strategy(),
+    ) {
+        let x = to_rle(xs, xv);
+        let y = to_rle(ys, yv);
+        let want = untiled_correlate(&x, &y, max_lag);
+        let mut acc = vec![0.0; max_lag as usize];
+        rle::slide_tiled(&mut acc, Some((&x, &y)), None, &mut SlideScratch::new(), tile);
+        prop_assert_eq!(bits(&acc), bits(&want));
+        prop_assert_eq!(bits(rle::correlate(&x, &y, max_lag).values()), bits(&want));
+    }
+
+    /// A sequence of window slides, tiled ≡ untiled, bit for bit, with one
+    /// scratch reused across slides (stale tiles must not leak) — empty and
+    /// run-free entering chunks and slides that evict nothing included.
+    /// `IncrementalCorrelator::advance` (the production tile) follows the
+    /// same sequence.
+    #[test]
+    fn tiled_advance_matches_untiled_bitwise(
+        (_, xv) in scaled_signal_strategy(40),
+        (ys, yv) in scaled_signal_strategy(48),
+        max_lag in lag_strategy(1_000),
+        tile in tile_strategy(),
+        w in 1u64..400,
+        steps in prop::collection::vec((0u64..300, 0u64..300), 1..4),
+    ) {
+        let x = to_rle(0, xv);
+        let y = to_rle(ys, yv);
+        let total = x.len();
+        prop_assume!(total > w);
+        let mut model = untiled_correlate(&x.slice(Tick::new(0), Tick::new(w)), &y, max_lag);
+        let mut tiled = model.clone();
+        let mut inc = IncrementalCorrelator::new(max_lag);
+        inc.refill(&x.slice(Tick::new(0), Tick::new(w)), &y);
+        prop_assert_eq!(bits(inc.corr().values()), bits(&model));
+        let (mut scratch, mut inc_scratch) = (SlideScratch::new(), SlideScratch::new());
+        let (mut s0, mut e0) = (0u64, w);
+        for (grow, shrink) in steps {
+            let e1 = (e0 + grow).min(total);
+            let s1 = (s0 + shrink).min(e1);
+            let appended = x.slice(Tick::new(e0), Tick::new(e1));
+            let evicted = x.slice(Tick::new(s0), Tick::new(s1));
+            let leaving = (s1 > s0).then_some((&evicted, &y));
+            untiled_advance(&mut model, (&appended, &y), leaving);
+            rle::slide_tiled(&mut tiled, Some((&appended, &y)), leaving, &mut scratch, tile);
+            inc.advance(&appended, &y, Tick::new(s1), &evicted, &y, &mut inc_scratch);
+            prop_assert_eq!(bits(&tiled), bits(&model), "tile {}, slide to [{}, {})", tile, s1, e1);
+            prop_assert_eq!(bits(inc.corr().values()), bits(&model), "advance to [{}, {})", s1, e1);
+            (s0, e0) = (s1, e1);
+        }
+    }
+
+    /// The four-lane Eq. 1 loop ≡ the one-lag loop, bit for bit, and both
+    /// return the left-to-right moments of what they wrote: lag counts of
+    /// every residue mod 4, blocks inside one run or gap and blocks
+    /// crossing run ends (both cursors), a constant source (`Eₓ = 0`), and
+    /// lags whose target window is constant (`den ≤ EPS`, `+0.0`).
+    #[test]
+    fn four_lane_normalization_matches_portable_bitwise(
+        (xs, xv) in prop_oneof![
+            4 => scaled_signal_strategy(24),
+            1 => (0u64..300, 1usize..200, 0u32..4)
+                .prop_map(|(s, len, c)| (s, vec![(c as f64).sqrt(); len])),
+        ],
+        (ys, yv) in prop_oneof![
+            4 => scaled_signal_strategy(40),
+            1 => (0u64..50).prop_map(|s| (s, Vec::new())),
+            1 => (0u64..600, 1usize..40, 1u32..6)
+                .prop_map(|(s, len, c)| (s, vec![(c as f64).sqrt(); len])),
+        ],
+        max_lag in lag_strategy(300),
+    ) {
+        let x = to_rle(xs, xv);
+        let y = to_rle(ys, yv);
+        let raw = rle::correlate(&x, &y, max_lag);
+        let mut portable = vec![7.0; 3];
+        let m = normalize::normalize_into_portable(&raw, &x, &y, &mut portable);
+        prop_assert_eq!(portable.len() as u64, max_lag);
+        let m_bits = |m: Moments| (m.sum.to_bits(), m.sum_sq.to_bits());
+        prop_assert_eq!(m_bits(m), m_bits(Moments::of(&portable)));
+        let mut best = vec![7.0; 5];
+        let m_best = normalize::normalize_into(&raw, &x, &y, &mut best);
+        prop_assert_eq!(bits(&best), bits(&portable));
+        prop_assert_eq!(m_bits(m_best), m_bits(m));
+        let mut four = Vec::new();
+        if let Some(m_four) = normalize::normalize_into_avx2(&raw, &x, &y, &mut four) {
+            prop_assert_eq!(bits(&four), bits(&portable));
+            prop_assert_eq!(m_bits(m_four), m_bits(m));
+        }
+        let det = SpikeDetector::default();
+        prop_assert_eq!(det.detect_with(&portable, m), det.detect(&portable));
+    }
 }

@@ -240,6 +240,45 @@ fn rubis_reduced_graphs_match_recorded_bits() {
     );
 }
 
+/// The paper's own RUBiS geometry (W = 3 min, T_u = 1 min: 60 000 lags at
+/// τ = 1 ms, ΔW = 15 s), where the lag axis is long enough for the slide
+/// kernel to walk it in several tiles — the constants above use 2 000
+/// lags and never cross one. The first refresh that sees `W + T_u` of
+/// data (the 17th, at 255 s) fills every pair; five more slide them. Recorded on the commit before the lag-tiled kernel and the
+/// four-lane normalization. Too slow for a debug build; CI runs it in
+/// release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn rubis_paper_geometry_graphs_match_recorded_bits() {
+    let config = PathmapConfig::builder()
+        .quanta(Quanta::from_millis(1))
+        .omega_ticks(50)
+        .window(Nanos::from_minutes(3))
+        .refresh(Nanos::from_secs(15))
+        .max_delay(Nanos::from_minutes(1))
+        .build();
+    assert_recorded(
+        "rubis paper geometry",
+        &[1],
+        6,
+        |seed| {
+            let mut app = Rubis::build(RubisConfig {
+                dispatch: Dispatch::Affinity,
+                seed,
+                ..RubisConfig::default()
+            });
+            run_digest(
+                app.sim_mut(),
+                &config,
+                22,
+                Nanos::from_secs(15),
+                Nanos::from_secs(1),
+            )
+        },
+        &[0xa572_b3cd_ca35_9632],
+    );
+}
+
 #[test]
 fn delta_reduced_graphs_match_recorded_bits() {
     assert_recorded(
