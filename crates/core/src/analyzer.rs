@@ -7,15 +7,19 @@
 //! refresh (the optimization that keeps pathmap's per-refresh cost flat as
 //! `W` grows — Fig. 9).
 //!
-//! Refreshes are *parallel*: the `(client, candidate-edge)` correlators
-//! are taken in stable key order and their append/evict corrections run
-//! on a scoped worker pool ([`PathmapConfig::num_workers`]) whose workers
-//! each pull the next pair from one queue; path discovery (normalization
-//! and spike detection) then runs the same way, a root at a time, against
-//! the precomputed series. Every worker count produces bitwise identical
-//! graphs — see [`parallel`] for the determinism contract. A phase is
-//! given to the pool only while it is worth a fork: one whose last run
-//! cost a thread less than [`FORK_WORTH`] stays on the calling thread.
+//! Each owned root keeps the correlators of its own pairs — its client's
+//! arrival signal against every candidate edge its exploration consulted —
+//! so a pair belongs to exactly one root and never moves between maps.
+//!
+//! Refreshes are *parallel*: every pair's append/evict corrections run in
+//! place, on a scoped worker pool ([`PathmapConfig::num_workers`]) whose
+//! workers each pull the next pair from one queue; path discovery
+//! (normalization and spike detection) then runs the same way, a root at a
+//! time, against the series Phase 1 left in the root's correlators. Every
+//! worker count produces bitwise identical graphs — see [`parallel`] for
+//! the determinism contract. A phase is given to the pool only while it is
+//! worth a fork: one whose last run cost a thread less than [`FORK_WORTH`]
+//! stays on the calling thread.
 //!
 //! Refreshes are *activity-gated*: what a refresh costs follows what
 //! changed since the previous one, not what is tracked. A pair whose two
@@ -43,7 +47,7 @@ use e2eprof_timeseries::{wire, Nanos, RleSeries, Run, Tick};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::{CorrSeries, Spike};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Duration;
 
 /// What a phase of the refresh must have cost one thread, the last time
@@ -82,17 +86,27 @@ struct PhaseCosts {
     discovery: Option<Duration>,
 }
 
-/// Key of one maintained correlator: the client whose arrival signal is
-/// the correlation source, and the candidate edge under test.
-type PairKey = (NodeId, (NodeId, NodeId));
+/// A directed edge `(src, dst)` between two nodes.
+type Edge = (NodeId, NodeId);
 
 /// What a root's exploration concluded about one pair it consulted: the
 /// spike list discovery settled on.
 type Verdict = Vec<Spike>;
 
-/// One root's last discovery result and its *support*: every pair the
-/// exploration consulted, sorted, with the verdict on each.
-type RootMemory = (Option<ServiceGraph>, Vec<(PairKey, Verdict)>);
+/// One root's last discovery result and its *support*: the candidate edge
+/// of every pair the exploration consulted, sorted, with the verdict on
+/// each.
+type RootMemory = (Option<ServiceGraph>, Vec<(Edge, Verdict)>);
+
+/// One owned root and the correlators of its pairs: its client's arrival
+/// signal, retained on the `(client, front)` stream, against each
+/// candidate edge its exploration has consulted.
+#[derive(Debug)]
+struct Root {
+    client: NodeId,
+    front: NodeId,
+    pairs: FxHashMap<Edge, IncrementalCorrelator>,
+}
 
 /// Per-edge reduction status on the analyzer side. Absence from the status
 /// map means the edge streams at full resolution.
@@ -235,8 +249,9 @@ struct RefreshMemory {
     prev: Option<(Tick, Tick, Tick)>,
     /// Change-epoch snapshot of every fine window at that refresh.
     epochs: FxHashMap<(NodeId, NodeId), u64>,
-    /// Per-root discovery result of that refresh.
-    roots: FxHashMap<(NodeId, NodeId), RootMemory>,
+    /// Per-root discovery result of that refresh, in root order (empty
+    /// when nothing is remembered).
+    roots: Vec<RootMemory>,
     /// Sorted signal-edge key set of that refresh. Any change — an edge
     /// appearing, vanishing, or moving through the reduction tier —
     /// dirties every root, because exploration enumerates candidate
@@ -254,18 +269,17 @@ struct RefreshMemory {
 pub struct OnlineAnalyzer {
     config: PathmapConfig,
     pathmap: Pathmap,
-    roots: Vec<(NodeId, NodeId)>,
-    /// `client → front end` of the owned roots: where each pair's source
-    /// signal lives.
-    fronts: FxHashMap<NodeId, NodeId>,
+    /// The owned roots, in publication order, each with its correlators.
+    roots: Vec<Root>,
     /// Every client node in the deployment — a superset of the clients in
     /// `roots`. Discovery must know all of them even when this analyzer
-    /// shard owns only some roots (see [`Pathmap::discover_each_among`]).
+    /// shard owns only some roots: it never recurses into a client node,
+    /// and one it did not know of would let an exploration wander through
+    /// another shard's client and diverge from the single-analyzer graphs.
     universe: HashSet<NodeId>,
     labels: NodeLabels,
     rx: Receiver<TracerFrame>,
-    windows: FxHashMap<(NodeId, NodeId), SlidingWindow>,
-    incs: FxHashMap<(NodeId, (NodeId, NodeId)), IncrementalCorrelator>,
+    windows: FxHashMap<Edge, SlidingWindow>,
     change: ChangeTracker,
     /// Capacity of each sliding window, in ticks.
     capacity: u64,
@@ -322,9 +336,15 @@ impl OnlineAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if two roots share a client. A pair is keyed by client and
-    /// edge, and a client's source signal is looked up through its one
-    /// front end, so two fronts of one client would mix their evidence.
+    /// Panics if two roots share a client: a client's source signal is its
+    /// one `(client, front)` stream — heals and the reduction tier's coarse
+    /// source images go by client — so two fronts of one client would mix
+    /// their evidence.
+    ///
+    /// Panics if `universe` misses an owned root's client: exploration
+    /// refuses to recurse only into the clients it knows, so that root's
+    /// search would walk its own response edge into the client node and
+    /// publish edges out of it.
     pub fn with_universe(
         config: PathmapConfig,
         roots: Vec<(NodeId, NodeId)>,
@@ -332,12 +352,24 @@ impl OnlineAnalyzer {
         labels: NodeLabels,
         rx: Receiver<TracerFrame>,
     ) -> Self {
-        let fronts: FxHashMap<NodeId, NodeId> = roots.iter().copied().collect();
+        let clients: HashSet<NodeId> = roots.iter().map(|&(client, _)| client).collect();
         assert_eq!(
-            fronts.len(),
+            clients.len(),
             roots.len(),
             "two roots share a client: the online analyzer needs one front end per client"
         );
+        assert!(
+            clients.is_subset(&universe),
+            "the client universe misses an owned root's client"
+        );
+        let roots = roots
+            .into_iter()
+            .map(|(client, front)| Root {
+                client,
+                front,
+                pairs: FxHashMap::default(),
+            })
+            .collect();
         // Retain enough history for the source window, the lag horizon,
         // and one refresh interval of eviction corrections.
         let capacity = config.window_ticks() + config.max_lag() + 2 * config.refresh_ticks();
@@ -356,13 +388,11 @@ impl OnlineAnalyzer {
         OnlineAnalyzer {
             config,
             pathmap,
-            fronts,
             roots,
             universe,
             labels,
             rx,
             windows: FxHashMap::default(),
-            incs: FxHashMap::default(),
             change: ChangeTracker::new(),
             capacity,
             subscribers: Vec::new(),
@@ -531,10 +561,17 @@ impl OnlineAnalyzer {
         }
     }
 
-    /// Invalidates every correlator involving a reset edge.
-    fn invalidate_correlators(&mut self, reset: (NodeId, NodeId)) {
-        self.incs
-            .retain(|&(client, edge), _| edge != reset && client != reset.0);
+    /// Invalidates every correlator involving a reset edge: all of a root's
+    /// pairs when it carries the root's source signal, else each root's
+    /// pair with it.
+    fn invalidate_correlators(&mut self, reset: Edge) {
+        for root in &mut self.roots {
+            if root.client == reset.0 {
+                root.pairs.clear();
+            } else {
+                root.pairs.remove(&reset);
+            }
+        }
         // A healed gap replaces window content wholesale without the
         // epoch/boundary bookkeeping the quiet predicate relies on; heals
         // are rare (data loss, promote backfills), so drop the whole
@@ -586,8 +623,7 @@ impl OnlineAnalyzer {
             reduction_pass(
                 red,
                 &self.windows,
-                &mut self.incs,
-                &self.fronts,
+                &mut self.roots,
                 (start, end, data_end),
                 max_lag,
                 self.capacity,
@@ -625,20 +661,10 @@ impl OnlineAnalyzer {
                 }
             }
         }
-        let fronts = &self.fronts;
-        // Both signals of a pair — the client's root signal on its
-        // `(client, front)` edge and the candidate edge itself — quiet.
-        let pair_is_quiet = |(client, edge): PairKey| {
-            quiet.contains(&edge)
-                && fronts
-                    .get(&client)
-                    .is_some_and(|&front| quiet.contains(&(client, front)))
-        };
-
         // Sorted signal-edge key set: candidate-edge enumeration is
         // key-driven, so an unchanged fingerprint plus per-pair quietness
         // is what certifies a remembered root graph (see Phase 2).
-        let mut fingerprint: Vec<(NodeId, NodeId)> = signals_map.keys().copied().collect();
+        let mut fingerprint: Vec<Edge> = signals_map.keys().copied().collect();
         fingerprint.sort_unstable();
         let signals =
             EdgeSignals::from_parts(self.config.quanta(), (start, end), max_lag, signals_map);
@@ -647,58 +673,48 @@ impl OnlineAnalyzer {
         let slide_scratch = &self.slide_scratch;
         let windows = &self.windows;
 
-        // Phase 1 — bring every tracked correlator to this window, on the
-        // worker pool, in stable key order. Each pair owns its
+        // Phase 1 — bring every tracked correlator to this window, in place
+        // in its root's map, on the worker pool. Each pair owns its
         // accumulator and only *reads* the shared windows, so its
-        // arithmetic is identical no matter which thread runs it; the
-        // merge below reassembles the map in the same sorted key order
-        // for every worker count.
-        let mut entries: Vec<(PairKey, IncrementalCorrelator)> = self.incs.drain().collect();
-        entries.sort_unstable_by_key(|&(key, _)| key);
-        let mut sources: FxHashMap<NodeId, Option<RleSeries>> = fx_map_with_capacity(fronts.len());
-        for &((client, _), _) in &entries {
-            sources.entry(client).or_insert_with(|| {
-                fronts
-                    .get(&client)
-                    .and_then(|&front| signals.source_signal(client, front))
-            });
-        }
+        // arithmetic is identical no matter which thread runs it. A root's
+        // source view is sliced once, here, for both phases.
+        let sources: Vec<Option<RleSeries>> = self
+            .roots
+            .iter()
+            .map(|root| signals.source_signal(root.client, root.front))
+            .collect();
         struct FineItem<'a> {
-            key: PairKey,
-            inc: IncrementalCorrelator,
+            /// Index of the pair's root.
+            root: usize,
+            edge: Edge,
+            inc: &'a mut IncrementalCorrelator,
             step: Step<'a>,
             /// Whether executing the step allocated (a from-scratch
             /// refill, or slide scratch that had to grow).
             allocated: bool,
         }
         let prev_window = prev.map(|(start0, end0, _)| (start0, end0));
-        let mut items: Vec<FineItem<'_>> = entries
-            .into_iter()
-            .map(|(key, inc)| {
-                let views = sources
-                    .get(&key.0)
-                    .and_then(Option::as_ref)
-                    .zip(signals.target_signal(key.1 .0, key.1 .1));
-                // Quietness was proven against the previous refresh's
-                // geometry, so it only speaks for a correlator standing
-                // at exactly that window.
-                let step = Step::decide(
-                    &inc,
-                    views,
-                    |e| windows.get(&e),
-                    fronts,
-                    key,
-                    (start, end),
-                    inc.window() == prev_window && pair_is_quiet(key),
-                );
-                FineItem {
-                    key,
+        let mut items: Vec<FineItem<'_>> = Vec::new();
+        for (r, (root, x)) in self.roots.iter_mut().zip(&sources).enumerate() {
+            let source = (root.client, root.front);
+            let xw = windows.get(&source);
+            for (&edge, inc) in &mut root.pairs {
+                let views = x.as_ref().zip(signals.target_signal(edge.0, edge.1));
+                // Both signals of the pair quiet — proven against the
+                // previous refresh's geometry, so it only speaks for a
+                // correlator standing at exactly that window.
+                let quiet =
+                    inc.window() == prev_window && quiet.contains(&source) && quiet.contains(&edge);
+                let step = Step::decide(inc, views, xw, windows.get(&edge), (start, end), quiet);
+                items.push(FineItem {
+                    root: r,
+                    edge,
                     inc,
                     step,
                     allocated: false,
-                }
-            })
-            .collect();
+                });
+            }
+        }
         memory.costs.fine = Some(for_each_step(
             &mut items,
             pool_for(memory.costs.fine, num_workers),
@@ -706,113 +722,113 @@ impl OnlineAnalyzer {
             |item| {
                 item.allocated = item
                     .step
-                    .run(&mut item.inc, max_lag, (start, end), slide_scratch);
+                    .run(item.inc, max_lag, (start, end), slide_scratch);
             },
         ));
-        // Pairs skipped this refresh, in key order, for the dirty-root
-        // partition below: a clean root's every support pair must have
-        // carried bitwise.
-        let mut skipped: Vec<PairKey> = Vec::new();
+        // Each root's pairs skipped this refresh: a clean root's every
+        // support pair must have carried bitwise.
+        let mut skipped: Vec<Vec<Edge>> = vec![Vec::new(); sources.len()];
         for item in items {
             memory.stats.fine_pairs += 1;
             if matches!(item.step, Step::Skip) {
                 memory.stats.fine_skipped += 1;
-                skipped.push(item.key);
+                skipped[item.root].push(item.edge);
             }
             if !matches!(item.step, Step::Carry) {
                 self.scratch.note(item.allocated);
             }
-            self.incs.insert(item.key, item.inc);
         }
 
         // Phase 2 — path discovery (normalization + spike detection), one
-        // root per worker, reading each pair's products where Phase 1 left
-        // them: in its correlator. Each pair first reached this refresh
-        // belongs to exactly one client (hence one worker), so its
-        // correlator is created in the worker's local map — no lock — and
-        // merged back in stable root order.
-        // Roots are first partitioned into clean and dirty: a root is
-        // clean when the signal-edge fingerprint is unchanged and every
-        // pair its last exploration consulted carried its series bitwise
-        // (Phase-1 skip). Exploration is deterministic in those inputs,
-        // so a clean root's recompute would reproduce last refresh's
-        // graph bit for bit — publish the remembered one instead and
-        // discover only the dirty subset.
+        // root per item, reading each pair's products where Phase 1 left
+        // them: in the root's correlator. A pair first reached this refresh
+        // gets its correlator in the root's map too.
+        // A root is clean when the signal-edge fingerprint is unchanged and
+        // every pair its last exploration consulted carried its series
+        // bitwise (Phase-1 skip). Exploration is deterministic in those
+        // inputs, so a clean root's recompute would reproduce last
+        // refresh's graph bit for bit — publish the remembered one instead.
+        // A dirty root is explored again, but a pair of its old support
+        // that Phase 1 skipped stands on the very premises a clean root
+        // does — bitwise-carried products, two quiet signals — so the spike
+        // list decided for it last time is the one deciding it again would
+        // yield: the root's provider hands it out instead (DESIGN.md §6.1,
+        // "What Phase 2 decides, skips and carries").
+        struct RootItem<'a> {
+            root: &'a mut Root,
+            /// The root's source view, as Phase 1 sliced it.
+            x: Option<RleSeries>,
+            /// The root's pairs Phase 1 skipped.
+            skipped: Vec<Edge>,
+            /// The root's entry in the refresh memory: the last refresh's
+            /// going in, this one's coming out.
+            memory: Option<RootMemory>,
+            stats: IncrementalStats,
+        }
         let reusable = prev.is_some() && memory.fingerprint == fingerprint;
-        let mut remembered = std::mem::take(&mut memory.roots);
-        let clean: Vec<Option<RootMemory>> = self
+        let mut remembered = std::mem::take(&mut memory.roots).into_iter();
+        let mut items: Vec<RootItem<'_>> = self
             .roots
-            .iter()
-            .map(|root| {
-                let (_, support) = remembered.get(root)?;
-                let is_clean = reusable
-                    && support
-                        .iter()
-                        .all(|(pair, _)| skipped.binary_search(pair).is_ok());
-                is_clean.then(|| remembered.remove(root)).flatten()
+            .iter_mut()
+            .zip(sources)
+            .zip(skipped)
+            .map(|((root, x), skipped)| RootItem {
+                root,
+                x,
+                skipped,
+                memory: remembered.next(),
+                stats: IncrementalStats::default(),
             })
             .collect();
-        let dirty_roots: Vec<(NodeId, NodeId)> = self
-            .roots
-            .iter()
-            .zip(&clean)
-            .filter(|(_, entry)| entry.is_none())
-            .map(|(&root, _)| root)
-            .collect();
-        memory.stats.roots = self.roots.len() as u64;
-        memory.stats.reused_roots = (self.roots.len() - dirty_roots.len()) as u64;
-        // What is left in `remembered` belongs to the dirty roots. A dirty
-        // root is explored again, but a pair of its old support that
-        // Phase 1 skipped stands on the very premises a clean root does —
-        // bitwise-carried products, two quiet signals — so the spike list
-        // decided for it last time is the one deciding it again would
-        // yield: the root's provider hands it out instead (DESIGN.md
-        // §6.1, "What Phase 2 decides, skips and carries").
-        let (discovered, cost) = self.pathmap.discover_each_among(
-            &signals,
-            &dirty_roots,
-            &self.universe,
-            &self.labels,
+        let (pathmap, universe, labels) = (&self.pathmap, &self.universe, &self.labels);
+        memory.costs.discovery = Some(parallel::for_each_mut(
+            &mut items,
             pool_for(memory.costs.discovery, num_workers),
-            |root| CachedProvider {
-                advanced: &self.incs,
-                fresh: HashMap::new(),
-                skipped: &skipped,
-                previous: remembered.get(&root).map_or(&[], |(_, support)| support),
-                support: Vec::new(),
-                evidence_free: 0,
-                carried: 0,
-            },
-        );
-        memory.costs.discovery = Some(cost);
-        let mut discovered = discovered.into_iter();
-        // Reassemble in stable root order; every root's entry — moved
-        // over or just discovered — is what the next refresh remembers.
-        let mut graphs = Vec::new();
-        let mut fresh = Vec::new();
-        for (&root, entry) in self.roots.iter().zip(clean) {
-            let entry = entry.unwrap_or_else(|| {
-                let (graph, provider) = discovered.next().expect("one result per dirty root");
-                memory.stats.visited_pairs += provider.support.len() as u64;
-                memory.stats.evidence_free_pairs += provider.evidence_free;
-                memory.stats.carried_verdicts += provider.carried;
+            |item| {
+                item.stats.roots = 1;
+                item.skipped.sort_unstable();
+                let previous = item.memory.take();
+                let clean = reusable
+                    && previous.as_ref().is_some_and(|(_, support)| {
+                        support
+                            .iter()
+                            .all(|(edge, _)| item.skipped.binary_search(edge).is_ok())
+                    });
+                if clean {
+                    item.stats.reused_roots = 1;
+                    item.memory = previous;
+                    return;
+                }
+                let root = &mut *item.root;
+                let mut provider = CachedProvider {
+                    pairs: &mut root.pairs,
+                    skipped: &item.skipped,
+                    previous: previous.as_ref().map_or(&[], |(_, support)| support),
+                    support: Vec::new(),
+                    stats: IncrementalStats::default(),
+                };
+                let source = (root.client, root.front);
+                let graph = item.x.as_ref().map(|x| {
+                    pathmap.discover_root(source, x, &signals, universe, labels, &mut provider)
+                });
                 let mut support = provider.support;
-                support.sort_unstable_by_key(|&(pair, _)| pair);
-                fresh.push(provider.fresh);
-                (graph, support)
-            });
+                support.sort_unstable_by_key(|&(edge, _)| edge);
+                item.stats.absorb(provider.stats);
+                item.memory = Some((graph, support));
+            },
+        ));
+        // Every root's entry — carried over or just discovered — is what
+        // the next refresh remembers, in root order.
+        let mut graphs = Vec::new();
+        for item in items {
+            memory.stats.absorb(item.stats);
+            let entry = item.memory.expect("every root ran");
             graphs.extend(entry.0.clone());
-            memory.roots.insert(root, entry);
-        }
-        // The providers borrowed the correlator map; with them consumed,
-        // adopt the correlators they created.
-        drop(discovered);
-        for fresh in fresh {
-            self.incs.extend(fresh);
+            memory.roots.push(entry);
         }
         // This refresh's geometry and fingerprint: the reference frame the
         // next refresh's quiet predicate is proven against. (Epochs and
-        // root graphs were updated in place.)
+        // root entries were updated above.)
         memory.prev = Some((start, end, data_end));
         memory.fingerprint = fingerprint;
         self.change.record(at, &graphs);
@@ -938,9 +954,8 @@ impl OnlineAnalyzer {
 /// edge is disjoint, every product of the window has a zero factor.
 fn reduction_pass(
     red: &mut ReductionState,
-    windows: &FxHashMap<(NodeId, NodeId), SlidingWindow>,
-    incs: &mut FxHashMap<PairKey, IncrementalCorrelator>,
-    fronts: &FxHashMap<NodeId, NodeId>,
+    windows: &FxHashMap<Edge, SlidingWindow>,
+    roots: &mut [Root],
     (start, end, data_end): (Tick, Tick, Tick),
     max_lag: u64,
     capacity: u64,
@@ -967,10 +982,10 @@ fn reduction_pass(
             continue;
         }
         let coarse_lags = coarse_lag_bound(max_lag, level);
-        let hit = fronts.iter().any(|(&client, &front)| {
-            let x = src_cache.entry((client, level)).or_insert_with(|| {
+        let hit = roots.iter().any(|root| {
+            let x = src_cache.entry((root.client, level)).or_insert_with(|| {
                 windows
-                    .get(&(client, front))
+                    .get(&(root.client, root.front))
                     .map(|w| w.series().decimate(level))
                     .unwrap_or_else(|| RleSeries::empty(Tick::ZERO, 0))
             });
@@ -1000,41 +1015,34 @@ fn reduction_pass(
     // views discovery correlates. An untracked pair is no evidence: its
     // root's exploration never consulted the edge. Candidates must stay
     // cold for `patience` consecutive refreshes before the hint fires.
-    if fronts.is_empty() {
+    if roots.is_empty() {
         return;
     }
-    let sources: FxHashMap<NodeId, RleSeries> = fronts
+    let sources: Vec<Option<RleSeries>> = roots
         .iter()
-        .filter_map(|(&client, &front)| {
-            let w = windows.get(&(client, front))?;
-            Some((client, w.view(start, end)))
-        })
+        .map(|root| Some(windows.get(&(root.client, root.front))?.view(start, end)))
         .collect();
     // Whether some owned root's tracked pair with `edge` overlaps it.
-    let live = |incs: &FxHashMap<PairKey, IncrementalCorrelator>,
-                edge: (NodeId, NodeId),
-                w: &SlidingWindow| {
+    let live = |roots: &[Root], edge: Edge, w: &SlidingWindow| {
         let y = w.view(start, data_end);
-        fronts.keys().any(|client| {
-            incs.contains_key(&(*client, edge))
-                && sources
-                    .get(client)
-                    .is_some_and(|x| supports_overlap(x, &y, max_lag))
+        roots.iter().zip(&sources).any(|(root, x)| {
+            root.pairs.contains_key(&edge)
+                && x.as_ref().is_some_and(|x| supports_overlap(x, &y, max_lag))
         })
     };
+    let carries_root_signal =
+        |roots: &[Root], edge: Edge| roots.iter().any(|root| root.client == edge.0);
     let window_ticks = end - start;
-    let mut edges: Vec<(NodeId, NodeId)> = windows.keys().copied().collect();
+    let mut edges: Vec<Edge> = windows.keys().copied().collect();
     edges.sort_unstable();
     for edge in edges {
         if red.status.contains_key(&edge) {
             continue;
         }
         let w = &windows[&edge];
-        let dead = !fronts.contains_key(&edge.0)
-            && fronts
-                .keys()
-                .all(|&client| incs.contains_key(&(client, edge)))
-            && !live(incs, edge, w);
+        let dead = !carries_root_signal(roots, edge)
+            && roots.iter().all(|root| root.pairs.contains_key(&edge))
+            && !live(roots, edge, w);
         if !dead {
             red.cold.remove(&edge);
             continue;
@@ -1045,7 +1053,7 @@ fn reduction_pass(
             continue;
         }
         let level = demotion_level(w.series().support(), window_ticks, red.cfg.base_level);
-        demote_edge(red, incs, edge, level, capacity);
+        demote_edge(red, roots, edge, level, capacity);
         // A reduction verdict is about the conversation, not one
         // direction of it: the response stream `(b, a)` carries the
         // replies to the request stream's messages, so it inherits the
@@ -1057,11 +1065,11 @@ fn reduction_pass(
         if let Some(w) = windows.get(&rev) {
             if rev != edge
                 && !red.status.contains_key(&rev)
-                && !fronts.contains_key(&rev.0)
-                && !live(incs, rev, w)
+                && !carries_root_signal(roots, rev)
+                && !live(roots, rev, w)
             {
                 let level = demotion_level(w.series().support(), window_ticks, red.cfg.base_level);
-                demote_edge(red, incs, rev, level, capacity);
+                demote_edge(red, roots, rev, level, capacity);
             }
         }
     }
@@ -1088,8 +1096,8 @@ fn demotion_level(support: u64, window_ticks: u64, base_level: u64) -> u64 {
 /// footprint.
 fn demote_edge(
     red: &mut ReductionState,
-    incs: &mut FxHashMap<PairKey, IncrementalCorrelator>,
-    edge: (NodeId, NodeId),
+    roots: &mut [Root],
+    edge: Edge,
     level: u64,
     capacity: u64,
 ) {
@@ -1098,7 +1106,9 @@ fn demote_edge(
     red.cold.remove(&edge);
     red.dirty = true;
     red.demotions += 1;
-    incs.retain(|&(_, e), _| e != edge);
+    for root in roots {
+        root.pairs.remove(&edge);
+    }
 }
 
 /// What one refresh does to one tracked correlator. Decided once, when the
@@ -1132,29 +1142,25 @@ enum Step<'a> {
 }
 
 impl<'a> Step<'a> {
-    /// Decides the step of pair `key` towards the source window `window`.
+    /// Decides the step of a pair towards the source window `window`.
     ///
     /// `views` are the pair's source and target views this window, and
-    /// `history` reaches the retained stream of an edge — the source is
-    /// always the client's root signal, retained on its `(client, front)`
-    /// stream. `quiet` is the caller's proof that nothing moved in either
-    /// stream since the window `inc` stands at.
+    /// `xw` and `yw` the retained streams they were cut from — the source
+    /// is always the root's client signal, retained on its
+    /// `(client, front)` stream. `quiet` is the caller's proof that nothing
+    /// moved in either stream since the window `inc` stands at.
     fn decide(
         inc: &IncrementalCorrelator,
         views: Option<(&'a RleSeries, &'a RleSeries)>,
-        history: impl Fn((NodeId, NodeId)) -> Option<&'a SlidingWindow>,
-        fronts: &FxHashMap<NodeId, NodeId>,
-        (client, edge): PairKey,
+        xw: Option<&'a SlidingWindow>,
+        yw: Option<&'a SlidingWindow>,
         (ws, we): (Tick, Tick),
         quiet: bool,
     ) -> Self {
         let Some((x, y)) = views else {
             return Step::Carry;
         };
-        let xw = fronts
-            .get(&client)
-            .and_then(|&front| history((client, front)));
-        match (inc.window(), xw, history(edge)) {
+        match (inc.window(), xw, yw) {
             // The recorded window must overlap the target one, and both
             // streams must retain history back to its start: the eviction
             // corrections read `x` over `[s, ws)` and `y` over
@@ -1237,82 +1243,68 @@ fn for_each_step<'a, T: Send>(
     parallel::for_each_mut(&mut computing, num_workers, |item| f(item))
 }
 
-/// One discovery worker's view of the refresh's correlation evidence:
-/// series precomputed by the advance phase, plus a root-local
-/// map of correlators created for pairs first reached during this
-/// discovery pass (harvested and merged by the analyzer afterwards — a
-/// pair's client belongs to exactly one root, so local maps never
-/// conflict).
+/// One root's view of the refresh's correlation evidence during its
+/// discovery: the root's own correlators, lent out where Phase 1 left them
+/// and refilled in place where it did not.
 struct CachedProvider<'a> {
-    /// Every tracked correlator. One standing at exactly the source
-    /// window discovery asks about was advanced by Phase 1 and lends its
-    /// products out as they are; one left at an older window (its signals
-    /// had vanished) is stale and never served.
-    advanced: &'a FxHashMap<PairKey, IncrementalCorrelator>,
-    fresh: HashMap<PairKey, IncrementalCorrelator>,
-    /// Pairs Phase 1 skipped this refresh, sorted: their products are
-    /// last refresh's, bit for bit, and both their signals were quiet.
-    skipped: &'a [PairKey],
+    /// The root's correlators. One standing at exactly the source window
+    /// discovery asks about was brought there by Phase 1 and lends its
+    /// products out as they are; one at any other window — its signals had
+    /// vanished — or none at all — the pair is first reached — is filled
+    /// from scratch first.
+    pairs: &'a mut FxHashMap<Edge, IncrementalCorrelator>,
+    /// The root's pairs Phase 1 skipped this refresh, sorted: their
+    /// products are last refresh's, bit for bit, and both their signals
+    /// were quiet.
+    skipped: &'a [Edge],
     /// This root's support as of its previous exploration, sorted.
-    previous: &'a [(PairKey, Verdict)],
+    previous: &'a [(Edge, Verdict)],
     /// Every pair this exploration consulted, with the verdict on it —
     /// the root's *support*, which decides whether its graph may be
     /// published again next refresh without recomputing it. The search
     /// enters a node once and walks its out-edges once, so no pair is
     /// consulted twice.
-    support: Vec<(PairKey, Verdict)>,
-    /// Pairs decided from all-zero products, and verdicts carried.
-    evidence_free: u64,
-    carried: u64,
+    support: Vec<(Edge, Verdict)>,
+    /// Pairs visited, decided from all-zero products, and verdicts carried.
+    stats: IncrementalStats,
 }
 
 impl CorrelationProvider for CachedProvider<'_> {
     fn correlate(
         &mut self,
-        client: NodeId,
-        edge: (NodeId, NodeId),
+        _client: NodeId,
+        edge: Edge,
         x: &RleSeries,
         y: &RleSeries,
         max_lag: u64,
     ) -> Cow<'_, CorrSeries> {
-        if let Some(inc) = self.advanced.get(&(client, edge)) {
-            if inc.window() == Some((x.start(), x.end())) {
-                return Cow::Borrowed(inc.corr());
-            }
-        }
-        // First reached this refresh: no prior state to correct, so fill
-        // from scratch; the analyzer adopts the correlator afterwards.
-        let inc = self.fresh.entry((client, edge)).or_insert_with(|| {
-            let mut inc = IncrementalCorrelator::new(max_lag);
+        let inc = self
+            .pairs
+            .entry(edge)
+            .or_insert_with(|| IncrementalCorrelator::new(max_lag));
+        if inc.window() != Some((x.start(), x.end())) {
+            // No prior state to correct: fill from scratch.
             inc.refill(x, y);
-            inc
-        });
+        }
         Cow::Borrowed(inc.corr())
     }
 
     /// Carries the previous spike list of a pair Phase 1 skipped: a pair
     /// first reached, refilled or advanced is in no position to.
-    fn carried(&mut self, client: NodeId, edge: (NodeId, NodeId)) -> Option<Vec<Spike>> {
-        let pair = (client, edge);
+    fn carried(&mut self, _client: NodeId, edge: Edge) -> Option<Vec<Spike>> {
         let at = self
             .previous
-            .binary_search_by_key(&pair, |&(pair, _)| pair)
+            .binary_search_by_key(&edge, |&(edge, _)| edge)
             .ok()?;
-        let spikes = &self.previous[at].1;
-        self.skipped.binary_search(&pair).ok()?;
-        self.carried += 1;
-        Some(spikes.clone())
+        self.skipped.binary_search(&edge).ok()?;
+        self.stats.carried_verdicts += 1;
+        Some(self.previous[at].1.clone())
     }
 
-    fn decided(
-        &mut self,
-        client: NodeId,
-        edge: (NodeId, NodeId),
-        spikes: Vec<Spike>,
-        evidence_free: bool,
-    ) {
-        self.evidence_free += u64::from(evidence_free);
-        self.support.push(((client, edge), spikes));
+    fn decided(&mut self, _client: NodeId, edge: Edge, spikes: Vec<Spike>, evidence_free: bool) {
+        self.stats.visited_pairs += 1;
+        self.stats.evidence_free_pairs += u64::from(evidence_free);
+        self.support.push((edge, spikes));
     }
 }
 
@@ -1835,13 +1827,70 @@ mod tests {
     }
 
     /// A client that sends to two receivers infers as two roots; online,
-    /// their pairs would share keys and one front would be forgotten.
+    /// a heal of either front's stream would be a heal of both.
     #[test]
     #[should_panic(expected = "two roots share a client")]
     fn two_roots_with_one_client_are_rejected() {
         let (_tx, rx) = unbounded::<TracerFrame>();
         let (cli, a, b) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         OnlineAnalyzer::new(cfg(), vec![(cli, a), (cli, b)], NodeLabels::default(), rx);
+    }
+
+    /// A shard whose universe lacks its own root's client would explore
+    /// the root's response edge into that client and on through its
+    /// out-edges.
+    #[test]
+    #[should_panic(expected = "universe misses an owned root's client")]
+    fn a_universe_without_an_owned_client_is_rejected() {
+        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (cli, web, other) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        OnlineAnalyzer::with_universe(
+            cfg(),
+            vec![(cli, web)],
+            HashSet::from([other]),
+            NodeLabels::default(),
+            rx,
+        );
+    }
+
+    /// The correlator of `client`'s root for `edge`.
+    fn correlator(analyzer: &OnlineAnalyzer, client: NodeId, edge: Edge) -> &IncrementalCorrelator {
+        let root = analyzer.roots.iter().find(|root| root.client == client);
+        &root.expect("an owned root").pairs[&edge]
+    }
+
+    /// A heal of a root's source stream drops every pair of that root and
+    /// no other root's; a heal of a candidate edge drops that edge's pair
+    /// from every root, and nothing else.
+    #[test]
+    fn a_heal_drops_the_pairs_that_read_the_healed_stream() {
+        let (_tx, rx) = unbounded::<TracerFrame>();
+        let [a, b, web, s, shared] = [0, 1, 2, 3, 4].map(NodeId::new);
+        let mut analyzer =
+            OnlineAnalyzer::new(cfg(), vec![(a, web), (b, web)], NodeLabels::default(), rx);
+        let tracked = [(web, s), (web, shared)];
+        for root in &mut analyzer.roots {
+            for edge in tracked {
+                root.pairs.insert(edge, IncrementalCorrelator::new(4));
+            }
+        }
+        let pairs = |analyzer: &OnlineAnalyzer| -> Vec<Vec<Edge>> {
+            let sorted = |root: &Root| {
+                let mut edges: Vec<Edge> = root.pairs.keys().copied().collect();
+                edges.sort_unstable();
+                edges
+            };
+            analyzer.roots.iter().map(sorted).collect()
+        };
+        // A chunk past the end of the retained stream heals a gap.
+        let heal = |analyzer: &mut OnlineAnalyzer, edge: Edge| {
+            analyzer.extend_window(edge, Tick::ZERO, 100, []);
+            analyzer.extend_window(edge, Tick::new(200), 100, []);
+        };
+        heal(&mut analyzer, (a, web));
+        assert_eq!(pairs(&analyzer), vec![vec![], tracked.to_vec()]);
+        heal(&mut analyzer, (web, shared));
+        assert_eq!(pairs(&analyzer), vec![vec![], vec![(web, s)]]);
     }
 
     #[test]
@@ -2127,7 +2176,6 @@ mod tests {
     fn went_cold_backend_is_demoted_despite_residue_products() {
         let scenario = || crate::testutil::idle_mesh(5, &[Workload::trace(burst(0, 10).collect())]);
         let (cli, web, db) = (NodeId::new(2), NodeId::new(0), NodeId::new(1));
-        let pair = (cli, (web, db));
 
         // Without reduction the correlator survives to show its products.
         let (plain, analyzer) = drive_online(scenario(), cfg(), 40);
@@ -2138,7 +2186,7 @@ mod tests {
             !supports_overlap(&x, &y, cfg().max_lag()),
             "still overlapping"
         );
-        let residue = analyzer.incs[&pair]
+        let residue = correlator(&analyzer, cli, (web, db))
             .corr()
             .values()
             .iter()
@@ -2204,7 +2252,7 @@ mod tests {
             let red = analyzer.reduction.as_ref().expect("reduction enabled");
             assert!(!red.status.contains_key(&(web, db)), "chunk {k}: demoted");
         }
-        let products = analyzer.incs[&(cli, (web, db))].corr();
+        let products = correlator(&analyzer, cli, (web, db)).corr();
         assert!(products.values().iter().all(|&r| r < 1e-12));
         assert!(products.value_at(7) > 0.0);
         let red = analyzer.reduction.as_ref().expect("reduction enabled");

@@ -1,14 +1,16 @@
 //! Deterministic parallel execution for the analyzer's refresh path.
 //!
 //! The online analyzer's dominant per-refresh cost is advancing one
-//! incremental correlator per `(client, candidate-edge)` pair. The pairs
-//! are independent — each owns its accumulator and only *reads* the shared
-//! sliding windows — so a small scoped worker pool can process them in any
-//! order. Their costs are far from equal (a pair with nothing to multiply
-//! costs microseconds, a live one a hundred times that, and a client's
-//! live pairs sit next to each other in key order), so the workers do not
-//! own fixed parts of the input: each takes the next item from one shared
-//! queue until none is left.
+//! incremental correlator per `(client, candidate-edge)` pair, in place in
+//! its root's map, and then exploring each root's graph. The items of
+//! either phase are independent — each owns its state (a pair its
+//! accumulator, a root its correlators) and only *reads* the shared
+//! sliding windows — so a small scoped worker pool can process them in
+//! any order. Their costs are far from equal (a pair with nothing to
+//! multiply costs microseconds, a live one a hundred times that, and a
+//! root's live pairs sit next to each other in the queue), so the workers
+//! do not own fixed parts of the input: each takes the next item from one
+//! shared queue until none is left.
 //!
 //! Determinism contract: every function here yields results **bitwise
 //! identical** for any worker count, including 1. The order of

@@ -19,18 +19,21 @@ use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Supplies lagged-product series to the path search.
+/// Supplies lagged-product series to the path search of one root.
 ///
-/// The default implementation recomputes from scratch with a stateless
-/// engine; the online analyzer substitutes an incremental provider that
-/// only touches the `ΔW` ticks that changed since the last refresh.
+/// Offline discovery recomputes every pair from scratch with a stateless
+/// engine. The online analyzer hands each root a provider over that root's
+/// own correlators, which Phase 1 of the refresh has already brought to
+/// the window by touching only the `ΔW` ticks that changed; a pair the
+/// search reaches for the first time gets its correlator there.
 pub trait CorrelationProvider {
     /// Raw lagged products of the client's source signal `x` against the
     /// edge signal `y`.
     ///
     /// A provider that maintains the products itself lends them out (the
-    /// online analyzer's live for the whole refresh, so discovery reads
-    /// them in place); a stateless one returns what it just computed.
+    /// online analyzer's live in the root's correlators, so discovery
+    /// reads them in place); a stateless one returns what it just
+    /// computed.
     fn correlate(
         &mut self,
         client: NodeId,
@@ -305,77 +308,38 @@ impl Pathmap {
         // exploring one client's graph must still know that the *other*
         // clients are untraced endpoints it cannot recurse into.
         let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        let make_provider = |_| StatelessProvider {
-            engine: self.engine.as_ref(),
-        };
-        self.discover_each_among(signals, roots, &clients, labels, num_workers, make_provider)
-            .0
-            .into_iter()
-            .filter_map(|(graph, _)| graph)
-            .collect()
+        let (graphs, _) = crate::parallel::map(roots, num_workers, |&(client, front)| {
+            let x = signals.source_signal(client, front)?;
+            let mut provider = StatelessProvider {
+                engine: self.engine.as_ref(),
+            };
+            Some(self.discover_root(
+                (client, front),
+                &x,
+                signals,
+                &clients,
+                labels,
+                &mut provider,
+            ))
+        });
+        graphs.into_iter().flatten().collect()
     }
 
-    /// Runs `ServiceRoot` over a worker pool, each root explored with its
-    /// own provider — `make_provider(root)` — against an explicit client
-    /// universe, and returns one `(Option<ServiceGraph>, P)` slot per
-    /// input root, in root order (`None` where the root's source signal
-    /// is absent) — and, beside the slots, the time the workers spent
-    /// exploring, summed over workers (see
-    /// [`parallel::for_each_mut`](crate::parallel::for_each_mut)).
+    /// Builds the graph of one `(client, front)` root from its source
+    /// signal `x`, consulting `provider` for every pair it visits.
     ///
-    /// Slots are in root order regardless of worker count and
-    /// `num_workers <= 1` runs entirely on the calling thread, so results
-    /// are bitwise identical to a serial loop over the roots whenever the
-    /// providers are (the online analyzer's satisfy this by construction: each
-    /// `(client, edge)` pair's correlation is brought up to date once, in
-    /// stable key order, before discovery starts). Each root's provider
-    /// comes back with its slot, so callers can harvest per-root provider
-    /// state without a shared lock — the analyzer collects the
-    /// correlators created for pairs first reached during discovery, and
-    /// each root's support set, this way.
-    ///
-    /// This is the sharded-analyzer entry point: a shard explores only
-    /// its *owned* roots — and of those only the ones whose inputs
-    /// changed, publishing remembered graphs for the rest, which is why
-    /// the slots stay aligned with the input instead of being flattened —
-    /// yet discovery must still treat every client in the whole
-    /// deployment as an untraced endpoint it cannot recurse into.
-    /// Deriving the universe from the shard's own roots would let its
-    /// exploration wander through other shards' client nodes and diverge
-    /// from the single-analyzer graphs. `client_universe` must be a
-    /// superset of the clients in `roots`.
-    pub fn discover_each_among<P, F>(
+    /// `clients` is every client in the deployment, a superset of this
+    /// root's: exploration never recurses into a client node, and the
+    /// online analyzer's shards own only some roots of the universe.
+    pub(crate) fn discover_root(
         &self,
+        (client, front): (NodeId, NodeId),
+        x: &RleSeries,
         signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        client_universe: &HashSet<NodeId>,
-        labels: &NodeLabels,
-        num_workers: usize,
-        make_provider: F,
-    ) -> (Vec<(Option<ServiceGraph>, P)>, std::time::Duration)
-    where
-        P: CorrelationProvider + Send,
-        F: Fn((NodeId, NodeId)) -> P + Sync,
-    {
-        let clients = client_universe;
-        crate::parallel::map(roots, num_workers, |&(client, front)| {
-            let mut provider = make_provider((client, front));
-            let graph = self.discover_one(signals, client, front, clients, labels, &mut provider);
-            (graph, provider)
-        })
-    }
-
-    /// Builds one client's graph (`None` if its source signal is absent).
-    fn discover_one(
-        &self,
-        signals: &EdgeSignals,
-        client: NodeId,
-        front: NodeId,
         clients: &HashSet<NodeId>,
         labels: &NodeLabels,
         provider: &mut dyn CorrelationProvider,
-    ) -> Option<ServiceGraph> {
-        let x = signals.source_signal(client, front)?;
+    ) -> ServiceGraph {
         let mut graph = ServiceGraph::new(client, labels.label(client), front);
         graph.add_vertex(front, labels.label(front));
         // The client's own edge carries no measured delay (clients are
@@ -384,8 +348,8 @@ impl Pathmap {
         let mut visited = HashSet::new();
         let root = RootSignal {
             client,
-            non_negative: non_negative(&x),
-            x: &x,
+            non_negative: non_negative(x),
+            x,
         };
         self.rho_buffers.with(|rho| {
             self.compute_path(
@@ -403,7 +367,7 @@ impl Pathmap {
         });
         graph.recompute_hop_delays();
         graph.annotate_bottlenecks(BOTTLENECK_FRACTION);
-        Some(graph)
+        graph
     }
 
     /// Whether a pair's lagged products prove it has no spike, without
