@@ -139,6 +139,54 @@ pub fn fanout_sim(
     Simulation::new(t.build().unwrap(), seed)
 }
 
+/// Builds a mostly idle mesh: `stacks` disjoint client → web → db stacks,
+/// the first `active` under Poisson load of `rate` requests per second
+/// for good, every other one sending a request every `1/rate` s for its
+/// first `warm_secs` and nothing after. Once the warm-up has left the
+/// analyzer's retention, a refresh has only the active stacks' pairs to
+/// advance and roots to explore — the shape the activity gate's wake set
+/// is for. The caller still has to `run_until` the returned simulation.
+pub fn idle_mesh_sim(
+    stacks: usize,
+    active: usize,
+    rate: f64,
+    warm_secs: u64,
+    seed: u64,
+) -> Simulation {
+    let warm_up = || {
+        let step = 1e9 / rate;
+        let count = (warm_secs as f64 * rate) as u64;
+        Workload::trace(
+            (0..count)
+                .map(|i| Nanos::from_nanos((i as f64 * step) as u64))
+                .collect(),
+        )
+    };
+    let mut t = TopologyBuilder::new();
+    for i in 0..stacks {
+        let class = t.service_class(&format!("class_{i}"));
+        let web = t.service(
+            &format!("web_{i}"),
+            ServiceConfig::new(DelayDist::constant_millis(2)),
+        );
+        let db = t.service(
+            &format!("db_{i}"),
+            ServiceConfig::new(DelayDist::exponential_millis(8)),
+        );
+        t.connect(web, db, DelayDist::constant_millis(1));
+        t.route(web, class, Route::fixed(db));
+        t.route(db, class, Route::terminal());
+        let workload = if i < active {
+            Workload::poisson(rate)
+        } else {
+            warm_up()
+        };
+        let cli = t.client(&format!("cli_{i}"), class, web, workload);
+        t.connect(cli, web, DelayDist::constant_millis(1));
+    }
+    Simulation::new(t.build().unwrap(), seed)
+}
+
 /// Builds the edge-reduction fanout deployment: one front end serves a
 /// traced client (`cli`, bursting in `[0, 1)` of each 4 s period at a
 /// regular `cli_step_ms` cadence) through a single hot backend, plus

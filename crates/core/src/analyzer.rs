@@ -27,12 +27,25 @@
 //! as they are, and a root whose every pair did reuses its last graph
 //! (`RefreshMemory` holds the proof obligations; DESIGN.md §6.1).
 //!
+//! The gate is *event-driven*: a refresh asks the quiet predicate only of
+//! the windows in its wake set — those whose epoch moved or retention
+//! start passed the last refresh's start at ingest, those whose runs
+//! reached past the last refresh's end, and those a retention calendar
+//! finds the moving window start about to reach — and visits only the
+//! roots that read a window that woke and moved (or whose correlators did
+//! not all stand at the last window). The signal index — a view per
+//! window, the edge index and the adjacency — is kept across refreshes: a
+//! woken window's view is cut again, every other one's is re-stamped. A
+//! root left asleep skipped every pair and is clean by construction; its
+//! remembered graph is published again. Debug builds hold every refresh
+//! to the full pass over every window and root.
+//!
 //! [`TracerAgent`]: crate::tracer::TracerAgent
 
 use crate::change::ChangeTracker;
 use crate::config::{PathmapConfig, ReductionConfig};
 use crate::graph::{NodeLabels, ServiceGraph};
-use crate::hashing::{fx_map_with_capacity, FxBuildHasher, FxHashMap};
+use crate::hashing::FxHashMap;
 use crate::parallel::{self, ScratchPool};
 pub use crate::pathmap::ScratchCounters;
 use crate::pathmap::{CorrelationProvider, IncrementalStats, Pathmap, ScreeningStats};
@@ -47,7 +60,9 @@ use e2eprof_timeseries::{wire, Nanos, RleSeries, Run, Tick};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::{CorrSeries, Spike};
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashSet};
 use std::time::Duration;
 
 /// What a phase of the refresh must have cost one thread, the last time
@@ -106,6 +121,112 @@ struct Root {
     client: NodeId,
     front: NodeId,
     pairs: FxHashMap<Edge, IncrementalCorrelator>,
+    /// In the coming refresh's wake set ([`WakeSet::roots`]).
+    awake: bool,
+    /// The window every correlator of the root stands at, when the root is
+    /// *settled*: it had a source view and a remembered graph at the end
+    /// of its last run, and every pair stood at that refresh's window.
+    /// While nothing the root reads wakes, each refresh would skip its
+    /// every pair and find it clean, so it is not visited at all; its
+    /// correlators are slid to the last refresh's window when it next
+    /// wakes, exactly where the skips would have left them.
+    settled: Option<(Tick, Tick)>,
+}
+
+/// One edge's fine stream: its sliding window and what the activity gate
+/// knows about it between refreshes. Streams are never removed; each keeps
+/// its position in [`Streams::list`], which is also the position of its
+/// view in the analyzer's [`EdgeSignals`].
+#[derive(Debug)]
+struct Stream {
+    edge: Edge,
+    window: SlidingWindow,
+    /// The window's change epoch when the gate last evaluated it (`None`
+    /// before it first did).
+    seen: Option<u64>,
+    /// In the coming refresh's wake set ([`WakeSet::streams`]).
+    awake: bool,
+    /// The quiet verdict of the refresh under way. `true` for a stream
+    /// that did not wake — the wake set proves it quiet — and between
+    /// refreshes.
+    quiet: bool,
+    /// Whether discovery sees the stream (the reduction tier does not hold
+    /// its edge). Set when the signal index is rebuilt, on every
+    /// from-scratch refresh — which every change of the reduction status
+    /// set forces.
+    visible: bool,
+    /// Lazy-deletion stamp: a calendar entry with an older stamp is stale.
+    stamp: u32,
+    /// The owned roots that read the stream: those holding a pair on it
+    /// and the one whose source it is. May still name a root that has
+    /// dropped its pair since (a heal, a demotion) — that only wakes it.
+    readers: Vec<usize>,
+}
+
+/// Every fine stream, by position, and each edge's position.
+#[derive(Debug, Default)]
+struct Streams {
+    at: FxHashMap<Edge, usize>,
+    list: Vec<Stream>,
+}
+
+impl Streams {
+    /// The retained window of `edge`'s stream.
+    fn get(&self, edge: &Edge) -> Option<&SlidingWindow> {
+        self.at.get(edge).map(|&i| &self.list[i].window)
+    }
+
+    /// Lists every root as a reader of its source stream and of each
+    /// stream it holds a pair on, and nothing else.
+    fn rebuild_readers(&mut self, roots: &[Root]) {
+        for stream in &mut self.list {
+            stream.readers.clear();
+        }
+        for (r, root) in roots.iter().enumerate() {
+            let source = (root.client, root.front);
+            for edge in std::iter::once(&source).chain(root.pairs.keys()) {
+                if let Some(&i) = self.at.get(edge) {
+                    self.list[i].readers.push(r);
+                }
+            }
+        }
+    }
+}
+
+/// Mutable borrows of the `items` at `positions`, which must be sorted and
+/// distinct.
+fn pick_mut<'a, T>(items: &'a mut [T], positions: &[usize]) -> Vec<&'a mut T> {
+    let mut picked = Vec::with_capacity(positions.len());
+    let (mut rest, mut base) = (items, 0);
+    for &at in positions {
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut(at - base);
+        let (item, tail) = tail.split_first_mut().expect("a position within items");
+        picked.push(item);
+        (rest, base) = (tail, at + 1);
+    }
+    picked
+}
+
+/// The event-driven half of the activity gate: what the coming refresh
+/// must look at. Whatever is not in it is proven quiet (DESIGN.md §6.1,
+/// "The wake set").
+#[derive(Debug, Default)]
+struct WakeSet {
+    /// Streams whose quiet predicate must be evaluated, each flagged
+    /// [`Stream::awake`]: pushed by ingest when a window's epoch moves, it
+    /// is created or its retention start passes the last refresh's start,
+    /// and by a refresh for a window whose runs reach past its end or
+    /// whose retention start is past its start.
+    streams: Vec<usize>,
+    /// Roots to visit, each flagged [`Root::awake`]: readers of a stream
+    /// that woke and was not still, and roots left unsettled.
+    roots: Vec<usize>,
+    /// The retention calendar, a min-heap of `(first, stream, stamp)`:
+    /// `first` is the start of the stream's first run ending after the
+    /// refresh start it was filed at, and it wakes the stream once a
+    /// refresh's start-side boundary region `[start₀, start + L)` reaches
+    /// it.
+    calendar: BinaryHeap<Reverse<(Tick, usize, u32)>>,
 }
 
 /// Per-edge reduction status on the analyzer side. Absence from the status
@@ -174,6 +295,9 @@ struct ReductionState {
     /// Whether the demoted-edge set changed since the last
     /// [`OnlineAnalyzer::take_hints`].
     dirty: bool,
+    /// Bumped whenever an edge enters or leaves `status` — whenever the
+    /// signal-edge set loses or regains an edge.
+    generation: u64,
     demotions: u64,
     promotions: u64,
 }
@@ -196,6 +320,7 @@ impl ReductionState {
             Some(EdgeStatus::Promoting) => {
                 self.status.remove(&edge);
                 self.stores.remove(&edge);
+                self.generation += 1;
             }
             Some(&EdgeStatus::Demoted { level }) => {
                 self.stores
@@ -241,22 +366,26 @@ impl ReductionState {
 /// sliding the recorded window is a bitwise no-op.
 ///
 /// An empty memory — before the first refresh, and after a stream heal
-/// drops it — proves nothing: no window is quiet and every root is dirty,
-/// which is the from-scratch computation, reached by data.
+/// drops it — proves nothing: every window wakes, no window is quiet and
+/// every root is dirty, which is the from-scratch computation, reached by
+/// data.
 #[derive(Debug, Default)]
 struct RefreshMemory {
     /// Geometry of the last completed refresh: `(start, end, data_end)`.
     prev: Option<(Tick, Tick, Tick)>,
-    /// Change-epoch snapshot of every fine window at that refresh.
-    epochs: FxHashMap<(NodeId, NodeId), u64>,
     /// Per-root discovery result of that refresh, in root order (empty
     /// when nothing is remembered).
-    roots: Vec<RootMemory>,
-    /// Sorted signal-edge key set of that refresh. Any change — an edge
-    /// appearing, vanishing, or moving through the reduction tier —
-    /// dirties every root, because exploration enumerates candidate
-    /// edges from this set.
-    fingerprint: Vec<(NodeId, NodeId)>,
+    roots: Vec<Option<RootMemory>>,
+    /// Generation of the signal-edge set at that refresh
+    /// ([`OnlineAnalyzer::signal_generation`]). Any change — an edge
+    /// appearing or moving through the reduction tier — dirties every
+    /// root, because exploration enumerates candidate edges from the set.
+    generation: u64,
+    /// Order-free digest of the signal-edge set at that refresh, against
+    /// which debug builds check that an unchanged generation means an
+    /// unchanged set.
+    #[cfg(debug_assertions)]
+    digest: u64,
     /// Counters of the most recent refresh.
     stats: IncrementalStats,
     /// What each pooled phase cost at that refresh — a scheduling
@@ -279,7 +408,16 @@ pub struct OnlineAnalyzer {
     universe: HashSet<NodeId>,
     labels: NodeLabels,
     rx: Receiver<TracerFrame>,
-    windows: FxHashMap<Edge, SlidingWindow>,
+    /// Every fine stream ever seen, with what the gate knows of it.
+    streams: Streams,
+    /// The signal index, kept across refreshes: a view per stream, at the
+    /// stream's position.
+    signals: EdgeSignals,
+    /// What the coming refresh must look at.
+    wake: WakeSet,
+    /// The source window of the last completed refresh — where the
+    /// correlators of every settled root conceptually stand.
+    slid_to: Option<(Tick, Tick)>,
     change: ChangeTracker,
     /// Capacity of each sliding window, in ticks.
     capacity: u64,
@@ -306,6 +444,11 @@ pub struct GraphUpdate {
     pub at: Nanos,
     /// The refreshed service graphs (shared, immutable).
     pub graphs: std::sync::Arc<Vec<ServiceGraph>>,
+    /// The clients whose roots were explored again this refresh, in root
+    /// order. A root whose remembered graph was republished — asleep, or
+    /// awake but clean — is absent: its graph is last refresh's, bit for
+    /// bit.
+    pub explored: Vec<NodeId>,
 }
 
 impl OnlineAnalyzer {
@@ -368,12 +511,15 @@ impl OnlineAnalyzer {
                 client,
                 front,
                 pairs: FxHashMap::default(),
+                awake: false,
+                settled: None,
             })
             .collect();
         // Retain enough history for the source window, the lag horizon,
         // and one refresh interval of eviction corrections.
         let capacity = config.window_ticks() + config.max_lag() + 2 * config.refresh_ticks();
         let pathmap = Pathmap::new(config.clone());
+        let signals = EdgeSignals::empty(config.quanta(), config.max_lag());
         let reduction = config.reduction().map(|&cfg| ReductionState {
             cfg,
             shard: 0,
@@ -382,6 +528,7 @@ impl OnlineAnalyzer {
             cold: FxHashMap::default(),
             stores: FxHashMap::default(),
             dirty: false,
+            generation: 0,
             demotions: 0,
             promotions: 0,
         });
@@ -392,7 +539,10 @@ impl OnlineAnalyzer {
             universe,
             labels,
             rx,
-            windows: FxHashMap::default(),
+            streams: Streams::default(),
+            signals,
+            wake: WakeSet::default(),
+            slid_to: None,
             change: ChangeTracker::new(),
             capacity,
             subscribers: Vec::new(),
@@ -538,8 +688,9 @@ impl OnlineAnalyzer {
     }
 
     /// Appends one chunk — its span and its runs — to an edge's fine
-    /// window, tells the reduction tier, and drops the correlators a
-    /// healed gap invalidated.
+    /// window, tells the reduction tier, wakes the window for the coming
+    /// refresh when the chunk may have made it non-quiet, and drops the
+    /// correlators a healed gap invalidated.
     fn extend_window(
         &mut self,
         edge: (NodeId, NodeId),
@@ -548,13 +699,41 @@ impl OnlineAnalyzer {
         runs: impl IntoIterator<Item = Run>,
     ) {
         let capacity = self.capacity;
-        let window = self
-            .windows
-            .entry(edge)
-            .or_insert_with(|| SlidingWindow::new(capacity));
-        let healed = window.extend_runs(start, len, runs);
+        let Streams { at, list } = &mut self.streams;
+        let views = self.signals.views_mut();
+        let wake = &mut self.wake;
+        // A new stream is awake from birth; it also moves the signal-edge
+        // generation, so the refresh that first sees it wakes everything.
+        let i = *at.entry(edge).or_insert_with(|| {
+            list.push(Stream {
+                edge,
+                window: SlidingWindow::new(capacity),
+                seen: None,
+                awake: true,
+                quiet: true,
+                visible: false,
+                stamp: 0,
+                readers: Vec::new(),
+            });
+            views.push(RleSeries::empty(Tick::ZERO, 0));
+            wake.streams.push(list.len() - 1);
+            list.len() - 1
+        });
+        let stream = &mut list[i];
+        let healed = stream.window.extend_runs(start, len, runs);
         if let Some(red) = &mut self.reduction {
-            red.fine_arrived(edge, window, (start, start + len), capacity);
+            red.fine_arrived(edge, &stream.window, (start, start + len), capacity);
+        }
+        // The epoch moved (content entered or left retention), or the
+        // retention start passed the last refresh's start, which a pair
+        // standing at that window needs to advance or skip.
+        let prev_start = self.memory.prev.map(|(start0, _, _)| start0);
+        if !stream.awake
+            && (stream.seen != Some(stream.window.epoch())
+                || prev_start.is_some_and(|start0| stream.window.start() > start0))
+        {
+            stream.awake = true;
+            wake.streams.push(i);
         }
         if healed {
             self.invalidate_correlators(edge);
@@ -587,16 +766,30 @@ impl OnlineAnalyzer {
     /// analysis frontier must not stall on them.
     pub fn common_end(&self) -> Option<Tick> {
         let reduced = self.reduction.as_ref().map(|red| &red.status);
-        self.windows
+        self.streams
+            .list
             .iter()
-            .filter(|(edge, _)| reduced.is_none_or(|status| !status.contains_key(edge)))
-            .map(|(_, w)| w.end())
+            .filter(|s| reduced.is_none_or(|status| !status.contains_key(&s.edge)))
+            .map(|s| s.window.end())
             .min()
+    }
+
+    /// The generation of the signal-edge set: it moves exactly when a fine
+    /// stream is first seen (streams are never removed) or an edge enters
+    /// or leaves the reduction tier's status set — the two ways the set of
+    /// edges discovery sees can change.
+    fn signal_generation(&self) -> u64 {
+        self.streams.list.len() as u64 + self.reduction.as_ref().map_or(0, |red| red.generation)
     }
 
     /// Runs one refresh: discovers the current service graphs from the
     /// retained windows and records them in the change tracker under the
     /// wall-clock label `at`.
+    ///
+    /// What a refresh costs follows what woke since the previous one, plus
+    /// publishing: only the streams in the wake set are evaluated and only
+    /// the roots reading a stream that moved are visited; every other root
+    /// republishes its remembered graph (DESIGN.md §6.1).
     ///
     /// Returns an empty vec until enough data is buffered for one full
     /// analysis window.
@@ -622,7 +815,7 @@ impl OnlineAnalyzer {
         if let Some(red) = self.reduction.as_mut() {
             reduction_pass(
                 red,
-                &self.windows,
+                &self.streams,
                 &mut self.roots,
                 (start, end, data_end),
                 max_lag,
@@ -630,61 +823,55 @@ impl OnlineAnalyzer {
             );
         }
 
-        // Activity gate: which windows were *quiet* since the previous
-        // refresh. A window is quiet when its change epoch is unchanged
-        // (no nonzero content entered or left retention) and it has no
-        // runs in the two boundary regions the slide touches —
-        // everything the slide's append/evict corrections could read.
-        // With no previous refresh to stand on nothing is quiet.
-        let memory = &mut self.memory;
-        memory.stats = IncrementalStats::default();
-        let prev = memory.prev;
-        let mut quiet: HashSet<(NodeId, NodeId), FxBuildHasher> = HashSet::default();
-        // The per-edge signal views are materialized in the same pass.
-        // Edges demoted by the reduction tier are invisible to discovery —
-        // their fine windows are stale by design and their coarse image
-        // only serves the promote-overlap check.
-        let reduced = self.reduction.as_ref().map(|red| &red.status);
-        let mut signals_map = fx_map_with_capacity(self.windows.len());
-        for (&edge, w) in &self.windows {
-            if !reduced.is_some_and(|status| status.contains_key(&edge)) {
-                signals_map.insert(edge, w.view(start, data_end));
-            }
-            let epoch = w.epoch();
-            let unchanged = memory.epochs.insert(edge, epoch) == Some(epoch);
-            if let Some((start0, end0, _)) = prev {
-                if unchanged
-                    && !w.has_runs_in(start0, start + max_lag)
-                    && !w.has_runs_in(end0, data_end)
-                {
-                    quiet.insert(edge);
-                }
-            }
+        // Activity gate. A remembered root graph speaks only for the
+        // signal-edge set it was explored against: candidate edges are
+        // enumerated from it. The wake set stands on the previous
+        // refresh's proofs only while that set holds and the window moves
+        // forward by less than its own length; otherwise every stream and
+        // every root wakes — the from-scratch refresh.
+        let generation = self.signal_generation();
+        let prev = self.memory.prev;
+        self.memory.stats = IncrementalStats::default();
+        let reusable = prev.is_some() && self.memory.generation == generation;
+        let from_scratch = !reusable
+            || !prev
+                .is_some_and(|(start0, end0, _)| start0 <= start && start <= end0 && end0 <= end);
+        let geometry = (start, end, data_end);
+        let woken = self.wake_streams(geometry, from_scratch);
+        #[cfg(debug_assertions)]
+        {
+            self.memory.digest = self.assert_wake_set_sound(&woken, geometry, reusable);
         }
-        // Sorted signal-edge key set: candidate-edge enumeration is
-        // key-driven, so an unchanged fingerprint plus per-pair quietness
-        // is what certifies a remembered root graph (see Phase 2).
-        let mut fingerprint: Vec<Edge> = signals_map.keys().copied().collect();
-        fingerprint.sort_unstable();
-        let signals =
-            EdgeSignals::from_parts(self.config.quanta(), (start, end), max_lag, signals_map);
 
         let num_workers = self.config.num_workers();
         let slide_scratch = &self.slide_scratch;
-        let windows = &self.windows;
+        let (streams, signals) = (&self.streams, &self.signals);
+        let memory = &mut self.memory;
+        let stream_of = |edge: &Edge| streams.at.get(edge).map(|&i| (i, &streams.list[i]));
 
-        // Phase 1 — bring every tracked correlator to this window, in place
-        // in its root's map, on the worker pool. Each pair owns its
-        // accumulator and only *reads* the shared windows, so its
+        // Phase 1 — bring the correlators of every awake root to this
+        // window, in place in the root's map, on the worker pool. Each pair
+        // owns its accumulator and only *reads* the shared windows, so its
         // arithmetic is identical no matter which thread runs it. A root's
-        // source view is sliced once, here, for both phases.
-        let sources: Vec<Option<RleSeries>> = self
-            .roots
+        // source view is sliced once, here, for both phases. A root that
+        // slept first slides its correlators to the last refresh's window,
+        // where the skips it slept through would have left them.
+        let mut awake = std::mem::take(&mut self.wake.roots);
+        awake.sort_unstable();
+        let mut picked = pick_mut(&mut self.roots, &awake);
+        if let Some(last) = self.slid_to {
+            for root in picked.iter_mut() {
+                if root.settled.is_some_and(|w| w != last) {
+                    root.pairs.values_mut().for_each(|inc| inc.slide(last));
+                }
+            }
+        }
+        let sources: Vec<Option<RleSeries>> = picked
             .iter()
             .map(|root| signals.source_signal(root.client, root.front))
             .collect();
         struct FineItem<'a> {
-            /// Index of the pair's root.
+            /// Position of the pair's root among the awake roots.
             root: usize,
             edge: Edge,
             inc: &'a mut IncrementalCorrelator,
@@ -695,19 +882,29 @@ impl OnlineAnalyzer {
         }
         let prev_window = prev.map(|(start0, end0, _)| (start0, end0));
         let mut items: Vec<FineItem<'_>> = Vec::new();
-        for (r, (root, x)) in self.roots.iter_mut().zip(&sources).enumerate() {
-            let source = (root.client, root.front);
-            let xw = windows.get(&source);
+        for (k, (root, x)) in picked.into_iter().zip(&sources).enumerate() {
+            let source = stream_of(&(root.client, root.front));
             for (&edge, inc) in &mut root.pairs {
-                let views = x.as_ref().zip(signals.target_signal(edge.0, edge.1));
+                let target = stream_of(&edge);
+                let y = target
+                    .filter(|(_, stream)| stream.visible)
+                    .map(|(i, _)| signals.view(i));
                 // Both signals of the pair quiet — proven against the
                 // previous refresh's geometry, so it only speaks for a
                 // correlator standing at exactly that window.
-                let quiet =
-                    inc.window() == prev_window && quiet.contains(&source) && quiet.contains(&edge);
-                let step = Step::decide(inc, views, xw, windows.get(&edge), (start, end), quiet);
+                let quiet = inc.window() == prev_window
+                    && source.is_some_and(|(_, stream)| stream.quiet)
+                    && target.is_some_and(|(_, stream)| stream.quiet);
+                let step = Step::decide(
+                    inc.window(),
+                    x.as_ref().zip(y),
+                    source.map(|(_, stream)| &stream.window),
+                    target.map(|(_, stream)| &stream.window),
+                    (start, end),
+                    quiet,
+                );
                 items.push(FineItem {
-                    root: r,
+                    root: k,
                     edge,
                     inc,
                     step,
@@ -727,7 +924,7 @@ impl OnlineAnalyzer {
         ));
         // Each root's pairs skipped this refresh: a clean root's every
         // support pair must have carried bitwise.
-        let mut skipped: Vec<Vec<Edge>> = vec![Vec::new(); sources.len()];
+        let mut skipped: Vec<Vec<Edge>> = vec![Vec::new(); awake.len()];
         for item in items {
             memory.stats.fine_pairs += 1;
             if matches!(item.step, Step::Skip) {
@@ -740,10 +937,10 @@ impl OnlineAnalyzer {
         }
 
         // Phase 2 — path discovery (normalization + spike detection), one
-        // root per item, reading each pair's products where Phase 1 left
-        // them: in the root's correlator. A pair first reached this refresh
-        // gets its correlator in the root's map too.
-        // A root is clean when the signal-edge fingerprint is unchanged and
+        // awake root per item, reading each pair's products where Phase 1
+        // left them: in the root's correlator. A pair first reached this
+        // refresh gets its correlator in the root's map too.
+        // A root is clean when the signal-edge generation is unchanged and
         // every pair its last exploration consulted carried its series
         // bitwise (Phase-1 skip). Exploration is deterministic in those
         // inputs, so a clean root's recompute would reproduce last
@@ -763,20 +960,25 @@ impl OnlineAnalyzer {
             /// The root's entry in the refresh memory: the last refresh's
             /// going in, this one's coming out.
             memory: Option<RootMemory>,
+            /// Whether the root was explored (it was not clean).
+            explored: bool,
+            /// Pairs the exploration reached for the first time.
+            added: Vec<Edge>,
             stats: IncrementalStats,
         }
-        let reusable = prev.is_some() && memory.fingerprint == fingerprint;
-        let mut remembered = std::mem::take(&mut memory.roots).into_iter();
-        let mut items: Vec<RootItem<'_>> = self
-            .roots
-            .iter_mut()
+        memory.roots.resize_with(self.roots.len(), || None);
+        let mut items: Vec<RootItem<'_>> = pick_mut(&mut self.roots, &awake)
+            .into_iter()
+            .zip(&awake)
             .zip(sources)
             .zip(skipped)
-            .map(|((root, x), skipped)| RootItem {
+            .map(|(((root, &r), x), skipped)| RootItem {
                 root,
                 x,
                 skipped,
-                memory: remembered.next(),
+                memory: memory.roots[r].take(),
+                explored: false,
+                added: Vec::new(),
                 stats: IncrementalStats::default(),
             })
             .collect();
@@ -799,48 +1001,332 @@ impl OnlineAnalyzer {
                     item.memory = previous;
                     return;
                 }
+                item.explored = true;
                 let root = &mut *item.root;
                 let mut provider = CachedProvider {
                     pairs: &mut root.pairs,
                     skipped: &item.skipped,
                     previous: previous.as_ref().map_or(&[], |(_, support)| support),
                     support: Vec::new(),
+                    added: Vec::new(),
                     stats: IncrementalStats::default(),
                 };
                 let source = (root.client, root.front);
                 let graph = item.x.as_ref().map(|x| {
-                    pathmap.discover_root(source, x, &signals, universe, labels, &mut provider)
+                    pathmap.discover_root(source, x, signals, universe, labels, &mut provider)
                 });
                 let mut support = provider.support;
                 support.sort_unstable_by_key(|&(edge, _)| edge);
+                item.added = provider.added;
                 item.stats.absorb(provider.stats);
                 item.memory = Some((graph, support));
             },
         ));
-        // Every root's entry — carried over or just discovered — is what
-        // the next refresh remembers, in root order.
-        let mut graphs = Vec::new();
-        for item in items {
+        // Every awake root's entry — carried over or just discovered — is
+        // what the next refresh remembers. A root whose correlators all
+        // stand at this window, with a source view, is settled: it sleeps
+        // until a stream it reads wakes. Any other stays awake.
+        let mut explored = Vec::new();
+        for (item, &r) in items.into_iter().zip(&awake) {
             memory.stats.absorb(item.stats);
-            let entry = item.memory.expect("every root ran");
-            graphs.extend(entry.0.clone());
-            memory.roots.push(entry);
+            let root = item.root;
+            if item.explored {
+                explored.push(root.client);
+            }
+            if !from_scratch {
+                for edge in item.added {
+                    let i = self.streams.at[&edge];
+                    self.streams.list[i].readers.push(r);
+                }
+            }
+            let settled = item.x.is_some()
+                && root
+                    .pairs
+                    .values()
+                    .all(|inc| inc.window() == Some((start, end)));
+            root.settled = settled.then_some((start, end));
+            root.awake = !settled;
+            if root.awake {
+                self.wake.roots.push(r);
+            }
+            memory.roots[r] = item.memory;
         }
-        // This refresh's geometry and fingerprint: the reference frame the
-        // next refresh's quiet predicate is proven against. (Epochs and
-        // root entries were updated above.)
-        memory.prev = Some((start, end, data_end));
-        memory.fingerprint = fingerprint;
+        if from_scratch {
+            self.streams.rebuild_readers(&self.roots);
+        }
+        for &i in &woken {
+            self.streams.list[i].quiet = true;
+        }
+
+        // Publish every root's graph, in root order. An asleep root skipped
+        // its every pair and is clean by construction: it counts as such,
+        // and its remembered graph is published again.
+        let mut graphs = Vec::new();
+        let mut visited = awake.iter().peekable();
+        for (r, root) in self.roots.iter().enumerate() {
+            if visited.next_if_eq(&&r).is_none() {
+                let pairs = root.pairs.len() as u64;
+                memory.stats.roots += 1;
+                memory.stats.reused_roots += 1;
+                memory.stats.fine_pairs += pairs;
+                memory.stats.fine_skipped += pairs;
+                self.scratch.reused += pairs;
+            }
+            let (graph, _) = memory.roots[r].as_ref().expect("every root is remembered");
+            graphs.extend(graph.clone());
+        }
+        // This refresh's geometry and generation: the reference frame the
+        // next refresh's quiet predicate is proven against.
+        memory.prev = Some(geometry);
+        memory.generation = generation;
+        self.slid_to = Some((start, end));
         self.change.record(at, &graphs);
         if !graphs.is_empty() && !self.subscribers.is_empty() {
             let update = GraphUpdate {
                 at,
                 graphs: std::sync::Arc::new(graphs.clone()),
+                explored,
             };
             self.subscribers
                 .retain(|tx| tx.send(update.clone()).is_ok());
         }
         graphs
+    }
+
+    /// The stream half of the activity gate. Wakes every stream and root,
+    /// and rebuilds the signal index, for a from-scratch refresh — which
+    /// every change of the signal-edge set forces — else wakes the streams
+    /// whose calendar entry came due; re-stamps the views of the streams
+    /// that did not wake and evaluates the exact quiet predicate of those
+    /// that did, cutting their views again and waking the roots that read
+    /// one that moved; and files each evaluated stream for the next
+    /// refresh. Returns the evaluated streams.
+    ///
+    /// A stream is *quiet* when its change epoch is unchanged since the
+    /// previous refresh (no nonzero content entered or left retention) and
+    /// it has no runs in the two boundary regions the slide touches —
+    /// everything the slide's append/evict corrections could read. It is
+    /// *still* when, moreover, a pair standing at the previous window
+    /// could skip on it: discovery sees it, and it retains that window's
+    /// start. Only a stream that is not still wakes its readers.
+    fn wake_streams(
+        &mut self,
+        (start, end, data_end): (Tick, Tick, Tick),
+        from_scratch: bool,
+    ) -> Vec<usize> {
+        let max_lag = self.config.max_lag();
+        let prev = self.memory.prev;
+        let wake = &mut self.wake;
+        let streams = &mut self.streams.list;
+        let roots = &mut self.roots;
+        if from_scratch {
+            wake.calendar.clear();
+            wake.streams.clear();
+            wake.roots.clear();
+            for (i, stream) in streams.iter_mut().enumerate() {
+                stream.awake = true;
+                wake.streams.push(i);
+            }
+            for (r, root) in roots.iter_mut().enumerate() {
+                root.awake = true;
+                wake.roots.push(r);
+            }
+            let status = self.reduction.as_ref().map(|red| &red.status);
+            for stream in streams.iter_mut() {
+                stream.visible = status.is_none_or(|status| !status.contains_key(&stream.edge));
+            }
+            self.signals.reindex(
+                streams
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, stream)| stream.visible)
+                    .map(|(i, stream)| (stream.edge, i)),
+            );
+        } else {
+            // A run ending after the last start, first in line: the stream
+            // is quiet on the start side until the region `[start₀, start +
+            // L)` reaches that run's start.
+            while let Some(&Reverse((first, i, stamp))) = wake.calendar.peek() {
+                if first >= start + max_lag {
+                    break;
+                }
+                wake.calendar.pop();
+                let stream = &mut streams[i];
+                if stream.stamp == stamp && !stream.awake {
+                    stream.awake = true;
+                    wake.streams.push(i);
+                }
+            }
+        }
+        self.signals.set_window((start, end));
+        let views = self.signals.views_mut();
+        // A stream that did not wake is quiet: its runs are the ones its
+        // last view was cut from, and none reaches into either boundary
+        // region, so they lie between them, none of them clipped — only
+        // the view's span moves.
+        for (view, stream) in views.iter_mut().zip(streams.iter()) {
+            if stream.visible && !stream.awake {
+                stream.window.restamp(view, start, data_end);
+            }
+        }
+        let woken = std::mem::take(&mut wake.streams);
+        for &i in &woken {
+            let stream = &mut streams[i];
+            let w = &stream.window;
+            let epoch = w.epoch();
+            let unchanged = stream.seen.replace(epoch) == Some(epoch);
+            stream.quiet = prev.is_some_and(|(start0, end0, _)| {
+                unchanged
+                    && !w.has_runs_in(start0, start + max_lag)
+                    && !w.has_runs_in(end0, data_end)
+            });
+            // Edges demoted by the reduction tier are invisible to
+            // discovery — their fine windows are stale by design and their
+            // coarse image only serves the promote-overlap check.
+            if stream.visible {
+                views[i] = w.view(start, data_end);
+            }
+            let still = stream.quiet
+                && stream.visible
+                && prev.is_some_and(|(start0, _, _)| w.start() <= start0);
+            if !still {
+                for &r in &stream.readers {
+                    let root = &mut roots[r];
+                    if !root.awake {
+                        root.awake = true;
+                        wake.roots.push(r);
+                    }
+                }
+            }
+            // What the next refresh must look at: a stream with runs past
+            // this end (the next end-side region starts there), or whose
+            // retention start is past this start (a pair standing here
+            // cannot skip on it), stays awake; any other sleeps until its
+            // first run after this start comes due on the calendar — or
+            // ingest wakes it first.
+            stream.stamp = stream.stamp.wrapping_add(1);
+            stream.awake = w.has_runs_in(end, w.end()) || w.start() > start;
+            if stream.awake {
+                wake.streams.push(i);
+            } else if let Some(first) = w.next_run_start(start) {
+                wake.calendar.push(Reverse((first, i, stream.stamp)));
+            }
+        }
+        woken
+    }
+
+    /// Holds the wake set to the full pass it stands for: every stream that
+    /// did not wake satisfies the exact quiet predicate, lets a pair skip,
+    /// and has the view a fresh cut would give; every root left asleep
+    /// would have skipped its every pair and been found clean; and an
+    /// unchanged generation is an unchanged signal-edge set. Returns the
+    /// set's digest for the next refresh to compare.
+    #[cfg(debug_assertions)]
+    fn assert_wake_set_sound(
+        &self,
+        woken: &[usize],
+        (start, end, data_end): (Tick, Tick, Tick),
+        reusable: bool,
+    ) -> u64 {
+        use std::hash::BuildHasher;
+        let status = self.reduction.as_ref().map(|red| &red.status);
+        let hasher = crate::hashing::FxBuildHasher::default();
+        let mut digest = 0u64;
+        for stream in &self.streams.list {
+            let visible = status.is_none_or(|status| !status.contains_key(&stream.edge));
+            assert_eq!(stream.visible, visible, "{:?}: stale index", stream.edge);
+            if visible {
+                digest = digest.wrapping_add(hasher.hash_one(stream.edge));
+            }
+        }
+        if reusable {
+            assert_eq!(
+                digest, self.memory.digest,
+                "edge set moved, generation did not"
+            );
+        }
+        let mut evaluated = vec![false; self.streams.list.len()];
+        for &i in woken {
+            evaluated[i] = true;
+        }
+        let Some((start0, end0, _)) = self.memory.prev else {
+            assert!(
+                evaluated.iter().all(|&e| e),
+                "a stream slept with no memory"
+            );
+            return digest;
+        };
+        let bits = |s: &RleSeries| {
+            let runs: Vec<_> = s
+                .runs()
+                .iter()
+                .map(|r| (r.start(), r.len(), r.value().to_bits()))
+                .collect();
+            (s.start(), s.len(), runs)
+        };
+        for (i, stream) in self.streams.list.iter().enumerate() {
+            if evaluated[i] {
+                continue;
+            }
+            let (edge, w) = (stream.edge, &stream.window);
+            assert!(stream.quiet, "{edge:?}: asleep but not quiet");
+            assert_eq!(stream.seen, Some(w.epoch()), "{edge:?}: epoch moved asleep");
+            assert!(
+                !w.has_runs_in(start0, start + self.config.max_lag()),
+                "{edge:?}: start side"
+            );
+            assert!(!w.has_runs_in(end0, data_end), "{edge:?}: end side");
+            assert!(
+                w.start() <= start0,
+                "{edge:?}: retention passed the last start"
+            );
+            if stream.visible {
+                assert_eq!(
+                    bits(self.signals.view(i)),
+                    bits(&w.view(start, data_end)),
+                    "{edge:?}: re-stamped view"
+                );
+            }
+        }
+        let stream = |edge: &Edge| self.streams.at.get(edge).map(|&i| &self.streams.list[i]);
+        for (r, root) in self
+            .roots
+            .iter()
+            .enumerate()
+            .filter(|(_, root)| !root.awake)
+        {
+            let client = root.client;
+            let settled = root.settled.expect("an asleep root is settled");
+            assert!(reusable, "{client:?}: asleep across a new edge set");
+            let x = stream(&(client, root.front)).expect("an asleep root has a source");
+            let xv = self.signals.source_signal(client, root.front);
+            for (&edge, inc) in &root.pairs {
+                assert_eq!(inc.window(), Some(settled), "{client:?}: unsettled pair");
+                let y = stream(&edge).expect("a pair's stream");
+                let step = Step::decide(
+                    Some((start0, end0)),
+                    xv.as_ref().zip(self.signals.target_signal(edge.0, edge.1)),
+                    Some(&x.window),
+                    Some(&y.window),
+                    (start, end),
+                    x.quiet && y.quiet,
+                );
+                assert!(
+                    matches!(step, Step::Skip),
+                    "{client:?}/{edge:?}: asleep, not skipped"
+                );
+            }
+            let (_, support) = self.memory.roots[r]
+                .as_ref()
+                .expect("an asleep root remembers");
+            assert!(
+                support
+                    .iter()
+                    .all(|(edge, _)| root.pairs.contains_key(edge)),
+                "{client:?}: asleep, not clean"
+            );
+        }
+        digest
     }
 
     /// The per-edge delay histories across refreshes.
@@ -954,7 +1440,7 @@ impl OnlineAnalyzer {
 /// edge is disjoint, every product of the window has a zero factor.
 fn reduction_pass(
     red: &mut ReductionState,
-    windows: &FxHashMap<Edge, SlidingWindow>,
+    windows: &Streams,
     roots: &mut [Root],
     (start, end, data_end): (Tick, Tick, Tick),
     max_lag: u64,
@@ -1033,13 +1519,13 @@ fn reduction_pass(
     let carries_root_signal =
         |roots: &[Root], edge: Edge| roots.iter().any(|root| root.client == edge.0);
     let window_ticks = end - start;
-    let mut edges: Vec<Edge> = windows.keys().copied().collect();
+    let mut edges: Vec<Edge> = windows.list.iter().map(|stream| stream.edge).collect();
     edges.sort_unstable();
     for edge in edges {
         if red.status.contains_key(&edge) {
             continue;
         }
-        let w = &windows[&edge];
+        let w = windows.get(&edge).expect("a stream of every edge");
         let dead = !carries_root_signal(roots, edge)
             && roots.iter().all(|root| root.pairs.contains_key(&edge))
             && !live(roots, edge, w);
@@ -1105,6 +1591,7 @@ fn demote_edge(
     red.stores.insert(edge, CoarseStore::new(level, capacity));
     red.cold.remove(&edge);
     red.dirty = true;
+    red.generation += 1;
     red.demotions += 1;
     for root in roots {
         root.pairs.remove(&edge);
@@ -1142,15 +1629,16 @@ enum Step<'a> {
 }
 
 impl<'a> Step<'a> {
-    /// Decides the step of a pair towards the source window `window`.
+    /// Decides the step towards the source window `window` of a pair whose
+    /// correlator stands at `recorded`.
     ///
     /// `views` are the pair's source and target views this window, and
     /// `xw` and `yw` the retained streams they were cut from — the source
     /// is always the root's client signal, retained on its
     /// `(client, front)` stream. `quiet` is the caller's proof that nothing
-    /// moved in either stream since the window `inc` stands at.
+    /// moved in either stream since the window `recorded`.
     fn decide(
-        inc: &IncrementalCorrelator,
+        recorded: Option<(Tick, Tick)>,
         views: Option<(&'a RleSeries, &'a RleSeries)>,
         xw: Option<&'a SlidingWindow>,
         yw: Option<&'a SlidingWindow>,
@@ -1160,7 +1648,7 @@ impl<'a> Step<'a> {
         let Some((x, y)) = views else {
             return Step::Carry;
         };
-        match (inc.window(), xw, yw) {
+        match (recorded, xw, yw) {
             // The recorded window must overlap the target one, and both
             // streams must retain history back to its start: the eviction
             // corrections read `x` over `[s, ws)` and `y` over
@@ -1265,6 +1753,8 @@ struct CachedProvider<'a> {
     /// enters a node once and walks its out-edges once, so no pair is
     /// consulted twice.
     support: Vec<(Edge, Verdict)>,
+    /// The pairs given a correlator for the first time.
+    added: Vec<Edge>,
     /// Pairs visited, decided from all-zero products, and verdicts carried.
     stats: IncrementalStats,
 }
@@ -1278,10 +1768,13 @@ impl CorrelationProvider for CachedProvider<'_> {
         y: &RleSeries,
         max_lag: u64,
     ) -> Cow<'_, CorrSeries> {
-        let inc = self
-            .pairs
-            .entry(edge)
-            .or_insert_with(|| IncrementalCorrelator::new(max_lag));
+        let inc = match self.pairs.entry(edge) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                self.added.push(edge);
+                entry.insert(IncrementalCorrelator::new(max_lag))
+            }
+        };
         if inc.window() != Some((x.start(), x.end())) {
             // No prior state to correct: fill from scratch.
             inc.refill(x, y);
@@ -1473,7 +1966,7 @@ mod tests {
     ///   keeps those refreshes from being skipped;
     /// * stack 6 sends nothing before 50 s. Its streams — and its windows,
     ///   its root signal among them — appear mid-run, which nothing but
-    ///   the signal-edge fingerprint tells the remembered roots.
+    ///   the signal-edge generation tells the remembered roots.
     fn mostly_idle_mesh(seed: u64) -> Simulation {
         let warm_up = || Workload::trace(burst(0, 10).collect());
         crate::testutil::idle_mesh(
@@ -1743,7 +2236,7 @@ mod tests {
         assert!(red.demotions > 0 && red.promotions > 0, "{red:?}");
     }
 
-    /// Demotions and promotions rewrite the signal-edge fingerprint, and a
+    /// Demotions and promotions move the signal-edge generation, and a
     /// promote's backfill heals a gap: the memory must survive all three.
     #[test]
     fn demotion_promotion_and_backfill_match_the_forgetful_twin() {
@@ -2013,8 +2506,9 @@ mod tests {
                 })
                 .collect(),
         );
-        assert_eq!(v1.windows[&edge].series(), v2.windows[&edge].series());
-        assert_eq!(v1.windows[&edge].series().end(), Tick::new(8_000));
+        let window = |analyzer: &OnlineAnalyzer| analyzer.streams.get(&edge).unwrap().series();
+        assert_eq!(window(&v1), window(&v2));
+        assert_eq!(window(&v1).end(), Tick::new(8_000));
     }
 
     #[test]
@@ -2180,8 +2674,12 @@ mod tests {
         // Without reduction the correlator survives to show its products.
         let (plain, analyzer) = drive_online(scenario(), cfg(), 40);
         let (start, end, data_end) = analyzer.memory.prev.expect("refreshes ran");
-        let x = analyzer.windows[&(cli, web)].view(start, end);
-        let y = analyzer.windows[&(web, db)].view(start, data_end);
+        let x = analyzer.streams.get(&(cli, web)).unwrap().view(start, end);
+        let y = analyzer
+            .streams
+            .get(&(web, db))
+            .unwrap()
+            .view(start, data_end);
         assert!(
             !supports_overlap(&x, &y, cfg().max_lag()),
             "still overlapping"
@@ -2264,6 +2762,181 @@ mod tests {
             "the disjoint sibling stayed fine: {:?}",
             red.status
         );
+    }
+
+    /// One root `(cli, web)` with one candidate edge `(web, db)` (nodes
+    /// 0, 1, 2), at 1 ms ticks: `W` = 2 000, `L` = 100, a refresh every
+    /// 500 ticks. `chunks(k)` names the chunks delivered before refresh
+    /// `k`, each as `(edge, first tick, length, runs)`. Every refresh's
+    /// graphs are held to the forgetful twin's bits; returns each
+    /// refresh's count of skipped pairs — an asleep root's pair counts as
+    /// skipped, so a stream that should have woken and did not shows as a
+    /// skip where the exact predicate forbids one.
+    fn scripted_skips(chunks: impl Fn(u64) -> Vec<(Edge, u64, u64, Vec<Run>)>) -> Vec<u64> {
+        let config = PathmapConfig::builder()
+            .window(Nanos::from_millis(2_000))
+            .refresh(Nanos::from_millis(500))
+            .max_delay(Nanos::from_millis(100))
+            .build();
+        let key = |(a, b): Edge| (a.index() as u32, b.index() as u32);
+        let run = |forgetful: bool| {
+            let (tx, rx) = unbounded();
+            let (cli, web) = (NodeId::new(0), NodeId::new(1));
+            let mut analyzer =
+                OnlineAnalyzer::new(config.clone(), vec![(cli, web)], NodeLabels::default(), rx);
+            (0..12u64)
+                .map(|k| {
+                    let entries: Vec<_> = chunks(k)
+                        .into_iter()
+                        .map(|(edge, at, len, runs)| {
+                            (key(edge), RleSeries::from_parts(Tick::new(at), len, runs))
+                        })
+                        .collect();
+                    let payload = wire::encode_batch(&entries, false);
+                    tx.send(TracerFrame::Batch { payload }).expect("open");
+                    analyzer.ingest();
+                    if forgetful {
+                        analyzer.memory = RefreshMemory::default();
+                    }
+                    let graphs = analyzer.refresh(Nanos::from_millis(500 * (k + 1)));
+                    let bits: Vec<_> = graphs.iter().map(graph_bits).collect();
+                    (bits, analyzer.memory.stats.fine_skipped)
+                })
+                .collect::<Vec<_>>()
+        };
+        let (remembering, forgetful) = (run(false), run(true));
+        for (k, ((got, _), (want, _))) in remembering.iter().zip(&forgetful).enumerate() {
+            assert_eq!(
+                got, want,
+                "refresh {k}: bits differ from the from-scratch refresh"
+            );
+        }
+        remembering.into_iter().map(|(_, skips)| skips).collect()
+    }
+
+    /// The script's two streams, each sent chunk `k` — `[500k, 500k + 500)`
+    /// — with `pulse(edge, k)` as its runs.
+    fn in_step(
+        pulse: impl Fn(Edge, u64) -> Vec<Run>,
+    ) -> impl Fn(u64) -> Vec<(Edge, u64, u64, Vec<Run>)> {
+        let (cli, web, db) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        move |k| {
+            [(cli, web), (web, db)]
+                .into_iter()
+                .map(|edge| (edge, 500 * k, 500, pulse(edge, k)))
+                .collect()
+        }
+    }
+
+    /// A pulse of `len` ticks at `at`, echoed 7 ticks later on the
+    /// candidate edge.
+    fn pulse_at(edge: Edge, at: u64, len: u64) -> Vec<Run> {
+        let echo = if edge.0 == NodeId::new(0) { 0 } else { 7 };
+        vec![Run::new(Tick::new(at + echo), len, 1.0)]
+    }
+
+    /// The stack's last burst, in chunk 2, is then only ever evicted: no
+    /// chunk after it moves an epoch, and it sits far from the moving
+    /// end. Refreshes run from chunk 4 on (`start` = 400, 900, 1 400, …):
+    /// at `start` = 900 the start-side region `[400, 1 000)` misses the
+    /// burst and the pair skips; at 1 400 the region `[900, 1 500)`
+    /// reaches it and the pair must advance. Only the retention calendar
+    /// wakes the streams there. (At 1 900 the burst is behind the start
+    /// and the pair skips again, until its eviction moves the epoch.)
+    #[test]
+    fn the_calendar_wakes_a_burst_the_window_start_reaches() {
+        let skips = scripted_skips(in_step(|edge, k| match k {
+            2 => pulse_at(edge, 1_100, 20),
+            _ => Vec::new(),
+        }));
+        assert_eq!(&skips[4..9], &[0, 1, 0, 1, 0], "{skips:?}");
+    }
+
+    /// A pulse just short of the newest data (tick 2 950 of chunk 5, past
+    /// that refresh's `end` of 2 900) and then silence: the next refresh's
+    /// end-side region `[2 900, 3 500)` holds it, though nothing arrives
+    /// and the calendar is nowhere near it. Only the head carry-over keeps
+    /// the streams awake for that refresh.
+    #[test]
+    fn a_run_past_the_end_stays_awake_for_the_next_refresh() {
+        let skips = scripted_skips(in_step(|edge, k| match k {
+            5 => pulse_at(edge, 2_940, 5),
+            _ => Vec::new(),
+        }));
+        assert_eq!(&skips[4..9], &[0, 0, 0, 1, 1], "{skips:?}");
+    }
+
+    /// The candidate stream jumps three chunks ahead of the common end at
+    /// step 6, all-zero: its retention start (5 000 − 3 100 = 1 900) passes
+    /// the last refresh's start (900), so a pair standing there may not
+    /// skip — it refills. No epoch moves and no run is anywhere: only the
+    /// retention-start check at ingest wakes the stream. The refresh that
+    /// finds it ahead keeps it awake for the next (1 900 is still past
+    /// that refresh's start of 1 400): it refills again.
+    #[test]
+    fn a_stream_run_ahead_wakes_by_its_retention_start() {
+        let (cli, web, db) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let skips = scripted_skips(|k| match k {
+            ..6 => in_step(|_, _| Vec::new())(k),
+            6 => vec![
+                ((cli, web), 3_000, 500, Vec::new()),
+                ((web, db), 3_000, 2_000, Vec::new()),
+            ],
+            _ => vec![((cli, web), 500 * k, 500, Vec::new())],
+        });
+        assert_eq!(&skips[4..8], &[0, 1, 0, 0], "{skips:?}");
+    }
+
+    /// Subscribers learn which roots were explored: on a mesh whose every
+    /// stack but the first fell silent after a warm-up burst, every
+    /// refresh once the bursts have left retention explores the first
+    /// stack's root alone.
+    #[test]
+    fn an_update_names_only_the_roots_it_explored() {
+        let warm_up = || Workload::trace(burst(0, 10).collect());
+        let mut sim = crate::testutil::idle_mesh(
+            5,
+            &[Workload::poisson(40.0), warm_up(), warm_up(), warm_up()],
+        );
+        let config = cfg();
+        let (tx, rx) = unbounded();
+        let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
+        let mut agents: Vec<TracerAgent> = sim
+            .topology()
+            .services()
+            .into_iter()
+            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
+            .collect();
+        let labels = NodeLabels::from_topology(sim.topology());
+        let mut analyzer = OnlineAnalyzer::new(
+            config,
+            roots_from_topology(sim.topology()),
+            labels.clone(),
+            rx,
+        );
+        let sub = analyzer.subscribe();
+        for step in 1..=30u64 {
+            let now = Nanos::from_secs(step * 2);
+            sim.run_until(now);
+            for a in &mut agents {
+                a.poll(sim.captures(), Tick::new(step * 2_000 - 1_000));
+            }
+            analyzer.ingest();
+            analyzer.refresh(now);
+        }
+        let updates: Vec<GraphUpdate> = sub.try_iter().collect();
+        let explored = |u: &GraphUpdate| -> Vec<String> {
+            u.explored.iter().map(|&c| labels.label(c)).collect()
+        };
+        assert_eq!(
+            explored(&updates[0]).len(),
+            4,
+            "the first refresh explores all"
+        );
+        for update in &updates[updates.len() - 5..] {
+            assert_eq!(update.graphs.len(), 4, "every root still publishes");
+            assert_eq!(explored(update), ["cli0"]);
+        }
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! So that every lag in `[0, T_u/τ)` is fully materialized, the source
 //! window ends `T_u` before the newest captured data: causality can only be
 //! attributed to requests old enough to have completed.
+//!
+//! Offline, [`EdgeSignals::from_capture`] builds one window's signals from
+//! scratch. Online, the analyzer keeps one `EdgeSignals` for its whole
+//! life, a view per fine stream at the stream's own position: a refresh
+//! cuts again only the views of the windows that woke, re-stamps the span
+//! of every other (a quiet window's runs are provably those of its last
+//! view, none of them clipped — DESIGN.md §6.1), and rebuilds the edge
+//! index and adjacency only when it starts from scratch — which every
+//! change of the signal-edge set forces.
 
 use crate::config::PathmapConfig;
 use crate::hashing::FxHashMap;
@@ -13,42 +22,83 @@ use e2eprof_timeseries::density::DensityEstimator;
 use e2eprof_timeseries::{Nanos, Quanta, RleSeries, Tick};
 use std::collections::BTreeMap;
 
-/// The edge signals of one analysis window.
+/// The edge signals of one analysis window — built once per window
+/// offline, kept and moved from window to window online (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct EdgeSignals {
     quanta: Quanta,
     /// Source analysis window `[start, end)` in ticks.
     window: (Tick, Tick),
     max_lag: u64,
-    /// Per directed edge: the preferred-observer density series, spanning
-    /// (up to) `[window.0, window.1 + max_lag)`. Keys are node indices
-    /// from the program's own topology, never from the network.
-    signals: FxHashMap<(NodeId, NodeId), RleSeries>,
+    /// Each signal edge's position in `views`. Keys are node indices from
+    /// the program's own topology, never from the network.
+    index: FxHashMap<(NodeId, NodeId), usize>,
+    /// Per position: the preferred-observer density series of one directed
+    /// edge, spanning (up to) `[window.0, window.1 + max_lag)`. A position
+    /// no edge of `index` names is stale and never read.
+    views: Vec<RleSeries>,
     adjacency: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
 impl EdgeSignals {
-    /// Builds signals from raw parts (used by the online analyzer).
+    /// Builds signals from one series per edge (the log ingester does).
     pub fn from_parts(
         quanta: Quanta,
         window: (Tick, Tick),
         max_lag: u64,
         signals: FxHashMap<(NodeId, NodeId), RleSeries>,
     ) -> Self {
-        let mut adjacency: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for &(src, dst) in signals.keys() {
-            adjacency.entry(src).or_default().push(dst);
-        }
-        for targets in adjacency.values_mut() {
-            targets.sort_unstable();
-        }
+        let mut built = EdgeSignals::empty(quanta, max_lag);
+        built.window = window;
+        let (edges, views): (Vec<_>, Vec<_>) = signals.into_iter().unzip();
+        built.views = views;
+        built.reindex(edges.into_iter().enumerate().map(|(i, edge)| (edge, i)));
+        built
+    }
+
+    /// Signals with no edge and no window yet, for the online analyzer to
+    /// fill position by position.
+    pub(crate) fn empty(quanta: Quanta, max_lag: u64) -> Self {
         EdgeSignals {
             quanta,
-            window,
+            window: (Tick::ZERO, Tick::ZERO),
             max_lag,
-            signals,
-            adjacency,
+            index: FxHashMap::default(),
+            views: Vec::new(),
+            adjacency: BTreeMap::new(),
         }
+    }
+
+    /// Rebuilds the edge index and the adjacency from the signal edges and
+    /// their positions. Positions left out keep their views but are no
+    /// longer read.
+    pub(crate) fn reindex(&mut self, edges: impl Iterator<Item = ((NodeId, NodeId), usize)>) {
+        self.index.clear();
+        self.adjacency.clear();
+        for ((src, dst), at) in edges {
+            self.index.insert((src, dst), at);
+            self.adjacency.entry(src).or_default().push(dst);
+        }
+        for targets in self.adjacency.values_mut() {
+            targets.sort_unstable();
+        }
+    }
+
+    /// Moves the source analysis window to `window`.
+    pub(crate) fn set_window(&mut self, window: (Tick, Tick)) {
+        self.window = window;
+    }
+
+    /// Every position's view, in position order (new positions are pushed
+    /// at the back).
+    pub(crate) fn views_mut(&mut self) -> &mut Vec<RleSeries> {
+        &mut self.views
+    }
+
+    /// The view at position `at`.
+    pub(crate) fn view(&self, at: usize) -> &RleSeries {
+        &self.views[at]
     }
 
     /// Builds signals offline from a capture store, analysing the most
@@ -104,13 +154,13 @@ impl EdgeSignals {
 
     /// All edges with signals.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.signals.keys().copied()
+        self.index.keys().copied()
     }
 
     /// The *source* signal of `src → dst`: the series sliced to the
     /// analysis window (requests whose causality is being traced).
     pub fn source_signal(&self, src: NodeId, dst: NodeId) -> Option<RleSeries> {
-        self.signals.get(&(src, dst)).map(|s| {
+        self.target_signal(src, dst).map(|s| {
             s.slice(
                 self.window.0.max(s.start()),
                 self.window.1.min(s.end()).max(self.window.0),
@@ -121,7 +171,7 @@ impl EdgeSignals {
     /// The *target* signal of `src → dst`: the full retained span
     /// (extending `max_lag` past the source window).
     pub fn target_signal(&self, src: NodeId, dst: NodeId) -> Option<&RleSeries> {
-        self.signals.get(&(src, dst))
+        self.index.get(&(src, dst)).map(|&at| &self.views[at])
     }
 }
 

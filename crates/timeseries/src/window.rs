@@ -97,6 +97,19 @@ impl SlidingWindow {
         self.runs.get(i).map(|r| r.start() < to).unwrap_or(false)
     }
 
+    /// The start of the first retained run that ends after `after` —
+    /// where, scanning forward from `after`, the window's content next
+    /// becomes nonzero (possibly before `after`, if that run straddles
+    /// it). `None` when every retained run ends at or before `after`.
+    ///
+    /// `O(log runs)`, like [`has_runs_in`](Self::has_runs_in): for any
+    /// `to`, `has_runs_in(after, to)` is exactly whether this start is
+    /// before `to` (and `after < to`).
+    pub fn next_run_start(&self, after: Tick) -> Option<Tick> {
+        let i = self.runs.partition_point(|r| r.end() <= after);
+        self.runs.get(i).map(|r| r.start())
+    }
+
     /// Whether any data has been appended.
     pub fn is_empty(&self) -> bool {
         self.span.is_none()
@@ -207,13 +220,23 @@ impl SlidingWindow {
         }
     }
 
+    /// `[from, to)` clamped to the retained span, as `[start, end)`.
+    fn clamp(&self, from: Tick, to: Tick) -> (Tick, Tick) {
+        match self.span {
+            None => (from, to.max(from)),
+            Some((start, end)) => {
+                let from = from.max(start);
+                (from, to.min(end).max(from))
+            }
+        }
+    }
+
     /// A view of `[from, to)` clamped to the retained span.
     pub fn view(&self, from: Tick, to: Tick) -> RleSeries {
-        let Some((start, end)) = self.span else {
-            return RleSeries::empty(from, to.checked_sub(from).unwrap_or(0));
-        };
-        let from = from.max(start);
-        let to = to.min(end).max(from);
+        let (from, to) = self.clamp(from, to);
+        if self.span.is_none() {
+            return RleSeries::empty(from, to - from);
+        }
         let mut runs = Vec::new();
         // First run ending past `from` (runs are ordered by start *and*
         // end, so the eligible suffix is contiguous).
@@ -229,6 +252,23 @@ impl SlidingWindow {
             i += 1;
         }
         RleSeries::from_parts(from, to - from, runs)
+    }
+
+    /// Moves `view`, a view cut from this window earlier, to `[from, to)`
+    /// clamped to the retained span the way [`view`](Self::view) clamps
+    /// it, keeping its runs as they are: no run is looked up, copied or
+    /// clipped.
+    ///
+    /// The result is `self.view(from, to)` exactly when those runs are the
+    /// ones a fresh cut would find — when this window still retains the
+    /// runs `view` was cut from, and none of them reaches into the two
+    /// spans the boundaries moved across. The online analyzer's quiet
+    /// predicate proves both of every window it re-stamps (DESIGN.md
+    /// §6.1).
+    pub fn restamp(&self, view: &mut RleSeries, from: Tick, to: Tick) {
+        let (from, to) = self.clamp(from, to);
+        let runs = std::mem::replace(view, RleSeries::empty(from, 0)).into_runs();
+        *view = RleSeries::from_parts(from, to - from, runs);
     }
 
     /// Appends a chunk, recovering from stream discontinuities:
@@ -542,6 +582,28 @@ mod tests {
         assert!(!w.has_runs_in(Tick::new(15), Tick::new(30)));
         assert!(!w.has_runs_in(Tick::new(20), Tick::new(20)));
         assert!(!SlidingWindow::new(5).has_runs_in(Tick::new(0), Tick::new(100)));
+    }
+
+    #[test]
+    fn next_run_start_is_where_has_runs_in_first_answers_yes() {
+        let mut w = SlidingWindow::new(100);
+        let runs = vec![
+            Run::new(Tick::new(10), 5, 1.0),
+            Run::new(Tick::new(20), 2, 2.0),
+        ];
+        w.append_chunk(&chunk(0, 30, runs));
+        assert_eq!(w.next_run_start(Tick::ZERO), Some(Tick::new(10)));
+        // A run straddling `after` counts, at its own start.
+        assert_eq!(w.next_run_start(Tick::new(12)), Some(Tick::new(10)));
+        assert_eq!(w.next_run_start(Tick::new(15)), Some(Tick::new(20)));
+        assert_eq!(w.next_run_start(Tick::new(22)), None);
+        for after in 0..30 {
+            for to in after + 1..=30 {
+                let (a, b) = (Tick::new(after), Tick::new(to));
+                let first = w.next_run_start(a);
+                assert_eq!(w.has_runs_in(a, b), first.is_some_and(|s| s < b));
+            }
+        }
     }
 
     #[test]

@@ -828,3 +828,61 @@ proptest! {
         prop_assert_eq!(&buf, &encode_batch_reference(&want, int_amp, levels));
     }
 }
+
+proptest! {
+    /// What the online analyzer's re-stamped views stand on: for a window
+    /// that is quiet between two refreshes — no retained run in the
+    /// start-side region `[start₀, start₁ + L)` or the end-side region
+    /// `[end₀, data_end₁)`, with `end₀ = data_end₀ − L` — moving the view
+    /// cut at the first refresh to the second one's span is bitwise the
+    /// view a fresh cut gives: same start, same length, same runs. Runs
+    /// are drawn anywhere and then cleared from the two regions; retention
+    /// (`capacity`) and the slide are arbitrary, so the first view may be
+    /// clamped at either end and the window may end before either
+    /// refresh's `data_end`.
+    #[test]
+    fn restamped_quiet_view_equals_a_fresh_cut(
+        values in prop::collection::vec(
+            prop_oneof![
+                3 => Just(0.0f64),
+                2 => (1u32..5).prop_map(|c| (c as f64).sqrt()),
+            ],
+            1..400,
+        ),
+        chunk in 1usize..80,
+        capacity in 10u64..400,
+        (start0, width, lag) in (0u64..400, 0u64..200, 0u64..50),
+        (slide, head) in (0u64..150, 0u64..150),
+    ) {
+        use e2eprof_timeseries::window::SlidingWindow;
+        let end0 = start0 + width;
+        let data_end0 = end0 + lag;
+        let start1 = start0 + slide;
+        let data_end1 = data_end0 + head;
+        let quiet = |t: u64| (start0..start1 + lag).contains(&t) || (end0..data_end1).contains(&t);
+        let values: Vec<f64> = values
+            .into_iter()
+            .enumerate()
+            .map(|(t, v)| if quiet(t as u64) { 0.0 } else { v })
+            .collect();
+        let mut w = SlidingWindow::new(capacity);
+        for (k, part) in values.chunks(chunk).enumerate() {
+            let at = (k * chunk) as u64;
+            w.append_chunk(&DenseSeries::new(Tick::new(at), part.to_vec()).to_sparse().to_rle());
+        }
+        let t = Tick::new;
+        prop_assert!(!w.has_runs_in(t(start0), t(start1 + lag)));
+        prop_assert!(!w.has_runs_in(t(end0), t(data_end1)));
+        let bits = |s: &RleSeries| {
+            let runs: Vec<_> = s
+                .runs()
+                .iter()
+                .map(|r| (r.start(), r.len(), r.value().to_bits()))
+                .collect();
+            (s.start(), s.len(), runs)
+        };
+        let mut view = w.view(t(start0), t(data_end0));
+        w.restamp(&mut view, t(start1), t(data_end1));
+        prop_assert_eq!(bits(&view), bits(&w.view(t(start1), t(data_end1))));
+    }
+}
