@@ -114,16 +114,6 @@ impl IncrementalStats {
         }
     }
 
-    /// The fraction of roots reused in `[0, 1]` (`0` when nothing was
-    /// discovered).
-    pub fn reused_fraction(&self) -> f64 {
-        if self.roots == 0 {
-            0.0
-        } else {
-            self.reused_roots as f64 / self.roots as f64
-        }
-    }
-
     /// Accumulates another analyzer's counters into this one (the CLI
     /// sums over shards).
     pub fn absorb(&mut self, other: IncrementalStats) {
@@ -149,17 +139,6 @@ pub struct ScratchCounters {
     pub reused: u64,
     /// Uses that allocated or grew a buffer.
     pub allocated: u64,
-}
-
-impl ScratchCounters {
-    /// Records one buffer use.
-    pub(crate) fn note(&mut self, allocated: bool) {
-        if allocated {
-            self.allocated += 1;
-        } else {
-            self.reused += 1;
-        }
-    }
 }
 
 /// Offline discovery's provider: every pair computed from scratch by the

@@ -119,6 +119,9 @@ pub enum FrameError {
     Oversized(u32),
     /// CRC mismatch: the envelope was damaged in transit.
     ChecksumMismatch,
+    /// A control payload whose envelope verified but whose body does not
+    /// parse: the wrong length for its counts, or an unknown role.
+    Malformed,
 }
 
 impl fmt::Display for FrameError {
@@ -129,6 +132,7 @@ impl fmt::Display for FrameError {
             FrameError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             FrameError::Oversized(n) => write!(f, "declared payload of {n} bytes exceeds cap"),
             FrameError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
+            FrameError::Malformed => write!(f, "malformed control payload"),
         }
     }
 }

@@ -22,8 +22,8 @@ use crate::frame::{
     encode_frame_head, encode_frame_to_vec, FrameDecoder, FrameKind, RawFrame, HEADER_LEN,
 };
 use crate::msg::{
-    decode_hint, encode_announce, encode_hello, encode_hint, encode_subscribe, Role, Subscribe,
-    SubscribeSpec,
+    decode_hint, encode_announce, encode_hello, encode_hint, encode_subscribe, Reader, Role,
+    Subscribe, SubscribeSpec,
 };
 use crate::queue::{QueueStats, QueuedFrame, SendQueue};
 use crate::registry::{Freshness, SeqDedup};
@@ -569,11 +569,8 @@ fn to_tracer_frame(frame: &RawFrame) -> Option<TracerFrame> {
         FrameKind::DataBatch => Some(TracerFrame::Batch { payload }),
         FrameKind::Backfill => Some(TracerFrame::Backfill { payload }),
         FrameKind::DataSeries => {
-            if payload.len() < 8 {
-                return None;
-            }
-            let src = u32::from_be_bytes(payload[..4].try_into().expect("4 bytes"));
-            let dst = u32::from_be_bytes(payload[4..8].try_into().expect("4 bytes"));
+            let mut key = Reader::new(&payload);
+            let (src, dst) = (key.u32().ok()?, key.u32().ok()?);
             Some(TracerFrame::Series {
                 edge: (NodeId::new(src), NodeId::new(dst)),
                 payload: payload.slice(8..payload.len()),

@@ -4,6 +4,8 @@
 //! Encodings are fixed-width big-endian with explicit counts, and every
 //! decoded count is capped against the bytes actually present before any
 //! allocation — the same hardening discipline as the series wire format.
+//! Decoders read through one total `Reader`: a payload of the wrong
+//! length or an unknown role is [`FrameError::Malformed`], never a panic.
 
 use crate::frame::FrameError;
 use e2eprof_core::reduction::HintState;
@@ -56,19 +58,19 @@ pub fn encode_hello(role: Role) -> Vec<u8> {
 
 /// Decodes a `Hello` payload.
 pub fn decode_hello(payload: &[u8]) -> Result<Role, FrameError> {
-    match payload.first() {
-        Some(0) if payload.len() == 5 => Ok(Role::Tracer {
-            node: u32::from_be_bytes(payload[1..5].try_into().expect("4 bytes")),
-        }),
-        Some(1) if payload.len() == 9 => Ok(Role::Analyzer {
-            shard: u32::from_be_bytes(payload[1..5].try_into().expect("4 bytes")),
-            of: u32::from_be_bytes(payload[5..9].try_into().expect("4 bytes")),
-        }),
-        Some(2) if payload.len() == 5 => Ok(Role::HintSub {
-            node: u32::from_be_bytes(payload[1..5].try_into().expect("4 bytes")),
-        }),
-        _ => Err(FrameError::BadKind(0xFF)),
-    }
+    let (&role, rest) = payload.split_first().ok_or(FrameError::Malformed)?;
+    let mut r = Reader::new(rest);
+    let role = match role {
+        0 => Role::Tracer { node: r.u32()? },
+        1 => Role::Analyzer {
+            shard: r.u32()?,
+            of: r.u32()?,
+        },
+        2 => Role::HintSub { node: r.u32()? },
+        _ => return Err(FrameError::Malformed),
+    };
+    r.end()?;
+    Ok(role)
 }
 
 /// Encodes an `Announce` payload: the directed edges a tracer owns.
@@ -84,19 +86,10 @@ pub fn encode_announce(edges: &[(u32, u32)]) -> Vec<u8> {
 
 /// Decodes an `Announce` payload.
 pub fn decode_announce(payload: &[u8]) -> Result<Vec<(u32, u32)>, FrameError> {
-    let (count, rest) = split_count(payload)?;
-    if rest.len() != count * 8 {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok((0..count)
-        .map(|i| {
-            let at = i * 8;
-            (
-                u32::from_be_bytes(rest[at..at + 4].try_into().expect("4 bytes")),
-                u32::from_be_bytes(rest[at + 4..at + 8].try_into().expect("4 bytes")),
-            )
-        })
-        .collect())
+    let mut r = Reader::new(payload);
+    let edges = r.counted(8, |r| Ok((r.u32()?, r.u32()?)))?;
+    r.end()?;
+    Ok(edges)
 }
 
 /// What an analyzer subscribes to.
@@ -144,41 +137,13 @@ pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
 
 /// Decodes a `Subscribe` payload.
 pub fn decode_subscribe(payload: &[u8]) -> Result<Subscribe, FrameError> {
-    let raw = payload
-        .get(..4)
-        .ok_or(FrameError::ChecksumMismatch)
-        .map(|b| u32::from_be_bytes(b.try_into().expect("4 bytes")))?;
-    let (spec, rest) = if raw == u32::MAX {
-        (SubscribeSpec::All, &payload[4..])
-    } else {
-        let (count, rest) = split_count(payload)?;
-        if rest.len() < count * 8 {
-            return Err(FrameError::ChecksumMismatch);
-        }
-        let edges = (0..count)
-            .map(|i| {
-                let at = i * 8;
-                (
-                    u32::from_be_bytes(rest[at..at + 4].try_into().expect("4 bytes")),
-                    u32::from_be_bytes(rest[at + 4..at + 8].try_into().expect("4 bytes")),
-                )
-            })
-            .collect();
-        (SubscribeSpec::Edges(edges), &rest[count * 8..])
+    let mut r = Reader::new(payload);
+    let spec = match r.u32()? {
+        u32::MAX => SubscribeSpec::All,
+        count => SubscribeSpec::Edges(r.elements(count, 8, |r| Ok((r.u32()?, r.u32()?)))?),
     };
-    let (count, rest) = split_count(rest)?;
-    if rest.len() != count * 12 {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    let resume = (0..count)
-        .map(|i| {
-            let at = i * 12;
-            (
-                u32::from_be_bytes(rest[at..at + 4].try_into().expect("4 bytes")),
-                u64::from_be_bytes(rest[at + 4..at + 12].try_into().expect("8 bytes")),
-            )
-        })
-        .collect();
+    let resume = r.counted(12, |r| Ok((r.u32()?, r.u64()?)))?;
+    r.end()?;
     Ok(Subscribe { spec, resume })
 }
 
@@ -199,40 +164,79 @@ pub fn encode_hint(state: &HintState) -> Vec<u8> {
 
 /// Decodes a `Hint` payload.
 pub fn decode_hint(payload: &[u8]) -> Result<HintState, FrameError> {
-    if payload.len() < 12 {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    let shard = u32::from_be_bytes(payload[..4].try_into().expect("4 bytes"));
-    let of = u32::from_be_bytes(payload[4..8].try_into().expect("4 bytes"));
-    let (count, rest) = split_count(&payload[8..])?;
-    if rest.len() != count * 16 {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    let edges = (0..count)
-        .map(|i| {
-            let at = i * 16;
-            (
-                (
-                    u32::from_be_bytes(rest[at..at + 4].try_into().expect("4 bytes")),
-                    u32::from_be_bytes(rest[at + 4..at + 8].try_into().expect("4 bytes")),
-                ),
-                u64::from_be_bytes(rest[at + 8..at + 16].try_into().expect("8 bytes")),
-            )
-        })
-        .collect();
+    let mut r = Reader::new(payload);
+    let (shard, of) = (r.u32()?, r.u32()?);
+    let edges = r.counted(16, |r| Ok(((r.u32()?, r.u32()?), r.u64()?)))?;
+    r.end()?;
     Ok(HintState { shard, of, edges })
 }
 
-/// Reads a BE u32 count and caps it against the remaining byte budget
-/// (each counted element occupies at least one byte).
-fn split_count(payload: &[u8]) -> Result<(usize, &[u8]), FrameError> {
-    let bytes = payload.get(..4).ok_or(FrameError::ChecksumMismatch)?;
-    let count = u32::from_be_bytes(bytes.try_into().expect("4 bytes")) as usize;
-    let rest = &payload[4..];
-    if count > rest.len() {
-        return Err(FrameError::ChecksumMismatch);
+/// A total big-endian reader over a control payload: every read checks
+/// that the bytes it needs are there.
+pub(crate) struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `payload`.
+    pub(crate) fn new(payload: &'a [u8]) -> Self {
+        Reader { rest: payload }
     }
-    Ok((count, rest))
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], FrameError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or(FrameError::Malformed)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    /// The next big-endian `u32`.
+    pub(crate) fn u32(&mut self) -> Result<u32, FrameError> {
+        self.take().map(u32::from_be_bytes)
+    }
+
+    /// The next big-endian `u64`.
+    pub(crate) fn u64(&mut self) -> Result<u64, FrameError> {
+        self.take().map(u64::from_be_bytes)
+    }
+
+    /// A `u32` count and then that many elements, each `width` bytes
+    /// long and read by `read` (see [`elements`](Self::elements)).
+    fn counted<T>(
+        &mut self,
+        width: usize,
+        read: impl FnMut(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<Vec<T>, FrameError> {
+        let count = self.u32()?;
+        self.elements(count, width, read)
+    }
+
+    /// `count` elements, each `width` bytes long and read by `read`. The
+    /// count is capped against the bytes left before anything is
+    /// allocated for it.
+    fn elements<T>(
+        &mut self,
+        count: u32,
+        width: usize,
+        mut read: impl FnMut(&mut Self) -> Result<T, FrameError>,
+    ) -> Result<Vec<T>, FrameError> {
+        let count = count as usize;
+        if count
+            .checked_mul(width)
+            .is_none_or(|len| len > self.rest.len())
+        {
+            return Err(FrameError::Malformed);
+        }
+        (0..count).map(|_| read(self)).collect()
+    }
+
+    /// Checks that nothing is left over.
+    fn end(self) -> Result<(), FrameError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(FrameError::Malformed)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -314,5 +318,48 @@ mod tests {
         }
         assert!(decode_subscribe(&[]).is_err());
         assert!(decode_subscribe(&u32::MAX.to_be_bytes()).is_err());
+    }
+
+    /// A payload whose envelope verified but whose body does not parse is
+    /// malformed — not a checksum mismatch, not an unknown frame kind.
+    #[test]
+    fn every_decoder_reports_a_malformed_payload_as_such() {
+        use FrameError::Malformed;
+        let tail = |mut v: Vec<u8>| {
+            v.push(0);
+            v
+        };
+        // Hello: empty, unknown role, short, trailing byte.
+        assert_eq!(decode_hello(&[]), Err(Malformed));
+        assert_eq!(decode_hello(&[7, 0, 0, 0, 0]), Err(Malformed));
+        assert_eq!(decode_hello(&[1, 0, 0, 0, 2]), Err(Malformed));
+        let hello = encode_hello(Role::Tracer { node: 3 });
+        assert_eq!(decode_hello(&tail(hello)), Err(Malformed));
+        // Announce: no count, absurd count, trailing byte.
+        assert_eq!(decode_announce(&[0, 0]), Err(Malformed));
+        assert_eq!(decode_announce(&u32::MAX.to_be_bytes()), Err(Malformed));
+        let announce = encode_announce(&[(1, 2)]);
+        assert_eq!(decode_announce(&tail(announce)), Err(Malformed));
+        // Subscribe: no spec, an edge list short of its count, no resume
+        // count, trailing byte.
+        assert_eq!(decode_subscribe(&[0xFF, 0xFF]), Err(Malformed));
+        assert_eq!(decode_subscribe(&[0, 0, 0, 1, 0, 0, 0, 0]), Err(Malformed));
+        assert_eq!(decode_subscribe(&u32::MAX.to_be_bytes()), Err(Malformed));
+        let subscribe = encode_subscribe(&Subscribe {
+            spec: SubscribeSpec::All,
+            resume: vec![(1, 5)],
+        });
+        assert_eq!(decode_subscribe(&tail(subscribe)), Err(Malformed));
+        // Hint: short header, absurd count, trailing byte.
+        assert_eq!(decode_hint(&[0; 11]), Err(Malformed));
+        let mut huge = vec![0u8; 8];
+        huge.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(decode_hint(&huge), Err(Malformed));
+        let hint = encode_hint(&HintState {
+            shard: 0,
+            of: 1,
+            edges: vec![((1, 2), 16)],
+        });
+        assert_eq!(decode_hint(&tail(hint)), Err(Malformed));
     }
 }

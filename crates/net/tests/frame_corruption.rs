@@ -8,13 +8,14 @@
 //! CI runs this in release mode too: `debug_assert` guards are compiled
 //! out there, so the corpus must hold without them.
 
+use e2eprof_core::reduction::HintState;
 use e2eprof_net::frame::{
     crc32, encode_frame, encode_frame_to_vec, Frame, FrameDecoder, FrameError, FrameKind,
     HEADER_LEN, MAX_PAYLOAD_LEN,
 };
 use e2eprof_net::msg::{
-    decode_announce, decode_hello, decode_subscribe, encode_announce, encode_hello,
-    encode_subscribe, Role, Subscribe, SubscribeSpec,
+    decode_announce, decode_hello, decode_hint, decode_subscribe, encode_announce, encode_hello,
+    encode_hint, encode_subscribe, Role, Subscribe, SubscribeSpec,
 };
 
 /// A realistic multi-frame stream: handshake, announce, then data of both
@@ -199,9 +200,15 @@ fn control_payload_decoders_survive_hostile_payloads() {
         spec: SubscribeSpec::Edges(vec![(0, 1), (2, 3)]),
         resume: vec![(3, 77), (9, 1)],
     });
+    let hint = encode_hint(&HintState {
+        shard: 1,
+        of: 2,
+        edges: vec![((0, 1), 16), ((7, 3), 64)],
+    });
     assert_eq!(decode_hello(&hello), Ok(Role::Analyzer { shard: 2, of: 4 }));
     assert!(decode_announce(&announce).is_ok());
     assert!(decode_subscribe(&subscribe).is_ok());
+    assert!(decode_hint(&hint).is_ok());
     for cut in 0..hello.len() {
         assert!(decode_hello(&hello[..cut]).is_err(), "hello cut {cut}");
     }
@@ -217,11 +224,17 @@ fn control_payload_decoders_survive_hostile_payloads() {
             "subscribe cut {cut}"
         );
     }
+    for cut in 0..hint.len() {
+        assert!(decode_hint(&hint[..cut]).is_err(), "hint cut {cut}");
+    }
     // Absurd declared element counts with no bytes behind them.
     let mut huge = Vec::new();
     huge.extend_from_slice(&u32::MAX.to_be_bytes());
     assert!(decode_announce(&huge).is_err());
     assert!(decode_subscribe(&huge).is_err());
+    let mut huge_hint = vec![0u8; 8];
+    huge_hint.extend_from_slice(&u32::MAX.to_be_bytes());
+    assert!(decode_hint(&huge_hint).is_err());
 }
 
 /// Deterministic xorshift fuzz over the streaming decoder: random
