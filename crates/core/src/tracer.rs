@@ -67,8 +67,9 @@ pub trait FrameSink: Send {
     fn send_frame(&mut self, frame: TracerFrame) -> u64;
 
     /// Tells the sink which directed edges (as node-index pairs) this
-    /// agent owns — transport sinks forward the set to their broker; the
-    /// in-process sink has no use for it.
+    /// agent owns. No sink in this repo reads it — every analyzer
+    /// subscriber receives every stream — but the benchmark harness
+    /// implements and calls it; removal waits for a `benchmark` PR.
     fn announce(&mut self, edges: &[(u32, u32)]) {
         let _ = edges;
     }

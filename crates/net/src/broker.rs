@@ -1,11 +1,13 @@
-//! The threaded broker: tracers announce and publish, analyzers
-//! subscribe, the broker fans data frames out through a bounded replay
-//! ring.
+//! The threaded broker: tracers publish, analyzers subscribe, the broker
+//! fans data frames out through a bounded replay ring.
 //!
 //! Threading model: one accept thread; one reader thread per connection;
-//! one writer thread per subscriber walking its own [`RingCursor`]. The
-//! routing/dedup brain is the pure [`Registry`]/[`SeqDedup`] pair from
-//! [`registry`](crate::registry) — the threads only move bytes.
+//! one writer thread per subscriber walking its own [`RingCursor`]. Every
+//! subscriber receives every stream — a pathmap shard correlates each
+//! front end against every candidate edge, so none can name the edges it
+//! needs in advance. The only per-frame decision is the inbound
+//! [`SeqDedup`] from [`registry`](crate::registry); the threads only
+//! move bytes.
 //!
 //! Delivery guarantees (the reconnect invariant):
 //!
@@ -20,13 +22,14 @@
 //!   once-per-`Hello` handoff.
 //! - A subscriber's `Subscribe` carries resume positions; its writer
 //!   replays retained frames strictly *after* those positions, so a
-//!   reconnecting analyzer receives exactly the frames it missed.
+//!   reconnecting analyzer receives exactly the frames it missed — and
+//!   then everything published after them.
 //! - Data sequence numbers start at 1; 0 means "nothing received yet".
 
 use crate::frame::{FrameDecoder, FrameKind, RawFrame};
-use crate::msg::{decode_announce, decode_hello, decode_subscribe, Role, SubscribeSpec};
+use crate::msg::{decode_hello, decode_subscribe, Role};
 use crate::queue::{ReplayFrame, ReplayRing, RingCursor};
-use crate::registry::{Freshness, PeerId, Registry, SeqDedup};
+use crate::registry::{Freshness, SeqDedup};
 use crate::stream::{
     write_coalesced, Acceptor, SplitStream, COALESCE_MAX_BYTES, COALESCE_MAX_FRAMES,
 };
@@ -35,6 +38,9 @@ use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+
+/// A connected peer's id, assigned in accept order (connection-scoped).
+type PeerId = u64;
 
 /// Broker tuning knobs.
 #[derive(Debug, Clone)]
@@ -95,13 +101,6 @@ struct HintSub {
 }
 
 struct Shared {
-    registry: Mutex<Registry>,
-    /// Bumped (under the registry lock) whenever the origin → edges map
-    /// changes — announcements and tracer disconnects. Subscriber writers
-    /// compare it against their cached fan-out filter's generation and
-    /// rebuild the cache lazily, so the steady-state data path never
-    /// takes the registry lock.
-    registry_gen: AtomicU64,
     ring: ReplayRing,
     dedup: Mutex<SeqDedup>,
     /// Every connection that may still relay a tracer's data frames, in
@@ -116,8 +115,7 @@ struct Shared {
     /// high-water dedup would reject the old connection's as duplicates:
     /// a silent loss. So a tracer's reader waits here, once, at its
     /// `Hello`, until no earlier arrival is unidentified or the same
-    /// node. (It also keeps the old connection's `tracer_disconnected`
-    /// from wiping the new one's announcement.)
+    /// node.
     arrivals: Mutex<BTreeMap<PeerId, Option<u32>>>,
     arrivals_changed: Condvar,
     hints: Mutex<HintHub>,
@@ -136,8 +134,6 @@ impl BrokerHandle {
     /// Spawns a broker serving connections from `acceptor`.
     pub fn spawn(acceptor: Arc<dyn Acceptor>, config: BrokerConfig) -> BrokerHandle {
         let shared = Arc::new(Shared {
-            registry: Mutex::new(Registry::new()),
-            registry_gen: AtomicU64::new(0),
             ring: ReplayRing::new(config.ring_capacity),
             dedup: Mutex::new(SeqDedup::new()),
             arrivals: Mutex::new(BTreeMap::new()),
@@ -185,15 +181,6 @@ impl BrokerHandle {
     /// Data frames written to subscriber connections.
     pub fn delivered(&self) -> u64 {
         self.shared.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Live subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .subscriber_count()
     }
 }
 
@@ -254,28 +241,16 @@ fn serve_conn(mut conn: Box<dyn SplitStream>, peer: PeerId, shared: &Arc<Shared>
             Err(_) => break,
         }
     }
-    match role {
-        Some(Role::Tracer { node }) => {
-            let mut registry = shared.registry.lock().expect("registry lock");
-            registry.tracer_disconnected(node);
-            // Origin → edges changed; invalidate cached fan-out filters.
-            shared.registry_gen.fetch_add(1, Ordering::Release);
-        }
-        Some(Role::Analyzer { .. }) => shared
-            .registry
-            .lock()
-            .expect("registry lock")
-            .subscriber_disconnected(peer),
-        Some(Role::HintSub { .. }) => shared
+    if let Some(Role::HintSub { .. }) = role {
+        shared
             .hints
             .lock()
             .expect("hint lock")
             .subs
-            .retain(|s| s.peer != peer),
-        None => {}
+            .retain(|s| s.peer != peer);
     }
-    // Everything this connection carried has been relayed and its
-    // registry entry is gone: a successor of the same tracer may proceed.
+    // Everything this connection carried has been relayed: a successor of
+    // the same tracer may proceed.
     shared.arrivals.lock().expect("arrivals lock").remove(&peer);
     shared.arrivals_changed.notify_all();
     // Wake a writer blocked on this connection, if any.
@@ -314,32 +289,14 @@ fn handle_frame(
             );
             Ok(())
         }
-        FrameKind::Announce => {
-            let Some(Role::Tracer { node }) = *role else {
-                return Err(());
-            };
-            let edges = decode_announce(frame.payload()).map_err(|_| ())?;
-            let mut registry = shared.registry.lock().expect("registry lock");
-            registry.announce(node, &edges);
-            // Origin → edges changed; invalidate cached fan-out filters.
-            shared.registry_gen.fetch_add(1, Ordering::Release);
-            Ok(())
-        }
         FrameKind::Subscribe => match *role {
             Some(Role::Analyzer { .. }) => {
-                let sub = decode_subscribe(frame.payload()).map_err(|_| ())?;
-                shared
-                    .registry
-                    .lock()
-                    .expect("registry lock")
-                    .subscribe(peer, sub.spec.clone());
-                let cursor = shared.ring.cursor_resuming(&sub.resume);
+                let resume = decode_subscribe(frame.payload()).map_err(|_| ())?;
+                let cursor = shared.ring.cursor_resuming(&resume);
                 let writer = conn.try_clone_stream().map_err(|_| ())?;
-                let resume: BTreeMap<u32, u64> = sub.resume.iter().copied().collect();
+                let resume: BTreeMap<u32, u64> = resume.into_iter().collect();
                 let shared = Arc::clone(shared);
-                thread::spawn(move || {
-                    subscriber_writer(writer, cursor, resume, sub.spec, &shared);
-                });
+                thread::spawn(move || subscriber_writer(writer, cursor, resume, &shared));
                 Ok(())
             }
             Some(Role::HintSub { .. }) => {
@@ -351,8 +308,8 @@ fn handle_frame(
                 // while writing and registers only once caught up, so no
                 // snapshot is missed and no other subscriber stalls
                 // behind this handshake.
-                let sub = decode_subscribe(frame.payload()).map_err(|_| ())?;
-                let mut have: BTreeMap<u32, u64> = sub.resume.iter().copied().collect();
+                let resume = decode_subscribe(frame.payload()).map_err(|_| ())?;
+                let mut have: BTreeMap<u32, u64> = resume.into_iter().collect();
                 let writer = Arc::new(Mutex::new(conn.try_clone_stream().map_err(|_| ())?));
                 let mut closer = Some(conn.try_clone_stream().map_err(|_| ())?);
                 loop {
@@ -455,57 +412,9 @@ fn handle_frame(
     }
 }
 
-/// A subscriber's fan-out filter with a generation-validated cache.
-///
-/// `Edges` subscriptions need the registry's origin → edges map to decide
-/// whether a frame is wanted. Taking the registry lock per frame would
-/// serialize every subscriber writer against announce traffic, so each
-/// writer memoizes `origin → wanted` and only falls back to the lock on a
-/// cache miss. The cache is invalidated wholesale whenever
-/// `Shared::registry_gen` moves — announcements and tracer disconnects
-/// bump it under the registry lock, so any mutation after the generation
-/// was sampled forces a rebuild on the next frame.
-struct FanoutFilter {
-    spec: SubscribeSpec,
-    cache: BTreeMap<u32, bool>,
-    generation: u64,
-}
-
-impl FanoutFilter {
-    fn new(spec: SubscribeSpec) -> Self {
-        FanoutFilter {
-            spec,
-            cache: BTreeMap::new(),
-            generation: u64::MAX,
-        }
-    }
-
-    fn wanted(&mut self, origin: u32, shared: &Shared) -> bool {
-        let want = match &self.spec {
-            SubscribeSpec::All => return true,
-            SubscribeSpec::Edges(want) => want,
-        };
-        let generation = shared.registry_gen.load(Ordering::Acquire);
-        if generation != self.generation {
-            self.cache.clear();
-            self.generation = generation;
-        }
-        if let Some(&wanted) = self.cache.get(&origin) {
-            return wanted;
-        }
-        let wanted = {
-            let registry = shared.registry.lock().expect("registry lock");
-            let have = registry.edges_of(origin);
-            want.iter().any(|e| have.contains(e))
-        };
-        self.cache.insert(origin, wanted);
-        wanted
-    }
-}
-
 /// Fan-out loop for one subscriber: walk the ring, skip frames the
-/// subscriber already holds (resume positions) or did not ask for (spec),
-/// write the rest. Exits when the ring closes or the connection dies.
+/// subscriber already holds (resume positions), write the rest. Exits
+/// when the ring closes or the connection dies.
 ///
 /// Frames are drained in coalesced batches: one blocking read, then
 /// non-blocking reads extend the batch until the ring runs dry or the
@@ -518,11 +427,9 @@ fn subscriber_writer(
     mut stream: Box<dyn SplitStream>,
     mut cursor: RingCursor,
     resume: BTreeMap<u32, u64>,
-    spec: SubscribeSpec,
     shared: &Arc<Shared>,
 ) {
     let vectored = stream.vectored_writes();
-    let mut filter = FanoutFilter::new(spec);
     let mut batch: Vec<ReplayFrame> = Vec::new();
     let mut staging: Vec<u8> = Vec::new();
     'conn: while let Some(first) = cursor.next_blocking() {
@@ -531,9 +438,7 @@ fn subscriber_writer(
         let mut next = Some(first);
         loop {
             if let Some(frame) = next.take() {
-                let skip = frame.seq <= resume.get(&frame.origin).copied().unwrap_or(0)
-                    || !filter.wanted(frame.origin, shared);
-                if !skip {
+                if frame.seq > resume.get(&frame.origin).copied().unwrap_or(0) {
                     bytes += frame.bytes.len();
                     batch.push(frame);
                 }
@@ -579,7 +484,7 @@ mod tests {
     use super::*;
     use crate::frame::{encode_frame, encode_frame_to_vec, Frame};
     use crate::mem::MemListener;
-    use crate::msg::{encode_announce, encode_hello, encode_subscribe, Subscribe};
+    use crate::msg::{encode_hello, encode_subscribe};
     use crate::stream::{Dialer, NetStream};
     use std::sync::mpsc;
 
@@ -596,7 +501,7 @@ mod tests {
         )
     }
 
-    fn subscribe_all(resume: Vec<(u32, u64)>) -> Vec<u8> {
+    fn subscribe(resume: &[(u32, u64)]) -> Vec<u8> {
         let mut out = encode_frame_to_vec(
             FrameKind::Hello,
             0,
@@ -607,10 +512,7 @@ mod tests {
             FrameKind::Subscribe,
             0,
             0,
-            &encode_subscribe(&Subscribe {
-                spec: SubscribeSpec::All,
-                resume,
-            }),
+            &encode_subscribe(resume),
             &mut out,
         );
         out
@@ -639,18 +541,12 @@ mod tests {
 
         let mut tracer = dialer.dial().unwrap();
         let mut bytes = tracer_hello(7);
-        bytes.extend(encode_frame_to_vec(
-            FrameKind::Announce,
-            7,
-            0,
-            &encode_announce(&[(7, 8)]),
-        ));
         bytes.extend(data_frame(7, 1, 0xAA));
         bytes.extend(data_frame(7, 2, 0xBB));
         tracer.write_all(&bytes).unwrap();
 
         let mut sub = dialer.dial().unwrap();
-        sub.write_all(&subscribe_all(vec![])).unwrap();
+        sub.write_all(&subscribe(&[])).unwrap();
         let frames = read_data(&mut sub, 2);
         assert_eq!(frames[0].seq, 1);
         assert_eq!(frames[0].payload.as_ref(), &[0xAA]);
@@ -682,7 +578,7 @@ mod tests {
 
         // Subscriber already holds seq 1 and 2 of origin 3.
         let mut sub = dialer.dial().unwrap();
-        sub.write_all(&subscribe_all(vec![(3, 2)])).unwrap();
+        sub.write_all(&subscribe(&[(3, 2)])).unwrap();
         let frames = read_data(&mut sub, 1);
         assert_eq!(frames[0].seq, 3, "only the missed frame is replayed");
         broker.shutdown();
@@ -695,7 +591,7 @@ mod tests {
         let dialer = listener.dialer();
 
         let mut sub = dialer.dial().unwrap();
-        sub.write_all(&subscribe_all(vec![])).unwrap();
+        sub.write_all(&subscribe(&[])).unwrap();
 
         let mut tracer = dialer.dial().unwrap();
         let mut bytes = tracer_hello(5);
@@ -810,7 +706,7 @@ mod tests {
         let dialer = listener.dialer();
 
         let mut sub = dialer.dial().unwrap();
-        sub.write_all(&subscribe_all(vec![])).unwrap();
+        sub.write_all(&subscribe(&[])).unwrap();
 
         // The tracer wrote one frame in full, then its connection died.
         // The broker's reader of that connection is stalled: it has not
@@ -881,7 +777,7 @@ mod tests {
         bytes.extend(data_frame(1, 1, 9));
         tracer.write_all(&bytes).unwrap();
         let mut sub = dialer.dial().unwrap();
-        sub.write_all(&subscribe_all(vec![])).unwrap();
+        sub.write_all(&subscribe(&[])).unwrap();
         let frames = read_data(&mut sub, 1);
         assert_eq!(frames[0].payload.as_ref(), &[9]);
         broker.shutdown();

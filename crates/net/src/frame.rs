@@ -46,9 +46,9 @@ pub const MAX_PAYLOAD_LEN: u32 = 64 << 20;
 pub enum FrameKind {
     /// Peer introduction (first frame on every connection).
     Hello = 1,
-    /// Tracer announcing the set of edges it owns.
-    Announce = 2,
-    /// Analyzer subscribing to edge streams.
+    /// A subscriber's resume positions; it then receives every stream.
+    /// Byte 2 stays unassigned, so a peer still announcing edges under
+    /// it is refused with `BadKind(2)` rather than misread.
     Subscribe = 3,
     /// An `E2EP` batch frame (all series of one tracer flush).
     DataBatch = 4,
@@ -70,7 +70,6 @@ impl FrameKind {
     fn from_byte(b: u8) -> Option<FrameKind> {
         match b {
             1 => Some(FrameKind::Hello),
-            2 => Some(FrameKind::Announce),
             3 => Some(FrameKind::Subscribe),
             4 => Some(FrameKind::DataBatch),
             5 => Some(FrameKind::DataSeries),
@@ -386,7 +385,7 @@ impl FrameDecoder {
 
     fn validate(&self) -> Result<Option<Validated>, FrameError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_LEN {
+        let Some((header, _)) = avail.split_first_chunk::<HEADER_LEN>() else {
             // Header incomplete — but reject a provably bad magic early so
             // garbage shorter than a header still errors out.
             let n = avail.len().min(4);
@@ -394,29 +393,31 @@ impl FrameDecoder {
                 return Err(FrameError::BadMagic);
             }
             return Ok(None);
-        }
-        if &avail[..4] != NET_MAGIC {
+        };
+        let [m0, m1, m2, m3, version, kind, o0, o1, o2, o3, rest @ ..] = *header;
+        let [s0, s1, s2, s3, s4, s5, s6, s7, l0, l1, l2, l3, c0, c1, c2, c3] = rest;
+        if [m0, m1, m2, m3] != *NET_MAGIC {
             return Err(FrameError::BadMagic);
         }
-        if avail[4] != NET_VERSION {
-            return Err(FrameError::UnsupportedVersion(avail[4]));
+        if version != NET_VERSION {
+            return Err(FrameError::UnsupportedVersion(version));
         }
-        let kind = FrameKind::from_byte(avail[5]).ok_or(FrameError::BadKind(avail[5]))?;
-        let origin = u32::from_be_bytes(avail[6..10].try_into().expect("4 bytes"));
-        let seq = u64::from_be_bytes(avail[10..18].try_into().expect("8 bytes"));
-        let len = u32::from_be_bytes(avail[18..22].try_into().expect("4 bytes"));
+        let kind = FrameKind::from_byte(kind).ok_or(FrameError::BadKind(kind))?;
+        let origin = u32::from_be_bytes([o0, o1, o2, o3]);
+        let seq = u64::from_be_bytes([s0, s1, s2, s3, s4, s5, s6, s7]);
+        let len = u32::from_be_bytes([l0, l1, l2, l3]);
         // The length cap guards the buffer growth below: a flipped length
         // bit cannot make us wait for (or allocate) gigabytes.
         if len > MAX_PAYLOAD_LEN {
             return Err(FrameError::Oversized(len));
         }
-        let declared_crc = u32::from_be_bytes(avail[22..26].try_into().expect("4 bytes"));
+        let declared_crc = u32::from_be_bytes([c0, c1, c2, c3]);
         let total = HEADER_LEN + len as usize;
         if avail.len() < total {
             return Ok(None);
         }
         let payload = &avail[HEADER_LEN..total];
-        let actual = crc32(crc32(0, &avail[4..22]), payload);
+        let actual = crc32(crc32(0, &header[4..22]), payload);
         if actual != declared_crc {
             return Err(FrameError::ChecksumMismatch);
         }

@@ -6,18 +6,18 @@
 //!
 //! - [`frame`] — the length-prefixed, CRC-checked transport envelope
 //!   carrying wire-v1/v2 payloads, with a sans-io incremental decoder;
-//! - [`msg`] — control-plane payloads (Hello, Announce, Subscribe);
+//! - [`msg`] — control-plane payloads (Hello, Subscribe, Hint);
 //! - [`stream`] / [`mem`] — the byte-stream abstraction and its kernel
 //!   (TCP, Unix) and in-memory implementations;
 //! - [`fault`] — seeded, byte-offset-scripted fault injection (cuts,
 //!   jitter, stalls) for the deterministic fault harness;
 //! - [`queue`] — bounded send queues (drop-oldest backpressure) and the
 //!   broker's replay ring;
-//! - [`registry`] — the broker's pure routing/dedup state machine;
-//! - [`broker`] — the socket-facing broker: tracers announce and
-//!   publish, analyzers subscribe with resume positions;
+//! - [`registry`] — the pure per-origin sequence dedup;
+//! - [`broker`] — the socket-facing broker: tracers publish, analyzers
+//!   subscribe with resume positions and receive every stream;
 //! - [`link`] — client endpoints: the tracer's socket-backed `FrameSink`
-//!   and the analyzer's reconnecting subscription;
+//!   and the analyzer's subscription, sharing one reconnect path;
 //! - [`pipeline`] — the assembled distributed tier with a deterministic,
 //!   sleep-free run loop whose sharded output merges bit-identically to
 //!   the in-process analyzer.

@@ -1,8 +1,15 @@
 //! Client-side transport endpoints: the tracer's socket-backed
-//! [`FrameSink`] and the analyzer's subscribing connection.
+//! [`FrameSink`], the analyzer's subscribing connection, and the two ends
+//! of the reduction-hint channel.
 //!
-//! Both ends implement the reconnect invariant cooperatively with the
-//! broker:
+//! Every client reaches the broker one way: dial, write the handshake,
+//! and on failure redial with exponential backoff, at most
+//! [`LinkConfig::max_flush_redials`] failures in a row. Both subscribers
+//! ([`AnalyzerConn`], [`HintConn`]) run one read loop: subscribe with
+//! their resume positions, receive everything after them, and hand each
+//! frame to their own handler.
+//!
+//! The reconnect invariant, kept cooperatively with the broker:
 //!
 //! - [`TracerLink`] keeps every data frame in its bounded [`SendQueue`]
 //!   until *fully* written; a connection dying mid-frame rewinds the
@@ -19,12 +26,10 @@
 //! identical to an uninterrupted run's.
 
 use crate::frame::{
-    encode_frame_head, encode_frame_to_vec, FrameDecoder, FrameKind, RawFrame, HEADER_LEN,
+    encode_frame, encode_frame_head, encode_frame_to_vec, FrameDecoder, FrameKind, RawFrame,
+    HEADER_LEN,
 };
-use crate::msg::{
-    decode_hint, encode_announce, encode_hello, encode_hint, encode_subscribe, Reader, Role,
-    Subscribe, SubscribeSpec,
-};
+use crate::msg::{decode_hint, encode_hello, encode_hint, encode_subscribe, Reader, Role};
 use crate::queue::{QueueStats, QueuedFrame, SendQueue};
 use crate::registry::{Freshness, SeqDedup};
 use crate::stream::{write_coalesced, Dialer, NetStream, COALESCE_MAX_BYTES, COALESCE_MAX_FRAMES};
@@ -50,8 +55,13 @@ pub const HINT_ORIGIN_BIT: u32 = 0x8000_0000;
 pub struct LinkConfig {
     /// Bounded send-queue capacity in frames (drop-oldest beyond it).
     pub queue_capacity: usize,
-    /// Reconnect attempts a single flush may spend before leaving the
-    /// remaining frames queued for the next flush.
+    /// Every client's reconnect budget: failed dials, handshakes or
+    /// connections in a row before it gives up. A [`TracerLink`] flush
+    /// then leaves the remaining frames queued for the next flush, a
+    /// [`HintSender::send`] drops its snapshot, and the reader thread of
+    /// an [`AnalyzerConn`] or [`HintConn`] exits. Each flush or send
+    /// starts a fresh budget; a subscriber starts one whenever an
+    /// established connection ends.
     pub max_flush_redials: u32,
     /// First reconnect delay; doubles per consecutive failure. Zero in
     /// tests keeps the fault suite free of wall-clock time.
@@ -99,14 +109,6 @@ struct Backoff {
 }
 
 impl Backoff {
-    fn new(base: Duration, cap: Duration) -> Self {
-        Backoff {
-            base,
-            cap,
-            consecutive: 0,
-        }
-    }
-
     /// Sleeps for the current delay and doubles it (saturating at the
     /// cap). A zero base never sleeps.
     fn wait(&mut self) {
@@ -125,6 +127,98 @@ impl Backoff {
     }
 }
 
+/// How every client reaches the broker: dial, write the handshake, and
+/// on failure redial with backoff — at most
+/// [`LinkConfig::max_flush_redials`] failures since the last
+/// [`renew`](Self::renew).
+struct Redial {
+    dialer: Box<dyn Dialer>,
+    backoff: Backoff,
+    budget: u32,
+    /// Failures since the budget was last renewed.
+    spent: u32,
+    /// Whether a dial has ever succeeded: every later one is a reconnect.
+    dialed: bool,
+    /// A subscriber's stop flag: once set, no further dial is made.
+    stop: Option<Arc<AtomicBool>>,
+}
+
+impl Redial {
+    fn new(dialer: Box<dyn Dialer>, config: &LinkConfig, stop: Option<Arc<AtomicBool>>) -> Self {
+        Redial {
+            dialer,
+            backoff: Backoff {
+                base: config.backoff_base,
+                cap: config.backoff_cap,
+                consecutive: 0,
+            },
+            budget: config.max_flush_redials,
+            spent: 0,
+            dialed: false,
+            stop,
+        }
+    }
+
+    /// Starts a fresh budget.
+    fn renew(&mut self) {
+        self.spent = 0;
+    }
+
+    /// Counts one failure — a refused dial, a failed handshake or a dead
+    /// connection. While the budget lasts, waits out the backoff and
+    /// returns `true`; once it is spent, returns `false`.
+    fn retry(&mut self) -> bool {
+        self.spent += 1;
+        if self.spent > self.budget {
+            return false;
+        }
+        self.backoff.wait();
+        true
+    }
+
+    /// Dials until a connection takes `handshake` whole. `None` once the
+    /// budget is spent or the stop flag is set. Every successful dial
+    /// after the client's first counts in `reconnects`.
+    fn connect(&mut self, handshake: &[u8], reconnects: &AtomicU64) -> Option<Box<dyn NetStream>> {
+        loop {
+            if self
+                .stop
+                .as_ref()
+                .is_some_and(|stop| stop.load(Ordering::Relaxed))
+            {
+                return None;
+            }
+            if let Ok(mut conn) = self.dialer.dial() {
+                if self.dialed {
+                    reconnects.fetch_add(1, Ordering::Relaxed);
+                }
+                self.dialed = true;
+                if conn.write_all(handshake).is_ok() {
+                    self.backoff.reset();
+                    return Some(conn);
+                }
+            }
+            if !self.retry() {
+                return None;
+            }
+        }
+    }
+}
+
+/// A `Hello` envelope introducing `role`.
+fn hello(origin: u32, role: Role) -> Vec<u8> {
+    encode_frame_to_vec(FrameKind::Hello, origin, 0, &encode_hello(role))
+}
+
+/// A subscriber's handshake: `Hello` as `role`, then `Subscribe` with its
+/// resume positions.
+fn subscription(origin: u32, role: Role, resume: &[(u32, u64)]) -> Vec<u8> {
+    let mut bytes = hello(origin, role);
+    let payload = encode_subscribe(resume);
+    encode_frame(FrameKind::Subscribe, origin, 0, &payload, &mut bytes);
+    bytes
+}
+
 /// Lifetime counters of a [`TracerLink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
@@ -141,19 +235,13 @@ pub struct LinkStats {
 /// by the flush's redial budget.
 pub struct TracerLink {
     origin: u32,
-    dialer: Box<dyn Dialer>,
-    config: LinkConfig,
+    redial: Redial,
+    coalesce_depth: usize,
     conn: Option<Box<dyn NetStream>>,
     queue: SendQueue,
     /// Next data sequence number (starts at 1; 0 means "none yet" in
     /// resume maps). Persists across reconnects.
     next_seq: u64,
-    /// Latest announced edge set, replayed on every (re)connect.
-    announce: Option<Vec<u8>>,
-    /// Announce changed since last successfully written.
-    announce_dirty: bool,
-    backoff: Backoff,
-    dials: u64,
     /// Reconnects (dials beyond the first), shared so the pipeline can
     /// surface per-link reconnect counts after the link has been boxed
     /// into its agent.
@@ -176,15 +264,11 @@ impl TracerLink {
     pub fn new(origin: u32, dialer: Box<dyn Dialer>, config: LinkConfig) -> Self {
         TracerLink {
             origin,
-            dialer,
-            backoff: Backoff::new(config.backoff_base, config.backoff_cap),
-            queue: SendQueue::new(config.queue_capacity),
-            config,
+            redial: Redial::new(dialer, &config, None),
+            coalesce_depth: config.coalesce_depth,
             conn: None,
+            queue: SendQueue::new(config.queue_capacity),
             next_seq: 1,
-            announce: None,
-            announce_dirty: false,
-            dials: 0,
             redials: Arc::new(AtomicU64::new(0)),
             delivered: Arc::new(AtomicU64::new(0)),
             staging: Vec::new(),
@@ -210,7 +294,7 @@ impl TracerLink {
     pub fn stats(&self) -> LinkStats {
         LinkStats {
             queue: self.queue.stats(),
-            redials: self.dials.saturating_sub(1),
+            redials: self.redials.load(Ordering::Relaxed),
         }
     }
 
@@ -227,114 +311,59 @@ impl TracerLink {
         self.flush();
     }
 
-    /// Writes the connection preamble (Hello, then the current Announce)
-    /// on a fresh connection.
-    fn handshake(&mut self, conn: &mut Box<dyn NetStream>) -> std::io::Result<()> {
-        let hello = encode_frame_to_vec(
-            FrameKind::Hello,
-            self.origin,
-            0,
-            &encode_hello(Role::Tracer { node: self.origin }),
-        );
-        conn.write_all(&hello)?;
-        if let Some(payload) = &self.announce {
-            let frame = encode_frame_to_vec(FrameKind::Announce, self.origin, 0, payload);
-            conn.write_all(&frame)?;
-            self.announce_dirty = false;
-        }
-        Ok(())
-    }
-
-    /// Drains the queue onto the connection, redialing on failure up to
-    /// the configured budget. Frames that cannot be flushed stay queued —
-    /// and a frame interrupted mid-write is rewound, to be resent whole on
-    /// the next connection (the peer discarded the partial bytes with the
+    /// Drains the queue onto the connection, redialing on failure within
+    /// the budget. Frames that cannot be flushed stay queued — and a
+    /// frame interrupted mid-write is rewound, to be resent whole on the
+    /// next connection (the peer discarded the partial bytes with the
     /// stream).
     fn flush(&mut self) {
-        let mut redials = 0u32;
+        self.redial.renew();
         loop {
-            if self.conn.is_none() {
-                match self.dialer.dial() {
-                    Ok(mut conn) => {
-                        self.dials += 1;
-                        if self.dials > 1 {
-                            self.redials.fetch_add(1, Ordering::Relaxed);
-                        }
-                        if self.handshake(&mut conn).is_err() {
-                            redials += 1;
-                            if redials > self.config.max_flush_redials {
-                                return;
-                            }
-                            self.backoff.wait();
-                            continue;
-                        }
-                        self.backoff.reset();
-                        self.queue.rewind_front();
-                        self.conn = Some(conn);
-                    }
-                    Err(_) => {
-                        redials += 1;
-                        if redials > self.config.max_flush_redials {
-                            return;
-                        }
-                        self.backoff.wait();
-                        continue;
-                    }
-                }
-            }
-            if self.announce_dirty {
-                if let Some(payload) = &self.announce {
-                    let frame = encode_frame_to_vec(FrameKind::Announce, self.origin, 0, payload);
-                    let conn = self.conn.as_mut().expect("connected above");
-                    if conn.write_all(&frame).is_err() {
-                        self.conn = None;
-                        self.queue.rewind_front();
-                        redials += 1;
-                        if redials > self.config.max_flush_redials {
-                            return;
-                        }
-                        self.backoff.wait();
-                        continue;
-                    }
-                    self.announce_dirty = false;
-                }
-            }
-            // Coalesced drain: gather the queue into one bounded batch of
-            // borrowed segments and flush it with a single vectored write
-            // (or one staged write) — one syscall per flush instead of
-            // one per frame. On error the fully-written prefix is retired
-            // (those frames reached the peer or died with the stream's
-            // accepted bytes — same cases as before) and the partial
-            // frame rewinds to be resent whole on the next connection.
-            while !self.queue.is_empty() {
-                let conn = self.conn.as_mut().expect("connected above");
-                let vectored = conn.vectored_writes();
-                let mut bufs: Vec<&[u8]> = Vec::new();
-                self.queue
-                    .gather(COALESCE_MAX_FRAMES, COALESCE_MAX_BYTES, &mut bufs);
-                let (written, err) = write_coalesced(conn, vectored, &bufs, &mut self.staging);
-                drop(bufs);
-                let completed = self.queue.advance_bytes(written);
-                if completed > 0 {
-                    self.delivered.fetch_add(completed, Ordering::Relaxed);
-                }
-                if err.is_some() {
-                    self.conn = None;
+            let mut conn = match self.conn.take() {
+                Some(conn) => conn,
+                None => {
+                    let hello = hello(self.origin, Role::Tracer { node: self.origin });
+                    let Some(conn) = self.redial.connect(&hello, &self.redials) else {
+                        return;
+                    };
                     self.queue.rewind_front();
-                    break;
+                    conn
                 }
-            }
-            if self.conn.is_some() && self.queue.is_empty() && !self.announce_dirty {
+            };
+            if self.write_queue(&mut conn) {
+                self.conn = Some(conn);
                 return;
             }
-            if self.conn.is_none() {
-                redials += 1;
-                if redials > self.config.max_flush_redials {
-                    return;
-                }
-                self.backoff.wait();
+            if !self.redial.retry() {
+                return;
             }
         }
+    }
+
+    /// Coalesced drain: gathers the queue into bounded batches of
+    /// borrowed segments and writes each with a single vectored write (or
+    /// one staged write) — one syscall per batch instead of one per
+    /// frame. Returns `false` if the connection died: the fully-written
+    /// prefix is retired (those frames reached the peer) and the partial
+    /// frame rewinds to be resent whole on the next connection.
+    fn write_queue(&mut self, conn: &mut Box<dyn NetStream>) -> bool {
+        let vectored = conn.vectored_writes();
+        while !self.queue.is_empty() {
+            let mut bufs: Vec<&[u8]> = Vec::new();
+            self.queue
+                .gather(COALESCE_MAX_FRAMES, COALESCE_MAX_BYTES, &mut bufs);
+            let (written, err) = write_coalesced(conn, vectored, &bufs, &mut self.staging);
+            drop(bufs);
+            let completed = self.queue.advance_bytes(written);
+            if completed > 0 {
+                self.delivered.fetch_add(completed, Ordering::Relaxed);
+            }
+            if err.is_some() {
+                self.queue.rewind_front();
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -371,16 +400,70 @@ impl FrameSink for TracerLink {
         self.next_seq += 1;
         let head = encode_frame_head(kind, self.origin, seq, &prefix, &tail);
         let dropped = self.queue.push(QueuedFrame::new(head, tail));
-        if self.queue.len() >= self.config.coalesce_depth.max(1) {
+        if self.queue.len() >= self.coalesce_depth.max(1) {
             self.flush();
         }
         dropped
     }
+}
 
-    fn announce(&mut self, edges: &[(u32, u32)]) {
-        self.announce = Some(encode_announce(edges));
-        self.announce_dirty = true;
-        self.flush();
+/// What a subscriber's handler makes of one frame.
+enum Next {
+    /// Keep reading.
+    Read,
+    /// The frame does not decode: drop the connection and resubscribe.
+    Redial,
+    /// The consumer hung up: stop for good.
+    Exit,
+}
+
+/// One subscriber's side of [`subscriber_loop`].
+trait Subscription {
+    /// Where its next `Subscribe` resumes from.
+    fn resume(&self) -> Vec<(u32, u64)>;
+    /// Its count of connections dialed beyond the first.
+    fn reconnects(&self) -> &AtomicU64;
+    /// Handles one validated frame.
+    fn frame(&mut self, frame: &RawFrame) -> Next;
+    /// Notes a connection dropped over a frame that did not decode.
+    fn undecodable(&self) {}
+}
+
+/// The reader of both subscribers: connect, subscribe with the resume
+/// positions, and hand every frame to `sub`. A connection that ends or
+/// breaks is redialed with a fresh budget. Exits once the redial budget
+/// is spent, the stop flag is set, or `sub`'s consumer hangs up.
+fn subscriber_loop(mut redial: Redial, origin: u32, role: Role, mut sub: impl Subscription) {
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        redial.renew();
+        let handshake = subscription(origin, role, &sub.resume());
+        let Some(mut conn) = redial.connect(&handshake, sub.reconnects()) else {
+            return;
+        };
+        let mut dec = FrameDecoder::new();
+        'conn: loop {
+            loop {
+                let next = match dec.next_raw() {
+                    Ok(Some(frame)) => sub.frame(&frame),
+                    Ok(None) => break,
+                    Err(_) => Next::Redial,
+                };
+                match next {
+                    Next::Read => {}
+                    Next::Redial => {
+                        sub.undecodable();
+                        conn.shutdown_stream();
+                        break 'conn;
+                    }
+                    Next::Exit => return,
+                }
+            }
+            match conn.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => dec.feed(&buf[..n]),
+            }
+        }
     }
 }
 
@@ -421,13 +504,14 @@ impl AnalyzerConn {
         let (tx, rx) = crossbeam::channel::unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ConnStats::default());
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                reader_loop(&*dialer, shard, of, &config, &stop, &stats, &tx)
-            })
+        let redial = Redial::new(dialer, &config, Some(Arc::clone(&stop)));
+        let feed = DataFeed {
+            dedup: SeqDedup::new(),
+            stats: Arc::clone(&stats),
+            tx,
         };
+        let role = Role::Analyzer { shard, of };
+        let thread = std::thread::spawn(move || subscriber_loop(redial, 0, role, feed));
         (
             AnalyzerConn {
                 stop,
@@ -462,102 +546,43 @@ impl Drop for AnalyzerConn {
     }
 }
 
-fn reader_loop(
-    dialer: &dyn Dialer,
-    shard: u32,
-    of: u32,
-    config: &LinkConfig,
-    stop: &AtomicBool,
-    stats: &ConnStats,
-    tx: &Sender<TracerFrame>,
-) {
-    let mut dedup = SeqDedup::new();
-    let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
-    let mut dials = 0u64;
-    let mut dial_failures = 0u32;
-    while !stop.load(Ordering::Relaxed) {
-        let mut conn = match dialer.dial() {
-            Ok(c) => c,
-            Err(_) => {
-                dial_failures += 1;
-                if dial_failures > config.max_flush_redials {
-                    return;
-                }
-                backoff.wait();
-                continue;
-            }
-        };
-        dial_failures = 0;
-        dials += 1;
-        if dials > 1 {
-            stats.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        if subscribe(&mut conn, shard, of, &dedup).is_err() {
-            backoff.wait();
-            continue;
-        }
-        backoff.reset();
-        let mut dec = FrameDecoder::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        'conn: loop {
-            loop {
-                match dec.next_raw() {
-                    Ok(Some(frame)) if frame.kind.is_data() => {
-                        if dedup.offer(frame.origin, frame.seq) == Freshness::Duplicate {
-                            stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        let Some(tracer_frame) = to_tracer_frame(&frame) else {
-                            stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            conn.shutdown_stream();
-                            break 'conn;
-                        };
-                        if tx.send(tracer_frame).is_err() {
-                            return; // analyzer gone: nothing left to feed
-                        }
-                        stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(Some(_)) => {} // control frames are not expected; ignore
-                    Ok(None) => break,
-                    Err(_) => {
-                        stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.shutdown_stream();
-                        break 'conn;
-                    }
-                }
-            }
-            match conn.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => dec.feed(&buf[..n]),
-            }
-        }
-    }
+/// [`AnalyzerConn`]'s handler: dedup, decode, forward, count.
+struct DataFeed {
+    dedup: SeqDedup,
+    stats: Arc<ConnStats>,
+    tx: Sender<TracerFrame>,
 }
 
-/// Writes Hello + Subscribe(All, resume positions) on a fresh connection.
-fn subscribe(
-    conn: &mut Box<dyn NetStream>,
-    shard: u32,
-    of: u32,
-    dedup: &SeqDedup,
-) -> std::io::Result<()> {
-    let mut bytes = encode_frame_to_vec(
-        FrameKind::Hello,
-        0,
-        0,
-        &encode_hello(Role::Analyzer { shard, of }),
-    );
-    let sub = Subscribe {
-        spec: SubscribeSpec::All,
-        resume: dedup.resume_positions(),
-    };
-    bytes.extend_from_slice(&encode_frame_to_vec(
-        FrameKind::Subscribe,
-        0,
-        0,
-        &encode_subscribe(&sub),
-    ));
-    conn.write_all(&bytes)
+impl Subscription for DataFeed {
+    fn resume(&self) -> Vec<(u32, u64)> {
+        self.dedup.resume_positions()
+    }
+
+    fn reconnects(&self) -> &AtomicU64 {
+        &self.stats.reconnects
+    }
+
+    fn frame(&mut self, frame: &RawFrame) -> Next {
+        if !frame.kind.is_data() {
+            return Next::Read; // control frames are not expected; ignore
+        }
+        if self.dedup.offer(frame.origin, frame.seq) == Freshness::Duplicate {
+            self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
+            return Next::Read;
+        }
+        let Some(tracer_frame) = to_tracer_frame(frame) else {
+            return Next::Redial;
+        };
+        if self.tx.send(tracer_frame).is_err() {
+            return Next::Exit; // analyzer gone: nothing left to feed
+        }
+        self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+        Next::Read
+    }
+
+    fn undecodable(&self) {
+        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Reverses [`TracerLink::send_frame`]'s payload mapping. Zero-copy: the
@@ -592,12 +617,11 @@ fn to_tracer_frame(frame: &RawFrame) -> Option<TracerFrame> {
 pub struct HintSender {
     shard: u32,
     of: u32,
-    dialer: Box<dyn Dialer>,
-    config: LinkConfig,
+    redial: Redial,
     conn: Option<Box<dyn NetStream>>,
     next_seq: u64,
-    backoff: Backoff,
-    dials: u64,
+    /// Connections dialed beyond the first.
+    redials: AtomicU64,
 }
 
 impl HintSender {
@@ -607,12 +631,10 @@ impl HintSender {
         HintSender {
             shard,
             of,
-            backoff: Backoff::new(config.backoff_base, config.backoff_cap),
-            config,
-            dialer,
+            redial: Redial::new(dialer, &config, None),
             conn: None,
             next_seq: 1,
-            dials: 0,
+            redials: AtomicU64::new(0),
         }
     }
 
@@ -628,53 +650,27 @@ impl HintSender {
     pub fn send(&mut self, state: &HintState) -> Option<u64> {
         let seq = self.next_seq;
         let frame = encode_frame_to_vec(FrameKind::Hint, self.origin(), seq, &encode_hint(state));
-        let mut redials = 0u32;
+        self.redial.renew();
         loop {
-            if self.conn.is_none() {
-                match self.dialer.dial() {
-                    Ok(mut conn) => {
-                        self.dials += 1;
-                        let hello = encode_frame_to_vec(
-                            FrameKind::Hello,
-                            self.origin(),
-                            0,
-                            &encode_hello(Role::Analyzer {
-                                shard: self.shard,
-                                of: self.of,
-                            }),
-                        );
-                        if conn.write_all(&hello).is_err() {
-                            redials += 1;
-                            if redials > self.config.max_flush_redials {
-                                return None;
-                            }
-                            self.backoff.wait();
-                            continue;
-                        }
-                        self.backoff.reset();
-                        self.conn = Some(conn);
-                    }
-                    Err(_) => {
-                        redials += 1;
-                        if redials > self.config.max_flush_redials {
-                            return None;
-                        }
-                        self.backoff.wait();
-                        continue;
-                    }
+            let mut conn = match self.conn.take() {
+                Some(conn) => conn,
+                None => {
+                    let role = Role::Analyzer {
+                        shard: self.shard,
+                        of: self.of,
+                    };
+                    let hello = hello(self.origin(), role);
+                    self.redial.connect(&hello, &self.redials)?
                 }
-            }
-            let conn = self.conn.as_mut().expect("connected above");
+            };
             if conn.write_all(&frame).is_ok() {
+                self.conn = Some(conn);
                 self.next_seq += 1;
                 return Some(seq);
             }
-            self.conn = None;
-            redials += 1;
-            if redials > self.config.max_flush_redials {
+            if !self.redial.retry() {
                 return None;
             }
-            self.backoff.wait();
         }
     }
 }
@@ -684,7 +680,7 @@ impl std::fmt::Debug for HintSender {
         f.debug_struct("HintSender")
             .field("shard", &self.shard)
             .field("next_seq", &self.next_seq)
-            .field("dials", &self.dials)
+            .field("redials", &self.redials)
             .finish_non_exhaustive()
     }
 }
@@ -720,14 +716,14 @@ impl HintConn {
         let latest: Arc<Vec<AtomicU64>> =
             Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
         let reconnects = Arc::new(AtomicU64::new(0));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            let latest = Arc::clone(&latest);
-            let reconnects = Arc::clone(&reconnects);
-            std::thread::spawn(move || {
-                hint_reader_loop(&*dialer, node, &config, &stop, &latest, &reconnects, &tx)
-            })
+        let redial = Redial::new(dialer, &config, Some(Arc::clone(&stop)));
+        let feed = HintFeed {
+            latest: Arc::clone(&latest),
+            reconnects: Arc::clone(&reconnects),
+            tx,
         };
+        let role = Role::HintSub { node };
+        let thread = std::thread::spawn(move || subscriber_loop(redial, node, role, feed));
         (
             HintConn {
                 stop,
@@ -785,109 +781,48 @@ impl std::fmt::Debug for HintConn {
     }
 }
 
-fn hint_reader_loop(
-    dialer: &dyn Dialer,
-    node: u32,
-    config: &LinkConfig,
-    stop: &AtomicBool,
-    latest: &[AtomicU64],
-    reconnects: &AtomicU64,
-    tx: &Sender<HintState>,
-) {
-    let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
-    let mut dials = 0u64;
-    let mut dial_failures = 0u32;
-    while !stop.load(Ordering::Relaxed) {
-        let mut conn = match dialer.dial() {
-            Ok(c) => c,
-            Err(_) => {
-                dial_failures += 1;
-                if dial_failures > config.max_flush_redials {
-                    return;
-                }
-                backoff.wait();
-                continue;
-            }
-        };
-        dial_failures = 0;
-        dials += 1;
-        if dials > 1 {
-            reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-        if hint_subscribe(&mut conn, node, latest).is_err() {
-            backoff.wait();
-            continue;
-        }
-        backoff.reset();
-        let mut dec = FrameDecoder::new();
-        let mut buf = vec![0u8; 64 * 1024];
-        'conn: loop {
-            loop {
-                match dec.next_frame() {
-                    Ok(Some(frame)) if frame.kind == FrameKind::Hint => {
-                        let shard = (frame.origin & !HINT_ORIGIN_BIT) as usize;
-                        if shard >= latest.len() {
-                            conn.shutdown_stream();
-                            break 'conn;
-                        }
-                        if frame.seq <= latest[shard].load(Ordering::Acquire) {
-                            continue; // replay overlap after a reconnect
-                        }
-                        let Ok(state) = decode_hint(&frame.payload) else {
-                            conn.shutdown_stream();
-                            break 'conn;
-                        };
-                        if tx.send(state).is_err() {
-                            return; // agent gone: nothing left to feed
-                        }
-                        // Publish *after* the send so a reader observing
-                        // this mark finds the snapshot already enqueued.
-                        latest[shard].store(frame.seq, Ordering::Release);
-                    }
-                    Ok(Some(_)) => {} // other kinds are not expected; ignore
-                    Ok(None) => break,
-                    Err(_) => {
-                        conn.shutdown_stream();
-                        break 'conn;
-                    }
-                }
-            }
-            match conn.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => dec.feed(&buf[..n]),
-            }
-        }
-    }
+/// [`HintConn`]'s handler: bound-check the shard, skip what it already
+/// holds, decode, forward, then publish the shard's high-water mark.
+struct HintFeed {
+    latest: Arc<Vec<AtomicU64>>,
+    reconnects: Arc<AtomicU64>,
+    tx: Sender<HintState>,
 }
 
-/// Writes Hello(HintSub) + Subscribe(All, per-shard hint resume
-/// positions) on a fresh hint connection.
-fn hint_subscribe(
-    conn: &mut Box<dyn NetStream>,
-    node: u32,
-    latest: &[AtomicU64],
-) -> std::io::Result<()> {
-    let mut bytes = encode_frame_to_vec(
-        FrameKind::Hello,
-        node,
-        0,
-        &encode_hello(Role::HintSub { node }),
-    );
-    let sub = Subscribe {
-        spec: SubscribeSpec::All,
-        resume: latest
+impl Subscription for HintFeed {
+    fn resume(&self) -> Vec<(u32, u64)> {
+        self.latest
             .iter()
             .enumerate()
             .map(|(s, seq)| (HINT_ORIGIN_BIT | s as u32, seq.load(Ordering::Acquire)))
-            .collect(),
-    };
-    bytes.extend_from_slice(&encode_frame_to_vec(
-        FrameKind::Subscribe,
-        node,
-        0,
-        &encode_subscribe(&sub),
-    ));
-    conn.write_all(&bytes)
+            .collect()
+    }
+
+    fn reconnects(&self) -> &AtomicU64 {
+        &self.reconnects
+    }
+
+    fn frame(&mut self, frame: &RawFrame) -> Next {
+        if frame.kind != FrameKind::Hint {
+            return Next::Read; // other kinds are not expected; ignore
+        }
+        let Some(latest) = self.latest.get((frame.origin & !HINT_ORIGIN_BIT) as usize) else {
+            return Next::Redial;
+        };
+        if frame.seq <= latest.load(Ordering::Acquire) {
+            return Next::Read; // replay overlap after a reconnect
+        }
+        let Ok(state) = decode_hint(frame.payload()) else {
+            return Next::Redial;
+        };
+        if self.tx.send(state).is_err() {
+            return Next::Exit; // agent gone: nothing left to feed
+        }
+        // Publish *after* the send so a reader observing this mark finds
+        // the snapshot already enqueued.
+        latest.store(frame.seq, Ordering::Release);
+        Next::Read
+    }
 }
 
 #[cfg(test)]
@@ -911,7 +846,6 @@ mod tests {
             AnalyzerConn::spawn(Box::new(listener.dialer()), 0, 1, LinkConfig::immediate());
 
         let mut link = TracerLink::new(3, Box::new(listener.dialer()), LinkConfig::immediate());
-        FrameSink::announce(&mut link, &[(3, 4)]);
         link.send_frame(batch(b"alpha"));
         link.send_frame(batch(b"beta"));
 
@@ -947,15 +881,13 @@ mod tests {
             AnalyzerConn::spawn(Box::new(listener.dialer()), 0, 1, LinkConfig::immediate());
 
         // First connection dies 10 bytes into the second data frame
-        // (handshake ≈ hello 31 + announce 38 bytes; first data frame is
-        // fully written, the second is interrupted).
+        // (handshake = hello 31 bytes; first data frame is fully written,
+        // the second is interrupted).
         let hello_len = 31u64;
-        let announce_len = 38u64;
         let data_len = 26 + 5; // header + payload "alpha"
-        let cut_at = hello_len + announce_len + data_len + 10;
+        let cut_at = hello_len + data_len + 10;
         let dialer = FaultyDialer::new(listener.dialer(), vec![FaultPlan::cut_write_at(cut_at)]);
         let mut link = TracerLink::new(9, Box::new(dialer), LinkConfig::immediate());
-        FrameSink::announce(&mut link, &[(9, 1)]);
         link.send_frame(batch(b"alpha"));
         link.send_frame(batch(b"bravo"));
         link.send_frame(batch(b"gamma"));
@@ -992,27 +924,56 @@ mod tests {
 
     #[test]
     fn bounded_queue_drops_oldest_and_counts_when_unreachable() {
-        // A dialer that always fails: frames pile up in the bounded queue.
-        struct DeadDialer;
+        // A dialer that always fails and counts its attempts: frames pile
+        // up in the bounded queue, and every client spends exactly its
+        // redial budget — the first dial plus `max_flush_redials` more —
+        // before it gives up.
+        struct DeadDialer(Arc<AtomicU64>);
         impl Dialer for DeadDialer {
             fn dial(&self) -> std::io::Result<Box<dyn NetStream>> {
+                self.0.fetch_add(1, Ordering::Relaxed);
                 Err(std::io::Error::new(
                     std::io::ErrorKind::ConnectionRefused,
                     "down",
                 ))
             }
         }
+        let dials = Arc::new(AtomicU64::new(0));
+        let dead = || Box::new(DeadDialer(Arc::clone(&dials)));
+        let taken = || dials.swap(0, Ordering::Relaxed);
         let mut config = LinkConfig::immediate();
         config.queue_capacity = 2;
-        config.max_flush_redials = 0;
-        let mut link = TracerLink::new(1, Box::new(DeadDialer), config);
+        config.max_flush_redials = 2;
+        let budget = u64::from(config.max_flush_redials) + 1;
+
+        let mut link = TracerLink::new(1, dead(), config.clone());
+        assert_eq!(link.send_frame(batch(&[0])), 0);
+        assert_eq!(taken(), budget, "one flush spends one budget");
         let mut dropped = 0;
-        for i in 0..5u8 {
+        for i in 1..5u8 {
             dropped += link.send_frame(batch(&[i]));
         }
         assert_eq!(dropped, 3, "capacity 2: three oldest frames evicted");
         assert_eq!(link.stats().queue.dropped_oldest, 3);
         assert_eq!(link.backlog(), 2);
+        assert_eq!(link.stats().redials, 0, "no dial ever succeeded");
+        taken();
+
+        let mut sender = HintSender::new(0, 1, dead(), config.clone());
+        let state = HintState {
+            shard: 0,
+            of: 1,
+            edges: vec![],
+        };
+        assert_eq!(sender.send(&state), None);
+        assert_eq!(taken(), budget, "one send spends one budget");
+
+        let (mut conn, rx) = AnalyzerConn::spawn(dead(), 0, 1, config);
+        // The reader exits on its own — dropping its sender — once the
+        // budget is spent; only then is the count final.
+        assert!(rx.recv().is_err(), "the reader gave up");
+        assert_eq!(taken(), budget, "the reader spends one budget");
+        conn.stop();
     }
 
     /// The seq mark is published *after* the snapshot is enqueued (that

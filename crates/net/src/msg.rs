@@ -1,5 +1,5 @@
 //! Control-plane payloads carried inside [`frame`](crate::frame)
-//! envelopes: peer introduction, edge announcement, and subscription.
+//! envelopes: peer introduction, subscription and reduction hints.
 //!
 //! Encodings are fixed-width big-endian with explicit counts, and every
 //! decoded count is capped against the bytes actually present before any
@@ -26,8 +26,9 @@ pub enum Role {
         of: u32,
     },
     /// A tracer's hint-subscription connection (the feedback direction).
-    /// Distinct from [`Role::Tracer`] so its disconnect cannot disturb
-    /// the data link's announce state in the registry.
+    /// Distinct from [`Role::Tracer`] so it receives hints, not data, and
+    /// neither waits for nor holds back the broker's handoff between the
+    /// same tracer's data connections.
     HintSub {
         /// Node index of the tracer subscribing to reduction hints.
         node: u32,
@@ -73,78 +74,27 @@ pub fn decode_hello(payload: &[u8]) -> Result<Role, FrameError> {
     Ok(role)
 }
 
-/// Encodes an `Announce` payload: the directed edges a tracer owns.
-pub fn encode_announce(edges: &[(u32, u32)]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(4 + edges.len() * 8);
-    v.extend_from_slice(&(edges.len() as u32).to_be_bytes());
-    for &(src, dst) in edges {
-        v.extend_from_slice(&src.to_be_bytes());
-        v.extend_from_slice(&dst.to_be_bytes());
-    }
-    v
-}
-
-/// Decodes an `Announce` payload.
-pub fn decode_announce(payload: &[u8]) -> Result<Vec<(u32, u32)>, FrameError> {
-    let mut r = Reader::new(payload);
-    let edges = r.counted(8, |r| Ok((r.u32()?, r.u32()?)))?;
-    r.end()?;
-    Ok(edges)
-}
-
-/// What an analyzer subscribes to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubscribeSpec {
-    /// Every edge any tracer announces (the sharded-analyzer default:
-    /// shards partition *roots*, but every shard correlates against every
-    /// edge signal).
-    All,
-    /// Only streams whose announced edges intersect this set.
-    Edges(Vec<(u32, u32)>),
-}
-
-/// The `Subscribe` payload: the spec, plus per-origin resume positions —
-/// the highest sequence number the analyzer fully ingested from each
+/// Encodes a `Subscribe` payload: per-origin resume positions — the
+/// highest sequence number the subscriber fully ingested from each
 /// origin, so a reconnecting subscriber is replayed only what it missed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Subscribe {
-    /// Which streams to receive.
-    pub spec: SubscribeSpec,
-    /// `(origin, last fully received seq)` pairs.
-    pub resume: Vec<(u32, u64)>,
-}
-
-/// Encodes a `Subscribe` payload.
-pub fn encode_subscribe(sub: &Subscribe) -> Vec<u8> {
-    let mut v = Vec::new();
-    match &sub.spec {
-        SubscribeSpec::All => v.extend_from_slice(&u32::MAX.to_be_bytes()),
-        SubscribeSpec::Edges(edges) => {
-            v.extend_from_slice(&(edges.len() as u32).to_be_bytes());
-            for &(src, dst) in edges {
-                v.extend_from_slice(&src.to_be_bytes());
-                v.extend_from_slice(&dst.to_be_bytes());
-            }
-        }
-    }
-    v.extend_from_slice(&(sub.resume.len() as u32).to_be_bytes());
-    for &(origin, seq) in &sub.resume {
+/// A subscriber always receives every stream.
+pub fn encode_subscribe(resume: &[(u32, u64)]) -> Vec<u8> {
+    let mut v = Vec::with_capacity(4 + resume.len() * 12);
+    v.extend_from_slice(&(resume.len() as u32).to_be_bytes());
+    for &(origin, seq) in resume {
         v.extend_from_slice(&origin.to_be_bytes());
         v.extend_from_slice(&seq.to_be_bytes());
     }
     v
 }
 
-/// Decodes a `Subscribe` payload.
-pub fn decode_subscribe(payload: &[u8]) -> Result<Subscribe, FrameError> {
+/// Decodes a `Subscribe` payload into its `(origin, last fully received
+/// seq)` resume positions.
+pub fn decode_subscribe(payload: &[u8]) -> Result<Vec<(u32, u64)>, FrameError> {
     let mut r = Reader::new(payload);
-    let spec = match r.u32()? {
-        u32::MAX => SubscribeSpec::All,
-        count => SubscribeSpec::Edges(r.elements(count, 8, |r| Ok((r.u32()?, r.u32()?)))?),
-    };
     let resume = r.counted(12, |r| Ok((r.u32()?, r.u64()?)))?;
     r.end()?;
-    Ok(Subscribe { spec, resume })
+    Ok(resume)
 }
 
 /// Encodes a `Hint` payload: one analyzer shard's full-state reduction
@@ -200,26 +150,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A `u32` count and then that many elements, each `width` bytes
-    /// long and read by `read` (see [`elements`](Self::elements)).
+    /// long and read by `read`. The count is capped against the bytes
+    /// left before anything is allocated for it.
     fn counted<T>(
         &mut self,
         width: usize,
-        read: impl FnMut(&mut Self) -> Result<T, FrameError>,
-    ) -> Result<Vec<T>, FrameError> {
-        let count = self.u32()?;
-        self.elements(count, width, read)
-    }
-
-    /// `count` elements, each `width` bytes long and read by `read`. The
-    /// count is capped against the bytes left before anything is
-    /// allocated for it.
-    fn elements<T>(
-        &mut self,
-        count: u32,
-        width: usize,
         mut read: impl FnMut(&mut Self) -> Result<T, FrameError>,
     ) -> Result<Vec<T>, FrameError> {
-        let count = count as usize;
+        let count = self.u32()? as usize;
         if count
             .checked_mul(width)
             .is_none_or(|len| len > self.rest.len())
@@ -287,34 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn announce_roundtrip() {
-        let edges = vec![(1, 2), (3, 4), (0, u32::MAX)];
-        assert_eq!(decode_announce(&encode_announce(&edges)), Ok(edges));
-        assert_eq!(decode_announce(&encode_announce(&[])), Ok(vec![]));
-        // Truncated body.
-        let enc = encode_announce(&[(1, 2)]);
-        assert!(decode_announce(&enc[..enc.len() - 1]).is_err());
-        // Absurd count with no bytes behind it.
-        assert!(decode_announce(&u32::MAX.to_be_bytes()).is_err());
-    }
-
-    #[test]
     fn subscribe_roundtrip() {
-        for sub in [
-            Subscribe {
-                spec: SubscribeSpec::All,
-                resume: vec![],
-            },
-            Subscribe {
-                spec: SubscribeSpec::All,
-                resume: vec![(3, 77), (9, u64::MAX)],
-            },
-            Subscribe {
-                spec: SubscribeSpec::Edges(vec![(1, 2), (2, 1)]),
-                resume: vec![(1, 5)],
-            },
-        ] {
-            assert_eq!(decode_subscribe(&encode_subscribe(&sub)), Ok(sub));
+        for resume in [vec![], vec![(3, 77), (9, u64::MAX)]] {
+            assert_eq!(decode_subscribe(&encode_subscribe(&resume)), Ok(resume));
         }
         assert!(decode_subscribe(&[]).is_err());
         assert!(decode_subscribe(&u32::MAX.to_be_bytes()).is_err());
@@ -335,20 +248,12 @@ mod tests {
         assert_eq!(decode_hello(&[1, 0, 0, 0, 2]), Err(Malformed));
         let hello = encode_hello(Role::Tracer { node: 3 });
         assert_eq!(decode_hello(&tail(hello)), Err(Malformed));
-        // Announce: no count, absurd count, trailing byte.
-        assert_eq!(decode_announce(&[0, 0]), Err(Malformed));
-        assert_eq!(decode_announce(&u32::MAX.to_be_bytes()), Err(Malformed));
-        let announce = encode_announce(&[(1, 2)]);
-        assert_eq!(decode_announce(&tail(announce)), Err(Malformed));
-        // Subscribe: no spec, an edge list short of its count, no resume
+        // Subscribe: no count, a resume list short of its count, absurd
         // count, trailing byte.
         assert_eq!(decode_subscribe(&[0xFF, 0xFF]), Err(Malformed));
         assert_eq!(decode_subscribe(&[0, 0, 0, 1, 0, 0, 0, 0]), Err(Malformed));
         assert_eq!(decode_subscribe(&u32::MAX.to_be_bytes()), Err(Malformed));
-        let subscribe = encode_subscribe(&Subscribe {
-            spec: SubscribeSpec::All,
-            resume: vec![(1, 5)],
-        });
+        let subscribe = encode_subscribe(&[(1, 5)]);
         assert_eq!(decode_subscribe(&tail(subscribe)), Err(Malformed));
         // Hint: short header, absurd count, trailing byte.
         assert_eq!(decode_hint(&[0; 11]), Err(Malformed));

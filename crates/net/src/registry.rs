@@ -1,104 +1,15 @@
-//! The broker's routing brain, kept as a pure state machine.
+//! Per-origin sequence bookkeeping, kept pure so property tests can
+//! drive arbitrary interleavings of publishes and replays.
 //!
-//! All announce/subscribe/disconnect bookkeeping lives here with no IO,
-//! so property tests can drive arbitrary interleavings of peer events and
-//! assert the two invariants that make the distributed pipeline correct:
-//!
-//! 1. **No lost subscription** — an analyzer's subscription survives
-//!    tracer churn (disconnects, re-announces) until the analyzer itself
-//!    disconnects.
-//! 2. **No double delivery** — per-origin sequence numbers plus
-//!    [`SeqDedup`] on the consuming side mean a frame replayed across a
-//!    reconnect is ingested at most once.
+//! Tracers number their data frames per origin, and the numbering
+//! persists across reconnects. [`SeqDedup`] on each consuming side — the
+//! broker's inbound relay and every analyzer connection — turns that into
+//! **no double delivery**: a frame replayed across a reconnect is
+//! ingested at most once. Its high-water marks double as the resume
+//! positions a reconnecting subscriber sends. There is no routing state:
+//! every subscriber receives every stream.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use crate::msg::SubscribeSpec;
-
-/// A connected peer's id as assigned by the broker (connection-scoped).
-pub type PeerId = u64;
-
-/// A subscriber's registered interest.
-#[derive(Debug, Clone)]
-pub struct Subscriber {
-    /// What the subscriber wants.
-    pub spec: SubscribeSpec,
-}
-
-/// Pure routing state: which tracers own which edges, which analyzers
-/// subscribed to what.
-#[derive(Debug, Default)]
-pub struct Registry {
-    /// Tracer origin → the edges it announced (latest announce wins).
-    announced: BTreeMap<u32, BTreeSet<(u32, u32)>>,
-    /// Subscriber peer → interest.
-    subscribers: BTreeMap<PeerId, Subscriber>,
-}
-
-impl Registry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    /// Records (or replaces) a tracer's announced edge set. Re-announcing
-    /// after a reconnect is idempotent.
-    pub fn announce(&mut self, origin: u32, edges: &[(u32, u32)]) {
-        self.announced
-            .insert(origin, edges.iter().copied().collect());
-    }
-
-    /// Removes a tracer's announcement (its connection died). Announced
-    /// edges are forgotten, but subscriptions referencing them persist —
-    /// a tracer reconnecting and re-announcing resumes routing unchanged.
-    pub fn tracer_disconnected(&mut self, origin: u32) {
-        self.announced.remove(&origin);
-    }
-
-    /// Registers (or replaces) a subscriber's interest.
-    pub fn subscribe(&mut self, peer: PeerId, spec: SubscribeSpec) {
-        self.subscribers.insert(peer, Subscriber { spec });
-    }
-
-    /// Removes a subscriber entirely (its connection died and the broker
-    /// has torn down its delivery state).
-    pub fn subscriber_disconnected(&mut self, peer: PeerId) {
-        self.subscribers.remove(&peer);
-    }
-
-    /// Whether the peer currently holds a subscription.
-    pub fn is_subscribed(&self, peer: PeerId) -> bool {
-        self.subscribers.contains_key(&peer)
-    }
-
-    /// Number of live subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// The edges a tracer currently has announced (empty if none).
-    pub fn edges_of(&self, origin: u32) -> Vec<(u32, u32)> {
-        self.announced
-            .get(&origin)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Subscribers a data frame from `origin` should reach, in peer-id
-    /// order (deterministic fan-out).
-    pub fn route(&self, origin: u32) -> Vec<PeerId> {
-        let edges = self.announced.get(&origin);
-        self.subscribers
-            .iter()
-            .filter(|(_, sub)| match (&sub.spec, edges) {
-                (SubscribeSpec::All, _) => true,
-                (SubscribeSpec::Edges(_), None) => false,
-                (SubscribeSpec::Edges(want), Some(have)) => want.iter().any(|e| have.contains(e)),
-            })
-            .map(|(&peer, _)| peer)
-            .collect()
-    }
-}
+use std::collections::BTreeMap;
 
 /// Verdict of offering a frame to [`SeqDedup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,37 +66,6 @@ impl SeqDedup {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn route_matches_all_and_edge_subscribers() {
-        let mut reg = Registry::new();
-        reg.announce(1, &[(1, 2), (2, 3)]);
-        reg.subscribe(10, SubscribeSpec::All);
-        reg.subscribe(11, SubscribeSpec::Edges(vec![(2, 3)]));
-        reg.subscribe(12, SubscribeSpec::Edges(vec![(9, 9)]));
-        assert_eq!(reg.route(1), vec![10, 11]);
-        assert_eq!(reg.route(99), vec![10], "unknown origin still reaches All");
-    }
-
-    #[test]
-    fn subscription_survives_tracer_churn() {
-        let mut reg = Registry::new();
-        reg.subscribe(10, SubscribeSpec::Edges(vec![(1, 2)]));
-        reg.announce(1, &[(1, 2)]);
-        assert_eq!(reg.route(1), vec![10]);
-        reg.tracer_disconnected(1);
-        assert!(reg.is_subscribed(10), "subscription outlives the tracer");
-        reg.announce(1, &[(1, 2)]);
-        assert_eq!(reg.route(1), vec![10], "re-announce restores routing");
-    }
-
-    #[test]
-    fn reannounce_replaces_edges() {
-        let mut reg = Registry::new();
-        reg.announce(1, &[(1, 2)]);
-        reg.announce(1, &[(3, 4)]);
-        assert_eq!(reg.edges_of(1), vec![(3, 4)]);
-    }
 
     #[test]
     fn dedup_rejects_replayed_and_accepts_fresh() {

@@ -14,12 +14,11 @@ use e2eprof_net::frame::{
     HEADER_LEN, MAX_PAYLOAD_LEN,
 };
 use e2eprof_net::msg::{
-    decode_announce, decode_hello, decode_hint, decode_subscribe, encode_announce, encode_hello,
-    encode_hint, encode_subscribe, Role, Subscribe, SubscribeSpec,
+    decode_hello, decode_hint, decode_subscribe, encode_hello, encode_hint, encode_subscribe, Role,
 };
 
-/// A realistic multi-frame stream: handshake, announce, then data of both
-/// kinds — the shapes a broker connection actually carries.
+/// A realistic multi-frame stream: handshake, then data of both kinds —
+/// the shapes a broker connection actually carries.
 fn sample_stream() -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame(
@@ -27,13 +26,6 @@ fn sample_stream() -> Vec<u8> {
         3,
         0,
         &encode_hello(Role::Tracer { node: 3 }),
-        &mut out,
-    );
-    encode_frame(
-        FrameKind::Announce,
-        3,
-        0,
-        &encode_announce(&[(3, 0), (1, 3)]),
         &mut out,
     );
     encode_frame(FrameKind::DataBatch, 3, 1, b"batch payload bytes", &mut out);
@@ -61,9 +53,9 @@ fn drain(stream: &[u8]) -> (Vec<Frame>, Option<FrameError>) {
 fn clean_stream_decodes_fully() {
     let (frames, err) = drain(&sample_stream());
     assert_eq!(err, None);
-    assert_eq!(frames.len(), 5);
-    assert_eq!(frames[2].seq, 1);
-    assert_eq!(frames[3].kind, FrameKind::DataSeries);
+    assert_eq!(frames.len(), 4);
+    assert_eq!(frames[1].seq, 1);
+    assert_eq!(frames[2].kind, FrameKind::DataSeries);
 }
 
 /// Truncation at *every* byte boundary: the decoder either waits for more
@@ -181,10 +173,13 @@ fn unknown_version_and_kind_are_typed_errors() {
     let (_, err) = drain(&bad_version);
     assert_eq!(err, Some(FrameError::UnsupportedVersion(9)));
 
-    let mut bad_kind = encode_frame_to_vec(FrameKind::Hello, 0, 0, &[]);
-    bad_kind[5] = 200;
-    let (_, err) = drain(&bad_kind);
-    assert_eq!(err, Some(FrameError::BadKind(200)));
+    // 200 was never a kind; 2 is retired (it announced a tracer's edges).
+    for kind in [200, 2] {
+        let mut bad_kind = encode_frame_to_vec(FrameKind::Hello, 0, 0, &[]);
+        bad_kind[5] = kind;
+        let (_, err) = drain(&bad_kind);
+        assert_eq!(err, Some(FrameError::BadKind(kind)));
+    }
 }
 
 /// Control-plane payload decoders take frame payloads that passed the CRC
@@ -195,28 +190,17 @@ fn unknown_version_and_kind_are_typed_errors() {
 fn control_payload_decoders_survive_hostile_payloads() {
     // Truncation at every offset of each control payload.
     let hello = encode_hello(Role::Analyzer { shard: 2, of: 4 });
-    let announce = encode_announce(&[(0, 1), (7, 3), (9, 9)]);
-    let subscribe = encode_subscribe(&Subscribe {
-        spec: SubscribeSpec::Edges(vec![(0, 1), (2, 3)]),
-        resume: vec![(3, 77), (9, 1)],
-    });
+    let subscribe = encode_subscribe(&[(3, 77), (9, 1)]);
     let hint = encode_hint(&HintState {
         shard: 1,
         of: 2,
         edges: vec![((0, 1), 16), ((7, 3), 64)],
     });
     assert_eq!(decode_hello(&hello), Ok(Role::Analyzer { shard: 2, of: 4 }));
-    assert!(decode_announce(&announce).is_ok());
     assert!(decode_subscribe(&subscribe).is_ok());
     assert!(decode_hint(&hint).is_ok());
     for cut in 0..hello.len() {
         assert!(decode_hello(&hello[..cut]).is_err(), "hello cut {cut}");
-    }
-    for cut in 0..announce.len() {
-        assert!(
-            decode_announce(&announce[..cut]).is_err(),
-            "announce cut {cut}"
-        );
     }
     for cut in 0..subscribe.len() {
         assert!(
@@ -230,7 +214,6 @@ fn control_payload_decoders_survive_hostile_payloads() {
     // Absurd declared element counts with no bytes behind them.
     let mut huge = Vec::new();
     huge.extend_from_slice(&u32::MAX.to_be_bytes());
-    assert!(decode_announce(&huge).is_err());
     assert!(decode_subscribe(&huge).is_err());
     let mut huge_hint = vec![0u8; 8];
     huge_hint.extend_from_slice(&u32::MAX.to_be_bytes());

@@ -1,124 +1,15 @@
-//! Property-based tests of the broker's routing/dedup state machine:
-//! arbitrary interleavings of announce, subscribe, tracer disconnect,
-//! re-announce, and subscriber churn must never lose an edge
-//! subscription, and the sequence-number dedup must deliver every
+//! Property-based tests of the per-origin sequence dedup shared by the
+//! broker and every analyzer connection: the dedup must deliver every
 //! published frame exactly once — no losses, no double delivery — no
-//! matter how publishes interleave with replays.
+//! matter how publishes interleave with replays, and its resume positions
+//! must carry its frontier to a fresh tracker.
 
-use e2eprof_net::registry::{Freshness, Registry, SeqDedup};
+use e2eprof_net::registry::{Freshness, SeqDedup};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// One scripted operation against the registry.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Tracer `origin` announces edges derived from the seed list.
-    Announce { origin: u32, edges: Vec<(u32, u32)> },
-    /// Tracer `origin` disconnects (its announcements are forgotten).
-    TracerGone { origin: u32 },
-    /// Peer subscribes to everything.
-    SubscribeAll { peer: u64 },
-    /// Peer subscribes to the given edges only.
-    SubscribeEdges { peer: u64, edges: Vec<(u32, u32)> },
-    /// Subscriber disconnects.
-    SubscriberGone { peer: u64 },
-}
-
-fn edge_strategy() -> impl Strategy<Value = (u32, u32)> {
-    (0u32..4, 0u32..4)
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0u32..3, prop::collection::vec(edge_strategy(), 0..4))
-            .prop_map(|(origin, edges)| Op::Announce { origin, edges }),
-        1 => (0u32..3).prop_map(|origin| Op::TracerGone { origin }),
-        2 => (0u64..4).prop_map(|peer| Op::SubscribeAll { peer }),
-        2 => (0u64..4, prop::collection::vec(edge_strategy(), 1..4))
-            .prop_map(|(peer, edges)| Op::SubscribeEdges { peer, edges }),
-        1 => (0u64..4).prop_map(|peer| Op::SubscriberGone { peer }),
-    ]
-}
-
-/// A naive model of what the registry must guarantee, updated in
-/// lockstep with the real one.
-#[derive(Default)]
-struct Model {
-    announced: BTreeMap<u32, BTreeSet<(u32, u32)>>,
-    /// peer -> None = all, Some(set) = edge filter.
-    subs: BTreeMap<u64, Option<BTreeSet<(u32, u32)>>>,
-}
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Subscriptions survive any interleaving of tracer churn: after any
-    /// op sequence, `route` delivers to exactly the peers the model says
-    /// should receive each origin's data.
-    #[test]
-    fn subscriptions_are_never_lost_under_churn(
-        ops in prop::collection::vec(op_strategy(), 1..40),
-    ) {
-        let mut reg = Registry::new();
-        let mut model = Model::default();
-        for op in &ops {
-            match op.clone() {
-                Op::Announce { origin, edges } => {
-                    reg.announce(origin, &edges);
-                    model.announced.insert(origin, edges.into_iter().collect());
-                }
-                Op::TracerGone { origin } => {
-                    reg.tracer_disconnected(origin);
-                    model.announced.remove(&origin);
-                }
-                Op::SubscribeAll { peer } => {
-                    reg.subscribe(peer, e2eprof_net::msg::SubscribeSpec::All);
-                    model.subs.insert(peer, None);
-                }
-                Op::SubscribeEdges { peer, edges } => {
-                    reg.subscribe(
-                        peer,
-                        e2eprof_net::msg::SubscribeSpec::Edges(edges.clone()),
-                    );
-                    model.subs.insert(peer, Some(edges.into_iter().collect()));
-                }
-                Op::SubscriberGone { peer } => {
-                    reg.subscriber_disconnected(peer);
-                    model.subs.remove(&peer);
-                }
-            }
-            // After *every* op, routing must match the model exactly for
-            // every possible origin.
-            for origin in 0u32..3 {
-                let got: BTreeSet<u64> = reg.route(origin).into_iter().collect();
-                let announced = model.announced.get(&origin);
-                let want: BTreeSet<u64> = model
-                    .subs
-                    .iter()
-                    .filter(|(_, spec)| match spec {
-                        None => true,
-                        Some(filter) => announced.is_some_and(|edges| {
-                            edges.iter().any(|e| filter.contains(e))
-                        }),
-                    })
-                    .map(|(&peer, _)| peer)
-                    .collect();
-                prop_assert_eq!(
-                    got, want,
-                    "origin {} after {:?}", origin, op
-                );
-            }
-        }
-        // Routing order must be deterministic (peer-id order) — the
-        // broker's delivery order must not depend on map iteration
-        // accidents.
-        for origin in 0u32..3 {
-            let order = reg.route(origin);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            prop_assert_eq!(order, sorted);
-        }
-    }
 
     /// Exactly-once: an arbitrary interleaving of fresh publishes and
     /// replayed prefixes (what reconnecting tracers produce) passes each
