@@ -187,137 +187,6 @@ pub fn idle_mesh_sim(
     Simulation::new(t.build().unwrap(), seed)
 }
 
-/// Builds the edge-reduction fanout deployment: one front end serves a
-/// traced client (`cli`, bursting in `[0, 1)` of each 4 s period at a
-/// regular `cli_step_ms` cadence) through a single hot backend, plus
-/// `backends` cold backends fed by a separate `noise` client bursting
-/// one request every `noise_step_ms` inside the time-disjoint
-/// `[2.2, 3.2)` window.
-///
-/// With the lag bound `T_u` well under the 1.2 s gap between the burst
-/// windows, the noise edges carry live traffic but zero causal evidence
-/// for `cli` — their supports are disjoint from its root signal, so an
-/// analyzer owning only the `cli` root (with reduction on) demotes them
-/// to coarse streaming.
-/// This is the workload behind the `reduction_fanout` bench: most of the
-/// deployment's bytes belong to edges the owned root does not need at
-/// full resolution. The caller still has to `run_until` the returned
-/// simulation.
-pub fn noise_fanout_sim(
-    backends: usize,
-    cli_step_ms: u64,
-    noise_step_ms: u64,
-    seed: u64,
-    total_secs: f64,
-) -> Simulation {
-    let burst_trace = |on_start: f64, on_end: f64, step_ms: u64| {
-        let mut arrivals = Vec::new();
-        let mut cycle = 0.0;
-        while cycle < total_secs {
-            let mut t = cycle + on_start;
-            while t < cycle + on_end && t < total_secs {
-                arrivals.push(Nanos::from_nanos((t * 1e9) as u64));
-                t += step_ms as f64 / 1e3;
-            }
-            cycle += 4.0;
-        }
-        Workload::trace(arrivals)
-    };
-    let cli_trace = burst_trace(0.0, 1.0, cli_step_ms);
-    let noise_trace = burst_trace(2.2, 3.2, noise_step_ms);
-    let mut t = TopologyBuilder::new();
-    let bid = t.service_class("bid");
-    let other = t.service_class("other");
-    let web = t.service("web", ServiceConfig::new(DelayDist::constant_millis(2)));
-    let hot = t.service("hot", ServiceConfig::new(DelayDist::exponential_millis(10)));
-    t.connect(web, hot, DelayDist::constant_millis(1));
-    t.route(web, bid, Route::fixed(hot));
-    t.route(hot, bid, Route::terminal());
-    let mut cold = Vec::new();
-    for i in 0..backends {
-        let s = t.service(
-            &format!("s{i}"),
-            ServiceConfig::new(DelayDist::exponential_millis(10)),
-        );
-        t.connect(web, s, DelayDist::constant_millis(1));
-        t.route(s, other, Route::terminal());
-        cold.push(s);
-    }
-    t.route(web, other, Route::round_robin(cold));
-    let cli = t.client("cli", bid, web, cli_trace);
-    t.connect(cli, web, DelayDist::constant_millis(1));
-    let noise = t.client("noise", other, web, noise_trace);
-    t.connect(noise, web, DelayDist::constant_millis(1));
-    Simulation::new(t.build().unwrap(), seed)
-}
-
-/// The `noise_fanout_sim` deployment with an *ebbing* background client:
-/// `ebb` bursts in `[2.2, 3.2)` of each 4 s period (5 ms regular cadence)
-/// only while the period starts before `silent_from` or at/after
-/// `resume_at` seconds, and is completely silent in between. The traced
-/// `cli` client bursts in `[0, 1)` of every period (20 ms cadence)
-/// throughout.
-///
-/// The silence is what makes the backend tier demotable in a *sharded*
-/// deployment, where every client is some shard's root: while `ebb` is
-/// live its own shard keeps its edges overlapping its root, so the unanimous
-/// [`effective_levels`](e2eprof_core::reduction::effective_levels) merge
-/// leaves them fine. Once the window slides past the last ebb burst the
-/// edges go cold on every shard and demote; the resumed bursts then
-/// trigger the promote-overlap check and a fine backfill. This is the
-/// workload behind the reduction fault-injection tests. The caller still
-/// has to `run_until` the returned simulation.
-pub fn ebbing_fanout_sim(
-    backends: usize,
-    seed: u64,
-    silent_from: f64,
-    resume_at: f64,
-    total_secs: f64,
-) -> Simulation {
-    let burst_trace = |on_start: f64, on_end: f64, step_ms: u64, gated: bool| {
-        let mut arrivals = Vec::new();
-        let mut cycle = 0.0;
-        while cycle < total_secs {
-            let active = !gated || cycle < silent_from || cycle >= resume_at;
-            if active {
-                let mut t = cycle + on_start;
-                while t < cycle + on_end && t < total_secs {
-                    arrivals.push(Nanos::from_nanos((t * 1e9) as u64));
-                    t += step_ms as f64 / 1e3;
-                }
-            }
-            cycle += 4.0;
-        }
-        Workload::trace(arrivals)
-    };
-    let cli_trace = burst_trace(0.0, 1.0, 20, false);
-    let ebb_trace = burst_trace(2.2, 3.2, 5, true);
-    let mut t = TopologyBuilder::new();
-    let bid = t.service_class("bid");
-    let other = t.service_class("other");
-    let web = t.service("web", ServiceConfig::new(DelayDist::constant_millis(2)));
-    let hot = t.service("hot", ServiceConfig::new(DelayDist::exponential_millis(10)));
-    t.connect(web, hot, DelayDist::constant_millis(1));
-    t.route(web, bid, Route::fixed(hot));
-    t.route(hot, bid, Route::terminal());
-    let mut cold = Vec::new();
-    for i in 0..backends {
-        let s = t.service(
-            &format!("s{i}"),
-            ServiceConfig::new(DelayDist::exponential_millis(10)),
-        );
-        t.connect(web, s, DelayDist::constant_millis(1));
-        t.route(s, other, Route::terminal());
-        cold.push(s);
-    }
-    t.route(web, other, Route::round_robin(cold));
-    let cli = t.client("cli", bid, web, cli_trace);
-    t.connect(cli, web, DelayDist::constant_millis(1));
-    let ebb = t.client("ebb", other, web, ebb_trace);
-    t.connect(ebb, web, DelayDist::constant_millis(1));
-    Simulation::new(t.build().unwrap(), seed)
-}
-
 /// A minimal JSON value for machine-readable benchmark artifacts (the
 /// build has no JSON dependency; the subset here — objects, arrays,
 /// numbers, strings, booleans — is all the bench reports need).

@@ -31,16 +31,11 @@ pub(crate) struct Stream {
     /// that did not wake — the wake set proves it quiet — and between
     /// refreshes.
     pub(super) quiet: bool,
-    /// Whether discovery sees the stream (the reduction tier does not hold
-    /// its edge). Set when the signal index is rebuilt, on every
-    /// from-scratch refresh — which every change of the reduction status
-    /// set forces.
-    pub(super) visible: bool,
     /// Lazy-deletion stamp: a calendar entry with an older stamp is stale.
     stamp: u32,
     /// The owned roots that read the stream: those holding a pair on it
     /// and the one whose source it is. May still name a root that has
-    /// dropped its pair since (a heal, a demotion) — that only wakes it.
+    /// dropped its pair since (a heal) — that only wakes it.
     pub(super) readers: Vec<usize>,
 }
 
@@ -54,7 +49,6 @@ impl Stream {
             seen: None,
             awake: true,
             quiet: true,
-            visible: false,
             stamp: 0,
             readers: Vec::new(),
         }
@@ -124,8 +118,8 @@ pub(super) struct RefreshMemory {
     pub(super) prev: Option<(Tick, Tick, Tick)>,
     /// Generation of the signal-edge set at that refresh
     /// ([`OnlineAnalyzer::signal_generation`]). Any change — an edge
-    /// appearing or moving through the reduction tier — dirties every
-    /// root, because exploration enumerates candidate edges from the set.
+    /// appearing — dirties every root, because exploration enumerates
+    /// candidate edges from the set.
     generation: u64,
     /// Order-free digest of the signal-edge set at that refresh, against
     /// which debug builds check that an unchanged generation means an
@@ -135,12 +129,11 @@ pub(super) struct RefreshMemory {
 }
 
 impl OnlineAnalyzer {
-    /// The generation of the signal-edge set: it moves exactly when a fine
-    /// stream is first seen (streams are never removed) or an edge enters
-    /// or leaves the reduction tier's status set — the two ways the set of
-    /// edges discovery sees can change.
+    /// The generation of the signal-edge set: the stream count, which
+    /// moves exactly when a fine stream is first seen (streams are never
+    /// removed) — the one way the set of edges discovery sees can change.
     fn signal_generation(&self) -> u64 {
-        self.streams.list.len() as u64 + self.reduction.as_ref().map_or(0, |red| red.generation)
+        self.streams.list.len() as u64
     }
 
     /// Drops everything the refresh memory stands for, so the next refresh
@@ -229,17 +222,12 @@ impl OnlineAnalyzer {
         let roots = &mut self.roots;
         if from_scratch {
             calendar.clear();
-            let reduction = self.reduction.as_ref();
-            for stream in streams.iter_mut() {
-                stream.awake = true;
-                stream.visible = !reduction.is_some_and(|red| red.holds(&stream.edge));
-            }
+            streams.iter_mut().for_each(|stream| stream.awake = true);
             roots.iter_mut().for_each(|root| root.awake = true);
             self.signals.reindex(
                 streams
                     .iter()
                     .enumerate()
-                    .filter(|(_, stream)| stream.visible)
                     .map(|(i, stream)| (stream.edge, i)),
             );
         } else {
@@ -264,7 +252,7 @@ impl OnlineAnalyzer {
         for (i, (view, stream)) in views.iter_mut().zip(streams.iter()).enumerate() {
             if stream.awake {
                 woken.push(i);
-            } else if stream.visible {
+            } else {
                 stream.window.restamp(view, start, data_end);
             }
         }
@@ -278,15 +266,8 @@ impl OnlineAnalyzer {
                     && !w.has_runs_in(start0, start + max_lag)
                     && !w.has_runs_in(end0, data_end)
             });
-            // Edges demoted by the reduction tier are invisible to
-            // discovery — their fine windows are stale by design and their
-            // coarse image only serves the promote-overlap check.
-            if stream.visible {
-                views[i] = w.view(start, data_end);
-            }
-            let still = stream.quiet
-                && stream.visible
-                && prev.is_some_and(|(start0, _, _)| w.start() <= start0);
+            views[i] = w.view(start, data_end);
+            let still = stream.quiet && prev.is_some_and(|(start0, _, _)| w.start() <= start0);
             if !still {
                 stream.readers.iter().for_each(|&r| roots[r].awake = true);
             }
@@ -319,16 +300,10 @@ impl OnlineAnalyzer {
         use e2eprof_timeseries::RleSeries;
         use std::hash::BuildHasher;
         let (start, end, data_end) = self.record.geometry;
-        let reduction = self.reduction.as_ref();
         let hasher = crate::hashing::FxBuildHasher::default();
-        let mut digest = 0u64;
-        for stream in &self.streams.list {
-            let visible = !reduction.is_some_and(|red| red.holds(&stream.edge));
-            assert_eq!(stream.visible, visible, "{:?}: stale index", stream.edge);
-            if visible {
-                digest = digest.wrapping_add(hasher.hash_one(stream.edge));
-            }
-        }
+        let digest = self.streams.list.iter().fold(0u64, |digest, stream| {
+            digest.wrapping_add(hasher.hash_one(stream.edge))
+        });
         if reusable {
             assert_eq!(
                 digest, self.memory.digest,
@@ -370,13 +345,11 @@ impl OnlineAnalyzer {
                 w.start() <= start0,
                 "{edge:?}: retention passed the last start"
             );
-            if stream.visible {
-                assert_eq!(
-                    bits(self.signals.view(i)),
-                    bits(&w.view(start, data_end)),
-                    "{edge:?}: re-stamped view"
-                );
-            }
+            assert_eq!(
+                bits(self.signals.view(i)),
+                bits(&w.view(start, data_end)),
+                "{edge:?}: re-stamped view"
+            );
         }
         for root in self.roots.iter().filter(|root| !root.awake) {
             let client = root.client;
@@ -482,47 +455,9 @@ mod tests {
             2 * skipped > pairs,
             "only {skipped}/{pairs} fine pairs skipped"
         );
-    }
-
-    #[test]
-    fn reduced_mesh_matches_the_forgetful_twin_across_a_heal() {
-        let (stats, analyzer) = assert_matches_forgetful_twin(
-            || mostly_idle_mesh(3),
-            reduced_cfg(),
-            100,
-            None,
-            Some(35),
-        );
-        assert_skips_resume_after_heal(&stats, 35);
-        assert!(
-            stats.iter().any(|s| s.fine_skipped > 0),
-            "no fine pair was ever skipped"
-        );
         assert!(
             stats.iter().any(|s| s.carried_verdicts > 0),
             "no verdict was ever carried"
-        );
-        // Every stack is one owned root's own: the other roots never
-        // consult its edges, so no edge is vouched dead by every root.
-        let red = analyzer.reduction_stats().expect("reduction enabled");
-        assert_eq!(red.demotions, 0, "an untracked pair counted as dead");
-    }
-
-    /// Demotions and promotions move the signal-edge generation, and a
-    /// promote's backfill heals a gap: the memory must survive all three.
-    #[test]
-    fn demotion_promotion_and_backfill_match_the_forgetful_twin() {
-        let (_, analyzer) = assert_matches_forgetful_twin(
-            || crate::testutil::shifting_fanout_sim(4, 23, 60.0),
-            fanout_cfg(Some(crate::config::ReductionConfig::default())),
-            56,
-            Some(1),
-            None,
-        );
-        let stats = analyzer.reduction_stats().expect("reduction enabled");
-        assert!(
-            stats.demotions > 0 && stats.promotions > 0,
-            "stats: {stats:?}"
         );
     }
 

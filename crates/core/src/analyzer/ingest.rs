@@ -57,12 +57,8 @@ impl OnlineAnalyzer {
         mut next: impl FnMut(&Receiver<TracerFrame>, usize) -> Option<TracerFrame>,
     ) -> usize {
         let mut count = 0;
-        // Scratch for materializing the coarse entries of demoted edges;
-        // retained across frames so steady-state ingest reuses one
-        // allocation.
-        let mut scratch_runs = Vec::new();
         while let Some(frame) = next(&self.rx, count) {
-            self.ingest_frame(&frame, &mut scratch_runs);
+            self.ingest_frame(&frame);
             count += 1;
         }
         count
@@ -70,7 +66,7 @@ impl OnlineAnalyzer {
 
     /// Applies one tracer frame to the sliding windows (see
     /// [`ingest`](Self::ingest) for the decoding contract).
-    fn ingest_frame(&mut self, frame: &TracerFrame, scratch_runs: &mut Vec<Run>) {
+    fn ingest_frame(&mut self, frame: &TracerFrame) {
         match frame {
             // No producer in this repo; removal waits for a `benchmark` PR.
             TracerFrame::Series { edge, payload } => {
@@ -82,32 +78,12 @@ impl OnlineAnalyzer {
                     chunk.runs().iter().copied(),
                 );
             }
-            // A backfill is ingested exactly like a batch: the promoted
-            // edge's retained fine window arrives as one (possibly
-            // gap-healing) chunk.
+            // No producer in this repo either: a `Backfill` is ingested
+            // exactly like the batch it carries.
             TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
                 let mut cursor = wire::FrameCursor::new(payload).expect("undecodable tracer frame");
                 while let Some(entry) = cursor.next_entry().expect("undecodable tracer frame") {
                     let edge = (NodeId::new(entry.key.0), NodeId::new(entry.key.1));
-                    if entry.level > 0 {
-                        // Level-tagged coarse entry of a demoted edge:
-                        // stream it into the edge's coarse store, never
-                        // into the fine window.
-                        while let Some(run) = cursor.next_run().expect("undecodable tracer frame") {
-                            scratch_runs.push(run);
-                        }
-                        let chunk = RleSeries::from_parts(
-                            entry.start,
-                            entry.len,
-                            std::mem::take(scratch_runs),
-                        );
-                        if let Some(red) = &mut self.reduction {
-                            red.feed_coarse(edge, entry.level, &chunk);
-                        }
-                        *scratch_runs = chunk.into_runs();
-                        scratch_runs.clear();
-                        continue;
-                    }
                     self.extend_window(
                         edge,
                         entry.start,
@@ -120,7 +96,7 @@ impl OnlineAnalyzer {
     }
 
     /// Appends one chunk — its span and its runs — to an edge's fine
-    /// window, tells the reduction tier, wakes the window for the coming
+    /// window, wakes the window for the coming
     /// refresh when the chunk may have made it non-quiet, and drops the
     /// correlators a healed gap invalidated.
     pub(super) fn extend_window(
@@ -141,9 +117,6 @@ impl OnlineAnalyzer {
         });
         let stream = &mut list[i];
         let healed = stream.window.extend_runs(start, len, runs);
-        if let Some(red) = &mut self.reduction {
-            red.fine_arrived(edge, &stream.window, (start, start + len));
-        }
         // The epoch moved (content entered or left retention), or the
         // retention start passed the last refresh's start, which a pair
         // standing at that window needs to advance or skip.
@@ -171,25 +144,15 @@ impl OnlineAnalyzer {
         }
         // A healed gap replaces window content wholesale without the
         // epoch/boundary bookkeeping the quiet predicate relies on; heals
-        // are rare (data loss, promote backfills), so drop the whole
+        // are rare (frames lost in transit), so drop the whole
         // cross-refresh memory rather than reason about partial validity.
         self.forget();
     }
 
     /// The newest tick for which *every* stream has data (streams drained
     /// to different points can only be analyzed up to the common prefix).
-    ///
-    /// Edges demoted by the reduction tier are excluded: their fine
-    /// windows stop advancing once the tracer applies the hint, and the
-    /// analysis frontier must not stall on them.
     pub fn common_end(&self) -> Option<Tick> {
-        let reduction = self.reduction.as_ref();
-        self.streams
-            .list
-            .iter()
-            .filter(|s| !reduction.is_some_and(|red| red.holds(&s.edge)))
-            .map(|s| s.window.end())
-            .min()
+        self.streams.list.iter().map(|s| s.window.end()).min()
     }
 }
 

@@ -47,10 +47,9 @@
 //! The module is split along the refresh's decisions, one file each:
 //! `ingest` (frames into windows, waking what may have moved), `gate` (the
 //! streams, the wake set and the refresh memory) and `phases` (the roots,
-//! Phase 1's steps and Phase 2's discovery). The analyzer half of the
-//! reduction tier is [`crate::reduction`]'s. This file holds the analyzer,
-//! `refresh` — which runs geometry, the reduction pass, the gate, Phase 1,
-//! Phase 2 and publishing in turn — and the refresh record: what
+//! Phase 1's steps and Phase 2's discovery). This file holds the analyzer,
+//! `refresh` — which runs geometry, the gate, Phase 1, Phase 2 and
+//! publishing in turn — and the refresh record: what
 //! the last refresh did, filled in as its phases run, of which
 //! [`incremental_stats`](OnlineAnalyzer::incremental_stats) and
 //! [`scratch_counters`](OnlineAnalyzer::scratch_counters) are views.
@@ -65,7 +64,6 @@ pub(crate) use self::gate::Streams;
 pub(crate) use self::phases::Root;
 pub use self::phases::FORK_WORTH;
 pub use crate::pathmap::ScratchCounters;
-pub use crate::reduction::ReductionStats;
 
 use self::gate::{Calendar, RefreshMemory};
 use self::phases::{pool_for, Step};
@@ -74,7 +72,6 @@ use crate::config::PathmapConfig;
 use crate::graph::{NodeLabels, ServiceGraph};
 use crate::parallel::ScratchPool;
 use crate::pathmap::{IncrementalStats, Pathmap, ScreeningStats};
-use crate::reduction::{reduction_pass, HintState, ReductionState};
 use crate::signals::EdgeSignals;
 use crate::tracer::TracerFrame;
 use crossbeam::channel::{Receiver, Sender};
@@ -117,8 +114,6 @@ pub struct OnlineAnalyzer {
     capacity: u64,
     /// Subscribers receiving every refresh's graphs.
     subscribers: Vec<Sender<GraphUpdate>>,
-    /// Edge-side data-reduction tier, when configured.
-    reduction: Option<ReductionState>,
     /// Window-slide scratch, one per concurrently running refresh worker,
     /// shared by every pair and kept across refreshes.
     slide_scratch: ScratchPool<SlideScratch>,
@@ -247,9 +242,8 @@ impl OnlineAnalyzer {
     /// # Panics
     ///
     /// Panics if two roots share a client: a client's source signal is its
-    /// one `(client, front)` stream — heals and the reduction tier's coarse
-    /// source images go by client — so two fronts of one client would mix
-    /// their evidence.
+    /// one `(client, front)` stream — heals go by client — so two fronts of
+    /// one client would mix their evidence.
     ///
     /// Panics if `universe` misses an owned root's client: exploration
     /// refuses to recurse only into the clients it knows, so that root's
@@ -287,9 +281,6 @@ impl OnlineAnalyzer {
             change: ChangeTracker::new(),
             capacity,
             subscribers: Vec::new(),
-            reduction: config
-                .reduction()
-                .map(|&cfg| ReductionState::new(cfg, config.max_lag(), capacity)),
             slide_scratch: ScratchPool::default(),
             memory: RefreshMemory::default(),
             record: RefreshRecord::default(),
@@ -327,12 +318,6 @@ impl OnlineAnalyzer {
             return Vec::new();
         };
         let last = self.record.begin(geometry);
-        // Edge-side reduction decisions (when configured), ahead of
-        // everything that reads the signal set. The hint snapshot they
-        // leave is taken with [`take_hints`](Self::take_hints).
-        if let Some(red) = self.reduction.as_mut() {
-            reduction_pass(red, &self.streams, &mut self.roots, geometry);
-        }
         let (reusable, from_scratch) = self.open_gate();
         // A phase runs on the pool unless its last run, since the memory
         // was last empty, cost less than a fork is worth.
@@ -423,37 +408,6 @@ impl OnlineAnalyzer {
             allocated: slide.allocated + discovery.allocated,
         }
     }
-
-    /// Declares this analyzer's position in a sharded tier: `shard` of
-    /// `of`. Stamped into every hint snapshot so tracers can intersect the
-    /// verdicts of all shards (an edge is only decimated once every shard
-    /// agrees). The default is `0` of `1` — a lone analyzer's hints take
-    /// effect directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= of` or `of == 0`.
-    pub fn set_reduction_shard(&mut self, shard: u32, of: u32) {
-        assert!(of > 0 && shard < of, "invalid shard {shard} of {of}");
-        if let Some(red) = &mut self.reduction {
-            (red.shard, red.of) = (shard, of);
-        }
-    }
-
-    /// Takes the pending hint snapshot, if the demoted-edge set changed
-    /// since the last call (or [`refresh`](Self::refresh) never demoted
-    /// anything — then always `None`). The snapshot is full-state and
-    /// idempotent; the caller routes it to every tracer agent, directly
-    /// in process or as a `Hint` control frame over the transport.
-    pub fn take_hints(&mut self) -> Option<HintState> {
-        self.reduction.as_mut()?.take_hints()
-    }
-
-    /// Counters of the edge-side reduction tier; `None` when
-    /// [`PathmapConfig::reduction`] is off.
-    pub fn reduction_stats(&self) -> Option<ReductionStats> {
-        self.reduction.as_ref().map(ReductionState::stats)
-    }
 }
 
 #[cfg(test)]
@@ -465,23 +419,12 @@ pub(crate) mod tests {
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
     use e2eprof_timeseries::window::SlidingWindow;
-    use e2eprof_xcorr::incremental::IncrementalCorrelator;
 
     pub(crate) fn cfg() -> PathmapConfig {
         PathmapConfig::builder()
             .window(Nanos::from_secs(10))
             .refresh(Nanos::from_secs(2))
             .max_delay(Nanos::from_secs(1))
-            .build()
-    }
-
-    /// [`cfg`] with the reduction tier on.
-    pub(crate) fn reduced_cfg() -> PathmapConfig {
-        PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .reduction(crate::config::ReductionConfig::default())
             .build()
     }
 
@@ -507,30 +450,15 @@ pub(crate) mod tests {
     ) -> (Vec<ServiceGraph>, OnlineAnalyzer) {
         let roots = roots_from_topology(sim.topology());
         let universe = roots.iter().map(|&(c, _)| c).collect();
-        let (graphs, analyzer, _) =
-            drive_online_among(&mut sim, config, total_secs, roots, universe);
-        (graphs, analyzer)
-    }
-
-    /// Like [`drive_online`] but with an explicit owned-root subset and
-    /// client universe (the sharded-analyzer shape), returning the agents
-    /// too.
-    pub(crate) fn drive_online_among(
-        sim: &mut Simulation,
-        config: PathmapConfig,
-        total_secs: u64,
-        roots: Vec<(NodeId, NodeId)>,
-        universe: HashSet<NodeId>,
-    ) -> (Vec<ServiceGraph>, OnlineAnalyzer, Vec<TracerAgent>) {
-        let (refreshes, analyzer, agents) =
-            drive_refreshes(sim, config, total_secs, roots, universe, false, None);
+        let (refreshes, analyzer) =
+            drive_refreshes(&mut sim, config, total_secs, roots, universe, false, None);
         let last = refreshes
             .into_iter()
             .rev()
             .map(|(graphs, _)| graphs)
             .find(|graphs| !graphs.is_empty())
             .unwrap_or_default();
-        (last, analyzer, agents)
+        (last, analyzer)
     }
 
     /// What one refresh published, with the activity gate's counters for it.
@@ -538,9 +466,7 @@ pub(crate) mod tests {
 
     /// Drives tracer agents on all services and one analyzer over
     /// `total_secs / 2` flush-and-refresh steps of 2 s, returning every
-    /// refresh's graphs with the activity gate's counters for it. Routes
-    /// analyzer hint snapshots back to every agent after each refresh —
-    /// the in-process form of the reduction feedback loop.
+    /// refresh's graphs with the activity gate's counters for it.
     ///
     /// A `forgetful` analyzer has its cross-refresh memory wiped before
     /// every refresh: with nothing remembered nothing is quiet and every
@@ -556,7 +482,7 @@ pub(crate) mod tests {
         universe: HashSet<NodeId>,
         forgetful: bool,
         lose_flush_at: Option<u64>,
-    ) -> (Vec<Refresh>, OnlineAnalyzer, Vec<TracerAgent>) {
+    ) -> (Vec<Refresh>, OnlineAnalyzer) {
         let (flushed, in_transit) = unbounded();
         let (delivered, rx) = unbounded();
         let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
@@ -592,18 +518,13 @@ pub(crate) mod tests {
                 analyzer.forget();
             }
             let graphs = analyzer.refresh(now);
-            if let Some(hint) = analyzer.take_hints() {
-                for a in &mut agents {
-                    a.apply_hint_state(&hint);
-                }
-            }
             // A refresh that ran explored or reused every owned root, once.
             let stats = analyzer.incremental_stats().expect("always counted");
             let owned = analyzer.roots.len() as u64;
             assert!(stats.roots == 0 || stats.roots == owned, "step {step}");
             refreshes.push((graphs, stats));
         }
-        (refreshes, analyzer, agents)
+        (refreshes, analyzer)
     }
 
     pub(crate) fn run_online(seed: u64, total_secs: u64) -> (Vec<ServiceGraph>, OnlineAnalyzer) {
@@ -684,7 +605,7 @@ pub(crate) mod tests {
             roots.sort_unstable();
             let universe = roots.iter().map(|&(c, _)| c).collect();
             roots.truncate(owned_roots.unwrap_or(roots.len()));
-            let (refreshes, analyzer, _) = drive_refreshes(
+            let (refreshes, analyzer) = drive_refreshes(
                 &mut sim,
                 config.clone(),
                 total_secs,
@@ -758,96 +679,6 @@ pub(crate) mod tests {
         Simulation::new(t.build().unwrap(), seed)
     }
 
-    /// Asserts two graph sets are structurally identical (edge sets, spike
-    /// lags, hop delays, bottleneck flags) with spike strengths within
-    /// 1e-9 — the tolerance for promoted pairs whose full-resolution
-    /// recompute sums the same products in a different order.
-    pub(crate) fn assert_graphs_equivalent(plain: &[ServiceGraph], reduced: &[ServiceGraph]) {
-        assert_eq!(plain.len(), reduced.len(), "graph count differs");
-        for (ga, gb) in plain.iter().zip(reduced) {
-            assert_eq!(ga.client_label, gb.client_label);
-            let key = |g: &ServiceGraph| {
-                let mut edges: Vec<_> = g
-                    .edges()
-                    .iter()
-                    .map(|e| {
-                        (
-                            (e.from, e.to),
-                            e.spikes.iter().map(|s| s.delay).collect::<Vec<_>>(),
-                            e.hop_delay,
-                        )
-                    })
-                    .collect();
-                edges.sort();
-                edges
-            };
-            assert_eq!(key(ga), key(gb), "edge structure differs:\n{ga}\nvs\n{gb}");
-            let bn = |g: &ServiceGraph| {
-                let mut v: Vec<_> = g
-                    .vertices()
-                    .iter()
-                    .map(|v| (v.label.clone(), v.bottleneck))
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(bn(ga), bn(gb), "bottleneck flags differ");
-            for ea in ga.edges() {
-                let eb = gb.edge(ea.from, ea.to).expect("edge sets already equal");
-                for (sa, sb) in ea.spikes.iter().zip(&eb.spikes) {
-                    assert!(
-                        (sa.strength - sb.strength).abs() < 1e-9,
-                        "strength drift: {} vs {}",
-                        sa.strength,
-                        sb.strength
-                    );
-                }
-            }
-        }
-    }
-
-    /// The correlator of `client`'s root for `edge`.
-    pub(crate) fn correlator(
-        analyzer: &OnlineAnalyzer,
-        client: NodeId,
-        edge: Edge,
-    ) -> &IncrementalCorrelator {
-        let root = analyzer.roots.iter().find(|root| root.client == client);
-        &root.expect("an owned root").pairs[&edge]
-    }
-
-    /// Fanout-test config, optionally with the edge-reduction tier on.
-    pub(crate) fn fanout_cfg(reduction: Option<crate::config::ReductionConfig>) -> PathmapConfig {
-        let mut b = PathmapConfig::builder()
-            .window(Nanos::from_secs(20))
-            .refresh(Nanos::from_secs(5))
-            .max_delay(Nanos::from_millis(500));
-        if let Some(red) = reduction {
-            b = b.reduction(red);
-        }
-        b.build()
-    }
-
-    /// Runs a fanout sim owning only the first root (`cli`) — the sharded
-    /// shape under which the noise tier's edges are dead for every owned
-    /// root and hence demotable.
-    pub(crate) fn run_fanout_owning_cli(
-        mut sim: Simulation,
-        config: PathmapConfig,
-        total_secs: u64,
-    ) -> (Vec<ServiceGraph>, OnlineAnalyzer, Vec<TracerAgent>) {
-        let mut roots = roots_from_topology(sim.topology());
-        roots.sort_unstable();
-        let universe: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        roots.truncate(1);
-        drive_online_among(&mut sim, config, total_secs, roots, universe)
-    }
-
-    /// The reduction tier of an analyzer configured with one.
-    pub(crate) fn reduction(analyzer: &OnlineAnalyzer) -> &ReductionState {
-        analyzer.reduction.as_ref().expect("reduction enabled")
-    }
-
     /// The retained window of `edge`'s stream.
     pub(crate) fn window(analyzer: &OnlineAnalyzer, edge: Edge) -> &SlidingWindow {
         &analyzer
@@ -856,11 +687,6 @@ pub(crate) mod tests {
             .expect("a stream of the edge")
             .1
             .window
-    }
-
-    /// The geometry `(start, end, data_end)` of the last refresh.
-    pub(crate) fn last_geometry(analyzer: &OnlineAnalyzer) -> (Tick, Tick, Tick) {
-        analyzer.record.geometry
     }
 
     #[test]
@@ -1205,7 +1031,7 @@ pub(crate) mod tests {
             let mut roots = roots_from_topology(sim.topology());
             roots.sort_unstable();
             let universe = roots.iter().map(|&(c, _)| c).collect();
-            let (refreshes, analyzer, _) = drive_refreshes(
+            let (refreshes, analyzer) = drive_refreshes(
                 &mut sim,
                 config.clone(),
                 100,

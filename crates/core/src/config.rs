@@ -24,43 +24,6 @@ pub enum Transport {
     Unix,
 }
 
-/// Edge-side data-reduction parameters (the analyzer→tracer feedback
-/// loop).
-///
-/// With reduction enabled, the analyzer pushes per-edge *hints* back to
-/// tracer agents: edges whose every owned root has a tracked
-/// `(client, edge)` pair whose supports stayed disjoint — no overlapping
-/// runs at any lag — for `patience` consecutive refreshes are **demoted**
-/// and ship only a `√(block count)` decimated image at an adaptively
-/// chosen level (denser edges decimate harder), cutting bytes on the wire
-/// before they are ever sent. When a demoted edge's coarse image overlaps
-/// any client signal within the lag horizon again, the analyzer
-/// **promotes** it; the tracer then backfills the retained fine window
-/// over the wire so the fine correlators re-warm without waiting a full
-/// window. Demotion is sound (disjoint supports make every lagged product
-/// zero) and promotion fires on the only event that could revive one, so
-/// the discovered strong-edge set is unchanged. `reduction: None` (the
-/// default) keeps every byte and every code path bit-for-bit identical.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReductionConfig {
-    /// Base decimation level for demoted edges: one coarse tick aggregates
-    /// `base_level` fine ticks. Dense edges are decimated at up to
-    /// `4 × base_level`.
-    pub base_level: u64,
-    /// Consecutive refreshes an edge's pairs must all stay disjoint before
-    /// the edge is demoted (debounces transient quiet spells).
-    pub patience: u32,
-}
-
-impl Default for ReductionConfig {
-    fn default() -> Self {
-        ReductionConfig {
-            base_level: 16,
-            patience: 2,
-        }
-    }
-}
-
 /// An `E2EPROF_*` environment variable holds a value
 /// [`PathmapConfigBuilder::try_env_overrides`] does not accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +55,7 @@ impl std::error::Error for ConfigError {}
 /// Variables of knobs that no longer exist, each with what its error says
 /// is accepted. Setting one — to any value, even empty — is a
 /// [`ConfigError`].
-const REMOVED: [(&str, &str); 4] = [
+const REMOVED: [(&str, &str); 5] = [
     (
         "E2EPROF_WIRE",
         "nothing — removed: v2 is the only wire format; unset the variable",
@@ -108,6 +71,10 @@ const REMOVED: [(&str, &str); 4] = [
     (
         "E2EPROF_BACKEND",
         "nothing — removed: the RLE engine computes every pair's first window; unset the variable",
+    ),
+    (
+        "E2EPROF_REDUCTION",
+        "nothing — removed: every edge ships at full resolution; unset the variable",
     ),
 ];
 
@@ -142,7 +109,6 @@ pub struct PathmapConfig {
     min_spike_value: f64,
     num_workers: usize,
     transport: Transport,
-    reduction: Option<ReductionConfig>,
 }
 
 impl Default for PathmapConfig {
@@ -231,14 +197,6 @@ impl PathmapConfig {
         self.transport
     }
 
-    /// The edge-side data-reduction configuration, if enabled.
-    ///
-    /// `None` (the default) ships every edge at full resolution and keeps
-    /// the pipeline bit-for-bit identical to previous releases.
-    pub fn reduction(&self) -> Option<&ReductionConfig> {
-        self.reduction.as_ref()
-    }
-
     /// The stateless engine of [`Pathmap::new`](crate::pathmap::Pathmap::new):
     /// always the RLE-native [`RleCorrelator`]. The end-to-end benchmark
     /// (`bench/src/probes.rs`) calls it; removal waits for a `benchmark`
@@ -261,7 +219,6 @@ pub struct PathmapConfigBuilder {
     min_spike_value: f64,
     num_workers: usize,
     transport: Transport,
-    reduction: Option<ReductionConfig>,
 }
 
 impl Default for PathmapConfigBuilder {
@@ -277,7 +234,6 @@ impl Default for PathmapConfigBuilder {
             min_spike_value: 0.1,
             num_workers: crate::parallel::available_workers(),
             transport: Transport::default(),
-            reduction: None,
         }
     }
 }
@@ -348,33 +304,19 @@ impl PathmapConfigBuilder {
         self
     }
 
-    /// Enables the edge-side data-reduction feedback loop with the given
-    /// parameters. The default (`None`) ships every edge at full
-    /// resolution.
-    pub fn reduction(mut self, reduction: ReductionConfig) -> Self {
-        self.reduction = Some(reduction);
-        self
-    }
-
     /// Applies environment-variable overrides (the CI configuration-matrix
     /// hook; callers opting in call this last, so a plain build is
-    /// unaffected):
-    ///
-    /// * `E2EPROF_TRANSPORT` ∈ `inproc | tcp | unix` — selects the
-    ///   tracer-to-analyzer transport.
-    /// * `E2EPROF_REDUCTION` — `off` disables edge-side data reduction;
-    ///   `on` enables it with defaults; an integer `k ≥ 2` enables it with
-    ///   base decimation level `k`.
-    ///
-    /// An empty value selects the variable's default.
+    /// unaffected): `E2EPROF_TRANSPORT` ∈ `inproc | tcp | unix` selects the
+    /// tracer-to-analyzer transport, and an empty value selects the
+    /// default.
     ///
     /// # Errors
     ///
     /// A [`ConfigError`] naming the variable, the offending value and what
     /// is accepted — environment variables are operator input. That
-    /// includes a still-set variable of a removed knob (`E2EPROF_WIRE`,
-    /// `E2EPROF_INCREMENTAL`, `E2EPROF_SCREENING`, `E2EPROF_BACKEND`): a
-    /// script that sets one must not believe it selected anything.
+    /// includes a still-set variable of any removed knob, whatever its
+    /// value: a script that sets one must not believe it selected
+    /// anything.
     pub fn try_env_overrides(self) -> Result<Self, ConfigError> {
         self.apply_overrides(|name| std::env::var(name).ok())
     }
@@ -401,14 +343,6 @@ impl PathmapConfigBuilder {
             value: value.to_owned(),
             accepted,
         };
-        // `off`/empty → None, otherwise an integer factor of at least 2.
-        let factor = |variable, value: &str, accepted| match value {
-            "" | "off" => Ok(None),
-            k => match k.parse::<u64>() {
-                Ok(k) if k >= 2 => Ok(Some(k)),
-                _ => Err(reject(variable, value, accepted)),
-            },
-        };
         for (variable, accepted) in REMOVED {
             if let Some(v) = var(variable) {
                 return Err(reject(variable, &v, accepted));
@@ -421,18 +355,6 @@ impl PathmapConfigBuilder {
                 "unix" => Transport::Unix,
                 _ => return Err(reject("E2EPROF_TRANSPORT", &v, "inproc | tcp | unix")),
             };
-        }
-        if let Some(v) = var("E2EPROF_REDUCTION") {
-            self.reduction =
-                match v.as_str() {
-                    "on" => Some(ReductionConfig::default()),
-                    k => factor("E2EPROF_REDUCTION", k, "off | on | an integer ≥ 2")?.map(
-                        |base_level| ReductionConfig {
-                            base_level,
-                            ..ReductionConfig::default()
-                        },
-                    ),
-                };
         }
         Ok(self)
     }
@@ -456,7 +378,6 @@ impl PathmapConfigBuilder {
             min_spike_value: self.min_spike_value,
             num_workers: self.num_workers.max(1),
             transport: self.transport,
-            reduction: self.reduction,
         };
         assert!(cfg.window_ticks() > 0, "window must span at least one tick");
         assert!(
@@ -468,13 +389,6 @@ impl PathmapConfigBuilder {
             cfg.refresh_ticks() <= cfg.window_ticks(),
             "refresh interval cannot exceed the window"
         );
-        if let Some(rc) = &cfg.reduction {
-            assert!(
-                rc.base_level >= 2,
-                "reduction base level must be at least 2"
-            );
-            assert!(rc.patience >= 1, "reduction patience must be at least 1");
-        }
         cfg
     }
 }
@@ -567,24 +481,16 @@ mod tests {
     #[test]
     fn overrides_select_every_variable() {
         assert_eq!(overrides(&[]), Ok(PathmapConfig::default()));
-        let cfg = overrides(&[("E2EPROF_TRANSPORT", "unix"), ("E2EPROF_REDUCTION", "32")])
-            .expect("all values accepted");
+        let cfg = overrides(&[("E2EPROF_TRANSPORT", "unix")]).expect("value accepted");
         assert_eq!(cfg.transport(), Transport::Unix);
-        assert_eq!(cfg.reduction().map(|r| r.base_level), Some(32));
-        // Empty selects each default.
-        let cfg = overrides(&[("E2EPROF_TRANSPORT", ""), ("E2EPROF_REDUCTION", "on")])
-            .expect("all values accepted");
+        // Empty selects the default.
+        let cfg = overrides(&[("E2EPROF_TRANSPORT", "")]).expect("value accepted");
         assert_eq!(cfg.transport(), Transport::InProcess);
-        assert_eq!(cfg.reduction(), Some(&ReductionConfig::default()));
     }
 
     #[test]
     fn bad_override_values_are_errors_naming_variable_value_and_accepted_set() {
-        for (variable, value, accepted) in [
-            ("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix"),
-            ("E2EPROF_REDUCTION", "yes", "off | on | an integer ≥ 2"),
-            ("E2EPROF_REDUCTION", "0", "off | on | an integer ≥ 2"),
-        ] {
+        for (variable, value, accepted) in [("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix")] {
             let err = overrides(&[(variable, value)]).expect_err(variable);
             assert_eq!(err.variable(), variable);
             let msg = err.to_string();
@@ -618,6 +524,11 @@ mod tests {
                 "E2EPROF_BACKEND",
                 ["auto", "rle", ""],
                 "the RLE engine computes",
+            ),
+            (
+                "E2EPROF_REDUCTION",
+                ["on", "16", ""],
+                "every edge ships at full resolution",
             ),
         ] {
             for value in values {

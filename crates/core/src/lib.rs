@@ -83,7 +83,6 @@ pub mod ingest;
 pub mod nesting;
 pub mod parallel;
 pub mod pathmap;
-pub mod reduction;
 pub mod signals;
 pub mod skew;
 pub mod sla;
@@ -97,18 +96,16 @@ pub mod prelude {
     pub use crate::analyzer::OnlineAnalyzer;
     pub use crate::analyzer::ScratchCounters;
     pub use crate::change::ChangeTracker;
-    pub use crate::config::{ConfigError, PathmapConfig, ReductionConfig, Transport};
+    pub use crate::config::{ConfigError, PathmapConfig, Transport};
     pub use crate::graph::{NodeLabels, ServiceGraph};
     pub use crate::pathmap::{roots_from_topology, IncrementalStats, Pathmap};
-    pub use crate::reduction::HintState;
     pub use crate::signals::EdgeSignals;
     pub use crate::tracer::{ChannelSink, FrameSink, PollOutcome, TracerAgent};
 }
 
 pub use analyzer::{OnlineAnalyzer, ScratchCounters};
-pub use config::{ConfigError, PathmapConfig, ReductionConfig, Transport};
+pub use config::{ConfigError, PathmapConfig, Transport};
 pub use graph::{NodeLabels, ServiceGraph};
 pub use pathmap::{roots_from_topology, IncrementalStats, Pathmap};
-pub use reduction::HintState;
 pub use signals::EdgeSignals;
 pub use tracer::{ChannelSink, FrameSink, PollOutcome, TracerAgent};

@@ -12,14 +12,12 @@
 //! *sender-side* series of its edges toward (untraced) client nodes.
 
 use crate::config::PathmapConfig;
-use crate::hashing::FxHashMap;
-use crate::reduction::{effective_levels, HintState};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use e2eprof_netsim::capture::TraceKey;
 use e2eprof_netsim::{CaptureStore, NodeId};
 use e2eprof_timeseries::density::{CountRun, DensityEstimator};
-use e2eprof_timeseries::{pyramid, wire, Nanos, RleSeries, Tick};
+use e2eprof_timeseries::{wire, Nanos, Tick};
 use std::collections::HashSet;
 
 /// One message on the tracer→analyzer channel.
@@ -33,7 +31,7 @@ pub enum TracerFrame {
     Series {
         /// The directed edge the series describes.
         edge: (NodeId, NodeId),
-        /// Wire-encoded [`RleSeries`].
+        /// Wire-encoded [`RleSeries`](e2eprof_timeseries::RleSeries).
         payload: Bytes,
     },
     /// Every series one agent owns for one flush, over `[previous drain
@@ -43,13 +41,14 @@ pub enum TracerFrame {
         /// Wire-encoded batch frame.
         payload: Bytes,
     },
-    /// Promote-triggered backfill: the retained fine window of an edge that
-    /// just left decimation, batch-encoded like [`TracerFrame::Batch`]. The
-    /// analyzer ingests it exactly like a batch; the distinct variant lets
-    /// the transport and diagnostics tell warm-up traffic from steady-state
-    /// streaming.
+    /// A batch-encoded frame like [`TracerFrame::Batch`]. No producer in
+    /// this repository — it carried the edge-side reduction tier's
+    /// backfills, which is gone; the analyzer ingests it exactly like a
+    /// batch and the network link ships it as one. The variant stays for
+    /// the end-to-end benchmark, which still matches on it; removal waits
+    /// for a `benchmark` PR.
     Backfill {
-        /// Wire-encoded batch frame carrying the fine retention window.
+        /// Wire-encoded batch frame.
         payload: Bytes,
     },
 }
@@ -100,10 +99,6 @@ pub enum PollOutcome {
     Dropped(u64),
 }
 
-/// Sentinel for [`StreamState::coarse_sent`]: no coarse block shipped yet
-/// since this stream was last demoted.
-const COARSE_UNSET: u64 = u64::MAX;
-
 #[derive(Debug)]
 struct StreamState {
     /// The stream's directed edge as node indices — its key on the wire.
@@ -112,16 +107,6 @@ struct StreamState {
     /// Records of the capture already consumed.
     cursor: usize,
     drained_to: Tick,
-    /// Effective decimation level from the latest analyzer hints: 0 means
-    /// full resolution, `k ≥ 2` means ship √(count)-amplitude blocks of
-    /// `k` fine ticks.
-    level: u64,
-    /// Contiguous fine runs retained while demoted, bounded to the
-    /// retention span — the payload of a promote-triggered backfill.
-    ring: Option<RleSeries>,
-    /// Fine-tick watermark (block aligned) up to which coarse blocks have
-    /// been shipped; [`COARSE_UNSET`] right after a demotion.
-    coarse_sent: u64,
 }
 
 /// A tracer agent for one service node.
@@ -151,12 +136,6 @@ pub struct TracerAgent {
     frames_dropped: u64,
     /// Records skipped because they could no longer be represented.
     late_records: u64,
-    /// Latest reduction snapshot per analyzer shard.
-    hints: FxHashMap<u32, HintState>,
-    /// Per-edge decimation levels merged from `hints`.
-    levels: FxHashMap<(u32, u32), u64>,
-    /// Backfill frames emitted on promote transitions.
-    backfills_emitted: u64,
 }
 
 impl std::fmt::Debug for TracerAgent {
@@ -204,9 +183,6 @@ impl TracerAgent {
             frames_emitted: 0,
             frames_dropped: 0,
             late_records: 0,
-            hints: FxHashMap::default(),
-            levels: FxHashMap::default(),
-            backfills_emitted: 0,
         }
     }
 
@@ -232,86 +208,6 @@ impl TracerAgent {
     /// this counter keeps the loss visible.
     pub fn late_records(&self) -> u64 {
         self.late_records
-    }
-
-    /// Backfill frames emitted on promote transitions over the agent's
-    /// lifetime.
-    pub fn backfills_emitted(&self) -> u64 {
-        self.backfills_emitted
-    }
-
-    /// The effective decimation level this agent currently applies to
-    /// `edge` (node-index pair): 0 = full resolution.
-    pub fn effective_level(&self, edge: (u32, u32)) -> u64 {
-        self.levels.get(&edge).copied().unwrap_or(0)
-    }
-
-    /// Fine ticks the retention ring spans: one analysis window plus the
-    /// lag horizon, plus two refresh intervals of slack so the unshipped
-    /// coarse tail never falls off before it is decimated.
-    fn retention_ticks(&self) -> u64 {
-        self.config.window_ticks() + self.config.max_lag() + 2 * self.config.refresh_ticks()
-    }
-
-    /// Applies one analyzer shard's reduction snapshot.
-    ///
-    /// Stores the snapshot (replacing this shard's previous one), merges
-    /// all shards' snapshots into per-edge effective levels, and
-    /// reconciles every live stream:
-    ///
-    /// * fine → demoted: the stream starts retaining fine runs and ships
-    ///   only coarse blocks from the next [`poll`](TracerAgent::poll) on;
-    /// * demoted → fine (*promote*): the retained fine window is shipped
-    ///   immediately as one [`TracerFrame::Backfill`] so the analyzer's
-    ///   fine correlator warms without waiting a full window;
-    /// * level change while demoted: the coarse watermark realigns to the
-    ///   new block size (the analyzer resets its coarse window on a level
-    ///   mismatch anyway).
-    ///
-    /// Snapshots are full-state and idempotent — replaying the latest one
-    /// after a reconnect converges to the same levels and emits no
-    /// duplicate backfills.
-    pub fn apply_hint_state(&mut self, state: &HintState) {
-        self.hints.insert(state.shard, state.clone());
-        self.levels = effective_levels(&self.hints);
-        let mut emitted = 0u64;
-        let mut dropped = 0u64;
-        for st in &mut self.streams {
-            let edge = st.edge;
-            let new_level = self.levels.get(&edge).copied().unwrap_or(0);
-            if new_level == st.level {
-                continue;
-            }
-            if new_level == 0 {
-                // Promote: backfill the retained fine window, resume fine.
-                if let Some(ring) = st.ring.take() {
-                    if ring.support() > 0 {
-                        let batch = [(edge, ring)];
-                        wire::encode_batch_into(&batch, true, &mut self.frame_buf);
-                        dropped += self.sink.send_frame(TracerFrame::Backfill {
-                            payload: Bytes::copy_from_slice(&self.frame_buf),
-                        });
-                        emitted += 1;
-                        self.backfills_emitted += 1;
-                    }
-                }
-                st.coarse_sent = COARSE_UNSET;
-            } else if st.level == 0 {
-                // Fresh demotion: start retaining from the next poll.
-                st.ring = None;
-                st.coarse_sent = COARSE_UNSET;
-            } else {
-                // Demoted at a different factor: realign the watermark up
-                // to the new block size; the skipped partial block is
-                // never shipped mis-summed.
-                if st.coarse_sent != COARSE_UNSET {
-                    st.coarse_sent = st.coarse_sent.div_ceil(new_level) * new_level;
-                }
-            }
-            st.level = new_level;
-        }
-        self.frames_emitted += emitted;
-        self.frames_dropped += dropped;
     }
 
     /// Looks for streams this node newly owns — only when the deployment's
@@ -341,7 +237,6 @@ impl TracerAgent {
         self.sink.announce(&edges);
         // Keep `streams` aligned with the grown key list: known streams
         // carry their state over, new ones start at tick zero.
-        let reduction = self.config.reduction().is_some();
         let mut known: Vec<Option<StreamState>> = std::mem::take(&mut self.streams)
             .into_iter()
             .map(Some)
@@ -359,13 +254,6 @@ impl TracerAgent {
                     ),
                     cursor: 0,
                     drained_to: Tick::ZERO,
-                    level: if reduction {
-                        self.levels.get(&edge).copied().unwrap_or(0)
-                    } else {
-                        0
-                    },
-                    ring: None,
-                    coarse_sent: COARSE_UNSET,
                 },
             })
             .collect();
@@ -384,9 +272,7 @@ impl TracerAgent {
     ///
     /// A poll emits **one** frame: a [`TracerFrame::Batch`] with an entry
     /// — possibly an empty chunk — for every owned stream it drained, so
-    /// the analyzer's sliding windows stay contiguous. (With reduction
-    /// on the batch is level-tagged, and a demoted stream contributes
-    /// only its newly completed non-zero coarse blocks.) A stream is
+    /// the analyzer's sliding windows stay contiguous. A stream is
     /// owned from the first poll after its edge first carried traffic, and
     /// its first chunk reaches back to tick zero, so nothing recorded
     /// before the agent noticed the edge is lost. An agent taps one
@@ -410,11 +296,9 @@ impl TracerAgent {
         let tau = self.config.quanta().duration().as_nanos();
         let horizon =
             Nanos::from_nanos(drain_to.index() * tau + self.config.omega_ticks() * tau / 2);
-        let reduction = self.config.reduction().is_some();
-        let retention = self.retention_ticks();
-        // Density amplitudes are √count — and coarse amplitudes √(block
-        // count) — so the integer-amplitude coding is lossless here.
-        let mut writer = wire::BatchWriter::new(&mut self.frame_buf, true, reduction);
+        // Density amplitudes are √count, so the integer-amplitude coding is
+        // lossless here.
+        let mut writer = wire::BatchWriter::new(&mut self.frame_buf, true);
         for (&key, state) in self.owned.iter().zip(&mut self.streams) {
             if drain_to <= state.drained_to && state.drained_to > Tick::ZERO {
                 continue; // nothing new to drain for this stream
@@ -434,47 +318,10 @@ impl TracerAgent {
             let len = drain_to.index() - start.index();
             state.estimator.drain_runs(drain_to, &mut self.run_scratch);
             state.drained_to = drain_to;
-            if reduction && state.level > 0 {
-                // Demoted: retain the fine chunk locally, ship only the
-                // newly completed coarse blocks (if any are non-zero).
-                let fine = RleSeries::from_parts(
-                    start,
-                    len,
-                    self.run_scratch.iter().map(|&r| r.into()).collect(),
-                );
-                match &mut state.ring {
-                    Some(ring) => ring.append_chunk(&fine),
-                    None => state.ring = Some(fine),
-                }
-                let ring = state.ring.as_mut().expect("ring populated above");
-                if ring.len() > retention {
-                    let end = ring.end();
-                    *ring = ring.slice(Tick::new(end.index() - retention), end);
-                }
-                let level = state.level;
-                if state.coarse_sent == COARSE_UNSET || state.coarse_sent < ring.start().index() {
-                    // Align up: a partial first block is skipped rather
-                    // than shipped under-counted.
-                    state.coarse_sent = ring.start().index().div_ceil(level) * level;
-                }
-                let complete_end = (drain_to.index() / level) * level;
-                if complete_end > state.coarse_sent {
-                    let fine_slice =
-                        ring.slice(Tick::new(state.coarse_sent), Tick::new(complete_end));
-                    state.coarse_sent = complete_end;
-                    let coarse = pyramid::decimate_counts(&fine_slice, level);
-                    // All-zero coarse chunks are suppressed outright; the
-                    // analyzer's coarse store heals the gap by resetting.
-                    if coarse.support() > 0 {
-                        writer.series(state.edge, level, &coarse);
-                    }
-                }
-                continue;
-            }
-            writer.count_runs(state.edge, 0, start, len, &self.run_scratch);
+            writer.count_runs(state.edge, start, len, &self.run_scratch);
         }
-        // A poll that drained nothing (a repeat at the same tick, or every
-        // stream demoted and quiet) has nothing to say.
+        // A poll that drained nothing (a repeat at the same tick) has
+        // nothing to say.
         if writer.finish() == 0 {
             return PollOutcome::Sent(0);
         }
@@ -523,16 +370,14 @@ mod tests {
 
     /// Decodes an emitted frame into `(edge, chunk)` pairs.
     fn decode_frame(frame: &TracerFrame) -> Vec<((NodeId, NodeId), RleSeries)> {
-        match frame {
-            TracerFrame::Series { .. } => unreachable!("agents emit batches only"),
-            TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
-                wire::decode_batch(payload)
-                    .expect("decodable batch frame")
-                    .into_iter()
-                    .map(|((src, dst), chunk)| ((NodeId::new(src), NodeId::new(dst)), chunk))
-                    .collect()
-            }
-        }
+        let TracerFrame::Batch { payload } = frame else {
+            unreachable!("agents emit batches only");
+        };
+        wire::decode_batch(payload)
+            .expect("decodable batch frame")
+            .into_iter()
+            .map(|((src, dst), chunk)| ((NodeId::new(src), NodeId::new(dst)), chunk))
+            .collect()
     }
 
     #[test]

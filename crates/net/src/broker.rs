@@ -34,7 +34,7 @@ use crate::stream::{
     write_coalesced, Acceptor, SplitStream, COALESCE_MAX_BYTES, COALESCE_MAX_FRAMES,
 };
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -58,48 +58,6 @@ impl Default for BrokerConfig {
     }
 }
 
-/// The broker's hint-routing state: the latest full-state reduction
-/// snapshot per analyzer shard (keyed by the shard's synthetic hint
-/// origin) plus the live tracer-side hint subscribers.
-///
-/// Because snapshots are full-state and idempotent, retaining only the
-/// latest per shard suffices: a late or reconnecting subscriber replayed
-/// just the latest snapshots converges to exactly the state an
-/// uninterrupted subscriber holds.
-#[derive(Default)]
-struct HintHub {
-    /// Hint origin → (seq, fully encoded `Hint` envelope).
-    latest: BTreeMap<u32, (u64, Arc<[u8]>)>,
-    /// Live hint subscribers. The hub lock guards only this list and
-    /// `latest`; actual socket writes happen under each subscriber's own
-    /// writer mutex, so one stalled tracer cannot freeze fan-out to the
-    /// others or block new `HintSub` handshakes (head-of-line fix).
-    subs: Vec<HintSub>,
-    /// Set on broker shutdown. A hint subscription arriving afterwards is
-    /// rejected (its connection closed) instead of registered: the accept
-    /// thread may outlive shutdown on kernel listeners, and a sub
-    /// registered after the shutdown sweep would block its reader on a
-    /// stream nobody will ever write to or close.
-    closed: bool,
-}
-
-/// A hint subscriber's shareable write half: publishers lock this
-/// per-subscriber mutex — never the hub lock — while writing, so writes
-/// to independent subscribers proceed concurrently and a stall affects
-/// only its own connection.
-type HintWriter = Arc<Mutex<Box<dyn SplitStream>>>;
-
-/// One live hint subscriber.
-struct HintSub {
-    peer: PeerId,
-    /// Write half; see [`HintWriter`].
-    writer: HintWriter,
-    /// A second handle to the same connection used by shutdown: closing
-    /// via the kernel/pipe layer needs no writer mutex, so it unwedges a
-    /// publisher blocked mid-write on this subscriber.
-    closer: Box<dyn SplitStream>,
-}
-
 struct Shared {
     ring: ReplayRing,
     dedup: Mutex<SeqDedup>,
@@ -118,7 +76,6 @@ struct Shared {
     /// node.
     arrivals: Mutex<BTreeMap<PeerId, Option<u32>>>,
     arrivals_changed: Condvar,
-    hints: Mutex<HintHub>,
     /// Data frames written to subscriber connections.
     delivered: AtomicU64,
     next_peer: AtomicU64,
@@ -138,7 +95,6 @@ impl BrokerHandle {
             dedup: Mutex::new(SeqDedup::new()),
             arrivals: Mutex::new(BTreeMap::new()),
             arrivals_changed: Condvar::new(),
-            hints: Mutex::new(HintHub::default()),
             delivered: AtomicU64::new(0),
             next_peer: AtomicU64::new(1),
         });
@@ -155,17 +111,6 @@ impl BrokerHandle {
     pub fn shutdown(&self) {
         self.acceptor.close_acceptor();
         self.shared.ring.close();
-        let subs = {
-            let mut hub = self.shared.hints.lock().expect("hint lock");
-            hub.closed = true;
-            std::mem::take(&mut hub.subs)
-        };
-        // Close via the dedicated closer handles, outside the hub lock and
-        // without touching the writer mutexes — a publisher blocked
-        // mid-write on a stalled subscriber is unwedged by the close.
-        for mut sub in subs {
-            sub.closer.shutdown_stream();
-        }
     }
 
     /// Frames evicted from the replay ring under backpressure.
@@ -241,14 +186,6 @@ fn serve_conn(mut conn: Box<dyn SplitStream>, peer: PeerId, shared: &Arc<Shared>
             Err(_) => break,
         }
     }
-    if let Some(Role::HintSub { .. }) = role {
-        shared
-            .hints
-            .lock()
-            .expect("hint lock")
-            .subs
-            .retain(|s| s.peer != peer);
-    }
     // Everything this connection carried has been relayed: a successor of
     // the same tracer may proceed.
     shared.arrivals.lock().expect("arrivals lock").remove(&peer);
@@ -289,64 +226,19 @@ fn handle_frame(
             );
             Ok(())
         }
-        FrameKind::Subscribe => match *role {
-            Some(Role::Analyzer { .. }) => {
-                let resume = decode_subscribe(frame.payload()).map_err(|_| ())?;
-                let cursor = shared.ring.cursor_resuming(&resume);
-                let writer = conn.try_clone_stream().map_err(|_| ())?;
-                let resume: BTreeMap<u32, u64> = resume.into_iter().collect();
-                let shared = Arc::clone(shared);
-                thread::spawn(move || subscriber_writer(writer, cursor, resume, &shared));
-                Ok(())
-            }
-            Some(Role::HintSub { .. }) => {
-                // A tracer subscribing to reduction hints: replay the
-                // latest stored snapshot per shard (skipping what the
-                // subscriber already holds), then keep the write half for
-                // live fan-out. Replay writes happen *outside* the hub
-                // lock; the loop re-checks for snapshots that arrived
-                // while writing and registers only once caught up, so no
-                // snapshot is missed and no other subscriber stalls
-                // behind this handshake.
-                let resume = decode_subscribe(frame.payload()).map_err(|_| ())?;
-                let mut have: BTreeMap<u32, u64> = resume.into_iter().collect();
-                let writer = Arc::new(Mutex::new(conn.try_clone_stream().map_err(|_| ())?));
-                let mut closer = Some(conn.try_clone_stream().map_err(|_| ())?);
-                loop {
-                    let pending: Vec<(u32, u64, Arc<[u8]>)> = {
-                        let mut hub = shared.hints.lock().expect("hint lock");
-                        if hub.closed {
-                            return Err(());
-                        }
-                        let pending: Vec<_> = hub
-                            .latest
-                            .iter()
-                            .filter(|(origin, (seq, _))| {
-                                *seq > have.get(origin).copied().unwrap_or(0)
-                            })
-                            .map(|(origin, (seq, bytes))| (*origin, *seq, Arc::clone(bytes)))
-                            .collect();
-                        if pending.is_empty() {
-                            hub.subs.push(HintSub {
-                                peer,
-                                writer: Arc::clone(&writer),
-                                closer: closer.take().expect("closer consumed once"),
-                            });
-                            return Ok(());
-                        }
-                        pending
-                    };
-                    for (origin, seq, bytes) in pending {
-                        let mut w = writer.lock().expect("hint writer lock");
-                        w.write_all(&bytes).map_err(|_| ())?;
-                        drop(w);
-                        have.insert(origin, seq);
-                    }
-                }
-            }
-            _ => Err(()),
-        },
-        FrameKind::DataBatch | FrameKind::DataSeries | FrameKind::Backfill => {
+        FrameKind::Subscribe => {
+            let Some(Role::Analyzer { .. }) = *role else {
+                return Err(());
+            };
+            let resume = decode_subscribe(frame.payload()).map_err(|_| ())?;
+            let cursor = shared.ring.cursor_resuming(&resume);
+            let writer = conn.try_clone_stream().map_err(|_| ())?;
+            let resume: BTreeMap<u32, u64> = resume.into_iter().collect();
+            let shared = Arc::clone(shared);
+            thread::spawn(move || subscriber_writer(writer, cursor, resume, &shared));
+            Ok(())
+        }
+        FrameKind::DataBatch | FrameKind::DataSeries => {
             let Some(Role::Tracer { .. }) = *role else {
                 return Err(());
             };
@@ -365,47 +257,6 @@ fn handle_frame(
                     seq: frame.seq,
                     bytes: Arc::clone(&frame.bytes),
                 });
-            }
-            Ok(())
-        }
-        FrameKind::Hint => {
-            let Some(Role::Analyzer { .. }) = *role else {
-                return Err(());
-            };
-            let fresh = shared
-                .dedup
-                .lock()
-                .expect("dedup lock")
-                .offer(frame.origin, frame.seq);
-            if fresh == Freshness::Fresh {
-                // Pass-through for hints too: store and fan out the
-                // validated receive bytes.
-                let bytes = Arc::clone(&frame.bytes);
-                let targets: Vec<(PeerId, HintWriter)> = {
-                    let mut hub = shared.hints.lock().expect("hint lock");
-                    hub.latest
-                        .insert(frame.origin, (frame.seq, Arc::clone(&bytes)));
-                    hub.subs
-                        .iter()
-                        .map(|s| (s.peer, Arc::clone(&s.writer)))
-                        .collect()
-                };
-                // Writes go through each subscriber's own mutex with the
-                // hub lock released: a stalled subscriber delays only
-                // itself. Dead subscribers are swept afterwards; they
-                // re-subscribe with resume positions and get the latest
-                // snapshot back.
-                let mut dead = Vec::new();
-                for (peer, sub_writer) in targets {
-                    let mut w = sub_writer.lock().expect("hint writer lock");
-                    if w.write_all(&bytes).is_err() {
-                        dead.push(peer);
-                    }
-                }
-                if !dead.is_empty() {
-                    let mut hub = shared.hints.lock().expect("hint lock");
-                    hub.subs.retain(|s| !dead.contains(&s.peer));
-                }
             }
             Ok(())
         }
@@ -486,6 +337,7 @@ mod tests {
     use crate::mem::MemListener;
     use crate::msg::{encode_hello, encode_subscribe};
     use crate::stream::{Dialer, NetStream};
+    use std::io::Write;
     use std::sync::mpsc;
 
     fn data_frame(origin: u32, seq: u64, byte: u8) -> Vec<u8> {

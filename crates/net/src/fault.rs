@@ -115,7 +115,8 @@ impl FaultPlan {
 pub struct FaultyStream<S> {
     inner: S,
     plan: FaultPlan,
-    rng: Option<XorShift>,
+    /// The plan's jitter: the seeded generator with its largest chunk.
+    jitter: Option<(XorShift, usize)>,
     written: u64,
     read: u64,
     cut: bool,
@@ -127,12 +128,15 @@ pub struct FaultyStream<S> {
 impl<S: NetStream> FaultyStream<S> {
     /// Wraps `inner` under `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
-        let rng = plan.jitter.as_ref().map(|j| XorShift::new(j.seed));
+        let jitter = plan
+            .jitter
+            .as_ref()
+            .map(|j| (XorShift::new(j.seed), j.max_chunk));
         let stall_ops_left = plan.stall.as_ref().map_or(0, |s| s.ops);
         FaultyStream {
             inner,
             plan,
-            rng,
+            jitter,
             written: 0,
             read: 0,
             cut: false,
@@ -192,14 +196,8 @@ impl<S: NetStream> Read for FaultyStream<S> {
             }
         }
         let mut allowed = buf.len();
-        if let Some(rng) = &mut self.rng {
-            let max = self
-                .plan
-                .jitter
-                .as_ref()
-                .expect("rng implies jitter")
-                .max_chunk;
-            allowed = allowed.min(rng.chunk(max));
+        if let Some((rng, max_chunk)) = &mut self.jitter {
+            allowed = allowed.min(rng.chunk(*max_chunk));
         }
         if let Some(cut_at) = self.plan.cut_after_reads {
             allowed = allowed.min((cut_at - self.read) as usize);
@@ -228,14 +226,8 @@ impl<S: NetStream> Write for FaultyStream<S> {
             }
         }
         let mut allowed = buf.len();
-        if let Some(rng) = &mut self.rng {
-            let max = self
-                .plan
-                .jitter
-                .as_ref()
-                .expect("rng implies jitter")
-                .max_chunk;
-            allowed = allowed.min(rng.chunk(max));
+        if let Some((rng, max_chunk)) = &mut self.jitter {
+            allowed = allowed.min(rng.chunk(*max_chunk));
         }
         if let Some(cut_at) = self.plan.cut_after_writes {
             allowed = allowed.min((cut_at - self.written) as usize).max(1);

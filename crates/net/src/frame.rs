@@ -55,15 +55,8 @@ pub enum FrameKind {
     /// A wire-v1 `E2EP` series frame, prefixed by its 8-byte edge key. No
     /// producer in this repo; removal waits for a `benchmark` PR.
     DataSeries = 5,
-    /// An analyzer shard's full-state reduction snapshot, routed
-    /// broker→tracer (the feedback direction). Origin is the shard's
-    /// synthetic hint origin; seq is per-shard monotonic so stale
-    /// snapshots can never overwrite fresher ones.
-    Hint = 6,
-    /// A promoted edge's retained fine window, resent by a tracer on a
-    /// promote hint. Data-kinded: it rides the same replay ring, dedup,
-    /// and resume machinery as ordinary batches.
-    Backfill = 7,
+    // Bytes 6 and 7 carried the retired edge-side reduction tier's hints
+    // and backfills; they stay unassigned and decode as `BadKind`.
 }
 
 impl FrameKind {
@@ -73,18 +66,13 @@ impl FrameKind {
             3 => Some(FrameKind::Subscribe),
             4 => Some(FrameKind::DataBatch),
             5 => Some(FrameKind::DataSeries),
-            6 => Some(FrameKind::Hint),
-            7 => Some(FrameKind::Backfill),
             _ => None,
         }
     }
 
     /// Whether this kind carries tracer series data (vs. control).
     pub fn is_data(self) -> bool {
-        matches!(
-            self,
-            FrameKind::DataBatch | FrameKind::DataSeries | FrameKind::Backfill
-        )
+        matches!(self, FrameKind::DataBatch | FrameKind::DataSeries)
     }
 }
 
@@ -539,11 +527,11 @@ mod tests {
     #[test]
     fn raw_frame_bytes_are_identical_to_encoded_input() {
         let payload = b"opaque relay payload".as_slice();
-        let encoded = encode_frame_to_vec(FrameKind::Backfill, 9, 77, payload);
+        let encoded = encode_frame_to_vec(FrameKind::DataBatch, 9, 77, payload);
         let mut dec = FrameDecoder::new();
         dec.feed(&encoded);
         let raw = dec.next_raw().unwrap().unwrap();
-        assert_eq!(raw.kind, FrameKind::Backfill);
+        assert_eq!(raw.kind, FrameKind::DataBatch);
         assert_eq!(raw.origin, 9);
         assert_eq!(raw.seq, 77);
         assert_eq!(raw.bytes.as_ref(), encoded.as_slice());
@@ -574,7 +562,7 @@ mod tests {
         let mut gathered = head.clone();
         gathered.extend_from_slice(tail);
         assert_eq!(gathered, reference);
-        // Empty prefix (the batch/backfill shape).
+        // Empty prefix (the batch shape).
         let head = encode_frame_head(FrameKind::DataBatch, 3, 13, &[], tail);
         let mut gathered = head;
         gathered.extend_from_slice(tail);

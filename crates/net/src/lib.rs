@@ -6,7 +6,7 @@
 //!
 //! - [`frame`] — the length-prefixed, CRC-checked transport envelope
 //!   carrying wire-v1/v2 payloads, with a sans-io incremental decoder;
-//! - [`msg`] — control-plane payloads (Hello, Subscribe, Hint);
+//! - [`msg`] — control-plane payloads (Hello, Subscribe);
 //! - [`stream`] / [`mem`] — the byte-stream abstraction and its kernel
 //!   (TCP, Unix) and in-memory implementations;
 //! - [`fault`] — seeded, byte-offset-scripted fault injection (cuts,
@@ -44,9 +44,7 @@ pub mod stream;
 pub use broker::{BrokerConfig, BrokerHandle};
 pub use fault::{FaultPlan, FaultyDialer, FaultyStream};
 pub use frame::{Frame, FrameDecoder, FrameError, FrameKind, RawFrame};
-pub use link::{
-    AnalyzerConn, HintConn, HintSender, LinkConfig, LinkStats, TracerLink, HINT_ORIGIN_BIT,
-};
+pub use link::{AnalyzerConn, LinkConfig, LinkStats, TracerLink};
 pub use pipeline::{BoundEndpoint, DistributedPipeline, Endpoint, PipelineBuilder};
 pub use stream::{
     Acceptor, CountingAcceptor, CountingStream, Dialer, IoCounters, NetStream, TcpDialer,

@@ -1,13 +1,11 @@
 //! Client-side transport endpoints: the tracer's socket-backed
-//! [`FrameSink`], the analyzer's subscribing connection, and the two ends
-//! of the reduction-hint channel.
+//! [`FrameSink`] and the analyzer's subscribing connection.
 //!
-//! Every client reaches the broker one way: dial, write the handshake,
-//! and on failure redial with exponential backoff, at most
-//! [`LinkConfig::max_flush_redials`] failures in a row. Both subscribers
-//! ([`AnalyzerConn`], [`HintConn`]) run one read loop: subscribe with
-//! their resume positions, receive everything after them, and hand each
-//! frame to their own handler.
+//! Both clients reach the broker one way: dial, write the handshake, and
+//! on failure redial with exponential backoff, at most
+//! [`LinkConfig::max_flush_redials`] failures in a row. The subscriber
+//! ([`AnalyzerConn`]) subscribes with its resume positions and receives
+//! everything after them.
 //!
 //! The reconnect invariant, kept cooperatively with the broker:
 //!
@@ -29,13 +27,12 @@ use crate::frame::{
     encode_frame, encode_frame_head, encode_frame_to_vec, FrameDecoder, FrameKind, RawFrame,
     HEADER_LEN,
 };
-use crate::msg::{decode_hint, encode_hello, encode_hint, encode_subscribe, Reader, Role};
+use crate::msg::{encode_hello, encode_subscribe, Reader, Role};
 use crate::queue::{QueueStats, QueuedFrame, SendQueue};
 use crate::registry::{Freshness, SeqDedup};
 use crate::stream::{write_coalesced, Dialer, NetStream, COALESCE_MAX_BYTES, COALESCE_MAX_FRAMES};
 use bytes::Bytes;
 use crossbeam::channel::{Receiver, Sender};
-use e2eprof_core::reduction::HintState;
 use e2eprof_core::tracer::{FrameSink, TracerFrame};
 use e2eprof_netsim::NodeId;
 use std::io::{Read, Write};
@@ -44,12 +41,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// High bit marking an envelope origin as a synthetic analyzer hint
-/// origin (`HINT_ORIGIN_BIT | shard`) rather than a tracer node index.
-/// Keeps hint sequence spaces disjoint from data sequence spaces in
-/// every dedup map they share.
-pub const HINT_ORIGIN_BIT: u32 = 0x8000_0000;
-
 /// Tuning for a client-side link.
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
@@ -57,11 +48,10 @@ pub struct LinkConfig {
     pub queue_capacity: usize,
     /// Every client's reconnect budget: failed dials, handshakes or
     /// connections in a row before it gives up. A [`TracerLink`] flush
-    /// then leaves the remaining frames queued for the next flush, a
-    /// [`HintSender::send`] drops its snapshot, and the reader thread of
-    /// an [`AnalyzerConn`] or [`HintConn`] exits. Each flush or send
-    /// starts a fresh budget; a subscriber starts one whenever an
-    /// established connection ends.
+    /// then leaves the remaining frames queued for the next flush, and
+    /// the reader thread of an [`AnalyzerConn`] exits. Each flush starts
+    /// a fresh budget; the subscriber starts one whenever an established
+    /// connection ends.
     pub max_flush_redials: u32,
     /// First reconnect delay; doubles per consecutive failure. Zero in
     /// tests keeps the fault suite free of wall-clock time.
@@ -212,10 +202,10 @@ fn hello(origin: u32, role: Role) -> Vec<u8> {
 
 /// A subscriber's handshake: `Hello` as `role`, then `Subscribe` with its
 /// resume positions.
-fn subscription(origin: u32, role: Role, resume: &[(u32, u64)]) -> Vec<u8> {
-    let mut bytes = hello(origin, role);
+fn subscription(role: Role, resume: &[(u32, u64)]) -> Vec<u8> {
+    let mut bytes = hello(0, role);
     let payload = encode_subscribe(resume);
-    encode_frame(FrameKind::Subscribe, origin, 0, &payload, &mut bytes);
+    encode_frame(FrameKind::Subscribe, 0, 0, &payload, &mut bytes);
     bytes
 }
 
@@ -384,8 +374,11 @@ impl FrameSink for TracerLink {
         // materialized; the gather flush hands both to the stream without
         // ever copying the payload.
         let (kind, prefix, tail) = match frame {
-            TracerFrame::Batch { payload } => (FrameKind::DataBatch, Vec::new(), payload),
-            TracerFrame::Backfill { payload } => (FrameKind::Backfill, Vec::new(), payload),
+            // A `Backfill` (no producer in this repo) is a batch on the
+            // wire.
+            TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
+                (FrameKind::DataBatch, Vec::new(), payload)
+            }
             // No producer in this repo; removal waits for a `benchmark` PR.
             TracerFrame::Series { edge, payload } => {
                 // DataSeries payloads carry the edge in an 8-byte prefix
@@ -407,7 +400,7 @@ impl FrameSink for TracerLink {
     }
 }
 
-/// What a subscriber's handler makes of one frame.
+/// What [`DataFeed`] makes of one frame.
 enum Next {
     /// Keep reading.
     Read,
@@ -417,42 +410,30 @@ enum Next {
     Exit,
 }
 
-/// One subscriber's side of [`subscriber_loop`].
-trait Subscription {
-    /// Where its next `Subscribe` resumes from.
-    fn resume(&self) -> Vec<(u32, u64)>;
-    /// Its count of connections dialed beyond the first.
-    fn reconnects(&self) -> &AtomicU64;
-    /// Handles one validated frame.
-    fn frame(&mut self, frame: &RawFrame) -> Next;
-    /// Notes a connection dropped over a frame that did not decode.
-    fn undecodable(&self) {}
-}
-
-/// The reader of both subscribers: connect, subscribe with the resume
-/// positions, and hand every frame to `sub`. A connection that ends or
-/// breaks is redialed with a fresh budget. Exits once the redial budget
-/// is spent, the stop flag is set, or `sub`'s consumer hangs up.
-fn subscriber_loop(mut redial: Redial, origin: u32, role: Role, mut sub: impl Subscription) {
+/// The subscriber's reader: connect, subscribe with the resume positions,
+/// and hand every frame to `feed`. A connection that ends or breaks is
+/// redialed with a fresh budget. Exits once the redial budget is spent,
+/// the stop flag is set, or `feed`'s consumer hangs up.
+fn subscriber_loop(mut redial: Redial, role: Role, mut feed: DataFeed) {
     let mut buf = vec![0u8; 64 * 1024];
     loop {
         redial.renew();
-        let handshake = subscription(origin, role, &sub.resume());
-        let Some(mut conn) = redial.connect(&handshake, sub.reconnects()) else {
+        let handshake = subscription(role, &feed.dedup.resume_positions());
+        let Some(mut conn) = redial.connect(&handshake, &feed.stats.reconnects) else {
             return;
         };
         let mut dec = FrameDecoder::new();
         'conn: loop {
             loop {
                 let next = match dec.next_raw() {
-                    Ok(Some(frame)) => sub.frame(&frame),
+                    Ok(Some(frame)) => feed.frame(&frame),
                     Ok(None) => break,
                     Err(_) => Next::Redial,
                 };
                 match next {
                     Next::Read => {}
                     Next::Redial => {
-                        sub.undecodable();
+                        feed.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                         conn.shutdown_stream();
                         break 'conn;
                     }
@@ -511,7 +492,7 @@ impl AnalyzerConn {
             tx,
         };
         let role = Role::Analyzer { shard, of };
-        let thread = std::thread::spawn(move || subscriber_loop(redial, 0, role, feed));
+        let thread = std::thread::spawn(move || subscriber_loop(redial, role, feed));
         (
             AnalyzerConn {
                 stop,
@@ -553,15 +534,8 @@ struct DataFeed {
     tx: Sender<TracerFrame>,
 }
 
-impl Subscription for DataFeed {
-    fn resume(&self) -> Vec<(u32, u64)> {
-        self.dedup.resume_positions()
-    }
-
-    fn reconnects(&self) -> &AtomicU64 {
-        &self.stats.reconnects
-    }
-
+impl DataFeed {
+    /// Handles one validated frame.
     fn frame(&mut self, frame: &RawFrame) -> Next {
         if !frame.kind.is_data() {
             return Next::Read; // control frames are not expected; ignore
@@ -579,10 +553,6 @@ impl Subscription for DataFeed {
         self.stats.delivered.fetch_add(1, Ordering::Relaxed);
         Next::Read
     }
-
-    fn undecodable(&self) {
-        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// Reverses [`TracerLink::send_frame`]'s payload mapping. Zero-copy: the
@@ -592,7 +562,6 @@ fn to_tracer_frame(frame: &RawFrame) -> Option<TracerFrame> {
     let payload = Bytes::from_arc(Arc::clone(&frame.bytes)).slice(HEADER_LEN..frame.bytes.len());
     match frame.kind {
         FrameKind::DataBatch => Some(TracerFrame::Batch { payload }),
-        FrameKind::Backfill => Some(TracerFrame::Backfill { payload }),
         FrameKind::DataSeries => {
             let mut key = Reader::new(&payload);
             let (src, dst) = (key.u32().ok()?, key.u32().ok()?);
@@ -602,226 +571,6 @@ fn to_tracer_frame(frame: &RawFrame) -> Option<TracerFrame> {
             })
         }
         _ => None,
-    }
-}
-
-/// The analyzer shard's hint-publishing connection: a synchronous,
-/// driver-owned sender that pushes each [`HintState`] snapshot to the
-/// broker as a `Hint` frame with origin `HINT_ORIGIN_BIT | shard` and a
-/// per-shard monotonic sequence.
-///
-/// Retries with the *same* sequence number across redials (like
-/// [`TracerLink`]): a connection dying mid-frame discards the partial
-/// bytes with the stream, and the broker's dedup absorbs any resend of a
-/// frame that did land whole.
-pub struct HintSender {
-    shard: u32,
-    of: u32,
-    redial: Redial,
-    conn: Option<Box<dyn NetStream>>,
-    next_seq: u64,
-    /// Connections dialed beyond the first.
-    redials: AtomicU64,
-}
-
-impl HintSender {
-    /// Creates a sender for analyzer shard `shard` of `of`. Nothing is
-    /// dialed until the first send.
-    pub fn new(shard: u32, of: u32, dialer: Box<dyn Dialer>, config: LinkConfig) -> Self {
-        HintSender {
-            shard,
-            of,
-            redial: Redial::new(dialer, &config, None),
-            conn: None,
-            next_seq: 1,
-            redials: AtomicU64::new(0),
-        }
-    }
-
-    /// The synthetic envelope origin this shard's hints carry.
-    pub fn origin(&self) -> u32 {
-        HINT_ORIGIN_BIT | self.shard
-    }
-
-    /// Publishes one snapshot; returns the sequence number it was written
-    /// under, or `None` if the redial budget ran out (the snapshot is
-    /// dropped — harmless, because the next snapshot is full-state and
-    /// supersedes it).
-    pub fn send(&mut self, state: &HintState) -> Option<u64> {
-        let seq = self.next_seq;
-        let frame = encode_frame_to_vec(FrameKind::Hint, self.origin(), seq, &encode_hint(state));
-        self.redial.renew();
-        loop {
-            let mut conn = match self.conn.take() {
-                Some(conn) => conn,
-                None => {
-                    let role = Role::Analyzer {
-                        shard: self.shard,
-                        of: self.of,
-                    };
-                    let hello = hello(self.origin(), role);
-                    self.redial.connect(&hello, &self.redials)?
-                }
-            };
-            if conn.write_all(&frame).is_ok() {
-                self.conn = Some(conn);
-                self.next_seq += 1;
-                return Some(seq);
-            }
-            if !self.redial.retry() {
-                return None;
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for HintSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HintSender")
-            .field("shard", &self.shard)
-            .field("next_seq", &self.next_seq)
-            .field("redials", &self.redials)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The tracer's hint-subscription connection: a background reader that
-/// subscribes to reduction hints, decodes fresh snapshots onto a channel
-/// for the agent to apply, and reconnects with per-shard resume
-/// positions so the broker replays only snapshots it has not seen.
-///
-/// The per-shard high-water marks are published through an atomic vector:
-/// once `hint_seq(shard) >= s`, the snapshot written under sequence `s`
-/// is already in the channel — which is the barrier the deterministic
-/// pipeline spins on after each refresh.
-pub struct HintConn {
-    stop: Arc<AtomicBool>,
-    latest: Arc<Vec<AtomicU64>>,
-    reconnects: Arc<AtomicU64>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl HintConn {
-    /// Spawns the reader for the tracer on node `node`, expecting hints
-    /// from `shards` analyzer shards. Snapshots arrive on the returned
-    /// receiver in publish order per shard.
-    pub fn spawn(
-        dialer: Box<dyn Dialer>,
-        node: u32,
-        shards: u32,
-        config: LinkConfig,
-    ) -> (HintConn, Receiver<HintState>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let latest: Arc<Vec<AtomicU64>> =
-            Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect());
-        let reconnects = Arc::new(AtomicU64::new(0));
-        let redial = Redial::new(dialer, &config, Some(Arc::clone(&stop)));
-        let feed = HintFeed {
-            latest: Arc::clone(&latest),
-            reconnects: Arc::clone(&reconnects),
-            tx,
-        };
-        let role = Role::HintSub { node };
-        let thread = std::thread::spawn(move || subscriber_loop(redial, node, role, feed));
-        (
-            HintConn {
-                stop,
-                latest,
-                reconnects,
-                thread: Some(thread),
-            },
-            rx,
-        )
-    }
-
-    /// Highest hint sequence received (and enqueued) from `shard`.
-    pub fn hint_seq(&self, shard: u32) -> u64 {
-        self.latest[shard as usize].load(Ordering::Acquire)
-    }
-
-    /// Connections dialed beyond the first.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Signals the reader to exit at the next connection boundary without
-    /// joining it. Set this *before* tearing the broker down: a reader
-    /// woken by the broker closing its stream then exits instead of
-    /// redialing a listener whose accept thread may outlive the broker.
-    pub fn signal_stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Signals the reader to exit at the next connection boundary and
-    /// joins it. (Tear the broker down first so a blocked read wakes.)
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for HintConn {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Don't join in drop: the reader may be blocked on a live broker
-        // with no traffic. `stop()` is the orderly path.
-        let _ = self.thread.take();
-    }
-}
-
-impl std::fmt::Debug for HintConn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HintConn")
-            .field("shards", &self.latest.len())
-            .field("reconnects", &self.reconnects())
-            .finish_non_exhaustive()
-    }
-}
-
-/// [`HintConn`]'s handler: bound-check the shard, skip what it already
-/// holds, decode, forward, then publish the shard's high-water mark.
-struct HintFeed {
-    latest: Arc<Vec<AtomicU64>>,
-    reconnects: Arc<AtomicU64>,
-    tx: Sender<HintState>,
-}
-
-impl Subscription for HintFeed {
-    fn resume(&self) -> Vec<(u32, u64)> {
-        self.latest
-            .iter()
-            .enumerate()
-            .map(|(s, seq)| (HINT_ORIGIN_BIT | s as u32, seq.load(Ordering::Acquire)))
-            .collect()
-    }
-
-    fn reconnects(&self) -> &AtomicU64 {
-        &self.reconnects
-    }
-
-    fn frame(&mut self, frame: &RawFrame) -> Next {
-        if frame.kind != FrameKind::Hint {
-            return Next::Read; // other kinds are not expected; ignore
-        }
-        let Some(latest) = self.latest.get((frame.origin & !HINT_ORIGIN_BIT) as usize) else {
-            return Next::Redial;
-        };
-        if frame.seq <= latest.load(Ordering::Acquire) {
-            return Next::Read; // replay overlap after a reconnect
-        }
-        let Ok(state) = decode_hint(frame.payload()) else {
-            return Next::Redial;
-        };
-        if self.tx.send(state).is_err() {
-            return Next::Exit; // agent gone: nothing left to feed
-        }
-        // Publish *after* the send so a reader observing this mark finds
-        // the snapshot already enqueued.
-        latest.store(frame.seq, Ordering::Release);
-        Next::Read
     }
 }
 
@@ -959,116 +708,11 @@ mod tests {
         assert_eq!(link.stats().redials, 0, "no dial ever succeeded");
         taken();
 
-        let mut sender = HintSender::new(0, 1, dead(), config.clone());
-        let state = HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![],
-        };
-        assert_eq!(sender.send(&state), None);
-        assert_eq!(taken(), budget, "one send spends one budget");
-
         let (mut conn, rx) = AnalyzerConn::spawn(dead(), 0, 1, config);
         // The reader exits on its own — dropping its sender — once the
         // budget is spent; only then is the count final.
         assert!(rx.recv().is_err(), "the reader gave up");
         assert_eq!(taken(), budget, "the reader spends one budget");
-        conn.stop();
-    }
-
-    /// The seq mark is published *after* the snapshot is enqueued (that
-    /// direction is the pipeline's barrier invariant), so a test that
-    /// recv()s a snapshot may observe the mark a beat later.
-    fn await_hint_seq(conn: &HintConn, shard: u32, want: u64) {
-        for _ in 0..1_000_000 {
-            if conn.hint_seq(shard) >= want {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(conn.hint_seq(shard), want, "hint seq mark never arrived");
-    }
-
-    #[test]
-    fn hints_reach_live_and_late_subscribers() {
-        let listener = Arc::new(MemListener::new());
-        let broker = BrokerHandle::spawn(listener.clone(), BrokerConfig::default());
-        let mut sender =
-            HintSender::new(0, 1, Box::new(listener.dialer()), LinkConfig::immediate());
-        let s1 = HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![((1, 2), 16)],
-        };
-        assert_eq!(sender.send(&s1), Some(1));
-        // A subscriber arriving *after* the publish still gets the latest
-        // stored snapshot replayed.
-        let (mut conn, rx) =
-            HintConn::spawn(Box::new(listener.dialer()), 3, 1, LinkConfig::immediate());
-        assert_eq!(rx.recv().expect("replayed hint"), s1);
-        await_hint_seq(&conn, 0, 1);
-        // And live updates flow through.
-        let s2 = HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![],
-        };
-        assert_eq!(sender.send(&s2), Some(2));
-        assert_eq!(rx.recv().expect("live hint"), s2);
-        await_hint_seq(&conn, 0, 2);
-        broker.shutdown();
-        conn.stop();
-    }
-
-    #[test]
-    fn hint_conn_cut_replays_latest_snapshot_exactly_once() {
-        let listener = Arc::new(MemListener::new());
-        let broker = BrokerHandle::spawn(listener.clone(), BrokerConfig::default());
-        let mut sender =
-            HintSender::new(0, 1, Box::new(listener.dialer()), LinkConfig::immediate());
-        // One-edge snapshot: 26-byte envelope + (12 + 16) payload bytes.
-        let frame_len = 26 + 28;
-        let dialer = FaultyDialer::new(
-            listener.dialer(),
-            vec![FaultPlan::cut_read_at(frame_len as u64 + 10)],
-        );
-        let (mut conn, rx) = HintConn::spawn(Box::new(dialer), 5, 1, LinkConfig::immediate());
-        let s1 = HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![((1, 2), 16)],
-        };
-        let s2 = HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![((1, 2), 16), ((3, 4), 8)],
-        };
-        assert_eq!(sender.send(&s1), Some(1));
-        assert_eq!(rx.recv().expect("first hint"), s1);
-        // The second snapshot lands while the subscriber's connection is
-        // dying mid-read; the reconnect's resume position (1) makes the
-        // broker replay exactly the missed latest snapshot.
-        assert_eq!(sender.send(&s2), Some(2));
-        assert_eq!(rx.recv().expect("replayed second hint"), s2);
-        await_hint_seq(&conn, 0, 2);
-        assert!(rx.try_recv().is_err(), "no duplicate replay");
-        broker.shutdown();
-        conn.stop();
-    }
-
-    #[test]
-    fn backfill_frames_round_trip_like_batches() {
-        let listener = Arc::new(MemListener::new());
-        let broker = BrokerHandle::spawn(listener.clone(), BrokerConfig::default());
-        let (mut conn, rx) =
-            AnalyzerConn::spawn(Box::new(listener.dialer()), 0, 1, LinkConfig::immediate());
-        let mut link = TracerLink::new(4, Box::new(listener.dialer()), LinkConfig::immediate());
-        let frame = TracerFrame::Backfill {
-            payload: Bytes::copy_from_slice(b"fine-window"),
-        };
-        link.send_frame(frame.clone());
-        assert_eq!(rx.recv().expect("frame"), frame);
-        broker.shutdown();
         conn.stop();
     }
 

@@ -1,5 +1,5 @@
 //! Control-plane payloads carried inside [`frame`](crate::frame)
-//! envelopes: peer introduction, subscription and reduction hints.
+//! envelopes: peer introduction and subscription.
 //!
 //! Encodings are fixed-width big-endian with explicit counts, and every
 //! decoded count is capped against the bytes actually present before any
@@ -8,7 +8,6 @@
 //! length or an unknown role is [`FrameError::Malformed`], never a panic.
 
 use crate::frame::FrameError;
-use e2eprof_core::reduction::HintState;
 
 /// Who is on the other end of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,14 +23,6 @@ pub enum Role {
         shard: u32,
         /// Total shard count.
         of: u32,
-    },
-    /// A tracer's hint-subscription connection (the feedback direction).
-    /// Distinct from [`Role::Tracer`] so it receives hints, not data, and
-    /// neither waits for nor holds back the broker's handoff between the
-    /// same tracer's data connections.
-    HintSub {
-        /// Node index of the tracer subscribing to reduction hints.
-        node: u32,
     },
 }
 
@@ -49,11 +40,6 @@ pub fn encode_hello(role: Role) -> Vec<u8> {
             v.extend_from_slice(&of.to_be_bytes());
             v
         }
-        Role::HintSub { node } => {
-            let mut v = vec![2u8];
-            v.extend_from_slice(&node.to_be_bytes());
-            v
-        }
     }
 }
 
@@ -67,7 +53,6 @@ pub fn decode_hello(payload: &[u8]) -> Result<Role, FrameError> {
             shard: r.u32()?,
             of: r.u32()?,
         },
-        2 => Role::HintSub { node: r.u32()? },
         _ => return Err(FrameError::Malformed),
     };
     r.end()?;
@@ -95,30 +80,6 @@ pub fn decode_subscribe(payload: &[u8]) -> Result<Vec<(u32, u64)>, FrameError> {
     let resume = r.counted(12, |r| Ok((r.u32()?, r.u64()?)))?;
     r.end()?;
     Ok(resume)
-}
-
-/// Encodes a `Hint` payload: one analyzer shard's full-state reduction
-/// snapshot (see [`HintState`]).
-pub fn encode_hint(state: &HintState) -> Vec<u8> {
-    let mut v = Vec::with_capacity(12 + state.edges.len() * 16);
-    v.extend_from_slice(&state.shard.to_be_bytes());
-    v.extend_from_slice(&state.of.to_be_bytes());
-    v.extend_from_slice(&(state.edges.len() as u32).to_be_bytes());
-    for &((src, dst), level) in &state.edges {
-        v.extend_from_slice(&src.to_be_bytes());
-        v.extend_from_slice(&dst.to_be_bytes());
-        v.extend_from_slice(&level.to_be_bytes());
-    }
-    v
-}
-
-/// Decodes a `Hint` payload.
-pub fn decode_hint(payload: &[u8]) -> Result<HintState, FrameError> {
-    let mut r = Reader::new(payload);
-    let (shard, of) = (r.u32()?, r.u32()?);
-    let edges = r.counted(16, |r| Ok(((r.u32()?, r.u32()?), r.u64()?)))?;
-    r.end()?;
-    Ok(HintState { shard, of, edges })
 }
 
 /// A total big-endian reader over a control payload: every read checks
@@ -183,45 +144,13 @@ mod tests {
 
     #[test]
     fn hello_roundtrip() {
-        for role in [
-            Role::Tracer { node: 9 },
-            Role::Analyzer { shard: 2, of: 4 },
-            Role::HintSub { node: 5 },
-        ] {
+        for role in [Role::Tracer { node: 9 }, Role::Analyzer { shard: 2, of: 4 }] {
             assert_eq!(decode_hello(&encode_hello(role)), Ok(role));
         }
         assert!(decode_hello(&[]).is_err());
         assert!(decode_hello(&[7, 0, 0, 0, 0]).is_err());
-    }
-
-    #[test]
-    fn hint_roundtrip() {
-        for state in [
-            HintState {
-                shard: 0,
-                of: 1,
-                edges: vec![],
-            },
-            HintState {
-                shard: 2,
-                of: 4,
-                edges: vec![((1, 2), 16), ((3, u32::MAX), u64::MAX)],
-            },
-        ] {
-            assert_eq!(decode_hint(&encode_hint(&state)), Ok(state));
-        }
-        assert!(decode_hint(&[]).is_err());
-        // Truncated edge list.
-        let enc = encode_hint(&HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![((1, 2), 16)],
-        });
-        assert!(decode_hint(&enc[..enc.len() - 1]).is_err());
-        // Absurd count with no bytes behind it.
-        let mut bad = vec![0u8; 8];
-        bad.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(decode_hint(&bad).is_err());
+        // Role 2, the retired hint subscriber, is unknown.
+        assert!(decode_hello(&[2, 0, 0, 0, 5]).is_err());
     }
 
     #[test]
@@ -255,16 +184,5 @@ mod tests {
         assert_eq!(decode_subscribe(&u32::MAX.to_be_bytes()), Err(Malformed));
         let subscribe = encode_subscribe(&[(1, 5)]);
         assert_eq!(decode_subscribe(&tail(subscribe)), Err(Malformed));
-        // Hint: short header, absurd count, trailing byte.
-        assert_eq!(decode_hint(&[0; 11]), Err(Malformed));
-        let mut huge = vec![0u8; 8];
-        huge.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert_eq!(decode_hint(&huge), Err(Malformed));
-        let hint = encode_hint(&HintState {
-            shard: 0,
-            of: 1,
-            edges: vec![((1, 2), 16)],
-        });
-        assert_eq!(decode_hint(&tail(hint)), Err(Malformed));
     }
 }

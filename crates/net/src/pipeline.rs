@@ -32,17 +32,15 @@
 
 use crate::broker::{BrokerConfig, BrokerHandle};
 use crate::fault::{FaultPlan, FaultyDialer};
-use crate::link::{AnalyzerConn, ConnStats, HintConn, HintSender, LinkConfig, TracerLink};
+use crate::link::{AnalyzerConn, ConnStats, LinkConfig, TracerLink};
 use crate::mem::MemListener;
 use crate::stream::{Acceptor, Dialer, TcpDialer, UnixDialer};
-use crossbeam::channel::Receiver;
 use e2eprof_core::analyzer::OnlineAnalyzer;
 use e2eprof_core::config::PathmapConfig;
 use e2eprof_core::graph::NodeLabels;
 use e2eprof_core::graph::ServiceGraph;
 use e2eprof_core::parallel::shard_ranges;
 use e2eprof_core::pathmap::roots_from_topology;
-use e2eprof_core::reduction::HintState;
 use e2eprof_core::tracer::TracerAgent;
 use e2eprof_netsim::{NodeId, Simulation, Topology};
 use e2eprof_timeseries::Nanos;
@@ -151,7 +149,6 @@ pub struct PipelineBuilder {
     broker: BrokerConfig,
     tracer_faults: BTreeMap<u32, Vec<FaultPlan>>,
     analyzer_faults: BTreeMap<usize, Vec<FaultPlan>>,
-    hint_faults: BTreeMap<u32, Vec<FaultPlan>>,
 }
 
 impl PipelineBuilder {
@@ -169,7 +166,6 @@ impl PipelineBuilder {
             },
             tracer_faults: BTreeMap::new(),
             analyzer_faults: BTreeMap::new(),
-            hint_faults: BTreeMap::new(),
         }
     }
 
@@ -201,15 +197,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Scripts connection faults for the *hint subscription* of the
-    /// tracer on node `node` (the analyzer→tracer feedback channel),
-    /// like [`tracer_faults`](Self::tracer_faults). Only meaningful when
-    /// the config enables reduction.
-    pub fn hint_faults(mut self, node: u32, plans: Vec<FaultPlan>) -> Self {
-        self.hint_faults.insert(node, plans);
-        self
-    }
-
     /// Builds the full distributed tier against `topo`, bound to
     /// `endpoint`: broker, one agent-with-link per service node, and one
     /// subscribed analyzer per shard owning a contiguous chunk of the
@@ -222,13 +209,10 @@ impl PipelineBuilder {
         let labels = NodeLabels::from_topology(topo);
         let ranges = shard_ranges(roots.len(), self.shards);
         let of = ranges.len().max(1) as u32;
-        let reduction_on = self.config.reduction().is_some();
 
         let mut agents = Vec::new();
         let mut delivered = Vec::new();
         let mut link_redials = Vec::new();
-        let mut hint_conns = Vec::new();
-        let mut hint_rxs = Vec::new();
         for node in topo.services() {
             let origin = node.index() as u32;
             let dialer: Box<dyn Dialer> = match self.tracer_faults.get(&origin) {
@@ -238,15 +222,6 @@ impl PipelineBuilder {
             let link = TracerLink::new(origin, dialer, self.link.clone());
             delivered.push(link.delivered_handle());
             link_redials.push((origin, link.redials_handle()));
-            if reduction_on {
-                let dialer: Box<dyn Dialer> = match self.hint_faults.get(&origin) {
-                    Some(plans) => Box::new(FaultyDialer::new(endpoint.dialer(), plans.clone())),
-                    None => endpoint.dialer(),
-                };
-                let (conn, rx) = HintConn::spawn(dialer, origin, of, self.link.clone());
-                hint_conns.push((origin, conn));
-                hint_rxs.push(rx);
-            }
             agents.push(TracerAgent::with_sink(
                 node,
                 clients.clone(),
@@ -256,33 +231,22 @@ impl PipelineBuilder {
         }
 
         let mut shards = Vec::new();
-        let mut hint_senders = Vec::new();
         for (i, range) in ranges.into_iter().enumerate() {
             let dialer: Box<dyn Dialer> = match self.analyzer_faults.get(&i) {
                 Some(plans) => Box::new(FaultyDialer::new(endpoint.dialer(), plans.clone())),
                 None => endpoint.dialer(),
             };
             let (conn, rx) = AnalyzerConn::spawn(dialer, i as u32, of, self.link.clone());
-            let mut analyzer = OnlineAnalyzer::with_universe(
+            let analyzer = OnlineAnalyzer::with_universe(
                 self.config.clone(),
                 roots[range].to_vec(),
                 universe.clone(),
                 labels.clone(),
                 rx,
             );
-            if reduction_on {
-                analyzer.set_reduction_shard(i as u32, of);
-                hint_senders.push(HintSender::new(
-                    i as u32,
-                    of,
-                    endpoint.dialer(),
-                    self.link.clone(),
-                ));
-            }
             shards.push(ShardAnalyzer { analyzer, conn });
         }
 
-        let hint_seqs = vec![0u64; hint_senders.len()];
         DistributedPipeline {
             config: self.config,
             broker,
@@ -290,10 +254,6 @@ impl PipelineBuilder {
             delivered,
             link_redials,
             shards,
-            hint_conns,
-            hint_rxs,
-            hint_senders,
-            hint_seqs,
             expected: 0,
         }
     }
@@ -319,15 +279,6 @@ pub struct DistributedPipeline {
     /// `(node, reconnect counter)` per tracer data link.
     link_redials: Vec<(u32, Arc<AtomicU64>)>,
     shards: Vec<ShardAnalyzer>,
-    /// `(node, hint subscription)` per tracer — empty when reduction is
-    /// off. Parallel to `agents`, as is `hint_rxs`.
-    hint_conns: Vec<(u32, HintConn)>,
-    hint_rxs: Vec<Receiver<HintState>>,
-    /// One hint publisher per analyzer shard (empty when reduction off).
-    hint_senders: Vec<HintSender>,
-    /// Highest hint seq each shard has published — what every tracer's
-    /// hint connection must reach before the step completes.
-    hint_seqs: Vec<u64>,
     expected: u64,
 }
 
@@ -343,15 +294,6 @@ impl DistributedPipeline {
         drain_lag: Nanos,
     ) -> Vec<ServiceGraph> {
         sim.run_until(now);
-        // Apply reduction hints delivered since the last step *before*
-        // polling: a promote hint makes the agent emit its retained fine
-        // window (Backfill) through the sink, and whatever it flushes
-        // here is counted in this step's `written` total below.
-        for (agent, rx) in self.agents.iter_mut().zip(self.hint_rxs.iter()) {
-            while let Ok(hint) = rx.try_recv() {
-                agent.apply_hint_state(&hint);
-            }
-        }
         let drain = self.config.quanta().tick_of(now.saturating_sub(drain_lag));
         for agent in &mut self.agents {
             agent.poll(sim.captures(), drain);
@@ -372,24 +314,6 @@ impl DistributedPipeline {
             shard.analyzer.ingest_expected(arriving);
             merged.extend(shard.analyzer.refresh(now));
         }
-        // Publish any changed reduction verdicts and wait until every
-        // tracer's hint connection has enqueued them — a sleep-free
-        // barrier that keeps the feedback loop deterministic: the hints
-        // take effect at the next step's drain on every agent alike.
-        for (i, sender) in self.hint_senders.iter_mut().enumerate() {
-            if let Some(hint) = self.shards[i].analyzer.take_hints() {
-                if let Some(seq) = sender.send(&hint) {
-                    self.hint_seqs[i] = seq;
-                }
-            }
-        }
-        for (_, conn) in &self.hint_conns {
-            for (s, &seq) in self.hint_seqs.iter().enumerate() {
-                while conn.hint_seq(s as u32) < seq {
-                    std::thread::yield_now();
-                }
-            }
-        }
         merged
     }
 
@@ -403,26 +327,12 @@ impl DistributedPipeline {
         self.agents.iter().map(TracerAgent::frames_emitted).sum()
     }
 
-    /// Total backfill frames the agents emitted on promote hints.
-    pub fn backfills_emitted(&self) -> u64 {
-        self.agents.iter().map(TracerAgent::backfills_emitted).sum()
-    }
-
     /// Per-tracer data-link reconnect counts, `(node, reconnects)` in
     /// node order.
     pub fn link_redials(&self) -> Vec<(u32, u64)> {
         self.link_redials
             .iter()
             .map(|(node, c)| (*node, c.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Per-tracer hint-subscription reconnect counts, `(node,
-    /// reconnects)` in node order. Empty when reduction is off.
-    pub fn hint_reconnects(&self) -> Vec<(u32, u64)> {
-        self.hint_conns
-            .iter()
-            .map(|(node, c)| (*node, c.reconnects()))
             .collect()
     }
 
@@ -442,20 +352,12 @@ impl DistributedPipeline {
         self.shards[i].conn.stats()
     }
 
-    /// Tears the tier down: hint readers get their stop flag first (so
-    /// the broker closing their streams wakes them into exit rather than
-    /// a redial), then the broker (wakes blocked readers), then the
-    /// analyzer connections, then the hint reader joins.
+    /// Tears the tier down: the broker first (wakes blocked readers),
+    /// then the analyzer connections.
     pub fn shutdown(mut self) {
-        for (_, conn) in &self.hint_conns {
-            conn.signal_stop();
-        }
         self.broker.shutdown();
         for shard in &mut self.shards {
             shard.conn.stop();
-        }
-        for (_, conn) in &mut self.hint_conns {
-            conn.stop();
         }
     }
 }

@@ -158,10 +158,9 @@ impl SendQueue {
         bytes
     }
 
-    /// Records `n` more bytes written from the front of the queue — the
-    /// coalesced counterpart of [`advance`](Self::advance): completed
-    /// frames are popped (in order) and the remainder becomes the new
-    /// front's written offset. Returns how many frames completed.
+    /// Records `n` more bytes written from the front of the queue:
+    /// completed frames are popped (in order) and the remainder becomes
+    /// the new front's written offset. Returns how many frames completed.
     pub fn advance_bytes(&mut self, mut n: usize) -> u64 {
         let mut completed = 0u64;
         while n > 0 {
@@ -183,20 +182,6 @@ impl SendQueue {
             }
         }
         completed
-    }
-
-    /// Records `n` more bytes of the front frame written; pops it when
-    /// complete. Returns true if a frame finished.
-    pub fn advance(&mut self, n: usize) -> bool {
-        if let Some(front) = self.frames.front() {
-            assert!(
-                self.front_written + n <= front.len(),
-                "advance past frame end"
-            );
-        } else {
-            panic!("advance with empty queue");
-        }
-        self.advance_bytes(n) > 0
     }
 
     /// Resets the in-flight offset: after a connection dies mid-frame the
@@ -401,12 +386,12 @@ mod tests {
         let mut q = SendQueue::new(2);
         q.push(QueuedFrame::contiguous(vec![1, 1]));
         q.push(QueuedFrame::contiguous(vec![2, 2]));
-        assert!(!q.advance(1), "front partially written");
+        assert_eq!(q.advance_bytes(1), 0, "front partially written");
         q.push(QueuedFrame::contiguous(vec![3, 3]));
         // The partially-written front survives; the second frame is evicted.
         assert_eq!(flat(&q), vec![1, 3, 3], "front resumes at offset 1");
         assert_eq!(q.stats().dropped_oldest, 1);
-        assert!(q.advance(1), "front completes");
+        assert_eq!(q.advance_bytes(1), 1, "front completes");
         assert_eq!(flat(&q), vec![3, 3]);
     }
 
@@ -414,7 +399,7 @@ mod tests {
     fn send_queue_rewind_resends_from_start() {
         let mut q = SendQueue::new(4);
         q.push(QueuedFrame::contiguous(vec![9, 9, 9]));
-        q.advance(2);
+        assert_eq!(q.advance_bytes(2), 0);
         q.rewind_front();
         assert_eq!(flat(&q), vec![9, 9, 9]);
     }

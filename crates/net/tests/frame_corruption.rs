@@ -8,14 +8,11 @@
 //! CI runs this in release mode too: `debug_assert` guards are compiled
 //! out there, so the corpus must hold without them.
 
-use e2eprof_core::reduction::HintState;
 use e2eprof_net::frame::{
     crc32, encode_frame, encode_frame_to_vec, Frame, FrameDecoder, FrameError, FrameKind,
     HEADER_LEN, MAX_PAYLOAD_LEN,
 };
-use e2eprof_net::msg::{
-    decode_hello, decode_hint, decode_subscribe, encode_hello, encode_hint, encode_subscribe, Role,
-};
+use e2eprof_net::msg::{decode_hello, decode_subscribe, encode_hello, encode_subscribe, Role};
 
 /// A realistic multi-frame stream: handshake, then data of both kinds —
 /// the shapes a broker connection actually carries.
@@ -173,8 +170,9 @@ fn unknown_version_and_kind_are_typed_errors() {
     let (_, err) = drain(&bad_version);
     assert_eq!(err, Some(FrameError::UnsupportedVersion(9)));
 
-    // 200 was never a kind; 2 is retired (it announced a tracer's edges).
-    for kind in [200, 2] {
+    // 200 was never a kind; 2 is retired (it announced a tracer's edges),
+    // and so are 6 and 7 (reduction hints and backfills).
+    for kind in [200, 2, 6, 7] {
         let mut bad_kind = encode_frame_to_vec(FrameKind::Hello, 0, 0, &[]);
         bad_kind[5] = kind;
         let (_, err) = drain(&bad_kind);
@@ -191,14 +189,8 @@ fn control_payload_decoders_survive_hostile_payloads() {
     // Truncation at every offset of each control payload.
     let hello = encode_hello(Role::Analyzer { shard: 2, of: 4 });
     let subscribe = encode_subscribe(&[(3, 77), (9, 1)]);
-    let hint = encode_hint(&HintState {
-        shard: 1,
-        of: 2,
-        edges: vec![((0, 1), 16), ((7, 3), 64)],
-    });
     assert_eq!(decode_hello(&hello), Ok(Role::Analyzer { shard: 2, of: 4 }));
     assert!(decode_subscribe(&subscribe).is_ok());
-    assert!(decode_hint(&hint).is_ok());
     for cut in 0..hello.len() {
         assert!(decode_hello(&hello[..cut]).is_err(), "hello cut {cut}");
     }
@@ -208,16 +200,10 @@ fn control_payload_decoders_survive_hostile_payloads() {
             "subscribe cut {cut}"
         );
     }
-    for cut in 0..hint.len() {
-        assert!(decode_hint(&hint[..cut]).is_err(), "hint cut {cut}");
-    }
     // Absurd declared element counts with no bytes behind them.
     let mut huge = Vec::new();
     huge.extend_from_slice(&u32::MAX.to_be_bytes());
     assert!(decode_subscribe(&huge).is_err());
-    let mut huge_hint = vec![0u8; 8];
-    huge_hint.extend_from_slice(&u32::MAX.to_be_bytes());
-    assert!(decode_hint(&huge_hint).is_err());
 }
 
 /// Deterministic xorshift fuzz over the streaming decoder: random

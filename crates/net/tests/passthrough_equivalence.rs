@@ -17,11 +17,7 @@ use e2eprof_net::frame::{
 use proptest::prelude::*;
 
 fn data_kind_strategy() -> impl Strategy<Value = FrameKind> {
-    prop_oneof![
-        Just(FrameKind::DataBatch),
-        Just(FrameKind::DataSeries),
-        Just(FrameKind::Backfill),
-    ]
+    prop_oneof![Just(FrameKind::DataBatch), Just(FrameKind::DataSeries),]
 }
 
 proptest! {

@@ -47,7 +47,6 @@
 
 pub mod dense;
 pub mod density;
-pub mod pyramid;
 pub mod rle;
 pub mod sparse;
 pub mod stats;

@@ -218,113 +218,6 @@ impl RleSeries {
         crate::dense::DenseSeries::new(self.start, values)
     }
 
-    /// Decimates by `k`: coarse tick `j` sums the fine values over ticks
-    /// `[j·k, (j+1)·k)`. Coarse ticks are aligned to *absolute* fine-tick
-    /// multiples of `k` (not to the span start), so decimations of
-    /// contiguous chunks tile into the decimation of their concatenation.
-    /// The coarse span is `[⌊start/k⌋, ⌈end/k⌉)`.
-    ///
-    /// For non-negative signals every non-zero fine product `x(t)·y(t+d)`
-    /// lands in a non-zero coarse product `X(⌊t/k⌋)·Y(⌊(t+d)/k⌋)`, which
-    /// is what makes coarse support overlap a sound promote trigger for
-    /// edge-side reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use e2eprof_timeseries::{RleSeries, Run, Tick};
-    /// let r = RleSeries::from_parts(Tick::new(0), 8, vec![Run::new(Tick::new(1), 5, 2.0)]);
-    /// let c = r.decimate(4);
-    /// assert_eq!(c.len(), 2);
-    /// assert_eq!(c.value_at(Tick::new(0)), 6.0); // ticks 1,2,3
-    /// assert_eq!(c.value_at(Tick::new(1)), 4.0); // ticks 4,5
-    /// ```
-    pub fn decimate(&self, k: u64) -> RleSeries {
-        assert!(k > 0, "decimation factor must be positive");
-        let cstart = self.start.index() / k;
-        let cend = if self.len == 0 {
-            cstart
-        } else {
-            self.end().index().div_ceil(k)
-        };
-        let mut runs: Vec<Run> = Vec::new();
-        // The coarse tick currently being accumulated (possibly fed by
-        // several fine runs) and its partial sum.
-        let mut pending: Option<(u64, f64)> = None;
-        fn flush(runs: &mut Vec<Run>, j: u64, v: f64) {
-            if v == 0.0 {
-                return;
-            }
-            match runs.last_mut() {
-                Some(r) if r.end().index() == j && r.value.to_bits() == v.to_bits() => r.extend(1),
-                _ => runs.push(Run::new(Tick::new(j), 1, v)),
-            }
-        }
-        for r in &self.runs {
-            let mut t = r.start.index();
-            let e = r.end().index();
-            // Leading partial block of this run.
-            let j = t / k;
-            let head_end = ((j + 1) * k).min(e);
-            let contrib = r.value * (head_end - t) as f64;
-            match &mut pending {
-                Some((pj, sum)) if *pj == j => *sum += contrib,
-                Some((pj, sum)) => {
-                    let (pj, sum) = (*pj, *sum);
-                    flush(&mut runs, pj, sum);
-                    pending = Some((j, contrib));
-                }
-                None => pending = Some((j, contrib)),
-            }
-            t = head_end;
-            // Blocks fully covered by this run: a constant coarse run.
-            let full_blocks = (e - t) / k;
-            if full_blocks > 0 {
-                if let Some((pj, sum)) = pending.take() {
-                    flush(&mut runs, pj, sum);
-                }
-                let v = r.value * k as f64;
-                if v != 0.0 {
-                    match runs.last_mut() {
-                        Some(last)
-                            if last.end().index() == t / k
-                                && last.value.to_bits() == v.to_bits() =>
-                        {
-                            last.extend(full_blocks)
-                        }
-                        _ => runs.push(Run::new(Tick::new(t / k), full_blocks, v)),
-                    }
-                }
-                t += full_blocks * k;
-            }
-            // Trailing partial block.
-            if t < e {
-                let contrib = r.value * (e - t) as f64;
-                match &mut pending {
-                    Some((pj, sum)) if *pj == t / k => *sum += contrib,
-                    _ => {
-                        if let Some((pj, sum)) = pending.take() {
-                            flush(&mut runs, pj, sum);
-                        }
-                        pending = Some((t / k, contrib));
-                    }
-                }
-            }
-        }
-        if let Some((pj, sum)) = pending {
-            flush(&mut runs, pj, sum);
-        }
-        RleSeries {
-            start: Tick::new(cstart),
-            len: cend - cstart,
-            runs,
-        }
-    }
-
     /// Decodes back to the sparse representation over the same span.
     pub fn to_sparse(&self) -> SparseSeries {
         let mut entries = Vec::with_capacity(self.support() as usize);
@@ -561,76 +454,6 @@ mod tests {
         let b = RleSeries::from_parts(Tick::new(10), 10, vec![Run::new(Tick::new(10), 3, 2.0)]);
         a.append_chunk(&b);
         assert_eq!(a.num_runs(), 2);
-    }
-
-    /// Brute-force decimation reference: sum every fine tick into its
-    /// absolute block.
-    fn decimate_reference(r: &RleSeries, k: u64) -> Vec<(u64, f64)> {
-        let cs = r.start().index() / k;
-        let ce = r.end().index().div_ceil(k);
-        (cs..ce)
-            .map(|j| {
-                let sum = (j * k..(j + 1) * k)
-                    .map(|t| r.value_at(Tick::new(t)))
-                    .sum::<f64>();
-                (j, sum)
-            })
-            .collect()
-    }
-
-    fn assert_decimation_matches(r: &RleSeries, k: u64) {
-        let c = r.decimate(k);
-        assert_eq!(c.start().index(), r.start().index() / k, "k={k}");
-        assert_eq!(c.end().index(), r.end().index().div_ceil(k), "k={k}");
-        for (j, want) in decimate_reference(r, k) {
-            let got = c.value_at(Tick::new(j));
-            assert!(
-                (got - want).abs() < 1e-9,
-                "k={k} coarse tick {j}: got {got} want {want}"
-            );
-        }
-        // Runs stay maximal: adjacent runs never touch with equal bits.
-        for w in c.runs().windows(2) {
-            assert!(
-                w[0].end() < w[1].start() || w[0].value().to_bits() != w[1].value().to_bits(),
-                "non-maximal coarse runs for k={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn decimate_matches_brute_force() {
-        let series = [
-            sample(),
-            RleSeries::empty(Tick::new(7), 23),
-            RleSeries::from_parts(Tick::new(3), 40, vec![Run::new(Tick::new(3), 40, 1.5)]),
-            RleSeries::from_parts(
-                Tick::new(13),
-                64,
-                vec![
-                    Run::new(Tick::new(14), 3, 1.0),
-                    Run::new(Tick::new(17), 9, 2.0),
-                    Run::new(Tick::new(40), 30, 1.0),
-                ],
-            ),
-        ];
-        for r in &series {
-            for k in [1, 2, 3, 4, 8, 16, 64] {
-                assert_decimation_matches(r, k);
-            }
-        }
-    }
-
-    #[test]
-    fn decimations_of_contiguous_chunks_tile() {
-        // Block-aligned split point: decimate(chunks) tiles decimate(whole).
-        let whole = RleSeries::from_parts(Tick::new(0), 32, vec![Run::new(Tick::new(2), 27, 1.0)]);
-        let k = 4;
-        let a = whole.slice(Tick::new(0), Tick::new(16)).decimate(k);
-        let b = whole.slice(Tick::new(16), Tick::new(32)).decimate(k);
-        let mut tiled = a.clone();
-        tiled.append_chunk(&b);
-        assert_eq!(tiled, whole.decimate(k));
     }
 
     #[test]

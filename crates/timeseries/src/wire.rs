@@ -35,12 +35,6 @@ const WIRE_VERSION_V2: u8 = 2;
 const WIRE_MAGIC: &[u8; 4] = b"E2EP";
 /// v2 flags-byte bit: run amplitudes use the integer-count encoding.
 const FLAG_INT_AMP: u8 = 0b0000_0001;
-/// v2 flags-byte bit: each entry header carries a decimation-level tag.
-/// Level `0` is a fine series exactly as in an untagged frame; level `k > 0`
-/// means the entry's span and runs are in *coarse* ticks of `k` fine ticks
-/// each (the edge-side data-reduction path). Absent the flag, the frame is
-/// byte-identical to the pre-reduction format.
-const FLAG_LEVELS: u8 = 0b0000_0010;
 /// Smallest possible encoded run: 1-byte gap + 1-byte length + 1-byte
 /// amplitude code (integer-amplitude mode). Used to cap declared run
 /// counts against the bytes actually present before any allocation.
@@ -291,9 +285,9 @@ pub fn encode_batch_into<S: std::borrow::Borrow<RleSeries>>(
     int_amp: bool,
     out: &mut Vec<u8>,
 ) {
-    let mut writer = BatchWriter::new(out, int_amp, false);
+    let mut writer = BatchWriter::new(out, int_amp);
     for (key, series) in entries {
-        writer.series(*key, 0, series.borrow());
+        writer.series(*key, series.borrow());
     }
     writer.finish();
 }
@@ -305,9 +299,8 @@ const ENTRY_COUNT_AT: usize = 6;
 /// Writes one v2 batch frame entry by entry, without the caller knowing
 /// the entry count up front or holding the series it ships — the form the
 /// tracer's flush uses to stream count runs straight from its density
-/// estimators into a reused buffer. [`encode_batch_into`] and
-/// [`encode_batch_leveled_into`] are this writer over a slice, so there is
-/// one definition of the format.
+/// estimators into a reused buffer. [`encode_batch_into`] is this writer
+/// over a slice, so there is one definition of the format.
 ///
 /// # Example
 ///
@@ -315,9 +308,9 @@ const ENTRY_COUNT_AT: usize = 6;
 /// use e2eprof_timeseries::density::CountRun;
 /// use e2eprof_timeseries::{wire, RleSeries, Run, Tick};
 /// let mut buf = Vec::new();
-/// let mut writer = wire::BatchWriter::new(&mut buf, true, false);
+/// let mut writer = wire::BatchWriter::new(&mut buf, true);
 /// let runs = [CountRun { start: Tick::new(4), len: 2, count: 2 }];
-/// writer.count_runs((0, 1), 0, Tick::new(3), 10, &runs);
+/// writer.count_runs((0, 1), Tick::new(3), 10, &runs);
 /// assert_eq!(writer.finish(), 1);
 /// let s = RleSeries::from_parts(Tick::new(3), 10, vec![Run::new(Tick::new(4), 2, 2f64.sqrt())]);
 /// assert_eq!(&buf[..], &wire::encode_batch(&[((0, 1), s)], true)[..]);
@@ -326,48 +319,39 @@ const ENTRY_COUNT_AT: usize = 6;
 pub struct BatchWriter<'a> {
     out: &'a mut Vec<u8>,
     int_amp: bool,
-    levels: bool,
     entries: u64,
 }
 
 impl<'a> BatchWriter<'a> {
     /// Starts a frame in `out`, clearing it first. With `int_amp`,
     /// amplitudes that are exactly `√n` for an integer `n` ship as the
-    /// varint count; with `levels`, every entry header carries its
-    /// decimation level (the `FLAG_LEVELS` form, see
-    /// [`encode_batch_leveled`]).
-    pub fn new(out: &'a mut Vec<u8>, int_amp: bool, levels: bool) -> Self {
+    /// varint count.
+    pub fn new(out: &'a mut Vec<u8>, int_amp: bool) -> Self {
         out.clear();
         out.extend_from_slice(WIRE_MAGIC);
         out.push(WIRE_VERSION_V2);
-        out.push(if int_amp { FLAG_INT_AMP } else { 0 } | if levels { FLAG_LEVELS } else { 0 });
+        out.push(if int_amp { FLAG_INT_AMP } else { 0 });
         debug_assert_eq!(out.len(), ENTRY_COUNT_AT);
         out.push(0); // entry count: patched by `finish`
         BatchWriter {
             out,
             int_amp,
-            levels,
             entries: 0,
         }
     }
 
-    fn entry_header(&mut self, key: (u32, u32), level: u64, start: Tick, len: u64, runs: usize) {
-        debug_assert!(self.levels || level == 0, "level tag in an untagged frame");
+    fn entry_header(&mut self, key: (u32, u32), start: Tick, len: u64, runs: usize) {
         self.entries += 1;
         put_varint(self.out, u64::from(key.0));
         put_varint(self.out, u64::from(key.1));
-        if self.levels {
-            put_varint(self.out, level);
-        }
         put_varint(self.out, start.index());
         put_varint(self.out, len);
         put_varint(self.out, runs as u64);
     }
 
-    /// Appends one series under `key`. `level` is its decimation level
-    /// (`0` = fine; written only in a level-tagged frame).
-    pub fn series(&mut self, key: (u32, u32), level: u64, series: &RleSeries) {
-        self.entry_header(key, level, series.start(), series.len(), series.num_runs());
+    /// Appends one series under `key`.
+    pub fn series(&mut self, key: (u32, u32), series: &RleSeries) {
+        self.entry_header(key, series.start(), series.len(), series.num_runs());
         let mut prev_end = series.start().index();
         for r in series.runs() {
             put_varint(self.out, r.start().index() - prev_end);
@@ -389,15 +373,8 @@ impl<'a> BatchWriter<'a> {
     /// `runs`, amplitudes `√count` — the bytes [`series`](Self::series)
     /// writes for the same series, but the integer-amplitude code *is* the
     /// count, so no square root is taken only to be squared again.
-    pub fn count_runs(
-        &mut self,
-        key: (u32, u32),
-        level: u64,
-        start: Tick,
-        len: u64,
-        runs: &[CountRun],
-    ) {
-        self.entry_header(key, level, start, len, runs.len());
+    pub fn count_runs(&mut self, key: (u32, u32), start: Tick, len: u64, runs: &[CountRun]) {
+        self.entry_header(key, start, len, runs.len());
         let mut prev_end = start.index();
         for r in runs {
             debug_assert!(r.len > 0 && r.count > 0, "empty count run");
@@ -427,50 +404,14 @@ impl<'a> BatchWriter<'a> {
     }
 }
 
-/// Encodes a batch whose entries carry a per-series decimation level into
-/// one v2 frame with the `FLAG_LEVELS` tag set.
-///
-/// Level `0` entries are fine series (spans and runs in fine ticks);
-/// level `k > 0` entries are coarse images whose span and runs are in
-/// coarse ticks of `k` fine ticks each. Only the reduction-aware tracer
-/// path emits this form — untagged frames stay byte-identical to the
-/// pre-reduction encoder, and decoders that predate the flag reject the
-/// tagged frame outright instead of misreading coarse ticks as fine.
-pub fn encode_batch_leveled<S: std::borrow::Borrow<RleSeries>>(
-    entries: &[((u32, u32), u64, S)],
-    int_amp: bool,
-) -> Bytes {
-    let mut buf = Vec::new();
-    encode_batch_leveled_into(entries, int_amp, &mut buf);
-    Bytes::from(buf)
-}
-
-/// Encodes a leveled batch into `out`, clearing it first (byte-for-byte
-/// identical to [`encode_batch_leveled`]).
-pub fn encode_batch_leveled_into<S: std::borrow::Borrow<RleSeries>>(
-    entries: &[((u32, u32), u64, S)],
-    int_amp: bool,
-    out: &mut Vec<u8>,
-) {
-    let mut writer = BatchWriter::new(out, int_amp, true);
-    for (key, level, series) in entries {
-        writer.series(*key, *level, series.borrow());
-    }
-    writer.finish();
-}
-
 /// Header of one series inside a v2 batch frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchEntry {
     /// The opaque series key (the analyzer's directed-edge node indices).
     pub key: (u32, u32),
-    /// Decimation level: `0` for a fine series, `k > 0` when the entry's
-    /// span and runs are in coarse ticks of `k` fine ticks each. Always
-    /// `0` in frames without the level tag.
-    pub level: u64,
-    /// First tick of the series span (coarse ticks when `level > 0`).
+    /// First tick of the series span.
     pub start: Tick,
-    /// Span length in ticks (coarse ticks when `level > 0`).
+    /// Span length in ticks.
     pub len: u64,
     /// Number of runs that follow, already capped against the bytes
     /// actually remaining in the frame.
@@ -499,8 +440,6 @@ impl BatchEntry {
 pub struct FrameCursor<'a> {
     buf: &'a [u8],
     int_amp: bool,
-    /// Entry headers carry a decimation-level tag ([`FLAG_LEVELS`]).
-    levels: bool,
     /// Entries not yet returned by `next_entry`.
     entries_left: u64,
     /// Runs of the current entry not yet returned by `next_run`.
@@ -526,7 +465,7 @@ impl<'a> FrameCursor<'a> {
             return Err(DecodeError::Truncated);
         };
         buf = rest;
-        if flags & !(FLAG_INT_AMP | FLAG_LEVELS) != 0 {
+        if flags & !FLAG_INT_AMP != 0 {
             return Err(DecodeError::Corrupt("unknown flag bits"));
         }
         let entries_left = get_varint(&mut buf)?;
@@ -539,7 +478,6 @@ impl<'a> FrameCursor<'a> {
         Ok(FrameCursor {
             buf,
             int_amp: flags & FLAG_INT_AMP != 0,
-            levels: flags & FLAG_LEVELS != 0,
             entries_left,
             runs_left: 0,
             span_end: 0,
@@ -582,15 +520,6 @@ impl<'a> FrameCursor<'a> {
             u32::try_from(src).map_err(|_| DecodeError::Corrupt("series key exceeds u32"))?,
             u32::try_from(dst).map_err(|_| DecodeError::Corrupt("series key exceeds u32"))?,
         );
-        let level = if self.levels {
-            let l = get_varint(&mut self.buf)?;
-            if l > u64::from(u32::MAX) {
-                return Err(DecodeError::Corrupt("decimation level exceeds u32"));
-            }
-            l
-        } else {
-            0
-        };
         let start = get_varint(&mut self.buf)?;
         let len = get_varint(&mut self.buf)?;
         let num_runs = get_varint(&mut self.buf)?;
@@ -613,7 +542,6 @@ impl<'a> FrameCursor<'a> {
         self.prev_end = start;
         Ok(Some(BatchEntry {
             key,
-            level,
             start: Tick::new(start),
             len,
             num_runs,
@@ -670,45 +598,19 @@ impl<'a> FrameCursor<'a> {
     }
 }
 
-/// Decodes a v2 batch frame into owned keyed series.
-///
 /// The fully-materialized contents of a v2 batch frame: one keyed series
 /// per entry, in frame order.
 pub type DecodedBatch = Vec<((u32, u32), RleSeries)>;
 
-/// The streaming ingest path uses [`FrameCursor`] directly; this
-/// materializing form serves tests and tools.
+/// Decodes a v2 batch frame into owned keyed series. The streaming ingest
+/// path uses [`FrameCursor`] directly; this materializing form serves
+/// tests and tools.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if the frame is malformed, truncated, or any
 /// series violates its invariants.
 pub fn decode_batch(frame: &[u8]) -> Result<DecodedBatch, DecodeError> {
-    decode_batch_leveled(frame)?
-        .into_iter()
-        .map(|(key, level, series)| {
-            if level != 0 {
-                // A coarse entry misread as fine ticks would silently
-                // stretch time by `k`; force callers onto the leveled API.
-                return Err(DecodeError::Corrupt("leveled entry in unleveled decode"));
-            }
-            Ok((key, series))
-        })
-        .collect()
-}
-
-/// The fully-materialized contents of a leveled v2 batch frame: one
-/// `(key, level, series)` triple per entry, in frame order.
-pub type DecodedLeveledBatch = Vec<((u32, u32), u64, RleSeries)>;
-
-/// Decodes a v2 batch frame, keeping each entry's decimation level
-/// (`0` for every entry of an untagged frame).
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if the frame is malformed, truncated, or any
-/// series violates its invariants.
-pub fn decode_batch_leveled(frame: &[u8]) -> Result<DecodedLeveledBatch, DecodeError> {
     let mut cursor = FrameCursor::new(frame)?;
     let mut out = Vec::with_capacity(cursor.entries_remaining() as usize);
     while let Some(entry) = cursor.next_entry()? {
@@ -718,7 +620,6 @@ pub fn decode_batch_leveled(frame: &[u8]) -> Result<DecodedLeveledBatch, DecodeE
         }
         out.push((
             entry.key,
-            entry.level,
             RleSeries::from_parts(entry.start, entry.len, runs),
         ));
     }
@@ -1007,93 +908,6 @@ mod tests {
         );
     }
 
-    fn leveled_batch() -> Vec<((u32, u32), u64, RleSeries)> {
-        vec![
-            ((2, 0), 0, sample()),
-            (
-                // A coarse image: span and runs in coarse ticks, amplitudes
-                // √(block count) so the int-amp path still applies.
-                (0, 3),
-                16,
-                RleSeries::from_parts(
-                    Tick::new(6),
-                    5,
-                    vec![
-                        Run::new(Tick::new(6), 2, 25f64.sqrt()),
-                        Run::new(Tick::new(9), 1, 4f64.sqrt()),
-                    ],
-                ),
-            ),
-            ((7, 1), 32, RleSeries::empty(Tick::new(3), 4)),
-        ]
-    }
-
-    #[test]
-    fn leveled_batch_round_trip() {
-        let entries = leveled_batch();
-        for int_amp in [false, true] {
-            let frame = encode_batch_leveled(&entries, int_amp);
-            assert_eq!(
-                decode_batch_leveled(&frame).unwrap(),
-                entries,
-                "int_amp={int_amp}"
-            );
-        }
-    }
-
-    #[test]
-    fn unleveled_frames_decode_with_level_zero() {
-        let entries = batch();
-        let frame = encode_batch(&entries, true);
-        for (i, (key, level, series)) in decode_batch_leveled(&frame).unwrap().iter().enumerate() {
-            assert_eq!((*key, series.clone()), entries[i], "entry {i}");
-            assert_eq!(*level, 0, "entry {i}");
-        }
-    }
-
-    #[test]
-    fn leveled_entries_rejected_by_unleveled_decode() {
-        let frame = encode_batch_leveled(&leveled_batch(), true);
-        assert_eq!(
-            decode_batch(&frame),
-            Err(DecodeError::Corrupt("leveled entry in unleveled decode"))
-        );
-        // An all-fine leveled frame materializes fine.
-        let fine = vec![((2u32, 0u32), 0u64, sample())];
-        let frame = encode_batch_leveled(&fine, true);
-        assert_eq!(decode_batch(&frame).unwrap(), vec![((2, 0), sample())]);
-    }
-
-    #[test]
-    fn leveled_batch_truncation_detected_at_every_cut() {
-        let frame = encode_batch_leveled(&leveled_batch(), true);
-        for cut in 0..frame.len() {
-            assert!(
-                decode_batch_leveled(&frame[..cut]).is_err(),
-                "cut={cut} silently decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn absurd_decimation_level_rejected() {
-        let mut f = Vec::new();
-        f.extend_from_slice(WIRE_MAGIC);
-        f.push(WIRE_VERSION_V2);
-        f.push(FLAG_INT_AMP | FLAG_LEVELS);
-        put_varint(&mut f, 1); // one entry
-        put_varint(&mut f, 0); // src
-        put_varint(&mut f, 1); // dst
-        put_varint(&mut f, u64::from(u32::MAX) + 1); // level: absurd
-        put_varint(&mut f, 0); // start
-        put_varint(&mut f, 0); // len
-        put_varint(&mut f, 0); // num_runs
-        assert_eq!(
-            decode_batch_leveled(&f),
-            Err(DecodeError::Corrupt("decimation level exceeds u32"))
-        );
-    }
-
     #[test]
     fn writer_count_runs_are_the_bytes_of_the_sqrt_series() {
         let runs = [
@@ -1111,21 +925,14 @@ mod tests {
         let series =
             RleSeries::from_parts(Tick::new(100), 60, runs.iter().map(|&r| r.into()).collect());
         for int_amp in [false, true] {
-            for levels in [false, true] {
-                let level = if levels { 16 } else { 0 };
-                let mut buf = vec![0xAA; 3]; // stale contents must be cleared
-                let mut writer = BatchWriter::new(&mut buf, int_amp, levels);
-                writer.count_runs((2, 0), level, Tick::new(100), 60, &runs);
-                writer.count_runs((0, 3), 0, Tick::new(160), 60, &[]);
-                assert_eq!(writer.finish(), 2);
-                let empty = RleSeries::empty(Tick::new(160), 60);
-                let want = if levels {
-                    encode_batch_leveled(&[((2, 0), level, &series), ((0, 3), 0, &empty)], int_amp)
-                } else {
-                    encode_batch(&[((2, 0), &series), ((0, 3), &empty)], int_amp)
-                };
-                assert_eq!(&buf[..], &want[..], "int_amp={int_amp} levels={levels}");
-            }
+            let mut buf = vec![0xAA; 3]; // stale contents must be cleared
+            let mut writer = BatchWriter::new(&mut buf, int_amp);
+            writer.count_runs((2, 0), Tick::new(100), 60, &runs);
+            writer.count_runs((0, 3), Tick::new(160), 60, &[]);
+            assert_eq!(writer.finish(), 2);
+            let empty = RleSeries::empty(Tick::new(160), 60);
+            let want = encode_batch(&[((2, 0), &series), ((0, 3), &empty)], int_amp);
+            assert_eq!(&buf[..], &want[..], "int_amp={int_amp}");
         }
     }
 
@@ -1145,18 +952,6 @@ mod tests {
                 &count[..]
             );
         }
-    }
-
-    #[test]
-    fn leveled_flag_does_not_change_untagged_bytes() {
-        // The reduction-off encoder must stay byte-identical: the level
-        // tag only ever appears behind its own flag bit.
-        let entries = batch();
-        let frame = encode_batch(&entries, true);
-        assert_eq!(frame[5] & FLAG_LEVELS, 0);
-        let leveled: Vec<_> = entries.iter().map(|(k, s)| (*k, 0u64, s.clone())).collect();
-        let tagged = encode_batch_leveled(&leveled, true);
-        assert_eq!(tagged.len(), frame.len() + entries.len());
     }
 
     #[test]

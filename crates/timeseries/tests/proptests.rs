@@ -676,11 +676,7 @@ proptest! {
 /// [`wire::BatchWriter`]: the entry count is known up front and every
 /// amplitude goes √ → square → round → verify before it may ship as a
 /// count.
-fn encode_batch_reference(
-    entries: &[((u32, u32), u64, RleSeries)],
-    int_amp: bool,
-    levels: bool,
-) -> Vec<u8> {
+fn encode_batch_reference(entries: &[((u32, u32), RleSeries)], int_amp: bool) -> Vec<u8> {
     fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -706,14 +702,11 @@ fn encode_batch_reference(
     let mut out = Vec::new();
     out.extend_from_slice(b"E2EP");
     out.push(2);
-    out.push(u8::from(int_amp) | if levels { 0b10 } else { 0 });
+    out.push(u8::from(int_amp));
     put_varint(&mut out, entries.len() as u64);
-    for ((src, dst), level, series) in entries {
+    for ((src, dst), series) in entries {
         put_varint(&mut out, u64::from(*src));
         put_varint(&mut out, u64::from(*dst));
-        if levels {
-            put_varint(&mut out, *level);
-        }
         put_varint(&mut out, series.start().index());
         put_varint(&mut out, series.len());
         put_varint(&mut out, series.num_runs() as u64);
@@ -755,35 +748,28 @@ fn odd_signal_strategy() -> impl Strategy<Value = (u64, Vec<f64>)> {
 }
 
 proptest! {
-    /// Both one-shot encoders, now loops over the incremental writer, emit
-    /// the bytes of the up-front encoder they replaced — escape path and
-    /// multi-byte entry counts included.
+    /// The one-shot encoder, now a loop over the incremental writer,
+    /// emits the bytes of the up-front encoder it replaced — escape path
+    /// and multi-byte entry counts included.
     #[test]
     fn batch_writer_bytes_equal_reference_encoder(
         entries in prop::collection::vec(
-            ((any::<u32>(), any::<u32>()), 0u64..100, odd_signal_strategy()),
+            ((any::<u32>(), any::<u32>()), odd_signal_strategy()),
             0..5,
         ),
         int_amp in any::<bool>(),
         padding in prop_oneof![4 => Just(0usize), 1 => 120usize..140],
     ) {
-        let mut keyed: Vec<((u32, u32), u64, RleSeries)> = entries
+        let mut keyed: Vec<((u32, u32), RleSeries)> = entries
             .into_iter()
-            .map(|(key, level, (start, values))| {
-                (key, level, dense(start, values).to_sparse().to_rle())
-            })
+            .map(|(key, (start, values))| (key, dense(start, values).to_sparse().to_rle()))
             .collect();
         // Sometimes push the entry count past one varint byte.
-        keyed.extend((0..padding).map(|i| ((i as u32, 0), 0, RleSeries::empty(Tick::new(9), 3))));
+        keyed.extend((0..padding).map(|i| ((i as u32, 0), RleSeries::empty(Tick::new(9), 3))));
 
         let mut buf = vec![0x55u8; 7]; // stale contents must not survive
-        let plain: Vec<((u32, u32), RleSeries)> =
-            keyed.iter().map(|(k, _, s)| (*k, s.clone())).collect();
-        wire::encode_batch_into(&plain, int_amp, &mut buf);
-        prop_assert_eq!(&buf, &encode_batch_reference(&keyed, int_amp, false));
-
-        wire::encode_batch_leveled_into(&keyed, int_amp, &mut buf);
-        prop_assert_eq!(&buf, &encode_batch_reference(&keyed, int_amp, true));
+        wire::encode_batch_into(&keyed, int_amp, &mut buf);
+        prop_assert_eq!(&buf, &encode_batch_reference(&keyed, int_amp));
     }
 
     /// Count runs written straight as varint counts are the bytes of the
@@ -800,10 +786,9 @@ proptest! {
             0..5,
         ),
         int_amp in any::<bool>(),
-        levels in any::<bool>(),
     ) {
         let mut buf = Vec::new();
-        let mut writer = wire::BatchWriter::new(&mut buf, int_amp, levels);
+        let mut writer = wire::BatchWriter::new(&mut buf, int_amp);
         let mut want = Vec::new();
         for (key, start, spec, slack) in entries {
             let mut at = start;
@@ -816,16 +801,16 @@ proptest! {
                 })
                 .collect();
             let len = at - start + slack;
-            writer.count_runs(key, 0, Tick::new(start), len, &runs);
+            writer.count_runs(key, Tick::new(start), len, &runs);
             let series = RleSeries::from_parts(
                 Tick::new(start),
                 len,
                 runs.iter().map(|&r| r.into()).collect(),
             );
-            want.push((key, 0, series));
+            want.push((key, series));
         }
         prop_assert_eq!(writer.finish(), want.len() as u64);
-        prop_assert_eq!(&buf, &encode_batch_reference(&want, int_amp, levels));
+        prop_assert_eq!(&buf, &encode_batch_reference(&want, int_amp));
     }
 }
 

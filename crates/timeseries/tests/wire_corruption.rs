@@ -109,6 +109,14 @@ fn flipped_magic_and_version_are_typed_errors() {
         wire::decode_batch(&wire::encode(&sample_series())),
         Err(DecodeError::UnsupportedVersion(1))
     );
+    // Flag bit 0b10 once tagged every entry with a decimation level; the
+    // format no longer has it, so a v2 frame setting it is refused.
+    let mut retired_flag = wire::encode_batch(&sample_batch(), true).to_vec();
+    retired_flag[5] |= 0b10;
+    assert_eq!(
+        decode_any(&retired_flag),
+        Err(DecodeError::Corrupt("unknown flag bits"))
+    );
 }
 
 #[test]

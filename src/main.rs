@@ -342,20 +342,9 @@ fn distributed(args: &[String]) -> ExitCode {
         gate.evidence_free_pairs,
         gate.carried_verdicts,
     );
-    if pipeline.backfills_emitted() > 0 {
-        println!(
-            "reduction: {} backfill frame(s) emitted",
-            pipeline.backfills_emitted()
-        );
-    }
     for (node, redials) in pipeline.link_redials() {
         if redials > 0 {
             println!("link node {node}: {redials} reconnect(s)");
-        }
-    }
-    for (node, reconnects) in pipeline.hint_reconnects() {
-        if reconnects > 0 {
-            println!("hint link node {node}: {reconnects} reconnect(s)");
         }
     }
     let total_redials: u64 = pipeline.link_redials().iter().map(|&(_, r)| r).sum();

@@ -180,6 +180,7 @@ fn bad_environment_override_is_reported_not_panicked_on() {
         ("E2EPROF_INCREMENTAL", "on", "removed"),
         ("E2EPROF_SCREENING", "8", "removed"),
         ("E2EPROF_BACKEND", "auto", "removed"),
+        ("E2EPROF_REDUCTION", "on", "removed"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_e2eprof"))
             .arg("demo")

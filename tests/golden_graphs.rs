@@ -1,6 +1,5 @@
 //! Absolute anchor: the online graphs of the two evaluation applications,
-//! pinned bit for bit — under the default configuration and under
-//! edge-side reduction.
+//! pinned bit for bit.
 //!
 //! Every equivalence suite compares one configuration against another, so
 //! a change that moves *both* sides by an ulp passes them all. This test
@@ -9,12 +8,10 @@
 //! the fold over all refreshes must equal a constant recorded on the
 //! commit preceding the linear-time refresh kernels (PR 17). A kernel
 //! rewrite that claims "same bits" is falsified here if it is wrong.
-//! The Delta seeds 8–9 and all reduced constants were recorded on the
-//! last commit that still had an eager refresh (`incremental = false`,
-//! the parent of PR 22), so they pin the activity-gated refresh — now the
-//! only one — to what the eager computation published. (They repeat the
-//! default-configuration constants: reduction promises the same published
-//! bits, and here it keeps them.)
+//! The Delta seeds 8–9 were recorded on the last commit that still had an
+//! eager refresh (`incremental = false`, the parent of PR 22), so they pin
+//! the activity-gated refresh — now the only one — to what the eager
+//! computation published.
 //!
 //! If a PR *intends* to change the arithmetic, it re-records the
 //! constants (the failure message prints the new value) and says so.
@@ -65,9 +62,8 @@ fn digest_into(h: &mut Fnv, graphs: &[ServiceGraph]) {
 }
 
 /// Drives tracer agents on every service plus one analyzer over `steps`
-/// refresh intervals, routing the analyzer's reduction hints back to the
-/// agents after each refresh, and returns `(digest of every refresh, number
-/// of non-empty refreshes)`.
+/// refresh intervals and returns `(digest of every refresh, number of
+/// non-empty refreshes)`.
 fn run_digest(
     sim: &mut Simulation,
     config: &PathmapConfig,
@@ -104,26 +100,18 @@ fn run_digest(
             productive += 1;
         }
         digest_into(&mut h, &graphs);
-        if let Some(hint) = analyzer.take_hints() {
-            for a in &mut agents {
-                a.apply_hint_state(&hint);
-            }
-        }
     }
     (h.0, productive)
 }
 
-fn rubis_digest(seed: u64, reduced: bool) -> (u64, usize) {
-    let mut builder = PathmapConfig::builder()
+fn rubis_digest(seed: u64) -> (u64, usize) {
+    let config = PathmapConfig::builder()
         .quanta(Quanta::from_millis(1))
         .omega_ticks(50)
         .window(Nanos::from_secs(20))
         .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2));
-    if reduced {
-        builder = builder.reduction(ReductionConfig::default());
-    }
-    let config = builder.build();
+        .max_delay(Nanos::from_secs(2))
+        .build();
     let mut app = Rubis::build(RubisConfig {
         dispatch: Dispatch::Affinity,
         seed,
@@ -138,17 +126,14 @@ fn rubis_digest(seed: u64, reduced: bool) -> (u64, usize) {
     )
 }
 
-fn delta_digest(seed: u64, reduced: bool) -> (u64, usize) {
-    let mut builder = PathmapConfig::builder()
+fn delta_digest(seed: u64) -> (u64, usize) {
+    let config = PathmapConfig::builder()
         .quanta(Quanta::from_secs(1))
         .omega_ticks(20)
         .window(Nanos::from_minutes(30))
         .refresh(Nanos::from_minutes(5))
-        .max_delay(Nanos::from_minutes(10));
-    if reduced {
-        builder = builder.reduction(ReductionConfig::default());
-    }
-    let config = builder.build();
+        .max_delay(Nanos::from_minutes(10))
+        .build();
     let mut app = Delta::build(DeltaConfig {
         queues: 6,
         seed,
@@ -201,7 +186,7 @@ fn rubis_online_graphs_match_recorded_bits() {
         "rubis",
         &[1, 2, 3],
         5,
-        |seed| rubis_digest(seed, false),
+        rubis_digest,
         &[
             0xeb78_02ef_1b39_ed78,
             0xa7e9_e0cc_e445_62dd,
@@ -216,26 +201,11 @@ fn delta_online_graphs_match_recorded_bits() {
         "delta",
         &[7, 8, 9],
         2,
-        |seed| delta_digest(seed, false),
+        delta_digest,
         &[
             0xd471_aa42_47c4_eb17,
             0xa300_0684_98b2_da27,
             0xd917_4279_8c3d_e62f,
-        ],
-    );
-}
-
-#[test]
-fn rubis_reduced_graphs_match_recorded_bits() {
-    assert_recorded(
-        "rubis reduced",
-        &[1, 2, 3],
-        5,
-        |seed| rubis_digest(seed, true),
-        &[
-            0xeb78_02ef_1b39_ed78,
-            0xa7e9_e0cc_e445_62dd,
-            0x24f4_c687_922a_e374,
         ],
     );
 }
@@ -276,20 +246,5 @@ fn rubis_paper_geometry_graphs_match_recorded_bits() {
             )
         },
         &[0xa572_b3cd_ca35_9632],
-    );
-}
-
-#[test]
-fn delta_reduced_graphs_match_recorded_bits() {
-    assert_recorded(
-        "delta reduced",
-        &[7, 8, 9],
-        2,
-        |seed| delta_digest(seed, true),
-        &[
-            0xd471_aa42_47c4_eb17,
-            0xa300_0684_98b2_da27,
-            0xd917_4279_8c3d_e62f,
-        ],
     );
 }

@@ -279,88 +279,6 @@ fn unreachable_broker_drops_are_counted_never_silent() {
     );
 }
 
-/// The reduction feedback loop's fault-tolerance contract: hint
-/// subscriptions are cut mid-stream — including between a demote `Hint`
-/// and the `Backfill` its later promote triggers — and the replayed
-/// full-state snapshots must converge every tracer to the same levels,
-/// leaving the published graphs identical to an unfaulted reduced run.
-mod reduction_faults {
-    use super::*;
-    use e2eprof_bench::ebbing_fanout_sim;
-
-    fn reduced_cfg() -> PathmapConfig {
-        PathmapConfig::builder()
-            .window(Nanos::from_secs(20))
-            .refresh(Nanos::from_secs(5))
-            .max_delay(Nanos::from_millis(500))
-            .reduction(ReductionConfig::default())
-            .build()
-    }
-
-    /// The ebbing fanout drives the whole hint lifecycle inside 12 × 5 s
-    /// steps on a sharded tier: the background client's silence lets its
-    /// backend edges go cold on *every* shard (the unanimity the
-    /// effective-level merge requires), its resumption fires the
-    /// promote-overlap check, and the promote triggers fine backfills.
-    fn run_ebbing(
-        builder_faults: impl FnOnce(PipelineBuilder) -> PipelineBuilder,
-    ) -> (Vec<Vec<ServiceGraph>>, u64) {
-        let mut sim = ebbing_fanout_sim(4, 11, 12.0, 44.0, 60.0);
-        let endpoint = Endpoint::Mem.bind().expect("bind");
-        let builder = builder_faults(PipelineBuilder::new(reduced_cfg(), 2));
-        let mut pipeline = builder.build(sim.topology(), &endpoint);
-        let mut out = Vec::new();
-        for i in 1..=STEPS {
-            let now = Nanos::from_nanos(STEP.as_nanos() * i);
-            out.push(pipeline.step(&mut sim, now, LAG));
-        }
-        let backfills = pipeline.backfills_emitted();
-        pipeline.shutdown();
-        (out, backfills)
-    }
-
-    #[test]
-    fn hint_cuts_between_hint_and_backfill_converge_to_the_same_graphs() {
-        let (clean, clean_backfills) = run_ebbing(|b| b);
-        assert!(
-            clean_backfills > 0,
-            "the ebbing workload must drive a demote→promote→backfill round trip"
-        );
-        // Cut the hint subscriptions at mid-frame byte offsets chosen to
-        // land after the demote snapshots and before the promote ones —
-        // i.e. between a Hint and the Backfill it will trigger — plus one
-        // immediate cut exercising the resubscribe-from-scratch path.
-        let (faulted, faulted_backfills) = run_ebbing(|b| {
-            b.hint_faults(
-                0,
-                vec![FaultPlan::cut_read_at(41), FaultPlan::cut_read_at(97)],
-            )
-            .hint_faults(1, vec![FaultPlan::cut_read_at(73)])
-            .hint_faults(2, vec![FaultPlan::cut_read_at(1)])
-        });
-        assert_identical(&clean, &faulted, "hint cuts");
-        assert!(
-            faulted_backfills > 0,
-            "hint replay must still deliver the promote and its backfill"
-        );
-    }
-
-    /// Hint faults compose with data-link faults: a tracer whose *data*
-    /// connection dies mid-frame while its *hint* subscription is also
-    /// cut must still converge.
-    #[test]
-    fn hint_and_data_cuts_compose() {
-        let (clean, _) = run_ebbing(|b| b);
-        let (faulted, backfills) = run_ebbing(|b| {
-            b.tracer_faults(0, vec![FaultPlan::cut_write_at(211)])
-                .hint_faults(0, vec![FaultPlan::cut_read_at(59)])
-                .analyzer_faults(1, vec![FaultPlan::cut_read_at(307)])
-        });
-        assert_identical(&clean, &faulted, "hint+data cuts");
-        assert!(backfills > 0);
-    }
-}
-
 /// Same-seed fault schedules are bitwise reproducible: two identical
 /// faulted runs yield identical graphs (the harness itself is
 /// deterministic, so any failure it ever reports replays exactly).
