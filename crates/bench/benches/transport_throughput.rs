@@ -17,7 +17,11 @@
 //! this ratio is the direct measure of the batching win.
 //!
 //! Writes `BENCH_transport_throughput.json` with records/sec per
-//! configuration. Two assertions gate regressions:
+//! configuration. The stream is [`e2eprof_bench::transport`]'s; that
+//! every shard ingests every frame exactly once is held by
+//! `tests/fanout_exactness.rs`. This bench still fails, rather than
+//! times, a run that drops a frame to backpressure or whose shards
+//! ingest a different count. Two assertions gate regressions:
 //! - every TCP path must clear a 100k records/s floor (keep-up with
 //!   real tracer flush rates), and
 //! - the 1-shard TCP path must be at least 2× the pre-zero-copy
@@ -25,103 +29,23 @@
 //!   pass-through + coalescing gain.
 
 use crossbeam::channel::unbounded;
+use e2eprof_bench::transport::{config, frames, labels, records, workload, EDGES, FLUSHES};
 use e2eprof_bench::{fmt_duration, write_bench_json, JsonValue};
 use e2eprof_core::analyzer::OnlineAnalyzer;
-use e2eprof_core::graph::NodeLabels;
 use e2eprof_core::tracer::{FrameSink, TracerFrame};
-use e2eprof_core::PathmapConfig;
 use e2eprof_net::link::{AnalyzerConn, LinkConfig, TracerLink};
 use e2eprof_net::pipeline::Endpoint;
 use e2eprof_net::{BrokerHandle, CountingAcceptor, IoCounters};
-use e2eprof_timeseries::{wire, Nanos, Quanta, RleSeries, Run, Tick};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const EDGES: usize = 64;
-const FLUSHES: u64 = 300;
-const CHUNK_TICKS: u64 = 16;
 const REPS: usize = 5;
 
 /// Loopback TCP ×1 records/s measured immediately before the zero-copy
 /// data plane landed (decode/re-encode broker, one `write` per frame).
 /// The pass-through relay + vectored coalescing must at least double it.
 const PR9_TCP1_RECORDS_PER_SEC: f64 = 23_163_499.15;
-
-fn config() -> PathmapConfig {
-    PathmapConfig::builder()
-        .quanta(Quanta::from_millis(1))
-        .omega_ticks(50)
-        .window(Nanos::from_secs(10))
-        .refresh(Nanos::from_secs(2))
-        .max_delay(Nanos::from_secs(1))
-        .build()
-}
-
-/// Bursty, deterministic chunks (xorshift), contiguous across flushes.
-fn workload() -> Vec<Vec<((u32, u32), RleSeries)>> {
-    let mut state = 0x1234_5678_9abc_def1u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    (0..FLUSHES)
-        .map(|flush| {
-            let start = flush * CHUNK_TICKS;
-            (0..EDGES)
-                .map(|e| {
-                    let mut runs = Vec::new();
-                    let mut t = start;
-                    let end = start + CHUNK_TICKS;
-                    while t < end {
-                        t += next() % 96;
-                        if t >= end {
-                            break;
-                        }
-                        let len = (1 + next() % 4).min(end - t);
-                        let count = 1 + next() % 24;
-                        runs.push(Run::new(Tick::new(t), len, (count as f64).sqrt()));
-                        t += len;
-                    }
-                    let key = (e as u32, (e + EDGES) as u32);
-                    (
-                        key,
-                        RleSeries::from_parts(Tick::new(start), CHUNK_TICKS, runs),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Underlying message count a density series represents: Σ len·value².
-fn records(flushes: &[Vec<((u32, u32), RleSeries)>]) -> u64 {
-    flushes
-        .iter()
-        .flatten()
-        .flat_map(|(_, s)| s.runs())
-        .map(|r| r.len() * (r.value() * r.value()).round() as u64)
-        .sum()
-}
-
-/// Pre-encoded batch frames (encode cost excluded: this bench times the
-/// transport, not the codec).
-fn frames(flushes: &[Vec<((u32, u32), RleSeries)>]) -> Vec<bytes::Bytes> {
-    let mut buf = Vec::new();
-    flushes
-        .iter()
-        .map(|flush| {
-            wire::encode_batch_into(flush, true, &mut buf);
-            bytes::Bytes::copy_from_slice(&buf)
-        })
-        .collect()
-}
-
-fn labels() -> NodeLabels {
-    NodeLabels::new((0..2 * EDGES).map(|i| format!("n{i}")).collect())
-}
 
 /// Baseline: frames over the in-process channel into one analyzer.
 fn drive_inproc(frames: &[bytes::Bytes]) -> Duration {
@@ -168,7 +92,7 @@ fn drive_tcp(frames: &[bytes::Bytes], shards: usize) -> TcpRun {
     );
     let expected = frames.len();
     let mut conns = Vec::new();
-    let mut ingesters = Vec::new();
+    let (done_tx, done) = std::sync::mpsc::channel();
     for shard in 0..shards {
         let (conn, rx) = AnalyzerConn::spawn(
             endpoint.dialer(),
@@ -178,9 +102,10 @@ fn drive_tcp(frames: &[bytes::Bytes], shards: usize) -> TcpRun {
         );
         conns.push(conn);
         let mut analyzer = OnlineAnalyzer::new(config(), Vec::new(), labels(), rx);
-        ingesters.push(std::thread::spawn(move || {
-            assert_eq!(analyzer.ingest_expected(expected), expected);
-        }));
+        let done_tx = done_tx.clone();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(analyzer.ingest_expected(expected));
+        });
     }
     // A bursty sender: let up to 16 frames ride one coalesced vectored
     // write instead of paying a syscall per frame, with an explicit
@@ -198,8 +123,15 @@ fn drive_tcp(frames: &[bytes::Bytes], shards: usize) -> TcpRun {
         assert_eq!(dropped, 0, "bench must not hit backpressure drops");
     }
     link.drain();
-    for ingester in ingesters {
-        ingester.join().expect("shard ingester");
+    for _ in 0..shards {
+        // A lost frame would block its ingester for ever: fail instead.
+        let ingested = done
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("x{shards}: a shard never ingested the whole stream"));
+        assert_eq!(
+            ingested, expected,
+            "x{shards}: a shard ingested a different count"
+        );
     }
     let elapsed = t0.elapsed();
     broker.shutdown();

@@ -17,6 +17,8 @@ use e2eprof_netsim::prelude::*;
 use e2eprof_netsim::{NodeId, Route};
 use e2eprof_timeseries::{Nanos, Quanta, RleSeries};
 
+pub mod transport;
+
 /// A prepared analysis scenario: a finished RUBiS round-robin run plus the
 /// extracted edge signals for one analysis window.
 #[derive(Debug)]

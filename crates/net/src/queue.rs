@@ -11,10 +11,15 @@
 //!
 //! Counters record every admission, send, and drop so backpressure is
 //! observable instead of silent.
+//!
+//! The replay ring survives a thread that panics while holding its lock:
+//! every critical section leaves the ring consistent, so the other
+//! threads recover the poisoned guard and carry on.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Counters describing a queue's lifetime behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -161,15 +166,16 @@ impl SendQueue {
     /// Records `n` more bytes written from the front of the queue:
     /// completed frames are popped (in order) and the remainder becomes
     /// the new front's written offset. Returns how many frames completed.
+    /// Bytes past the end of the queue are ignored (a caller bug, caught
+    /// in debug builds).
     pub fn advance_bytes(&mut self, mut n: usize) -> u64 {
         let mut completed = 0u64;
         while n > 0 {
-            let front_len = self
-                .frames
-                .front()
-                .expect("advance past queued bytes")
-                .len();
-            let remaining = front_len - self.front_written;
+            debug_assert!(!self.frames.is_empty(), "advance past queued bytes");
+            let Some(front) = self.frames.front() else {
+                break;
+            };
+            let remaining = front.len() - self.front_written;
             if n >= remaining {
                 n -= remaining;
                 self.frames.pop_front();
@@ -232,18 +238,24 @@ pub struct RingCursor {
     next: u64,
 }
 
+/// Locks the ring, recovering the state from a thread that panicked
+/// while holding it.
+fn lock_ring(lock: &Mutex<RingState>) -> MutexGuard<'_, RingState> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ReplayRing {
     /// Creates a ring retaining at most `capacity` frames.
     pub fn new(capacity: usize) -> Self {
         let ring = ReplayRing::default();
-        ring.inner.0.lock().expect("ring lock").capacity = capacity.max(1);
+        lock_ring(&ring.inner.0).capacity = capacity.max(1);
         ring
     }
 
     /// Appends a frame, evicting the oldest if full.
     pub fn push(&self, frame: ReplayFrame) {
         let (lock, cvar) = &*self.inner;
-        let mut state = lock.lock().expect("ring lock");
+        let mut state = lock_ring(lock);
         if state.frames.len() >= state.capacity {
             state.frames.pop_front();
             state.dropped += 1;
@@ -255,19 +267,19 @@ impl ReplayRing {
 
     /// Frames evicted from the retention window.
     pub fn dropped(&self) -> u64 {
-        self.inner.0.lock().expect("ring lock").dropped
+        lock_ring(&self.inner.0).dropped
     }
 
     /// Closes the ring; blocked cursors observe the end of the stream.
     pub fn close(&self) {
         let (lock, cvar) = &*self.inner;
-        lock.lock().expect("ring lock").closed = true;
+        lock_ring(lock).closed = true;
         cvar.notify_all();
     }
 
     /// A cursor starting at the oldest retained frame.
     pub fn cursor(&self) -> RingCursor {
-        let state = self.inner.0.lock().expect("ring lock");
+        let state = lock_ring(&self.inner.0);
         RingCursor {
             ring: Arc::clone(&self.inner),
             next: state.admitted - state.frames.len() as u64,
@@ -305,7 +317,7 @@ impl RingCursor {
     /// drained.
     pub fn next_blocking(&mut self) -> Option<ReplayFrame> {
         let (lock, cvar) = &*self.ring;
-        let mut state = lock.lock().expect("ring lock");
+        let mut state = lock_ring(lock);
         loop {
             let oldest = state.admitted - state.frames.len() as u64;
             if self.next < oldest {
@@ -321,7 +333,7 @@ impl RingCursor {
             if state.closed {
                 return None;
             }
-            state = cvar.wait(state).expect("ring lock");
+            state = cvar.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -331,8 +343,7 @@ impl RingCursor {
     /// the coalesced batch with `try_next` until the ring runs dry or the
     /// batch hits its flush bounds.
     pub fn try_next(&mut self) -> Option<ReplayFrame> {
-        let (lock, _) = &*self.ring;
-        let state = lock.lock().expect("ring lock");
+        let state = lock_ring(&self.ring.0);
         let oldest = state.admitted - state.frames.len() as u64;
         if self.next < oldest {
             self.next = oldest;
@@ -502,6 +513,43 @@ mod tests {
         assert!(cur.try_next().is_none(), "dry ring returns immediately");
         ring.push(frame(1, 3));
         assert_eq!(cur.try_next().unwrap().seq, 3);
+    }
+
+    #[test]
+    fn advance_past_the_queue_stops_at_its_end() {
+        let mut q = SendQueue::new(4);
+        q.push(QueuedFrame::contiguous(vec![1, 2]));
+        let advance = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.advance_bytes(5)));
+        if cfg!(debug_assertions) {
+            assert!(advance.is_err(), "debug builds flag the overrun");
+        } else {
+            assert_eq!(advance.ok(), Some(1), "the queued frame completes");
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.stats().sent, 1);
+    }
+
+    #[test]
+    fn ring_survives_a_thread_panicking_under_its_lock() {
+        let ring = ReplayRing::new(4);
+        ring.push(frame(1, 1));
+        let poisoner = ring.clone();
+        let panicked = std::thread::spawn(move || {
+            let _state = poisoner.inner.0.lock().unwrap();
+            panic!("a reader dies holding the ring lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(ring.inner.0.is_poisoned());
+
+        ring.push(frame(1, 2));
+        let mut cur = ring.cursor();
+        assert_eq!(cur.next_blocking().unwrap().seq, 1);
+        assert_eq!(cur.try_next().unwrap().seq, 2);
+        assert!(cur.try_next().is_none());
+        ring.close();
+        assert!(cur.next_blocking().is_none());
+        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
