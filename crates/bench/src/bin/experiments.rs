@@ -18,7 +18,8 @@ use e2eprof_apps::experiments::{
 use e2eprof_bench::{fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
 use e2eprof_core::PathmapConfig;
-use e2eprof_timeseries::{Nanos, Tick};
+use e2eprof_timeseries::density::DensityEstimator;
+use e2eprof_timeseries::{wire, Nanos, Quanta, RleSeries, Tick};
 use e2eprof_xcorr::engine::all_engines;
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use std::time::Instant;
@@ -290,6 +291,45 @@ fn fig10(full: bool) {
     }
     println!("\n(paper: RLE an order of magnitude shorter than the alternatives,");
     println!(" and far below the raw packet count)");
+    wire_sizes();
+}
+
+/// Bytes on the wire to ship one full window of every captured edge's
+/// density series, per underlying message record: one v1 frame per edge
+/// against the batch frame tracers ship, with raw and integer-count
+/// amplitudes. `tests/golden_frames.rs` holds the same run to its bounds.
+fn wire_sizes() {
+    let scenario = rubis_scenario(Nanos::from_secs(60), Nanos::from_secs(2), 42);
+    let captures = scenario.rubis.sim().captures();
+    let mut entries: Vec<((u32, u32), RleSeries)> = Vec::new();
+    let mut records = 0usize;
+    for (src, dst) in captures.edges() {
+        let ts = captures.edge_signal(src, dst);
+        records += ts.len();
+        let rle = DensityEstimator::from_timestamps(Quanta::from_millis(1), 50, ts).to_rle();
+        entries.push(((src.index() as u32, dst.index() as u32), rle));
+    }
+    let v1_bytes: usize = entries.iter().map(|(_, s)| wire::encode(s).len()).sum();
+    let raw_bytes = wire::encode_batch(&entries, false).len();
+    let int_bytes = wire::encode_batch(&entries, true).len();
+    let per = |bytes: usize| bytes as f64 / records as f64;
+    println!(
+        "\nwire sizes: {} edges, {records} records in one 60 s window",
+        entries.len()
+    );
+    println!(
+        "  v1 per-edge frames   {v1_bytes:>8} B  {:>6.3} B/record",
+        per(v1_bytes)
+    );
+    println!(
+        "  v2 batch (raw f64)   {raw_bytes:>8} B  {:>6.3} B/record",
+        per(raw_bytes)
+    );
+    println!(
+        "  v2 batch (int amp)   {int_bytes:>8} B  {:>6.3} B/record  ({:.2}x fewer than v1)",
+        per(int_bytes),
+        v1_bytes as f64 / int_bytes as f64
+    );
 }
 
 fn delta(full: bool) {

@@ -13,10 +13,10 @@ use e2eprof_core::graph::NodeLabels;
 use e2eprof_core::pathmap::roots_from_topology;
 use e2eprof_core::signals::EdgeSignals;
 use e2eprof_core::PathmapConfig;
-use e2eprof_netsim::prelude::*;
-use e2eprof_netsim::{NodeId, Route};
+use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::{Nanos, Quanta, RleSeries};
 
+pub mod refresh;
 pub mod transport;
 
 /// A prepared analysis scenario: a finished RUBiS round-robin run plus the
@@ -84,109 +84,6 @@ pub fn corr_pair(s: &Scenario) -> (RleSeries, RleSeries) {
         .expect("WS->TS1 signal")
         .clone();
     (x, y)
-}
-
-/// Builds the wide-fanout deployment: one front end fans out to
-/// `clients` clusters of `cluster` backends each, and client `c`'s traffic
-/// bursts for `burst` seconds at phase `c·(period/clients)` of every
-/// `period`-second cycle (one request per 5 ms while on), for
-/// `total_secs`.
-///
-/// With `period/clients − burst` comfortably above the lag bound `T_u`
-/// plus the ω smear, the bursts are pairwise time-disjoint within the lag
-/// horizon, so each client's causal evidence only ever touches its own
-/// cluster — the other clusters' `(client, edge)` pairs have disjoint
-/// supports. The caller still has to
-/// `run_until` the returned simulation.
-pub fn fanout_sim(
-    clients: usize,
-    cluster: usize,
-    period: f64,
-    burst: f64,
-    total_secs: f64,
-    seed: u64,
-) -> Simulation {
-    let burst_trace = |on_start: f64| {
-        let mut arrivals = Vec::new();
-        let mut cycle = 0.0;
-        while cycle < total_secs {
-            let mut t = cycle + on_start;
-            while t < cycle + on_start + burst && t < total_secs {
-                arrivals.push(Nanos::from_nanos((t * 1e9) as u64));
-                t += 5e-3;
-            }
-            cycle += period;
-        }
-        Workload::trace(arrivals)
-    };
-    let mut t = TopologyBuilder::new();
-    let web = t.service("web", ServiceConfig::new(DelayDist::constant_millis(2)));
-    for c in 0..clients {
-        let class = t.service_class(&format!("class_{c}"));
-        let mut backends = Vec::new();
-        for b in 0..cluster {
-            let s = t.service(
-                &format!("s{c}_{b}"),
-                ServiceConfig::new(DelayDist::exponential_millis(10)),
-            );
-            t.connect(web, s, DelayDist::constant_millis(1));
-            t.route(s, class, Route::terminal());
-            backends.push(s);
-        }
-        t.route(web, class, Route::round_robin(backends));
-        let phase = c as f64 * (period / clients as f64);
-        let cli = t.client(&format!("cli_{c}"), class, web, burst_trace(phase));
-        t.connect(cli, web, DelayDist::constant_millis(1));
-    }
-    Simulation::new(t.build().unwrap(), seed)
-}
-
-/// Builds a mostly idle mesh: `stacks` disjoint client → web → db stacks,
-/// the first `active` under Poisson load of `rate` requests per second
-/// for good, every other one sending a request every `1/rate` s for its
-/// first `warm_secs` and nothing after. Once the warm-up has left the
-/// analyzer's retention, a refresh has only the active stacks' pairs to
-/// advance and roots to explore — the shape the activity gate's wake set
-/// is for. The caller still has to `run_until` the returned simulation.
-pub fn idle_mesh_sim(
-    stacks: usize,
-    active: usize,
-    rate: f64,
-    warm_secs: u64,
-    seed: u64,
-) -> Simulation {
-    let warm_up = || {
-        let step = 1e9 / rate;
-        let count = (warm_secs as f64 * rate) as u64;
-        Workload::trace(
-            (0..count)
-                .map(|i| Nanos::from_nanos((i as f64 * step) as u64))
-                .collect(),
-        )
-    };
-    let mut t = TopologyBuilder::new();
-    for i in 0..stacks {
-        let class = t.service_class(&format!("class_{i}"));
-        let web = t.service(
-            &format!("web_{i}"),
-            ServiceConfig::new(DelayDist::constant_millis(2)),
-        );
-        let db = t.service(
-            &format!("db_{i}"),
-            ServiceConfig::new(DelayDist::exponential_millis(8)),
-        );
-        t.connect(web, db, DelayDist::constant_millis(1));
-        t.route(web, class, Route::fixed(db));
-        t.route(db, class, Route::terminal());
-        let workload = if i < active {
-            Workload::poisson(rate)
-        } else {
-            warm_up()
-        };
-        let cli = t.client(&format!("cli_{i}"), class, web, workload);
-        t.connect(cli, web, DelayDist::constant_millis(1));
-    }
-    Simulation::new(t.build().unwrap(), seed)
 }
 
 /// A minimal JSON value for machine-readable benchmark artifacts (the

@@ -301,7 +301,7 @@ impl<D: Dialer> Dialer for FaultyDialer<D> {
         let plan = self
             .plans
             .lock()
-            .expect("plans lock")
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
             .pop_front()
             .unwrap_or_default();
         Ok(Box::new(FaultyStream::new(stream, plan)))

@@ -26,9 +26,14 @@
 //! *when* work happens, never *what* is computed. Any run that reaches
 //! the same drain ticks produces the same graphs, whether frames crossed
 //! a channel, a socket, or a scripted sequence of dying connections.
+//!
+//! Nothing outside the tests unwraps or expects: a lock poisoned by a
+//! panicking thread is recovered, since every critical section leaves
+//! its state consistent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod broker;
 pub mod fault;

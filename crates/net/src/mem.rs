@@ -11,11 +11,26 @@
 //! the property the reconnect invariant leans on — a frame fully written
 //! before a cut is delivered, a partially written frame is discarded with
 //! the connection.
+//!
+//! A thread that panics while holding a pipe's or a listener's lock
+//! poisons it; every other thread recovers the guard and carries on.
 
 use crate::stream::{Acceptor, Dialer, NetStream, SplitStream};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+
+/// Locks a pipe's or listener's state, recovering it from a thread that
+/// panicked while holding it: every critical section below leaves the
+/// state consistent, so the other end carries on.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cvar`, recovering the guard the same way.
+fn wait<'a, T>(cvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug, Default)]
 struct PipeState {
@@ -29,8 +44,8 @@ struct Pipe(Arc<(Mutex<PipeState>, Condvar)>);
 
 impl Pipe {
     fn write(&self, bytes: &[u8]) -> io::Result<usize> {
-        let (lock, cvar) = &*self.0;
-        let mut state = lock.lock().expect("pipe lock");
+        let (mutex, cvar) = &*self.0;
+        let mut state = lock(mutex);
         if state.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
         }
@@ -43,8 +58,8 @@ impl Pipe {
     /// analogue of `writev`, so coalesced flushes over mem transport are
     /// genuinely one "syscall".
     fn write_vectored(&self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        let (lock, cvar) = &*self.0;
-        let mut state = lock.lock().expect("pipe lock");
+        let (mutex, cvar) = &*self.0;
+        let mut state = lock(mutex);
         if state.closed {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
         }
@@ -61,24 +76,24 @@ impl Pipe {
         if out.is_empty() {
             return Ok(0);
         }
-        let (lock, cvar) = &*self.0;
-        let mut state = lock.lock().expect("pipe lock");
+        let (mutex, cvar) = &*self.0;
+        let mut state = lock(mutex);
         while state.buf.is_empty() && !state.closed {
-            state = cvar.wait(state).expect("pipe lock");
+            state = wait(cvar, state);
         }
         if state.buf.is_empty() {
             return Ok(0); // closed and drained: EOF
         }
         let n = out.len().min(state.buf.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = state.buf.pop_front().expect("len checked");
+        for (slot, byte) in out.iter_mut().zip(state.buf.drain(..n)) {
+            *slot = byte;
         }
         Ok(n)
     }
 
     fn close(&self) {
-        let (lock, cvar) = &*self.0;
-        lock.lock().expect("pipe lock").closed = true;
+        let (mutex, cvar) = &*self.0;
+        lock(mutex).closed = true;
         cvar.notify_all();
     }
 }
@@ -167,15 +182,15 @@ impl MemListener {
 
     /// Stops accepting; pending and future dials fail.
     pub fn close(&self) {
-        let (lock, cvar) = &*self.0;
-        lock.lock().expect("listener lock").closed = true;
+        let (mutex, cvar) = &*self.0;
+        lock(mutex).closed = true;
         cvar.notify_all();
     }
 
     fn connect(&self) -> io::Result<MemStream> {
         let (client, server) = mem_pair();
-        let (lock, cvar) = &*self.0;
-        let mut state = lock.lock().expect("listener lock");
+        let (mutex, cvar) = &*self.0;
+        let mut state = lock(mutex);
         if state.closed {
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -194,8 +209,8 @@ impl Acceptor for MemListener {
     }
 
     fn accept_conn(&self) -> io::Result<Box<dyn SplitStream>> {
-        let (lock, cvar) = &*self.0;
-        let mut state = lock.lock().expect("listener lock");
+        let (mutex, cvar) = &*self.0;
+        let mut state = lock(mutex);
         loop {
             if let Some(conn) = state.pending.pop_front() {
                 return Ok(Box::new(conn));
@@ -206,7 +221,7 @@ impl Acceptor for MemListener {
                     "listener closed",
                 ));
             }
-            state = cvar.wait(state).expect("listener lock");
+            state = wait(cvar, state);
         }
     }
 }
@@ -272,6 +287,31 @@ mod tests {
         });
         a.write_all(b"abc").unwrap();
         assert_eq!(&t.join().unwrap(), b"abc");
+    }
+
+    #[test]
+    fn pipe_survives_a_thread_panicking_under_its_lock() {
+        let (mut a, mut b) = mem_pair();
+        let poisoner = a.tx.clone();
+        let unwound = std::thread::spawn(move || {
+            let _held = poisoner.0 .0.lock().unwrap();
+            panic!("a writer dies holding the pipe lock");
+        })
+        .join();
+        assert!(unwound.is_err());
+        assert!(a.tx.0 .0.is_poisoned());
+
+        a.write_all(b"after").unwrap();
+        let bufs = [io::IoSlice::new(b" the"), io::IoSlice::new(b" panic")];
+        assert_eq!(a.write_vectored(&bufs).unwrap(), 10);
+        let mut buf = [0u8; 5];
+        b.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"after");
+        a.shutdown_stream();
+        let mut rest = Vec::new();
+        b.read_to_end(&mut rest).unwrap();
+        assert_eq!(rest, b" the panic", "drains, then reports EOF");
+        assert_eq!(b.read(&mut buf).unwrap(), 0);
     }
 
     #[test]

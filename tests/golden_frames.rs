@@ -1,12 +1,16 @@
 //! The wire formats, pinned byte for byte, so neither can drift silently:
 //! the batch frame tracer agents emit (for a fixed tiny capture), and the
-//! v1 series frame the reader side still accepts.
+//! v1 series frame the reader side still accepts. A third case holds what
+//! the batch frame is for: on a real RUBiS window it spends far fewer
+//! bytes per captured record than v1 frames.
 
 use crossbeam::channel::unbounded;
+use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
 use e2eprof::core::tracer::TracerFrame;
 use e2eprof::netsim::{CaptureStore, NodeId};
-use e2eprof::timeseries::{wire, Nanos, RleSeries, Run, Tick};
+use e2eprof::timeseries::density::DensityEstimator;
+use e2eprof::timeseries::{wire, Nanos, Quanta, RleSeries, Run, Tick};
 use std::collections::HashSet;
 
 /// The emitted layout: magic `E2EP`, version 2, flags (integer
@@ -104,5 +108,48 @@ fn pinned_v1_golden_frame_still_decodes() {
         wire::encode(&decoded).as_ref(),
         golden.as_slice(),
         "the v1 encoder still emits the pinned layout"
+    );
+}
+
+/// Fig. 10's size comparison, extended to the wire: every captured edge
+/// of a 67 s RUBiS round-robin run (a 60 s window, a 2 s lag bound and
+/// 5 s of slack; seed 42) as density series at τ = 1 ms, ω = 50 ms,
+/// shipped as one v1 frame per edge or as one batch frame. The batch
+/// frame with integer amplitudes — the one tracers emit — must spend at
+/// least 1.5× fewer bytes per record than v1 (6.45× when this was
+/// written: 26.207 against 4.066 B/record over 16 edges and 11 432
+/// records), and integer amplitudes must never cost more than raw f64.
+/// `experiments fig10` prints the same three sizes.
+#[test]
+fn batch_frames_beat_v1_frames_on_a_rubis_window() {
+    let mut rubis = Rubis::build(RubisConfig {
+        dispatch: Dispatch::RoundRobin,
+        seed: 42,
+        ..RubisConfig::default()
+    });
+    rubis.sim_mut().run_until(Nanos::from_secs(67));
+    let captures = rubis.sim().captures();
+    let mut entries: Vec<((u32, u32), RleSeries)> = Vec::new();
+    let mut records = 0u64;
+    for (src, dst) in captures.edges() {
+        let ts = captures.edge_signal(src, dst);
+        records += ts.len() as u64;
+        let rle = DensityEstimator::from_timestamps(Quanta::from_millis(1), 50, ts).to_rle();
+        entries.push(((src.index() as u32, dst.index() as u32), rle));
+    }
+    assert!(records > 10_000, "window too quiet: {records} records");
+
+    let v1_bytes: usize = entries.iter().map(|(_, s)| wire::encode(s).len()).sum();
+    let raw_bytes = wire::encode_batch(&entries, false).len();
+    let int_bytes = wire::encode_batch(&entries, true).len();
+    let ratio = v1_bytes as f64 / int_bytes as f64;
+    assert!(
+        ratio >= 1.5,
+        "batch frames must spend >= 1.5x fewer bytes/record than v1, got {ratio:.2}x \
+         ({v1_bytes} against {int_bytes} B for {records} records)"
+    );
+    assert!(
+        int_bytes <= raw_bytes,
+        "integer amplitudes cost {int_bytes} B, more than raw f64's {raw_bytes} B"
     );
 }
