@@ -15,7 +15,7 @@ use e2eprof_apps::experiments::{
     accuracy, delta_analysis, delta_paper_config, diagnose_delta, fig5_affinity, fig6_round_robin,
     fig7_change_detection, skew_estimation, table1, Table1Policy,
 };
-use e2eprof_bench::{fmt_duration, rubis_scenario};
+use e2eprof_bench::{fig10_row, fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
 use e2eprof_core::PathmapConfig;
 use e2eprof_timeseries::density::DensityEstimator;
@@ -265,28 +265,15 @@ fn fig10(full: bool) {
         "W", "total packets", "no compression", "burst", "RLE runs", "ratio"
     );
     for w in windows {
-        let scenario = rubis_scenario(Nanos::from_secs(w), Nanos::from_secs(5), 42);
-        let n = scenario.rubis.nodes();
-        let y = scenario
-            .signals
-            .target_signal(n.ts1, n.ws)
-            .expect("TS1->WS signal");
-        let sparse = y.to_sparse();
-        let packets: usize = scenario
-            .rubis
-            .sim()
-            .captures()
-            .edge_signal(n.ts1, n.ws)
-            .len();
-        let dense_len = y.len();
+        let row = fig10_row(w);
         println!(
             "{:>7}s  {:>14} {:>16} {:>14} {:>12} {:>7.1}x",
-            w,
-            packets,
-            dense_len,
-            sparse.num_entries(),
-            y.num_runs(),
-            dense_len as f64 / y.num_runs().max(1) as f64,
+            row.window_secs,
+            row.packets,
+            row.dense_len,
+            row.burst_len,
+            row.rle_runs,
+            row.dense_len as f64 / row.rle_runs.max(1) as f64,
         );
     }
     println!("\n(paper: RLE an order of magnitude shorter than the alternatives,");

@@ -70,6 +70,46 @@ pub fn rubis_scenario(window: Nanos, max_delay: Nanos, seed: u64) -> Scenario {
     }
 }
 
+/// One row of Fig. 10: the TS1 → WS signal of a RUBiS round-robin run
+/// (seed 42, τ = 1 ms, ω = 50 ms) under each representation, for one
+/// analysis window. Every field is deterministic in the window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fig10Row {
+    /// The analysis window `W`, in seconds.
+    pub window_secs: u64,
+    /// Packets the capture recorded on the edge.
+    pub packets: usize,
+    /// Length of the uncompressed (dense) series, in ticks.
+    pub dense_len: u64,
+    /// Entries of the burst-compressed (zero-suppressed) series.
+    pub burst_len: usize,
+    /// Runs of the RLE series.
+    pub rle_runs: usize,
+}
+
+/// Computes the Fig. 10 row of a `window_secs`-second analysis window;
+/// `experiments fig10` prints these rows.
+pub fn fig10_row(window_secs: u64) -> Fig10Row {
+    let scenario = rubis_scenario(Nanos::from_secs(window_secs), Nanos::from_secs(5), 42);
+    let n = scenario.rubis.nodes();
+    let y = scenario
+        .signals
+        .target_signal(n.ts1, n.ws)
+        .expect("TS1->WS signal");
+    Fig10Row {
+        window_secs,
+        packets: scenario
+            .rubis
+            .sim()
+            .captures()
+            .edge_signal(n.ts1, n.ws)
+            .len(),
+        dense_len: y.len(),
+        burst_len: y.to_sparse().num_entries(),
+        rle_runs: y.num_runs(),
+    }
+}
+
 /// Extracts one prepared correlation pair from a scenario: the bidding
 /// client's source signal and the `WS → TS1` edge signal.
 pub fn corr_pair(s: &Scenario) -> (RleSeries, RleSeries) {

@@ -6,7 +6,52 @@ use super::{Edge, OnlineAnalyzer};
 use crate::tracer::TracerFrame;
 use crossbeam::channel::Receiver;
 use e2eprof_netsim::NodeId;
+use e2eprof_timeseries::wire::DecodeError;
 use e2eprof_timeseries::{wire, RleSeries, Run, Tick};
+
+/// One frame, decoded and validated whole before any of it reaches a
+/// window. Reused across frames, so steady-state ingest allocates nothing.
+#[derive(Debug, Default)]
+pub(super) struct FrameScratch {
+    /// Each entry's edge, span start, span length and the end of its runs
+    /// in `runs`.
+    entries: Vec<(Edge, Tick, u64, usize)>,
+    /// Every entry's runs, in frame order.
+    runs: Vec<Run>,
+}
+
+impl FrameScratch {
+    /// Decodes `frame` into the scratch in one pass: every header and run
+    /// is validated, trailing bytes included, before the caller applies
+    /// anything.
+    fn decode(&mut self, frame: &TracerFrame) -> Result<(), DecodeError> {
+        self.entries.clear();
+        self.runs.clear();
+        match frame {
+            // No producer in this repo; removal waits for a `benchmark` PR.
+            TracerFrame::Series { edge, payload } => {
+                let chunk = wire::decode(payload)?;
+                self.runs.extend_from_slice(chunk.runs());
+                self.entries
+                    .push((*edge, chunk.start(), chunk.len(), self.runs.len()));
+            }
+            // No producer in this repo either: a `Backfill` is ingested
+            // exactly like the batch it carries.
+            TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
+                let mut cursor = wire::FrameCursor::new(payload)?;
+                while let Some(entry) = cursor.next_entry()? {
+                    while let Some(run) = cursor.next_run()? {
+                        self.runs.push(run);
+                    }
+                    let edge = (NodeId::new(entry.key.0), NodeId::new(entry.key.1));
+                    self.entries
+                        .push((edge, entry.start, entry.len, self.runs.len()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 impl OnlineAnalyzer {
     /// Drains all pending tracer frames into the sliding windows. Returns
@@ -25,27 +70,25 @@ impl OnlineAnalyzer {
     /// the affected incremental correlators falling back to a from-scratch
     /// computation on the next refresh.
     ///
-    /// # Panics
-    ///
-    /// Panics if a frame fails to decode — a tracer bug, not a recoverable
-    /// condition.
+    /// A frame that fails to decode — a tracer speaking another wire
+    /// version, or a buggy one — is rejected whole: it is validated to the
+    /// last byte before its first run is applied, so a rejected frame
+    /// leaves every window as it was. It still counts as ingested, and
+    /// [`rejected_frames`](Self::rejected_frames) counts it.
     pub fn ingest(&mut self) -> usize {
         self.ingest_from(|rx, _| rx.try_recv().ok())
     }
 
     /// Ingests exactly `frames` tracer frames, *blocking* until they
     /// arrive (or every sender disconnects, whichever comes first), and
-    /// returns the number actually ingested.
+    /// returns the number actually ingested, rejected frames included
+    /// (see [`ingest`](Self::ingest)).
     ///
     /// This is the deterministic synchronization primitive for the
     /// distributed pipeline: the driving side counts the frames its
     /// agents emitted, and the analyzer side blocks until that many have
     /// crossed the transport — no sleeps, no timing assumptions, and a
     /// refresh never runs against a partially delivered flush.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a frame fails to decode, like [`ingest`](Self::ingest).
     pub fn ingest_expected(&mut self, frames: usize) -> usize {
         self.ingest_from(|rx, count| if count < frames { rx.recv().ok() } else { None })
     }
@@ -64,35 +107,27 @@ impl OnlineAnalyzer {
         count
     }
 
-    /// Applies one tracer frame to the sliding windows (see
-    /// [`ingest`](Self::ingest) for the decoding contract).
+    /// Frames rejected as undecodable since the analyzer was built (see
+    /// [`ingest`](Self::ingest)).
+    pub fn rejected_frames(&self) -> u64 {
+        self.rejected_frames
+    }
+
+    /// Applies one tracer frame to the sliding windows, or rejects it
+    /// whole (see [`ingest`](Self::ingest) for the decoding contract).
     fn ingest_frame(&mut self, frame: &TracerFrame) {
-        match frame {
-            // No producer in this repo; removal waits for a `benchmark` PR.
-            TracerFrame::Series { edge, payload } => {
-                let chunk = wire::decode(payload).expect("undecodable tracer frame");
-                self.extend_window(
-                    *edge,
-                    chunk.start(),
-                    chunk.len(),
-                    chunk.runs().iter().copied(),
-                );
-            }
-            // No producer in this repo either: a `Backfill` is ingested
-            // exactly like the batch it carries.
-            TracerFrame::Batch { payload } | TracerFrame::Backfill { payload } => {
-                let mut cursor = wire::FrameCursor::new(payload).expect("undecodable tracer frame");
-                while let Some(entry) = cursor.next_entry().expect("undecodable tracer frame") {
-                    let edge = (NodeId::new(entry.key.0), NodeId::new(entry.key.1));
-                    self.extend_window(
-                        edge,
-                        entry.start,
-                        entry.len,
-                        std::iter::from_fn(|| cursor.next_run().expect("undecodable tracer frame")),
-                    );
+        let mut scratch = std::mem::take(&mut self.frame_scratch);
+        match scratch.decode(frame) {
+            Ok(()) => {
+                let mut from = 0;
+                for &(edge, start, len, to) in &scratch.entries {
+                    self.extend_window(edge, start, len, scratch.runs[from..to].iter().copied());
+                    from = to;
                 }
             }
+            Err(_) => self.rejected_frames += 1,
         }
+        self.frame_scratch = scratch;
     }
 
     /// Appends one chunk — its span and its runs — to an edge's fine

@@ -66,6 +66,7 @@ pub use self::phases::FORK_WORTH;
 pub use crate::pathmap::ScratchCounters;
 
 use self::gate::{Calendar, RefreshMemory};
+use self::ingest::FrameScratch;
 use self::phases::{pool_for, Step};
 use crate::change::ChangeTracker;
 use crate::config::PathmapConfig;
@@ -102,6 +103,10 @@ pub struct OnlineAnalyzer {
     universe: HashSet<NodeId>,
     labels: NodeLabels,
     rx: Receiver<TracerFrame>,
+    /// The frame being ingested, decoded whole before it is applied.
+    frame_scratch: FrameScratch,
+    /// Frames rejected as undecodable.
+    rejected_frames: u64,
     /// Every fine stream ever seen, with what the gate knows of it.
     streams: Streams,
     /// The signal index, kept across refreshes: a view per stream, at the
@@ -275,6 +280,8 @@ impl OnlineAnalyzer {
             universe,
             labels,
             rx,
+            frame_scratch: FrameScratch::default(),
+            rejected_frames: 0,
             streams: Streams::default(),
             signals: EdgeSignals::empty(config.quanta(), config.max_lag()),
             calendar: Calendar::default(),

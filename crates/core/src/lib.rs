@@ -78,7 +78,7 @@ pub mod config;
 pub mod convolution;
 pub mod diff;
 pub mod graph;
-pub mod hashing;
+pub use e2eprof_timeseries::hashing;
 pub mod ingest;
 pub mod nesting;
 pub mod parallel;

@@ -8,9 +8,11 @@
 //! signal of messages `WS → TS1` as seen at `TS1`".
 
 use crate::ids::NodeId;
+use e2eprof_timeseries::hashing::FxHashMap;
 use e2eprof_timeseries::Nanos;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 
 /// Identifies one captured signal: messages `src → dst` observed at
 /// `observer` (which is `src` or `dst`).
@@ -48,9 +50,13 @@ impl TraceKey {
 ///
 /// Timestamps within one key are non-decreasing (events are processed in
 /// global time order and node clocks are monotone transforms of it).
+///
+/// A packet costs one Fx-hashed lookup of its key (node ids are the
+/// topology's own); the ordered edge set is touched only when a key is
+/// recorded for the first time.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureStore {
-    traces: HashMap<TraceKey, Vec<Nanos>>,
+    traces: FxHashMap<TraceKey, Vec<Nanos>>,
     edges: BTreeSet<(NodeId, NodeId)>,
 }
 
@@ -71,11 +77,14 @@ impl CaptureStore {
         packets: u32,
     ) {
         let key = TraceKey { observer, src, dst };
-        let v = self.traces.entry(key).or_default();
-        for _ in 0..packets {
-            v.push(local_ts);
-        }
-        self.edges.insert((src, dst));
+        let stamps = match self.traces.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.edges.insert((src, dst));
+                e.insert(Vec::new())
+            }
+        };
+        stamps.extend(std::iter::repeat_n(local_ts, packets as usize));
     }
 
     /// All directed edges that carried at least one packet, in stable

@@ -16,10 +16,11 @@ use crate::message::{Message, MsgKind};
 use crate::topology::{NodeKind, Topology};
 use crate::truth::TruthRecorder;
 use crate::workload::ArrivalGen;
+use e2eprof_timeseries::hashing::FxHashMap;
 use e2eprof_timeseries::Nanos;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Join bookkeeping at a node that forwarded (copies of) a request
 /// downstream and owes responses upstream.
@@ -37,8 +38,8 @@ struct NodeState {
     queue: VecDeque<Message>,
     /// Number of busy parallel servers.
     busy: u32,
-    rr_counters: HashMap<ClassId, usize>,
-    joins: HashMap<RequestId, Join>,
+    rr_counters: FxHashMap<ClassId, usize>,
+    joins: FxHashMap<RequestId, Join>,
     /// High-water mark of the work queue (the Delta analysis reports
     /// queue lengths up to 4000).
     max_queue: usize,
@@ -179,17 +180,13 @@ impl Simulation {
             self.captures
                 .record(msg.src, msg.src, msg.dst, local, cfg.packets_per_message());
         }
-        let link = self
-            .topo
-            .link(msg.src, msg.dst)
-            .unwrap_or_else(|| {
-                panic!(
-                    "no link {} -> {} (dynamic route to unlinked node?)",
-                    self.topo.node_name(msg.src),
-                    self.topo.node_name(msg.dst)
-                )
-            })
-            .clone();
+        let link = self.topo.link(msg.src, msg.dst).unwrap_or_else(|| {
+            panic!(
+                "no link {} -> {} (dynamic route to unlinked node?)",
+                self.topo.node_name(msg.src),
+                self.topo.node_name(msg.dst)
+            )
+        });
         let latency = link.sample(&mut self.rng);
         self.queue.schedule(self.now + latency, Event::Deliver(msg));
     }

@@ -6,7 +6,8 @@ use crate::ids::{ClassId, NodeId};
 use crate::perturb::DelaySchedule;
 use crate::routing::Route;
 use crate::workload::Workload;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use e2eprof_timeseries::hashing::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -203,12 +204,15 @@ impl fmt::Display for TopologyError {
 impl Error for TopologyError {}
 
 /// A validated topology.
+///
+/// Links and routes are keyed by the builder's own node and class ids and
+/// hashed with Fx: the simulator looks up one of each per hop.
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<NodeDef>,
     classes: Vec<String>,
-    links: HashMap<(NodeId, NodeId), DelayDist>,
-    routes: HashMap<(NodeId, ClassId), Route>,
+    links: FxHashMap<(NodeId, NodeId), DelayDist>,
+    routes: FxHashMap<(NodeId, ClassId), Route>,
 }
 
 impl Topology {
@@ -325,8 +329,8 @@ impl Topology {
 pub struct TopologyBuilder {
     nodes: Vec<NodeDef>,
     classes: Vec<String>,
-    links: HashMap<(NodeId, NodeId), DelayDist>,
-    routes: HashMap<(NodeId, ClassId), Route>,
+    links: FxHashMap<(NodeId, NodeId), DelayDist>,
+    routes: FxHashMap<(NodeId, ClassId), Route>,
 }
 
 impl TopologyBuilder {

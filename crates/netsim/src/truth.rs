@@ -9,6 +9,7 @@
 //! pathmap's inferences. None of this is visible to pathmap.
 
 use crate::ids::{ClassId, NodeId, RequestId};
+use e2eprof_timeseries::hashing::FxHashMap;
 use e2eprof_timeseries::stats::Welford;
 use e2eprof_timeseries::Nanos;
 use std::collections::HashMap;
@@ -41,16 +42,27 @@ impl RequestRecord {
 }
 
 /// Aggregating ground-truth recorder.
+///
+/// Every map is keyed by ids the simulator assigns itself, so all of them
+/// hash with Fx ([`e2eprof_timeseries::hashing`]). The per-class queries
+/// ([`class_paths`](Self::class_paths),
+/// [`class_latency_between`](Self::class_latency_between)) visit only
+/// their class's retained requests, in emission order.
 #[derive(Debug, Clone)]
 pub struct TruthRecorder {
-    details: HashMap<RequestId, RequestRecord>,
+    /// Retained detail records, in emission order.
+    details: Vec<RequestRecord>,
+    /// Where each retained request's record sits in `details`.
+    detail_at: FxHashMap<RequestId, usize>,
+    /// Each class's retained requests: indices into `details`, ascending.
+    class_details: FxHashMap<ClassId, Vec<usize>>,
     detail_limit: usize,
     /// In-flight (request, node) arrival times awaiting departure.
-    pending: HashMap<(RequestId, NodeId), Nanos>,
+    pending: FxHashMap<(RequestId, NodeId), Nanos>,
     /// Class of each in-flight request (dropped on completion).
-    classes: HashMap<RequestId, (ClassId, Nanos)>,
-    class_latency: HashMap<ClassId, Welford>,
-    node_processing: HashMap<(ClassId, NodeId), Welford>,
+    classes: FxHashMap<RequestId, (ClassId, Nanos)>,
+    class_latency: FxHashMap<ClassId, Welford>,
+    node_processing: FxHashMap<(ClassId, NodeId), Welford>,
     started: u64,
     completed: u64,
 }
@@ -66,38 +78,42 @@ impl TruthRecorder {
     /// `detail_limit` requests (aggregates are always exact).
     pub fn new(detail_limit: usize) -> Self {
         TruthRecorder {
-            details: HashMap::new(),
+            details: Vec::new(),
+            detail_at: FxHashMap::default(),
+            class_details: FxHashMap::default(),
             detail_limit,
-            pending: HashMap::new(),
-            classes: HashMap::new(),
-            class_latency: HashMap::new(),
-            node_processing: HashMap::new(),
+            pending: FxHashMap::default(),
+            classes: FxHashMap::default(),
+            class_latency: FxHashMap::default(),
+            node_processing: FxHashMap::default(),
             started: 0,
             completed: 0,
         }
     }
 
-    /// Records a request's emission.
+    /// Records a request's emission. Each request is emitted once: the
+    /// simulator hands out every id a single time.
     pub fn start(&mut self, req: RequestId, class: ClassId, at: Nanos) {
         self.started += 1;
         self.classes.insert(req, (class, at));
         if self.details.len() < self.detail_limit {
-            self.details.insert(
-                req,
-                RequestRecord {
-                    class,
-                    start: at,
-                    complete: None,
-                    hops: Vec::new(),
-                },
-            );
+            let slot = self.details.len();
+            let fresh = self.detail_at.insert(req, slot).is_none();
+            debug_assert!(fresh, "request {req} emitted twice");
+            self.class_details.entry(class).or_default().push(slot);
+            self.details.push(RequestRecord {
+                class,
+                start: at,
+                complete: None,
+                hops: Vec::new(),
+            });
         }
     }
 
     /// Records the request's arrival at a service node.
     pub fn arrive(&mut self, req: RequestId, node: NodeId, at: Nanos) {
         self.pending.insert((req, node), at);
-        if let Some(rec) = self.details.get_mut(&req) {
+        if let Some(rec) = self.detail_mut(req) {
             rec.hops.push((node, at, None));
         }
     }
@@ -114,7 +130,7 @@ impl TruthRecorder {
                     .push((at - arrived).as_nanos() as f64);
             }
         }
-        if let Some(rec) = self.details.get_mut(&req) {
+        if let Some(rec) = self.detail_mut(req) {
             if let Some(hop) = rec
                 .hops
                 .iter_mut()
@@ -135,7 +151,7 @@ impl TruthRecorder {
                 .or_default()
                 .push((at - started).as_nanos() as f64);
         }
-        if let Some(rec) = self.details.get_mut(&req) {
+        if let Some(rec) = self.detail_mut(req) {
             rec.complete = Some(at);
         }
     }
@@ -166,15 +182,29 @@ impl TruthRecorder {
 
     /// The retained detail record of a request, if any.
     pub fn request(&self, req: RequestId) -> Option<&RequestRecord> {
-        self.details.get(&req)
+        self.detail_at.get(&req).map(|&i| &self.details[i])
+    }
+
+    fn detail_mut(&mut self, req: RequestId) -> Option<&mut RequestRecord> {
+        let i = *self.detail_at.get(&req)?;
+        Some(&mut self.details[i])
+    }
+
+    /// The retained records of `class` requests, in emission order.
+    fn class_records(&self, class: ClassId) -> impl Iterator<Item = &RequestRecord> {
+        let indices = self
+            .class_details
+            .get(&class)
+            .map_or(&[][..], Vec::as_slice);
+        indices.iter().map(|&i| &self.details[i])
     }
 
     /// Distinct node paths taken by completed `class` requests (from
     /// retained details), with counts.
     pub fn class_paths(&self, class: ClassId) -> HashMap<Vec<NodeId>, usize> {
         let mut map = HashMap::new();
-        for rec in self.details.values() {
-            if rec.class == class && rec.complete.is_some() {
+        for rec in self.class_records(class) {
+            if rec.complete.is_some() {
                 *map.entry(rec.path()).or_insert(0) += 1;
             }
         }
@@ -183,13 +213,11 @@ impl TruthRecorder {
 
     /// Latency statistics of completed `class` requests within
     /// `[from, to)`, from retained details (for windowed comparisons like
-    /// Table 1).
+    /// Table 1). Requests are folded in emission order, so the result is
+    /// the same to the last bit on every run.
     pub fn class_latency_between(&self, class: ClassId, from: Nanos, to: Nanos) -> Welford {
         let mut w = Welford::new();
-        for rec in self.details.values() {
-            if rec.class != class {
-                continue;
-            }
+        for rec in self.class_records(class) {
             if let Some(done) = rec.complete {
                 if rec.start >= from && rec.start < to {
                     w.push((done - rec.start).as_nanos() as f64);
@@ -262,6 +290,28 @@ mod tests {
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[&vec![n(1), n(9)]], 2);
         assert_eq!(paths[&vec![n(2), n(9)]], 1);
+    }
+
+    #[test]
+    fn class_queries_see_only_their_class() {
+        let mut t = TruthRecorder::new(3);
+        let (a, b) = (ClassId::new(0), ClassId::new(1));
+        // Interleaved classes; the fourth request is past the detail
+        // limit and only counted in the aggregates.
+        for (i, class, node, latency) in
+            [(0, a, 1, 10), (1, b, 2, 20), (2, a, 3, 30), (3, b, 2, 40)]
+        {
+            t.start(r(i), class, ms(0));
+            t.arrive(r(i), n(node), ms(1));
+            t.depart(r(i), n(node), ms(2));
+            t.complete(r(i), ms(latency));
+        }
+        assert_eq!(t.class_paths(a).len(), 2);
+        assert_eq!(t.class_paths(b), HashMap::from([(vec![n(2)], 1)]));
+        assert_eq!(t.class_latency_between(a, ms(0), ms(1)).mean(), 20e6);
+        assert_eq!(t.class_latency_between(b, ms(0), ms(1)).count(), 1);
+        assert_eq!(t.class_latency(b).count(), 2);
+        assert!(t.class_paths(ClassId::new(2)).is_empty());
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! A fast, deterministic hasher for the analyzer's hot per-edge maps.
+//! A fast, deterministic hasher for maps keyed by ids the program assigns
+//! itself.
 //!
 //! The online analyzer looks up one sliding window and a handful of
-//! correlator entries per ingested batch entry; with the default SipHash
-//! those lookups dominate the zero-copy ingest path. Keys here are node
-//! and pair indices — short, non-adversarial, and never fed from the
-//! network — so the Fx polynomial hash (rotate, xor, multiply per word)
-//! is both safe and several times cheaper. Determinism is also a feature:
-//! analyzer behavior must not vary run to run under a randomized seed.
+//! correlator entries per ingested batch entry, and the simulator looks up
+//! a capture series per packet and its ground-truth records per hop; with
+//! the default SipHash those lookups dominate both hot paths. Keys here are
+//! node, class, request and pair indices — short integers the topology and
+//! the program hand out — so the Fx polynomial hash (rotate, xor, multiply
+//! per word) is both safe and several times cheaper. Maps keyed by strings
+//! from outside input (node names read from a log, say) keep SipHash.
+//! Determinism is also a feature: behavior must not vary run to run under
+//! a randomized seed.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -45,6 +49,11 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write_u8(&mut self, v: u8) {
+        self.add(v as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
         self.add(v as u64);
     }
 

@@ -47,6 +47,7 @@
 
 pub mod dense;
 pub mod density;
+pub mod hashing;
 pub mod rle;
 pub mod sparse;
 pub mod stats;
