@@ -429,7 +429,8 @@ pub struct DeltaDiagnosis {
     /// the return trip.
     pub tail_gap: Nanos,
     /// The deepest forward vertex — the suspect when `tail_gap`
-    /// dominates.
+    /// dominates; `None` when the gap is below one time quantum, which
+    /// the delays cannot resolve.
     pub suspect: Option<String>,
 }
 
@@ -438,7 +439,11 @@ pub struct DeltaDiagnosis {
 /// time, the slowdown sits at (or beyond) the deepest stage — the way
 /// E2EProf pinned Delta's slow database connection despite inaccurate
 /// per-hop delays under deep queueing.
-pub fn diagnose_delta(graphs: &[ServiceGraph]) -> DeltaDiagnosis {
+///
+/// Every delay is measured in whole time quanta (`quanta`, the analysis
+/// resolution): a tail gap below one quantum is no gap at all, and no
+/// suspect is named for it.
+pub fn diagnose_delta(graphs: &[ServiceGraph], quanta: Quanta) -> DeltaDiagnosis {
     let mut e2e_sum = 0u64;
     let mut fwd_sum = 0u64;
     let mut count = 0u64;
@@ -488,10 +493,11 @@ pub fn diagnose_delta(graphs: &[ServiceGraph]) -> DeltaDiagnosis {
     }
     let e2e = Nanos::from_nanos(e2e_sum / count);
     let last_forward = Nanos::from_nanos(fwd_sum / count);
+    let tail_gap = e2e.saturating_sub(last_forward);
     DeltaDiagnosis {
         e2e,
         last_forward,
-        tail_gap: e2e.saturating_sub(last_forward),
-        suspect,
+        tail_gap,
+        suspect: suspect.filter(|_| tail_gap >= quanta.duration()),
     }
 }

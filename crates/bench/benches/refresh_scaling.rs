@@ -8,11 +8,11 @@
 //! times and reports.
 //!
 //! Delta's pairs are all alive and cost about the same, so its counts
-//! should scale. The phased fan-out's refreshes stay below the fork
-//! threshold after the first, so its counts should read alike; a count
-//! that reads slower than 1 is paying for threads the gate should have
-//! saved. The idle mesh times only the refreshes after its warm-up has
-//! left retention, far below the fork threshold too.
+//! should scale. The phased fan-out's refreshes are about a millisecond,
+//! its live pairs few and costly: the pool's queue is what shares them,
+//! and a count that reads slower than 1 is waiting on helpers. The idle
+//! mesh times only the refreshes after its warm-up has left retention,
+//! a few busy stacks' work a refresh.
 
 use e2eprof_bench::refresh::{self, replay, Scenario, WORKER_COUNTS};
 use e2eprof_bench::{write_bench_json, JsonValue};

@@ -9,10 +9,10 @@
 //! end and take turns being on, so at any moment a few pairs — adjacent
 //! in key order, they belong to one client — carry all the work and the
 //! rest cost microseconds; only workers that pull from one queue share
-//! that load — when the analyzer forks at all: a phase that cost a thread
-//! less than `analyzer::FORK_WORTH` at its last run stays on the calling
-//! thread, and at this scenario's size (about a millisecond of
-//! correlation a refresh) every phase after the first refresh does.
+//! that load. At this scenario's size (about a millisecond of
+//! correlation a refresh) that is what the analyzer's standing pool is
+//! for: no phase is too short for it, since the caller never waits for a
+//! helper that has not woken.
 //! *Idle mesh*: 200 client → web → db stacks, 8 of them busy, the rest
 //! silent once a 12 s warm-up has left retention. The activity gate's
 //! wake set is what this one exercises: a steady refresh costs the 8 busy

@@ -9,6 +9,7 @@ use e2eprof_timeseries::window::SlidingWindow;
 use e2eprof_timeseries::Tick;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// One edge's fine stream: its sliding window and what the activity gate
 /// knows about it between refreshes. Streams are never removed; each keeps
@@ -17,7 +18,10 @@ use std::collections::BinaryHeap;
 #[derive(Debug)]
 pub(crate) struct Stream {
     pub(crate) edge: Edge,
-    pub(crate) window: SlidingWindow,
+    /// Shared with the Phase 1 steps that advance a pair on it; between
+    /// refreshes the stream holds the only reference, and ingest appends
+    /// in place through `Arc::make_mut`.
+    pub(crate) window: Arc<SlidingWindow>,
     /// The window's change epoch when the gate last evaluated it (`None`
     /// before it first did).
     pub(super) seen: Option<u64>,
@@ -45,7 +49,7 @@ impl Stream {
     pub(super) fn new(edge: Edge, capacity: u64) -> Self {
         Stream {
             edge,
-            window: SlidingWindow::new(capacity),
+            window: Arc::new(SlidingWindow::new(capacity)),
             seen: None,
             awake: true,
             quiet: true,
@@ -220,11 +224,12 @@ impl OnlineAnalyzer {
         let calendar = &mut self.calendar;
         let streams = &mut self.streams.list;
         let roots = &mut self.roots;
+        let signals = &mut Arc::make_mut(&mut self.context).signals;
         if from_scratch {
             calendar.clear();
             streams.iter_mut().for_each(|stream| stream.awake = true);
             roots.iter_mut().for_each(|root| root.awake = true);
-            self.signals.reindex(
+            signals.reindex(
                 streams
                     .iter()
                     .enumerate()
@@ -242,8 +247,8 @@ impl OnlineAnalyzer {
                 streams[i].awake |= streams[i].stamp == stamp;
             }
         }
-        self.signals.set_window((start, end));
-        let views = self.signals.views_mut();
+        signals.set_window((start, end));
+        let views = signals.views_mut();
         // A stream that did not wake is quiet: its runs are the ones its
         // last view was cut from, and none reaches into either boundary
         // region, so they lie between them, none of them clipped — only
@@ -258,7 +263,7 @@ impl OnlineAnalyzer {
         }
         for &i in &woken {
             let stream = &mut streams[i];
-            let w = &stream.window;
+            let w = &*stream.window;
             let epoch = w.epoch();
             let unchanged = stream.seen.replace(epoch) == Some(epoch);
             stream.quiet = prev.is_some_and(|(start0, end0, _)| {
@@ -300,6 +305,7 @@ impl OnlineAnalyzer {
         use e2eprof_timeseries::RleSeries;
         use std::hash::BuildHasher;
         let (start, end, data_end) = self.record.geometry;
+        let signals = &self.context.signals;
         let hasher = crate::hashing::FxBuildHasher::default();
         let digest = self.streams.list.iter().fold(0u64, |digest, stream| {
             digest.wrapping_add(hasher.hash_one(stream.edge))
@@ -333,7 +339,7 @@ impl OnlineAnalyzer {
             if evaluated[i] {
                 continue;
             }
-            let (edge, w) = (stream.edge, &stream.window);
+            let (edge, w) = (stream.edge, &*stream.window);
             assert!(stream.quiet, "{edge:?}: asleep but not quiet");
             assert_eq!(stream.seen, Some(w.epoch()), "{edge:?}: epoch moved asleep");
             assert!(
@@ -346,7 +352,7 @@ impl OnlineAnalyzer {
                 "{edge:?}: retention passed the last start"
             );
             assert_eq!(
-                bits(self.signals.view(i)),
+                bits(signals.view(i)),
                 bits(&w.view(start, data_end)),
                 "{edge:?}: re-stamped view"
             );
@@ -359,13 +365,14 @@ impl OnlineAnalyzer {
                 .streams
                 .get(&(client, root.front))
                 .expect("an asleep root has a source");
-            let xv = self.signals.source_signal(client, root.front);
+            let xv = signals.source_signal(client, root.front).map(Arc::new);
             for (&edge, inc) in &root.pairs {
                 assert_eq!(inc.window(), Some(settled), "{client:?}: unsettled pair");
-                let (_, y) = self.streams.get(&edge).expect("a pair's stream");
+                let (i, y) = self.streams.get(&edge).expect("a pair's stream");
+                let y_view = signals.target_signal(edge.0, edge.1).map(|_| i);
                 let step = Step::decide(
                     Some((start0, end0)),
-                    xv.as_ref().zip(self.signals.target_signal(edge.0, edge.1)),
+                    xv.as_ref().zip(y_view),
                     Some(&x.window),
                     Some(&y.window),
                     (start, end),

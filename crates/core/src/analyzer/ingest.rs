@@ -8,6 +8,7 @@ use crossbeam::channel::Receiver;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::wire::DecodeError;
 use e2eprof_timeseries::{wire, RleSeries, Run, Tick};
+use std::sync::Arc;
 
 /// One frame, decoded and validated whole before any of it reaches a
 /// window. Reused across frames, so steady-state ingest allocates nothing.
@@ -141,8 +142,11 @@ impl OnlineAnalyzer {
         len: u64,
         runs: impl IntoIterator<Item = Run>,
     ) {
+        // Between refreshes no pool item holds the context or a window, so
+        // writing through `make_mut` copies nothing.
+        debug_assert_eq!(Arc::strong_count(&self.context), 1, "context shared");
         let (at, list) = (&mut self.streams.at, &mut self.streams.list);
-        let views = self.signals.views_mut();
+        let views = Arc::make_mut(&mut self.context).signals.views_mut();
         // A new stream is awake from birth; it also moves the signal-edge
         // generation, so the refresh that first sees it wakes everything.
         let i = *at.entry(edge).or_insert_with(|| {
@@ -151,7 +155,8 @@ impl OnlineAnalyzer {
             list.len() - 1
         });
         let stream = &mut list[i];
-        let healed = stream.window.extend_runs(start, len, runs);
+        debug_assert_eq!(Arc::strong_count(&stream.window), 1, "window shared");
+        let healed = Arc::make_mut(&mut stream.window).extend_runs(start, len, runs);
         // The epoch moved (content entered or left retention), or the
         // retention start passed the last refresh's start, which a pair
         // standing at that window needs to advance or skip.

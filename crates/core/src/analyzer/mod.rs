@@ -12,15 +12,17 @@
 //! arrival signal against every candidate edge its exploration consulted —
 //! so a pair belongs to exactly one root and never moves between maps.
 //!
-//! Refreshes are *parallel*: every pair's append/evict corrections run in
-//! place, on a scoped worker pool ([`PathmapConfig::num_workers`]) whose
-//! workers each pull the next pair from one queue; path discovery
+//! Refreshes are *parallel*: every pair's append/evict corrections run on
+//! the analyzer's standing refresh pool ([`Pool`], of
+//! [`PathmapConfig::num_workers`] workers, the calling thread among them),
+//! whose workers each pull the next pair from one queue; path discovery
 //! (normalization and spike detection) then runs the same way, a root at a
-//! time, against the series Phase 1 left in the root's correlators. Every
-//! worker count produces bitwise identical graphs — see [`parallel`](crate::parallel) for
-//! the determinism contract. A phase is given to the pool only while it is
-//! worth a fork: one whose last run cost a thread less than [`FORK_WORTH`]
-//! stays on the calling thread.
+//! time, against the series Phase 1 left in the root's correlators. Work
+//! items are moved into the pool, not lent — a pair's correlator out of its
+//! root's map, a root out of the root list — with everything they read
+//! shared through `Arc`s, and each goes back where it came from. Every
+//! worker count produces bitwise identical graphs — see
+//! [`parallel`](crate::parallel) for the determinism contract.
 //!
 //! Refreshes are *activity-gated*: what a refresh costs follows what
 //! changed since the previous one, not what is tracked. A pair whose two
@@ -62,16 +64,15 @@ mod phases;
 
 pub(crate) use self::gate::Streams;
 pub(crate) use self::phases::Root;
-pub use self::phases::FORK_WORTH;
 pub use crate::pathmap::ScratchCounters;
 
 use self::gate::{Calendar, RefreshMemory};
 use self::ingest::FrameScratch;
-use self::phases::{pool_for, Step};
+use self::phases::Step;
 use crate::change::ChangeTracker;
 use crate::config::PathmapConfig;
 use crate::graph::{NodeLabels, ServiceGraph};
-use crate::parallel::ScratchPool;
+use crate::parallel::{Pool, ScratchPool};
 use crate::pathmap::{IncrementalStats, Pathmap, ScreeningStats};
 use crate::signals::EdgeSignals;
 use crate::tracer::TracerFrame;
@@ -80,28 +81,40 @@ use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::{Nanos, Tick};
 use e2eprof_xcorr::incremental::SlideScratch;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A directed edge `(src, dst)` between two nodes.
 pub(crate) type Edge = (NodeId, NodeId);
+
+/// What every root's discovery reads, shared with the refresh pool's work
+/// items through one `Arc`. Between refreshes the analyzer holds the only
+/// reference, so the gate and ingest write the signal index in place
+/// through `Arc::make_mut`.
+#[derive(Debug, Clone)]
+pub(crate) struct Context {
+    pathmap: Pathmap,
+    /// The signal index, kept across refreshes: a view per stream, at the
+    /// stream's position.
+    signals: EdgeSignals,
+    /// Every client node in the deployment — a superset of the owned
+    /// roots' clients. Discovery must know all of them even when this
+    /// analyzer shard owns only some roots: it never recurses into a
+    /// client node, and one it did not know of would let an exploration
+    /// wander through another shard's client and diverge from the
+    /// single-analyzer graphs.
+    universe: HashSet<NodeId>,
+    labels: NodeLabels,
+}
 
 /// The online pathmap analyzer.
 #[derive(Debug)]
 pub struct OnlineAnalyzer {
     config: PathmapConfig,
-    pathmap: Pathmap,
+    /// The pathmap, the signal index, the client universe and the labels.
+    context: Arc<Context>,
     /// The owned roots, in publication order, each with its correlators
     /// and its remembered graph.
     roots: Vec<Root>,
-    /// Every client node in the deployment — a superset of the clients in
-    /// `roots`. Discovery must know all of them even when this analyzer
-    /// shard owns only some roots: it never recurses into a client node,
-    /// and one it did not know of would let an exploration wander through
-    /// another shard's client and diverge from the single-analyzer graphs.
-    universe: HashSet<NodeId>,
-    labels: NodeLabels,
     rx: Receiver<TracerFrame>,
     /// The frame being ingested, decoded whole before it is applied.
     frame_scratch: FrameScratch,
@@ -109,9 +122,6 @@ pub struct OnlineAnalyzer {
     rejected_frames: u64,
     /// Every fine stream ever seen, with what the gate knows of it.
     streams: Streams,
-    /// The signal index, kept across refreshes: a view per stream, at the
-    /// stream's position.
-    signals: EdgeSignals,
     /// When each asleep stream comes due.
     calendar: Calendar,
     change: ChangeTracker,
@@ -121,7 +131,9 @@ pub struct OnlineAnalyzer {
     subscribers: Vec<Sender<GraphUpdate>>,
     /// Window-slide scratch, one per concurrently running refresh worker,
     /// shared by every pair and kept across refreshes.
-    slide_scratch: ScratchPool<SlideScratch>,
+    slide_scratch: Arc<ScratchPool<SlideScratch>>,
+    /// The workers both refresh phases run on.
+    pool: Pool,
     /// What the last refresh left for the next one's activity gate.
     memory: RefreshMemory,
     /// What the last refresh did.
@@ -130,7 +142,8 @@ pub struct OnlineAnalyzer {
 
 /// What one refresh did, filled in as its phases run: the one place a
 /// refresh counts anything (discovery's normalization buffers are
-/// [`Pathmap`]'s to count).
+/// [`Pathmap`]'s to count). Pool items count what they did in what they
+/// return, and the phase sums it here in item order.
 /// [`incremental_stats`](OnlineAnalyzer::incremental_stats) and
 /// [`scratch_counters`](OnlineAnalyzer::scratch_counters) are views of it.
 #[derive(Debug, Default)]
@@ -143,9 +156,6 @@ struct RefreshRecord {
     woken_streams: Vec<usize>,
     /// The roots it visited, in root order; every other root slept.
     woken_roots: Vec<usize>,
-    /// What Phase 1 and Phase 2 cost one thread (summed worker time).
-    fine_time: Duration,
-    discovery_time: Duration,
     /// Phase 1's steps by kind ([`Step`]), each pair of an asleep root a
     /// skip.
     skips: u64,
@@ -153,16 +163,16 @@ struct RefreshRecord {
     advances: u64,
     refills: u64,
     /// Advances whose slide scratch had to grow.
-    grown: AtomicU64,
+    grown: u64,
     /// The clients whose roots were explored, in root order.
     explored: Vec<NodeId>,
     /// Roots that kept their remembered graph: asleep, or awake and clean.
     reused_roots: u64,
     /// Pairs Phase 2 visited; of them, those decided from products that
     /// were zero at every lag, and those whose spike list was carried.
-    visited_pairs: AtomicU64,
-    evidence_free_pairs: AtomicU64,
-    carried_verdicts: AtomicU64,
+    visited_pairs: u64,
+    evidence_free_pairs: u64,
+    carried_verdicts: u64,
     /// Slide-scratch uses of every earlier refresh.
     slide_before: ScratchCounters,
 }
@@ -181,7 +191,7 @@ impl RefreshRecord {
     }
 
     /// Counts one pair's Phase 1 step.
-    fn count(&mut self, step: &Step<'_>) {
+    fn count(&mut self, step: &Step) {
         *match step {
             Step::Skip => &mut self.skips,
             Step::Carry => &mut self.carries,
@@ -194,10 +204,9 @@ impl RefreshRecord {
     /// included: one per step that is not a carry. A refill always
     /// allocates, an advance when its scratch grew, a skip never.
     fn slide_scratch(&self) -> ScratchCounters {
-        let grown = self.grown.load(Relaxed);
         ScratchCounters {
-            reused: self.slide_before.reused + self.skips + self.advances - grown,
-            allocated: self.slide_before.allocated + self.refills + grown,
+            reused: self.slide_before.reused + self.skips + self.advances - self.grown,
+            allocated: self.slide_before.allocated + self.refills + self.grown,
         }
     }
 }
@@ -275,20 +284,23 @@ impl OnlineAnalyzer {
         // and one refresh interval of eviction corrections.
         let capacity = config.window_ticks() + config.max_lag() + 2 * config.refresh_ticks();
         OnlineAnalyzer {
-            pathmap: Pathmap::new(config.clone()),
+            context: Arc::new(Context {
+                pathmap: Pathmap::new(config.clone()),
+                signals: EdgeSignals::empty(config.quanta(), config.max_lag()),
+                universe,
+                labels,
+            }),
             roots: roots.into_iter().map(Root::new).collect(),
-            universe,
-            labels,
             rx,
             frame_scratch: FrameScratch::default(),
             rejected_frames: 0,
             streams: Streams::default(),
-            signals: EdgeSignals::empty(config.quanta(), config.max_lag()),
             calendar: Calendar::default(),
             change: ChangeTracker::new(),
             capacity,
             subscribers: Vec::new(),
-            slide_scratch: ScratchPool::default(),
+            slide_scratch: Arc::default(),
+            pool: Pool::new(config.num_workers()),
             memory: RefreshMemory::default(),
             record: RefreshRecord::default(),
             config,
@@ -324,15 +336,10 @@ impl OnlineAnalyzer {
         let Some(geometry) = self.geometry() else {
             return Vec::new();
         };
-        let last = self.record.begin(geometry);
+        let (last_start, last_end, _) = self.record.begin(geometry).geometry;
         let (reusable, from_scratch) = self.open_gate();
-        // A phase runs on the pool unless its last run, since the memory
-        // was last empty, cost less than a fork is worth.
-        let remembers = self.memory.prev.is_some();
-        let workers = |cost| pool_for(remembers.then_some(cost), self.config.num_workers());
-        let (fine, discovery) = (workers(last.fine_time), workers(last.discovery_time));
-        let advanced = self.advance((last.geometry.0, last.geometry.1), fine);
-        self.discover(advanced, reusable, discovery);
+        let advanced = self.advance((last_start, last_end));
+        self.discover(advanced, reusable);
         self.close_gate(from_scratch);
         self.publish(at)
     }
@@ -396,9 +403,9 @@ impl OnlineAnalyzer {
             fine_skipped: record.skips,
             roots: record.explored.len() as u64 + record.reused_roots,
             reused_roots: record.reused_roots,
-            visited_pairs: record.visited_pairs.load(Relaxed),
-            evidence_free_pairs: record.evidence_free_pairs.load(Relaxed),
-            carried_verdicts: record.carried_verdicts.load(Relaxed),
+            visited_pairs: record.visited_pairs,
+            evidence_free_pairs: record.evidence_free_pairs,
+            carried_verdicts: record.carried_verdicts,
         })
     }
 
@@ -409,7 +416,8 @@ impl OnlineAnalyzer {
     /// keeps climbing, the observable form of the allocation-free
     /// refresh hot path.
     pub fn scratch_counters(&self) -> ScratchCounters {
-        let (slide, discovery) = (self.record.slide_scratch(), self.pathmap.scratch_counters());
+        let slide = self.record.slide_scratch();
+        let discovery = self.context.pathmap.scratch_counters();
         ScratchCounters {
             reused: slide.reused + discovery.reused,
             allocated: slide.allocated + discovery.allocated,
@@ -916,7 +924,12 @@ pub(crate) mod tests {
         drive(&mut analyzer, &mut sim, 1..=12);
         // Phase 1 (window slides) and Phase 2 (normalization ahead of
         // spike detection) are counted apart and must each settle.
-        let phases = |a: &OnlineAnalyzer| [a.record.slide_scratch(), a.pathmap.scratch_counters()];
+        let phases = |a: &OnlineAnalyzer| {
+            [
+                a.record.slide_scratch(),
+                a.context.pathmap.scratch_counters(),
+            ]
+        };
         let warm = phases(&analyzer);
         for (phase, c) in warm.iter().enumerate() {
             assert!(c.allocated > 0, "phase {}: no buffer ever used", phase + 1);

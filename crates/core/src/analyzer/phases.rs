@@ -1,47 +1,22 @@
 //! Roots and the two pooled phases of a refresh: Phase 1 brings every
 //! awake root's correlators to the window, Phase 2 explores the roots that
-//! are not clean.
+//! are not clean. Each phase moves its work items into the analyzer's
+//! refresh pool ([`Pool`](crate::parallel::Pool)) and puts every one back
+//! where it came from.
 
-use super::{Edge, OnlineAnalyzer, RefreshRecord};
+use super::{Context, Edge, OnlineAnalyzer};
 use crate::graph::ServiceGraph;
 use crate::hashing::FxHashMap;
-use crate::parallel::{self, ScratchPool};
+use crate::parallel::ScratchPool;
 use crate::pathmap::CorrelationProvider;
+use crate::signals::EdgeSignals;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::window::SlidingWindow;
 use e2eprof_timeseries::{RleSeries, Tick};
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
 use e2eprof_xcorr::{CorrSeries, Spike};
 use std::borrow::Cow;
-use std::sync::atomic::Ordering::Relaxed;
-use std::time::Duration;
-
-/// What a phase of the refresh must have cost one thread, the last time
-/// it ran, to be given to the worker pool this time.
-///
-/// Forking and joining fresh threads costs some 25 µs while a core stands
-/// idle for each of them, and up to a scheduler time slice — milliseconds
-/// — when another tenant of the host holds that core: the caller then
-/// waits in `join` for a worker that has yet to be scheduled, even one
-/// that will find the queue empty. A phase of a millisecond or two gains
-/// at most half of itself from a second worker and loses several times
-/// itself in that case, so its duration follows the host's load instead of
-/// its own work. A phase worth a time slice or more amortizes the wait.
-/// Phase costs are steady from one refresh to the next, so the last run
-/// is the estimate; a phase never yet run (the first refresh, and the
-/// first after a heal — both refill from scratch) goes to the pool.
-///
-/// Which thread runs an item cannot reach a published bit
-/// ([`parallel`]'s contract), so this is scheduling only.
-pub const FORK_WORTH: Duration = Duration::from_millis(3);
-
-/// The worker count for a phase whose previous run cost one thread `last`.
-pub(super) fn pool_for(last: Option<Duration>, num_workers: usize) -> usize {
-    match last {
-        Some(cost) if cost < FORK_WORTH => 1,
-        _ => num_workers,
-    }
-}
+use std::sync::Arc;
 
 /// What a root's exploration concluded about one pair it consulted: the
 /// spike list discovery settled on.
@@ -92,13 +67,14 @@ impl Root {
 
 /// What one refresh does to one tracked correlator. Decided once, when the
 /// pair's work item is built; the worker that takes the item executes the
-/// decision as it stands.
+/// decision as it stands. A step owns what it reads, so it can travel to
+/// any worker with the correlator it applies to.
 ///
 /// This is the single code path for correlator maintenance, and each
 /// pair's arithmetic depends on nothing but its own step, which is what
 /// makes parallel refreshes bitwise identical to serial ones.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Step<'a> {
+#[derive(Debug, Clone)]
+pub(super) enum Step {
     /// A signal of the pair is absent this window. The correlator is
     /// carried over untouched at its older window, which is how discovery
     /// would tell it from an advanced one (it cannot visit the pair
@@ -110,30 +86,34 @@ pub(super) enum Step<'a> {
     /// advancing it.
     Skip,
     /// Exact incremental corrections against the retained histories of
-    /// the source and the target stream, one fused slide.
+    /// the source and the target stream, one fused slide from the window
+    /// `from` the correlator stands at.
     Advance {
-        xw: &'a SlidingWindow,
-        yw: &'a SlidingWindow,
+        from: (Tick, Tick),
+        xw: Arc<SlidingWindow>,
+        yw: Arc<SlidingWindow>,
     },
     /// No usable prior state — the pair's first window, or the first after
-    /// a stream heal: a one-shot from-scratch computation over the views.
-    Refill { x: &'a RleSeries, y: &'a RleSeries },
+    /// a stream heal: a one-shot from-scratch computation over the root's
+    /// source view `x` and the target's view, at position `y` of the
+    /// signal index.
+    Refill { x: Arc<RleSeries>, y: usize },
 }
 
-impl<'a> Step<'a> {
+impl Step {
     /// Decides the step towards the source window `window` of a pair whose
     /// correlator stands at `recorded`.
     ///
-    /// `views` are the pair's source and target views this window, and
-    /// `xw` and `yw` the retained streams they were cut from — the source
-    /// is always the root's client signal, retained on its
-    /// `(client, front)` stream. `quiet` is the caller's proof that nothing
-    /// moved in either stream since the window `recorded`.
+    /// `views` are the pair's source view and the position of its target's
+    /// view this window, and `xw` and `yw` the retained streams they were
+    /// cut from — the source is always the root's client signal, retained
+    /// on its `(client, front)` stream. `quiet` is the caller's proof that
+    /// nothing moved in either stream since the window `recorded`.
     pub(super) fn decide(
         recorded: Option<(Tick, Tick)>,
-        views: Option<(&'a RleSeries, &'a RleSeries)>,
-        xw: Option<&'a SlidingWindow>,
-        yw: Option<&'a SlidingWindow>,
+        views: Option<(&Arc<RleSeries>, usize)>,
+        xw: Option<&Arc<SlidingWindow>>,
+        yw: Option<&Arc<SlidingWindow>>,
         (ws, we): (Tick, Tick),
         quiet: bool,
     ) -> Self {
@@ -151,19 +131,34 @@ impl<'a> Step<'a> {
                 if quiet {
                     Step::Skip
                 } else {
-                    Step::Advance { xw, yw }
+                    Step::Advance {
+                        from: (s, e),
+                        xw: Arc::clone(xw),
+                        yw: Arc::clone(yw),
+                    }
                 }
             }
-            _ => Step::Refill { x, y },
+            _ => Step::Refill {
+                x: Arc::clone(x),
+                y,
+            },
         }
     }
 
+    /// Whether the step computes (an advance or a refill) rather than
+    /// keeping O(1) books (a carry or a skip).
+    fn computes(&self) -> bool {
+        matches!(self, Step::Advance { .. } | Step::Refill { .. })
+    }
+
     /// Executes the step, leaving the lagged products for `window` in
-    /// `inc.corr()`. Returns whether an advance had to grow its slide
+    /// `inc.corr()`. `signals` is the signal index a refill reads its
+    /// target view from. Returns whether an advance had to grow its slide
     /// scratch (a refill allocates by definition).
     fn run(
         self,
         inc: &mut IncrementalCorrelator,
+        signals: &EdgeSignals,
         max_lag: u64,
         window: (Tick, Tick),
         scratch: &ScratchPool<SlideScratch>,
@@ -174,15 +169,14 @@ impl<'a> Step<'a> {
                 inc.slide(window);
                 false
             }
-            Step::Advance { xw, yw } => {
-                let (s, e) = inc.window().expect("decided on a recorded window");
-                let (ws, we) = window;
-                if (s, e) == window {
+            Step::Advance { from, xw, yw } => {
+                if from == window {
                     // No data arrived since the last refresh: nothing
                     // enters or leaves, so there is nothing to take views
                     // of.
                     return false;
                 }
+                let ((s, e), (ws, we)) = (from, window);
                 let y_horizon = yw.end();
                 scratch.with(|scratch| {
                     let held = scratch.capacity();
@@ -198,29 +192,51 @@ impl<'a> Step<'a> {
                 })
             }
             Step::Refill { x, y } => {
-                inc.refill(x, y);
+                inc.refill(&x, signals.view(y));
                 false
             }
         }
     }
 }
 
-/// Applies `f` to every work item of a phase: the items whose step computes
-/// on the worker pool, queued in stable order; the rest — O(1)
-/// bookkeeping — inline, so the queue's lock is taken only for items
-/// worth a thread's attention. Returns what the computing items cost one
-/// thread ([`parallel::for_each_mut`]'s summed worker time).
-fn for_each_step<'a, T: Send>(
-    items: &mut [T],
-    num_workers: usize,
-    step_of: impl Fn(&T) -> Step<'a>,
-    f: impl Fn(&mut T) + Sync,
-) -> Duration {
-    let (mut computing, bookkeeping): (Vec<&mut T>, Vec<&mut T>) = items
-        .iter_mut()
-        .partition(|item| matches!(step_of(item), Step::Advance { .. } | Step::Refill { .. }));
-    bookkeeping.into_iter().for_each(&f);
-    parallel::for_each_mut(&mut computing, num_workers, |item| f(item))
+/// One computing pair of Phase 1: its correlator, moved out of its root's
+/// map (an empty one stands in for it there), and its step.
+struct PairItem {
+    inc: IncrementalCorrelator,
+    step: Step,
+}
+
+/// One awake root of Phase 2, moved out of the analyzer's root list.
+struct RootItem {
+    root: Root,
+    /// The root's source view, as Phase 1 sliced it.
+    x: Option<Arc<RleSeries>>,
+    /// The root's pairs Phase 1 skipped.
+    skipped: Vec<Edge>,
+}
+
+/// How the pairs one exploration visited were settled.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct Visits {
+    /// Pairs the exploration decided.
+    pub(super) visited: u64,
+    /// Of those, pairs decided from products that were zero at every lag.
+    pub(super) evidence_free: u64,
+    /// Of those, pairs whose previous spike list was carried.
+    pub(super) carried: u64,
+}
+
+/// What Phase 2 hands back for one root: the root, to go back in its place,
+/// and what the refresh record counts of it.
+struct Explored {
+    root: Root,
+    /// Whether the root had a source view this window.
+    sourced: bool,
+    /// Whether the root was explored (it was not clean).
+    explored: bool,
+    /// Pairs the exploration reached for the first time.
+    added: Vec<Edge>,
+    visits: Visits,
 }
 
 /// One root's view of the refresh's correlation evidence during its
@@ -247,8 +263,8 @@ struct CachedProvider<'a> {
     support: Vec<(Edge, Verdict)>,
     /// The pairs given a correlator for the first time.
     added: Vec<Edge>,
-    /// Where the refresh counts how pairs were settled.
-    record: &'a RefreshRecord,
+    /// How the pairs were settled.
+    visits: Visits,
 }
 
 impl CorrelationProvider for CachedProvider<'_> {
@@ -279,55 +295,117 @@ impl CorrelationProvider for CachedProvider<'_> {
             .binary_search_by_key(&edge, |&(edge, _)| edge)
             .ok()?;
         self.skipped.binary_search(&edge).ok()?;
-        self.record.carried_verdicts.fetch_add(1, Relaxed);
+        self.visits.carried += 1;
         Some(self.previous[at].1.clone())
     }
 
     fn decided(&mut self, _client: NodeId, edge: Edge, spikes: Vec<Spike>, evidence_free: bool) {
-        self.record.visited_pairs.fetch_add(1, Relaxed);
-        let evidence_free = u64::from(evidence_free);
-        self.record
-            .evidence_free_pairs
-            .fetch_add(evidence_free, Relaxed);
+        self.visits.visited += 1;
+        self.visits.evidence_free += u64::from(evidence_free);
         self.support.push((edge, spikes));
+    }
+}
+
+/// Phase 2's work on one root (see [`OnlineAnalyzer::discover`]): keeps the
+/// remembered graph of a clean root, explores any other.
+fn explore(item: RootItem, context: &Context, reusable: bool) -> Explored {
+    let RootItem {
+        mut root,
+        x,
+        mut skipped,
+    } = item;
+    skipped.sort_unstable();
+    let sourced = x.is_some();
+    let previous = root.memory.take();
+    let clean = reusable
+        && previous.as_ref().is_some_and(|(_, support)| {
+            support
+                .iter()
+                .all(|(edge, _)| skipped.binary_search(edge).is_ok())
+        });
+    if clean {
+        root.memory = previous;
+        return Explored {
+            root,
+            sourced,
+            explored: false,
+            added: Vec::new(),
+            visits: Visits::default(),
+        };
+    }
+    let mut provider = CachedProvider {
+        pairs: &mut root.pairs,
+        skipped: &skipped,
+        previous: previous.as_ref().map_or(&[], |(_, support)| support),
+        support: Vec::new(),
+        added: Vec::new(),
+        visits: Visits::default(),
+    };
+    let source = (root.client, root.front);
+    let graph = x.map(|x| {
+        let Context {
+            pathmap,
+            signals,
+            universe,
+            labels,
+        } = context;
+        pathmap.discover_root(source, &x, signals, universe, labels, &mut provider)
+    });
+    let CachedProvider {
+        mut support,
+        added,
+        visits,
+        ..
+    } = provider;
+    support.sort_unstable_by_key(|&(edge, _)| edge);
+    root.memory = Some((graph, support));
+    Explored {
+        root,
+        sourced,
+        explored: true,
+        added,
+        visits,
     }
 }
 
 impl OnlineAnalyzer {
     /// Phase 1 — brings the correlators of every awake root to this
-    /// window, in place in the root's map, on `workers` threads. Each
-    /// pair owns its accumulator and only *reads* the shared windows, so
-    /// its arithmetic is identical no matter which thread runs it. A root
-    /// that slept first slides its correlators to the `last` refresh's
-    /// window, where the skips it slept through would have left them.
+    /// window. A carry or a skip is done in place; every pair that
+    /// computes has its correlator moved out of its root's map, with an
+    /// empty one standing in, and runs on the refresh pool. Each pair owns
+    /// its accumulator and only *reads* the shared windows, so its
+    /// arithmetic is identical no matter which thread runs it; its
+    /// correlator goes back under its edge, so no map changes its order. A
+    /// root that slept first slides its correlators to the `last`
+    /// refresh's window, where the skips it slept through would have left
+    /// them.
     ///
     /// Returns each awake root's source view, sliced once here for both
     /// phases, and the pairs of each it skipped.
     pub(super) fn advance(
         &mut self,
         last: (Tick, Tick),
-        workers: usize,
-    ) -> (Vec<Option<RleSeries>>, Vec<Vec<Edge>>) {
+    ) -> (Vec<Option<Arc<RleSeries>>>, Vec<Vec<Edge>>) {
         let (start, end, _) = self.record.geometry;
         let max_lag = self.config.max_lag();
-        let (streams, signals) = (&self.streams, &self.signals);
-        let record = &mut self.record;
-        let picked: Vec<&mut Root> = self.roots.iter_mut().filter(|root| root.awake).collect();
-        let sources: Vec<Option<RleSeries>> = picked
-            .iter()
-            .map(|root| signals.source_signal(root.client, root.front))
-            .collect();
-        let mut skipped = vec![Vec::new(); sources.len()];
+        let (streams, signals) = (&self.streams, &self.context.signals);
+        let (roots, record, scratch) = (&mut self.roots, &mut self.record, &self.slide_scratch);
         let prev_window = self.memory.prev.map(|(start0, end0, _)| (start0, end0));
-        let mut items = Vec::new();
-        for ((root, x), skips) in picked.into_iter().zip(&sources).zip(&mut skipped) {
+        let awake = record.woken_roots.len();
+        let (mut sources, mut skipped) = (Vec::with_capacity(awake), Vec::with_capacity(awake));
+        // Each computing item, and the root and edge it goes back to.
+        let (mut items, mut homes) = (Vec::new(), Vec::new());
+        for k in 0..awake {
+            let r = record.woken_roots[k];
+            let root = &mut roots[r];
+            let x = signals.source_signal(root.client, root.front).map(Arc::new);
             if root.settled.is_some_and(|w| w != last) {
                 root.pairs.values_mut().for_each(|inc| inc.slide(last));
             }
             let source = streams.get(&(root.client, root.front));
+            let mut skips = Vec::new();
             for (&edge, inc) in &mut root.pairs {
                 let target = streams.get(&edge);
-                let y = target.map(|(i, _)| signals.view(i));
                 // Both signals of the pair quiet — proven against the
                 // previous refresh's geometry, so it only speaks for a
                 // correlator standing at exactly that window.
@@ -336,7 +414,7 @@ impl OnlineAnalyzer {
                     && target.is_some_and(|(_, stream)| stream.quiet);
                 let step = Step::decide(
                     inc.window(),
-                    x.as_ref().zip(y),
+                    x.as_ref().zip(target.map(|(i, _)| i)),
                     source.map(|(_, stream)| &stream.window),
                     target.map(|(_, stream)| &stream.window),
                     (start, end),
@@ -346,28 +424,36 @@ impl OnlineAnalyzer {
                 if matches!(step, Step::Skip) {
                     skips.push(edge);
                 }
-                items.push((inc, step));
+                if step.computes() {
+                    let inc = std::mem::replace(inc, IncrementalCorrelator::new(0));
+                    items.push(PairItem { inc, step });
+                    homes.push((r, edge));
+                } else {
+                    step.run(inc, signals, max_lag, (start, end), scratch);
+                }
             }
+            sources.push(x);
+            skipped.push(skips);
         }
-        let (grown, slide_scratch) = (&record.grown, &self.slide_scratch);
-        record.fine_time = for_each_step(
-            &mut items,
-            workers,
-            |&(_, step)| step,
-            |(inc, step)| {
-                let grew = step.run(inc, max_lag, (start, end), slide_scratch);
-                grown.fetch_add(u64::from(grew), Relaxed);
-            },
-        );
+        let (context, scratch) = (Arc::clone(&self.context), Arc::clone(scratch));
+        let advanced = self.pool.run(items, move |PairItem { mut inc, step }| {
+            let grew = step.run(&mut inc, &context.signals, max_lag, (start, end), &scratch);
+            (inc, grew)
+        });
+        for ((r, edge), (inc, grew)) in homes.into_iter().zip(advanced) {
+            self.roots[r].pairs.insert(edge, inc);
+            self.record.grown += u64::from(grew);
+        }
         (sources, skipped)
     }
 
     /// Phase 2 — path discovery (normalization + spike detection), one
-    /// awake root per item on `workers` threads, reading each pair's
-    /// products where Phase 1 left them: in the root's correlator. A pair
-    /// first reached this refresh gets its correlator in the root's map
-    /// too. `sources` and `skipped` are what [`advance`](Self::advance)
-    /// returned.
+    /// awake root per item on the refresh pool, reading each pair's
+    /// products where Phase 1 left them: in the root's correlator. Each
+    /// awake root is moved out of the root list for its item, with the
+    /// shared [`Context`], and put back in its place; a pair first reached
+    /// this refresh gets its correlator in the root's map too. `sources`
+    /// and `skipped` are what [`advance`](Self::advance) returned.
     ///
     /// A root is clean when the signal-edge set is `reusable` and every
     /// pair its last exploration consulted carried its series bitwise
@@ -385,119 +471,61 @@ impl OnlineAnalyzer {
     /// the pairs it first reached list it as a reader, and a root whose
     /// correlators all stand at this window, with a source view, is
     /// settled: it sleeps until a stream it reads wakes. Any other stays
-    /// awake.
+    /// awake. What each item counted is summed here, in root order.
     pub(super) fn discover(
         &mut self,
-        (sources, skipped): (Vec<Option<RleSeries>>, Vec<Vec<Edge>>),
+        (sources, skipped): (Vec<Option<Arc<RleSeries>>>, Vec<Vec<Edge>>),
         reusable: bool,
-        workers: usize,
     ) {
-        struct RootItem<'a> {
-            root: &'a mut Root,
-            /// The root's source view, as Phase 1 sliced it.
-            x: Option<RleSeries>,
-            /// The root's pairs Phase 1 skipped.
-            skipped: Vec<Edge>,
-            /// Whether the root was explored (it was not clean).
-            explored: bool,
-            /// Pairs the exploration reached for the first time.
-            added: Vec<Edge>,
-        }
         let (start, end, _) = self.record.geometry;
-        let (pathmap, signals) = (&self.pathmap, &self.signals);
-        let (universe, labels, record) = (&self.universe, &self.labels, &self.record);
-        let mut items: Vec<RootItem<'_>> = self
-            .roots
-            .iter_mut()
-            .filter(|root| root.awake)
+        let roots = &mut self.roots;
+        let items: Vec<RootItem> = self
+            .record
+            .woken_roots
+            .iter()
             .zip(sources)
             .zip(skipped)
-            .map(|((root, x), skipped)| RootItem {
-                root,
-                x,
-                skipped,
-                explored: false,
-                added: Vec::new(),
+            .map(|((&r, x), skipped)| {
+                let stand_in = Root::new((roots[r].client, roots[r].front));
+                let root = std::mem::replace(&mut roots[r], stand_in);
+                RootItem { root, x, skipped }
             })
             .collect();
-        let time = parallel::for_each_mut(&mut items, workers, |item| {
-            item.skipped.sort_unstable();
-            let root = &mut *item.root;
-            let previous = root.memory.take();
-            let clean = reusable
-                && previous.as_ref().is_some_and(|(_, support)| {
-                    support
-                        .iter()
-                        .all(|(edge, _)| item.skipped.binary_search(edge).is_ok())
-                });
-            if clean {
-                root.memory = previous;
-                return;
-            }
-            item.explored = true;
-            let mut provider = CachedProvider {
-                pairs: &mut root.pairs,
-                skipped: &item.skipped,
-                previous: previous.as_ref().map_or(&[], |(_, support)| support),
-                support: Vec::new(),
-                added: Vec::new(),
-                record,
-            };
-            let source = (root.client, root.front);
-            let graph = item.x.as_ref().map(|x| {
-                pathmap.discover_root(source, x, signals, universe, labels, &mut provider)
-            });
-            let mut support = provider.support;
-            support.sort_unstable_by_key(|&(edge, _)| edge);
-            item.added = provider.added;
-            root.memory = Some((graph, support));
-        });
+        let context = Arc::clone(&self.context);
+        let explored = self
+            .pool
+            .run(items, move |item| explore(item, &context, reusable));
         let record = &mut self.record;
-        record.discovery_time = time;
-        for (k, item) in items.into_iter().enumerate() {
-            let (r, root) = (record.woken_roots[k], item.root);
-            if item.explored {
+        for (k, done) in explored.into_iter().enumerate() {
+            let (r, mut root) = (record.woken_roots[k], done.root);
+            if done.explored {
                 record.explored.push(root.client);
             } else {
                 record.reused_roots += 1;
             }
-            for edge in item.added {
+            record.visited_pairs += done.visits.visited;
+            record.evidence_free_pairs += done.visits.evidence_free;
+            record.carried_verdicts += done.visits.carried;
+            for edge in done.added {
                 let i = self.streams.at[&edge];
                 self.streams.list[i].readers.push(r);
             }
-            let settled = item.x.is_some()
+            let settled = done.sourced
                 && root
                     .pairs
                     .values()
                     .all(|inc| inc.window() == Some((start, end)));
             root.settled = settled.then_some((start, end));
             root.awake = !settled;
+            self.roots[r] = root;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::analyzer::tests::*;
     use crate::pathmap::IncrementalStats;
-
-    /// A phase forks only when its last run was worth it, and every refresh
-    /// leaves the next one that estimate for each phase it ran. (That the
-    /// choice cannot reach a graph is the twin tests' business: the twin's
-    /// memory is wiped before every refresh, so it always forks.)
-    #[test]
-    fn a_phase_goes_to_the_pool_only_when_its_last_run_was_worth_a_fork() {
-        assert_eq!(pool_for(None, 8), 8);
-        assert_eq!(pool_for(Some(FORK_WORTH), 8), 8);
-        assert_eq!(pool_for(Some(FORK_WORTH - Duration::from_nanos(1)), 8), 1);
-        assert_eq!(pool_for(Some(Duration::ZERO), 1), 1);
-
-        let (_, analyzer) = run_online(3, 30);
-        let record = &analyzer.record;
-        assert!(analyzer.memory.prev.is_some(), "no memory to go by");
-        assert!(record.fine_time > Duration::ZERO && record.discovery_time > Duration::ZERO);
-    }
 
     /// The pair-granular savings of Phase 2 — deciding a pair from its
     /// all-zero products, carrying a skipped pair's spike list — held to

@@ -183,10 +183,11 @@ impl PathmapConfig {
     /// correlations (default: the platform's available parallelism).
     ///
     /// Results are bitwise identical for every worker count; `1` runs the
-    /// whole refresh on the calling thread without spawning. It is an
-    /// upper bound: a phase of the refresh that cost less than
-    /// [`FORK_WORTH`](crate::analyzer::FORK_WORTH) the last time it ran
-    /// stays on the calling thread whatever this says.
+    /// whole refresh on the calling thread without spawning. A larger
+    /// count is the size of the analyzer's standing
+    /// [`Pool`](crate::parallel::Pool): the calling thread and
+    /// `num_workers − 1` helpers, started at the first phase with two or
+    /// more items to compute and parked between phases.
     pub fn num_workers(&self) -> usize {
         self.num_workers
     }
@@ -290,8 +291,9 @@ impl PathmapConfigBuilder {
     /// Sets the refresh worker-pool size (clamped to at least 1; default
     /// is the platform's available parallelism). Output is bitwise
     /// identical for every setting; `1` never spawns threads, and a larger
-    /// count spawns them only for phases long enough to repay it
-    /// ([`FORK_WORTH`](crate::analyzer::FORK_WORTH)).
+    /// count starts `workers − 1` standing helper threads, once, that
+    /// every later refresh phase shares
+    /// ([`Pool`](crate::parallel::Pool)).
     pub fn num_workers(mut self, workers: usize) -> Self {
         self.num_workers = workers.max(1);
         self

@@ -10,7 +10,7 @@
 
 use crate::config::PathmapConfig;
 use crate::graph::{GraphEdge, NodeLabels, ServiceGraph};
-use crate::parallel::ScratchPool;
+use crate::parallel::{Pool, ScratchPool};
 use crate::signals::EdgeSignals;
 use e2eprof_netsim::{NodeId, Topology};
 use e2eprof_timeseries::RleSeries;
@@ -18,6 +18,7 @@ use e2eprof_xcorr::{normalize, CorrSeries, Correlator, Spike};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Supplies lagged-product series to the path search of one root.
 ///
@@ -190,25 +191,39 @@ fn non_negative(s: &RleSeries) -> bool {
     s.runs().iter().all(|r| r.value() >= 0.0)
 }
 
+/// Every client of `roots`. Exploring one client's graph must still know
+/// that the *other* clients are untraced endpoints it cannot recurse into.
+fn clients_of(roots: &[(NodeId, NodeId)]) -> HashSet<NodeId> {
+    roots.iter().map(|&(client, _)| client).collect()
+}
+
 /// Fraction of the maximum per-node delay above which a node is marked a
 /// bottleneck.
 const BOTTLENECK_FRACTION: f64 = 0.5;
 
 /// The pathmap path-discovery algorithm.
-#[derive(Debug)]
+///
+/// A clone shares the original's engine, normalization buffers and their
+/// counters: it is how one pathmap serves the items of a worker pool.
+#[derive(Debug, Clone)]
 pub struct Pathmap {
     config: PathmapConfig,
     /// The stateless engine of offline discovery; the online analyzer
     /// maintains its products itself.
-    engine: Box<dyn Correlator>,
-    /// Normalized-coefficient buffers, one per concurrently explored
-    /// root, kept across calls: every pair a root's search visits is
-    /// normalized into the same buffer and spike-detected in place.
-    rho_buffers: ScratchPool<Vec<f64>>,
+    engine: Arc<dyn Correlator>,
+    rho: Arc<RhoBuffers>,
+}
+
+/// Normalized-coefficient buffers, one per concurrently explored root,
+/// kept across calls: every pair a root's search visits is normalized into
+/// the same buffer and spike-detected in place.
+#[derive(Debug, Default)]
+struct RhoBuffers {
+    buffers: ScratchPool<Vec<f64>>,
     /// How many of those normalizations fit the buffer they were handed
     /// and how many had to grow it (statistics only, hence `Relaxed`).
-    rho_reused: AtomicU64,
-    rho_allocated: AtomicU64,
+    reused: AtomicU64,
+    allocated: AtomicU64,
 }
 
 impl Pathmap {
@@ -223,10 +238,8 @@ impl Pathmap {
     pub fn with_correlator(config: PathmapConfig, engine: Box<dyn Correlator>) -> Self {
         Pathmap {
             config,
-            engine,
-            rho_buffers: ScratchPool::default(),
-            rho_reused: AtomicU64::new(0),
-            rho_allocated: AtomicU64::new(0),
+            engine: Arc::from(engine),
+            rho: Arc::default(),
         }
     }
 
@@ -240,8 +253,8 @@ impl Pathmap {
     /// normalized.
     pub fn scratch_counters(&self) -> ScratchCounters {
         ScratchCounters {
-            reused: self.rho_reused.load(Ordering::Relaxed),
-            allocated: self.rho_allocated.load(Ordering::Relaxed),
+            reused: self.rho.reused.load(Ordering::Relaxed),
+            allocated: self.rho.allocated.load(Ordering::Relaxed),
         }
     }
 
@@ -254,54 +267,60 @@ impl Pathmap {
         roots: &[(NodeId, NodeId)],
         labels: &NodeLabels,
     ) -> Vec<ServiceGraph> {
-        self.discover_stateless(signals, roots, labels, 1)
+        let clients = clients_of(roots);
+        roots
+            .iter()
+            .filter_map(|&root| self.discover_stateless(root, signals, &clients, labels))
+            .collect()
     }
 
     /// Runs `ServiceRoot` with the client graphs spread over
-    /// [`PathmapConfig::num_workers`] threads.
+    /// [`PathmapConfig::num_workers`] workers of a [`Pool`].
     ///
     /// The paper (Section 3.7): "the pathmap algorithm can easily be made
     /// more scalable by parallely computing the service graph of each
     /// client node" — client graphs are independent given the shared
     /// read-only signals. Results are identical to
-    /// [`discover`](Pathmap::discover), in root order.
+    /// [`discover`](Pathmap::discover), in root order. The pool's items
+    /// own what they read, so the signals and labels are copied once, into
+    /// one `Arc` every item shares.
     pub fn discover_parallel(
         &self,
         signals: &EdgeSignals,
         roots: &[(NodeId, NodeId)],
         labels: &NodeLabels,
     ) -> Vec<ServiceGraph> {
-        self.discover_stateless(signals, roots, labels, self.config.num_workers())
-    }
-
-    /// Offline discovery over `num_workers` threads: the roots' graphs,
-    /// in root order, skipping roots whose source signal is absent.
-    fn discover_stateless(
-        &self,
-        signals: &EdgeSignals,
-        roots: &[(NodeId, NodeId)],
-        labels: &NodeLabels,
-        num_workers: usize,
-    ) -> Vec<ServiceGraph> {
-        // The full client set must be shared across workers: a worker
-        // exploring one client's graph must still know that the *other*
-        // clients are untraced endpoints it cannot recurse into.
-        let clients: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
-        let (graphs, _) = crate::parallel::map(roots, num_workers, |&(client, front)| {
-            let x = signals.source_signal(client, front)?;
-            let mut provider = StatelessProvider {
-                engine: self.engine.as_ref(),
-            };
-            Some(self.discover_root(
-                (client, front),
-                &x,
-                signals,
-                &clients,
-                labels,
-                &mut provider,
-            ))
+        let workers = self.config.num_workers();
+        if workers <= 1 || roots.len() <= 1 {
+            return self.discover(signals, roots, labels);
+        }
+        let shared = Arc::new((
+            self.clone(),
+            signals.clone(),
+            clients_of(roots),
+            labels.clone(),
+        ));
+        let graphs = Pool::new(workers).run(roots.to_vec(), move |root| {
+            let (pathmap, signals, clients, labels) = &*shared;
+            pathmap.discover_stateless(root, signals, clients, labels)
         });
         graphs.into_iter().flatten().collect()
+    }
+
+    /// Offline discovery of one root: its graph, or `None` when its source
+    /// signal is absent.
+    fn discover_stateless(
+        &self,
+        (client, front): (NodeId, NodeId),
+        signals: &EdgeSignals,
+        clients: &HashSet<NodeId>,
+        labels: &NodeLabels,
+    ) -> Option<ServiceGraph> {
+        let x = signals.source_signal(client, front)?;
+        let mut provider = StatelessProvider {
+            engine: self.engine.as_ref(),
+        };
+        Some(self.discover_root((client, front), &x, signals, clients, labels, &mut provider))
     }
 
     /// Builds the graph of one `(client, front)` root from its source
@@ -330,7 +349,7 @@ impl Pathmap {
             non_negative: non_negative(x),
             x,
         };
-        self.rho_buffers.with(|rho| {
+        self.rho.buffers.with(|rho| {
             self.compute_path(
                 &mut graph,
                 &root,
@@ -416,9 +435,9 @@ impl Pathmap {
                         let grows = rho.capacity() < raw.values().len();
                         let moments = normalize::normalize_into(&raw, x, y, rho);
                         let counter = if grows {
-                            &self.rho_allocated
+                            &self.rho.allocated
                         } else {
-                            &self.rho_reused
+                            &self.rho.reused
                         };
                         counter.fetch_add(1, Ordering::Relaxed);
                         let mut spikes = detector.detect_with(rho, moments);

@@ -244,9 +244,9 @@ impl IncrementalCorrelator {
     }
 }
 
-// The online analyzer's refresh workers advance correlators through `&mut`
-// borrows into each root's map, on scoped threads, and explore roots with
-// their maps in hand; keep the type thread-safe.
+// The online analyzer's refresh pool moves correlators out of each root's
+// map to whichever worker takes them, and explores roots with their maps
+// in hand; keep the type thread-safe.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<IncrementalCorrelator>();

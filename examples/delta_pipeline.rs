@@ -78,7 +78,7 @@ fn main() {
             &delta_paper_config(),
             run_for,
         );
-        let d = diagnose_delta(&graphs);
+        let d = diagnose_delta(&graphs, delta_paper_config().quanta());
         println!(
             "slow_db={slow}: e2e {:.1}s, deepest forward arrival {:.1}s, tail gap {:.1}s -> suspect {:?}",
             d.e2e.as_secs_f64(),

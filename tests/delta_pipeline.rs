@@ -55,7 +55,7 @@ fn batch_surge_floods_the_hub_queue() {
 #[test]
 fn slow_database_is_diagnosed_by_tail_gap() {
     let (_, normal_graphs) = delta_analysis(cfg(), &delta_paper_config(), Nanos::from_minutes(135));
-    let normal = diagnose_delta(&normal_graphs);
+    let normal = diagnose_delta(&normal_graphs, delta_paper_config().quanta());
 
     let (_, slow_graphs) = delta_analysis(
         DeltaConfig {
@@ -65,7 +65,7 @@ fn slow_database_is_diagnosed_by_tail_gap() {
         &delta_paper_config(),
         Nanos::from_minutes(135),
     );
-    let slow = diagnose_delta(&slow_graphs);
+    let slow = diagnose_delta(&slow_graphs, delta_paper_config().quanta());
 
     // The slow connection shows up as a multi-second end-to-end estimate
     // whose mass sits beyond the deepest forward hop — the database.
@@ -81,4 +81,23 @@ fn slow_database_is_diagnosed_by_tail_gap() {
         slow.tail_gap
     );
     assert_eq!(slow.suspect.as_deref(), Some("revenue_db"));
+}
+
+/// The diagnosis names a suspect only for a tail gap the delays can
+/// resolve: at τ = 1 s, the healthy pipeline's sub-second gap names none,
+/// and the slow database's multi-second one names the database.
+#[test]
+fn a_suspect_is_named_only_for_a_gap_of_a_quantum_or_more() {
+    let quanta = delta_paper_config().quanta();
+    let diagnose = |slow_db| {
+        let config = DeltaConfig { slow_db, ..cfg() };
+        let (_, graphs) = delta_analysis(config, &delta_paper_config(), Nanos::from_minutes(135));
+        diagnose_delta(&graphs, quanta)
+    };
+    let healthy = diagnose(false);
+    assert!(healthy.tail_gap < quanta.duration(), "{healthy:?}");
+    assert_eq!(healthy.suspect, None, "{healthy:?}");
+    let slow = diagnose(true);
+    assert!(slow.tail_gap >= quanta.duration(), "{slow:?}");
+    assert_eq!(slow.suspect.as_deref(), Some("revenue_db"), "{slow:?}");
 }
