@@ -92,11 +92,6 @@ impl SlaRouter {
             fallback: AtomicUsize::new(0),
         }
     }
-
-    /// The shared latency map this router consults.
-    pub fn latency_map(&self) -> &PathLatencyMap {
-        &self.map
-    }
 }
 
 impl DynamicRouter for SlaRouter {

@@ -15,11 +15,10 @@
 //! a few busy stacks' work a refresh.
 
 use e2eprof_bench::refresh::{self, replay, Scenario, WORKER_COUNTS};
-use e2eprof_bench::{write_bench_json, JsonValue};
 use std::time::Duration;
 
 /// Times the scenario at every worker count.
-fn scale(scenario: &Scenario) -> JsonValue {
+fn scale(scenario: &Scenario) {
     println!(
         "  {}: {} refreshes ({} timed), {} packets captured",
         scenario.name,
@@ -37,7 +36,6 @@ fn scale(scenario: &Scenario) -> JsonValue {
         }
     }
     let mut baseline = None;
-    let mut rows = Vec::new();
     for (elapsed, workers) in fastest.into_iter().zip(WORKER_COUNTS) {
         let total = elapsed.as_secs_f64();
         let speedup = *baseline.get_or_insert(total) / total;
@@ -47,22 +45,7 @@ fn scale(scenario: &Scenario) -> JsonValue {
             total * 1e3,
             total * 1e3 / scenario.timed() as f64,
         );
-        rows.push(JsonValue::Obj(vec![
-            ("num_workers".into(), JsonValue::Int(workers as u64)),
-            ("refresh_total_ms".into(), JsonValue::Num(total * 1e3)),
-            (
-                "ms_per_refresh".into(),
-                JsonValue::Num(total * 1e3 / scenario.timed() as f64),
-            ),
-            ("speedup".into(), JsonValue::Num(speedup)),
-        ]));
     }
-    JsonValue::Obj(vec![
-        ("scenario".into(), JsonValue::Str(scenario.name.into())),
-        ("refreshes".into(), JsonValue::Int(scenario.steps)),
-        ("timed".into(), JsonValue::Int(scenario.timed())),
-        ("rows".into(), JsonValue::Arr(rows)),
-    ])
 }
 
 fn main() {
@@ -73,17 +56,7 @@ fn main() {
         refresh::phased_fanout(),
         refresh::idle_mesh(),
     ];
-    let report = JsonValue::Obj(vec![
-        ("bench".into(), JsonValue::Str("refresh_scaling".into())),
-        (
-            "host_parallelism".into(),
-            JsonValue::Int(host_parallelism as u64),
-        ),
-        (
-            "scenarios".into(),
-            JsonValue::Arr(scenarios.iter().map(scale).collect()),
-        ),
-    ]);
-    let path = write_bench_json("refresh_scaling", &report).expect("write bench artifact");
-    println!("  wrote {}", path.display());
+    for scenario in &scenarios {
+        scale(scenario);
+    }
 }

@@ -16,8 +16,7 @@
 //! the broker retires up to [`COALESCE_MAX_FRAMES`] frames per call, so
 //! this ratio is the direct measure of the batching win.
 //!
-//! Writes `BENCH_transport_throughput.json` with records/sec per
-//! configuration. The stream is [`e2eprof_bench::transport`]'s; that
+//! The stream is [`e2eprof_bench::transport`]'s; that
 //! every shard ingests every frame exactly once is held by
 //! `tests/fanout_exactness.rs`. This bench still fails, rather than
 //! times, a run that drops a frame to backpressure or whose shards
@@ -29,8 +28,8 @@
 //!   pass-through + coalescing gain.
 
 use crossbeam::channel::unbounded;
+use e2eprof_bench::fmt_duration;
 use e2eprof_bench::transport::{config, frames, labels, records, workload, EDGES, FLUSHES};
-use e2eprof_bench::{fmt_duration, write_bench_json, JsonValue};
 use e2eprof_core::analyzer::OnlineAnalyzer;
 use e2eprof_core::tracer::{FrameSink, TracerFrame};
 use e2eprof_net::link::{AnalyzerConn, LinkConfig, TracerLink};
@@ -220,76 +219,4 @@ fn main() {
         rps(tcp1.elapsed),
         PR9_TCP1_RECORDS_PER_SEC
     );
-
-    let tcp_ns =
-        |run: &TcpRun| JsonValue::Int(run.elapsed.as_nanos().try_into().unwrap_or(u64::MAX));
-    let report = JsonValue::Obj(vec![
-        (
-            "bench".into(),
-            JsonValue::Str("transport_throughput".into()),
-        ),
-        ("edges".into(), JsonValue::Int(EDGES as u64)),
-        ("flushes".into(), JsonValue::Int(FLUSHES)),
-        ("records".into(), JsonValue::Int(total_records)),
-        ("wire_bytes".into(), JsonValue::Int(payload_bytes as u64)),
-        ("bytes_on_wire".into(), JsonValue::Int(bytes_on_wire as u64)),
-        (
-            "inproc_ns".into(),
-            JsonValue::Int(inproc.as_nanos().try_into().unwrap_or(u64::MAX)),
-        ),
-        ("tcp_1shard_ns".into(), tcp_ns(&tcp1)),
-        ("tcp_4shard_ns".into(), tcp_ns(&tcp4)),
-        ("tcp_8shard_ns".into(), tcp_ns(&tcp8)),
-        ("inproc_records_per_sec".into(), JsonValue::Num(rps(inproc))),
-        (
-            "tcp_1shard_records_per_sec".into(),
-            JsonValue::Num(rps(tcp1.elapsed)),
-        ),
-        (
-            "tcp_4shard_records_per_sec".into(),
-            JsonValue::Num(rps(tcp4.elapsed)),
-        ),
-        (
-            "tcp_8shard_records_per_sec".into(),
-            JsonValue::Num(rps(tcp8.elapsed)),
-        ),
-        (
-            "tcp_1shard_broker_write_calls".into(),
-            JsonValue::Int(tcp1.broker_write_calls),
-        ),
-        (
-            "tcp_4shard_broker_write_calls".into(),
-            JsonValue::Int(tcp4.broker_write_calls),
-        ),
-        (
-            "tcp_8shard_broker_write_calls".into(),
-            JsonValue::Int(tcp8.broker_write_calls),
-        ),
-        (
-            "tcp_1shard_syscalls_per_record".into(),
-            JsonValue::Num(spr(&tcp1)),
-        ),
-        (
-            "tcp_4shard_syscalls_per_record".into(),
-            JsonValue::Num(spr(&tcp4)),
-        ),
-        (
-            "tcp_8shard_syscalls_per_record".into(),
-            JsonValue::Num(spr(&tcp8)),
-        ),
-        (
-            "pr9_tcp_1shard_records_per_sec".into(),
-            JsonValue::Num(PR9_TCP1_RECORDS_PER_SEC),
-        ),
-        (
-            "tcp_1shard_speedup_vs_pr9".into(),
-            JsonValue::Num(rps(tcp1.elapsed) / PR9_TCP1_RECORDS_PER_SEC),
-        ),
-        (
-            "tcp_overhead_vs_inproc".into(),
-            JsonValue::Num(tcp1.elapsed.as_secs_f64() / inproc.as_secs_f64()),
-        ),
-    ]);
-    let path = write_bench_json("transport_throughput", &report).expect("write bench artifact");
-    println!("  wrote {}", path.display());
 }

@@ -15,14 +15,17 @@ use e2eprof_apps::experiments::{
     accuracy, delta_analysis, delta_paper_config, diagnose_delta, fig5_affinity, fig6_round_robin,
     fig7_change_detection, skew_estimation, table1, Table1Policy,
 };
-use e2eprof_bench::{fig10_row, fmt_duration, rubis_scenario};
+use e2eprof_bench::{corr_pair, fig10_row, fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
+use e2eprof_core::signals::EdgeSignals;
 use e2eprof_core::PathmapConfig;
 use e2eprof_timeseries::density::DensityEstimator;
 use e2eprof_timeseries::{wire, Nanos, Quanta, RleSeries, Tick};
 use e2eprof_xcorr::engine::all_engines;
 use e2eprof_xcorr::incremental::{IncrementalCorrelator, SlideScratch};
-use std::time::Instant;
+use e2eprof_xcorr::{normalize, rle, SpikeDetector};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn main() {
     // The experiment configurations apply the `E2EPROF_*` overrides deep
@@ -171,6 +174,11 @@ fn run_table1() {
     println!("\n(paper: 72/64, 121/109, 97/139)");
 }
 
+/// The window slide of Fig. 9's `incremental` column, the same at every
+/// `W` (`rubis_paper`'s refresh interval), so that the column shows how a
+/// refresh's cost moves with `W` alone.
+const FIG9_SLIDE: Nanos = Nanos::from_secs(15);
+
 fn fig9(full: bool) {
     header("Fig. 9 — execution time of service path analysis");
     // The paper sweeps W to 32 min at T_u = 1 min; the quadratic engines
@@ -185,7 +193,10 @@ fn fig9(full: bool) {
         "(τ = 1ms, ω = 50ms, T_u = {}s; engines recompute the full window,",
         max_delay.as_secs_f64()
     );
-    println!(" 'incremental' updates correlations for one ΔW = W/4 refresh)\n");
+    println!(
+        " 'incremental' slides every correlator by ΔW = {}s at every W)\n",
+        FIG9_SLIDE.as_secs_f64()
+    );
     println!(
         "{:>8}  {:>16} {:>16} {:>16} {:>16} {:>16}",
         "W", "no-compression", "burst", "rle", "fft", "incremental"
@@ -211,16 +222,17 @@ fn fig9(full: bool) {
     }
     println!("\n(paper's ordering: RLE ≪ burst ≈ no-compression, FFT superlinear");
     println!(" and non-incremental; incremental per-refresh cost ~flat in W)");
+    unit_costs();
 }
 
 /// Times one ΔW sliding-window advance of the incremental correlators for
 /// every (client, edge) pair the analysis correlates.
-fn time_incremental_refresh(s: &e2eprof_bench::Scenario) -> std::time::Duration {
+fn time_incremental_refresh(s: &e2eprof_bench::Scenario) -> Duration {
     let max_lag = s.config.max_lag();
-    let refresh = s.config.refresh_ticks();
+    let delta = s.config.quanta().ticks_in(FIG9_SLIDE);
     let (start, end) = s.signals.window();
     let mid = Tick::new(start.index() + (end.index() - start.index()) / 2);
-    let mut total = std::time::Duration::ZERO;
+    let mut total = Duration::ZERO;
     let mut scratch = SlideScratch::new();
     for &(client, front) in &s.roots {
         let Some(x) = s.signals.source_signal(client, front) else {
@@ -231,25 +243,104 @@ fn time_incremental_refresh(s: &e2eprof_bench::Scenario) -> std::time::Duration 
             let Some(y) = s.signals.target_signal(from, to) else {
                 continue;
             };
-            // Prime a correlator on the first half-window (untimed), then
-            // time one ΔW window slide the way the analyzer issues it.
-            let mut inc = IncrementalCorrelator::new(max_lag);
-            inc.append(&x.slice(start, mid), y);
-            let t0 = Instant::now();
-            let new_end = Tick::new((mid.index() + refresh).min(end.index()));
-            let new_start = Tick::new(start.index() + refresh);
-            inc.advance(
-                &x.slice(mid, new_end),
-                y,
-                new_start,
-                &x.slice(start, new_start),
-                y,
-                &mut scratch,
-            );
-            total += t0.elapsed();
+            total += slide_time(&x, y, max_lag, mid, delta, &mut scratch);
         }
     }
     total
+}
+
+/// Primes a correlator of `x` against `y` on `x` up to `cut` (untimed),
+/// then times one refresh's slide by `delta` ticks: `x` from `cut` enters
+/// (up to its end), the window's first `delta` ticks leave.
+fn slide_time(
+    x: &RleSeries,
+    y: &RleSeries,
+    max_lag: u64,
+    cut: Tick,
+    delta: u64,
+    scratch: &mut SlideScratch,
+) -> Duration {
+    let start = x.start();
+    let mut inc = IncrementalCorrelator::new(max_lag);
+    inc.append(&x.slice(start, cut), y);
+    timed(|| {
+        let new_end = Tick::new((cut.index() + delta).min(x.end().index()));
+        let new_start = Tick::new(start.index() + delta);
+        let (entering, leaving) = (x.slice(cut, new_end), x.slice(start, new_start));
+        inc.advance(&entering, y, new_start, &leaving, y, scratch);
+    })
+}
+
+/// How long `f` takes; dropping its output is not timed.
+fn timed<O>(f: impl FnOnce() -> O) -> Duration {
+    let t0 = Instant::now();
+    let output = black_box(f());
+    let dt = t0.elapsed();
+    drop(output);
+    dt
+}
+
+/// Timings behind each cell of the unit-cost block.
+const UNIT_REPS: usize = 31;
+
+/// The median of [`UNIT_REPS`] timings.
+fn median(mut timing: impl FnMut() -> Duration) -> Duration {
+    let mut times: Vec<Duration> = (0..UNIT_REPS).map(|_| timing()).collect();
+    times.sort_unstable();
+    times[UNIT_REPS / 2]
+}
+
+/// The unit costs under one Fig. 9 refresh, on one prepared pair (the
+/// bidding client C1's source signal against the WS → TS1 edge): Eq. 1
+/// normalization with the coefficients' moments, spike detection from
+/// them and one window slide, at a 30 s window and at the paper's scale
+/// (L = 60 000 lags); then extracting every edge signal of a 15 s window
+/// from the capture.
+fn unit_costs() {
+    println!("\nUnit costs, C1 × WS→TS1 (median of {UNIT_REPS} timings each):\n");
+    println!(
+        "{:<26} {:>14} {:>16} {:>20}",
+        "", "normalize_eq1", "spike_detection", "incremental_refresh"
+    );
+    let detector = SpikeDetector::new(3.0, 50);
+    for (label, window_ms, max_delay_ms, step_ms) in [
+        ("W 30s, T_u 2s, ΔW 7.5s", 30_000, 2_000, 7_500),
+        ("W 3min, T_u 1min, ΔW 15s", 180_000, 60_000, 15_000),
+    ] {
+        let scenario = rubis_scenario(
+            Nanos::from_millis(window_ms),
+            Nanos::from_millis(max_delay_ms),
+            42,
+        );
+        let (x, y) = corr_pair(&scenario);
+        let max_lag = scenario.config.max_lag();
+        let raw = rle::correlate(&x, &y, max_lag);
+        let mut rho = Vec::new();
+        let moments = normalize::normalize_into(&raw, &x, &y, &mut rho);
+        let eq1 = median(|| timed(|| normalize::normalize_into(&raw, &x, &y, &mut rho)));
+        let spikes = median(|| timed(|| detector.detect_with(&rho, moments)));
+        let delta = scenario
+            .config
+            .quanta()
+            .ticks_in(Nanos::from_millis(step_ms));
+        let cut = Tick::new(x.end().index() - delta);
+        let mut scratch = SlideScratch::new();
+        let refresh = median(|| slide_time(&x, &y, max_lag, cut, delta, &mut scratch));
+        println!(
+            "{label:<26} {:>14} {:>16} {:>20}",
+            fmt_duration(eq1),
+            fmt_duration(spikes),
+            fmt_duration(refresh)
+        );
+    }
+    let s = rubis_scenario(Nanos::from_secs(15), Nanos::from_secs(2), 42);
+    let sim = s.rubis.sim();
+    let extraction =
+        median(|| timed(|| EdgeSignals::from_capture(sim.captures(), &s.config, sim.now())));
+    println!(
+        "\nsignal_extraction, every edge of a 15s window: {}",
+        fmt_duration(extraction)
+    );
 }
 
 fn fig10(full: bool) {
@@ -459,7 +550,6 @@ fn baselines() {
     use e2eprof_core::convolution;
     use e2eprof_core::nesting::Nesting;
     use e2eprof_core::prelude::*;
-    use e2eprof_core::signals::EdgeSignals;
 
     header("Baseline comparison — pathmap vs. nesting vs. convolution");
     println!("(RUBiS affinity, 90 s trace; paper Sec. 2: nesting assumes");
@@ -471,7 +561,7 @@ fn baselines() {
     let roots = roots_from_topology(sim.topology());
     let cfg = e2eprof_apps::experiments::rubis_config(Nanos::from_secs(60), Nanos::from_secs(15));
 
-    let timed = |name: &str, graphs: Vec<e2eprof_core::ServiceGraph>, dt: std::time::Duration| {
+    let timed = |name: &str, graphs: Vec<e2eprof_core::ServiceGraph>, dt: Duration| {
         let bid = graphs.iter().find(|g| g.client_label == "C1");
         let (edges, e2e, bottleneck) = bid
             .map(|g| {

@@ -1,7 +1,8 @@
-//! Shared harness for the benchmark suite and the `experiments` binary.
+//! Shared inputs of the `experiments` binary, the `refresh_scaling` and
+//! `transport_throughput` benches and the exactness tests.
 //!
 //! Everything here prepares *inputs* (simulated traces, edge signals,
-//! prepared correlation pairs) so that benches measure only the analysis
+//! prepared correlation pairs) so that timings cover only the analysis
 //! work, exactly like the paper's Fig. 9 measures service-graph
 //! computation time for already-collected traces.
 
@@ -126,86 +127,6 @@ pub fn corr_pair(s: &Scenario) -> (RleSeries, RleSeries) {
     (x, y)
 }
 
-/// A minimal JSON value for machine-readable benchmark artifacts (the
-/// build has no JSON dependency; the subset here — objects, arrays,
-/// numbers, strings, booleans — is all the bench reports need).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A float, rendered with enough digits to round-trip.
-    Num(f64),
-    /// An unsigned integer.
-    Int(u64),
-    /// A string (escaped minimally: quotes and backslashes).
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    fn render(&self, out: &mut String) {
-        match self {
-            JsonValue::Num(v) if v.is_finite() => out.push_str(&format!("{v}")),
-            JsonValue::Num(_) => out.push_str("null"),
-            JsonValue::Int(v) => out.push_str(&format!("{v}")),
-            JsonValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    JsonValue::Str(k.clone()).render(out);
-                    out.push(':');
-                    v.render(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Renders the value as a JSON string.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.render(&mut out);
-        out
-    }
-}
-
-/// Writes `BENCH_<name>.json` into the current directory and returns the
-/// path, so result-scraping tooling has a machine-readable artifact next
-/// to the human-readable stdout table.
-pub fn write_bench_json(name: &str, value: &JsonValue) -> std::io::Result<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.to_json() + "\n")?;
-    Ok(path)
-}
-
 /// Formats a nanosecond duration for result tables.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let s = d.as_secs_f64();
@@ -230,25 +151,6 @@ mod tests {
         assert!(x.support() > 0);
         assert!(y.support() > 0);
         assert_eq!(s.roots.len(), 2);
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let v = JsonValue::Obj(vec![
-            ("name".into(), JsonValue::Str("a \"b\"\\c".into())),
-            ("n".into(), JsonValue::Int(3)),
-            ("x".into(), JsonValue::Num(1.5)),
-            ("nan".into(), JsonValue::Num(f64::NAN)),
-            ("ok".into(), JsonValue::Bool(true)),
-            (
-                "xs".into(),
-                JsonValue::Arr(vec![JsonValue::Int(1), JsonValue::Int(2)]),
-            ),
-        ]);
-        assert_eq!(
-            v.to_json(),
-            r#"{"name":"a \"b\"\\c","n":3,"x":1.5,"nan":null,"ok":true,"xs":[1,2]}"#
-        );
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub use crate::pathmap::ScratchCounters;
 use self::gate::{Calendar, RefreshMemory};
 use self::ingest::FrameScratch;
 use self::phases::Step;
-use crate::change::ChangeTracker;
 use crate::config::PathmapConfig;
 use crate::graph::{NodeLabels, ServiceGraph};
 use crate::parallel::{Pool, ScratchPool};
@@ -124,7 +123,6 @@ pub struct OnlineAnalyzer {
     streams: Streams,
     /// When each asleep stream comes due.
     calendar: Calendar,
-    change: ChangeTracker,
     /// Capacity of each sliding window, in ticks.
     capacity: u64,
     /// Subscribers receiving every refresh's graphs.
@@ -296,7 +294,6 @@ impl OnlineAnalyzer {
             rejected_frames: 0,
             streams: Streams::default(),
             calendar: Calendar::default(),
-            change: ChangeTracker::new(),
             capacity,
             subscribers: Vec::new(),
             slide_scratch: Arc::default(),
@@ -322,8 +319,8 @@ impl OnlineAnalyzer {
     }
 
     /// Runs one refresh: discovers the current service graphs from the
-    /// retained windows and records them in the change tracker under the
-    /// wall-clock label `at`.
+    /// retained windows and publishes them under the wall-clock label
+    /// `at`.
     ///
     /// What a refresh costs follows what woke since the previous one, plus
     /// publishing: only the streams in the wake set are evaluated and only
@@ -357,15 +354,14 @@ impl OnlineAnalyzer {
         Some((end.saturating_sub(window_ticks), end, data_end))
     }
 
-    /// Publishes every root's remembered graph, in root order: to the
-    /// change tracker, to every subscriber, and as the refresh's result.
+    /// Publishes every root's remembered graph, in root order: to every
+    /// subscriber and as the refresh's result.
     fn publish(&mut self, at: Nanos) -> Vec<ServiceGraph> {
         let graphs: Vec<ServiceGraph> = self
             .roots
             .iter()
             .filter_map(|root| root.memory.as_ref()?.0.clone())
             .collect();
-        self.change.record(at, &graphs);
         if !graphs.is_empty() && !self.subscribers.is_empty() {
             let update = GraphUpdate {
                 at,
@@ -376,11 +372,6 @@ impl OnlineAnalyzer {
                 .retain(|tx| tx.send(update.clone()).is_ok());
         }
         graphs
-    }
-
-    /// The per-edge delay histories across refreshes.
-    pub fn change_tracker(&self) -> &ChangeTracker {
-        &self.change
     }
 
     /// Always `None`: there is no coarse screening tier to count. The
@@ -428,6 +419,7 @@ impl OnlineAnalyzer {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::change::ChangeTracker;
     use crate::pathmap::roots_from_topology;
     use crate::tracer::TracerAgent;
     use crossbeam::channel::unbounded;
@@ -871,11 +863,20 @@ pub(crate) mod tests {
 
     #[test]
     fn change_tracker_accumulates_refreshes() {
-        let (_, analyzer) = run_online(9, 30);
-        let keys: Vec<_> = analyzer.change_tracker().keys().collect();
+        // The analyzer keeps no history; a consumer records what each
+        // refresh returns.
+        let mut sim = two_tier(9);
+        let roots = roots_from_topology(sim.topology());
+        let universe = roots.iter().map(|&(c, _)| c).collect();
+        let (refreshes, _) = drive_refreshes(&mut sim, cfg(), 30, roots, universe, false, None);
+        let mut tracker = ChangeTracker::new();
+        for (step, (graphs, _)) in (1u64..).zip(&refreshes) {
+            tracker.record(Nanos::from_secs(step * 2), graphs);
+        }
+        let keys: Vec<_> = tracker.keys().collect();
         assert!(!keys.is_empty());
         let (c, f, t) = keys[0];
-        assert!(analyzer.change_tracker().history(c, f, t).len() >= 2);
+        assert!(tracker.history(c, f, t).len() >= 2);
     }
 
     #[test]

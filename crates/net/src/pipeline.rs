@@ -32,7 +32,7 @@
 
 use crate::broker::{BrokerConfig, BrokerHandle};
 use crate::fault::{FaultPlan, FaultyDialer};
-use crate::link::{AnalyzerConn, ConnStats, LinkConfig, TracerLink};
+use crate::link::{AnalyzerConn, LinkConfig, TracerLink};
 use crate::mem::MemListener;
 use crate::stream::{Acceptor, Dialer, TcpDialer, UnixDialer};
 use e2eprof_core::analyzer::OnlineAnalyzer;
@@ -146,7 +146,6 @@ pub struct PipelineBuilder {
     config: PathmapConfig,
     shards: usize,
     link: LinkConfig,
-    broker: BrokerConfig,
     tracer_faults: BTreeMap<u32, Vec<FaultPlan>>,
     analyzer_faults: BTreeMap<usize, Vec<FaultPlan>>,
 }
@@ -158,12 +157,6 @@ impl PipelineBuilder {
             config,
             shards: shards.max(1),
             link: LinkConfig::immediate(),
-            // Generous replay retention: fault tests disconnect
-            // subscribers mid-run and everything published meanwhile must
-            // still be replayable.
-            broker: BrokerConfig {
-                ring_capacity: 1 << 16,
-            },
             tracer_faults: BTreeMap::new(),
             analyzer_faults: BTreeMap::new(),
         }
@@ -173,12 +166,6 @@ impl PipelineBuilder {
     /// backoff) used by every tracer link and analyzer connection.
     pub fn link_config(mut self, link: LinkConfig) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Overrides the broker configuration.
-    pub fn broker_config(mut self, broker: BrokerConfig) -> Self {
-        self.broker = broker;
         self
     }
 
@@ -202,7 +189,15 @@ impl PipelineBuilder {
     /// subscribed analyzer per shard owning a contiguous chunk of the
     /// global root order.
     pub fn build(self, topo: &Topology, endpoint: &BoundEndpoint) -> DistributedPipeline {
-        let broker = BrokerHandle::spawn(endpoint.acceptor(), self.broker.clone());
+        // Generous replay retention: fault tests disconnect subscribers
+        // mid-run and everything published meanwhile must still be
+        // replayable.
+        let broker = BrokerHandle::spawn(
+            endpoint.acceptor(),
+            BrokerConfig {
+                ring_capacity: 1 << 16,
+            },
+        );
         let clients: HashSet<NodeId> = topo.clients().into_iter().collect();
         let roots = roots_from_topology(topo);
         let universe: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
@@ -345,11 +340,6 @@ impl DistributedPipeline {
     /// Per-shard analyzers and connections.
     pub fn shards(&self) -> &[ShardAnalyzer] {
         &self.shards
-    }
-
-    /// Connection counters of shard `i`.
-    pub fn shard_conn_stats(&self, i: usize) -> &ConnStats {
-        self.shards[i].conn.stats()
     }
 
     /// Tears the tier down: the broker first (wakes blocked readers),

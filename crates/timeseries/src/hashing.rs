@@ -79,12 +79,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// An empty [`FxHashMap`] with room for `capacity` entries, for maps
-/// whose final size is known when they are built.
-pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

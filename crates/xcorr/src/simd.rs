@@ -62,12 +62,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     dot_dispatch(a, b)
 }
 
-/// The name of the kernel [`dot`] dispatches to on this host
-/// (`"avx2"`, `"sse2"`, or `"scalar"`). Recorded in bench artifacts.
-pub fn kernel_name() -> &'static str {
-    kernel_name_impl()
-}
-
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn dot_dispatch(a: &[f64], b: &[f64]) -> f64 {
@@ -84,20 +78,6 @@ fn dot_dispatch(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 fn dot_dispatch(a: &[f64], b: &[f64]) -> f64 {
     dot_unrolled(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-fn kernel_name_impl() -> &'static str {
-    if is_x86_feature_detected!("avx2") {
-        "avx2"
-    } else {
-        "sse2"
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn kernel_name_impl() -> &'static str {
-    "scalar"
 }
 
 /// Portable 4-lane-unrolled kernel: four independent accumulators give the
@@ -374,11 +354,6 @@ mod tests {
             assert_eq!(dot(&a, &b), dot_naive(&a, &b), "len={len}");
             assert_eq!(dot_unrolled(&a, &b), dot_naive(&a, &b), "len={len}");
         }
-    }
-
-    #[test]
-    fn kernel_name_is_known() {
-        assert!(["avx2", "sse2", "scalar"].contains(&kernel_name()));
     }
 
     #[test]

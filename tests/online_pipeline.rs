@@ -41,6 +41,8 @@ fn online_analyzer_tracks_rubis_live() {
         rx,
     );
 
+    let updates = analyzer.subscribe();
+
     let mut refreshes_with_graphs = 0;
     let mut last = Vec::new();
     for step in 1..=12u64 {
@@ -71,10 +73,15 @@ fn online_analyzer_tracks_rubis_live() {
     for (a, b) in [("WS", "TS1"), ("TS1", "EJB1"), ("EJB1", "DB"), ("WS", "C1")] {
         assert!(bid.has_edge_between(a, b), "missing {a}->{b}:\n{bid}");
     }
-    // Delay histories accumulated across refreshes for change detection.
-    assert!(analyzer.change_tracker().keys().count() >= 6);
-    let (c, f, t) = analyzer.change_tracker().keys().next().unwrap();
-    assert!(analyzer.change_tracker().history(c, f, t).len() >= 2);
+    // Delay histories accumulate across the published refreshes for
+    // change detection.
+    let mut tracker = ChangeTracker::new();
+    for update in updates.try_iter() {
+        tracker.record(update.at, &update.graphs);
+    }
+    assert!(tracker.keys().count() >= 6);
+    let (c, f, t) = tracker.keys().next().unwrap();
+    assert!(tracker.history(c, f, t).len() >= 2);
 }
 
 #[test]
