@@ -1,5 +1,11 @@
 //! The three finished runs the online analyzer's parallel refresh is
-//! timed and checked on, and the replay that feeds them to it.
+//! timed and checked on, and the replay that feeds them to it: a
+//! [`LocalPipeline`] polled over the finished capture one refresh interval
+//! at a time, its refreshes alone timed. A finished capture already names
+//! every edge it will ever carry, so a replay's tracers own a stream from
+//! their first poll, before its first record — a live run's own it from
+//! the first poll after (`tests/online_pipeline.rs` pins where the two
+//! publish differently).
 //! `benches/refresh_scaling.rs` times [`replay`] at each worker count;
 //! `tests/refresh_exactness.rs` holds that every count publishes the
 //! serial run's graphs.
@@ -19,17 +25,13 @@
 //! stacks' work plus publishing 200 graphs, not the 200 stacks' windows,
 //! pairs and roots.
 
-use crossbeam::channel::unbounded;
 use e2eprof_apps::delta::{Delta, DeltaConfig};
-use e2eprof_core::analyzer::OnlineAnalyzer;
-use e2eprof_core::graph::{NodeLabels, ServiceGraph};
-use e2eprof_core::pathmap::roots_from_topology;
-use e2eprof_core::tracer::TracerAgent;
+use e2eprof_core::graph::ServiceGraph;
+use e2eprof_core::pipeline::LocalPipeline;
 use e2eprof_core::PathmapConfig;
 use e2eprof_netsim::prelude::*;
-use e2eprof_netsim::{NodeId, Route};
-use e2eprof_timeseries::{Nanos, Quanta, Tick};
-use std::collections::HashSet;
+use e2eprof_netsim::Route;
+use e2eprof_timeseries::{Nanos, Quanta};
 use std::time::{Duration, Instant};
 
 /// The worker counts every scenario is replayed at.
@@ -50,8 +52,6 @@ pub struct Scenario {
     pub name: &'static str,
     run: Run,
     config: fn(usize) -> PathmapConfig,
-    tick_ms: u64,
-    step_ms: u64,
     /// Refreshes replayed.
     pub steps: u64,
     /// Leading refreshes replayed but not timed: the idle mesh's warm-up,
@@ -104,8 +104,6 @@ pub fn delta() -> Scenario {
         name: "delta",
         run: Run::Delta(Box::new(delta)),
         config: delta_config,
-        tick_ms: 20,
-        step_ms: DELTA_STEP_MS,
         steps: DELTA_STEPS,
         untimed: 0,
     }
@@ -134,8 +132,6 @@ pub fn phased_fanout() -> Scenario {
         name: "phased_fanout",
         run: Run::Sim(Box::new(sim)),
         config: fanout_config,
-        tick_ms: 1,
-        step_ms: FANOUT_STEP_MS,
         steps: FANOUT_STEPS,
         untimed: 0,
     }
@@ -167,45 +163,28 @@ pub fn idle_mesh() -> Scenario {
         name: "idle_mesh",
         run: Run::Sim(Box::new(sim)),
         config: mesh_config,
-        tick_ms: 1,
-        step_ms: MESH_STEP_MS,
         steps: MESH_STEPS,
         untimed: MESH_UNTIMED,
     }
 }
 
-/// Replays the finished run's captures through a fresh analyzer with
-/// `num_workers` workers, returning the summed time of the timed
+/// Replays the finished run's captures through a fresh [`LocalPipeline`]
+/// whose analyzer has `num_workers` workers, draining one second behind
+/// each refresh, and returns the summed time of the timed
 /// refreshes and the last non-empty graph set.
 pub fn replay(scenario: &Scenario, num_workers: usize) -> (Duration, Vec<ServiceGraph>) {
-    let config = (scenario.config)(num_workers);
     let sim = scenario.sim();
-    let topology = sim.topology();
-    let (tx, rx) = unbounded();
-    let clients: HashSet<NodeId> = topology.clients().into_iter().collect();
-    let mut agents: Vec<TracerAgent> = topology
-        .services()
-        .into_iter()
-        .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-        .collect();
-    let mut analyzer = OnlineAnalyzer::new(
-        config,
-        roots_from_topology(topology),
-        NodeLabels::from_topology(topology),
-        rx,
-    );
-
+    let config = (scenario.config)(num_workers);
+    let (quanta, interval) = (config.quanta(), config.refresh());
+    let mut pipeline = LocalPipeline::new(sim.topology(), config);
     let mut in_refresh = Duration::ZERO;
     let mut last = Vec::new();
     for step in 1..=scenario.steps {
+        let now = Nanos::from_nanos(interval.as_nanos() * step);
         // Drain one second behind the clock, safely past ω.
-        let drain = Tick::new((step * scenario.step_ms - 1_000) / scenario.tick_ms);
-        for a in &mut agents {
-            a.poll(sim.captures(), drain);
-        }
-        analyzer.ingest();
+        pipeline.poll(sim.captures(), quanta.tick_of(now - Nanos::from_secs(1)));
         let t0 = Instant::now();
-        let graphs = analyzer.refresh(Nanos::from_millis(step * scenario.step_ms));
+        let graphs = pipeline.analyzer_mut().refresh(now);
         if step > scenario.untimed {
             in_refresh += t0.elapsed();
         }

@@ -421,18 +421,23 @@ pub(crate) mod tests {
     use super::*;
     use crate::change::ChangeTracker;
     use crate::pathmap::roots_from_topology;
-    use crate::tracer::TracerAgent;
+    use crate::pipeline::{tracer_agents, LocalPipeline};
+    use crate::tracer::ChannelSink;
     use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
     use e2eprof_timeseries::window::SlidingWindow;
 
+    /// W 10 s, ΔW 2 s, T_u 1 s.
     pub(crate) fn cfg() -> PathmapConfig {
+        cfg_builder().build()
+    }
+
+    fn cfg_builder() -> crate::config::PathmapConfigBuilder {
         PathmapConfig::builder()
             .window(Nanos::from_secs(10))
             .refresh(Nanos::from_secs(2))
             .max_delay(Nanos::from_secs(1))
-            .build()
     }
 
     pub(crate) fn two_tier(seed: u64) -> Simulation {
@@ -446,26 +451,6 @@ pub(crate) mod tests {
         t.route(web, class, Route::fixed(db));
         t.route(db, class, Route::terminal());
         Simulation::new(t.build().unwrap(), seed)
-    }
-
-    /// Drives a sim with tracer agents on all services and an analyzer,
-    /// returning the graphs of the last refresh.
-    pub(crate) fn drive_online(
-        mut sim: Simulation,
-        config: PathmapConfig,
-        total_secs: u64,
-    ) -> (Vec<ServiceGraph>, OnlineAnalyzer) {
-        let roots = roots_from_topology(sim.topology());
-        let universe = roots.iter().map(|&(c, _)| c).collect();
-        let (refreshes, analyzer) =
-            drive_refreshes(&mut sim, config, total_secs, roots, universe, false, None);
-        let last = refreshes
-            .into_iter()
-            .rev()
-            .map(|(graphs, _)| graphs)
-            .find(|graphs| !graphs.is_empty())
-            .unwrap_or_default();
-        (last, analyzer)
     }
 
     /// What one refresh published, with the activity gate's counters for it.
@@ -492,13 +477,9 @@ pub(crate) mod tests {
     ) -> (Vec<Refresh>, OnlineAnalyzer) {
         let (flushed, in_transit) = unbounded();
         let (delivered, rx) = unbounded();
-        let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-        let mut agents: Vec<TracerAgent> = sim
-            .topology()
-            .services()
-            .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), flushed.clone()))
-            .collect();
+        let mut agents = tracer_agents(sim.topology(), &config, |_| {
+            Box::new(ChannelSink(flushed.clone()))
+        });
         let mut analyzer = OnlineAnalyzer::with_universe(
             config.clone(),
             roots,
@@ -534,8 +515,16 @@ pub(crate) mod tests {
         (refreshes, analyzer)
     }
 
-    pub(crate) fn run_online(seed: u64, total_secs: u64) -> (Vec<ServiceGraph>, OnlineAnalyzer) {
-        drive_online(two_tier(seed), cfg(), total_secs)
+    /// The last non-empty refresh of a two-tier run refreshed every 2 s
+    /// over `total_secs`.
+    pub(crate) fn run_online(seed: u64, total_secs: u64) -> Vec<ServiceGraph> {
+        let mut sim = two_tier(seed);
+        let mut pipeline = LocalPipeline::new(sim.topology(), cfg());
+        (1..=total_secs / 2)
+            .map(|step| pipeline.step(&mut sim, Nanos::from_secs(step * 2), Nanos::from_secs(1)))
+            .filter(|graphs| !graphs.is_empty())
+            .last()
+            .unwrap_or_default()
     }
 
     /// Arrivals every 25 ms over `[from_secs, to_secs)`.
@@ -698,7 +687,7 @@ pub(crate) mod tests {
 
     #[test]
     fn online_pipeline_discovers_the_path() {
-        let (graphs, _) = run_online(5, 30);
+        let graphs = run_online(5, 30);
         assert_eq!(graphs.len(), 1, "no graphs produced online");
         let g = &graphs[0];
         assert!(g.has_edge_between("web", "db"), "missing web->db:\n{g}");
@@ -744,10 +733,10 @@ pub(crate) mod tests {
     fn incremental_matches_offline_discovery() {
         // The online (incremental) analysis must find the same edges as an
         // offline from-scratch pass over the same horizon.
-        let (online, analyzer) = run_online(7, 30);
+        let online = run_online(7, 30);
         let mut sim = two_tier(7);
         sim.run_until(Nanos::from_secs(30));
-        let config = analyzer.config().clone();
+        let config = cfg();
         let pm = Pathmap::new(config.clone());
         // Offline window aligned with the analyzer's final refresh: the
         // analyzer drained to 29s, so analyze as of 29s.
@@ -773,35 +762,12 @@ pub(crate) mod tests {
     #[test]
     fn subscribers_receive_refreshes() {
         let mut sim = two_tier(13);
-        let (tx, rx) = unbounded();
-        let config = cfg();
-        let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-        let mut agents: Vec<TracerAgent> = sim
-            .topology()
-            .services()
-            .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-            .collect();
-        let mut analyzer = OnlineAnalyzer::new(
-            config,
-            roots_from_topology(sim.topology()),
-            NodeLabels::from_topology(sim.topology()),
-            rx,
-        );
-        let sub = analyzer.subscribe();
-        let dropped = analyzer.subscribe();
+        let mut pipeline = LocalPipeline::new(sim.topology(), cfg());
+        let sub = pipeline.analyzer_mut().subscribe();
+        let dropped = pipeline.analyzer_mut().subscribe();
         drop(dropped); // disconnected subscriber must not break publishing
         for step in 1..=10u64 {
-            let now = Nanos::from_secs(step * 2);
-            sim.run_until(now);
-            for a in &mut agents {
-                a.poll(
-                    sim.captures(),
-                    e2eprof_timeseries::Tick::new(step * 2_000 - 1_000),
-                );
-            }
-            analyzer.ingest();
-            let _ = analyzer.refresh(now);
+            pipeline.step(&mut sim, Nanos::from_secs(step * 2), Nanos::from_secs(1));
         }
         let updates: Vec<GraphUpdate> = sub.try_iter().collect();
         assert!(updates.len() >= 3, "got {} updates", updates.len());
@@ -820,31 +786,11 @@ pub(crate) mod tests {
             5,
             &[Workload::poisson(40.0), warm_up(), warm_up(), warm_up()],
         );
-        let config = cfg();
-        let (tx, rx) = unbounded();
-        let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-        let mut agents: Vec<TracerAgent> = sim
-            .topology()
-            .services()
-            .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-            .collect();
         let labels = NodeLabels::from_topology(sim.topology());
-        let mut analyzer = OnlineAnalyzer::new(
-            config,
-            roots_from_topology(sim.topology()),
-            labels.clone(),
-            rx,
-        );
-        let sub = analyzer.subscribe();
+        let mut pipeline = LocalPipeline::new(sim.topology(), cfg());
+        let sub = pipeline.analyzer_mut().subscribe();
         for step in 1..=30u64 {
-            let now = Nanos::from_secs(step * 2);
-            sim.run_until(now);
-            for a in &mut agents {
-                a.poll(sim.captures(), Tick::new(step * 2_000 - 1_000));
-            }
-            analyzer.ingest();
-            analyzer.refresh(now);
+            pipeline.step(&mut sim, Nanos::from_secs(step * 2), Nanos::from_secs(1));
         }
         let updates: Vec<GraphUpdate> = sub.try_iter().collect();
         let explored = |u: &GraphUpdate| -> Vec<String> {
@@ -888,41 +834,14 @@ pub(crate) mod tests {
         // One worker: the scratch pool grows by one value per
         // *concurrently running* worker, and when two workers first
         // overlap is the scheduler's choice, not a steady-state property.
-        let config = PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .num_workers(1)
-            .build();
-        let (tx, rx) = unbounded();
-        let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-        let mut agents: Vec<TracerAgent> = sim
-            .topology()
-            .services()
-            .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-            .collect();
-        let mut analyzer = OnlineAnalyzer::new(
-            config.clone(),
-            roots_from_topology(sim.topology()),
-            NodeLabels::from_topology(sim.topology()),
-            rx,
-        );
-        let mut drive = |analyzer: &mut OnlineAnalyzer,
-                         sim: &mut Simulation,
-                         steps: std::ops::RangeInclusive<u64>| {
+        let config = cfg_builder().num_workers(1).build();
+        let mut pipeline = LocalPipeline::new(sim.topology(), config);
+        let mut drive = |pipeline: &mut LocalPipeline, steps: std::ops::RangeInclusive<u64>| {
             for step in steps {
-                let now = Nanos::from_secs(step * 2);
-                sim.run_until(now);
-                let drain = Tick::new(step * 2_000 - 1_000);
-                for a in &mut agents {
-                    a.poll(sim.captures(), drain);
-                }
-                analyzer.ingest();
-                let _ = analyzer.refresh(now);
+                pipeline.step(&mut sim, Nanos::from_secs(step * 2), Nanos::from_secs(1));
             }
         };
-        drive(&mut analyzer, &mut sim, 1..=12);
+        drive(&mut pipeline, 1..=12);
         // Phase 1 (window slides) and Phase 2 (normalization ahead of
         // spike detection) are counted apart and must each settle.
         let phases = |a: &OnlineAnalyzer| {
@@ -931,12 +850,12 @@ pub(crate) mod tests {
                 a.context.pathmap.scratch_counters(),
             ]
         };
-        let warm = phases(&analyzer);
+        let warm = phases(pipeline.analyzer());
         for (phase, c) in warm.iter().enumerate() {
             assert!(c.allocated > 0, "phase {}: no buffer ever used", phase + 1);
         }
-        drive(&mut analyzer, &mut sim, 13..=20);
-        let after = phases(&analyzer);
+        drive(&mut pipeline, 13..=20);
+        let after = phases(pipeline.analyzer());
         for (phase, (w, a)) in warm.iter().zip(&after).enumerate() {
             assert_eq!(
                 a.allocated,
@@ -951,7 +870,7 @@ pub(crate) mod tests {
             );
         }
         // The public getter reports both.
-        let total = analyzer.scratch_counters();
+        let total = pipeline.analyzer().scratch_counters();
         assert_eq!(total.reused, after[0].reused + after[1].reused);
         assert_eq!(total.allocated, after[0].allocated + after[1].allocated);
     }
@@ -1038,12 +957,7 @@ pub(crate) mod tests {
     /// pools grow by one value per concurrently running worker.
     #[test]
     fn the_record_reproduces_the_counters_it_replaced() {
-        let config = PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .num_workers(1)
-            .build();
+        let config = cfg_builder().num_workers(1).build();
         let cases = [
             (mostly_idle_mesh(3), Some(35), MESH, (1_132, 14)),
             (phased_fanout(7), None, FANOUT, (3_504, 3)),

@@ -15,7 +15,6 @@ use crate::config::PathmapConfig;
 use crate::graph::NodeLabels;
 use crate::signals::EdgeSignals;
 use e2eprof_netsim::NodeId;
-use e2eprof_timeseries::density::DensityEstimator;
 use e2eprof_timeseries::Nanos;
 use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
@@ -227,30 +226,19 @@ impl TraceIngest {
     /// at `now` (same windowing as
     /// [`EdgeSignals::from_capture`](crate::EdgeSignals::from_capture)).
     pub fn build_signals(&self, cfg: &PathmapConfig, now: Nanos) -> EdgeSignals {
-        let quanta = cfg.quanta();
-        let max_lag = cfg.max_lag();
-        let end = quanta.tick_of(now).saturating_sub(max_lag);
-        let start = end.saturating_sub(cfg.window_ticks());
-        let y_end = end + max_lag;
-        let margin = Nanos::from_nanos(cfg.omega_ticks() * quanta.duration().as_nanos());
-        let ts_lo = quanta.instant_of(start).saturating_sub(margin);
-        let ts_hi = quanta.instant_of(y_end) + margin;
-
-        let mut signals = crate::hashing::FxHashMap::default();
-        for (&edge, stamps) in &self.edges {
-            let mut stamps: Vec<Nanos> = stamps
-                .iter()
-                .copied()
-                .filter(|&t| t >= ts_lo && t < ts_hi)
-                .collect();
-            stamps.sort_unstable();
-            let series = DensityEstimator::from_timestamps(quanta, cfg.omega_ticks(), &stamps);
-            let clipped = series
-                .slice(start.min(series.end()), y_end.min(series.end()).max(start))
-                .to_rle();
-            signals.insert(edge, clipped);
-        }
-        EdgeSignals::from_parts(quanta, (start, end), max_lag, signals)
+        let (_, reach) = EdgeSignals::geometry(cfg, now);
+        let kept: Vec<_> = self
+            .edges
+            .iter()
+            .map(|(&edge, all)| {
+                let mut stamps: Vec<Nanos> =
+                    all.iter().copied().filter(|t| reach.contains(t)).collect();
+                stamps.sort_unstable();
+                (edge, stamps)
+            })
+            .collect();
+        let edges = kept.iter().map(|(edge, stamps)| (*edge, stamps.as_slice()));
+        EdgeSignals::from_timestamps(cfg, now, edges)
     }
 }
 

@@ -28,6 +28,9 @@
 //!   chunks and stream them (wire-encoded) over channels; the analyzer
 //!   maintains sliding windows, incrementally updates correlations, and
 //!   republishes service graphs every `ΔW`.
+//! * [`pipeline::LocalPipeline`] — that pipeline wired in one process:
+//!   an agent on every service of a topology, one analyzer owning every
+//!   root.
 //! * [`change::ChangeTracker`] — per-edge delay histories across refreshes
 //!   (the Fig. 7 change-detection capability).
 //! * [`skew::estimate_skew`] — clock-skew estimation between the two ends
@@ -83,6 +86,7 @@ pub mod ingest;
 pub mod nesting;
 pub mod parallel;
 pub mod pathmap;
+pub mod pipeline;
 pub mod signals;
 pub mod skew;
 pub mod sla;
@@ -99,6 +103,7 @@ pub mod prelude {
     pub use crate::config::{ConfigError, PathmapConfig, Transport};
     pub use crate::graph::{NodeLabels, ServiceGraph};
     pub use crate::pathmap::{roots_from_topology, IncrementalStats, Pathmap};
+    pub use crate::pipeline::LocalPipeline;
     pub use crate::signals::EdgeSignals;
     pub use crate::tracer::{ChannelSink, FrameSink, PollOutcome, TracerAgent};
 }
@@ -107,5 +112,6 @@ pub use analyzer::{OnlineAnalyzer, ScratchCounters};
 pub use config::{ConfigError, PathmapConfig, Transport};
 pub use graph::{NodeLabels, ServiceGraph};
 pub use pathmap::{roots_from_topology, IncrementalStats, Pathmap};
+pub use pipeline::LocalPipeline;
 pub use signals::EdgeSignals;
 pub use tracer::{ChannelSink, FrameSink, PollOutcome, TracerAgent};

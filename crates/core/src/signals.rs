@@ -19,8 +19,9 @@ use crate::config::PathmapConfig;
 use crate::hashing::FxHashMap;
 use e2eprof_netsim::{CaptureStore, NodeId};
 use e2eprof_timeseries::density::DensityEstimator;
-use e2eprof_timeseries::{Nanos, Quanta, RleSeries, Tick};
+use e2eprof_timeseries::{Nanos, Quanta, RleSeries, Run, Tick};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The edge signals of one analysis window — built once per window
 /// offline, kept and moved from window to window online (see the module
@@ -108,28 +109,63 @@ impl EdgeSignals {
     /// Each edge's signal prefers the receiver-side observation, falling
     /// back to the sender side (edges into untraced clients).
     pub fn from_capture(capture: &CaptureStore, cfg: &PathmapConfig, now: Nanos) -> Self {
+        let edges = capture
+            .edges()
+            .map(|(src, dst)| ((src, dst), capture.edge_signal(src, dst)));
+        Self::from_timestamps(cfg, now, edges)
+    }
+
+    /// Builds the signals of the window [`from_capture`](Self::from_capture)
+    /// analyses at `now` from each edge's sorted message timestamps: every
+    /// edge's density over the source window and the lag horizon past it,
+    /// clipped where the density itself ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge's timestamps are not non-decreasing.
+    pub(crate) fn from_timestamps<'a>(
+        cfg: &PathmapConfig,
+        now: Nanos,
+        edges: impl Iterator<Item = ((NodeId, NodeId), &'a [Nanos])>,
+    ) -> Self {
         let quanta = cfg.quanta();
         let max_lag = cfg.max_lag();
-        let end = quanta.tick_of(now).saturating_sub(max_lag);
-        let start = end.saturating_sub(cfg.window_ticks());
+        let ((start, end), reach) = Self::geometry(cfg, now);
         let y_end = end + max_lag;
+        let mut runs = Vec::new();
+        let signals = edges
+            .map(|(edge, all)| {
+                let lo = all.partition_point(|&t| t < reach.start);
+                let hi = all.partition_point(|&t| t < reach.end);
+                let mut density = DensityEstimator::new(quanta, cfg.omega_ticks());
+                for &ts in &all[lo..hi] {
+                    density.push(ts);
+                }
+                let density_end = density.end();
+                let (from, to) = (start.min(density_end), y_end.min(density_end).max(start));
+                density.drain_runs(from, &mut runs);
+                density.drain_runs(to, &mut runs);
+                let runs = runs.drain(..).map(Run::from).collect();
+                (
+                    edge,
+                    RleSeries::from_parts(from, to.index() - from.index(), runs),
+                )
+            })
+            .collect();
+        Self::from_parts(quanta, (start, end), max_lag, signals)
+    }
+
+    /// The source window `[now − T_u − W, now − T_u)` in ticks, and the
+    /// message timestamps that can reach it or its lag horizon.
+    pub(crate) fn geometry(cfg: &PathmapConfig, now: Nanos) -> ((Tick, Tick), Range<Nanos>) {
+        let quanta = cfg.quanta();
+        let end = quanta.tick_of(now).saturating_sub(cfg.max_lag());
+        let start = end.saturating_sub(cfg.window_ticks());
         // Timestamps influencing ticks >= start begin at start·τ − ω/2.
         let margin = Nanos::from_nanos(cfg.omega_ticks() * quanta.duration().as_nanos());
-        let ts_lo = quanta.instant_of(start).saturating_sub(margin);
-        let ts_hi = quanta.instant_of(y_end) + margin;
-
-        let mut signals = FxHashMap::default();
-        for (src, dst) in capture.edges().collect::<Vec<_>>() {
-            let all = capture.edge_signal(src, dst);
-            let lo = all.partition_point(|&t| t < ts_lo);
-            let hi = all.partition_point(|&t| t < ts_hi);
-            let series = DensityEstimator::from_timestamps(quanta, cfg.omega_ticks(), &all[lo..hi]);
-            let clipped = series
-                .slice(start.min(series.end()), y_end.min(series.end()).max(start))
-                .to_rle();
-            signals.insert((src, dst), clipped);
-        }
-        Self::from_parts(quanta, (start, end), max_lag, signals)
+        let reach = quanta.instant_of(start).saturating_sub(margin)
+            ..quanta.instant_of(end + cfg.max_lag()) + margin;
+        ((start, end), reach)
     }
 
     /// The time quantum.
@@ -249,6 +285,33 @@ mod tests {
             .unwrap();
         // ~40 req/s over a 20 s window, each smeared over ω=50 ticks.
         assert!(x.stats().sum() > 100.0);
+    }
+
+    /// Each edge's signal is, run for run, the per-tick density of its
+    /// timestamps within ω of the window, sliced to the window and its lag
+    /// horizon as far as that density reaches — whether it ends past the
+    /// horizon, inside it or before the window opens.
+    #[test]
+    fn signals_are_the_sliced_per_tick_density() {
+        let mut sim = two_tier();
+        sim.run_until(Nanos::from_secs(30));
+        let cfg = small_cfg();
+        let (quanta, omega) = (cfg.quanta(), cfg.omega_ticks());
+        for now in [1, 30, 40, 60].map(Nanos::from_secs) {
+            let signals = EdgeSignals::from_capture(sim.captures(), &cfg, now);
+            let ((start, end), reach) = EdgeSignals::geometry(&cfg, now);
+            let y_end = end + cfg.max_lag();
+            for (src, dst) in sim.captures().edges() {
+                let all = sim.captures().edge_signal(src, dst).iter().copied();
+                let stamps: Vec<Nanos> = all.filter(|t| reach.contains(t)).collect();
+                let series = DensityEstimator::from_timestamps(quanta, omega, &stamps);
+                let want = series
+                    .slice(start.min(series.end()), y_end.min(series.end()).max(start))
+                    .to_rle();
+                let got = signals.target_signal(src, dst);
+                assert_eq!(got, Some(&want), "now {now:?}, edge {src:?} -> {dst:?}");
+            }
+        }
     }
 
     #[test]

@@ -341,19 +341,12 @@ impl TracerAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::tests::cfg;
     use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
     use e2eprof_timeseries::RleSeries;
     use std::collections::HashMap;
-
-    fn cfg() -> PathmapConfig {
-        PathmapConfig::builder()
-            .window(Nanos::from_secs(10))
-            .refresh(Nanos::from_secs(2))
-            .max_delay(Nanos::from_secs(1))
-            .build()
-    }
 
     fn two_tier(seed: u64) -> Simulation {
         let mut t = TopologyBuilder::new();

@@ -1,7 +1,9 @@
 //! The distributed pathmap pipeline: tracer agents on socket-backed
 //! links, a broker, and a horizontally sharded analyzer tier whose merged
 //! output is — by construction — bit identical to the single in-process
-//! analyzer.
+//! analyzer of [`LocalPipeline`](e2eprof_core::pipeline::LocalPipeline).
+//! Both build their tracers with [`tracer_agents`]; they differ only in
+//! their sinks and shards.
 //!
 //! # Determinism
 //!
@@ -41,6 +43,7 @@ use e2eprof_core::graph::NodeLabels;
 use e2eprof_core::graph::ServiceGraph;
 use e2eprof_core::parallel::shard_ranges;
 use e2eprof_core::pathmap::roots_from_topology;
+use e2eprof_core::pipeline::tracer_agents;
 use e2eprof_core::tracer::TracerAgent;
 use e2eprof_netsim::{NodeId, Simulation, Topology};
 use e2eprof_timeseries::Nanos;
@@ -198,17 +201,15 @@ impl PipelineBuilder {
                 ring_capacity: 1 << 16,
             },
         );
-        let clients: HashSet<NodeId> = topo.clients().into_iter().collect();
         let roots = roots_from_topology(topo);
         let universe: HashSet<NodeId> = roots.iter().map(|&(c, _)| c).collect();
         let labels = NodeLabels::from_topology(topo);
         let ranges = shard_ranges(roots.len(), self.shards);
         let of = ranges.len().max(1) as u32;
 
-        let mut agents = Vec::new();
         let mut delivered = Vec::new();
         let mut link_redials = Vec::new();
-        for node in topo.services() {
+        let agents = tracer_agents(topo, &self.config, |node| {
             let origin = node.index() as u32;
             let dialer: Box<dyn Dialer> = match self.tracer_faults.get(&origin) {
                 Some(plans) => Box::new(FaultyDialer::new(endpoint.dialer(), plans.clone())),
@@ -217,13 +218,8 @@ impl PipelineBuilder {
             let link = TracerLink::new(origin, dialer, self.link.clone());
             delivered.push(link.delivered_handle());
             link_redials.push((origin, link.redials_handle()));
-            agents.push(TracerAgent::with_sink(
-                node,
-                clients.clone(),
-                self.config.clone(),
-                Box::new(link),
-            ));
-        }
+            Box::new(link)
+        });
 
         let mut shards = Vec::new();
         for (i, range) in ranges.into_iter().enumerate() {
@@ -352,10 +348,10 @@ impl DistributedPipeline {
     }
 }
 
-/// Drives a distributed pipeline over `steps` refresh intervals —
-/// the socket-backed analogue of the in-process `run_pipeline` helper the
-/// equivalence suites use — returning each refresh's merged graphs.
-#[allow(clippy::too_many_arguments)]
+/// Drives a distributed pipeline over `steps` refresh intervals — what
+/// the equivalence suites hold to
+/// [`LocalPipeline::step`](e2eprof_core::pipeline::LocalPipeline::step)
+/// at the same times — returning each refresh's merged graphs.
 pub fn run_distributed(
     sim: &mut Simulation,
     builder: PipelineBuilder,

@@ -302,12 +302,19 @@ impl DensityEstimator {
     ///
     /// [`drain_chunk`]: DensityEstimator::drain_chunk
     pub fn finish(mut self) -> SparseSeries {
+        let end = self.end();
+        self.drain_chunk(end)
+    }
+
+    /// One past the last tick a pushed message's window covers, or the
+    /// cursor if that is later — where [`finish`](Self::finish) drains to.
+    pub fn end(&self) -> Tick {
         // The last window to close is at the back of its queue.
-        let end = self
-            .closes
-            .back()
-            .map_or(self.cursor, |&c| c.max(self.cursor));
-        self.drain_chunk(Tick::new(end))
+        Tick::new(
+            self.closes
+                .back()
+                .map_or(self.cursor, |&c| c.max(self.cursor)),
+        )
     }
 }
 

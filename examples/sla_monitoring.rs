@@ -11,15 +11,12 @@
 //! cargo run --release --example sla_monitoring
 //! ```
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::diff::diff;
 use e2eprof::core::prelude::*;
 use e2eprof::core::sla::{SlaMonitor, SlaTarget};
 use e2eprof::netsim::perturb::DelaySchedule;
-use e2eprof::netsim::NodeId;
-use e2eprof::timeseries::{Nanos, Quanta, Tick};
-use std::collections::HashSet;
+use e2eprof::timeseries::{Nanos, Quanta};
 
 fn main() {
     // EJB1 degrades by 60 ms from minute 3 onward.
@@ -38,22 +35,8 @@ fn main() {
         .max_delay(Nanos::from_secs(2))
         .build();
 
-    // Wire up tracers and the analyzer.
-    let (tx, rx) = unbounded();
-    let clients: HashSet<NodeId> = rubis.sim().topology().clients().into_iter().collect();
-    let mut agents: Vec<TracerAgent> = rubis
-        .sim()
-        .topology()
-        .services()
-        .into_iter()
-        .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-        .collect();
-    let mut analyzer = OnlineAnalyzer::new(
-        config.clone(),
-        roots_from_topology(rubis.sim().topology()),
-        NodeLabels::from_topology(rubis.sim().topology()),
-        rx,
-    );
+    // Tracers on every server, streaming to one analyzer.
+    let mut pipeline = LocalPipeline::new(rubis.sim().topology(), config);
 
     // The bidding class has a 90 ms end-to-end SLA.
     let n = rubis.nodes();
@@ -66,13 +49,7 @@ fn main() {
     let mut previous: Option<ServiceGraph> = None;
     for step in 1..=24u64 {
         let now = Nanos::from_secs(step * 15);
-        rubis.sim_mut().run_until(now);
-        let drain = Tick::new(step * 15_000 - 1_000);
-        for a in &mut agents {
-            a.poll(rubis.sim().captures(), drain);
-        }
-        analyzer.ingest();
-        let graphs = analyzer.refresh(now);
+        let graphs = pipeline.step(rubis.sim_mut(), now, Nanos::from_secs(1));
         if graphs.is_empty() {
             continue;
         }

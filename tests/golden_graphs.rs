@@ -16,13 +16,11 @@
 //! If a PR *intends* to change the arithmetic, it re-records the
 //! constants (the failure message prints the new value) and says so.
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::delta::{Delta, DeltaConfig};
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
-use e2eprof::netsim::{NodeId, Simulation};
+use e2eprof::netsim::Simulation;
 use e2eprof::timeseries::{Nanos, Quanta};
-use std::collections::HashSet;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -61,41 +59,20 @@ fn digest_into(h: &mut Fnv, graphs: &[ServiceGraph]) {
     }
 }
 
-/// Drives tracer agents on every service plus one analyzer over `steps`
-/// refresh intervals and returns `(digest of every refresh, number of
-/// non-empty refreshes)`.
+/// Drives a [`LocalPipeline`] over `steps` refresh intervals and returns
+/// `(digest of every refresh, number of non-empty refreshes)`.
 fn run_digest(
     sim: &mut Simulation,
     config: &PathmapConfig,
     steps: u64,
-    step: Nanos,
     drain_lag: Nanos,
 ) -> (u64, usize) {
-    let (tx, rx) = unbounded();
-    let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-    let mut agents: Vec<TracerAgent> = sim
-        .topology()
-        .services()
-        .into_iter()
-        .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-        .collect();
-    let mut analyzer = OnlineAnalyzer::new(
-        config.clone(),
-        roots_from_topology(sim.topology()),
-        NodeLabels::from_topology(sim.topology()),
-        rx,
-    );
+    let mut pipeline = LocalPipeline::new(sim.topology(), config.clone());
     let mut h = Fnv::new();
     let mut productive = 0;
     for i in 1..=steps {
-        let now = Nanos::from_nanos(step.as_nanos() * i);
-        sim.run_until(now);
-        let drain = config.quanta().tick_of(now.saturating_sub(drain_lag));
-        for a in &mut agents {
-            a.poll(sim.captures(), drain);
-        }
-        analyzer.ingest();
-        let graphs = analyzer.refresh(now);
+        let now = Nanos::from_nanos(config.refresh().as_nanos() * i);
+        let graphs = pipeline.step(sim, now, drain_lag);
         if !graphs.is_empty() {
             productive += 1;
         }
@@ -104,26 +81,14 @@ fn run_digest(
     (h.0, productive)
 }
 
-fn rubis_digest(seed: u64) -> (u64, usize) {
-    let config = PathmapConfig::builder()
-        .quanta(Quanta::from_millis(1))
-        .omega_ticks(50)
-        .window(Nanos::from_secs(20))
-        .refresh(Nanos::from_secs(5))
-        .max_delay(Nanos::from_secs(2))
-        .build();
+/// RUBiS with affinity dispatch under `config`, drained 1 s behind.
+fn rubis_digest(seed: u64, config: &PathmapConfig, steps: u64) -> (u64, usize) {
     let mut app = Rubis::build(RubisConfig {
         dispatch: Dispatch::Affinity,
         seed,
         ..RubisConfig::default()
     });
-    run_digest(
-        app.sim_mut(),
-        &config,
-        12,
-        Nanos::from_secs(5),
-        Nanos::from_secs(1),
-    )
+    run_digest(app.sim_mut(), config, steps, Nanos::from_secs(1))
 }
 
 fn delta_digest(seed: u64) -> (u64, usize) {
@@ -139,13 +104,7 @@ fn delta_digest(seed: u64) -> (u64, usize) {
         seed,
         ..DeltaConfig::default()
     });
-    run_digest(
-        app.sim_mut(),
-        &config,
-        12,
-        Nanos::from_minutes(5),
-        Nanos::from_secs(60),
-    )
+    run_digest(app.sim_mut(), &config, 12, Nanos::from_secs(60))
 }
 
 /// Hex rendering so a failure prints values ready to paste back.
@@ -182,11 +141,18 @@ fn assert_recorded(
 
 #[test]
 fn rubis_online_graphs_match_recorded_bits() {
+    let config = PathmapConfig::builder()
+        .quanta(Quanta::from_millis(1))
+        .omega_ticks(50)
+        .window(Nanos::from_secs(20))
+        .refresh(Nanos::from_secs(5))
+        .max_delay(Nanos::from_secs(2))
+        .build();
     assert_recorded(
         "rubis",
         &[1, 2, 3],
         5,
-        rubis_digest,
+        |seed| rubis_digest(seed, &config, 12),
         &[
             0xeb78_02ef_1b39_ed78,
             0xa7e9_e0cc_e445_62dd,
@@ -231,20 +197,7 @@ fn rubis_paper_geometry_graphs_match_recorded_bits() {
         "rubis paper geometry",
         &[1],
         6,
-        |seed| {
-            let mut app = Rubis::build(RubisConfig {
-                dispatch: Dispatch::Affinity,
-                seed,
-                ..RubisConfig::default()
-            });
-            run_digest(
-                app.sim_mut(),
-                &config,
-                22,
-                Nanos::from_secs(15),
-                Nanos::from_secs(1),
-            )
-        },
+        |seed| rubis_digest(seed, &config, 22),
         &[0xa572_b3cd_ca35_9632],
     );
 }

@@ -4,12 +4,9 @@
 //! equal floats. Parallelism here is an implementation detail that must be
 //! observationally invisible.
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
-use e2eprof::netsim::NodeId;
-use e2eprof::timeseries::{Nanos, Quanta, Tick};
-use std::collections::HashSet;
+use e2eprof::timeseries::{Nanos, Quanta};
 
 fn analyzer_config(num_workers: usize) -> PathmapConfig {
     PathmapConfig::builder()
@@ -24,80 +21,41 @@ fn analyzer_config(num_workers: usize) -> PathmapConfig {
 
 /// One full online pipeline (simulator + tracers + analyzer), identical to
 /// every other instance except for the analyzer's worker count.
-struct Pipeline {
-    rubis: Rubis,
-    agents: Vec<TracerAgent>,
-    analyzer: OnlineAnalyzer,
+fn pipeline(seed: u64, num_workers: usize) -> (Rubis, LocalPipeline) {
+    let rubis = Rubis::build(RubisConfig {
+        dispatch: Dispatch::Affinity,
+        seed,
+        ..RubisConfig::default()
+    });
+    let pipeline = LocalPipeline::new(rubis.sim().topology(), analyzer_config(num_workers));
+    (rubis, pipeline)
 }
 
-impl Pipeline {
-    fn build(seed: u64, num_workers: usize) -> Self {
-        let rubis = Rubis::build(RubisConfig {
-            dispatch: Dispatch::Affinity,
-            seed,
-            ..RubisConfig::default()
-        });
-        let config = analyzer_config(num_workers);
-        let (tx, rx) = unbounded();
-        let clients: HashSet<NodeId> = rubis.sim().topology().clients().into_iter().collect();
-        let agents: Vec<TracerAgent> = rubis
-            .sim()
-            .topology()
-            .services()
-            .into_iter()
-            .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-            .collect();
-        let analyzer = OnlineAnalyzer::new(
-            config.clone(),
-            roots_from_topology(rubis.sim().topology()),
-            NodeLabels::from_topology(rubis.sim().topology()),
-            rx,
-        );
-        Pipeline {
-            rubis,
-            agents,
-            analyzer,
-        }
-    }
-
-    fn step(&mut self, step: u64) -> Vec<ServiceGraph> {
-        let now = Nanos::from_secs(step * 5);
-        self.rubis.sim_mut().run_until(now);
-        let drain = Tick::new(step * 5_000 - 1_000);
-        for a in &mut self.agents {
-            a.poll(self.rubis.sim().captures(), drain);
-        }
-        self.analyzer.ingest();
-        self.analyzer.refresh(now)
-    }
+fn step((rubis, pipeline): &mut (Rubis, LocalPipeline), step: u64) -> Vec<ServiceGraph> {
+    pipeline.step(
+        rubis.sim_mut(),
+        Nanos::from_secs(step * 5),
+        Nanos::from_secs(1),
+    )
 }
 
 #[test]
 fn online_refresh_is_identical_for_every_worker_count() {
     let seed = 11;
-    let mut serial = Pipeline::build(seed, 1);
-    let mut two = Pipeline::build(seed, 2);
-    let mut four = Pipeline::build(seed, 4);
-    let mut many = Pipeline::build(seed, 32); // more workers than pairs
+    let mut serial = pipeline(seed, 1);
+    // 32: more workers than pairs.
+    let mut others = [2, 4, 32].map(|n| (n, pipeline(seed, n)));
 
     let mut productive = 0;
-    for step in 1..=12u64 {
-        let reference = serial.step(step);
-        assert_eq!(
-            two.step(step),
-            reference,
-            "num_workers=2 diverged at refresh {step}"
-        );
-        assert_eq!(
-            four.step(step),
-            reference,
-            "num_workers=4 diverged at refresh {step}"
-        );
-        assert_eq!(
-            many.step(step),
-            reference,
-            "num_workers=32 diverged at refresh {step}"
-        );
+    for i in 1..=12u64 {
+        let reference = step(&mut serial, i);
+        for (n, other) in &mut others {
+            assert_eq!(
+                step(other, i),
+                reference,
+                "num_workers={n} diverged at refresh {i}"
+            );
+        }
         if !reference.is_empty() {
             productive += 1;
         }

@@ -10,51 +10,12 @@
 //! sets one per job, so every transport gets the full seed × shard grid
 //! without tripling the default suite's wall time.
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::delta::{Delta, DeltaConfig};
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
 use e2eprof::net::pipeline::{run_distributed, Endpoint, PipelineBuilder};
-use e2eprof::netsim::{NodeId, Simulation};
+use e2eprof::netsim::Simulation;
 use e2eprof::timeseries::{Nanos, Quanta};
-use std::collections::HashSet;
-
-/// The in-process anchor: tracer agents on every service feeding one
-/// analyzer over a channel.
-fn run_inproc(
-    sim: &mut Simulation,
-    config: &PathmapConfig,
-    steps: u64,
-    step: Nanos,
-    drain_lag: Nanos,
-) -> Vec<Vec<ServiceGraph>> {
-    let (tx, rx) = unbounded();
-    let clients: HashSet<NodeId> = sim.topology().clients().into_iter().collect();
-    let mut agents: Vec<TracerAgent> = sim
-        .topology()
-        .services()
-        .into_iter()
-        .map(|node| TracerAgent::new(node, clients.clone(), config.clone(), tx.clone()))
-        .collect();
-    let mut analyzer = OnlineAnalyzer::new(
-        config.clone(),
-        roots_from_topology(sim.topology()),
-        NodeLabels::from_topology(sim.topology()),
-        rx,
-    );
-    let mut out = Vec::new();
-    for i in 1..=steps {
-        let now = Nanos::from_nanos(step.as_nanos() * i);
-        sim.run_until(now);
-        let drain = config.quanta().tick_of(now.saturating_sub(drain_lag));
-        for a in &mut agents {
-            a.poll(sim.captures(), drain);
-        }
-        analyzer.ingest();
-        out.push(analyzer.refresh(now));
-    }
-    out
-}
 
 /// Structural equality: edge sets, spike lags, hop delays, and bottleneck
 /// flags exact; spike strengths within 1e-9.
@@ -119,6 +80,57 @@ fn transports_under_test() -> Vec<Endpoint> {
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// Runs one app per seed through the in-process anchor, demanding
+/// `min_productive` non-empty refreshes, and again through every
+/// transport under test at every shard count, holding each refresh to the
+/// anchor's.
+fn assert_matches_in_process<A>(
+    what: &str,
+    seeds: [u64; 3],
+    min_productive: usize,
+    config: fn() -> PathmapConfig,
+    (step, lag): (Nanos, Nanos),
+    build: impl Fn(u64) -> A,
+    sim: fn(&mut A) -> &mut Simulation,
+) {
+    for seed in seeds {
+        // The in-process anchor.
+        let mut app = build(seed);
+        let mut local = LocalPipeline::new(sim(&mut app).topology(), config());
+        let anchor: Vec<_> = (1..=12u64)
+            .map(|i| local.step(sim(&mut app), Nanos::from_nanos(step.as_nanos() * i), lag))
+            .collect();
+        let productive = anchor.iter().filter(|g| !g.is_empty()).count();
+        assert!(
+            productive >= min_productive,
+            "{what} seed {seed}: only {productive} productive refreshes"
+        );
+        for transport in transports_under_test() {
+            for shards in SHARD_COUNTS {
+                let endpoint = transport.bind().expect("bind endpoint");
+                let dist = run_distributed(
+                    sim(&mut build(seed)),
+                    PipelineBuilder::new(config(), shards),
+                    &endpoint,
+                    12,
+                    step,
+                    lag,
+                );
+                for (i, (a, b)) in anchor.iter().zip(&dist).enumerate() {
+                    assert_graphs_equivalent(
+                        a,
+                        b,
+                        &format!(
+                            "{what} seed {seed}, {transport:?} x{shards}, refresh {}",
+                            i + 1
+                        ),
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn rubis_cfg() -> PathmapConfig {
     PathmapConfig::builder()
         .quanta(Quanta::from_millis(1))
@@ -131,48 +143,21 @@ fn rubis_cfg() -> PathmapConfig {
 
 #[test]
 fn rubis_distributed_matches_in_process_at_every_shard_count() {
-    let step = Nanos::from_secs(5);
-    let lag = Nanos::from_secs(1);
-    for seed in [1, 2, 3] {
-        let build = || {
+    assert_matches_in_process(
+        "rubis",
+        [1, 2, 3],
+        5,
+        rubis_cfg,
+        (Nanos::from_secs(5), Nanos::from_secs(1)),
+        |seed| {
             Rubis::build(RubisConfig {
                 dispatch: Dispatch::Affinity,
                 seed,
                 ..RubisConfig::default()
             })
-        };
-        let mut anchor_app = build();
-        let anchor = run_inproc(anchor_app.sim_mut(), &rubis_cfg(), 12, step, lag);
-        let productive = anchor.iter().filter(|g| !g.is_empty()).count();
-        assert!(
-            productive >= 5,
-            "rubis seed {seed}: only {productive} productive refreshes"
-        );
-        for transport in transports_under_test() {
-            for shards in SHARD_COUNTS {
-                let mut app = build();
-                let endpoint = transport.bind().expect("bind endpoint");
-                let dist = run_distributed(
-                    app.sim_mut(),
-                    PipelineBuilder::new(rubis_cfg(), shards),
-                    &endpoint,
-                    12,
-                    step,
-                    lag,
-                );
-                for (i, (a, b)) in anchor.iter().zip(&dist).enumerate() {
-                    assert_graphs_equivalent(
-                        a,
-                        b,
-                        &format!(
-                            "rubis seed {seed}, {transport:?} x{shards}, refresh {}",
-                            i + 1
-                        ),
-                    );
-                }
-            }
-        }
-    }
+        },
+        Rubis::sim_mut,
+    );
 }
 
 fn delta_cfg() -> PathmapConfig {
@@ -187,46 +172,19 @@ fn delta_cfg() -> PathmapConfig {
 
 #[test]
 fn delta_distributed_matches_in_process_at_every_shard_count() {
-    let step = Nanos::from_minutes(5);
-    let lag = Nanos::from_secs(60);
-    for seed in [7, 8, 9] {
-        let build = || {
+    assert_matches_in_process(
+        "delta",
+        [7, 8, 9],
+        2,
+        delta_cfg,
+        (Nanos::from_minutes(5), Nanos::from_secs(60)),
+        |seed| {
             Delta::build(DeltaConfig {
                 queues: 6,
                 seed,
                 ..DeltaConfig::default()
             })
-        };
-        let mut anchor_app = build();
-        let anchor = run_inproc(anchor_app.sim_mut(), &delta_cfg(), 12, step, lag);
-        let productive = anchor.iter().filter(|g| !g.is_empty()).count();
-        assert!(
-            productive >= 2,
-            "delta seed {seed}: only {productive} productive refreshes"
-        );
-        for transport in transports_under_test() {
-            for shards in SHARD_COUNTS {
-                let mut app = build();
-                let endpoint = transport.bind().expect("bind endpoint");
-                let dist = run_distributed(
-                    app.sim_mut(),
-                    PipelineBuilder::new(delta_cfg(), shards),
-                    &endpoint,
-                    12,
-                    step,
-                    lag,
-                );
-                for (i, (a, b)) in anchor.iter().zip(&dist).enumerate() {
-                    assert_graphs_equivalent(
-                        a,
-                        b,
-                        &format!(
-                            "delta seed {seed}, {transport:?} x{shards}, refresh {}",
-                            i + 1
-                        ),
-                    );
-                }
-            }
-        }
-    }
+        },
+        Delta::sim_mut,
+    );
 }
