@@ -30,7 +30,6 @@ pub fn rubis_config(window: Nanos, refresh: Nanos) -> PathmapConfig {
         .window(window)
         .refresh(refresh)
         .max_delay(Nanos::from_secs(2))
-        .env_overrides()
         .build()
 }
 
@@ -327,7 +326,6 @@ pub fn delta_paper_config() -> PathmapConfig {
         .window(Nanos::from_minutes(120))
         .refresh(Nanos::from_minutes(10))
         .max_delay(Nanos::from_minutes(10))
-        .env_overrides()
         .build()
 }
 

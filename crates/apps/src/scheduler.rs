@@ -11,13 +11,13 @@ use e2eprof_core::graph::ServiceGraph;
 use e2eprof_netsim::routing::DynamicRouter;
 use e2eprof_netsim::{ClassId, NodeId};
 use e2eprof_timeseries::Nanos;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Shared, live per-branch latency estimates (keyed by the branch's first
-/// hop, e.g. the Tomcat server).
+/// hop, e.g. the Tomcat server). A writer that panicked mid-update
+/// leaves the map readable and writable: both halves recover the lock.
 #[derive(Debug, Clone, Default)]
 pub struct PathLatencyMap {
     inner: Arc<RwLock<HashMap<NodeId, Nanos>>>,
@@ -31,12 +31,19 @@ impl PathLatencyMap {
 
     /// Publishes a branch latency.
     pub fn set(&self, branch: NodeId, latency: Nanos) {
-        self.inner.write().insert(branch, latency);
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(branch, latency);
     }
 
     /// The current estimate for a branch.
     pub fn get(&self, branch: NodeId) -> Option<Nanos> {
-        self.inner.read().get(&branch).copied()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&branch)
+            .copied()
     }
 
     /// Updates the map from freshly discovered service graphs: for each
@@ -174,6 +181,22 @@ mod tests {
         map.update_from_graphs(&[g1, g2], n(0), &[n(1), n(2)]);
         assert_eq!(map.get(n(1)), Some(Nanos::from_millis(40)));
         assert_eq!(map.get(n(2)), Some(Nanos::from_millis(100)));
+    }
+
+    #[test]
+    fn latency_map_survives_a_panicking_writer() {
+        let map = PathLatencyMap::new();
+        map.set(n(1), Nanos::from_millis(30));
+        let shared = map.clone();
+        let writer = std::thread::spawn(move || {
+            let _held = shared.inner.write().unwrap();
+            panic!("writer dies holding the lock");
+        });
+        assert!(writer.join().is_err());
+        assert!(map.inner.is_poisoned());
+        assert_eq!(map.get(n(1)), Some(Nanos::from_millis(30)));
+        map.set(n(2), Nanos::from_millis(90));
+        assert_eq!(map.get(n(2)), Some(Nanos::from_millis(90)));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //!   baseline ([`PR9_TCP1_RECORDS_PER_SEC`]), locking in the
 //!   pass-through + coalescing gain.
 
-use crossbeam::channel::unbounded;
 use e2eprof_bench::fmt_duration;
 use e2eprof_bench::transport::{config, frames, labels, records, workload, EDGES, FLUSHES};
 use e2eprof_core::analyzer::OnlineAnalyzer;
@@ -36,6 +35,7 @@ use e2eprof_net::link::{AnalyzerConn, LinkConfig, TracerLink};
 use e2eprof_net::pipeline::Endpoint;
 use e2eprof_net::{BrokerHandle, CountingAcceptor, IoCounters};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,7 +48,7 @@ const PR9_TCP1_RECORDS_PER_SEC: f64 = 23_163_499.15;
 
 /// Baseline: frames over the in-process channel into one analyzer.
 fn drive_inproc(frames: &[bytes::Bytes]) -> Duration {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let mut analyzer = OnlineAnalyzer::new(config(), Vec::new(), labels(), rx);
     let expected = frames.len();
     let t0 = Instant::now();

@@ -18,7 +18,6 @@ use e2eprof_apps::experiments::{
 use e2eprof_bench::{corr_pair, fig10_row, fmt_duration, rubis_scenario};
 use e2eprof_core::pathmap::Pathmap;
 use e2eprof_core::signals::EdgeSignals;
-use e2eprof_core::PathmapConfig;
 use e2eprof_timeseries::density::DensityEstimator;
 use e2eprof_timeseries::{wire, Nanos, Quanta, RleSeries, Tick};
 use e2eprof_xcorr::engine::all_engines;
@@ -28,13 +27,6 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 fn main() {
-    // The experiment configurations apply the `E2EPROF_*` overrides deep
-    // inside `e2eprof_apps`, where a bad value can only panic; vet the
-    // operator's environment once, here, and report it like a bad argument.
-    if let Err(e) = PathmapConfig::builder().try_env_overrides() {
-        eprintln!("experiments: {e}");
-        std::process::exit(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let cmd = args

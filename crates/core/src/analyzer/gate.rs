@@ -403,9 +403,9 @@ mod tests {
     use crate::graph::NodeLabels;
     use crate::pathmap::IncrementalStats;
     use crate::tracer::TracerFrame;
-    use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_timeseries::{wire, Nanos, RleSeries, Run};
+    use std::sync::mpsc::channel;
 
     /// One stack, arrivals every 25 ms for the first 10 s, then total
     /// silence — long enough for every nonzero tick to leave retention. The
@@ -484,7 +484,7 @@ mod tests {
             .build();
         let key = |(a, b): Edge| (a.index() as u32, b.index() as u32);
         let run = |forgetful: bool| {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let (cli, web) = (NodeId::new(0), NodeId::new(1));
             let mut analyzer =
                 OnlineAnalyzer::new(config.clone(), vec![(cli, web)], NodeLabels::default(), rx);

@@ -4,10 +4,10 @@
 use super::gate::Stream;
 use super::{Edge, OnlineAnalyzer};
 use crate::tracer::TracerFrame;
-use crossbeam::channel::Receiver;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::wire::DecodeError;
 use e2eprof_timeseries::{wire, RleSeries, Run, Tick};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 /// One frame, decoded and validated whole before any of it reaches a
@@ -203,15 +203,15 @@ mod tests {
     use crate::analyzer::Root;
     use crate::graph::NodeLabels;
     use crate::pathmap::roots_from_topology;
-    use crossbeam::channel::unbounded;
     use e2eprof_xcorr::incremental::IncrementalCorrelator;
+    use std::sync::mpsc::channel;
 
     /// A heal of a root's source stream drops every pair of that root and
     /// no other root's; a heal of a candidate edge drops that edge's pair
     /// from every root, and nothing else.
     #[test]
     fn a_heal_drops_the_pairs_that_read_the_healed_stream() {
-        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (_tx, rx) = channel::<TracerFrame>();
         let [a, b, web, s, shared] = [0, 1, 2, 3, 4].map(NodeId::new);
         let mut analyzer =
             OnlineAnalyzer::new(cfg(), vec![(a, web), (b, web)], NodeLabels::default(), rx);
@@ -261,7 +261,7 @@ mod tests {
         let sim = two_tier(5);
         let edge = roots_from_topology(sim.topology())[0];
         let analyzer = |frames: Vec<TracerFrame>| {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let mut analyzer = OnlineAnalyzer::new(
                 cfg(),
                 roots_from_topology(sim.topology()),

@@ -75,11 +75,11 @@ use crate::parallel::{Pool, ScratchPool};
 use crate::pathmap::{IncrementalStats, Pathmap, ScreeningStats};
 use crate::signals::EdgeSignals;
 use crate::tracer::TracerFrame;
-use crossbeam::channel::{Receiver, Sender};
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::{Nanos, Tick};
 use e2eprof_xcorr::incremental::SlideScratch;
 use std::collections::HashSet;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// A directed edge `(src, dst)` between two nodes.
@@ -308,7 +308,7 @@ impl OnlineAnalyzer {
     /// to all live subscribers; disconnected receivers are dropped
     /// silently.
     pub fn subscribe(&mut self) -> Receiver<GraphUpdate> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         self.subscribers.push(tx);
         rx
     }
@@ -423,7 +423,6 @@ pub(crate) mod tests {
     use crate::pathmap::roots_from_topology;
     use crate::pipeline::{tracer_agents, LocalPipeline};
     use crate::tracer::ChannelSink;
-    use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
     use e2eprof_timeseries::window::SlidingWindow;
@@ -475,8 +474,8 @@ pub(crate) mod tests {
         forgetful: bool,
         lose_flush_at: Option<u64>,
     ) -> (Vec<Refresh>, OnlineAnalyzer) {
-        let (flushed, in_transit) = unbounded();
-        let (delivered, rx) = unbounded();
+        let (flushed, in_transit) = channel();
+        let (delivered, rx) = channel();
         let mut agents = tracer_agents(sim.topology(), &config, |_| {
             Box::new(ChannelSink(flushed.clone()))
         });
@@ -697,7 +696,7 @@ pub(crate) mod tests {
 
     #[test]
     fn refresh_before_enough_data_is_empty() {
-        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (_tx, rx) = channel::<TracerFrame>();
         let mut analyzer = OnlineAnalyzer::new(cfg(), vec![], NodeLabels::default(), rx);
         assert!(analyzer.refresh(Nanos::from_secs(1)).is_empty());
     }
@@ -707,7 +706,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "two roots share a client")]
     fn two_roots_with_one_client_are_rejected() {
-        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (_tx, rx) = channel::<TracerFrame>();
         let (cli, a, b) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         OnlineAnalyzer::new(cfg(), vec![(cli, a), (cli, b)], NodeLabels::default(), rx);
     }
@@ -718,7 +717,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "universe misses an owned root's client")]
     fn a_universe_without_an_owned_client_is_rejected() {
-        let (_tx, rx) = unbounded::<TracerFrame>();
+        let (_tx, rx) = channel::<TracerFrame>();
         let (cli, web, other) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         OnlineAnalyzer::with_universe(
             cfg(),

@@ -9,11 +9,10 @@
 use crate::graph::ServiceGraph;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One recorded observation of an edge's hop delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayPoint {
     /// When the refresh happened.
     pub at: Nanos,
@@ -22,7 +21,7 @@ pub struct DelayPoint {
 }
 
 /// A detected change: the hop delay jumped between consecutive refreshes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChangePoint {
     /// When the new delay was first observed.
     pub at: Nanos,
@@ -33,7 +32,7 @@ pub struct ChangePoint {
 }
 
 /// Records per-`(client, edge)` hop-delay histories across refreshes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ChangeTracker {
     history: BTreeMap<(NodeId, NodeId, NodeId), Vec<DelayPoint>>,
 }

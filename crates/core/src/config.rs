@@ -3,7 +3,6 @@
 use e2eprof_timeseries::{Nanos, Quanta};
 use e2eprof_xcorr::engine::RleCorrelator;
 use e2eprof_xcorr::{Correlator, SpikeDetector};
-use serde::{Deserialize, Serialize};
 
 /// How tracer agents reach the analyzer tier.
 ///
@@ -13,7 +12,13 @@ use serde::{Deserialize, Serialize};
 /// put the same frames on real sockets through a broker (see the
 /// `e2eprof-net` crate); the framed stream carries the identical wire
 /// payloads, so discovered graphs are unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+///
+/// Nothing in the workspace reads [`PathmapConfig::transport`]: a
+/// pipeline's transport is the `Endpoint` it is built on, which the CLI
+/// takes from its `--transport` flag. The end-to-end benchmark sets it to
+/// label a run; removal waits for a `benchmark` PR, like
+/// [`PathmapConfig::build_engine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// In-process channels (the default, bit-identical anchor).
     #[default]
@@ -23,60 +28,6 @@ pub enum Transport {
     /// Unix-domain sockets through a broker.
     Unix,
 }
-
-/// An `E2EPROF_*` environment variable holds a value
-/// [`PathmapConfigBuilder::try_env_overrides`] does not accept.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    variable: &'static str,
-    value: String,
-    accepted: &'static str,
-}
-
-impl ConfigError {
-    /// The offending environment variable.
-    pub fn variable(&self) -> &'static str {
-        self.variable
-    }
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}={:?} is not accepted (expected {})",
-            self.variable, self.value, self.accepted
-        )
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Variables of knobs that no longer exist, each with what its error says
-/// is accepted. Setting one — to any value, even empty — is a
-/// [`ConfigError`].
-const REMOVED: [(&str, &str); 5] = [
-    (
-        "E2EPROF_WIRE",
-        "nothing — removed: v2 is the only wire format; unset the variable",
-    ),
-    (
-        "E2EPROF_INCREMENTAL",
-        "nothing — removed: the activity gate is always on; unset the variable",
-    ),
-    (
-        "E2EPROF_SCREENING",
-        "nothing — removed: there is one correlation tier, the fine one; unset the variable",
-    ),
-    (
-        "E2EPROF_BACKEND",
-        "nothing — removed: the RLE engine computes every pair's first window; unset the variable",
-    ),
-    (
-        "E2EPROF_REDUCTION",
-        "nothing — removed: every edge ships at full resolution; unset the variable",
-    ),
-];
 
 /// The knobs of the pathmap algorithm (paper Sections 3.3–3.5).
 ///
@@ -97,7 +48,7 @@ const REMOVED: [(&str, &str); 5] = [
 /// assert_eq!(cfg.window_ticks(), 3600);
 /// assert_eq!(cfg.max_lag(), 600);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathmapConfig {
     quanta: Quanta,
     omega_ticks: u64,
@@ -306,61 +257,6 @@ impl PathmapConfigBuilder {
         self
     }
 
-    /// Applies environment-variable overrides (the CI configuration-matrix
-    /// hook; callers opting in call this last, so a plain build is
-    /// unaffected): `E2EPROF_TRANSPORT` ∈ `inproc | tcp | unix` selects the
-    /// tracer-to-analyzer transport, and an empty value selects the
-    /// default.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the variable, the offending value and what
-    /// is accepted — environment variables are operator input. That
-    /// includes a still-set variable of any removed knob, whatever its
-    /// value: a script that sets one must not believe it selected
-    /// anything.
-    pub fn try_env_overrides(self) -> Result<Self, ConfigError> {
-        self.apply_overrides(|name| std::env::var(name).ok())
-    }
-
-    /// [`try_env_overrides`](Self::try_env_overrides) for tests and CI
-    /// jobs, where a typo in a matrix must fail loudly instead of silently
-    /// testing the default path.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`]'s message.
-    pub fn env_overrides(self) -> Self {
-        self.try_env_overrides().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The override rules over an arbitrary variable lookup, so they can be
-    /// tested without touching the process environment.
-    fn apply_overrides(
-        mut self,
-        var: impl Fn(&'static str) -> Option<String>,
-    ) -> Result<Self, ConfigError> {
-        let reject = |variable, value: &str, accepted| ConfigError {
-            variable,
-            value: value.to_owned(),
-            accepted,
-        };
-        for (variable, accepted) in REMOVED {
-            if let Some(v) = var(variable) {
-                return Err(reject(variable, &v, accepted));
-            }
-        }
-        if let Some(v) = var("E2EPROF_TRANSPORT") {
-            self.transport = match v.as_str() {
-                "" | "inproc" => Transport::InProcess,
-                "tcp" => Transport::Tcp,
-                "unix" => Transport::Unix,
-                _ => return Err(reject("E2EPROF_TRANSPORT", &v, "inproc | tcp | unix")),
-            };
-        }
-        Ok(self)
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
@@ -466,81 +362,6 @@ mod tests {
             .window(Nanos::from_millis(10))
             .refresh(Nanos::from_millis(1))
             .build();
-    }
-
-    /// Applies the override rules over a fixed variable set instead of
-    /// the (process-global, test-shared) environment.
-    fn overrides(vars: &[(&str, &str)]) -> Result<PathmapConfig, ConfigError> {
-        PathmapConfig::builder()
-            .apply_overrides(|name| {
-                vars.iter()
-                    .find(|(k, _)| *k == name)
-                    .map(|(_, v)| v.to_string())
-            })
-            .map(PathmapConfigBuilder::build)
-    }
-
-    #[test]
-    fn overrides_select_every_variable() {
-        assert_eq!(overrides(&[]), Ok(PathmapConfig::default()));
-        let cfg = overrides(&[("E2EPROF_TRANSPORT", "unix")]).expect("value accepted");
-        assert_eq!(cfg.transport(), Transport::Unix);
-        // Empty selects the default.
-        let cfg = overrides(&[("E2EPROF_TRANSPORT", "")]).expect("value accepted");
-        assert_eq!(cfg.transport(), Transport::InProcess);
-    }
-
-    #[test]
-    fn bad_override_values_are_errors_naming_variable_value_and_accepted_set() {
-        for (variable, value, accepted) in [("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix")] {
-            let err = overrides(&[(variable, value)]).expect_err(variable);
-            assert_eq!(err.variable(), variable);
-            let msg = err.to_string();
-            for part in [variable, &format!("{value:?}"), accepted] {
-                assert!(msg.contains(part), "{msg:?} lacks {part:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn removed_variables_are_errors_whatever_their_value() {
-        // The knobs are gone; a script still setting one must not believe
-        // it selected anything.
-        for (variable, values, reason) in [
-            (
-                "E2EPROF_WIRE",
-                ["v1", "v2", ""],
-                "v2 is the only wire format",
-            ),
-            (
-                "E2EPROF_INCREMENTAL",
-                ["on", "off", ""],
-                "the activity gate is always on",
-            ),
-            (
-                "E2EPROF_SCREENING",
-                ["8", "off", ""],
-                "one correlation tier",
-            ),
-            (
-                "E2EPROF_BACKEND",
-                ["auto", "rle", ""],
-                "the RLE engine computes",
-            ),
-            (
-                "E2EPROF_REDUCTION",
-                ["on", "16", ""],
-                "every edge ships at full resolution",
-            ),
-        ] {
-            for value in values {
-                let err = overrides(&[(variable, value)]).expect_err("stale variable");
-                assert_eq!(err.variable(), variable);
-                let msg = err.to_string();
-                assert!(msg.contains("removed"), "{msg}");
-                assert!(msg.contains(reason), "{msg}");
-            }
-        }
     }
 
     #[test]

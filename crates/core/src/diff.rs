@@ -9,11 +9,10 @@
 use crate::graph::ServiceGraph;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A delay movement on one edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayShift {
     /// Edge source.
     pub from: NodeId,
@@ -37,7 +36,7 @@ impl DelayShift {
 }
 
 /// Differences between two refreshes of the same client's graph.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GraphDiff {
     /// Edges present only in the newer graph.
     pub added: Vec<(NodeId, NodeId)>,

@@ -2,12 +2,11 @@
 
 use e2eprof_netsim::{NodeId, Topology};
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Human-readable labels for node ids.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeLabels {
     labels: Vec<String>,
 }
@@ -43,7 +42,7 @@ impl NodeLabels {
 }
 
 /// One discovered vertex.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphVertex {
     /// The node.
     pub node: NodeId,
@@ -58,7 +57,7 @@ pub struct GraphVertex {
 
 /// One correlation spike supporting an edge: a cumulative delay from
 /// front-end arrival, with the normalized correlation that evidences it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelaySpike {
     /// Cumulative delay from front-end arrival to traversal of the edge.
     pub delay: Nanos,
@@ -67,7 +66,7 @@ pub struct DelaySpike {
 }
 
 /// One discovered edge, annotated with its supporting spikes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphEdge {
     /// Sending node.
     pub from: NodeId,
@@ -149,7 +148,7 @@ impl GraphEdge {
 /// messages on `a → b` are causally driven by this client's requests. The
 /// graph naturally contains both the forward (request) and return
 /// (response) directions — the paper's "duplicate vertex labels".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceGraph {
     /// The client node whose requests this graph describes.
     pub client: NodeId,

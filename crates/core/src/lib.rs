@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::analyzer::OnlineAnalyzer;
     pub use crate::analyzer::ScratchCounters;
     pub use crate::change::ChangeTracker;
-    pub use crate::config::{ConfigError, PathmapConfig, Transport};
+    pub use crate::config::{PathmapConfig, Transport};
     pub use crate::graph::{NodeLabels, ServiceGraph};
     pub use crate::pathmap::{roots_from_topology, IncrementalStats, Pathmap};
     pub use crate::pipeline::LocalPipeline;
@@ -109,7 +109,7 @@ pub mod prelude {
 }
 
 pub use analyzer::{OnlineAnalyzer, ScratchCounters};
-pub use config::{ConfigError, PathmapConfig, Transport};
+pub use config::{PathmapConfig, Transport};
 pub use graph::{NodeLabels, ServiceGraph};
 pub use pathmap::{roots_from_topology, IncrementalStats, Pathmap};
 pub use pipeline::LocalPipeline;

@@ -13,6 +13,7 @@ use crate::tracer::{ChannelSink, FrameSink, TracerAgent};
 use e2eprof_netsim::{CaptureStore, NodeId, Simulation, Topology};
 use e2eprof_timeseries::{Nanos, Tick};
 use std::collections::HashSet;
+use std::sync::mpsc::channel;
 
 /// One tracer agent per service of `topology`, in service order, each
 /// delivering through the sink `sink` makes for its node.
@@ -44,7 +45,7 @@ impl LocalPipeline {
     /// Builds the pipeline for `topology`: its analyzer owns every root
     /// [`roots_from_topology`] infers.
     pub fn new(topology: &Topology, config: PathmapConfig) -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         let agents = tracer_agents(topology, &config, |_| Box::new(ChannelSink(tx.clone())));
         let analyzer = OnlineAnalyzer::new(
             config,

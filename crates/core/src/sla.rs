@@ -10,11 +10,10 @@
 use crate::graph::ServiceGraph;
 use e2eprof_netsim::NodeId;
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A per-client latency target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlaTarget {
     /// The client node the agreement covers.
     pub client: NodeId,
@@ -23,7 +22,7 @@ pub struct SlaTarget {
 }
 
 /// One detected violation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlaViolation {
     /// When the violating refresh happened.
     pub at: Nanos,

@@ -13,12 +13,12 @@
 
 use crate::config::PathmapConfig;
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use e2eprof_netsim::capture::TraceKey;
 use e2eprof_netsim::{CaptureStore, NodeId};
 use e2eprof_timeseries::density::{CountRun, DensityEstimator};
 use e2eprof_timeseries::{wire, Nanos, Tick};
 use std::collections::HashSet;
+use std::sync::mpsc::Sender;
 
 /// One message on the tracer→analyzer channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -342,11 +342,11 @@ impl TracerAgent {
 mod tests {
     use super::*;
     use crate::analyzer::tests::cfg;
-    use crossbeam::channel::unbounded;
     use e2eprof_netsim::prelude::*;
     use e2eprof_netsim::Route;
     use e2eprof_timeseries::RleSeries;
     use std::collections::HashMap;
+    use std::sync::mpsc::channel;
 
     fn two_tier(seed: u64) -> Simulation {
         let mut t = TopologyBuilder::new();
@@ -377,7 +377,7 @@ mod tests {
     fn agent_streams_owned_edges_only() {
         let mut sim = two_tier(1);
         sim.run_until(Nanos::from_secs(5));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let web = NodeId::new(0);
         let cli = NodeId::new(2);
         let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn chunks_are_contiguous_and_decodable() {
         let mut sim = two_tier(2);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let web = NodeId::new(0);
         let cli = NodeId::new(2);
         let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
@@ -431,7 +431,7 @@ mod tests {
         let (web, db, cli) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         // web owns three streams, db one; each poll is one frame.
         for (node, streams) in [(web, 3), (db, 1)] {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let mut agent = TracerAgent::new(node, HashSet::from([cli]), cfg(), tx);
             for drain in [2_000, 4_000] {
                 assert_eq!(
@@ -454,7 +454,7 @@ mod tests {
         // windows keep moving.
         let mut sim = two_tier(6);
         sim.run_until(Nanos::from_secs(5));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let (web, cli) = (NodeId::new(0), NodeId::new(2));
         let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
         agent.poll(sim.captures(), Tick::new(8_000));
@@ -478,7 +478,7 @@ mod tests {
         let (web, cli) = (NodeId::new(0), NodeId::new(2));
         let mut capture = CaptureStore::new();
         capture.record(web, cli, web, Nanos::from_millis(100), 1);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut agent = TracerAgent::new(web, HashSet::new(), cfg(), tx);
         agent.poll(&capture, Tick::new(1_000));
         // Stamped below the horizon the agent already drained to (a
@@ -515,7 +515,7 @@ mod tests {
     fn repeated_poll_at_same_tick_is_idempotent() {
         let mut sim = two_tier(3);
         sim.run_until(Nanos::from_secs(4));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let web = NodeId::new(0);
         let mut agent = TracerAgent::new(web, HashSet::new(), cfg(), tx);
         agent.poll(sim.captures(), Tick::new(3_000));
@@ -530,7 +530,7 @@ mod tests {
     fn dropped_receiver_does_not_panic() {
         let mut sim = two_tier(4);
         sim.run_until(Nanos::from_secs(3));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         drop(rx);
         let web = NodeId::new(0);
         let mut agent = TracerAgent::new(web, HashSet::new(), cfg(), tx);
@@ -584,7 +584,7 @@ mod tests {
     fn lossless_poll_reports_sent_count() {
         let mut sim = two_tier(8);
         sim.run_until(Nanos::from_secs(5));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let web = NodeId::new(0);
         let cli = NodeId::new(2);
         let mut agent = TracerAgent::new(web, HashSet::from([cli]), cfg(), tx);
@@ -628,7 +628,7 @@ mod tests {
         let mut capture = CaptureStore::new();
         capture.record(web, cli, web, Nanos::from_millis(100), 1);
         let log: AnnounceLog = Default::default();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mut agent = TracerAgent::with_sink(
             web,
             HashSet::from([cli]),

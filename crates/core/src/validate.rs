@@ -11,10 +11,9 @@ use crate::graph::ServiceGraph;
 use e2eprof_netsim::truth::TruthRecorder;
 use e2eprof_netsim::{ClassId, NodeId, Topology};
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy of one forward hop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HopAccuracy {
     /// Source node label.
     pub from: String,
@@ -29,7 +28,7 @@ pub struct HopAccuracy {
 }
 
 /// The full accuracy comparison for one client's graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyReport {
     /// Per-forward-hop comparison.
     pub hops: Vec<HopAccuracy>,

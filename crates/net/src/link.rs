@@ -32,11 +32,11 @@ use crate::queue::{QueueStats, QueuedFrame, SendQueue};
 use crate::registry::{Freshness, SeqDedup};
 use crate::stream::{write_coalesced, Dialer, NetStream, COALESCE_MAX_BYTES, COALESCE_MAX_FRAMES};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use e2eprof_core::tracer::{FrameSink, TracerFrame};
 use e2eprof_netsim::NodeId;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -482,7 +482,7 @@ impl AnalyzerConn {
         of: u32,
         config: LinkConfig,
     ) -> (AnalyzerConn, Receiver<TracerFrame>) {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ConnStats::default());
         let redial = Redial::new(dialer, &config, Some(Arc::clone(&stop)));

@@ -10,13 +10,12 @@
 use crate::ids::NodeId;
 use e2eprof_timeseries::hashing::FxHashMap;
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
 /// Identifies one captured signal: messages `src → dst` observed at
 /// `observer` (which is `src` or `dst`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceKey {
     /// The node whose tracer recorded the packets.
     pub observer: NodeId,

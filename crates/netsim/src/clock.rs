@@ -8,7 +8,6 @@
 //! and drift.
 
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A node's local clock: `local(t) = t + skew + drift_ppm · t / 10⁶`,
 /// saturated at zero.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let c = NodeClock::with_skew_millis(5);
 /// assert_eq!(c.local(Nanos::from_secs(1)), Nanos::from_millis(1005));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeClock {
     /// Constant offset from global time, in nanoseconds (may be negative).
     skew_ns: i64,

@@ -6,10 +6,9 @@
 
 use e2eprof_timeseries::Nanos;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over non-negative delays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DelayDist {
     /// Always exactly this long.

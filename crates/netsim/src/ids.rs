@@ -1,6 +1,5 @@
 //! Identifier newtypes for simulation entities.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (client or service) in the topology.
@@ -9,7 +8,7 @@ use std::fmt;
 /// creation order; the topology maps them back to human-readable labels.
 ///
 /// [`TopologyBuilder`]: crate::topology::TopologyBuilder
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -35,7 +34,7 @@ impl fmt::Display for NodeId {
 /// Requests issued by one client node all belong to one class; a physical
 /// client issuing several classes is modelled as several client nodes,
 /// exactly as in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClassId(u16);
 
 impl ClassId {
@@ -60,7 +59,7 @@ impl fmt::Display for ClassId {
 ///
 /// Only the simulator's ground-truth recorder sees request ids — pathmap,
 /// by design, never does (it is a black-box technique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId(u64);
 
 impl RequestId {

@@ -1,10 +1,9 @@
 //! Messages exchanged between nodes.
 
 use crate::ids::{ClassId, NodeId, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// Whether a message travels down the request path or back up it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MsgKind {
     /// A client request (or a downstream query derived from one).
     Request,
@@ -19,7 +18,7 @@ pub enum MsgKind {
 /// the paper's bidirectional-path assumption. `back_index` is meaningful
 /// only for responses: the position in `path` of the node that (last)
 /// forwarded this response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// End-to-end request this message belongs to.
     pub req: RequestId,

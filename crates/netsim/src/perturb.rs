@@ -7,10 +7,9 @@
 //! pure function of simulation time, keeping the simulator deterministic.
 
 use e2eprof_timeseries::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A deterministic extra processing delay as a function of time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
 pub enum DelaySchedule {

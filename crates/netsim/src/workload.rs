@@ -7,10 +7,9 @@
 
 use e2eprof_timeseries::Nanos;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An arrival process description (stateless configuration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Workload {
     /// Poisson arrivals at a constant rate (exponential inter-arrivals).

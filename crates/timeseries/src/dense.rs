@@ -3,7 +3,6 @@
 use crate::sparse::{SparseEntry, SparseSeries};
 use crate::stats::SeriesStats;
 use crate::time::Tick;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous signal: one `f64` per tick starting at `start`.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.value_at(Tick::new(7)), 2.0);
 /// assert_eq!(s.value_at(Tick::new(100)), 0.0); // outside span
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DenseSeries {
     start: Tick,
     values: Vec<f64>,

@@ -10,10 +10,9 @@
 use crate::sparse::{SparseEntry, SparseSeries};
 use crate::stats::SeriesStats;
 use crate::time::Tick;
-use serde::{Deserialize, Serialize};
 
 /// One run: `len` consecutive ticks starting at `start`, all with `value`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Run {
     start: Tick,
     len: u64,
@@ -78,7 +77,7 @@ impl Run {
 /// assert_eq!(r.num_runs(), 1);
 /// assert_eq!(r.stats().sum(), 20.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RleSeries {
     start: Tick,
     len: u64,

@@ -9,10 +9,9 @@ use crate::dense::DenseSeries;
 use crate::rle::{RleSeries, Run};
 use crate::stats::SeriesStats;
 use crate::time::Tick;
-use serde::{Deserialize, Serialize};
 
 /// One non-zero sample of a sparse signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseEntry {
     tick: Tick,
     value: f64,
@@ -55,7 +54,7 @@ impl SparseEntry {
 /// assert_eq!(s.value_at(Tick::new(3)), 0.0);
 /// assert_eq!(s.stats().mean(), 0.3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseSeries {
     start: Tick,
     len: u64,

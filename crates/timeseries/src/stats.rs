@@ -6,8 +6,6 @@
 //! the stored entries plus the logical window length `n`, so means and
 //! variances are computed as if the zeros were present.
 
-use serde::{Deserialize, Serialize};
-
 /// First and second moments of a signal over a logical window of `n` ticks.
 ///
 /// # Example
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.mean(), 1.0);
 /// assert_eq!(stats.variance(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SeriesStats {
     n: u64,
     sum: f64,
@@ -109,7 +107,7 @@ impl SeriesStats {
 
 /// Streaming mean/std accumulator for scalar observations (used for delay
 /// histories and report summaries; not window-based).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

@@ -7,7 +7,6 @@
 //! Wall-clock time is carried as [`Nanos`] and only converted to ticks at
 //! the density-estimation boundary.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -25,9 +24,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_nanos(), 3_500_000);
 /// assert_eq!(t.as_millis_f64(), 3.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
 
 impl Nanos {
@@ -143,7 +140,7 @@ impl fmt::Display for Nanos {
 /// assert_eq!(q.tick_of(Nanos::from_micros(2_400)).index(), 2);
 /// assert_eq!(q.ticks_in(Nanos::from_secs(3)), 3000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Quanta(Nanos);
 
 impl Quanta {
@@ -208,9 +205,7 @@ impl Quanta {
 /// assert_eq!(t.index(), 15);
 /// assert_eq!(t - Tick::new(10), 5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Tick(u64);
 
 impl Tick {

@@ -1,7 +1,5 @@
 //! The result type shared by all correlation engines.
 
-use serde::{Deserialize, Serialize};
-
 /// A lag-indexed correlation series: `values[d] = r(d) = Σ_t x(t) · y(t+d)`
 /// for `d ∈ [0, max_lag)`.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.value_at(1), 5.0);
 /// assert_eq!(c.peak(), Some((1, 5.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CorrSeries {
     values: Vec<f64>,
 }

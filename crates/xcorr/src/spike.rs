@@ -6,10 +6,8 @@
 //! each other. To address this issue, we define a resolution threshold
 //! window that chooses only the tallest spike in a particular window."
 
-use serde::{Deserialize, Serialize};
-
 /// A detected correlation spike: a causal-delay candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spike {
     /// The lag (in ticks) at which the spike occurs — the inferred delay.
     pub lag: u64,
@@ -63,7 +61,7 @@ impl Moments {
 /// let lags: Vec<u64> = spikes.iter().map(|s| s.lag).collect();
 /// assert_eq!(lags, vec![40, 70]); // 41 suppressed by the resolution window
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpikeDetector {
     /// Threshold in standard deviations above the mean (paper: 3.0).
     threshold_sigma: f64,

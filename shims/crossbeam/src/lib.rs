@@ -1,127 +1,7 @@
-//! Offline stand-in for `crossbeam`.
-//!
-//! Only the `channel` module is provided (the workspace's sole crossbeam
-//! use); it wraps `std::sync::mpsc` behind crossbeam's naming. Scoped
-//! threads come from `std::thread::scope` elsewhere in the workspace.
+//! Offline stand-in for `crossbeam`: only the `bench/` harness names it.
 
 pub mod channel {
-    use std::fmt;
-    use std::sync::mpsc;
-
-    pub use std::sync::mpsc::{RecvError, TryRecvError};
-
-    /// Error returned by [`Sender::send`] when the receiver is gone.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl<T> std::error::Error for SendError<T> {}
-
-    /// The sending half of an unbounded channel.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends a message, failing only if the receiver was dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            self.0.send(msg).map_err(|mpsc::SendError(m)| SendError(m))
-        }
-    }
-
-    /// The receiving half of an unbounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Receives a message, blocking until one arrives or all senders
-        /// are dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        /// Receives a message without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        /// Iterates over currently-queued messages without blocking.
-        pub fn try_iter(&self) -> mpsc::TryIter<'_, T> {
-            self.0.try_iter()
-        }
-
-        /// Iterates, blocking per message, until all senders are dropped.
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-
-    /// Creates an unbounded FIFO channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn send_receive_order() {
-            let (tx, rx) = unbounded();
-            for i in 0..5 {
-                tx.send(i).unwrap();
-            }
-            let got: Vec<i32> = rx.try_iter().collect();
-            assert_eq!(got, vec![0, 1, 2, 3, 4]);
-            assert!(matches!(rx.try_recv(), Err(TryRecvError::Empty)));
-        }
-
-        #[test]
-        fn dropped_receiver_fails_send() {
-            let (tx, rx) = unbounded();
-            drop(rx);
-            assert_eq!(tx.send(7), Err(SendError(7)));
-        }
-
-        #[test]
-        fn cloned_senders_feed_one_receiver() {
-            let (tx, rx) = unbounded();
-            let tx2 = tx.clone();
-            std::thread::spawn(move || tx2.send(1).unwrap())
-                .join()
-                .unwrap();
-            tx.send(2).unwrap();
-            drop(tx);
-            let mut got: Vec<i32> = rx.iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, vec![1, 2]);
-        }
-    }
+    pub use std::sync::mpsc::{
+        channel as unbounded, Receiver, RecvError, SendError, Sender, TryRecvError,
+    };
 }

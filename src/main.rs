@@ -12,7 +12,6 @@
 //! (`#` comments and blank lines ignored). Output formats: `text`
 //! (annotated graphs), `dot` (Graphviz), `waterfall` (ASCII timeline).
 
-use e2eprof::core::config::PathmapConfigBuilder;
 use e2eprof::core::ingest::TraceIngest;
 use e2eprof::core::prelude::*;
 use e2eprof::timeseries::{Nanos, Quanta};
@@ -41,8 +40,7 @@ fn main() -> ExitCode {
             eprintln!("  demo                          simulate a system and analyze it");
             eprintln!();
             eprintln!("  distributed [options]         demo over the network transport");
-            eprintln!("      --transport <t>     inproc | tcp | unix (default from");
-            eprintln!("                          E2EPROF_TRANSPORT, else inproc pipes)");
+            eprintln!("      --transport <t>     inproc | tcp | unix (default inproc)");
             eprintln!("      --shards <n>        analyzer shards        (default 2)");
             eprintln!();
             eprintln!("  broker [options]              run a standalone broker");
@@ -53,25 +51,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// Finishes a configuration under the `E2EPROF_*` overrides. The
-/// variables are operator input: a bad value is reported like a bad flag
-/// (exit code 2), never panicked on.
-fn build_config(builder: PathmapConfigBuilder) -> Result<PathmapConfig, ExitCode> {
-    match builder.try_env_overrides() {
-        Ok(builder) => Ok(builder.build()),
-        Err(e) => {
-            eprintln!("e2eprof: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
-}
-
 /// The analysis parameters of the `demo` and `distributed` subcommands.
-fn demo_config() -> PathmapConfigBuilder {
+fn demo_config() -> PathmapConfig {
     PathmapConfig::builder()
         .window(Nanos::from_secs(60))
         .refresh(Nanos::from_secs(15))
         .max_delay(Nanos::from_secs(2))
+        .build()
 }
 
 /// Parses `500us` / `250ms` / `30s` / `5m` into nanoseconds.
@@ -183,17 +169,13 @@ fn analyze(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    let cfg = match build_config(
-        PathmapConfig::builder()
-            .quanta(Quanta::from_nanos(opts.tau.as_nanos()))
-            .omega_ticks(opts.omega)
-            .window(opts.window)
-            .refresh(opts.window)
-            .max_delay(opts.max_delay),
-    ) {
-        Ok(cfg) => cfg,
-        Err(code) => return code,
-    };
+    let cfg = PathmapConfig::builder()
+        .quanta(Quanta::from_nanos(opts.tau.as_nanos()))
+        .omega_ticks(opts.omega)
+        .window(opts.window)
+        .refresh(opts.window)
+        .max_delay(opts.max_delay)
+        .build();
     let labels = ingest.labels();
     let signals = ingest.build_signals(&cfg, ingest.horizon());
     let graphs = Pathmap::new(cfg).discover(&signals, &roots, &labels);
@@ -275,27 +257,18 @@ fn distributed(args: &[String]) -> ExitCode {
         }
     }
 
-    let cfg = match build_config(demo_config()) {
-        Ok(cfg) => cfg,
-        Err(code) => return code,
-    };
-    let selected = match transport.as_deref() {
-        Some("tcp") => Transport::Tcp,
-        Some("unix") => Transport::Unix,
-        Some("inproc") => Transport::InProcess,
+    let endpoint = match transport.as_deref() {
+        Some("tcp") => Endpoint::Tcp,
+        Some("unix") => Endpoint::Unix,
+        // The in-process demo still exercises the full broker/framing
+        // stack — just over deterministic in-memory pipes.
+        Some("inproc") | None => Endpoint::Mem,
         Some(other) => {
             eprintln!("e2eprof: unknown transport {other:?} (inproc | tcp | unix)");
             return ExitCode::from(2);
         }
-        None => cfg.transport(),
     };
-    let endpoint = match selected {
-        Transport::Tcp => Endpoint::Tcp,
-        Transport::Unix => Endpoint::Unix,
-        // The in-process demo still exercises the full broker/framing
-        // stack — just over deterministic in-memory pipes.
-        Transport::InProcess => Endpoint::Mem,
-    };
+    let cfg = demo_config();
     let bound = match endpoint.bind() {
         Ok(b) => b,
         Err(e) => {
@@ -418,10 +391,7 @@ fn broker(args: &[String]) -> ExitCode {
 
 fn demo() -> ExitCode {
     use e2eprof::netsim::Simulation;
-    let cfg = match build_config(demo_config()) {
-        Ok(cfg) => cfg,
-        Err(code) => return code,
-    };
+    let cfg = demo_config();
     println!("simulating a three-tier system for 90 seconds...\n");
     let mut sim = Simulation::new(demo_topology(), 7);
     sim.run_until(Nanos::from_secs(90));

@@ -170,29 +170,15 @@ fn distributed_always_reports_the_activity_gate() {
 }
 
 #[test]
-fn bad_environment_override_is_reported_not_panicked_on() {
-    // `demo` checks the environment before it simulates anything, so this
-    // returns at once. A removed knob's variable is an error of its own: a
-    // script that still sets it must not believe it selected anything.
-    for (variable, value, expect) in [
-        ("E2EPROF_TRANSPORT", "udp", "inproc | tcp | unix"),
-        ("E2EPROF_WIRE", "v1", "removed"),
-        ("E2EPROF_INCREMENTAL", "on", "removed"),
-        ("E2EPROF_SCREENING", "8", "removed"),
-        ("E2EPROF_BACKEND", "auto", "removed"),
-        ("E2EPROF_REDUCTION", "on", "removed"),
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_e2eprof"))
-            .arg("demo")
-            .env(variable, value)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{variable}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.starts_with("e2eprof: "), "{stderr}");
-        for part in [variable, value, expect] {
-            assert!(stderr.contains(part), "{stderr:?} lacks {part:?}");
-        }
-        assert!(!stderr.contains("panicked"), "{stderr}");
+fn bad_transport_flag_is_reported() {
+    // The flag is checked before anything is bound or simulated, so this
+    // returns at once.
+    let out = e2eprof(&["distributed", "--transport", "udp"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("e2eprof: "), "{stderr}");
+    for part in ["udp", "inproc | tcp | unix"] {
+        assert!(stderr.contains(part), "{stderr:?} lacks {part:?}");
     }
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -4,7 +4,6 @@
 //! the batch frame is for: on a real RUBiS window it spends far fewer
 //! bytes per captured record than v1 frames.
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
 use e2eprof::core::tracer::TracerFrame;
@@ -12,6 +11,7 @@ use e2eprof::netsim::{CaptureStore, NodeId};
 use e2eprof::timeseries::density::DensityEstimator;
 use e2eprof::timeseries::{wire, Nanos, Quanta, RleSeries, Run, Tick};
 use std::collections::HashSet;
+use std::sync::mpsc::channel;
 
 /// The emitted layout: magic `E2EP`, version 2, flags (integer
 /// amplitudes), entry count, then per entry `src dst start len runs` and
@@ -25,7 +25,7 @@ fn pinned_v2_golden_frame_is_what_a_poll_emits() {
     capture.record(web, cli, web, Nanos::from_millis(100), 1);
     capture.record(web, cli, web, Nanos::from_millis(300), 2);
     capture.record(web, db, web, Nanos::from_millis(990), 1);
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let mut agent = TracerAgent::new(web, HashSet::from([cli]), PathmapConfig::default(), tx);
     agent.poll(&capture, Tick::new(1_000));
     let frames: Vec<TracerFrame> = rx.try_iter().collect();

@@ -4,13 +4,13 @@
 //! service graphs republished every refresh — and where replaying a
 //! finished capture publishes what the live run does, and where not.
 
-use crossbeam::channel::unbounded;
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
 use e2eprof::core::prelude::*;
 use e2eprof::netsim::prelude::*;
 use e2eprof::netsim::{NodeId, Route};
 use e2eprof::timeseries::{Nanos, Quanta, Tick};
 use std::collections::HashSet;
+use std::sync::mpsc::channel;
 
 fn affinity_rubis(seed: u64) -> Rubis {
     Rubis::build(RubisConfig {
@@ -84,7 +84,7 @@ fn analyzer_heals_tracer_gaps() {
         .refresh(Nanos::from_secs(5))
         .max_delay(Nanos::from_secs(2))
         .build();
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let clients: HashSet<NodeId> = rubis.sim().topology().clients().into_iter().collect();
     let services = rubis.sim().topology().services();
     let flaky_node = services[3]; // one EJB's tracer is flaky

@@ -4,11 +4,12 @@
 //! order — must publish graphs **identical** to the in-process channel
 //! run at every refresh, on both evaluation applications.
 //!
-//! The in-memory transport (deterministic pipes, same framing and broker
-//! code) runs unconditionally. The kernel transports run when selected:
-//! `E2EPROF_TRANSPORT=tcp` or `E2EPROF_TRANSPORT=unix` — the CI matrix
-//! sets one per job, so every transport gets the full seed × shard grid
-//! without tripling the default suite's wall time.
+//! By default the in-memory transport (deterministic pipes, same framing
+//! and broker code) runs. `E2EPROF_TRANSPORT=tcp` or
+//! `E2EPROF_TRANSPORT=unix` runs that kernel transport instead — CI runs
+//! the suite once per value, so every transport gets the full seed × shard
+//! grid without tripling the default suite's wall time. No other code in
+//! the workspace reads an environment variable.
 
 use e2eprof::apps::delta::{Delta, DeltaConfig};
 use e2eprof::apps::rubis::{Dispatch, Rubis, RubisConfig};
